@@ -6,9 +6,9 @@
 //! deployment answers bitrate decisions, scheduling decisions and
 //! viewport predictions concurrently, the realistic mix of heterogeneous
 //! flows a network actually carries. Each member task keeps its own
-//! weights (the repo adapts one backbone per task), so the engine groups
-//! a tick's slots by member: every same-member run in the batch shares a
-//! stacked backbone GEMM, members never mix weights, and per-slot
+//! weights (the repo adapts one backbone per task), so the engine sorts
+//! a tick's slots by member: all of a member's slots in the batch share
+//! one stacked backbone GEMM, members never mix weights, and per-slot
 //! semantics — ABR re-anchoring, CJS candidate rollback, VP one-shot
 //! eval — are exactly the member's own [`ServedTask`] hooks, delegated.
 

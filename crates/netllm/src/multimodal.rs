@@ -10,6 +10,13 @@
 use nt_nn::{Conv1d, Fwd, Gnn, Init, LayerNorm, Linear, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 
+/// GELU over a freshly computed tensor, in place — the same slice kernel
+/// the taped `Graph::gelu` forward runs, so both paths stay bit-identical.
+fn gelu_owned(mut t: Tensor) -> Tensor {
+    nt_tensor::gelu_in_place(t.data_mut());
+    t
+}
+
 /// ViT-lite image encoder: non-overlapping patch embedding over a square
 /// grid image, mean-pooled into one feature vector. The projection into
 /// token space is separate (and always trainable), matching the paper's
@@ -70,7 +77,7 @@ impl ImageEncoder {
 
     /// Graph-free inference forward.
     pub fn eval(&self, store: &ParamStore, img: &Tensor) -> Tensor {
-        self.patch.eval(store, &self.patchify(img)).map(nt_tensor::gelu)
+        gelu_owned(self.patch.eval(store, &self.patchify(img)))
     }
 }
 
@@ -129,7 +136,7 @@ impl SeriesEncoder {
         assert_eq!(series.shape()[0], self.channels_in);
         let t = series.shape()[1];
         let x = series.clone().reshape([1, self.channels_in, t]);
-        let y = self.conv.eval(store, &x).map(nt_tensor::gelu); // [1, feat, t]
+        let y = gelu_owned(self.conv.eval(store, &x)); // [1, feat, t]
         y.reshape([self.feat_dim, t]).t() // [t, feat]
     }
 
@@ -184,7 +191,7 @@ impl ScalarEncoder {
 
     /// Graph-free inference forward.
     pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        self.fc.eval(store, x).map(nt_tensor::gelu)
+        gelu_owned(self.fc.eval(store, x))
     }
 }
 

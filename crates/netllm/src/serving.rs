@@ -31,7 +31,10 @@
 //! and VP runs one-shot eval slots that join, answer, and leave. A
 //! heterogeneous fleet ([`crate::NetLlmFleet`]) serves all three in the
 //! same tick; slots on different backbones never share a stacked GEMM
-//! (separate weights), but every same-backbone run in the batch does.
+//! (separate weights), but all of a tick's slots on one backbone do —
+//! the engine serves the batch in backbone-group order, so an
+//! interleaved A/C/V/A/C/V arrival order still costs one stacked pass per
+//! backbone group.
 //!
 //! Join/leave never disturbs other slots: a slot owns its KV session and
 //! episode state, and the batch is just "whichever slots got an
@@ -254,19 +257,11 @@ pub struct ServingEngine<T: ServedTask> {
     /// KV pages for admitted sessions come from here when set (possibly
     /// shared with other engines — the budget is global to the pool).
     pool: Option<PagePool>,
-    /// Cumulative per-phase wall time (plan+backbone / rollback pass /
-    /// head+settle), for the profiling bin.
-    pub phase_times: [std::time::Duration; 3],
 }
 
 impl<T: ServedTask> Default for ServingEngine<T> {
     fn default() -> Self {
-        ServingEngine {
-            slots: SlotMap::new(),
-            next_gen: 0,
-            pool: None,
-            phase_times: [std::time::Duration::ZERO; 3],
-        }
+        ServingEngine { slots: SlotMap::new(), next_gen: 0, pool: None }
     }
 }
 
@@ -520,8 +515,8 @@ impl<T: ServedTask> ServingEngine<T> {
 
     /// Serve one tick: each `(id, observation)` pair advances that
     /// session by one decision, all through batched backbone steps (one
-    /// stacked GEMM per contiguous same-backbone run in the batch).
-    /// Returns the decisions in request order.
+    /// stacked GEMM per backbone group in the batch, however the caller
+    /// interleaved the groups). Returns the decisions in request order.
     ///
     /// Per-slot semantics are identical to the adapter's unbatched path
     /// (`AbrPolicy::select`, `NetLlmCjs::decide_obs`, `NetLlmVp`'s
@@ -535,21 +530,31 @@ impl<T: ServedTask> ServingEngine<T> {
         T::Slot: Send,
     {
         assert!(!requests.is_empty(), "empty serving batch");
-        // Pull a distinct &mut slot per request, in request order, and
-        // reject stale generations before touching any state.
+        // Serve in group order: a stable sort of the request positions by
+        // backbone group (stale generations rejected before any state is
+        // touched), so every group is one contiguous run whatever order
+        // the arrivals came in — class-based service inside the tick.
+        // Every slot owns its KV and every GEMM output element is one
+        // ascending-k chain whatever the row count, so the order slots
+        // are stacked in changes no answer.
+        let groups: Vec<usize> = requests
+            .iter()
+            .map(|&(id, _)| {
+                self.check(id);
+                task.group_of(&self.slots.get(id.index()).state)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| groups[i]);
+        let requests: Vec<(SessionId, &T::Obs)> = order.iter().map(|&i| requests[i]).collect();
+        let requests = requests.as_slice();
+        // A distinct &mut slot per request (a duplicate id panics here).
         let mut picked = self.slots.get_distinct_mut(requests.iter().map(|&(id, _)| id.index()));
-        for (slot, &(id, _)) in picked.iter().zip(requests) {
-            assert_eq!(
-                slot.gen,
-                id.gen,
-                "stale session id: slot {} was recycled since this handle was issued",
-                id.index()
-            );
-        }
 
         // Phases 1+2 (per band): plan each slot's token rows, then run
         // batched backbone steps over the band. Bands are contiguous
-        // request ranges; with NT_THREADS > 1 they fan out over the
+        // ranges of the group-sorted order, so a band holds at most
+        // `groups()` runs; with NT_THREADS > 1 they fan out over the
         // persistent kernel pool ([`nt_tensor::pool::run_tasks`]) — each
         // band is an independent slice of slots (own KV caches, own
         // episode state), and band splits never change any per-element
@@ -557,51 +562,25 @@ impl<T: ServedTask> ServingEngine<T> {
         // bit-identical. Band tasks carry the pool's worker flag (no
         // second layer of per-matmul parallelism), and an engine that is
         // *itself* inside a pool worker (a shard task) stays serial.
-        let t0 = std::time::Instant::now();
         let threads = if nt_tensor::pool::in_worker() {
             1
         } else {
-            // Each spawned band must carry at least two slots so tiny
-            // batches never pay a thread spawn per tick.
+            // At least two slots per band: a band of one stacks nothing,
+            // so splitting further only makes the GEMMs shorter.
             nt_tensor::pool::num_threads().min(requests.len() / 2).max(1)
         };
         let band_len = requests.len().div_ceil(threads);
         let run_band =
             |slots: &mut [&mut EngineSlot<T>], reqs: &[(SessionId, &T::Obs)]| -> Vec<Tensor> {
                 let mut parts: Vec<Tensor> = Vec::with_capacity(reqs.len());
-                let mut rows = Vec::with_capacity(reqs.len());
                 for (slot, &(_, obs)) in slots.iter_mut().zip(reqs) {
                     let plan = task.plan_step(&mut slot.state, obs, &slot.session);
                     if plan.reanchor {
                         slot.session.clear();
                     }
-                    rows.push(plan.tokens.shape()[0]);
                     parts.push(plan.tokens);
                 }
-                // One batched backbone step per contiguous same-group
-                // run (different groups may run different weights).
-                let mut hidden_per_slot: Vec<Tensor> = Vec::with_capacity(reqs.len());
-                let mut i = 0usize;
-                while i < slots.len() {
-                    let g = task.group_of(&slots[i].state);
-                    let mut j = i + 1;
-                    while j < slots.len() && task.group_of(&slots[j].state) == g {
-                        j += 1;
-                    }
-                    let (lm, store) = task.backbone(g);
-                    let refs: Vec<&Tensor> = parts[i..j].iter().collect();
-                    let stacked = nt_tensor::concat(&refs, 0);
-                    let mut sessions: Vec<&mut InferenceSession> =
-                        slots[i..j].iter_mut().map(|s| &mut s.session).collect();
-                    let hidden = append_batched(lm, store, &mut sessions, &stacked, &rows[i..j]);
-                    let mut row = 0usize;
-                    for &n in &rows[i..j] {
-                        hidden_per_slot.push(hidden.narrow(0, row, n));
-                        row += n;
-                    }
-                    i = j;
-                }
-                hidden_per_slot
+                append_by_group(task, slots, &parts)
             };
         let hidden: Vec<Tensor> = if threads <= 1 {
             run_band(&mut picked, requests)
@@ -627,10 +606,8 @@ impl<T: ServedTask> ServingEngine<T> {
                 .flat_map(|m| m.into_inner().unwrap().expect("serving band skipped"))
                 .collect()
         };
-        self.phase_times[0] += t0.elapsed();
 
         // Phase 3: task heads over each slot's new hidden rows.
-        let t2 = std::time::Instant::now();
         let mut actions = Vec::with_capacity(requests.len());
         let mut rollbacks: Vec<Option<RollbackPlan>> = Vec::with_capacity(requests.len());
         for ((slot, &(_, obs)), h) in picked.iter_mut().zip(requests).zip(&hidden) {
@@ -639,42 +616,59 @@ impl<T: ServedTask> ServingEngine<T> {
             rollbacks.push(out.rollback);
             actions.push(out.action);
         }
-        self.phase_times[2] += t2.elapsed();
 
         // Rollback pass: slots whose trailing rows are not persistent
         // history (CJS candidates) truncate them away, then their post
         // tokens (the chosen action) go through the backbone as one
-        // batched append per same-group run. Per-slot math is identical
+        // batched append per backbone group. Per-slot math is identical
         // to the unbatched truncate-then-append — KV state is private to
         // each slot.
-        let t1 = std::time::Instant::now();
-        let mut rb: Vec<(&mut EngineSlot<T>, Tensor)> = Vec::new();
-        for (slot, plan) in picked.iter_mut().zip(rollbacks) {
+        let mut rb_slots: Vec<&mut EngineSlot<T>> = Vec::new();
+        let mut rb_tokens: Vec<Tensor> = Vec::new();
+        for (slot, plan) in picked.into_iter().zip(rollbacks) {
             if let Some(RollbackPlan { drop_rows, post_tokens }) = plan {
                 let keep = slot.session.len() - drop_rows;
                 slot.session.truncate(keep);
-                rb.push((slot, post_tokens));
+                rb_slots.push(slot);
+                rb_tokens.push(post_tokens);
             }
         }
-        let mut i = 0usize;
-        while i < rb.len() {
-            let g = task.group_of(&rb[i].0.state);
-            let mut j = i + 1;
-            while j < rb.len() && task.group_of(&rb[j].0.state) == g {
-                j += 1;
-            }
-            let (lm, store) = task.backbone(g);
-            let refs: Vec<&Tensor> = rb[i..j].iter().map(|(_, t)| t).collect();
-            let stacked = nt_tensor::concat(&refs, 0);
-            let rows: Vec<usize> = rb[i..j].iter().map(|(_, t)| t.shape()[0]).collect();
-            let mut sessions: Vec<&mut InferenceSession> =
-                rb[i..j].iter_mut().map(|(s, _)| &mut s.session).collect();
-            let _ = append_batched(lm, store, &mut sessions, &stacked, &rows);
-            i = j;
-        }
-        self.phase_times[1] += t1.elapsed();
-        actions
+        let _ = append_by_group(task, &mut rb_slots, &rb_tokens);
+
+        // Scatter the group-ordered decisions back to request order.
+        let mut tagged: Vec<(usize, T::Action)> = order.into_iter().zip(actions).collect();
+        tagged.sort_unstable_by_key(|&(i, _)| i);
+        tagged.into_iter().map(|(_, action)| action).collect()
     }
+}
+
+/// Append `tokens[i]` to `slots[i]`'s session, one stacked backbone pass
+/// per maximal run of same-backbone slots (different groups may run
+/// different weights). Returns each slot's new hidden rows, in slot order.
+fn append_by_group<T: ServedTask>(
+    task: &T,
+    slots: &mut [&mut EngineSlot<T>],
+    tokens: &[Tensor],
+) -> Vec<Tensor> {
+    let mut hidden_per_slot = Vec::with_capacity(slots.len());
+    let mut rest = tokens;
+    for run in slots.chunk_by_mut(|a, b| task.group_of(&a.state) == task.group_of(&b.state)) {
+        let (tokens, tail) = rest.split_at(run.len());
+        rest = tail;
+        let (lm, store) = task.backbone(task.group_of(&run[0].state));
+        let refs: Vec<&Tensor> = tokens.iter().collect();
+        let stacked = nt_tensor::concat(&refs, 0);
+        let rows: Vec<usize> = tokens.iter().map(|t| t.shape()[0]).collect();
+        let mut sessions: Vec<&mut InferenceSession> =
+            run.iter_mut().map(|s| &mut s.session).collect();
+        let hidden = append_batched(lm, store, &mut sessions, &stacked, &rows);
+        let mut row = 0usize;
+        for &n in &rows {
+            hidden_per_slot.push(hidden.narrow(0, row, n));
+            row += n;
+        }
+    }
+    hidden_per_slot
 }
 
 #[cfg(test)]

@@ -5,57 +5,25 @@
 //! tick, and the ABR streams crossing their 2x-window re-anchor.
 
 use netllm::{
-    AdaptMode, CjsObs, FleetObs, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
-    ShardedServer, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    FleetAction, FleetObs, FleetSlot, InferenceSession, NetLlmFleet, ServedTask, ServingEngine,
+    ShardedServer, StepOutcome, StepPlan, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::{AbrObservation, AbrPolicy};
-use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
-use nt_llm::{size_spec, Zoo};
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
+use nt_cjs::Scheduler;
+use nt_llm::TinyLm;
+use nt_nn::ParamStore;
+use nt_tensor::Tensor;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
-    obs
-}
-
-fn vp_samples() -> Vec<VpSample> {
-    let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-    extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
-}
+mod common;
+use common::{fleet_models, interleaved_obs, record_cjs_obs, vp_samples, KINDS};
 
 #[test]
 fn mixed_fleet_matches_each_adapters_unbatched_path() {
-    let zoo = Zoo::new(std::env::temp_dir().join("netllm-mixed-fleet"));
     let window = 3usize;
     let ticks = 8usize;
-
-    let mut m_abr = NetLlmAbr::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        21,
-    );
-    m_abr.target_return = 2.0;
-    let mut m_cjs = NetLlmCjs::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        22,
-    );
-    m_cjs.target_return = -1.0;
-    let mut m_vp = NetLlmVp::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        23,
-    );
+    let common::FleetModels { abr: mut m_abr, cjs: mut m_cjs, vp: mut m_vp } =
+        fleet_models("netllm-mixed-fleet", window, 21);
 
     let abr_streams: Vec<Vec<AbrObservation>> =
         (0..2).map(|s| AbrObservation::synthetic_stream(70 + s as u64, ticks)).collect();
@@ -138,6 +106,110 @@ fn mixed_fleet_matches_each_adapters_unbatched_path() {
         assert_eq!(v.data().len(), blogits.len());
         for (x, y) in v.data().iter().zip(blogits) {
             assert!((x - y).abs() < 1e-5, "VP tick {tick}: fleet {y} vs unbatched {x}");
+        }
+    }
+}
+
+/// A fleet that counts how often the engine asks for a backbone — once
+/// per stacked append, so the count is the number of stacked GEMM passes.
+struct CountingFleet<'m> {
+    inner: NetLlmFleet<'m>,
+    backbone_fetches: AtomicUsize,
+}
+
+impl ServedTask for CountingFleet<'_> {
+    type Obs = FleetObs;
+    type Action = FleetAction;
+    type Slot = FleetSlot;
+
+    fn groups(&self) -> usize {
+        self.inner.groups()
+    }
+    fn backbone(&self, group: usize) -> (&TinyLm, &ParamStore) {
+        self.backbone_fetches.fetch_add(1, Ordering::Relaxed);
+        self.inner.backbone(group)
+    }
+    fn group_of(&self, slot: &FleetSlot) -> usize {
+        self.inner.group_of(slot)
+    }
+    fn new_slot(&self, group: usize) -> FleetSlot {
+        self.inner.new_slot(group)
+    }
+    fn plan_step(&self, slot: &mut FleetSlot, obs: &FleetObs, s: &InferenceSession) -> StepPlan {
+        self.inner.plan_step(slot, obs, s)
+    }
+    fn settle_step(
+        &self,
+        slot: &mut FleetSlot,
+        obs: &FleetObs,
+        hidden: &Tensor,
+    ) -> StepOutcome<FleetAction> {
+        self.inner.settle_step(slot, obs, hidden)
+    }
+}
+
+#[test]
+fn interleaved_fleet_costs_one_stacked_pass_per_backbone_group() {
+    let ticks = 8usize;
+    let sessions = 9usize;
+    let mut m = fleet_models("netllm-mixed-fleet-groups", 3, 31);
+    // Nine sessions joined — and asked — interleaved A/C/V/A/C/V/...: no
+    // two neighbours in the request share a backbone.
+    let obs = interleaved_obs(sessions, ticks, 6);
+    let fleet = CountingFleet { inner: m.fleet(), backbone_fetches: AtomicUsize::new(0) };
+    let mut engine = ServingEngine::new();
+    let ids: Vec<_> = (0..sessions).map(|i| engine.join_group(&fleet, KINDS[i % 3])).collect();
+    let mut served: Vec<Vec<(FleetAction, Vec<f32>)>> = vec![Vec::new(); sessions];
+    {
+        // One band whatever NT_THREADS says, so the fetch count is exact.
+        let _serial = nt_tensor::pool::enter_worker();
+        for (tick, tick_obs) in obs.iter().enumerate() {
+            let reqs: Vec<_> = ids.iter().copied().zip(tick_obs).collect();
+            let before = fleet.backbone_fetches.load(Ordering::Relaxed);
+            let actions = engine.step(&fleet, &reqs);
+            let fetched = fleet.backbone_fetches.load(Ordering::Relaxed) - before;
+            assert!(
+                fetched <= fleet.groups() + 1,
+                "tick {tick}: {fetched} stacked passes for {sessions} interleaved sessions; \
+                 want one per backbone group plus the CJS rollback pass"
+            );
+            for (i, action) in actions.into_iter().enumerate() {
+                served[i].push((action, engine.last_logits(ids[i]).to_vec()));
+            }
+        }
+    }
+    drop(engine);
+
+    // Request order != group order, so this also proves the scatter:
+    // every answer landed on the session that asked, and equals that
+    // session replayed alone through its adapter's unbatched path.
+    for (i, answers) in served.iter().enumerate() {
+        m.abr.reset();
+        m.cjs.reset();
+        for (tick, (action, logits)) in answers.iter().enumerate() {
+            let want: Vec<f32> = match &obs[tick][i] {
+                FleetObs::Abr(o) => {
+                    assert_eq!(m.abr.select(o), action.clone().abr(), "session {i} tick {tick}");
+                    m.abr.last_logits().to_vec()
+                }
+                FleetObs::Cjs(o) => {
+                    let (want, got) = (m.cjs.decide_obs(o), action.clone().cjs());
+                    assert_eq!(
+                        (want.candidate, want.cap),
+                        (got.candidate, got.cap),
+                        "session {i} tick {tick}"
+                    );
+                    m.cjs.last_logits().to_vec()
+                }
+                FleetObs::Vp(q) => m.vp.forward_eval(&q.sample, q.pw).data().to_vec(),
+            };
+            assert_eq!(logits.len(), want.len(), "session {i} tick {tick}: logits length");
+            for (x, y) in want.iter().zip(logits) {
+                assert!(
+                    (x - y).abs() < 1e-5,
+                    "session {i} tick {tick}: fleet {y} vs unbatched {x}"
+                );
+            }
         }
     }
 }

@@ -6,6 +6,15 @@ use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ServingEngine};
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_llm::{size_spec, Zoo};
 
+mod common;
+use common::{fleet_models, interleaved_obs, KINDS};
+
+/// Both tests pin the same value, whichever runs first.
+fn pin_four_threads() {
+    std::env::set_var("NT_THREADS", "4");
+    assert_eq!(nt_tensor::pool::num_threads(), 4);
+}
+
 fn obs_stream(seed: u64, len: usize) -> Vec<AbrObservation> {
     AbrObservation::synthetic_stream(seed, len)
 }
@@ -13,8 +22,7 @@ fn obs_stream(seed: u64, len: usize) -> Vec<AbrObservation> {
 #[test]
 #[allow(clippy::needless_range_loop)]
 fn threaded_bands_match_sequential_rollouts() {
-    std::env::set_var("NT_THREADS", "4");
-    assert_eq!(nt_tensor::pool::num_threads(), 4);
+    pin_four_threads();
 
     let loaded = Zoo::new(std::env::temp_dir().join("netllm-threaded-serving"))
         .build_random(&size_spec("7b-sim"));
@@ -50,4 +58,33 @@ fn threaded_bands_match_sequential_rollouts() {
             }
         }
     }
+}
+
+#[test]
+fn bands_of_the_group_sorted_order_equal_the_serial_step() {
+    // Ten sessions interleaved A/C/V/...: sorted by backbone group they
+    // are AAAA CCC VVV, and four bands of three cut that as
+    // AAA|ACC|CVV|V — band edges inside groups and groups inside bands.
+    // Banded and one-band serving must agree bit for bit.
+    pin_four_threads();
+    let (sessions, ticks) = (10usize, 8usize);
+    let m = fleet_models("netllm-threaded-fleet", 3, 51);
+    let fleet = m.fleet();
+    let obs = interleaved_obs(sessions, ticks, 6);
+
+    let serve = |serial: bool| -> Vec<(String, Vec<f32>)> {
+        let _one_band = serial.then(nt_tensor::pool::enter_worker);
+        let mut engine = ServingEngine::new();
+        let ids: Vec<_> = (0..sessions).map(|i| engine.join_group(&fleet, KINDS[i % 3])).collect();
+        let mut out = Vec::new();
+        for tick_obs in &obs {
+            let reqs: Vec<_> = ids.iter().copied().zip(tick_obs).collect();
+            let actions = engine.step(&fleet, &reqs);
+            for (id, action) in ids.iter().zip(actions) {
+                out.push((format!("{action:?}"), engine.last_logits(*id).to_vec()));
+            }
+        }
+        out
+    };
+    assert_eq!(serve(false), serve(true));
 }

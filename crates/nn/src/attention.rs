@@ -389,9 +389,10 @@ impl MultiHeadAttention {
     /// `kvs[s]` is slot `s`'s cache — each with its own prefix length.
     ///
     /// The four projections run as single `[N, d]` GEMMs across all slots
-    /// (the batching win); the attention core runs per slot but is
-    /// GEMM-shaped: keys are packed transposed (`[dh, t]`) so the score
-    /// and value products both stream contiguous memory. Accumulation
+    /// (the batching win); the attention core runs per slot and per head
+    /// over the cache in place: a score is a lane dot product of the
+    /// query with a key row's head slice, the head output an axpy over
+    /// value rows, four query rows per value-row load. Accumulation
     /// orders match [`MultiHeadAttention::eval_cached`] (up to kernel-
     /// level reassociation on tiny shapes), so a batched step reproduces
     /// the per-slot unbatched step within float tolerance — tested at

@@ -339,9 +339,7 @@ impl Mlp {
     /// place — no intermediate allocation).
     pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let mut h = self.up.eval(store, x);
-        for v in h.data_mut() {
-            *v = nt_tensor::gelu(*v);
-        }
+        nt_tensor::gelu_in_place(h.data_mut());
         self.down.eval(store, &h)
     }
 }

@@ -10,9 +10,10 @@
 //! reproduced from this accounting plus the parameter-store accounting in
 //! `nt-nn`.
 
+use crate::activation::{gelu_in_place, tanh_fast, GELU_C};
 use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, for_each_broadcast2, numel};
-use crate::tensor::{gelu as gelu_fwd, matmul_into, softmax_in_place, Tensor, GELU_C};
+use crate::tensor::{matmul_into, softmax_in_place, Tensor};
 
 /// Identifier of a node on the tape.
 pub type NodeId = usize;
@@ -236,7 +237,10 @@ impl Graph {
     }
 
     pub fn gelu(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Gelu, a, gelu_fwd)
+        let mut out = self.nodes[a].value.clone();
+        gelu_in_place(out.data_mut());
+        let ng = self.nodes[a].needs_grad;
+        self.push(Op::Gelu, vec![a], out, ng)
     }
 
     pub fn tanh(&mut self, a: NodeId) -> NodeId {
@@ -1062,7 +1066,7 @@ fn sigmoid(x: f32) -> f32 {
 
 fn gelu_bwd(x: f32) -> f32 {
     let u = GELU_C * (x + 0.044715 * x * x * x);
-    let t = crate::tensor::tanh_fast(u);
+    let t = tanh_fast(u);
     let du = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
 }
@@ -1224,6 +1228,20 @@ mod tests {
                 g.sum_all(y)
             });
         }
+    }
+
+    #[test]
+    fn taped_gelu_forward_is_the_slice_kernel() {
+        // One definition: the taped forward must equal `gelu_in_place` on
+        // the same buffer bit for bit (the cached path runs the latter).
+        let mut rng = Rng::seeded(77);
+        let x = Tensor::randn([5, 13], 3.0, &mut rng);
+        let mut g = Graph::new(false, 0);
+        let leaf = g.leaf(x.clone(), false);
+        let y = g.gelu(leaf);
+        let mut want = x;
+        gelu_in_place(want.data_mut());
+        assert_eq!(g.value(y), &want);
     }
 
     #[test]

@@ -31,12 +31,14 @@
 
 #![deny(unsafe_code)]
 
+mod activation;
 pub mod graph;
 pub mod pool;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
 
+pub use activation::{gelu, gelu_in_place};
 pub use graph::{Graph, NodeId};
 pub use rng::Rng;
-pub use tensor::{concat, gelu, transpose_into, Tensor};
+pub use tensor::{concat, transpose_into, Tensor};

@@ -653,31 +653,6 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     }
 }
 
-pub(crate) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
-
-/// Tanh-approximation GELU, shared by the taped forward, its backward and
-/// the graph-free inference kernels (one definition keeps the cached and
-/// uncached paths bit-identical).
-pub fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + tanh_fast(GELU_C * (x + 0.044715 * x * x * x)))
-}
-
-/// `tanh` computed from a single `exp` — ~3x faster than libm's `tanhf`
-/// on the hot MLP path, within a few ulp of it (every consumer goes
-/// through [`gelu`], so taped and graph-free paths shift together).
-pub(crate) fn tanh_fast(z: f32) -> f32 {
-    // f32 tanh saturates to ±1.0 below |z| = 9 anyway; clamping also
-    // keeps exp() finite.
-    if z > 9.0 {
-        return 1.0;
-    }
-    if z < -9.0 {
-        return -1.0;
-    }
-    let e = (2.0 * z).exp();
-    (e - 1.0) / (e + 1.0)
-}
-
 /// Numerically stable in-place softmax of a slice.
 pub fn softmax_in_place(s: &mut [f32]) {
     if s.is_empty() {
