@@ -1,50 +1,13 @@
 //! Regenerate every evaluation figure of the NetLLM paper.
 //!
 //! ```text
-//! cargo run -p nt-bench --release --bin figures -- [--fig all|2|3|4|10|11|12|13|14|15|16|bench2|bench3|bench4|bench5|bench6|bench7|bench8|bench9|bench10]
+//! cargo run -p nt-bench --release --bin figures -- [--fig all|2|3|4|10|11|12|13|14|15|16]
 //!                                                  [--fidelity smoke|default|paper]
 //! ```
 //!
 //! Each figure prints a console table and writes `reports/figN_*.json`.
 //! Absolute numbers are simulator-scale; the reproduction target is the
 //! *shape* (winners, orderings, crossovers) — see EXPERIMENTS.md.
-//!
-//! `--fig bench2` regenerates `reports/BENCH_2.json`, the PR 2 serving
-//! throughput snapshot (single-stream vs batched decode, speedup vs the
-//! PR 1 kernels); `--fig bench3` regenerates `reports/BENCH_3.json`, the
-//! PR 3 sharded-serving snapshot (ABR and CJS fleets across shard
-//! counts, with per-shard KV accounting); `--fig bench4` regenerates
-//! `reports/BENCH_4.json`, the PR 4 continuous-batching snapshot (queued
-//! submit/tick/poll vs lockstep aggregate throughput at batch 16/64, with
-//! `CacheAware` per-shard KV budgets); `--fig bench5` regenerates
-//! `reports/BENCH_5.json`, the PR 5 paged KV-cache snapshot (paged vs
-//! contiguous dec/s at batch 16/64, peak pool occupancy and eviction /
-//! deferral counts under a tight budget); `--fig bench6` regenerates
-//! `reports/BENCH_6.json`, the PR 6 kernel-tier-2 snapshot (per-shape
-//! GEMM GFLOP/s for the register-blocked vs retained PR 2 kernels,
-//! single-stream + batch 16/64 decode under both kernel generations,
-//! persistent-pool dispatch latency vs a scoped-spawn round trip, and
-//! the fleet's metrics-registry counters); `--fig bench7` regenerates
-//! `reports/BENCH_7.json`, the PR 7 fault-recovery snapshot (a B=64 ABR
-//! fleet on K=4 shards loses one shard mid-tick: the per-tick
-//! served/latency timeline through kill, declaration and recovery, the
-//! recovery latency in ticks, post-recovery throughput vs a (K-1)-shard
-//! baseline, and the fleet's cumulative fault counters); `--fig bench8`
-//! regenerates `reports/BENCH_8.json`, the PR 8 ingress snapshot (a
-//! dense B=64 mixed fleet on K=4 shards driven over the loopback wire
-//! protocol vs direct submit/tick: dec/s both ways, the socket/direct
-//! ratio, and p50/p90 submit-to-completion latency); `--fig bench9`
-//! regenerates `reports/BENCH_9.json`, the PR 9 page-economy scheduler
-//! snapshot (the `CacheAware`+`ColdestReanchor` pair vs
-//! `PageAware`+`CheapestRebuild` on the tight-budget B=64/K=4 ABR trace:
-//! evictions, deferrals, re-anchor rebuild rows and dec/s, plus the
-//! ample-budget throughput ratio); `--fig bench10` regenerates
-//! `reports/BENCH_10.json`, the PR 10 telemetry-plane snapshot (dense
-//! B=64/K=4 throughput with full telemetry on vs off, and the per-shard
-//! tick-phase breakdown, latency quantiles and event-journal tallies —
-//! all scraped over the `MetricsRequest`/`EventsRequest` wire frames
-//! while the load runs). Together they track the perf trajectory across
-//! PRs.
 
 use netllm::{
     build_abr_env, build_cjs_workloads, build_vp_data, evaluate_token_path, AdaptMode, Fidelity,
@@ -106,33 +69,6 @@ fn main() {
     }
     if run("16") {
         fig16(&engine);
-    }
-    if fig == "bench2" {
-        bench2();
-    }
-    if fig == "bench3" {
-        bench3();
-    }
-    if fig == "bench4" {
-        bench4();
-    }
-    if fig == "bench5" {
-        bench5();
-    }
-    if fig == "bench6" {
-        bench6();
-    }
-    if fig == "bench7" {
-        bench7();
-    }
-    if fig == "bench8" {
-        bench8();
-    }
-    if fig == "bench9" {
-        bench9();
-    }
-    if fig == "bench10" {
-        bench10();
     }
     println!("\nall requested figures regenerated in {:.1}s", t0.elapsed().as_secs_f64());
 }
@@ -879,1443 +815,6 @@ fn fig16(e: &Engine) {
         json!(abr_base.iter().map(|(n, v)| json!({"name": n, "qoe": v})).collect::<Vec<_>>()),
     );
     let path = write_report("fig16_size_ladder", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_2: serving-throughput snapshot (perf trajectory across PRs)
-// ---------------------------------------------------------------------------
-
-/// PR 1 single-stream KV-cached decode, measured on the reference box
-/// before the PR 2 kernels landed (`tests/kv_speedup.rs`, 7b-sim,
-/// decoding positions 8..=136: 129 tokens in 4.451 ms). Recorded here so
-/// `BENCH_2.json` can report the trajectory without rebuilding old
-/// commits.
-const PR1_DECODE_TOKENS_PER_S: f64 = 28_987.0;
-
-#[allow(clippy::needless_range_loop)]
-fn bench2() {
-    use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ServingEngine};
-    use nt_abr::{AbrObservation, AbrPolicy};
-    use nt_llm::{size_spec, Zoo};
-
-    println!("\n[bench2] serving throughput snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench2-zoo"));
-    let loaded = zoo.build_random(&size_spec("7b-sim"));
-
-    // ---- single-stream KV-cached decode (same setup as PR 1's gate) ----
-    let mut rng = Rng::seeded(1);
-    let len = 136usize;
-    let prompt = 8usize;
-    let ids: Vec<usize> = (0..len).map(|_| rng.below(loaded.tok.vocab_size())).collect();
-    let mut single = f64::MAX;
-    for _ in 0..5 {
-        let t = Instant::now();
-        let mut session = loaded.lm.start_session();
-        for k in prompt..=len {
-            let _ = loaded.lm.next_token_logits_cached(&loaded.store, &ids[..k], &mut session);
-        }
-        single = single.min(t.elapsed().as_secs_f64());
-    }
-    let decode_tokens = (len - prompt + 1) as f64;
-    let single_tps = decode_tokens / single;
-
-    // ---- batched ABR serving: decisions/s and tokens/s vs batch size ----
-    let window = 8usize;
-    let chunks = 24usize;
-    let tok_per_decision = 6.0; // rtg/thr/delay/sizes/buffer + action
-    let mk_obs =
-        |seed: u64| -> Vec<AbrObservation> { AbrObservation::synthetic_stream(seed, chunks) };
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        2,
-    );
-    m.target_return = 2.0;
-
-    let mut rows = Vec::new();
-    let mut batched_json = serde_json::Map::new();
-    let mut batch16_dps = 0.0f64;
-    for &batch in &[1usize, 4, 16, 64] {
-        let streams: Vec<Vec<AbrObservation>> =
-            (0..batch).map(|s| mk_obs(1000 + s as u64)).collect();
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let mut engine = ServingEngine::new();
-            let ids: Vec<_> = (0..batch).map(|_| engine.join(&m)).collect();
-            let t = Instant::now();
-            for c in 0..chunks {
-                let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][c])).collect();
-                let _ = engine.step(&m, &reqs);
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        let dps = (batch * chunks) as f64 / best;
-        if batch == 16 {
-            batch16_dps = dps;
-        }
-        rows.push(vec![
-            batch.to_string(),
-            format!("{:.0}", dps),
-            format!("{:.0}", dps * tok_per_decision),
-            format!("{:.2}", dps / chunks as f64),
-        ]);
-        batched_json.insert(
-            format!("batch_{batch}"),
-            json!({"decisions_per_s": dps, "tokens_per_s": dps * tok_per_decision,
-                   "sessions_per_s": dps / chunks as f64}),
-        );
-    }
-
-    // ---- sequential baseline at 16 streams (B independent sessions) ----
-    let streams: Vec<Vec<AbrObservation>> = (0..16).map(|s| mk_obs(1000 + s as u64)).collect();
-    let mut best = f64::MAX;
-    for _ in 0..3 {
-        let t = Instant::now();
-        for obs in &streams {
-            m.reset();
-            for o in obs {
-                let _ = m.select(o);
-            }
-        }
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    let seq16_dps = (16 * chunks) as f64 / best;
-
-    print_table(
-        "BENCH_2: batched ABR serving (7b-sim backbone)",
-        &["batch", "decisions/s", "tokens/s", "sessions/s"],
-        &rows,
-    );
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    println!(
-        "single-stream decode: {single_tps:.0} tok/s ({:.2}x vs PR1 {PR1_DECODE_TOKENS_PER_S:.0}); \
-         batch16 vs 16 sequential sessions: {:.2}x ({} pool workers / {hw} hw threads)",
-        single_tps / PR1_DECODE_TOKENS_PER_S,
-        batch16_dps / seq16_dps,
-        nt_tensor::pool::num_threads(),
-    );
-    let path = write_report(
-        "BENCH_2",
-        &json!({
-            "environment": {
-                "hardware_threads": hw,
-                "pool_workers": nt_tensor::pool::num_threads(),
-            },
-            "single_stream_decode": {
-                "tokens_per_s": single_tps,
-                "pr1_tokens_per_s": PR1_DECODE_TOKENS_PER_S,
-                "speedup_vs_pr1": single_tps / PR1_DECODE_TOKENS_PER_S,
-                "setup": "7b-sim, KV-cached decode of positions 8..=136",
-            },
-            "batched_serving": serde_json::Value::Object(batched_json),
-            "sequential_16_sessions_decisions_per_s": seq16_dps,
-            "batch16_speedup_vs_sequential": batch16_dps / seq16_dps,
-            "note": "batched and sequential serving are flop-identical; the batch16 \
-                     speedup reflects per-call amortisation on single-core hosts and \
-                     band-parallelism (NT_THREADS) on multi-core hosts",
-        }),
-    )
-    .unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_3: sharded-serving snapshot (PR 3 — one fleet, three workloads)
-// ---------------------------------------------------------------------------
-
-/// Sharded fleet throughput across shard counts: ABR (incremental DT
-/// steps) and CJS (candidate rollback inside every batched step) streams
-/// served through `ShardedServer`, decisions/s per shard count, plus the
-/// per-shard KV accounting the router exposes. The enforced gate lives in
-/// `tests/sharded_serving.rs`; this bin snapshots the trajectory.
-#[allow(clippy::needless_range_loop)]
-fn bench3() {
-    use netllm::{AdaptMode, CjsObs, LoraSpec, NetLlmAbr, NetLlmCjs, ShardedServer};
-    use nt_abr::AbrObservation;
-    use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
-    use nt_llm::Zoo;
-
-    println!("\n[bench3] sharded serving snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench3-zoo"));
-    let batch = 16usize;
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut report = serde_json::Map::new();
-    report.insert("environment".into(), json!({"hardware_threads": hw, "pool_workers": workers}));
-
-    // ---- ABR fleet across shard counts --------------------------------
-    let mut m_abr = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        3,
-    );
-    m_abr.target_return = 2.0;
-    let chunks = 24usize;
-    let abr_streams: Vec<Vec<AbrObservation>> =
-        (0..batch).map(|s| AbrObservation::synthetic_stream(3000 + s as u64, chunks)).collect();
-    let mut rows = Vec::new();
-    let mut abr_json = serde_json::Map::new();
-    for &k in &[1usize, 2, 4] {
-        let mut best = f64::MAX;
-        let mut cache = (Vec::new(), 0usize);
-        for _ in 0..3 {
-            let mut server = ShardedServer::new(k);
-            let ids: Vec<_> = (0..batch).map(|_| server.join(&m_abr)).collect();
-            let t = Instant::now();
-            for c in 0..chunks {
-                let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &abr_streams[s][c])).collect();
-                let _ = server.step(&m_abr, &reqs);
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-            cache = (server.cache_bytes_per_shard(), server.cache_bytes());
-        }
-        let dps = (batch * chunks) as f64 / best;
-        rows.push(vec![
-            format!("ABR x{k}"),
-            format!("{dps:.0}"),
-            format!("{:.1}", cache.1 as f64 / 1e3),
-            format!("{:?}", cache.0.iter().map(|b| b / 1000).collect::<Vec<_>>()),
-        ]);
-        abr_json.insert(
-            format!("shards_{k}"),
-            json!({"decisions_per_s": dps, "cache_bytes_total": cache.1,
-                   "cache_bytes_per_shard": cache.0}),
-        );
-    }
-
-    // ---- CJS fleet (rollback inside every batched step) ---------------
-    let mut m_cjs = NetLlmCjs::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        5,
-    );
-    m_cjs.target_return = -1.0;
-    let cjs_streams: Vec<Vec<CjsObs>> = (0..batch)
-        .map(|s| {
-            let jobs = generate_workload(&WorkloadConfig {
-                num_jobs: 4,
-                mean_interarrival: 1.5,
-                seed: 600 + s as u64,
-            });
-            let mut obs = Vec::new();
-            let mut hook = |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| {
-                obs.push(CjsObs::from_view(view));
-            };
-            run_workload(&mut Srpt, &jobs, 8, Some(&mut hook));
-            obs
-        })
-        .collect();
-    let ticks = cjs_streams.iter().map(Vec::len).min().unwrap().min(16);
-    let mut cjs_json = serde_json::Map::new();
-    for &k in &[1usize, 4] {
-        let mut best = f64::MAX;
-        for _ in 0..3 {
-            let mut server = ShardedServer::new(k);
-            let ids: Vec<_> = (0..batch).map(|_| server.join(&m_cjs)).collect();
-            let t = Instant::now();
-            for c in 0..ticks {
-                let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &cjs_streams[s][c])).collect();
-                let _ = server.step(&m_cjs, &reqs);
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        let dps = (batch * ticks) as f64 / best;
-        rows.push(vec![format!("CJS x{k}"), format!("{dps:.0}"), "-".into(), "-".into()]);
-        cjs_json.insert(format!("shards_{k}"), json!({"decisions_per_s": dps}));
-    }
-
-    print_table(
-        "BENCH_3: sharded serving (7b-sim backbone, B=16)",
-        &["fleet x shards", "decisions/s", "KV KB", "per-shard KV KB"],
-        &rows,
-    );
-    report.insert("abr_fleet".into(), serde_json::Value::Object(abr_json));
-    report.insert("cjs_fleet".into(), serde_json::Value::Object(cjs_json));
-    report.insert(
-        "note".into(),
-        json!(
-            "per-shard math is identical across shard counts (gated at 1e-5 in \
-               tests/sharded_serving.rs); shard counts > 1 win wall-clock only when \
-               NT_THREADS workers can run shards concurrently — on narrower hosts \
-               expect parity, not speedup"
-        ),
-    );
-    let path = write_report("BENCH_3", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_4: continuous-batching snapshot (PR 4 — queued vs lockstep serving)
-// ---------------------------------------------------------------------------
-
-/// Queued (`submit`/`tick`/`poll` under `CacheAware`) vs lockstep
-/// (`step`) aggregate throughput over the same ABR fleet at batch 16 and
-/// 64, plus the per-shard KV accounting the budget steering maintains.
-/// The enforced gate lives in `tests/continuous_batching.rs`; this bin
-/// snapshots the trajectory.
-#[allow(clippy::needless_range_loop)]
-fn bench4() {
-    use netllm::{AdaptMode, AdmissionPolicy, LoraSpec, NetLlmAbr, ShardedServer};
-    use nt_abr::AbrObservation;
-    use nt_llm::Zoo;
-
-    println!("\n[bench4] continuous batching snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench4-zoo"));
-    let shards = 4usize;
-    let ticks = 12usize;
-    let tok_per_decision = 6.0; // rtg/thr/delay/sizes/buffer + action
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        7,
-    );
-    m.target_return = 2.0;
-
-    let mut rows = Vec::new();
-    let mut report = serde_json::Map::new();
-    report.insert("environment".into(), json!({"hardware_threads": hw, "pool_workers": workers}));
-    for &batch in &[16usize, 64] {
-        let streams: Vec<Vec<AbrObservation>> =
-            (0..batch).map(|s| AbrObservation::synthetic_stream(4000 + s as u64, ticks)).collect();
-
-        // Lockstep reference (PR 3 path) — also sizes the KV budget.
-        let mut lockstep = f64::MAX;
-        let mut total_bytes = 0usize;
-        for _ in 0..3 {
-            let mut server = ShardedServer::new(shards);
-            let ids: Vec<_> = (0..batch).map(|_| server.join(&m)).collect();
-            let t = Instant::now();
-            for c in 0..ticks {
-                let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][c])).collect();
-                let _ = server.step(&m, &reqs);
-            }
-            lockstep = lockstep.min(t.elapsed().as_secs_f64());
-            total_bytes = server.cache_bytes();
-        }
-        // 1.5x a perfectly balanced shard at end-of-run size (the gate's
-        // sizing): feasible throughout, tight enough to keep steering live.
-        let budget = total_bytes / shards * 3 / 2;
-
-        // Queued path under CacheAware.
-        let mut queued = f64::MAX;
-        let mut cache = (Vec::new(), 0usize);
-        let mut steers = 0usize;
-        for _ in 0..3 {
-            let mut server = ShardedServer::with_policy(
-                shards,
-                AdmissionPolicy::CacheAware { budget_bytes: budget },
-            );
-            let ids: Vec<_> = (0..batch).map(|_| server.join(&m)).collect();
-            let mut rep_steers = 0usize;
-            let t = Instant::now();
-            for c in 0..ticks {
-                let tickets: Vec<_> = ids
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &id)| server.submit(id, streams[s][c].clone()).unwrap())
-                    .collect();
-                let rep = server.tick(&m);
-                rep_steers += rep.steered.len();
-                for ticket in tickets {
-                    let _ = server.poll(ticket).expect("ticket resolves after its tick");
-                }
-            }
-            // Pair the published stats with the best-timed rep so the
-            // JSON row is one coherent run, not a mix of reps.
-            let elapsed = t.elapsed().as_secs_f64();
-            if elapsed < queued {
-                queued = elapsed;
-                steers = rep_steers;
-                cache = (server.cache_bytes_per_shard(), server.cache_bytes());
-            }
-        }
-
-        let decisions = (batch * ticks) as f64;
-        let l_dps = decisions / lockstep;
-        let q_dps = decisions / queued;
-        let over = cache.0.iter().filter(|&&b| b > budget).count();
-        rows.push(vec![
-            format!("B={batch}"),
-            format!("{:.0} ({:.0} tok/s)", l_dps, l_dps * tok_per_decision),
-            format!("{:.0} ({:.0} tok/s)", q_dps, q_dps * tok_per_decision),
-            format!("{:.2}x", q_dps / l_dps),
-            format!("{}", steers),
-            format!("{:?} <= {} ({} over)", cache.0, budget, over),
-        ]);
-        report.insert(
-            format!("batch_{batch}"),
-            json!({
-                "lockstep_decisions_per_s": l_dps,
-                "lockstep_tokens_per_s": l_dps * tok_per_decision,
-                "queued_decisions_per_s": q_dps,
-                "queued_tokens_per_s": q_dps * tok_per_decision,
-                "queued_vs_lockstep": q_dps / l_dps,
-                "kv_budget_bytes_per_shard": budget,
-                "cache_bytes_per_shard": cache.0,
-                "cache_bytes_total": cache.1,
-                "shards_over_budget": over,
-                "steers": steers,
-                "shards": shards,
-                "ticks": ticks,
-            }),
-        );
-    }
-    print_table(
-        "BENCH_4: queued vs lockstep ABR serving (7b-sim, K=4, CacheAware)",
-        &["batch", "lockstep dec/s", "queued dec/s", "ratio", "steers", "per-shard KV B"],
-        &rows,
-    );
-    report.insert(
-        "note".into(),
-        json!(
-            "queued (submit/tick/poll, CacheAware budget steering) and lockstep \
-             (step) serving run identical per-slot math — gated at 1e-5 in \
-             tests/continuous_batching.rs; the ratio measures scheduler overhead \
-             plus any placement effect on band/shard parallelism"
-        ),
-    );
-    let path = write_report("BENCH_4", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_5: paged KV-cache snapshot (PR 5 — memory-bounded vs contiguous)
-// ---------------------------------------------------------------------------
-
-/// Paged vs contiguous serving through the queued front end at batch
-/// 16/64: throughput ratio under an ample budget (pure data-path
-/// overhead), and behaviour under a tight ~40% budget (peak pool
-/// occupancy vs budget, eviction and deferral counts). The enforced gates
-/// live in `tests/paged_memory.rs`; this bin snapshots the trajectory.
-#[allow(clippy::needless_range_loop)]
-fn bench5() {
-    use netllm::{AdaptMode, AdmissionPolicy, EvictionPolicy, LoraSpec, NetLlmAbr, ShardedServer};
-    use nt_abr::AbrObservation;
-    use nt_llm::{PageConfig, PagePool, Zoo};
-
-    println!("\n[bench5] paged KV-cache snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench5-zoo"));
-    let shards = 4usize;
-    let ticks = 12usize;
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        9,
-    );
-    m.target_return = 2.0;
-
-    let mut rows = Vec::new();
-    let mut report = serde_json::Map::new();
-    report.insert("environment".into(), json!({"hardware_threads": hw, "pool_workers": workers}));
-    for &batch in &[16usize, 64] {
-        let streams: Vec<Vec<AbrObservation>> =
-            (0..batch).map(|s| AbrObservation::synthetic_stream(5000 + s as u64, ticks)).collect();
-
-        // One queued pass: submit all, tick, poll; returns (best secs,
-        // end bytes, peak pool bytes, evictions, deferrals). All stats
-        // come from the best-timed rep, so the published row is one
-        // coherent run, not a mix of reps.
-        let run = |pool: Option<PagePool>| -> (f64, usize, usize, usize, usize) {
-            let mut best = f64::MAX;
-            let (mut end_bytes, mut peak, mut evictions, mut deferrals) = (0usize, 0, 0, 0);
-            for _ in 0..3 {
-                let mut server = match &pool {
-                    Some(p) => ShardedServer::with_memory(
-                        shards,
-                        AdmissionPolicy::LeastLoaded,
-                        p.clone(),
-                        EvictionPolicy::ColdestReanchor,
-                    ),
-                    None => ShardedServer::with_policy(shards, AdmissionPolicy::LeastLoaded),
-                };
-                let ids: Vec<_> = (0..batch).map(|_| server.join(&m)).collect();
-                let mut pending: Vec<std::collections::VecDeque<netllm::Ticket>> =
-                    vec![Default::default(); batch];
-                let (mut rep_peak, mut rep_evictions, mut rep_deferrals) = (0usize, 0, 0);
-                let mut outstanding = 0usize;
-                let t0 = Instant::now();
-                let mut tick_once =
-                    |server: &mut ShardedServer<NetLlmAbr>,
-                     pending: &mut Vec<std::collections::VecDeque<netllm::Ticket>>,
-                     outstanding: &mut usize| {
-                        let rep = server.tick(&m);
-                        rep_peak = rep_peak.max(rep.memory.used_bytes);
-                        rep_evictions += rep.memory.evicted.len();
-                        rep_deferrals += rep.memory.deferred;
-                        for q in pending.iter_mut() {
-                            if let Some(&front) = q.front() {
-                                if server.poll(front).is_some() {
-                                    q.pop_front();
-                                    *outstanding -= 1;
-                                }
-                            }
-                        }
-                    };
-                for c in 0..ticks {
-                    for (s, &id) in ids.iter().enumerate() {
-                        let t = server.submit(id, streams[s][c].clone()).unwrap();
-                        pending[s].push_back(t);
-                        outstanding += 1;
-                    }
-                    tick_once(&mut server, &mut pending, &mut outstanding);
-                }
-                // Drain deferrals so every run serves the same decisions.
-                while outstanding > 0 {
-                    tick_once(&mut server, &mut pending, &mut outstanding);
-                }
-                let elapsed = t0.elapsed().as_secs_f64();
-                if elapsed < best {
-                    best = elapsed;
-                    end_bytes = server.cache_bytes();
-                    (peak, evictions, deferrals) = (rep_peak, rep_evictions, rep_deferrals);
-                }
-            }
-            (best, end_bytes, peak, evictions, deferrals)
-        };
-
-        let (contig_best, contig_bytes, ..) = run(None);
-        let ample = PagePool::for_model(
-            &m.lm,
-            PageConfig { page_tokens: 16, budget_bytes: 3 * contig_bytes + (1 << 20) },
-        );
-        let (paged_best, ..) = run(Some(ample));
-        let tight_budget = (contig_bytes * 2 / 5).max(nt_llm::session_floor_bytes(&m.lm, 16));
-        let tight =
-            PagePool::for_model(&m.lm, PageConfig { page_tokens: 16, budget_bytes: tight_budget });
-        let (tight_best, _, peak, evictions, deferrals) = run(Some(tight));
-
-        let decisions = (batch * ticks) as f64;
-        let (c_dps, p_dps, t_dps) =
-            (decisions / contig_best, decisions / paged_best, decisions / tight_best);
-        rows.push(vec![
-            format!("B={batch}"),
-            format!("{c_dps:.0}"),
-            format!("{p_dps:.0} ({:.2}x)", p_dps / c_dps),
-            format!("{t_dps:.0} ({:.2}x)", t_dps / c_dps),
-            format!("{}/{}", peak / 1000, tight_budget / 1000),
-            format!("{evictions}/{deferrals}"),
-        ]);
-        report.insert(
-            format!("batch_{batch}"),
-            json!({
-                "contiguous_decisions_per_s": c_dps,
-                "paged_ample_decisions_per_s": p_dps,
-                "paged_vs_contiguous": p_dps / c_dps,
-                "paged_tight_decisions_per_s": t_dps,
-                "tight_vs_contiguous": t_dps / c_dps,
-                "tight_budget_bytes": tight_budget,
-                "contiguous_end_bytes": contig_bytes,
-                "peak_pool_bytes": peak,
-                "evictions": evictions,
-                "deferrals": deferrals,
-                "shards": shards,
-                "ticks": ticks,
-            }),
-        );
-    }
-    print_table(
-        "BENCH_5: paged vs contiguous ABR serving (7b-sim, K=4, queued)",
-        &[
-            "batch",
-            "contig dec/s",
-            "paged dec/s",
-            "tight-budget dec/s",
-            "peak/budget KB",
-            "evict/defer",
-        ],
-        &rows,
-    );
-    report.insert(
-        "note".into(),
-        json!(
-            "paged and contiguous serving run identical math (bit-compatible kernels, \
-             gated at 1e-5 in tests/paged_memory.rs); the ample-budget ratio measures \
-             page-table indirection + reservation overhead, the tight-budget run \
-             (~40% of the contiguous footprint) shows the eviction/deferral cost of a \
-             hard memory bound — peak pool bytes never exceed the budget"
-        ),
-    );
-    let path = write_report("BENCH_5", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_6: kernel tier 2 snapshot (PR 6 — persistent pool + register tiles)
-// ---------------------------------------------------------------------------
-
-/// Register-blocked GEMM (MRxNR accumulator tiles over a packed B panel)
-/// vs the retained PR 2 axpy kernels (`set_legacy_kernels`): per-shape
-/// GFLOP/s, single-stream + batch 16/64 decode under both kernel
-/// generations, persistent-pool dispatch latency vs a scoped-spawn round
-/// trip, and the serving fleet's metrics-registry counters. The enforced
-/// gates live in `tests/kernel_tier2.rs`; this bin snapshots the
-/// trajectory.
-#[allow(clippy::needless_range_loop)]
-fn bench6() {
-    use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ShardedServer};
-    use nt_abr::AbrObservation;
-    use nt_llm::Zoo;
-    use nt_tensor::tensor::{matmul_into, set_legacy_kernels};
-
-    println!("\n[bench6] kernel tier 2 snapshot");
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let mut report = serde_json::Map::new();
-    report.insert("environment".into(), json!({"hardware_threads": hw, "pool_workers": workers}));
-
-    // ---- per-shape GEMM GFLOP/s, register-blocked vs legacy axpy ------
-    // Shapes are the 7b-sim serving matmuls (d_model 48, mlp 192) plus a
-    // wide out-of-L1 case and the skinny-RHS dot path both modes share.
-    let shapes: &[(usize, usize, usize, &str)] = &[
-        (64, 48, 48, "proj 64x48x48"),
-        (64, 48, 192, "mlp-up 64x48x192"),
-        (64, 192, 48, "mlp-down 64x192x48"),
-        (256, 192, 128, "wide 256x192x128"),
-        (64, 48, 4, "skinny 64x48x4"),
-    ];
-    let mut rng = Rng::seeded(6);
-    let mut gemm_rows = Vec::new();
-    let mut gemm_json = serde_json::Map::new();
-    for &(m, k, n, label) in shapes {
-        let a: Vec<f32> = (0..m * k).map(|_| rng.normal()).collect();
-        let b: Vec<f32> = (0..k * n).map(|_| rng.normal()).collect();
-        let flops = 2.0 * (m * k * n) as f64;
-        let reps = (20_000_000 / (m * k * n)).clamp(10, 1000);
-        let time_mode = |legacy: bool| -> f64 {
-            set_legacy_kernels(legacy);
-            let mut out = vec![0.0f32; m * n];
-            let mut best = f64::MAX;
-            for _ in 0..3 {
-                let t = Instant::now();
-                for _ in 0..reps {
-                    out.iter_mut().for_each(|v| *v = 0.0);
-                    matmul_into(&a, &b, &mut out, m, k, n);
-                }
-                best = best.min(t.elapsed().as_secs_f64() / reps as f64);
-            }
-            set_legacy_kernels(false);
-            std::hint::black_box(&out);
-            best
-        };
-        let legacy_s = time_mode(true);
-        let new_s = time_mode(false);
-        let (legacy_gf, new_gf) = (flops / legacy_s / 1e9, flops / new_s / 1e9);
-        gemm_rows.push(vec![
-            label.to_string(),
-            format!("{legacy_gf:.2}"),
-            format!("{new_gf:.2}"),
-            format!("{:.2}x", new_gf / legacy_gf),
-        ]);
-        gemm_json.insert(
-            label.to_string(),
-            json!({"m": m, "k": k, "n": n, "legacy_gflops": legacy_gf,
-                   "blocked_gflops": new_gf, "speedup": new_gf / legacy_gf}),
-        );
-    }
-    print_table(
-        "BENCH_6: GEMM GFLOP/s (legacy axpy vs register-blocked)",
-        &["shape", "legacy", "blocked", "speedup"],
-        &gemm_rows,
-    );
-
-    // ---- pool dispatch latency vs scoped spawn ------------------------
-    // The persistent pool's whole round trip (publish, fan out, join) vs
-    // spawning the same number of OS threads per call, which is what the
-    // pre-PR 6 scoped pool paid on every parallel matmul.
-    let fan = workers.max(2);
-    let mut pool_ns: Vec<f64> = (0..2000)
-        .map(|_| {
-            let t = Instant::now();
-            nt_tensor::pool::run_tasks(fan, |_| {});
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    pool_ns.sort_by(f64::total_cmp);
-    let mut spawn_ns: Vec<f64> = (0..200)
-        .map(|_| {
-            let t = Instant::now();
-            std::thread::scope(|s| {
-                for _ in 0..fan {
-                    s.spawn(|| {});
-                }
-            });
-            t.elapsed().as_secs_f64() * 1e9
-        })
-        .collect();
-    spawn_ns.sort_by(f64::total_cmp);
-    let (pool_p50, pool_p90) = (percentile(&pool_ns, 0.5), percentile(&pool_ns, 0.9));
-    let spawn_p50 = percentile(&spawn_ns, 0.5);
-    println!(
-        "pool dispatch ({fan} tasks): p50 {pool_p50:.0} ns, p90 {pool_p90:.0} ns, \
-         max {:.0} ns; scoped spawn p50 {spawn_p50:.0} ns ({:.0}x)",
-        pool_ns.last().copied().unwrap_or(0.0),
-        spawn_p50 / pool_p50.max(1.0),
-    );
-    report.insert(
-        "pool_dispatch".into(),
-        json!({
-            "fan_out_tasks": fan,
-            "pool_p50_ns": pool_p50,
-            "pool_p90_ns": pool_p90,
-            "pool_max_ns": pool_ns.last().copied().unwrap_or(0.0),
-            "scoped_spawn_p50_ns": spawn_p50,
-            "spawn_over_pool_p50": spawn_p50 / pool_p50.max(1.0),
-        }),
-    );
-
-    // ---- decode throughput under both kernel generations --------------
-    let zoo = Zoo::new(std::env::temp_dir().join("bench6-zoo"));
-    let loaded = zoo.build_random(&size_spec("7b-sim"));
-    let len = 136usize;
-    let prompt = 8usize;
-    let ids: Vec<usize> = {
-        let mut r = Rng::seeded(1);
-        (0..len).map(|_| r.below(loaded.tok.vocab_size())).collect()
-    };
-    let single_tps = |legacy: bool| -> f64 {
-        set_legacy_kernels(legacy);
-        let mut best = f64::MAX;
-        for _ in 0..5 {
-            let t = Instant::now();
-            let mut session = loaded.lm.start_session();
-            for j in prompt..=len {
-                let _ = loaded.lm.next_token_logits_cached(&loaded.store, &ids[..j], &mut session);
-            }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        set_legacy_kernels(false);
-        (len - prompt + 1) as f64 / best
-    };
-    let single_legacy = single_tps(true);
-    let single_new = single_tps(false);
-
-    let shards = 4usize;
-    let ticks = 12usize;
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        11,
-    );
-    m.target_return = 2.0;
-    let mut rows = vec![vec![
-        "single-stream tok/s".into(),
-        format!("{single_legacy:.0}"),
-        format!("{single_new:.0}"),
-        format!("{:.2}x", single_new / single_legacy),
-    ]];
-    let mut decode_json = serde_json::Map::new();
-    decode_json.insert(
-        "single_stream".into(),
-        json!({"legacy_tokens_per_s": single_legacy, "blocked_tokens_per_s": single_new,
-               "speedup": single_new / single_legacy}),
-    );
-    let mut fleet_counters = json!(null);
-    for &batch in &[16usize, 64] {
-        let streams: Vec<Vec<AbrObservation>> =
-            (0..batch).map(|s| AbrObservation::synthetic_stream(6000 + s as u64, ticks)).collect();
-        let mut run_mode = |legacy: bool| -> f64 {
-            set_legacy_kernels(legacy);
-            let mut best = f64::MAX;
-            for rep in 0..3 {
-                let mut server = ShardedServer::new(shards);
-                let sids: Vec<_> = (0..batch).map(|_| server.join(&m)).collect();
-                let t = Instant::now();
-                for c in 0..ticks {
-                    let reqs: Vec<_> =
-                        sids.iter().enumerate().map(|(s, &id)| (id, &streams[s][c])).collect();
-                    let _ = server.step(&m, &reqs);
-                }
-                best = best.min(t.elapsed().as_secs_f64());
-                // Fleet + pool counters from the last new-kernel B=64 rep:
-                // the registry the control plane would scrape (satellite:
-                // figures reads bench6's dispatch stats from the metrics
-                // registry, not from ad-hoc tallies).
-                if !legacy && batch == 64 && rep == 2 {
-                    let snap = server.metrics().snapshot();
-                    fleet_counters = json!({
-                        "served_total": snap.served(),
-                        "served_per_shard": snap.shards.iter().map(|s| s.served).collect::<Vec<_>>(),
-                        "steered_total": snap.steered(),
-                        "evicted_total": snap.evicted(),
-                        "queue_depth": snap.queue_depth(),
-                        "pool": {"workers": snap.pool.workers,
-                                  "dispatches": snap.pool.dispatches,
-                                  "tasks": snap.pool.tasks},
-                    });
-                }
-            }
-            set_legacy_kernels(false);
-            (batch * ticks) as f64 / best
-        };
-        let legacy_dps = run_mode(true);
-        let new_dps = run_mode(false);
-        rows.push(vec![
-            format!("B={batch} K={shards} dec/s"),
-            format!("{legacy_dps:.0}"),
-            format!("{new_dps:.0}"),
-            format!("{:.2}x", new_dps / legacy_dps),
-        ]);
-        decode_json.insert(
-            format!("batch_{batch}"),
-            json!({"legacy_decisions_per_s": legacy_dps, "blocked_decisions_per_s": new_dps,
-                   "speedup": new_dps / legacy_dps, "shards": shards, "ticks": ticks}),
-        );
-    }
-    print_table(
-        "BENCH_6: decode throughput (7b-sim, legacy vs register-blocked)",
-        &["workload", "legacy", "blocked", "speedup"],
-        &rows,
-    );
-
-    report.insert("gemm_gflops".into(), serde_json::Value::Object(gemm_json));
-    report.insert("decode".into(), serde_json::Value::Object(decode_json));
-    report.insert("fleet_counters".into(), fleet_counters);
-    report.insert(
-        "note".into(),
-        json!(
-            "legacy = the PR 2 quad-axpy kernels + their 4M-flop dispatch threshold, \
-             retained behind set_legacy_kernels; blocked = the MRxNR register-tile \
-             kernels over a packed B panel with the re-tuned 256K-flop threshold. \
-             Both run on the persistent pool, so speedups understate the win over \
-             the pre-PR 6 scoped spawn pool — the pool_dispatch block measures that \
-             gap directly. Kernel equivalence is gated at 1e-5/1e-6 in \
-             tests/kernel_tier2.rs and crates/tensor/tests/kernel_props.rs"
-        ),
-    );
-    let path = write_report("BENCH_6", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_7: fault-recovery snapshot (PR 7 — crash injection + health checker)
-// ---------------------------------------------------------------------------
-
-/// A B=64 ABR fleet on K=4 shards loses one shard mid-tick: per-tick
-/// served/latency timeline through the kill, the Suspect window, the
-/// Dead declaration (sessions salvaged, backlog redistributed, pool
-/// share retired) and the return to full service, plus the recovered
-/// fleet's throughput against a (K-1)-shard baseline. The enforced gate
-/// lives in `tests/fault_soak.rs`; this bin snapshots the timeline.
-#[allow(clippy::needless_range_loop)]
-fn bench7() {
-    use netllm::{
-        AdmissionPolicy, FaultPlan, HealthConfig, NetLlmAbr, ShardedServer, SubmitRetry, Ticket,
-        TicketStatus,
-    };
-    use nt_abr::AbrObservation;
-    use nt_llm::Zoo;
-    use std::collections::VecDeque;
-    use std::time::Duration;
-
-    const B: usize = 64;
-    const K: usize = 4;
-    const STEPS: usize = 16;
-    const KILL_TICK: u64 = 8;
-
-    println!("\n[bench7] fault-recovery snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench7-zoo"));
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        8,
-        54,
-    );
-    m.target_return = 2.0;
-    let streams: Vec<Vec<AbrObservation>> =
-        (0..B).map(|s| AbrObservation::synthetic_stream(3000 + s as u64, STEPS)).collect();
-
-    // (K-1)-shard baseline: best per-tick wall clock at full service
-    // over the last six ticks — the same session ages the faulted run's
-    // post-recovery window sees (decode cost grows with context length).
-    let mut baseline = Duration::MAX;
-    for _ in 0..2 {
-        let mut server: ShardedServer<NetLlmAbr> =
-            ShardedServer::with_policy(K - 1, AdmissionPolicy::LeastLoaded);
-        let ids: Vec<_> = (0..B).map(|_| server.join(&m)).collect();
-        for t in 0..STEPS {
-            for (s, &id) in ids.iter().enumerate() {
-                let _ = server.submit(id, streams[s][t].clone()).expect("healthy submit");
-            }
-            let t0 = Instant::now();
-            let report = server.tick(&m);
-            if t >= STEPS - 6 {
-                baseline = baseline.min(t0.elapsed());
-            }
-            assert_eq!(report.served, B);
-        }
-    }
-
-    // Faulted run: one mid-tick kill, full timeline recorded.
-    let mut server: ShardedServer<NetLlmAbr> =
-        ShardedServer::with_policy(K, AdmissionPolicy::LeastLoaded);
-    server.set_health_config(HealthConfig::fast());
-    let ids: Vec<_> = (0..B).map(|_| server.join(&m)).collect();
-    let victim = server.shard_of(ids[0]);
-    server.inject(FaultPlan::new().kill(KILL_TICK, victim));
-    let mut retry: Vec<SubmitRetry> = (0..B).map(|_| SubmitRetry::new()).collect();
-    let mut sent = vec![0usize; B];
-    let mut open: Vec<VecDeque<Ticket>> = vec![VecDeque::new(); B];
-    let (mut declared, mut recovered) = (0u64, 0u64);
-    let mut window = Duration::MAX;
-    let mut timeline = Vec::new();
-    for t in 1..=(STEPS as u64 + 24) {
-        for s in 0..B {
-            while sent[s] < (t as usize).min(STEPS) && retry[s].ready(t) {
-                match server.submit(ids[s], streams[s][sent[s]].clone()) {
-                    Ok(ticket) => {
-                        open[s].push_back(ticket);
-                        sent[s] += 1;
-                        retry[s].succeeded();
-                    }
-                    Err(e) => {
-                        retry[s].refused(t, &e);
-                        break;
-                    }
-                }
-            }
-        }
-        let t0 = Instant::now();
-        let report = server.tick(&m);
-        let dt = t0.elapsed();
-        if !report.faults.declared_dead.is_empty() {
-            declared = t;
-        }
-        if declared > 0 && recovered == 0 && report.served == B {
-            recovered = t;
-        }
-        if recovered > 0 && t > recovered && report.served == B {
-            window = window.min(dt);
-        }
-        timeline.push(json!({
-            "tick": t,
-            "served": report.served,
-            "ms": dt.as_secs_f64() * 1e3,
-            "killed": report.faults.killed,
-            "declared_dead": report.faults.declared_dead,
-            "suspect": report.faults.suspect,
-            "requeued": report.faults.arrivals_requeued,
-            "sessions_recovered": report.faults.sessions_recovered,
-        }));
-        for q in open.iter_mut() {
-            while let Some(&ticket) = q.front() {
-                match server.poll_status(ticket) {
-                    TicketStatus::Served(_) => {
-                        q.pop_front();
-                    }
-                    TicketStatus::Failed => panic!("a clean kill must not fail tickets"),
-                    _ => break,
-                }
-            }
-        }
-        if sent.iter().all(|&n| n == STEPS) && open.iter().all(VecDeque::is_empty) {
-            break;
-        }
-    }
-    assert!(declared > 0 && recovered > 0, "the kill never declared/recovered");
-    let snap = server.metrics().snapshot();
-    let ratio = baseline.as_secs_f64() / window.as_secs_f64().max(1e-9);
-
-    print_table(
-        "BENCH_7: single-shard kill at B=64, K=4 (7b-sim, fast health profile)",
-        &["kill", "declared", "full service", "latency", "recovered/tick", "vs K-1 baseline"],
-        &[vec![
-            format!("@{KILL_TICK}"),
-            format!("@{declared}"),
-            format!("@{recovered}"),
-            format!("{} ticks", recovered - KILL_TICK),
-            format!("{:.2}ms", window.as_secs_f64() * 1e3),
-            format!("{ratio:.2}x"),
-        ]],
-    );
-    let report = json!({
-        "scenario": {
-            "batch": B, "shards": K, "steps": STEPS, "kill_tick": KILL_TICK,
-            "victim_shard": victim, "mid_tick": true,
-            "health": {"miss_threshold": 2, "backoff_base": 1, "backoff_max": 2},
-        },
-        "kill_tick": KILL_TICK,
-        "declared_dead_tick": declared,
-        "recovered_tick": recovered,
-        "recovery_latency_ticks": recovered - KILL_TICK,
-        "post_recovery_ms_per_tick": window.as_secs_f64() * 1e3,
-        "baseline_k1_ms_per_tick": baseline.as_secs_f64() * 1e3,
-        "throughput_vs_k1_baseline": ratio,
-        "fault_counters": {
-            "shard_kills": snap.faults.shard_kills,
-            "sessions_recovered": snap.faults.sessions_recovered,
-            "tickets_failed": snap.faults.tickets_failed,
-            "arrivals_requeued": snap.faults.arrivals_requeued,
-            "recovery_replay_rows": snap.faults.recovery_replay_rows,
-        },
-        "timeline": timeline,
-        "note": "per-tick service through a mid-tick shard kill: the drained batch is \
-                 orphaned back to its queue, the health checker declares Dead after two \
-                 missed probes, recovery salvages every session (KV re-anchors from the \
-                 episode log) and redistributes the backlog, and the dead shard's pool \
-                 share is retired; the enforced >= 0.9x degradation gate runs in \
-                 tests/fault_soak.rs",
-    });
-    let path = write_report("BENCH_7", &report).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_8: socket ingress vs direct submit/tick (PR 8 — event-loop ingress)
-// ---------------------------------------------------------------------------
-
-fn bench8() {
-    use netllm::{serve, FleetModels, IngressConfig, WireClient};
-    use nt_bench::netload::{dense_direct, dense_socket, ObsStreams};
-
-    const B: usize = 64;
-    const K: usize = 4;
-    const ROUNDS: usize = 8;
-
-    println!("\n[bench8] socket ingress vs direct submit/tick (7b-sim, B={B}, K={K})");
-    let dir = std::env::temp_dir().join("bench8-zoo");
-    let streams = ObsStreams::generate(B, ROUNDS, 0xB8B8);
-
-    let direct_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let direct = dense_direct(&direct_models, K, B, ROUNDS, &streams);
-
-    let socket_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let handle = serve(socket_models, IngressConfig { shards: K, ..IngressConfig::default() })
-        .expect("serve ingress");
-    let socket = dense_socket(handle.addr(), B, ROUNDS, &streams);
-    // Read the counters the way any remote operator would: one scrape of
-    // the unified snapshot (ingress counters folded in), not a
-    // process-local stats handle.
-    let mut scraper = WireClient::connect(handle.addr()).expect("scrape connection");
-    let stats = scraper.scrape_metrics().expect("scrape metrics").ingress;
-    handle.shutdown();
-
-    let rows: Vec<Vec<String>> = [("direct", &direct), ("socket", &socket)]
-        .iter()
-        .map(|(name, o)| {
-            vec![
-                name.to_string(),
-                format!("{:.1}", o.dec_per_s()),
-                format!("{:.3}", percentile(&o.latencies_ms, 0.5)),
-                format!("{:.3}", percentile(&o.latencies_ms, 0.9)),
-            ]
-        })
-        .collect();
-    print_table("ingress vs direct", &["path", "dec/s", "p50 ms", "p90 ms"], &rows);
-    let ratio = socket.dec_per_s() / direct.dec_per_s();
-    println!("socket/direct throughput ratio: {ratio:.3}");
-
-    let leg = |o: &nt_bench::netload::ThroughputOutcome| {
-        json!({
-            "decisions": o.decisions,
-            "dec_per_s": o.dec_per_s(),
-            "p50_ms": percentile(&o.latencies_ms, 0.5),
-            "p90_ms": percentile(&o.latencies_ms, 0.9),
-        })
-    };
-    let report = json!({
-        "model": "7b-sim",
-        "batch": B,
-        "shards": K,
-        "rounds": ROUNDS,
-        "direct": leg(&direct),
-        "socket": leg(&socket),
-        "socket_direct_ratio": ratio,
-        "ingress": {
-            "ticks": stats.ticks,
-            "busy": stats.busy,
-            "completions": stats.completions,
-            "protocol_errors": stats.protocol_errors,
-        },
-    });
-    let path = write_report("BENCH_8", &report).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_9: page-economy scheduler (PR 9 — PageAware + CheapestRebuild)
-// ---------------------------------------------------------------------------
-
-/// The pre-PR-9 policy pair (`CacheAware` placement + `ColdestReanchor`
-/// eviction) vs the page-economy pair (`PageAware` + `CheapestRebuild`)
-/// on the B=64/K=4 ABR trace. Under the tight ~40% budget the interesting
-/// metric is re-anchor rebuild rows — the work eviction forces, which
-/// `CheapestRebuild` prices and minimizes (`MetricsRegistry`'s
-/// `evicted_rebuild_rows` counter); under the ample budget the pairs must
-/// tie on throughput (the no-regression leg). The enforced gates live in
-/// `crates/bench/tests/sched_gate.rs`; this bin snapshots the trajectory.
-#[allow(clippy::needless_range_loop)]
-fn bench9() {
-    use netllm::{AdaptMode, AdmissionPolicy, EvictionPolicy, LoraSpec, NetLlmAbr, ShardedServer};
-    use nt_abr::AbrObservation;
-    use nt_llm::{PageConfig, PagePool, Zoo};
-
-    println!("\n[bench9] page-economy scheduler snapshot");
-    let zoo = Zoo::new(std::env::temp_dir().join("bench9-zoo"));
-    let shards = 4usize;
-    let ticks = 12usize;
-    let batch = 64usize;
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        9,
-    );
-    m.target_return = 2.0;
-    let streams: Vec<Vec<AbrObservation>> =
-        (0..batch).map(|s| AbrObservation::synthetic_stream(9000 + s as u64, ticks)).collect();
-
-    // One queued pass: submit all, tick, poll, drain. Counters come from
-    // the best-timed rep (they are trace-deterministic; only the clock
-    // varies).
-    struct Leg {
-        secs: f64,
-        end_bytes: usize,
-        peak: usize,
-        evictions: u64,
-        deferrals: usize,
-        rebuild_rows: u64,
-    }
-    let run = |policy: AdmissionPolicy, eviction: EvictionPolicy, pool: Option<PagePool>| -> Leg {
-        let mut best: Option<Leg> = None;
-        for _ in 0..3 {
-            let mut server = match &pool {
-                Some(p) => ShardedServer::with_memory(shards, policy, p.clone(), eviction),
-                None => ShardedServer::with_policy(shards, policy),
-            };
-            let ids: Vec<_> = (0..batch).map(|_| server.join(&m)).collect();
-            let mut pending: Vec<std::collections::VecDeque<netllm::Ticket>> =
-                vec![Default::default(); batch];
-            let (mut peak, mut deferrals) = (0usize, 0usize);
-            let mut outstanding = 0usize;
-            let t0 = Instant::now();
-            let mut tick_once = |server: &mut ShardedServer<NetLlmAbr>,
-                                 pending: &mut Vec<std::collections::VecDeque<netllm::Ticket>>,
-                                 outstanding: &mut usize| {
-                let rep = server.tick(&m);
-                peak = peak.max(rep.memory.used_bytes);
-                deferrals += rep.memory.deferred;
-                for q in pending.iter_mut() {
-                    if let Some(&front) = q.front() {
-                        if server.poll(front).is_some() {
-                            q.pop_front();
-                            *outstanding -= 1;
-                        }
-                    }
-                }
-            };
-            for c in 0..ticks {
-                for (s, &id) in ids.iter().enumerate() {
-                    let t = server.submit(id, streams[s][c].clone()).unwrap();
-                    pending[s].push_back(t);
-                    outstanding += 1;
-                }
-                tick_once(&mut server, &mut pending, &mut outstanding);
-            }
-            while outstanding > 0 {
-                tick_once(&mut server, &mut pending, &mut outstanding);
-            }
-            let secs = t0.elapsed().as_secs_f64();
-            if best.as_ref().is_none_or(|b| secs < b.secs) {
-                let snap = server.metrics().snapshot();
-                best = Some(Leg {
-                    secs,
-                    end_bytes: server.cache_bytes(),
-                    peak,
-                    evictions: snap.evicted(),
-                    deferrals,
-                    rebuild_rows: snap.evicted_rebuild_rows(),
-                });
-            }
-        }
-        best.expect("three reps ran")
-    };
-
-    // Contiguous sizing pass (also the policy-free throughput anchor).
-    let contig = run(AdmissionPolicy::LeastLoaded, EvictionPolicy::None, None);
-    let tight_budget = (contig.end_bytes * 2 / 5).max(nt_llm::session_floor_bytes(&m.lm, 16));
-    let ample_budget = 3 * contig.end_bytes + (1 << 20);
-    let pool_for = |budget: usize| {
-        PagePool::for_model(&m.lm, PageConfig { page_tokens: 16, budget_bytes: budget })
-    };
-    let pages_of = |pool: &PagePool| pool.free_pages();
-
-    let decisions = (batch * ticks) as f64;
-    let mut rows = Vec::new();
-    let mut report = serde_json::Map::new();
-    report.insert("environment".into(), json!({"hardware_threads": hw, "pool_workers": workers}));
-    report.insert(
-        "trace".into(),
-        json!({"model": "7b-sim", "batch": batch, "shards": shards, "ticks": ticks}),
-    );
-    report.insert("contiguous_decisions_per_s".into(), json!(decisions / contig.secs));
-    let mut legs = serde_json::Map::new();
-    let mut tight_rebuild = [0u64; 2];
-    let mut ample_dps = [0f64; 2];
-    for (b, budget, band) in [(0usize, tight_budget, "tight"), (1, ample_budget, "ample")] {
-        let pool = pool_for(budget);
-        let pages = pages_of(&pool);
-        let pairs: [(&str, AdmissionPolicy, EvictionPolicy); 2] = [
-            (
-                "cache_aware_coldest",
-                AdmissionPolicy::CacheAware { budget_bytes: budget / shards },
-                EvictionPolicy::ColdestReanchor,
-            ),
-            (
-                "page_aware_cheapest",
-                AdmissionPolicy::PageAware { budget_pages: pages / shards },
-                EvictionPolicy::CheapestRebuild,
-            ),
-        ];
-        for (i, (name, policy, eviction)) in pairs.into_iter().enumerate() {
-            let leg = run(policy, eviction, Some(pool.clone()));
-            let dps = decisions / leg.secs;
-            if b == 0 {
-                tight_rebuild[i] = leg.rebuild_rows;
-            } else {
-                ample_dps[i] = dps;
-            }
-            rows.push(vec![
-                format!("{band}/{name}"),
-                format!("{dps:.0}"),
-                format!("{}", leg.evictions),
-                format!("{}", leg.deferrals),
-                format!("{}", leg.rebuild_rows),
-                format!("{}/{}", leg.peak / 1000, budget / 1000),
-            ]);
-            legs.insert(
-                format!("{band}_{name}"),
-                json!({
-                    "decisions_per_s": dps,
-                    "evictions": leg.evictions,
-                    "deferrals": leg.deferrals,
-                    "rebuild_rows": leg.rebuild_rows,
-                    "peak_pool_bytes": leg.peak,
-                    "budget_bytes": budget,
-                    "budget_pages": pages,
-                }),
-            );
-        }
-    }
-    print_table(
-        "BENCH_9: scheduler policy pairs (7b-sim, B=64, K=4, queued)",
-        &["band/pair", "dec/s", "evictions", "deferrals", "rebuild rows", "peak/budget KB"],
-        &rows,
-    );
-    let rebuild_ratio = tight_rebuild[1] as f64 / tight_rebuild[0].max(1) as f64;
-    let ample_ratio = ample_dps[1] / ample_dps[0];
-    println!(
-        "tight-budget rebuild rows: {} (coldest) vs {} (cheapest) — ratio {rebuild_ratio:.3}",
-        tight_rebuild[0], tight_rebuild[1]
-    );
-    println!("ample-budget throughput ratio (page-economy / old pair): {ample_ratio:.3}");
-    report.insert("legs".into(), serde_json::Value::Object(legs));
-    report.insert("tight_rebuild_rows_ratio".into(), json!(rebuild_ratio));
-    report.insert("ample_throughput_ratio".into(), json!(ample_ratio));
-    report.insert(
-        "note".into(),
-        json!(
-            "rebuild rows = re-anchor replay work forced by eviction, priced by \
-             ServedTask::rebuild_rows at the moment of the clear; CheapestRebuild \
-             picks victims by that price so the tight-budget total must come in \
-             strictly below ColdestReanchor's (enforced, with the 1e-5 forced-clear \
-             equivalence and the >= 0.95x ample-budget bar, in \
-             crates/bench/tests/sched_gate.rs)"
-        ),
-    );
-    let path = write_report("BENCH_9", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
-}
-
-// ---------------------------------------------------------------------------
-// BENCH_10: telemetry plane (PR 10 — phase attribution + scrape endpoint)
-// ---------------------------------------------------------------------------
-
-/// Telemetry-on vs telemetry-off dense throughput (the overhead price),
-/// plus the per-shard tick-phase breakdown and latency quantiles scraped
-/// over the wire while the load runs — everything in the report travels
-/// through `MetricsRequest`/`EventsRequest`, not a process-local handle.
-/// The enforced >= 0.97x gate lives in `tests/telemetry_overhead.rs`.
-fn bench10() {
-    use netllm::{serve, EventKind, FleetModels, IngressConfig, TickPhase, WireClient};
-    use nt_bench::netload::{dense_socket, ObsStreams};
-
-    const B: usize = 64;
-    const K: usize = 4;
-    const ROUNDS: usize = 8;
-
-    println!(
-        "\n[bench10] telemetry plane: phase attribution + scrape overhead (7b-sim, B={B}, K={K})"
-    );
-    let dir = std::env::temp_dir().join("bench10-zoo");
-    let streams = ObsStreams::generate(B, ROUNDS, 0xB10B);
-
-    // Paired throughput legs, best-of-N like the gate test: both legs
-    // re-measured per attempt so machine-load drift cancels in the ratio.
-    const ATTEMPTS: usize = 3;
-    let off_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let off_handle = serve(
-        off_models,
-        IngressConfig { shards: K, telemetry: false, ..IngressConfig::default() },
-    )
-    .expect("serve telemetry-off");
-    let on_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let handle = serve(on_models, IngressConfig { shards: K, ..IngressConfig::default() })
-        .expect("serve telemetry-on");
-    let addr = handle.addr();
-    let mut off = dense_socket(off_handle.addr(), B, ROUNDS, &streams);
-    let mut on = dense_socket(addr, B, ROUNDS, &streams);
-    let mut ratio = on.dec_per_s() / off.dec_per_s();
-    for _ in 1..ATTEMPTS {
-        let o = dense_socket(off_handle.addr(), B, ROUNDS, &streams);
-        let n = dense_socket(addr, B, ROUNDS, &streams);
-        let r = n.dec_per_s() / o.dec_per_s();
-        if r > ratio {
-            (ratio, off, on) = (r, o, n);
-        }
-    }
-    off_handle.shutdown();
-
-    // Live-scrape demo run against the telemetry-on server, from a
-    // dedicated connection while a fresh load round runs.
-    let load_streams = ObsStreams::generate(B, ROUNDS, 0xB10B);
-    let load = std::thread::spawn(move || dense_socket(addr, B, ROUNDS, &load_streams));
-    let mut scraper = WireClient::connect(addr).expect("scrape connection");
-    let (mut cursor, mut live_scrapes, mut events_drained, mut tick_spans) =
-        (0u64, 0u64, 0u64, 0u64);
-    while !load.is_finished() {
-        let _ = scraper.scrape_metrics().expect("scrape during load");
-        let view = scraper.scrape_events(cursor).expect("drain during load");
-        events_drained += view.events.len() as u64;
-        tick_spans +=
-            view.events.iter().filter(|e| matches!(e.kind, EventKind::TickSpan { .. })).count()
-                as u64;
-        cursor = view.next_seq;
-        live_scrapes += 1;
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    }
-    let demo = load.join().expect("telemetry-on load");
-    assert_eq!(demo.decisions, (B * ROUNDS) as u64);
-    let snap = scraper.scrape_metrics().expect("final scrape");
-    let tail = scraper.scrape_events(cursor).expect("final drain");
-    events_drained += tail.events.len() as u64;
-    let dropped = tail.dropped;
-    handle.shutdown();
-
-    let rows: Vec<Vec<String>> = snap
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(s, row)| {
-            let phase = |p: TickPhase| snap.shard_phases[s][p as usize].approx_quantile_ms(0.5);
-            vec![
-                format!("{s}"),
-                format!("{}", row.served),
-                format!("{:.3}", phase(TickPhase::Drain)),
-                format!("{:.3}", phase(TickPhase::PlanStep)),
-                format!("{:.3}", phase(TickPhase::Settle)),
-                format!("{:.3}", snap.shard_latency[s].approx_quantile_ms(0.5)),
-                format!("{:.3}", snap.shard_latency[s].approx_quantile_ms(0.9)),
-            ]
-        })
-        .collect();
-    print_table(
-        "BENCH_10: per-shard phase p50 (ms) + submit→completion latency, scraped over the wire",
-        &["shard", "served", "drain", "plan+step", "settle", "lat p50", "lat p90"],
-        &rows,
-    );
-    println!("telemetry-on/off throughput ratio: {ratio:.3} (gate >= 0.97 in tests/telemetry_overhead.rs)");
-    println!("{live_scrapes} live scrapes, {events_drained} events drained ({tick_spans} tick spans), {dropped} dropped");
-
-    let phases = |s: usize| -> serde_json::Value {
-        json!(TickPhase::ALL
-            .iter()
-            .map(|&p| {
-                let h = &snap.shard_phases[s][p as usize];
-                json!({
-                    "phase": p.label(),
-                    "count": h.count,
-                    "total_ms": h.total_ns as f64 / 1e6,
-                    "p50_ms": h.approx_quantile_ms(0.5),
-                    "p90_ms": h.approx_quantile_ms(0.9),
-                })
-            })
-            .collect::<Vec<_>>())
-    };
-    let leg = |o: &nt_bench::netload::ThroughputOutcome| {
-        json!({
-            "decisions": o.decisions,
-            "dec_per_s": o.dec_per_s(),
-            "p50_ms": percentile(&o.latencies_ms, 0.5),
-            "p90_ms": percentile(&o.latencies_ms, 0.9),
-        })
-    };
-    let report = json!({
-        "model": "7b-sim",
-        "batch": B,
-        "shards": K,
-        "rounds": ROUNDS,
-        "telemetry_off": leg(&off),
-        "telemetry_on": leg(&on),
-        "on_off_ratio": ratio,
-        "ratio_attempts": ATTEMPTS,
-        "per_shard": snap.shards.iter().enumerate().map(|(s, row)| json!({
-            "shard": s,
-            "served": row.served,
-            "queue_depth": row.queue_depth,
-            "phases": phases(s),
-            "latency_p50_ms": snap.shard_latency[s].approx_quantile_ms(0.5),
-            "latency_p90_ms": snap.shard_latency[s].approx_quantile_ms(0.9),
-            "latency_count": snap.shard_latency[s].count,
-        })).collect::<Vec<_>>(),
-        "served_by_label": snap.served_by_label.iter()
-            .map(|(l, n)| json!({"label": l, "served": n})).collect::<Vec<_>>(),
-        "scrape": {
-            "live_scrapes": live_scrapes,
-            "events_drained": events_drained,
-            "tick_spans": tick_spans,
-            "events_dropped": dropped,
-        },
-        "ingress": {
-            "ticks": snap.ingress.ticks,
-            "busy": snap.ingress.busy,
-            "completions": snap.ingress.completions,
-            "protocol_errors": snap.ingress.protocol_errors,
-        },
-        "note": "every number here was read over the MetricsRequest/EventsRequest \
-                 extension frames from a dedicated scrape connection while the dense \
-                 load ran; phase quantiles are geometric-mean log2-bucket estimates \
-                 (within 2x), and the 0.97x overhead floor is enforced in \
-                 crates/bench/tests/telemetry_overhead.rs",
-    });
-    let path = write_report("BENCH_10", &report).unwrap();
     println!("wrote {}", path.display());
 }
 
