@@ -14,11 +14,9 @@
 //! `--nocapture` so it lands in CI logs) and can be overridden with
 //! `NT_TRACE_SEED=<decimal or 0xhex>` to replay a failing trace.
 //!
-//! The release-only half gates the scheduler's operational claims at
-//! batch 64: `CacheAware` keeps every shard under its KV budget while the
-//! queued path's aggregate throughput stays no worse than PR 3's lockstep
-//! serving (snapshot in `reports/BENCH_4.json`, `figures -- --fig
-//! bench4`).
+//! The release-only half gates the scheduler's operational claim at
+//! batch 64: `CacheAware` keeps every shard under its KV budget while
+//! every served logit still equals the unbatched replay.
 
 use netllm::{
     AdmissionPolicy, CjsObs, FleetAction, FleetObs, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
@@ -394,17 +392,15 @@ fn bursty_trace_cache_aware_matches_unbatched_paths() {
     assert!(events >= 200, "trace too small to gate anything: {events} events");
 }
 
-/// Release-only operational gate at batch 64 (debug codegen distorts the
-/// kernels the timing half measures — CI runs `cargo test --release -p
-/// nt-bench --test continuous_batching`): the queued front end must match
-/// lockstep logits exactly-enough (1e-5), `CacheAware` must keep every
-/// shard under its KV budget after every tick, and queued aggregate
-/// throughput must be no worse than lockstep serving (0.9x noise floor —
-/// the two paths run identical flops; the queue adds bookkeeping only).
+/// Release-only operational gate at batch 64 (debug codegen makes a 7b-sim
+/// fleet of this size too slow for tier-1 — CI runs `cargo test --release
+/// -p nt-bench --test continuous_batching`): `CacheAware` must keep every
+/// shard under its KV budget after every tick, and every session's served
+/// logits must match its unbatched `select()` replay at 1e-5. Absolute
+/// speed of this fleet shape is `perf`'s `dense_direct.decisions_per_s`.
 #[cfg(not(debug_assertions))]
 #[test]
 fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
-    use std::time::Instant;
     const BATCH: usize = 64;
     const SHARDS: usize = 4;
     let ticks = 10usize;
@@ -420,99 +416,65 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
     let streams: Vec<Vec<AbrObservation>> =
         (0..BATCH).map(|s| AbrObservation::synthetic_stream(9000 + s as u64, ticks)).collect();
 
-    // ---- lockstep reference (PR 3 path): timing + logits + final KV ----
-    let mut lockstep_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    let mut lockstep_best = f64::MAX;
-    let mut final_total_bytes = 0usize;
-    for rep in 0..2 {
-        let mut server = ShardedServer::new(SHARDS);
-        let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
-        if rep == 0 {
-            for l in &mut lockstep_logits {
-                l.clear();
-            }
-        }
-        let t0 = Instant::now();
-        for t in 0..ticks {
-            let reqs: Vec<_> =
-                ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-            let _ = server.step(&m, &reqs);
-            if rep == 0 {
-                for (s, &id) in ids.iter().enumerate() {
-                    lockstep_logits[s].push(server.last_logits(id).to_vec());
-                }
-            }
-        }
-        lockstep_best = lockstep_best.min(t0.elapsed().as_secs_f64());
-        final_total_bytes = server.cache_bytes();
+    // ---- oracle: each stream alone through the unbatched path ------------
+    let mut expected: Vec<Vec<Vec<f32>>> = Vec::with_capacity(BATCH);
+    for obs in &streams {
+        m.reset();
+        expected.push(
+            obs.iter()
+                .map(|o| {
+                    let _ = m.select(o);
+                    m.last_logits().to_vec()
+                })
+                .collect(),
+        );
     }
+
+    // End-of-run KV size of one session (every ABR session appends the
+    // same rows per decision), measured on a one-session fleet.
+    let session_bytes = {
+        let mut server = ShardedServer::new(1);
+        let id = server.join(&m);
+        for o in &streams[0] {
+            let _ = server.submit(id, o.clone()).unwrap();
+            let _ = server.tick(&m);
+        }
+        server.cache_bytes()
+    };
 
     // Budget: 1.5x a perfectly balanced shard at end-of-run size —
     // feasible throughout, tight enough that hash-placement skew and
     // growth keep the steering pass honest.
-    let budget = final_total_bytes / SHARDS * 3 / 2;
+    let budget = session_bytes * BATCH / SHARDS * 3 / 2;
 
-    // ---- queued path: submit all, tick, poll -----------------------------
-    let mut queued_best = f64::MAX;
-    let mut queued_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    for rep in 0..2 {
-        let mut server = ShardedServer::with_policy(
-            SHARDS,
-            AdmissionPolicy::CacheAware { budget_bytes: budget },
+    let mut server =
+        ShardedServer::with_policy(SHARDS, AdmissionPolicy::CacheAware { budget_bytes: budget });
+    let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
+    for t in 0..ticks {
+        let tickets: Vec<_> = ids
+            .iter()
+            .enumerate()
+            .map(|(s, &id)| server.submit(id, streams[s][t].clone()).unwrap())
+            .collect();
+        let report = server.tick(&m);
+        assert_eq!(report.served, BATCH);
+        let bytes = server.cache_bytes_per_shard();
+        assert!(
+            bytes.iter().all(|&b| b <= budget),
+            "tick {t}: shard over KV budget {budget}: {bytes:?} (steered {:?})",
+            report.steered
         );
-        let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
-        if rep == 0 {
-            for l in &mut queued_logits {
-                l.clear();
-            }
+        for ticket in tickets {
+            let _ = server.poll(ticket).expect("ticket must resolve after its tick");
         }
-        let t0 = Instant::now();
-        for t in 0..ticks {
-            let tickets: Vec<_> = ids
-                .iter()
-                .enumerate()
-                .map(|(s, &id)| server.submit(id, streams[s][t].clone()).unwrap())
-                .collect();
-            let report = server.tick(&m);
-            assert_eq!(report.served, BATCH);
-            let bytes = server.cache_bytes_per_shard();
-            assert!(
-                bytes.iter().all(|&b| b <= budget),
-                "tick {t}: shard over KV budget {budget}: {bytes:?} (steered {:?})",
-                report.steered
-            );
-            for ticket in tickets {
-                let _ = server.poll(ticket).expect("ticket must resolve after its tick");
-            }
-            if rep == 0 {
-                for (s, &id) in ids.iter().enumerate() {
-                    queued_logits[s].push(server.last_logits(id).to_vec());
-                }
-            }
-        }
-        queued_best = queued_best.min(t0.elapsed().as_secs_f64());
-    }
-
-    // Queued and lockstep serving are the same math.
-    for s in 0..BATCH {
-        for t in 0..ticks {
-            for (x, y) in queued_logits[s][t].iter().zip(&lockstep_logits[s][t]) {
-                assert!((x - y).abs() < 1e-5, "stream {s} tick {t}: queued {x} vs lockstep {y}");
+        for (s, &id) in ids.iter().enumerate() {
+            for (x, y) in server.last_logits(id).iter().zip(&expected[s][t]) {
+                assert!((x - y).abs() < 1e-5, "stream {s} tick {t}: queued {x} vs unbatched {y}");
             }
         }
     }
-
-    let decisions = (BATCH * ticks) as f64;
-    let ratio = lockstep_best / queued_best.max(1e-9);
     println!(
-        "continuous batching at B={BATCH}, K={SHARDS}: queued {:.1} dec/s vs lockstep {:.1} dec/s \
-         ({ratio:.2}x), KV budget {budget} B/shard held for {ticks} ticks",
-        decisions / queued_best,
-        decisions / lockstep_best
-    );
-    assert!(
-        ratio >= 0.9,
-        "queued serving must be no worse than lockstep: lockstep {lockstep_best:.3}s vs \
-         queued {queued_best:.3}s ({ratio:.2}x)"
+        "continuous batching at B={BATCH}, K={SHARDS}: KV budget {budget} B/shard held for \
+         {ticks} ticks, logits match the unbatched replay"
     );
 }

@@ -11,9 +11,12 @@
 //! `cargo test --release -p nt-bench --test sharded_serving`). Per-shard
 //! math is identical across shard counts, so on narrow hosts the honest
 //! expectation is parity: there the gate enforces no-regression and
-//! prints the measured ratio for `BENCH_3.json`.
+//! prints the measured ratio.
 
-use netllm::{AdaptMode, CjsObs, LoraSpec, NetLlmCjs, NetLlmVp, ShardedServer, VpQuery};
+use netllm::{
+    AdaptMode, CjsObs, GlobalSessionId, LoraSpec, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer,
+    Ticket, VpQuery,
+};
 use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
 use nt_llm::{size_spec, Zoo};
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
@@ -39,6 +42,24 @@ fn record_cjs_obs(seed: u64, executors: usize) -> Vec<CjsObs> {
     obs
 }
 
+/// One full round: submit every request, tick once, poll in request order.
+fn serve_round<T>(
+    server: &mut ShardedServer<T>,
+    task: &T,
+    reqs: &[(GlobalSessionId, &T::Obs)],
+) -> Vec<T::Action>
+where
+    T: ServedTask + Sync,
+    T::Obs: Clone + Sync,
+    T::Slot: Send,
+    T::Action: Send,
+{
+    let tickets: Vec<Ticket> =
+        reqs.iter().map(|&(id, o)| server.submit(id, o.clone()).unwrap()).collect();
+    server.tick(task);
+    tickets.into_iter().map(|t| server.poll(t).expect("one tick serves the round")).collect()
+}
+
 #[test]
 #[allow(clippy::needless_range_loop)]
 fn sharded_cjs_matches_unbatched_rollouts_with_rollback() {
@@ -57,7 +78,7 @@ fn sharded_cjs_matches_unbatched_rollouts_with_rollback() {
     let mut served: Vec<Vec<(usize, usize, Vec<f32>)>> = vec![Vec::new(); streams.len()];
     for t in 0..ticks {
         let reqs: Vec<_> = ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-        let decisions = server.step(&m, &reqs);
+        let decisions = serve_round(&mut server, &m, &reqs);
         for ((s, &id), d) in ids.iter().enumerate().zip(decisions) {
             served[s].push((d.candidate, d.cap, server.last_logits(id).to_vec()));
         }
@@ -98,7 +119,7 @@ fn sharded_vp_one_shot_slots_match_unbatched_eval() {
             .map(|i| VpQuery { sample: samples[(4 * round + i) % samples.len()].clone(), pw })
             .collect();
         let reqs: Vec<_> = ids.iter().zip(&queries).map(|(&id, q)| (id, q)).collect();
-        let _ = server.step(&m, &reqs);
+        let _ = serve_round(&mut server, &m, &reqs);
         for &id in &ids {
             served.push(server.last_logits(id).to_vec());
             let _ = server.leave(id);
@@ -146,7 +167,7 @@ fn multi_shard_fleet_beats_single_shard_aggregate_throughput() {
             for t in 0..ticks {
                 let reqs: Vec<_> =
                     ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-                let _ = server.step(&m, &reqs);
+                let _ = serve_round(&mut server, &m, &reqs);
                 for (s, &id) in ids.iter().enumerate() {
                     logits[s].push(server.last_logits(id).to_vec());
                 }

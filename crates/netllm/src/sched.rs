@@ -1,11 +1,9 @@
 //! Async admission queue + tick scheduling policies for continuous
 //! batching.
 //!
-//! PR 3's fleet was lockstep: callers orchestrated every tick, handing
-//! [`crate::ShardedServer::step`] a fully-formed batch, so an observation
-//! arriving mid-tick waited a whole batch cycle and every session had to
-//! be joined before stepping. This module is the queuing discipline that
-//! removes the lockstep: arrivals enqueue *asynchronously* into per-shard
+//! This module is the queuing discipline behind
+//! [`crate::ShardedServer::submit`] / [`crate::ShardedServer::tick`]:
+//! arrivals enqueue *asynchronously* into per-shard
 //! [`AdmissionQueue`]s (stamped with a logical arrival clock and tagged
 //! with their adapter group), and each shard drains its queue at tick
 //! boundaries — at most one arrival per session per tick, FIFO within a
@@ -516,9 +514,8 @@ impl AdmissionPolicy {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum EvictionPolicy {
     /// Never reclaim: under pressure the scheduler only defers drained
-    /// arrivals back to the queues (and a lockstep `step` over demand
-    /// panics). For operators who size the pool for the worst case and
-    /// want deferral-only backpressure.
+    /// arrivals back to the queues. For operators who size the pool for
+    /// the worst case and want deferral-only backpressure.
     None,
     /// Clear the coldest (least-recently-served) idle session's pages; it
     /// re-anchors from its episode log on its next step, exactly like a

@@ -2,8 +2,8 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use netllm::{
-    AdaptMode, CjsObs, FleetObs, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, VpQuery,
-    FLEET_ABR, FLEET_CJS, FLEET_VP,
+    AdaptMode, CjsObs, FleetObs, GlobalSessionId, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet,
+    NetLlmVp, ServedTask, ShardedServer, Ticket, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
@@ -22,6 +22,24 @@ pub fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
 pub fn vp_samples() -> Vec<VpSample> {
     let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
     extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
+}
+
+/// One full round: submit every request, tick once, poll in request order.
+pub fn serve_round<T>(
+    server: &mut ShardedServer<T>,
+    task: &T,
+    reqs: &[(GlobalSessionId, &T::Obs)],
+) -> Vec<T::Action>
+where
+    T: ServedTask + Sync,
+    T::Obs: Clone + Sync,
+    T::Slot: Send,
+    T::Action: Send,
+{
+    let tickets: Vec<Ticket> =
+        reqs.iter().map(|&(id, o)| server.submit(id, o.clone()).unwrap()).collect();
+    server.tick(task);
+    tickets.into_iter().map(|t| server.poll(t).expect("one tick serves the round")).collect()
 }
 
 /// Backbone group of session `i` in an interleaved fleet: A/C/V/A/C/V/...

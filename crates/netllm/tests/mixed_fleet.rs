@@ -16,7 +16,7 @@ use nt_tensor::Tensor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
-use common::{fleet_models, interleaved_obs, record_cjs_obs, vp_samples, KINDS};
+use common::{fleet_models, interleaved_obs, record_cjs_obs, serve_round, vp_samples, KINDS};
 
 #[test]
 fn mixed_fleet_matches_each_adapters_unbatched_path() {
@@ -54,7 +54,7 @@ fn mixed_fleet_matches_each_adapters_unbatched_path() {
             (abr_ids[1], FleetObs::Abr(abr_streams[1][tick].clone())),
         ];
         let refs: Vec<_> = requests.iter().map(|&(id, ref o)| (id, o)).collect();
-        let actions = server.step(&fleet, &refs);
+        let actions = serve_round(&mut server, &fleet, &refs);
         assert_eq!(actions.len(), 4);
         let mut it = actions.into_iter();
         abr_served[0].push((it.next().unwrap().abr(), server.last_logits(abr_ids[0]).to_vec()));

@@ -27,29 +27,16 @@
 //!   (sparing the oldest arrival), never the just-deferred youngest.
 
 use netllm::{
-    AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FleetObs, FleetSlot, InferenceSession,
-    LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan, ServedTask, ShardedServer,
-    Ticket, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    AdaptMode, AdmissionPolicy, EvictionPolicy, FleetObs, FleetSlot, InferenceSession, LoraSpec,
+    NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan, ServedTask, ShardedServer, Ticket,
+    VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
-use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 use std::collections::VecDeque;
 
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
-    obs
-}
-
-fn vp_samples() -> Vec<VpSample> {
-    let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-    extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
-}
+mod common;
+use common::{record_cjs_obs, serve_round, vp_samples};
 
 struct Models {
     abr: NetLlmAbr,
@@ -136,7 +123,7 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
                 (abr_ids[1], FleetObs::Abr(abr_streams[1][tick].clone())),
             ];
             let refs: Vec<_> = requests.iter().map(|&(id, ref o)| (id, o)).collect();
-            let _ = server.step(&fleet, &refs);
+            let _ = serve_round(&mut server, &fleet, &refs);
             for &(id, _) in &requests {
                 logits.push(server.last_logits(id).to_vec());
             }
