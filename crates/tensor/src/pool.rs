@@ -96,8 +96,7 @@ pub fn in_worker() -> bool {
 /// order of a microsecond, and the serial quad kernel retires roughly a
 /// MAC per nanosecond, so 256 Ki MACs (~0.25 ms serial) amortizes the
 /// dispatch more than a hundredfold. The spawn-era pool needed `4 << 20`
-/// (tens of microseconds per `std::thread::scope` spawn); that value
-/// lives on as the legacy-kernel baseline in `tensor.rs`.
+/// (tens of microseconds per `std::thread::scope` spawn).
 pub const PAR_FLOPS_MIN: usize = 1 << 18;
 
 /// Whether a kernel of roughly `flops` multiply-accumulates is worth a

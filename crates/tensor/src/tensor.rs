@@ -338,31 +338,6 @@ const KC: usize = 512;
 /// the register-tile kernel (too few columns to fill a lane block).
 const N_SKINNY: usize = 8;
 
-/// Spawn-era dispatch threshold, kept for the legacy-kernel baseline:
-/// the scoped pool paid tens of microseconds per spawn, so only
-/// multi-million-MAC products parallelized (see
-/// [`pool::PAR_FLOPS_MIN`] for the persistent-pool value).
-const LEGACY_PAR_FLOPS_MIN: usize = 4 << 20;
-
-/// Bench/gate-only switch: route [`matmul_into`] through the PR 2 quad
-/// axpy kernel and its spawn-era dispatch threshold
-/// ([`LEGACY_PAR_FLOPS_MIN`]), so the BENCH_5-era kernel floor can be
-/// measured in-process against the register-tile kernel. Attention and
-/// the skinny dot kernel are not toggled (shared by both modes), which
-/// makes measured speedups conservative. Never enable in serving code.
-static LEGACY_KERNELS: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Enable/disable the legacy (PR 2) matmul kernel for baseline
-/// measurements (see `LEGACY_KERNELS`).
-pub fn set_legacy_kernels(on: bool) {
-    LEGACY_KERNELS.store(on, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// True while the legacy-kernel baseline mode is on.
-pub fn legacy_kernels_enabled() -> bool {
-    LEGACY_KERNELS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
 /// `out += a x b` for row-major matrices.
 ///
 /// The kernel holds an MRxNR register accumulator tile per output block
@@ -372,9 +347,8 @@ pub fn legacy_kernels_enabled() -> bool {
 /// products additionally split their output rows across the persistent
 /// worker pool ([`crate::pool`], `NT_THREADS` knob). All paths accumulate
 /// each output element in ascending-`k` order through a single chain, so
-/// serial and parallel execution are bit-identical — and so are the
-/// legacy and register-tile kernels (only the skinny dot kernel
-/// reassociates, and it is shared).
+/// serial and parallel execution are bit-identical (only the skinny dot
+/// kernel reassociates within a chain, identically on both).
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -382,43 +356,25 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let legacy = legacy_kernels_enabled();
-    let worthwhile = if legacy {
-        pool::num_threads() > 1 && m * k * n >= LEGACY_PAR_FLOPS_MIN && !pool::in_worker()
-    } else {
-        pool::parallel_worthwhile(m * k * n)
-    };
-    if worthwhile && m > MR {
+    if pool::parallel_worthwhile(m * k * n) && m > MR {
         // Contiguous row bands, each a multiple of MR so only the final
         // band can hit the remainder kernel.
         let band_rows = m.div_ceil(pool::num_threads()).next_multiple_of(MR);
         pool::for_each_block_mut(out, band_rows * n, |band, chunk| {
             let r0 = band * band_rows;
             let rows = chunk.len() / n;
-            matmul_serial(&a[r0 * k..(r0 + rows) * k], b, chunk, rows, k, n, legacy);
+            matmul_serial(&a[r0 * k..(r0 + rows) * k], b, chunk, rows, k, n);
         });
     } else {
-        matmul_serial(a, b, out, m, k, n, legacy);
+        matmul_serial(a, b, out, m, k, n);
     }
 }
 
-fn matmul_serial(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    legacy: bool,
-) {
+fn matmul_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if n < N_SKINNY && k >= 16 {
         return matmul_dot_packed(a, b, out, m, k, n);
     }
-    if legacy {
-        matmul_legacy_axpy(a, b, out, m, k, n);
-    } else {
-        matmul_blocked_wide(a, b, out, m, k, n);
-    }
+    matmul_blocked_wide(a, b, out, m, k, n);
 }
 
 /// Wide-RHS register-tile kernel.
@@ -427,14 +383,13 @@ fn matmul_serial(
 /// `b` is packed into a contiguous `[kc x NR]` panel once, then every
 /// [`MR`]-row quad streams through it holding an `MR x NR` accumulator
 /// tile in registers — `out` is loaded and stored once per (quad, block,
-/// k-tile) instead of once per `k` step, which is where the old kernel
-/// burned its bandwidth. Each `[f32; NR]` accumulator row is a fixed
+/// k-tile) instead of once per `k` step. Each `[f32; NR]` accumulator row is a fixed
 /// f32x8-shaped array the autovectorizer maps onto SIMD lanes.
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
 /// order (the tile is seeded from `out` and written back), so this is
-/// bit-identical to the legacy axpy kernel and to its own parallel
-/// row-band splits.
+/// bit-identical to the naive triple loop and to its own parallel
+/// row-band splits (`tests/kernel_props.rs`).
 fn matmul_blocked_wide(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if m < MR {
         // Fewer rows than one quad — the token-decode shape (m = 1..3).
@@ -518,10 +473,9 @@ fn matmul_blocked_wide(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize
 /// Sub-quad row count (`m < MR`): the single-token decode shape. Each
 /// row holds an [`NR`]-wide register accumulator per column block and
 /// streams `b` directly, so `out` is loaded and stored once per (block,
-/// k-tile) instead of once per `k` step — the legacy axpy kernel's cost
-/// on this shape — while skipping the panel pack that only a full quad
-/// can amortize. Same ascending-`k` single-chain accumulation as every
-/// other path, so it stays bit-identical to the legacy kernel.
+/// k-tile) instead of once per `k` step, while skipping the panel pack
+/// that only a full quad can amortize. Same ascending-`k` single-chain
+/// accumulation as every other path.
 fn matmul_narrow_direct(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let n_main = n - n % NR;
     for k0 in (0..k).step_by(KC) {
@@ -555,55 +509,10 @@ fn matmul_narrow_direct(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usiz
     }
 }
 
-/// The PR 2 wide kernel (quad axpy streaming full `n`-wide output rows),
-/// retained verbatim as the measured baseline behind
-/// [`set_legacy_kernels`]. Same accumulation order as
-/// [`matmul_blocked_wide`], so the two are bit-identical — only speed
-/// differs.
-fn matmul_legacy_axpy(a: &[f32], b: &[f32], out: &mut [f32], _m: usize, k: usize, n: usize) {
-    for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        let mut quads = out.chunks_exact_mut(MR * n);
-        let mut i = 0usize;
-        for quad in &mut quads {
-            let (r0, rest) = quad.split_at_mut(n);
-            let (r1, rest) = rest.split_at_mut(n);
-            let (r2, r3) = rest.split_at_mut(n);
-            let a0 = &a[i * k..(i + 1) * k];
-            let a1 = &a[(i + 1) * k..(i + 2) * k];
-            let a2 = &a[(i + 2) * k..(i + 3) * k];
-            let a3 = &a[(i + 3) * k..(i + 4) * k];
-            for kk in k0..k1 {
-                let brow = &b[kk * n..(kk + 1) * n];
-                let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                for ((((d0, d1), d2), d3), &bv) in
-                    r0.iter_mut().zip(r1.iter_mut()).zip(r2.iter_mut()).zip(r3.iter_mut()).zip(brow)
-                {
-                    *d0 += x0 * bv;
-                    *d1 += x1 * bv;
-                    *d2 += x2 * bv;
-                    *d3 += x3 * bv;
-                }
-            }
-            i += MR;
-        }
-        let tail = quads.into_remainder();
-        for (arow, orow) in a[i * k..].chunks_exact(k).zip(tail.chunks_exact_mut(n)) {
-            for kk in k0..k1 {
-                let brow = &b[kk * n..(kk + 1) * n];
-                let av = arow[kk];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-    }
-}
-
 /// Skinny-RHS kernel: packs `b` transposed so each output element is one
 /// dot product over two contiguous slices, computed with eight partial
-/// accumulators (reassociation within 1e-5 of the axpy kernel; every
-/// consumer compares paths that share this same kernel).
+/// accumulators (reassociation within 1e-4 of the naive triple loop;
+/// every consumer compares paths that share this same kernel).
 fn matmul_dot_packed(a: &[f32], b: &[f32], out: &mut [f32], _m: usize, k: usize, n: usize) {
     let mut bt = vec![0.0f32; k * n];
     transpose_into(b, &mut bt, k, n);
