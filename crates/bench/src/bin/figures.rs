@@ -27,54 +27,65 @@ use nt_vp::{evaluate_each, LinearRegression, Velocity, VpPredictor};
 use serde_json::json;
 use std::time::Instant;
 
+const USAGE: &str = "usage: figures [--fig all|2|3|4|10|11|12|13|14|15|16] \
+                     [--fidelity smoke|default|paper]";
+
+/// A `--fig` value and the function that regenerates that figure.
+type Figure = (&'static str, fn(&Engine));
+
+/// Every figure this binary regenerates.
+const FIGS: [Figure; 10] = [
+    ("2", fig2),
+    ("3", fig3),
+    ("4", fig4),
+    ("10", fig10),
+    ("11", fig11),
+    ("12", fig12),
+    ("13", fig13),
+    ("14", fig14),
+    ("15", fig15),
+    ("16", fig16),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let fig = flag(&args, "--fig").unwrap_or_else(|| "all".into());
-    let fidelity = match flag(&args, "--fidelity").as_deref() {
-        Some("smoke") => Fidelity::Smoke,
-        Some("paper") => Fidelity::Paper,
-        _ => Fidelity::Default,
-    };
+    let (fig, fidelity) = parse_args(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
     let engine = Engine::new(fidelity);
     println!("netllm figures — fidelity {:?}, artifacts in {}", fidelity, engine.dir.display());
 
-    let run = |f: &str| fig == "all" || fig == f;
     let t0 = Instant::now();
-    if run("2") {
-        fig2(&engine);
-    }
-    if run("3") {
-        fig3(&engine);
-    }
-    if run("4") {
-        fig4(&engine);
-    }
-    if run("10") {
-        fig10(&engine);
-    }
-    if run("11") {
-        fig11(&engine);
-    }
-    if run("12") {
-        fig12(&engine);
-    }
-    if run("13") {
-        fig13(&engine);
-    }
-    if run("14") {
-        fig14(&engine);
-    }
-    if run("15") {
-        fig15(&engine);
-    }
-    if run("16") {
-        fig16(&engine);
+    for (name, regenerate) in FIGS {
+        if fig == "all" || fig == name {
+            regenerate(&engine);
+        }
     }
     println!("\nall requested figures regenerated in {:.1}s", t0.elapsed().as_secs_f64());
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
+/// The `--fig` value (default `all`) and fidelity (default `default`), or
+/// what was wrong with them: both are closed sets.
+fn parse_args(args: &[String]) -> Result<(&str, Fidelity), String> {
+    let value = |name: &str| match args.iter().position(|a| a == name) {
+        None => Ok(None),
+        Some(i) => match args.get(i + 1) {
+            Some(v) => Ok(Some(v.as_str())),
+            None => Err(format!("{name} needs a value")),
+        },
+    };
+    let fig = value("--fig")?.unwrap_or("all");
+    if fig != "all" && !FIGS.iter().any(|&(name, _)| name == fig) {
+        return Err(format!("unknown --fig {fig:?}"));
+    }
+    let fidelity = match value("--fidelity")?.unwrap_or("default") {
+        "smoke" => Fidelity::Smoke,
+        "default" => Fidelity::Default,
+        "paper" => Fidelity::Paper,
+        other => return Err(format!("unknown --fidelity {other:?}")),
+    };
+    Ok((fig, fidelity))
 }
 
 // ---------------------------------------------------------------------------
@@ -838,4 +849,29 @@ fn box_json(series: &[(String, Vec<f64>)]) -> serde_json::Value {
         .iter()
         .map(|(n, xs)| json!({"method": n, "box": box_stats(xs)}))
         .collect::<Vec<_>>())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(String, Fidelity), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_args(&args).map(|(fig, fidelity)| (fig.to_string(), fidelity))
+    }
+
+    #[test]
+    fn fig_and_fidelity_are_closed_sets() {
+        assert_eq!(parse(&[]), Ok(("all".into(), Fidelity::Default)));
+        assert_eq!(parse(&["--fig", "all"]), Ok(("all".into(), Fidelity::Default)));
+        assert_eq!(
+            parse(&["--fig", "10", "--fidelity", "smoke"]),
+            Ok(("10".into(), Fidelity::Smoke))
+        );
+        for bad in ["bench2", "17", ""] {
+            assert!(parse(&["--fig", bad]).is_err(), "--fig {bad:?} must be refused");
+        }
+        assert!(parse(&["--fig"]).is_err(), "a flag without its value must be refused");
+        assert!(parse(&["--fidelity", "fast"]).is_err());
+    }
 }

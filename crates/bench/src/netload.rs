@@ -13,7 +13,7 @@
 //! loopback gate (`tests/ingress_loopback.rs`) can assert the socket is
 //! a transport, not a different server. The dense fixed-batch drivers
 //! ([`dense_direct`], [`dense_socket`]) feed the throughput leg and
-//! `figures --fig bench8`.
+//! `nt-top`'s demo fleet.
 
 use crate::trace::Trace;
 use netllm::{

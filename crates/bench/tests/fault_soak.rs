@@ -23,8 +23,8 @@
 //! session fleet on K=4 shards loses one shard mid-run and must return
 //! to full per-tick service within declaration latency + slack, with
 //! post-recovery throughput >= 0.9x a (K-1)-shard baseline's steady
-//! state (`figures -- --fig bench7` records the same scenario's timeline
-//! in `reports/BENCH_7.json`).
+//! state (`perf`'s `shard_kill` workload and `fault.*` metrics track the
+//! same scenario).
 
 use netllm::{
     AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs, HealthConfig,

@@ -18,8 +18,8 @@
 //! - **Throughput gate:** with an ample budget (no evictions), paged
 //!   serving must be ≥ 0.9x contiguous at B=64 — paging costs page-table
 //!   indirection in the attention inner loop and a mutex per reservation,
-//!   not a second copy of the math. `reports/BENCH_5.json`
-//!   (`figures -- --fig bench5`) snapshots the measured ratios.
+//!   not a second copy of the math (`perf`: `paged_tight`,
+//!   `nn.attention_us.kv128` vs `nn.attention_us.kv128_paged`).
 
 #![cfg(not(debug_assertions))]
 #![allow(clippy::needless_range_loop)] // tick index drives several parallel arrays

@@ -17,8 +17,6 @@
 //!   steering pressure) the page-economy pair must stay within 5% of the
 //!   old pair's throughput, with identical logits — smarter placement is
 //!   free when there is no pressure to react to.
-//!   `reports/BENCH_9.json` (`figures -- --fig bench9`) snapshots the
-//!   measured ratios.
 
 #![cfg(not(debug_assertions))]
 #![allow(clippy::needless_range_loop)] // tick index drives several parallel arrays

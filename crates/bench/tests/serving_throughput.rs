@@ -12,7 +12,7 @@
 //! and sequential serving execute flop-identical math through the same
 //! kernels, so on a single-core host the honest expectation is parity,
 //! not speedup: there the gate enforces no-regression and prints the
-//! measured ratio for `BENCH_2.json`.
+//! measured ratio.
 
 use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ServingEngine};
 use nt_abr::{AbrObservation, AbrPolicy};

@@ -172,8 +172,9 @@ pub struct IngressConfig {
     /// at half the shared backlog.
     pub max_open_per_conn: usize,
     /// Whether tick-phase timing and the event journal are enabled
-    /// (see [`ShardedServer::set_telemetry`]). On by default — BENCH_10
-    /// prices the overhead at under 3% of dense throughput. Scrape
+    /// (see [`ShardedServer::set_telemetry`]). On by default — the
+    /// `telemetry_overhead` release gate holds the cost under 3% of
+    /// dense throughput. Scrape
     /// frames still answer when off; histograms and the journal just
     /// stop accumulating.
     pub telemetry: bool,

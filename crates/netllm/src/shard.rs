@@ -205,7 +205,7 @@ pub struct ShardedServer<T: ServedTask> {
     journal: TelemetryRing,
     /// Whether tick-phase timing runs ([`ShardedServer::set_telemetry`]).
     /// Off, ticks take no clock readings and the journal drops writes —
-    /// the baseline the BENCH_10 overhead gate compares against.
+    /// the baseline the `telemetry_overhead` gate compares against.
     telemetry: bool,
 }
 
@@ -431,16 +431,6 @@ impl<T: ServedTask> ShardedServer<T> {
     /// Occupancy of the fleet-wide pool (`None` for unbounded fleets).
     pub fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PagePool::stats)
-    }
-
-    /// The active eviction policy.
-    pub fn eviction_policy(&self) -> EvictionPolicy {
-        self.eviction
-    }
-
-    /// Swap the eviction policy (applies from the next memory guard run).
-    pub fn set_eviction_policy(&mut self, eviction: EvictionPolicy) {
-        self.eviction = eviction;
     }
 
     /// Replace the per-shard backpressure cap (only while no arrival is
@@ -824,7 +814,7 @@ impl<T: ServedTask> ShardedServer<T> {
     /// Reclaim `victim`'s pages, recording the eviction under the rebuild
     /// rows its next step will now replay (priced *before* the clear —
     /// an empty cache prices 0). Both policies account identically, so
-    /// the BENCH_9 rebuild-row comparison is apples to apples.
+    /// comparing their rebuild rows is apples to apples.
     fn evict_session(&mut self, victim: GlobalSessionId, task: &T) {
         let &(s, l) = self.routes.get(&victim).expect("victim is routed");
         let rows = self.shards[s].rebuild_rows_of(task, l) as u64;

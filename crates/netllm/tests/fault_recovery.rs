@@ -25,11 +25,13 @@ use netllm::{
     ServedTask, ShardedServer, SubmitRetry, Ticket, TicketStatus, FLEET_ABR, FLEET_CJS,
 };
 use nt_abr::AbrObservation;
-use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
+
+mod common;
+use common::record_cjs_obs;
 
 const WINDOW: usize = 3;
 const STEPS: usize = 6;
@@ -69,15 +71,6 @@ fn models() -> &'static Models {
         );
         Models { abr, cjs, vp }
     })
-}
-
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
-    obs
 }
 
 /// Unbatched no-fault ABR replay: the logits every served/recovered step

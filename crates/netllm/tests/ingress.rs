@@ -15,28 +15,15 @@
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
-    serve, CjsObs, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet, ShardedServer, Ticket,
+    serve, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet, ShardedServer, Ticket,
     TicketStatus, VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
-use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
-    obs
-}
-
-fn vp_samples() -> Vec<VpSample> {
-    let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-    extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
-}
+mod common;
+use common::{record_cjs_obs, vp_samples};
 
 fn tiny(name: &str) -> FleetModels {
     FleetModels::tiny(&std::env::temp_dir().join(name), 2)

@@ -94,7 +94,7 @@ fn pool_survives_nesting_panics_and_concurrent_dispatch() {
     assert_eq!(total.load(Ordering::Relaxed), (4 * 50 - 5) * 5, "a dispatch lost tasks");
 
     // 5. Dispatch counters moved (monotonic totals for the metrics
-    // registry / bench6).
+    // registry / `perf`'s `tensor.pool.*`).
     let stats = pool::stats();
     assert!(stats.dispatches > 0, "parallel dispatches must be counted");
     assert!(stats.tasks >= stats.dispatches, "tasks count fan-out, not jobs");
