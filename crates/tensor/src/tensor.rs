@@ -383,8 +383,9 @@ fn matmul_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
 /// `b` is packed into a contiguous `[kc x NR]` panel once, then every
 /// [`MR`]-row quad streams through it holding an `MR x NR` accumulator
 /// tile in registers — `out` is loaded and stored once per (quad, block,
-/// k-tile) instead of once per `k` step. Each `[f32; NR]` accumulator row is a fixed
-/// f32x8-shaped array the autovectorizer maps onto SIMD lanes.
+/// k-tile) instead of once per `k` step. Each `[f32; NR]` accumulator
+/// row is a fixed f32x8-shaped array the autovectorizer maps onto SIMD
+/// lanes.
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
 /// order (the tile is seeded from `out` and written back), so this is

@@ -10,10 +10,10 @@
 //! 600} and n in {1..9, 15, 16, 17, 63, 64, 65}, covering quad-row
 //! remainders, NR column-tail remainders, the sub-quad decode path, the
 //! skinny-RHS switch, the KC k-tile seam (`k = 600`, register-tile shapes
-//! only) and pool row-band splits (`m = 600`). The `NT_THREADS` {1, 4} axis comes from the CI
-//! matrix, which runs every test binary under both values — band splits
-//! never change per-element accumulation order, so the sweep must pass
-//! identically under either.
+//! only) and pool row-band splits (`m = 600`). The `NT_THREADS` {1, 4}
+//! axis comes from the CI matrix, which runs every test binary under both
+//! values — band splits never change per-element accumulation order, so
+//! the sweep must pass identically under either.
 
 use nt_tensor::tensor::matmul_into;
 use nt_tensor::Rng;
