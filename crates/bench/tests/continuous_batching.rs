@@ -4,7 +4,8 @@
 //! ABR + CJS + VP fleet — uniform and bursty interarrivals, mid-tick
 //! joins, one-shot VP sessions, backlogged submissions (several queued
 //! observations per session), departures that trigger rebalance-on-leave,
-//! and CacheAware budget steering — and replays them through the
+//! and `PageAware` budget steering over an ample page pool — and replays
+//! them through the
 //! scheduled `submit → tick → poll` front end. Every session's served
 //! actions and logits must match that adapter's unbatched
 //! `InferenceSession` path at 1e-5: the queuing discipline may change
@@ -15,16 +16,19 @@
 //! `NT_TRACE_SEED=<decimal or 0xhex>` to replay a failing trace.
 //!
 //! The release-only half gates the scheduler's operational claim at
-//! batch 64: `CacheAware` keeps every shard under its KV budget while
+//! batch 64: `PageAware` keeps every shard under its page budget while
 //! every served logit still equals the unbatched replay.
 
 use netllm::{
-    AdmissionPolicy, CjsObs, FleetAction, FleetObs, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
-    ShardedServer, Ticket, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    AdmissionPolicy, CjsObs, EventKind, EvictionPolicy, FleetAction, FleetObs, NetLlmAbr,
+    NetLlmCjs, NetLlmFleet, NetLlmVp, ShardedServer, SteerReason, Ticket, FLEET_ABR, FLEET_CJS,
+    FLEET_VP,
 };
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
-use nt_llm::{size_spec, Zoo};
+#[cfg(not(debug_assertions))]
+use nt_llm::session_floor_bytes;
+use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
 use nt_tensor::Rng;
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 use std::collections::VecDeque;
@@ -154,7 +158,21 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
             });
         }
         let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
-        let mut server = ShardedServer::with_policy(SHARDS, policy);
+        // A page policy runs over a pool ample enough that the memory
+        // guard never evicts or defers — the unbatched oracle below needs
+        // no forced clears; only the steering pass is under test.
+        let mut server = match policy.page_budget() {
+            Some(_) => ShardedServer::with_memory(
+                SHARDS,
+                policy,
+                PagePool::for_model(
+                    &models.abr.lm,
+                    PageConfig { page_tokens: 8, budget_bytes: 1 << 20 },
+                ),
+                EvictionPolicy::None,
+            ),
+            None => ShardedServer::with_policy(SHARDS, policy),
+        };
         // Seed population: two ABR streams and one CJS stream.
         for _ in 0..2 {
             join_sess(&mut server, &fleet, &mut sessions, FLEET_ABR, next_abr);
@@ -237,14 +255,15 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
             steered.sort_unstable();
             steered.dedup();
             assert_eq!(steered.len(), report.steered.len(), "double steer: {report:?}");
-            // CacheAware must hold every shard under its budget whenever
+            // PageAware must hold every shard under its budget whenever
             // the budget is comfortably feasible fleet-wide.
-            if let Some(budget) = policy.kv_budget() {
-                let bytes = server.cache_bytes_per_shard();
-                if server.cache_bytes() * 4 <= budget * SHARDS * 3 {
+            if let Some(budget) = policy.page_budget() {
+                assert_eq!(report.memory.evicted.len() + report.memory.deferred, 0);
+                let held = server.pages_held_per_shard();
+                if held.iter().sum::<usize>() * 4 <= budget * SHARDS * 3 {
                     assert!(
-                        bytes.iter().all(|&b| b <= budget),
-                        "tick {tick}: shard over feasible KV budget {budget}: {bytes:?}"
+                        held.iter().all(|&p| p <= budget),
+                        "tick {tick}: shard over feasible page budget {budget}: {held:?}"
                     );
                 }
             }
@@ -309,6 +328,19 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
         for s in &sessions {
             assert!(s.pending.is_empty(), "session {} has unresolved tickets", s.id);
             assert_eq!(s.served.len(), s.cursor, "session {} lost decisions", s.id);
+        }
+        if policy.page_budget().is_some() {
+            let over_budget = server
+                .journal()
+                .drain(0)
+                .events
+                .iter()
+                .filter(|e| {
+                    matches!(e.kind, EventKind::Steer { reason: SteerReason::OverBudget, .. })
+                })
+                .count();
+            assert!(over_budget > 0, "the page budget must be tight enough that steering fires");
+            println!("budget steering fired {over_budget} times");
         }
     }
 
@@ -385,8 +417,9 @@ fn bursty_trace_cache_aware_matches_unbatched_paths() {
     println!("continuous-batching bursty trace seed: {seed} (0x{seed:x})");
     let mut models = build_models(3);
     // A small per-shard budget keeps the steering pass live through the
-    // whole trace (sessions hold a few KB of KV each at this scale).
-    let policy = AdmissionPolicy::CacheAware { budget_bytes: 96 * 1024 };
+    // whole trace (sessions hold 1-5 eight-row pages each at this scale;
+    // the fleet peaks near 30).
+    let policy = AdmissionPolicy::PageAware { budget_pages: 10 };
     let events = run_trace(&mut models, policy, true, seed);
     println!("bursty trace replayed {events} events");
     assert!(events >= 200, "trace too small to gate anything: {events} events");
@@ -394,8 +427,8 @@ fn bursty_trace_cache_aware_matches_unbatched_paths() {
 
 /// Release-only operational gate at batch 64 (debug codegen makes a 7b-sim
 /// fleet of this size too slow for tier-1 — CI runs `cargo test --release
-/// -p nt-bench --test continuous_batching`): `CacheAware` must keep every
-/// shard under its KV budget after every tick, and every session's served
+/// -p nt-bench --test continuous_batching`): `PageAware` must keep every
+/// shard under its page budget after every tick, and every session's served
 /// logits must match its unbatched `select()` replay at 1e-5. Absolute
 /// speed of this fleet shape is `perf`'s `dense_direct.decisions_per_s`.
 #[cfg(not(debug_assertions))]
@@ -430,26 +463,38 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
         );
     }
 
-    // End-of-run KV size of one session (every ABR session appends the
+    // Ample pool — every session could sit at full context, so the memory
+    // guard stays idle and the oracle above needs no forced clears; the
+    // budget under test is the per-shard one.
+    let pool = PagePool::for_model(
+        &m.lm,
+        PageConfig { page_tokens: 16, budget_bytes: BATCH * session_floor_bytes(&m.lm, 16) },
+    );
+    let fleet = |shards: usize, policy: AdmissionPolicy| {
+        ShardedServer::with_memory(shards, policy, pool.clone(), EvictionPolicy::None)
+    };
+
+    // End-of-run page count of one session (every ABR session appends the
     // same rows per decision), measured on a one-session fleet.
-    let session_bytes = {
-        let mut server = ShardedServer::new(1);
+    let session_pages = {
+        let mut server = fleet(1, AdmissionPolicy::LeastLoaded);
         let id = server.join(&m);
         for o in &streams[0] {
             let _ = server.submit(id, o.clone()).unwrap();
             let _ = server.tick(&m);
         }
-        server.cache_bytes()
+        server.pages_held_per_shard()[0]
     };
 
     // Budget: 1.5x a perfectly balanced shard at end-of-run size —
-    // feasible throughout, tight enough that hash-placement skew and
+    // feasible throughout, tight enough that placement skew (joins hold
+    // no pages yet, so the same-backbone tie-break stacks them) and
     // growth keep the steering pass honest.
-    let budget = session_bytes * BATCH / SHARDS * 3 / 2;
+    let budget = session_pages * BATCH / SHARDS * 3 / 2;
 
-    let mut server =
-        ShardedServer::with_policy(SHARDS, AdmissionPolicy::CacheAware { budget_bytes: budget });
+    let mut server = fleet(SHARDS, AdmissionPolicy::PageAware { budget_pages: budget });
     let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
+    let mut steered = 0usize;
     for t in 0..ticks {
         let tickets: Vec<_> = ids
             .iter()
@@ -458,10 +503,11 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
             .collect();
         let report = server.tick(&m);
         assert_eq!(report.served, BATCH);
-        let bytes = server.cache_bytes_per_shard();
+        steered += report.steered.len();
+        let held = server.pages_held_per_shard();
         assert!(
-            bytes.iter().all(|&b| b <= budget),
-            "tick {t}: shard over KV budget {budget}: {bytes:?} (steered {:?})",
+            held.iter().all(|&p| p <= budget),
+            "tick {t}: shard over page budget {budget}: {held:?} (steered {:?})",
             report.steered
         );
         for ticket in tickets {
@@ -473,8 +519,9 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
             }
         }
     }
+    assert!(steered > 0, "budget {budget} pages/shard never made the steering pass move anyone");
     println!(
-        "continuous batching at B={BATCH}, K={SHARDS}: KV budget {budget} B/shard held for \
-         {ticks} ticks, logits match the unbatched replay"
+        "continuous batching at B={BATCH}, K={SHARDS}: page budget {budget}/shard held for \
+         {ticks} ticks ({steered} steers), logits match the unbatched replay"
     );
 }

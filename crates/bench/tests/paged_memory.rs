@@ -8,13 +8,16 @@
 //! codegen would distort — CI runs
 //! `cargo test --release -p nt-bench --test paged_memory`:
 //!
-//! - **Budget gate:** B=64 sessions on K=4 shards driven past a pool
-//!   budget of ~40% of their contiguous footprint must (a) keep pool
-//!   bytes ≤ budget after every tick (the pool makes this structural; the
-//!   gate re-checks the reports), (b) re-anchor every evicted session to
-//!   logits within 1e-5 of an unbatched replay that clears its session at
-//!   the same ticks, and (c) resolve every ticket — deferral may delay an
-//!   answer, never lose it.
+//! - **Budget gate:** B=64 sessions on K=4 shards under the production
+//!   pair — `PageAware` (per-shard budget: an even share of the pool's
+//!   pages) + `CheapestRebuild` — driven past a pool budget of ~40% of
+//!   their contiguous footprint must (a) keep pool bytes ≤ budget after
+//!   every tick (the pool makes this structural; the gate re-checks the
+//!   reports), (b) re-anchor every evicted session to logits within 1e-5
+//!   of an unbatched replay that clears its session at the same ticks,
+//!   (c) resolve every ticket — deferral may delay an answer, never lose
+//!   it — and (d) account the evictions under priced rebuild rows (the
+//!   counter `perf` tracks as `shard.evicted_rebuild_rows`).
 //! - **Throughput gate:** with an ample budget (no evictions), paged
 //!   serving must be ≥ 0.9x contiguous at B=64 — paging costs page-table
 //!   indirection in the attention inner loop and a mutex per reservation,
@@ -110,9 +113,9 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
     let pool = PagePool::for_model(lm, PageConfig { page_tokens: 16, budget_bytes: budget });
     let mut server = ShardedServer::with_memory(
         SHARDS,
-        AdmissionPolicy::LeastLoaded,
+        AdmissionPolicy::PageAware { budget_pages: pool.capacity_pages() / SHARDS },
         pool.clone(),
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
 
@@ -187,10 +190,14 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
         !evictions.is_empty(),
         "budget {budget}B (of {contig_bytes}B contiguous) must force evictions"
     );
+    // (d) every eviction is priced; a tight budget cannot get by on free
+    // (already-re-anchoring) victims alone.
+    let rebuild_rows = server.metrics().snapshot().evicted_rebuild_rows();
+    assert!(rebuild_rows > 0, "evictions under pressure must account priced rebuild rows");
     println!(
         "paged memory gate at B={BATCH}, K={SHARDS}: budget {budget}B held for {ticks_run} ticks \
-         (peak {peak_bytes}B, {:.0}% of contiguous {contig_bytes}B), {} evictions, \
-         {deferrals} deferrals",
+         (peak {peak_bytes}B, {:.0}% of contiguous {contig_bytes}B), {} evictions / \
+         {rebuild_rows} rebuild rows, {deferrals} deferrals",
         100.0 * peak_bytes as f64 / contig_bytes as f64,
         evictions.len()
     );

@@ -135,7 +135,7 @@ impl FleetModels {
 }
 
 /// Ingress server knobs. `Default` is the unit-test shape: 2 shards,
-/// hash routing, no page pool, 200µs coalesce window.
+/// `LeastLoaded` placement, no page pool, 200µs coalesce window.
 pub struct IngressConfig {
     /// Shard count for the [`ShardedServer`].
     pub shards: usize,
@@ -184,7 +184,7 @@ impl Default for IngressConfig {
     fn default() -> Self {
         IngressConfig {
             shards: 2,
-            policy: AdmissionPolicy::HashRoute,
+            policy: AdmissionPolicy::LeastLoaded,
             pool: None,
             eviction: EvictionPolicy::None,
             queue_cap: 1024,

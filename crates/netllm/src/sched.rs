@@ -17,14 +17,14 @@
 //!  poll(Ticket) ◄─ actions ┘  └────────────────┘        per busy shard
 //! ```
 //!
-//! Placement is pluggable via [`AdmissionPolicy`]: `HashRoute` keeps the
-//! PR 3 FNV-1a session-hash behaviour, `LeastLoaded` admits to the shard
-//! with the fewest live slots, and `CacheAware` admits to the shard
-//! holding the fewest KV bytes *and* steers load off any shard whose KV
-//! bytes cross a configurable budget (the tick scheduler migrates the
-//! coldest — least-recently-served — session to the lightest shard).
-//! Every policy is a pure function of the fleet view, so placement is
-//! deterministic and unit-testable without a model.
+//! Placement is one family ([`AdmissionPolicy`]): `LeastLoaded` admits
+//! to the shard with the fewest live slots, and `PageAware` — for fleets
+//! with a page pool — admits to the shard holding the fewest pool pages
+//! *and* steers load off any shard whose held pages cross a configurable
+//! budget (the tick scheduler migrates the coldest —
+//! least-recently-served — session to the lightest shard). Both are pure
+//! functions of the fleet view, so placement is deterministic and
+//! unit-testable without a model.
 //!
 //! The scheduler lives in [`crate::ShardedServer`] (`submit`/`tick`/
 //! `poll`); this module owns the data structures and the placement math.
@@ -318,22 +318,11 @@ impl<A> TicketStatus<A> {
     }
 }
 
-/// FNV-1a over the id bytes: cheap, deterministic, and uncorrelated with
-/// sequential id assignment (so consecutive joins spread across shards).
-pub(crate) fn fnv1a(id: u64) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in id.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// One shard's page-economy snapshot, the unit of the placement view a
 /// [`AdmissionPolicy::PageAware`] policy steers by. In-process fleets
 /// share one [`nt_llm::PagePool`], so every shard reports the same
 /// `free_pages` (the global free list); per-process shards report their
-/// own pool's. All-zero for fleets without a pool.
+/// own pool's.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PagePressure {
     /// Pages the shard's pool can still lend without eviction.
@@ -349,9 +338,13 @@ pub struct PagePressure {
 pub struct PlacementView<'a> {
     /// Live slots per shard.
     pub active: &'a [usize],
-    /// KV bytes held per shard.
+    /// KV bytes held per shard. No policy reads it (the byte-denominated
+    /// policy is gone); the field stays only because the `perf` placement
+    /// probe builds this view as a struct literal. The server passes `&[]`.
     pub cache_bytes: &'a [usize],
-    /// Page economy per shard (all-default without a pool).
+    /// Page economy per shard (one entry per shard; all-default for a
+    /// pool-less fleet, which only `LeastLoaded` — reading none of it —
+    /// places on).
     pub pressure: &'a [PagePressure],
     /// Resident sessions per shard on the joiner's backbone group — the
     /// batch-shape signal: same-backbone slots share stacked GEMMs, so
@@ -363,72 +356,48 @@ pub struct PlacementView<'a> {
     pub need_pages: usize,
 }
 
-impl<'a> PlacementView<'a> {
-    /// A view with no page economy and no backbone histogram — what the
-    /// byte-denominated policies (`HashRoute`/`LeastLoaded`/`CacheAware`)
-    /// read; `PageAware` placement over it degenerates to `LeastLoaded`.
-    pub fn bytes_only(active: &'a [usize], cache_bytes: &'a [usize]) -> Self {
-        PlacementView { active, cache_bytes, pressure: &[], same_backbone: &[], need_pages: 0 }
-    }
-}
-
-/// The strictly-improving steer contract, extended to the page economy:
-/// moving a victim carrying `victim_load` units (KV bytes for
-/// `CacheAware`, pages for `PageAware`) from a shard at `src_load` to one
-/// at `dest_load` is worthwhile only when the destination ends strictly
+/// The strictly-improving steer contract of the page economy: moving a
+/// victim holding `victim_pages` from a shard at `src_pages` to one at
+/// `dest_pages` is worthwhile only when the destination ends strictly
 /// below where the source started (no ping-pong between equal-height
 /// shards, no bouncing a session whose cache alone exceeds the budget)
-/// *and* the destination pool's free list covers the victim's pages
-/// (`None` for pool-less fleets) — a steer that lands on a shard with too
-/// few free pages just converts into an eviction on arrival, re-anchoring
-/// someone to move nobody's bytes. Pure; the steer passes and the
-/// `sched.rs` unit tests share it.
+/// *and* the destination pool's free list covers the victim's pages — a
+/// steer that lands on a shard with too few free pages just converts into
+/// an eviction on arrival, re-anchoring someone to move nobody's pages.
+/// Pure; the steer pass and the `sched.rs` unit tests share it.
 pub fn steer_improves(
-    src_load: usize,
-    dest_load: usize,
-    victim_load: usize,
+    src_pages: usize,
+    dest_pages: usize,
     victim_pages: usize,
-    dest_free_pages: Option<usize>,
+    dest_free_pages: usize,
 ) -> bool {
-    victim_load > 0
-        && dest_load + victim_load < src_load
-        && dest_free_pages.is_none_or(|free| free >= victim_pages)
+    victim_pages > 0 && dest_pages + victim_pages < src_pages && dest_free_pages >= victim_pages
 }
 
 /// Where a joining session lands, and whether the tick scheduler steers
 /// load between shards.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdmissionPolicy {
-    /// PR 3 behaviour: the session id's FNV-1a hash picks the shard —
-    /// stateless, uniform in expectation, but blind to load and KV bytes.
-    HashRoute,
     /// Admit to the shard with the fewest live slots; ties break to the
-    /// lowest shard index (deterministic).
+    /// lowest shard index (deterministic). Never steers. The placement of
+    /// pool-less fleets.
     LeastLoaded,
-    /// Admit to the shard holding the fewest KV bytes (ties to the lowest
-    /// index), and steer: whenever a shard's KV bytes cross
-    /// `budget_bytes` at a tick boundary, the scheduler migrates the
-    /// coldest session off it to the lightest shard, one session per tick
-    /// per victim, until every shard fits or no eligible victim remains.
-    /// A per-shard budget is only maintainable while fleet-wide bytes
-    /// stay under `shards * budget_bytes`; past that the pass is
-    /// best-effort (it still levels the skew).
-    CacheAware {
-        /// Per-shard KV-byte budget the steering pass enforces.
-        budget_bytes: usize,
-    },
-    /// Admit by page pressure instead of raw bytes: prefer shards whose
-    /// free pages cover the session's immediate need
-    /// ([`PlacementView::need_pages`]) without triggering eviction, then
-    /// the shard holding the fewest pages; ties break to the shard with
-    /// the *most* resident same-backbone sessions (co-located
-    /// same-backbone slots share stacked GEMMs, so the batch-shape
-    /// tie-break keeps the batched steps dense), then the fewest live
-    /// slots, then the lowest index. Steers like `CacheAware`, but
-    /// denominated in pages: while a shard holds more than `budget_pages`,
-    /// its coldest session migrates to the lightest shard — every move
-    /// gated by [`steer_improves`], so a destination without the free
-    /// pages to absorb the victim is never picked.
+    /// Admit by page pressure: prefer shards whose free pages cover the
+    /// session's immediate need ([`PlacementView::need_pages`]) without
+    /// triggering eviction, then the shard holding the fewest pages; ties
+    /// break to the shard with the *most* resident same-backbone sessions
+    /// (co-located same-backbone slots share stacked GEMMs, so the
+    /// batch-shape tie-break keeps the batched steps dense), then the
+    /// fewest live slots, then the lowest index. And steer: whenever a
+    /// shard holds more than `budget_pages` at a tick boundary, the
+    /// scheduler migrates the coldest session off it to the lightest
+    /// shard, one move per session per tick, until every shard fits or no
+    /// eligible victim remains — every move gated by [`steer_improves`],
+    /// so a destination without the free pages to absorb the victim is
+    /// never picked. A per-shard budget is only maintainable while
+    /// fleet-wide pages stay under `shards * budget_pages`; past that the
+    /// pass is best-effort (it still levels the skew). Needs a page pool:
+    /// a fleet built without one rejects this policy.
     PageAware {
         /// Per-shard held-pages budget the steering pass enforces.
         budget_pages: usize,
@@ -437,37 +406,21 @@ pub enum AdmissionPolicy {
 
 impl AdmissionPolicy {
     /// Pick the shard a new session joins. Pure in the
-    /// [`PlacementView`]: `id` is the new global session id; the view
-    /// carries one entry per shard (the page/backbone slices may be
-    /// empty for pool-less fleets — `PageAware` then places by live
-    /// slots alone).
-    pub fn place(&self, id: u64, view: &PlacementView) -> usize {
+    /// [`PlacementView`], which carries one `active`, `pressure` and
+    /// `same_backbone` entry per shard. Neither policy reads the new
+    /// session's id (no policy routes by id); the parameter stays because
+    /// the `perf` placement probe passes it.
+    pub fn place(&self, _id: u64, view: &PlacementView) -> usize {
         let k = view.active.len();
-        assert!(k >= 1 && view.cache_bytes.len() == k, "malformed fleet view");
+        assert!(
+            k >= 1 && view.pressure.len() == k && view.same_backbone.len() == k,
+            "malformed fleet view"
+        );
         match self {
-            AdmissionPolicy::HashRoute => (fnv1a(id) % k as u64) as usize,
             AdmissionPolicy::LeastLoaded => {
                 (0..k).min_by_key(|&s| (view.active[s], s)).expect("non-empty fleet")
             }
-            // KV-byte ties (e.g. a fleet that has not served yet) fall
-            // back to live-slot count, then index — so cold joins still
-            // spread instead of piling onto shard 0.
-            AdmissionPolicy::CacheAware { .. } => (0..k)
-                .min_by_key(|&s| (view.cache_bytes[s], view.active[s], s))
-                .expect("non-empty fleet"),
             AdmissionPolicy::PageAware { .. } => {
-                assert!(
-                    view.pressure.is_empty() == view.same_backbone.is_empty(),
-                    "malformed fleet view: page pressure and backbone histogram travel together"
-                );
-                if view.pressure.is_empty() {
-                    // No page economy to read: fall back to live slots.
-                    return (0..k).min_by_key(|&s| (view.active[s], s)).expect("non-empty fleet");
-                }
-                assert!(
-                    view.pressure.len() == k && view.same_backbone.len() == k,
-                    "malformed fleet view"
-                );
                 let key = |s: usize| {
                     (
                         view.pressure[s].held_pages,
@@ -490,19 +443,11 @@ impl AdmissionPolicy {
         }
     }
 
-    /// The per-shard KV-byte budget this policy enforces, if any.
-    pub fn kv_budget(&self) -> Option<usize> {
-        match self {
-            AdmissionPolicy::CacheAware { budget_bytes } => Some(*budget_bytes),
-            _ => None,
-        }
-    }
-
     /// The per-shard held-pages budget this policy enforces, if any.
     pub fn page_budget(&self) -> Option<usize> {
         match self {
             AdmissionPolicy::PageAware { budget_pages } => Some(*budget_pages),
-            _ => None,
+            AdmissionPolicy::LeastLoaded => None,
         }
     }
 }
@@ -668,23 +613,11 @@ mod tests {
     }
 
     #[test]
-    fn hash_route_matches_fnv_and_spreads() {
-        let p = AdmissionPolicy::HashRoute;
-        let active = [0usize; 3];
-        let bytes = [0usize; 3];
-        let mut seen = [false; 3];
-        for id in 0..16u64 {
-            let s = p.place(id, &PlacementView::bytes_only(&active, &bytes));
-            assert_eq!(s, (fnv1a(id) % 3) as usize);
-            seen[s] = true;
-        }
-        assert!(seen.iter().all(|&x| x), "16 sequential ids must touch every shard");
-    }
-
-    #[test]
     fn least_loaded_picks_fewest_slots_with_deterministic_ties() {
         let p = AdmissionPolicy::LeastLoaded;
-        let v = |active: &'static [usize]| PlacementView::bytes_only(active, &[0, 0, 0]);
+        // A pool-less fleet's view: no page economy, no residents counted.
+        let no_pool = [PagePressure::default(); 3];
+        let v = |active: &'static [usize]| paged_view(active, &no_pool, &[0, 0, 0], 0);
         assert_eq!(p.place(9, &v(&[3, 1, 2])), 1);
         // Ties break to the lowest shard index, independent of the id.
         assert_eq!(p.place(0, &v(&[2, 2, 2])), 0);
@@ -729,31 +662,13 @@ mod tests {
         assert!(!TicketStatus::<u32>::Requeued.is_terminal());
     }
 
-    #[test]
-    fn cache_aware_places_on_lightest_shard() {
-        let p = AdmissionPolicy::CacheAware { budget_bytes: 1 << 20 };
-        let v = |active: &'static [usize], bytes: &'static [usize]| {
-            PlacementView::bytes_only(active, bytes)
-        };
-        assert_eq!(p.place(3, &v(&[1, 1, 1], &[500, 100, 300])), 1);
-        // Byte ties fall back to live-slot count (cold joins spread),
-        // then to the lowest index.
-        assert_eq!(p.place(3, &v(&[9, 0, 0], &[200, 200, 400])), 1);
-        assert_eq!(p.place(3, &v(&[2, 2, 9], &[200, 200, 400])), 0);
-        assert_eq!(p.kv_budget(), Some(1 << 20));
-        assert_eq!(AdmissionPolicy::LeastLoaded.kv_budget(), None);
-        assert_eq!(p.page_budget(), None);
-        assert_eq!(AdmissionPolicy::PageAware { budget_pages: 40 }.page_budget(), Some(40));
-    }
-
     fn paged_view<'a>(
         active: &'a [usize],
-        cache_bytes: &'a [usize],
         pressure: &'a [PagePressure],
         same_backbone: &'a [usize],
         need_pages: usize,
     ) -> PlacementView<'a> {
-        PlacementView { active, cache_bytes, pressure, same_backbone, need_pages }
+        PlacementView { active, cache_bytes: &[], pressure, same_backbone, need_pages }
     }
 
     #[test]
@@ -764,11 +679,11 @@ mod tests {
             PagePressure { free_pages: 10, held_pages: 12 },
             PagePressure { free_pages: 10, held_pages: 25 },
         ];
-        // Fewest held pages wins regardless of KV bytes or slot count.
-        let v = paged_view(&[1, 9, 1], &[100, 900, 100], &pressure, &[0, 0, 0], 0);
+        // Fewest held pages wins regardless of slot count.
+        let v = paged_view(&[1, 9, 1], &pressure, &[0, 0, 0], 0);
         assert_eq!(p.place(3, &v), 1);
-        // Without a page economy the policy degenerates to LeastLoaded.
-        assert_eq!(p.place(3, &PlacementView::bytes_only(&[2, 1, 2], &[0, 0, 0])), 1);
+        assert_eq!(p.page_budget(), Some(100));
+        assert_eq!(AdmissionPolicy::LeastLoaded.page_budget(), None);
     }
 
     #[test]
@@ -781,14 +696,14 @@ mod tests {
             PagePressure { free_pages: 4, held_pages: 10 },
             PagePressure { free_pages: 9, held_pages: 25 },
         ];
-        let v = paged_view(&[1, 1, 1], &[0, 0, 0], &pressure, &[0, 0, 0], 8);
+        let v = paged_view(&[1, 1, 1], &pressure, &[0, 0, 0], 8);
         assert_eq!(p.place(3, &v), 2);
         // When no shard covers the need, fall back to pure pressure
         // (the memory guard arbitrates on arrival).
-        let v = paged_view(&[1, 1, 1], &[0, 0, 0], &pressure, &[0, 0, 0], 64);
+        let v = paged_view(&[1, 1, 1], &pressure, &[0, 0, 0], 64);
         assert_eq!(p.place(3, &v), 1);
         // Zero need (a fresh join): every shard is feasible.
-        let v = paged_view(&[1, 1, 1], &[0, 0, 0], &pressure, &[0, 0, 0], 0);
+        let v = paged_view(&[1, 1, 1], &pressure, &[0, 0, 0], 0);
         assert_eq!(p.place(3, &v), 1);
     }
 
@@ -799,26 +714,25 @@ mod tests {
         // same-backbone sessions wins (denser stacked GEMMs), then fewest
         // live slots, then index.
         let pressure = [PagePressure { free_pages: 10, held_pages: 20 }; 3];
-        let v = paged_view(&[4, 4, 4], &[0, 0, 0], &pressure, &[1, 3, 0], 0);
+        let v = paged_view(&[4, 4, 4], &pressure, &[1, 3, 0], 0);
         assert_eq!(p.place(3, &v), 1);
-        let v = paged_view(&[4, 2, 4], &[0, 0, 0], &pressure, &[2, 2, 2], 0);
+        let v = paged_view(&[4, 2, 4], &pressure, &[2, 2, 2], 0);
         assert_eq!(p.place(3, &v), 1);
-        let v = paged_view(&[4, 4, 4], &[0, 0, 0], &pressure, &[2, 2, 2], 0);
+        let v = paged_view(&[4, 4, 4], &pressure, &[2, 2, 2], 0);
         assert_eq!(p.place(3, &v), 0);
     }
 
     #[test]
     fn steer_improves_requires_strict_improvement_and_free_pages() {
-        // The strictly-improving half (regression: CacheAware ping-pong).
-        assert!(steer_improves(100, 10, 20, 0, None));
-        assert!(!steer_improves(100, 90, 20, 0, None), "dest would end above src's start");
-        assert!(!steer_improves(100, 80, 20, 0, None), "equal height is not an improvement");
-        assert!(!steer_improves(100, 10, 0, 0, None), "an empty victim moves nothing");
-        // The page-economy half (the satellite bugfix): a destination
-        // whose pool lacks the victim's pages would evict on arrival —
-        // the move is refused even though the byte math improves.
-        assert!(steer_improves(100, 10, 20, 5, Some(5)));
-        assert!(!steer_improves(100, 10, 20, 5, Some(4)), "too few free pages at the destination");
-        assert!(steer_improves(100, 10, 20, 5, None), "pool-less fleets skip the page check");
+        // The strictly-improving half (regression: steering ping-pong).
+        assert!(steer_improves(100, 10, 20, 40));
+        assert!(!steer_improves(100, 90, 20, 40), "dest would end above src's start");
+        assert!(!steer_improves(100, 80, 20, 40), "equal height is not an improvement");
+        assert!(!steer_improves(100, 10, 0, 40), "an empty victim moves nothing");
+        // The free-list half: a destination whose pool lacks the victim's
+        // pages would evict on arrival — the move is refused even though
+        // the page math improves.
+        assert!(steer_improves(100, 10, 20, 20));
+        assert!(!steer_improves(100, 10, 20, 19), "too few free pages at the destination");
     }
 }

@@ -384,18 +384,6 @@ impl<T: ServedTask> ServingEngine<T> {
         task.rebuild_rows(&slot.state, &slot.session) * d_model
     }
 
-    /// Resident sessions per backbone group (`len == task.groups()`) —
-    /// the batch-shape signal a placement policy's same-backbone
-    /// tie-break reads: slots of one group share stacked GEMMs, so a
-    /// shard already hosting a group serves its joiners densest.
-    pub fn backbone_histogram(&self, task: &T) -> Vec<usize> {
-        let mut hist = vec![0usize; task.groups()];
-        for slot in self.slots.iter() {
-            hist[task.group_of(&slot.state)] += 1;
-        }
-        hist
-    }
-
     /// Cached KV positions one session holds (per layer) — what a fault
     /// that drops the cache costs in episode-replay rows.
     pub fn kv_rows_of(&self, id: SessionId) -> usize {

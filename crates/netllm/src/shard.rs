@@ -18,22 +18,19 @@
 //!  submit(id,obs) ─► Ticket     ┌ q0 ─ drain ─► shard 0: ServingEngine ┐
 //!    (arrival clock, adapter ──►│ q1 ─ drain ─► shard 1: ServingEngine ├─ tick ─► poll(Ticket)
 //!     tag, backpressure cap)    └ qK ─ drain ─► shard K: ServingEngine ┘      ─► actions
-//!                join ─► AdmissionPolicy: HashRoute | LeastLoaded |
-//!                                         CacheAware | PageAware
+//!                join ─► AdmissionPolicy: LeastLoaded | PageAware
 //!                                 (NT_THREADS: one worker per busy shard)
 //! ```
 //!
-//! Placement is pluggable ([`AdmissionPolicy`]): `HashRoute` keeps PR 3's
-//! FNV-1a session-hash router, `LeastLoaded` admits to the shard with the
-//! fewest live slots, `CacheAware` admits to the lightest shard by KV
-//! bytes and *steers*: at every tick boundary, while a shard's KV bytes
-//! exceed the policy's budget, the coldest (least-recently-served) session
-//! is migrated to the lightest shard. `PageAware` runs the same pass
-//! denominated in pool pages instead of bytes, placing by page pressure
-//! with a same-backbone tie-break (see [`crate::sched`]); every steer —
-//! byte- or page-denominated — is gated by [`steer_improves`], so a move
-//! never lands on a shard whose pool lacks the victim's pages. Steering
-//! and rebalance-on-leave ([`ShardedServer::leave`]) share one guard: a
+//! Placement is one family ([`AdmissionPolicy`]): `LeastLoaded` admits to
+//! the shard with the fewest live slots; `PageAware` — for fleets with a
+//! page pool — places by page pressure with a same-backbone tie-break
+//! (see [`crate::sched`]) and *steers*: at every tick boundary, while a
+//! shard holds more pool pages than the policy's budget, the coldest
+//! (least-recently-served) session is migrated to the lightest shard.
+//! Every steer is gated by [`steer_improves`], so a move never lands on a
+//! shard whose pool lacks the victim's pages. Steering and
+//! rebalance-on-leave ([`ShardedServer::leave`]) share one guard: a
 //! session is steered at most once per tick cycle, so the two mechanisms
 //! can both fire in a tick without double-migrating anyone
 //! (regression-tested in `tests/admission.rs`).
@@ -67,7 +64,7 @@ use crate::fault::{Fault, FaultPlan, FaultReport};
 use crate::health::{HealthChecker, HealthConfig, Heartbeat};
 use crate::metrics::{MetricsRegistry, TickPhase, TICK_PHASES};
 use crate::sched::{
-    fnv1a, steer_improves, AdmissionPolicy, AdmissionQueue, Arrival, EvictionPolicy, MemoryReport,
+    steer_improves, AdmissionPolicy, AdmissionQueue, Arrival, EvictionPolicy, MemoryReport,
     PagePressure, PlacementView, SubmitError, TickReport, Ticket, TicketStatus,
 };
 use crate::serving::{ServedTask, ServingEngine, SessionId};
@@ -148,7 +145,7 @@ pub struct ShardedServer<T: ServedTask> {
     /// Backbone group per session — the adapter tag queued arrivals carry.
     groups: BTreeMap<GlobalSessionId, usize>,
     next_id: GlobalSessionId,
-    /// Placement (and, for `CacheAware`, steering) policy.
+    /// Placement (and, for `PageAware`, steering) policy.
     policy: AdmissionPolicy,
     /// One pending-arrival queue per shard.
     queues: Vec<AdmissionQueue<T::Obs>>,
@@ -164,7 +161,7 @@ pub struct ShardedServer<T: ServedTask> {
     /// Tick each session last produced an answer (coldest = smallest).
     last_served: BTreeMap<GlobalSessionId, u64>,
     /// Sessions already steered in the current tick cycle — rebalance and
-    /// cache-aware steering both consult and feed this, so no session is
+    /// budget steering both consult and feed this, so no session is
     /// migrated twice between consecutive tick boundaries.
     steered_this_tick: BTreeSet<GlobalSessionId>,
     /// Fleet-wide KV page pool (every shard's sessions draw from it); the
@@ -218,12 +215,15 @@ enum CrashState {
 }
 
 impl<T: ServedTask> ShardedServer<T> {
-    /// A fleet of `num_shards` empty engines with PR 3's hash router.
+    /// A fleet of `num_shards` empty engines placing by
+    /// [`AdmissionPolicy::LeastLoaded`].
     pub fn new(num_shards: usize) -> Self {
-        Self::with_policy(num_shards, AdmissionPolicy::HashRoute)
+        Self::with_policy(num_shards, AdmissionPolicy::LeastLoaded)
     }
 
-    /// A fleet of `num_shards` empty engines admitting under `policy`.
+    /// A pool-less fleet of `num_shards` empty engines admitting under
+    /// `policy`. Panics on [`AdmissionPolicy::PageAware`]: a page policy
+    /// needs the pool [`ShardedServer::with_memory`] takes.
     pub fn with_policy(num_shards: usize, policy: AdmissionPolicy) -> Self {
         Self::build(num_shards, policy, None, EvictionPolicy::None)
     }
@@ -251,6 +251,7 @@ impl<T: ServedTask> ShardedServer<T> {
         eviction: EvictionPolicy,
     ) -> Self {
         assert!(num_shards >= 1, "a fleet needs at least one shard");
+        Self::check_policy(policy, pool.is_some());
         let pool_minted = pool.as_ref().map(PagePool::capacity_pages).unwrap_or(0);
         ShardedServer {
             shards: (0..num_shards)
@@ -285,6 +286,15 @@ impl<T: ServedTask> ShardedServer<T> {
             journal: TelemetryRing::new(JOURNAL_CAPACITY),
             telemetry: true,
         }
+    }
+
+    /// A page-denominated policy without a page pool has nothing to
+    /// place or steer by — rejected here rather than silently degraded.
+    fn check_policy(policy: AdmissionPolicy, pooled: bool) {
+        assert!(
+            pooled || policy.page_budget().is_none(),
+            "{policy:?} needs a page pool — build the fleet with ShardedServer::with_memory"
+        );
     }
 
     /// The fleet's per-shard metrics registry (see [`crate::metrics`]).
@@ -365,8 +375,8 @@ impl<T: ServedTask> ShardedServer<T> {
     }
 
     /// Place `id` on a Healthy shard via the admission policy, evaluated
-    /// over the surviving fleet view (`HashRoute` hashes into the healthy
-    /// subset, so placement stays deterministic as the fleet degrades).
+    /// over the surviving fleet view (so placement stays deterministic as
+    /// the fleet degrades).
     /// Crashed-but-undeclared shards are skipped (fail-fast RPC); if
     /// *every* Healthy shard is dark — the undetected-total-loss window —
     /// fall back to the checker's view: the session lands on a doomed
@@ -386,36 +396,26 @@ impl<T: ServedTask> ShardedServer<T> {
             "no healthy shard left to place session {id} on — total fleet loss"
         );
         let active: Vec<usize> = healthy.iter().map(|&s| self.shards[s].active()).collect();
-        let bytes: Vec<usize> = healthy.iter().map(|&s| self.shards[s].cache_bytes()).collect();
-        // The page economy travels with the backbone histogram (the view
-        // asserts they arrive together); both stay empty for pool-less
-        // fleets, where PageAware degenerates to LeastLoaded.
-        let (pressure, same_backbone) = match self.pool_stats() {
-            Some(st) => {
-                // One in-process pool serves every shard, so each shard
-                // reports the same (global) free list.
-                let pressure: Vec<PagePressure> = healthy
-                    .iter()
-                    .map(|&s| PagePressure {
-                        free_pages: st.free_pages,
-                        held_pages: self.shards[s].pages_held(),
-                    })
-                    .collect();
-                let mut hist = vec![0usize; healthy.len()];
-                for (sid, &(s, _)) in &self.routes {
-                    if self.groups.get(sid) == Some(&group) {
-                        if let Some(i) = healthy.iter().position(|&h| h == s) {
-                            hist[i] += 1;
-                        }
-                    }
+        // One in-process pool serves every shard, so each shard reports
+        // the same (global) free list; a pool-less fleet has no page
+        // economy (all zero — only `LeastLoaded`, which reads none of it,
+        // places there).
+        let free_pages = self.pool_stats().map_or(0, |st| st.free_pages);
+        let pressure: Vec<PagePressure> = healthy
+            .iter()
+            .map(|&s| PagePressure { free_pages, held_pages: self.shards[s].pages_held() })
+            .collect();
+        let mut same_backbone = vec![0usize; healthy.len()];
+        for (sid, &(s, _)) in &self.routes {
+            if self.groups.get(sid) == Some(&group) {
+                if let Some(i) = healthy.iter().position(|&h| h == s) {
+                    same_backbone[i] += 1;
                 }
-                (pressure, hist)
             }
-            None => (Vec::new(), Vec::new()),
-        };
+        }
         let view = PlacementView {
             active: &active,
-            cache_bytes: &bytes,
+            cache_bytes: &[],
             pressure: &pressure,
             same_backbone: &same_backbone,
             need_pages: 0,
@@ -446,9 +446,12 @@ impl<T: ServedTask> ShardedServer<T> {
     }
 
     /// Swap the admission policy at runtime (placement applies to future
-    /// joins; a new `CacheAware` budget applies from the next tick's
-    /// steering pass). Live sessions and queues are untouched.
+    /// joins; a new `PageAware` budget applies from the next tick's
+    /// steering pass). Live sessions and queues are untouched. Panics on
+    /// [`AdmissionPolicy::PageAware`] for a fleet built without a pool
+    /// (see [`ShardedServer::with_memory`]).
     pub fn set_policy(&mut self, policy: AdmissionPolicy) {
+        Self::check_policy(policy, self.pool.is_some());
         self.policy = policy;
     }
 
@@ -462,19 +465,13 @@ impl<T: ServedTask> ShardedServer<T> {
         self.shards.len()
     }
 
-    /// The shard the FNV-1a hash router would assign to `id` (the
-    /// [`AdmissionPolicy::HashRoute`] placement).
-    pub fn home_shard(&self, id: GlobalSessionId) -> usize {
-        (fnv1a(id) % self.shards.len() as u64) as usize
-    }
-
     /// Admit a session on backbone group 0 (homogeneous tasks).
     pub fn join(&mut self, task: &T) -> GlobalSessionId {
         self.join_group(task, 0)
     }
 
     /// Admit a session on backbone `group`; the admission policy places it
-    /// from the current fleet view (live slots + KV bytes per Healthy
+    /// from the current fleet view (live slots + page pressure per Healthy
     /// shard — dead and suspect shards take no new sessions).
     pub fn join_group(&mut self, task: &T, group: usize) -> GlobalSessionId {
         let id = self.next_id;
@@ -628,25 +625,10 @@ impl<T: ServedTask> ShardedServer<T> {
         self.shards.iter().map(ServingEngine::cache_bytes).sum()
     }
 
-    /// KV bytes per shard — the accounting `CacheAware` admission and
-    /// steering run on.
-    pub fn cache_bytes_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(ServingEngine::cache_bytes).collect()
-    }
-
     /// Pool pages held per shard — the accounting `PageAware` placement
     /// and steering run on (all zero for pool-less fleets).
     pub fn pages_held_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(ServingEngine::pages_held).collect()
-    }
-
-    /// Resident sessions per backbone group, per shard — the fleet-wide
-    /// batch-shape view (`histograms[shard][group]`). `PageAware`
-    /// placement ties break toward the shard hosting the most
-    /// same-backbone residents, because same-group slots share one
-    /// stacked backbone GEMM per step.
-    pub fn backbone_histograms(&self, task: &T) -> Vec<Vec<usize>> {
-        self.shards.iter().map(|e| e.backbone_histogram(task)).collect()
     }
 
     /// Head outputs of `id`'s most recent step.
@@ -991,8 +973,8 @@ impl<T: ServedTask> ShardedServer<T> {
     /// [`ServingEngine::step`] each (on `NT_THREADS` pool workers), served
     /// actions are banked for
     /// [`ShardedServer::poll`], and — under
-    /// [`AdmissionPolicy::CacheAware`] — the steering pass migrates the
-    /// coldest sessions off any shard whose KV bytes crossed the budget.
+    /// [`AdmissionPolicy::PageAware`] — the steering pass migrates the
+    /// coldest sessions off any shard whose held pages crossed the budget.
     /// Per-slot math is independent of batching and fan-out, so served
     /// logits equal each session's unbatched replay (gated at 1e-5 in
     /// `nt-bench/tests/continuous_batching.rs`).
@@ -1201,10 +1183,10 @@ impl<T: ServedTask> ShardedServer<T> {
             self.metrics.record_label_served(label, n as u64);
         }
 
-        // Cache-aware steering at the tick boundary (fleet-wide pass,
+        // Budget steering at the tick boundary (fleet-wide pass,
         // recorded like the memory guard above).
         let t0 = if timing { Some(Instant::now()) } else { None };
-        self.cache_steer_pass();
+        self.steer_over_budget();
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             for s in 0..k {
@@ -1291,20 +1273,9 @@ impl<T: ServedTask> ShardedServer<T> {
         }
     }
 
-    /// The tick boundary's budget-enforcement pass: `CacheAware` steers
-    /// by KV bytes, `PageAware` by held pool pages — same discipline,
-    /// different denomination.
-    fn cache_steer_pass(&mut self) {
-        if let Some(budget) = self.policy.kv_budget() {
-            self.steer_over_budget(budget, ServingEngine::cache_bytes, |e, l| e.cache_bytes_of(l));
-        }
-        if let Some(budget) = self.policy.page_budget() {
-            self.steer_over_budget(budget, ServingEngine::pages_held, |e, l| e.pages_of(l));
-        }
-    }
-
-    /// While any shard's load (per `shard_load`) exceeds `budget`, steer
-    /// its coldest not-yet-steered session to the lightest shard —
+    /// The tick boundary's budget-enforcement pass: while any shard holds
+    /// more pool pages than the [`AdmissionPolicy::PageAware`] budget,
+    /// steer its coldest not-yet-steered session to the lightest shard —
     /// provided the move passes [`steer_improves`]: the destination plus
     /// the victim stays strictly below the source (no ping-pong between
     /// equal-height shards, no bouncing a session whose cache alone
@@ -1315,13 +1286,9 @@ impl<T: ServedTask> ShardedServer<T> {
     /// it is exactly the contract a per-process destination pool
     /// enforces.) Bounded by the once-per-tick guard (each session moves
     /// at most once), so the pass terminates even when the budget is
-    /// infeasible fleet-wide.
-    fn steer_over_budget(
-        &mut self,
-        budget: usize,
-        shard_load: impl Fn(&ServingEngine<T>) -> usize,
-        victim_load: impl Fn(&ServingEngine<T>, SessionId) -> usize,
-    ) {
+    /// infeasible fleet-wide. A no-op under `LeastLoaded`.
+    fn steer_over_budget(&mut self) {
+        let Some(budget) = self.policy.page_budget() else { return };
         // Only Healthy, up shards steer or receive — a dead shard's
         // permanent 0 load must never make it the designated
         // destination, including one whose crash no probe has missed yet
@@ -1332,17 +1299,16 @@ impl<T: ServedTask> ShardedServer<T> {
             return;
         }
         loop {
-            let loads: Vec<usize> = self.shards.iter().map(&shard_load).collect();
-            let free = self.pool_stats().map(|st| st.free_pages);
+            let held = self.pages_held_per_shard();
+            let free = self.pool_stats().expect("a page policy implies a pool").free_pages;
             let dest_for = |src: usize| {
-                *healthy.iter().filter(|&&s| s != src).min_by_key(|&&s| (loads[s], s)).unwrap()
+                *healthy.iter().filter(|&&s| s != src).min_by_key(|&&s| (held[s], s)).unwrap()
             };
             let eligible = |server: &Self, id: &GlobalSessionId, shard: usize, local: SessionId| {
                 !server.steered_this_tick.contains(id)
                     && steer_improves(
-                        loads[shard],
-                        loads[dest_for(shard)],
-                        victim_load(&server.shards[shard], local),
+                        held[shard],
+                        held[dest_for(shard)],
                         server.shards[shard].pages_of(local),
                         free,
                     )
@@ -1355,11 +1321,11 @@ impl<T: ServedTask> ShardedServer<T> {
             let src = healthy
                 .iter()
                 .copied()
-                .filter(|&s| loads[s] > budget)
+                .filter(|&s| held[s] > budget)
                 .filter(|&s| {
                     self.routes.iter().any(|(id, &(ss, l))| ss == s && eligible(self, id, ss, l))
                 })
-                .max_by_key(|&s| (loads[s], s));
+                .max_by_key(|&s| (held[s], s));
             let Some(src) = src else { break };
             // Coldest eligible session on the hot shard (ties: lowest id —
             // deterministic).
@@ -1505,20 +1471,19 @@ mod tests {
         let mut server = ShardedServer::new(3);
         let ids: Vec<_> = (0..9).map(|_| server.join(&m)).collect();
         assert_eq!(server.active(), 9);
-        // The hash router must touch every shard with 9 sequential ids.
-        let per = server.active_per_shard();
-        assert_eq!(per.iter().sum::<usize>(), 9);
-        assert!(per.iter().all(|&a| a > 0), "router left a shard empty: {per:?}");
-        // Sessions land where the hash says they do.
-        for &id in &ids {
-            assert_eq!(server.routes[&id].0, server.home_shard(id));
+        // Default placement is `LeastLoaded`: 9 joins spread 3/3/3, each
+        // landing on the least-occupied shard (ties to the lowest index).
+        assert_eq!(server.policy(), AdmissionPolicy::LeastLoaded);
+        assert_eq!(server.active_per_shard(), vec![3, 3, 3]);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(server.routes[&id].0, i % 3);
         }
         // Cache accounting is per shard and starts empty.
         assert_eq!(server.cache_bytes(), 0);
         let obs = AbrObservation::synthetic_stream(3, 1);
         let reqs: Vec<_> = ids.iter().map(|&id| (id, &obs[0])).collect();
         let _ = serve_round(&mut server, &m, &reqs);
-        let bytes = server.cache_bytes_per_shard();
+        let bytes: Vec<usize> = server.shards.iter().map(ServingEngine::cache_bytes).collect();
         assert_eq!(bytes.iter().sum::<usize>(), server.cache_bytes());
         assert!(bytes.iter().all(|&b| b > 0), "every busy shard holds KV bytes: {bytes:?}");
     }
@@ -1565,7 +1530,7 @@ mod tests {
             // Mid-stream churn: steer stream 0 back and forth, and drop
             // stream 4 so rebalance-on-leave has something to fix.
             if chunk == 2 {
-                server.steer(ids[0], 1 - server.home_shard(ids[0]));
+                server.steer(ids[0], 1 - server.shard_of(ids[0]));
             }
             if chunk == 4 {
                 let report = server.leave(ids[4]);

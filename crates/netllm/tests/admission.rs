@@ -1,12 +1,14 @@
 //! Admission-policy behaviour through a real served fleet: `LeastLoaded`
-//! placement, `CacheAware` budget steering (no-op below the budget, steers
-//! above it), and the double-migration regression — rebalance-on-leave and
-//! cache-aware steering both firing in one tick cycle must never steer the
-//! same session twice.
+//! placement, `PageAware` budget steering over an ample page pool (no-op
+//! below the budget, steers above it, never onto a destination whose free
+//! list cannot absorb the victim), and the double-migration regression —
+//! rebalance-on-leave and budget steering both firing in one tick cycle
+//! must never steer the same session twice. Budgets are in pool pages,
+//! read back from `pages_held_per_shard()`.
 
-use netllm::{AdmissionPolicy, NetLlmAbr, ShardedServer, Ticket};
+use netllm::{AdmissionPolicy, EvictionPolicy, NetLlmAbr, ShardedServer, Ticket};
 use nt_abr::{AbrObservation, AbrPolicy};
-use nt_llm::{size_spec, Zoo};
+use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
 
 fn model(window: usize, seed: u64) -> NetLlmAbr {
     let loaded = Zoo::new(std::env::temp_dir().join("netllm-admission-test"))
@@ -20,6 +22,24 @@ fn model(window: usize, seed: u64) -> NetLlmAbr {
     );
     m.target_return = 2.0;
     m
+}
+
+/// A `shards`-wide fleet over a pool ample enough that the memory guard
+/// never evicts or defers: joins place by `LeastLoaded`, and each test
+/// tightens a `PageAware` budget mid-run through `set_policy`.
+fn pooled_fleet(m: &NetLlmAbr, shards: usize) -> (ShardedServer<NetLlmAbr>, PagePool) {
+    let pool = PagePool::for_model(&m.lm, PageConfig { page_tokens: 8, budget_bytes: 1 << 20 });
+    let server = ShardedServer::with_memory(
+        shards,
+        AdmissionPolicy::LeastLoaded,
+        pool.clone(),
+        EvictionPolicy::None,
+    );
+    (server, pool)
+}
+
+fn pages_held(server: &ShardedServer<NetLlmAbr>) -> usize {
+    server.pages_held_per_shard().iter().sum()
 }
 
 /// Submit one observation per session, tick once, poll every ticket.
@@ -49,6 +69,22 @@ fn least_loaded_placement_spreads_joins_evenly() {
     assert_eq!(server.active_per_shard(), vec![2, 2]);
 }
 
+/// A page policy on a pool-less fleet is a configuration error, refused
+/// up front (it used to degrade silently to `LeastLoaded`).
+#[test]
+#[should_panic(expected = "with_memory")]
+fn page_policy_without_a_pool_is_rejected_at_construction() {
+    let _ =
+        ShardedServer::<NetLlmAbr>::with_policy(2, AdmissionPolicy::PageAware { budget_pages: 8 });
+}
+
+#[test]
+#[should_panic(expected = "with_memory")]
+fn page_policy_without_a_pool_is_rejected_by_set_policy() {
+    let mut server = ShardedServer::<NetLlmAbr>::new(2);
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: 8 });
+}
+
 #[test]
 fn cache_aware_noop_below_budget_steers_above_and_respects_it() {
     let m = model(3, 32);
@@ -56,39 +92,39 @@ fn cache_aware_noop_below_budget_steers_above_and_respects_it() {
 
     // Start under LeastLoaded so four sessions spread 2/2, and grow some
     // KV state.
-    let mut server = ShardedServer::with_policy(2, AdmissionPolicy::LeastLoaded);
+    let (mut server, _pool) = pooled_fleet(&m, 2);
     let ids: Vec<u64> = (0..4).map(|_| server.join(&m)).collect();
     for round in 0..3 {
         let report = serve_round(&mut server, &m, &ids, &obs[round..]);
         assert!(report.steered.is_empty(), "LeastLoaded must not steer: {report:?}");
         assert_eq!(report.served_by_label, vec![("abr", 4)]);
     }
-    let total = server.cache_bytes();
+    let total = pages_held(&server);
     let per_session = total / 4;
-    assert!(per_session > 0, "sessions must hold KV bytes by now");
+    assert!(per_session > 0, "sessions must hold pool pages by now");
 
     // Generous budget: the steering pass must be a no-op even with the
     // fleet imbalanced 3/1.
-    server.set_policy(AdmissionPolicy::CacheAware { budget_bytes: 2 * total });
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: 2 * total });
     let on1 = ids.iter().copied().find(|&id| server.shard_of(id) == 1).unwrap();
     server.steer(on1, 0);
     assert_eq!(server.active_per_shard(), vec![3, 1]);
     let report = server.tick(&m); // empty tick: steering pass only
                                   // The manual steer above is part of this tick cycle's report…
     assert_eq!(report.steered, vec![on1]);
-    // …but the cache pass itself must not have moved anyone else.
+    // …but the budget pass itself must not have moved anyone else.
     assert_eq!(server.active_per_shard(), vec![3, 1], "below budget the pass is a no-op");
 
-    // Budget between 2 and 3 sessions' bytes: exactly one steer fixes the
+    // Budget between 2 and 3 sessions' pages: exactly one steer fixes the
     // 3/1 skew, and every shard lands under the budget.
     let budget = per_session * 5 / 2;
-    server.set_policy(AdmissionPolicy::CacheAware { budget_bytes: budget });
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: budget });
     let report = server.tick(&m);
     assert_eq!(report.steered.len(), 1, "one migration must fix the skew: {report:?}");
-    let bytes = server.cache_bytes_per_shard();
+    let held = server.pages_held_per_shard();
     assert!(
-        bytes.iter().all(|&b| b <= budget),
-        "every shard must fit the budget {budget}: {bytes:?}"
+        held.iter().all(|&p| p <= budget),
+        "every shard must fit the budget {budget}: {held:?}"
     );
     assert_eq!(server.active_per_shard(), vec![2, 2]);
     // Stable below the budget: a further tick steers nobody.
@@ -114,6 +150,41 @@ fn cache_aware_noop_below_budget_steers_above_and_respects_it() {
     }
 }
 
+/// The case a byte budget could not express: the steer is gated on the
+/// destination's *free list*, so an over-budget shard keeps its victim
+/// while the pool cannot absorb it (a steer there would just evict on
+/// arrival) and sheds it as soon as the pages are back.
+#[test]
+fn page_steer_never_picks_a_destination_whose_free_list_cannot_hold_the_victim() {
+    let m = model(3, 35);
+    let obs = AbrObservation::synthetic_stream(66, 4);
+    let (mut server, pool) = pooled_fleet(&m, 2);
+    let ids: Vec<u64> = (0..4).map(|_| server.join(&m)).collect();
+    for round in 0..3 {
+        let _ = serve_round(&mut server, &m, &ids, &obs[round..]);
+    }
+    let per_session = pages_held(&server) / 4;
+    assert!(per_session > 1, "the victim must hold more than one page");
+    let on1 = ids.iter().copied().find(|&id| server.shard_of(id) == 1).unwrap();
+    server.steer(on1, 0);
+    let _ = server.tick(&m); // close the manual steer's tick cycle
+    assert_eq!(server.active_per_shard(), vec![3, 1]);
+
+    // Take all but `per_session - 1` pages out of the free list through a
+    // second handle on the same pool: shard 0 is over budget and shard 1
+    // would end strictly lighter, but no destination can absorb a victim.
+    let hostage = pool.alloc_pages(pool.free_pages() - (per_session - 1)).unwrap();
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: per_session * 5 / 2 });
+    let report = server.tick(&m);
+    assert!(report.steered.is_empty(), "no free pages for the victim, no steer: {report:?}");
+    assert_eq!(server.active_per_shard(), vec![3, 1]);
+
+    pool.release_pages(hostage);
+    let report = server.tick(&m);
+    assert_eq!(report.steered.len(), 1, "pages back, the skew is fixed: {report:?}");
+    assert_eq!(server.active_per_shard(), vec![2, 2]);
+}
+
 #[test]
 fn victimless_hot_shard_does_not_block_steering_cooler_shards() {
     // Regression for the steering pass giving up on the *hottest*
@@ -126,13 +197,13 @@ fn victimless_hot_shard_does_not_block_steering_cooler_shards() {
     let m = model(3, 34);
     let obs = AbrObservation::synthetic_stream(99, 6);
 
-    let mut server = ShardedServer::with_policy(3, AdmissionPolicy::LeastLoaded);
+    let (mut server, _pool) = pooled_fleet(&m, 3);
     let ids: Vec<u64> = (0..7).map(|_| server.join(&m)).collect();
     assert_eq!(server.active_per_shard(), vec![3, 2, 2]);
     for round in 0..2 {
         let _ = serve_round(&mut server, &m, &ids, &obs[round..]);
     }
-    let per_session = server.cache_bytes() / 7;
+    let per_session = pages_held(&server) / 7;
     assert!(per_session > 0);
 
     // Build: shard 2 = four sessions, all steered this cycle (hottest,
@@ -147,24 +218,24 @@ fn victimless_hot_shard_does_not_block_steering_cooler_shards() {
     assert_eq!(server.active_per_shard(), vec![3, 0, 4]);
 
     let budget = per_session * 5 / 2;
-    server.set_policy(AdmissionPolicy::CacheAware { budget_bytes: budget });
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: budget });
     let report = server.tick(&m);
     // Shard 0 (3 sessions, over budget, free victims, empty shard 1 to
     // move to) must have been fixed even though the hotter shard 2 had no
     // eligible victim left.
-    let bytes = server.cache_bytes_per_shard();
-    assert!(bytes[0] <= budget, "cooler over-budget shard was not fixed: {bytes:?} vs {budget}");
+    let held = server.pages_held_per_shard();
+    assert!(held[0] <= budget, "cooler over-budget shard was not fixed: {held:?} vs {budget}");
     assert!(report.steered.contains(&ids[0]), "lowest-id coldest victim moves: {report:?}");
     assert_eq!(server.shard_of(ids[0]), 1, "victim lands on the empty shard");
     // Whatever is still over budget is exactly the all-steered shard.
-    for (shard, &shard_bytes) in bytes.iter().enumerate() {
-        if shard_bytes <= budget {
+    for (shard, &shard_pages) in held.iter().enumerate() {
+        if shard_pages <= budget {
             continue;
         }
         for &id in ids.iter().filter(|&&id| server.shard_of(id) == shard) {
             assert!(
                 report.steered.contains(&id),
-                "shard {shard} is over budget ({shard_bytes} > {budget}) yet session {id} \
+                "shard {shard} is over budget ({shard_pages} > {budget}) yet session {id} \
                  was never steered this cycle: {report:?}"
             );
         }
@@ -176,7 +247,7 @@ fn rebalance_and_cache_steering_never_double_migrate_in_one_tick() {
     let m = model(3, 33);
     let obs = AbrObservation::synthetic_stream(88, 8);
 
-    let mut server = ShardedServer::with_policy(3, AdmissionPolicy::LeastLoaded);
+    let (mut server, _pool) = pooled_fleet(&m, 3);
     let ids: Vec<u64> = (0..7).map(|_| server.join(&m)).collect();
     assert_eq!(server.active_per_shard(), vec![3, 2, 2]);
     for round in 0..2 {
@@ -194,12 +265,12 @@ fn rebalance_and_cache_steering_never_double_migrate_in_one_tick() {
 
     // Pile a third session onto the victim's shard: shard 1 is now the
     // only over-budget shard, and the victim is its lowest-id, coldest
-    // session — exactly what the cache pass would pick were it not
+    // session — exactly what the budget pass would pick were it not
     // already steered this cycle.
     server.steer(ids[6], 1);
     assert_eq!(server.active_per_shard(), vec![1, 3, 2]);
-    let per_session = server.cache_bytes() / 6;
-    server.set_policy(AdmissionPolicy::CacheAware { budget_bytes: per_session * 5 / 2 });
+    let per_session = pages_held(&server) / 6;
+    server.set_policy(AdmissionPolicy::PageAware { budget_pages: per_session * 5 / 2 });
 
     let report = server.tick(&m);
     assert!(
@@ -208,12 +279,12 @@ fn rebalance_and_cache_steering_never_double_migrate_in_one_tick() {
     );
     assert!(
         report.steered.len() > 2,
-        "the cache pass must have fired in the same cycle: {report:?}"
+        "the budget pass must have fired in the same cycle: {report:?}"
     );
     assert_eq!(
         server.shard_of(victim),
         1,
-        "a session steered by rebalance must not be steered again by the cache pass"
+        "a session steered by rebalance must not be steered again by the budget pass"
     );
     // The pass moved shard 1's one unguarded session instead (ids[4]),
     // bringing every shard under budget without a double migration.

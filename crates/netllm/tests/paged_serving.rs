@@ -95,7 +95,7 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
         let mut server = if paged {
             ShardedServer::with_memory(
                 2,
-                AdmissionPolicy::HashRoute,
+                AdmissionPolicy::LeastLoaded,
                 pool.clone(),
                 EvictionPolicy::ColdestReanchor,
             )
