@@ -193,7 +193,7 @@ fn run_soak(models: &Models, vp_refs: &[Vec<f32>], shape: TraceShape, seed: u64)
         SHARDS,
         AdmissionPolicy::LeastLoaded,
         pool.clone(),
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     server.set_health_config(HealthConfig::fast());
     server.inject(kill_plan);

@@ -256,7 +256,7 @@ fn paged_throughput_at_b64_is_no_worse_than_contiguous() {
             SHARDS,
             AdmissionPolicy::LeastLoaded,
             pool.clone(),
-            EvictionPolicy::ColdestReanchor,
+            EvictionPolicy::CheapestRebuild,
         );
         let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
         if rep == 0 {

@@ -462,22 +462,19 @@ pub enum EvictionPolicy {
     /// arrivals back to the queues. For operators who size the pool for
     /// the worst case and want deferral-only backpressure.
     None,
-    /// Clear the coldest (least-recently-served) idle session's pages; it
+    /// Clear the idle session whose re-anchor rebuild is *cheapest*; it
     /// re-anchors from its episode log on its next step, exactly like a
-    /// context-full re-anchor. Ties break to the session holding the most
-    /// pages (biggest reclaim), then the lowest id (determinism) — the
-    /// `last_served` + `heaviest` ordering.
+    /// context-full re-anchor. Each candidate is priced by
+    /// [`crate::ServedTask::rebuild_rows`] (the extra token rows its next
+    /// step replays because the cache is gone — 0 when that step
+    /// re-anchors regardless) times its backbone width, so the victim is
+    /// the one whose eviction costs the fleet the least recomputation.
+    /// Ties break to the most pages held (biggest reclaim per re-anchor),
+    /// then coldest (least recently served), then lowest id. Age-blind
+    /// before the tie-breaks by design: a hot session due a free
+    /// re-anchor is a better victim than a cold one carrying a full
+    /// window.
     #[default]
-    ColdestReanchor,
-    /// Clear the idle session whose re-anchor rebuild is *cheapest*:
-    /// each candidate is priced by [`crate::ServedTask::rebuild_rows`]
-    /// (the extra token rows its next step replays because the cache is
-    /// gone — 0 when that step re-anchors regardless) times its backbone
-    /// width, so the victim is the one whose eviction costs the fleet
-    /// the least recomputation. Ties break to the most pages held
-    /// (biggest reclaim per re-anchor), then coldest, then lowest id.
-    /// Age-blind by design: a hot session due a free re-anchor is a
-    /// better victim than a cold one carrying a full window.
     CheapestRebuild,
 }
 

@@ -721,45 +721,25 @@ impl<T: ServedTask> ShardedServer<T> {
         TicketStatus::Pending
     }
 
-    /// Coldest idle session holding pool pages — the
-    /// [`EvictionPolicy::ColdestReanchor`] victim order: least recently
-    /// served first, ties to the most pages held (biggest reclaim), then
-    /// the lowest id. Sessions in `protected` (their arrival is in this
-    /// tick's batch — drained or deferred) are never victims.
-    fn coldest_idle_victim(
-        &self,
-        protected: &BTreeSet<GlobalSessionId>,
-    ) -> Option<GlobalSessionId> {
-        self.routes
-            .iter()
-            .filter(|(id, &(s, l))| {
-                !protected.contains(id)
-                    && self.health.state(s).is_healthy()
-                    && self.shards[s].pages_of(l) > 0
-            })
-            .min_by_key(|(&id, &(s, l))| {
-                (
-                    self.last_served.get(&id).copied().unwrap_or(0),
-                    usize::MAX - self.shards[s].pages_of(l),
-                    id,
-                )
-            })
-            .map(|(&id, _)| id)
-    }
-
-    /// Idle session whose re-anchor rebuild is cheapest — the
-    /// [`EvictionPolicy::CheapestRebuild`] victim order: fewest priced
-    /// rebuild rows × backbone width first
-    /// ([`ServingEngine::rebuild_cost_of`], 0 whenever the session's next
-    /// step re-anchors regardless), ties to the most pages held (biggest
-    /// reclaim per re-anchor), then coldest, then the lowest id.
-    /// Age-blind by design: a hot session due a free re-anchor beats a
-    /// cold one carrying a full window.
-    fn cheapest_rebuild_victim(
+    /// The eviction policy's next victim: the idle session whose
+    /// re-anchor rebuild is cheapest — fewest priced rebuild rows ×
+    /// backbone width first ([`ServingEngine::rebuild_cost_of`], 0
+    /// whenever the session's next step re-anchors regardless), ties to
+    /// the most pages held (biggest reclaim per re-anchor), then coldest,
+    /// then the lowest id. Age-blind before the tie-breaks by design: a
+    /// hot session due a free re-anchor beats a cold one carrying a full
+    /// window. Sessions in `protected` (their arrival is in this tick's
+    /// batch — drained or deferred) are never victims. `None` under
+    /// [`EvictionPolicy::None`], or when every page-holding session is
+    /// protected.
+    fn eviction_victim(
         &self,
         task: &T,
         protected: &BTreeSet<GlobalSessionId>,
     ) -> Option<GlobalSessionId> {
+        if self.eviction == EvictionPolicy::None {
+            return None;
+        }
         self.routes
             .iter()
             .filter(|(id, &(s, l))| {
@@ -778,25 +758,9 @@ impl<T: ServedTask> ShardedServer<T> {
             .map(|(&id, _)| id)
     }
 
-    /// The active eviction policy's next victim, or `None` (under
-    /// [`EvictionPolicy::None`], or when every page-holding session is
-    /// protected).
-    fn eviction_victim(
-        &self,
-        task: &T,
-        protected: &BTreeSet<GlobalSessionId>,
-    ) -> Option<GlobalSessionId> {
-        match self.eviction {
-            EvictionPolicy::None => None,
-            EvictionPolicy::ColdestReanchor => self.coldest_idle_victim(protected),
-            EvictionPolicy::CheapestRebuild => self.cheapest_rebuild_victim(task, protected),
-        }
-    }
-
     /// Reclaim `victim`'s pages, recording the eviction under the rebuild
     /// rows its next step will now replay (priced *before* the clear —
-    /// an empty cache prices 0). Both policies account identically, so
-    /// comparing their rebuild rows is apples to apples.
+    /// an empty cache prices 0).
     fn evict_session(&mut self, victim: GlobalSessionId, task: &T) {
         let &(s, l) = self.routes.get(&victim).expect("victim is routed");
         let rows = self.shards[s].rebuild_rows_of(task, l) as u64;
@@ -933,15 +897,13 @@ impl<T: ServedTask> ShardedServer<T> {
                 .min_by_key(|a| a.ticket)
                 .map(|a| a.session)
                 .expect("demand > 0 implies a non-empty batch");
-            if self.eviction != EvictionPolicy::None {
-                let spare: BTreeSet<GlobalSessionId> = [oldest].into_iter().collect();
-                if let Some(victim) = self.eviction_victim(task, &spare) {
-                    report.deferred += self.defer_session(victim, drained);
-                    self.evict_session(victim, task);
-                    report.evicted.push(victim);
-                    demand = self.batch_demand(task, drained);
-                    continue;
-                }
+            let spare: BTreeSet<GlobalSessionId> = [oldest].into_iter().collect();
+            if let Some(victim) = self.eviction_victim(task, &spare) {
+                report.deferred += self.defer_session(victim, drained);
+                self.evict_session(victim, task);
+                report.evicted.push(victim);
+                demand = self.batch_demand(task, drained);
+                continue;
             }
             // No reclaimable victim anywhere: defer the globally youngest
             // drained arrival. The loop converges — every deferral

@@ -239,7 +239,7 @@ proptest! {
             3,
             AdmissionPolicy::LeastLoaded,
             pool.clone(),
-            EvictionPolicy::ColdestReanchor,
+            EvictionPolicy::CheapestRebuild,
         );
         server.set_health_config(HealthConfig::fast());
         let ids: Vec<_> = (0..SESSIONS).map(|_| server.join(m)).collect();

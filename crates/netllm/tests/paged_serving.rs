@@ -6,8 +6,8 @@
 //!   a mid-stream migration and VP join/answer/leave churn.
 //! - **Eviction:** under a deliberately tight budget the scheduled front
 //!   end must hold pool bytes ≤ budget at every tick (hard, by
-//!   construction), evict coldest-first, and every evicted session must
-//!   re-anchor to exactly the logits of an unbatched replay that clears
+//!   construction), evict cheapest-rebuild-first, and every evicted
+//!   session must re-anchor to exactly the logits of an unbatched replay that clears
 //!   its session at the same points.
 //! - **Deferral:** when eviction is disabled and a tick's demand exceeds
 //!   the pool, drained arrivals are deferred (tickets stay pending) and
@@ -97,7 +97,7 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
                 2,
                 AdmissionPolicy::LeastLoaded,
                 pool.clone(),
-                EvictionPolicy::ColdestReanchor,
+                EvictionPolicy::CheapestRebuild,
             )
         } else {
             ShardedServer::new(2)
@@ -152,7 +152,7 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
 }
 
 /// Tight budget, scheduled front end: pool bytes ≤ budget every tick,
-/// evictions fire coldest-first, and every session — evicted or not —
+/// evictions fire, and every session — evicted or not —
 /// matches an unbatched replay that clears its session exactly where the
 /// scheduler did.
 #[test]
@@ -175,7 +175,7 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
         2,
         AdmissionPolicy::LeastLoaded,
         pool.clone(),
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     let ids: Vec<_> = (0..B).map(|_| server.join(&m.abr)).collect();
 
@@ -349,7 +349,7 @@ fn joining_a_pool_below_the_session_floor_panics() {
         1,
         AdmissionPolicy::LeastLoaded,
         pool,
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     let _ = server.join(&m.abr);
 }
@@ -380,7 +380,7 @@ fn reanchoring_giant_session_cannot_wedge_the_pool() {
         1,
         AdmissionPolicy::LeastLoaded,
         pool.clone(),
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     let id = server.join(&m);
     let stream = AbrObservation::synthetic_stream(601, 27);
@@ -584,28 +584,36 @@ fn rebuild_rows_price_equals_the_reanchor_replay_delta() {
 
 /// Regression (defer-then-evict): when pool pressure hits a tick where
 /// *every* page-holding session has an arrival in the drained batch, the
-/// guard must sacrifice by eviction-policy order — here the coldest
-/// session — sparing the oldest arrival, and the sacrifice's own arrival
-/// is deferred so it is never served in the tick that cleared its cache.
+/// guard must sacrifice by eviction-policy order — the cheapest rebuild,
+/// which here is neither the coldest session nor the youngest arrival —
+/// sparing the oldest arrival, and the sacrifice's own arrival is
+/// deferred so it is never served in the tick that cleared its cache.
 /// Before the fix the victim-exclusion set was recomputed per loop
-/// iteration: the guard deferred the *youngest* arrival for backpressure
-/// and then evicted exactly that session on the next scan (it had left
-/// the batch), undoing the deferral's whole point and picking the victim
-/// by arrival-clock accident instead of policy order.
+/// iteration and there was no sacrifice branch: the guard deferred the
+/// *youngest* arrival for backpressure and then evicted exactly that
+/// session on the next scan (it had left the batch), undoing the
+/// deferral's whole point and picking the victim by arrival-clock
+/// accident instead of policy order.
 #[test]
 fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
     let window = 3usize;
     const B: usize = 6;
-    const COLD: usize = 3; // sits out ticks 1..=3: coldest, smallest cache
+    const COLD: usize = 1; // sits out tick 3: coldest at the pressure tick
+    const LATE: usize = 3; // first served at tick 3: hot, but cheapest to rebuild
     const TICKS: usize = 5;
     let m = build_models(window);
     let streams: Vec<Vec<AbrObservation>> =
         (0..B).map(|s| AbrObservation::synthetic_stream(1100 + s as u64, TICKS)).collect();
 
-    // 20 pages (the one-full-session floor). Five always-on sessions grow
-    // 5→11→17→23→29 rows (1,2,3,3,4 pages at 8 rows/page), the cold one
-    // holds 1 page, so tick 4 opens at 16 pages held / 4 free with a
-    // 6-page demand — pressure with every page holder in the batch.
+    // 20 pages (the one-full-session floor). Four always-on sessions grow
+    // 5→11→17→23→29 rows (1,2,3,3,4 pages at 8 rows/page); COLD stops at
+    // 17 rows (3 pages) for a tick; LATE starts at tick 3 (5 rows, 1
+    // page). Tick 4 opens at 4·3 + 3 + 1 = 16 pages held / 4 free with a
+    // 4 + 0 + 1 = 5-page demand — pressure with every page holder in the
+    // batch. Rebuild prices (window 3, 6 rows/step): a session with ≥ 2
+    // steps of history replays 3·6−1−6 = 11 extra rows, LATE (1 step)
+    // only 2·6−1−6 = 5 — so `CheapestRebuild` picks LATE, where a
+    // recency order would pick COLD and arrival order session 5.
     let pool =
         PagePool::for_model(&m.abr.lm, PageConfig { page_tokens: 8, budget_bytes: 20 * 768 });
     let budget = 20 * 768;
@@ -613,7 +621,7 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
         2,
         AdmissionPolicy::LeastLoaded,
         pool.clone(),
-        EvictionPolicy::ColdestReanchor,
+        EvictionPolicy::CheapestRebuild,
     );
     let ids: Vec<_> = (0..B).map(|_| server.join(&m.abr)).collect();
 
@@ -634,12 +642,12 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
             }
         }
     };
-    // `tick` is the schedule clock, not an index (the COLD skip window
+    // `tick` is the schedule clock, not an index (the COLD/LATE skip windows
     // and the pressure-tick assertions below read it directly).
     #[allow(clippy::needless_range_loop)]
     for tick in 0..TICKS {
         for (s, &id) in ids.iter().enumerate() {
-            if s == COLD && (1..=3).contains(&tick) {
+            if (s == COLD && tick == 3) || (s == LATE && tick < 3) {
                 continue;
             }
             let o = streams[s][tick].clone();
@@ -661,12 +669,14 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
         } else {
             // The pressure tick. Everyone is in the batch, so the old
             // code would defer the youngest arrival (session 5) and then
-            // evict it; the fix sacrifices the policy's pick — the cold
-            // session — and defers (not drops) its arrival.
+            // evict it; the fix sacrifices the policy's pick — the
+            // cheapest rebuild — and defers (not drops) its arrival.
+            // Reclaiming LATE's one page is enough: 5 free ≥ the 4-page
+            // demand left.
             assert_eq!(
                 report.memory.evicted,
-                vec![ids[COLD]],
-                "the sacrifice must be the coldest session, by policy order"
+                vec![ids[LATE]],
+                "the sacrifice must be the cheapest rebuild, by policy order"
             );
             assert_eq!(report.memory.deferred, 1, "the sacrifice's arrival is deferred");
         }
@@ -675,7 +685,7 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
             // Every spared session was served this tick; only the
             // sacrifice waits for the next one.
             for (s, q) in pending.iter().enumerate() {
-                assert_eq!(q.len(), usize::from(s == COLD), "session {s} pending after pressure");
+                assert_eq!(q.len(), usize::from(s == LATE), "session {s} pending after pressure");
             }
         }
     }
