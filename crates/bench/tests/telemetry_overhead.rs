@@ -1,13 +1,10 @@
-//! Telemetry-plane gates (PR 10).
-//!
-//! - **Scrape under load** (always): while a dense workload runs over a
-//!   real loopback socket, a second connection scrapes the full
-//!   [`netllm::MetricsSnapshot`] (per-shard tick-phase histograms,
-//!   per-shard latency, per-label served counts, folded ingress
-//!   counters) and drains the event journal by cursor — the PR 10
-//!   acceptance path end to end.
-//! - **Overhead** (release only): dense B=64/K=4 throughput with full
-//!   telemetry on must hold at least 0.97x the telemetry-off rate.
+//! Telemetry-plane gate (PR 10): scrape under load. While a dense
+//! workload runs over a real loopback socket, a second connection scrapes
+//! the full [`netllm::MetricsSnapshot`] (per-shard tick-phase histograms,
+//! per-shard latency, per-label served counts, folded ingress counters)
+//! and drains the event journal by cursor — the PR 10 acceptance path end
+//! to end. Telemetry is always on (there is no off path to compare
+//! against); what tracing costs is `perf`'s `harness.trace_overhead_share`.
 
 use netllm::{serve, EventKind, FleetModels, IngressConfig, WireClient, TICK_PHASES};
 use nt_bench::netload::{dense_socket, ObsStreams};
@@ -91,55 +88,4 @@ fn scrape_metrics_and_events_while_dense_load_runs() {
     assert_eq!(empty.next_seq, view.next_seq);
 
     handle.shutdown();
-}
-
-/// Release gate: full telemetry (phase timers + journal) keeps at least
-/// 0.97x the telemetry-off dense throughput at B=64/K=4 (7b-sim). Same
-/// best-of-N shape as the loopback gate — both legs re-measured per
-/// attempt so machine-load drift hits them equally.
-#[cfg(not(debug_assertions))]
-#[test]
-fn telemetry_on_keeps_097x_of_telemetry_off() {
-    const B: usize = 64;
-    const K: usize = 4;
-    const ROUNDS: usize = 8;
-    const ATTEMPTS: usize = 5;
-
-    let dir = std::env::temp_dir().join("netllm-telemetry-tp");
-    let streams = ObsStreams::generate(B, ROUNDS, 0x10B5);
-
-    let on_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let on =
-        serve(on_models, IngressConfig { shards: K, telemetry: true, ..IngressConfig::default() })
-            .expect("serve telemetry-on");
-    let off_models = FleetModels::sized(&dir, "7b-sim", 4);
-    let off = serve(
-        off_models,
-        IngressConfig { shards: K, telemetry: false, ..IngressConfig::default() },
-    )
-    .expect("serve telemetry-off");
-
-    let mut best = 0.0f64;
-    for attempt in 1..=ATTEMPTS {
-        let base = dense_socket(off.addr(), B, ROUNDS, &streams);
-        let full = dense_socket(on.addr(), B, ROUNDS, &streams);
-        assert_eq!(base.decisions, (B * ROUNDS) as u64);
-        assert_eq!(full.decisions, (B * ROUNDS) as u64);
-        let ratio = full.dec_per_s() / base.dec_per_s();
-        println!(
-            "[telemetry-tp] attempt {attempt}: off {:.1} dec/s, on {:.1} dec/s, ratio {ratio:.3}",
-            base.dec_per_s(),
-            full.dec_per_s()
-        );
-        best = best.max(ratio);
-        if best >= 0.97 {
-            break;
-        }
-    }
-    on.shutdown();
-    off.shutdown();
-    assert!(
-        best >= 0.97,
-        "telemetry overhead exceeded 3% on all {ATTEMPTS} attempts (best ratio {best:.3})"
-    );
 }

@@ -171,13 +171,6 @@ pub struct IngressConfig {
     /// of 4 holds 256 open tickets — while capping any one connection
     /// at half the shared backlog.
     pub max_open_per_conn: usize,
-    /// Whether tick-phase timing and the event journal are enabled
-    /// (see [`ShardedServer::set_telemetry`]). On by default — the
-    /// `telemetry_overhead` release gate holds the cost under 3% of
-    /// dense throughput. Scrape
-    /// frames still answer when off; histograms and the journal just
-    /// stop accumulating.
-    pub telemetry: bool,
 }
 
 impl Default for IngressConfig {
@@ -192,7 +185,6 @@ impl Default for IngressConfig {
             quiesce: Duration::from_micros(200),
             max_coalesce: Duration::from_millis(2),
             max_open_per_conn: 512,
-            telemetry: true,
         }
     }
 }
@@ -457,7 +449,6 @@ fn run_scheduler(
         None => ShardedServer::with_policy(cfg.shards, cfg.policy),
     };
     server.set_queue_capacity(cfg.queue_cap);
-    server.set_telemetry(cfg.telemetry);
 
     let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
     let mut sessions: BTreeMap<u64, SessState> = BTreeMap::new();

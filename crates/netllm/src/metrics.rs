@@ -262,9 +262,9 @@ pub struct MetricsSnapshot {
     /// end is feeding this registry).
     pub ingress_latency: LatencySnapshot,
     /// Per-shard tick-phase wall-time histograms, indexed
-    /// `[shard][TickPhase as usize]` (empty until a tick runs with
-    /// telemetry on; see [`TickPhase`] for which phases are per-shard
-    /// measurements vs fleet-wide passes).
+    /// `[shard][TickPhase as usize]` (empty until a tick runs; see
+    /// [`TickPhase`] for which phases are per-shard measurements vs
+    /// fleet-wide passes).
     pub shard_phases: Vec<Vec<LatencySnapshot>>,
     /// Per-shard submit→completion latency, so tail latency is
     /// attributable to a shard instead of fleet-global.

@@ -522,8 +522,7 @@ pub struct TickReport {
     pub faults: crate::fault::FaultReport,
     /// Fleet-total wall-ns per tick phase, indexed by
     /// [`crate::metrics::TickPhase`] (per-shard spans summed for the
-    /// per-shard phases; the whole pass for the fleet-wide ones). All
-    /// zero when telemetry is off.
+    /// per-shard phases; the whole pass for the fleet-wide ones).
     pub phase_ns: [u64; crate::metrics::TICK_PHASES],
 }
 

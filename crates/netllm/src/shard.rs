@@ -200,10 +200,6 @@ pub struct ShardedServer<T: ServedTask> {
     /// the ordered companion to `metrics`' totals, drained by cursor via
     /// [`ShardedServer::journal`].
     journal: TelemetryRing,
-    /// Whether tick-phase timing runs ([`ShardedServer::set_telemetry`]).
-    /// Off, ticks take no clock readings and the journal drops writes —
-    /// the baseline the `telemetry_overhead` gate compares against.
-    telemetry: bool,
 }
 
 /// Simulated process state of one shard (the fault layer's ground truth).
@@ -284,7 +280,6 @@ impl<T: ServedTask> ShardedServer<T> {
             pool_minted,
             floor_pages: 0,
             journal: TelemetryRing::new(JOURNAL_CAPACITY),
-            telemetry: true,
         }
     }
 
@@ -307,20 +302,6 @@ impl<T: ServedTask> ShardedServer<T> {
     /// `Frame::EventsBatch`.
     pub fn journal(&self) -> &TelemetryRing {
         &self.journal
-    }
-
-    /// Turn tick-phase timing and journal recording on/off (on by
-    /// default). Off, [`ShardedServer::tick`] takes no clock readings,
-    /// records no phase histograms and journals nothing — the counters in
-    /// [`ShardedServer::metrics`] keep running either way.
-    pub fn set_telemetry(&mut self, on: bool) {
-        self.telemetry = on;
-        self.journal.set_enabled(on);
-    }
-
-    /// Whether tick-phase timing and journal recording are on.
-    pub fn telemetry(&self) -> bool {
-        self.telemetry
     }
 
     /// The fleet logical clock: ticks run so far (the `clock` stamped on
@@ -1004,28 +985,22 @@ impl<T: ServedTask> ShardedServer<T> {
             self.recover_shard(s, &mut faults);
         }
 
-        // Tick-phase attribution: wall-ns per phase, recorded into the
-        // per-shard histograms when telemetry is on. `timing` gates every
-        // clock reading so the off configuration takes none.
-        let timing = self.telemetry;
+        // The five timed phases — drain → memory guard → plan+step →
+        // settle → steer — each recorded through `record_span` (the
+        // per-shard histograms plus this tick's fleet totals).
         let mut phase_ns = [0u64; TICK_PHASES];
 
-        // Drain the Healthy shards' queues at the boundary (a Suspect
-        // shard's work waits — retry/backoff, not recovery), then reserve
-        // the tick's page demand (evicting / deferring under pressure).
+        // Phase 1, drain: the Healthy shards' queues at the boundary (a
+        // Suspect shard's work waits — retry/backoff, not recovery).
         let mut drained: Vec<Vec<Arrival<T::Obs>>> = Vec::with_capacity(k);
         for s in 0..k {
-            let t0 = if timing { Some(Instant::now()) } else { None };
+            let t0 = Instant::now();
             let batch = if self.health.state(s).is_healthy() {
                 self.queues[s].drain_tick()
             } else {
                 Vec::new()
             };
-            if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.metrics.record_phase_ns(s, TickPhase::Drain, ns);
-                phase_ns[TickPhase::Drain as usize] += ns;
-            }
+            self.record_span(&mut phase_ns, TickPhase::Drain, s..s + 1, t0);
             drained.push(batch);
         }
 
@@ -1091,34 +1066,32 @@ impl<T: ServedTask> ShardedServer<T> {
         }
         self.faults = plan;
 
-        // The memory guard is a fleet-wide pass (one pool, one
+        // Phase 2, memory guard: reserve the tick's page demand (evicting
+        // / deferring under pressure). A fleet-wide pass (one pool, one
         // reservation), so its span lands identically on every shard's
         // row — see [`TickPhase::MemoryGuard`].
-        let t0 = if timing { Some(Instant::now()) } else { None };
+        let t0 = Instant::now();
         let mut memory = self.memory_guard(task, &mut drained);
-        if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            for s in 0..k {
-                self.metrics.record_phase_ns(s, TickPhase::MemoryGuard, ns);
-            }
-            phase_ns[TickPhase::MemoryGuard as usize] = ns;
-        }
+        self.record_span(&mut phase_ns, TickPhase::MemoryGuard, 0..k, t0);
         let per: Vec<Vec<(SessionId, &T::Obs)>> = drained
             .iter()
             .enumerate()
             .map(|(s, batch)| Self::requests_of(&self.routes, s, batch))
             .collect();
 
-        // Step the busy shards.
+        // Phase 3, plan+step: the busy shards, each timing its own step.
         let (results, step_ns) = self.step_partitioned(task, &per);
         phase_ns[TickPhase::PlanStep as usize] = step_ns.iter().sum();
 
-        // Bank the actions under their tickets.
+        // Phase 4, settle: bank the actions under their tickets.
         let mut served = 0usize;
         let mut by_label: BTreeMap<&'static str, usize> = BTreeMap::new();
         for (s, (batch, actions)) in drained.into_iter().zip(results).enumerate() {
             debug_assert_eq!(batch.len(), actions.len(), "shard returned a ragged tick");
-            let t0 = if timing && !batch.is_empty() { Some(Instant::now()) } else { None };
+            if batch.is_empty() {
+                continue;
+            }
+            let t0 = Instant::now();
             let shard_served = batch.len();
             for (a, action) in batch.into_iter().zip(actions) {
                 self.requeued.remove(&a.ticket); // displaced, now served
@@ -1127,35 +1100,25 @@ impl<T: ServedTask> ShardedServer<T> {
                 *by_label.entry(task.task_label(a.group)).or_default() += 1;
                 served += 1;
             }
-            if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                self.metrics.record_phase_ns(s, TickPhase::Settle, ns);
-                phase_ns[TickPhase::Settle as usize] += ns;
-                self.journal.record(
-                    tick,
-                    EventKind::TickSpan {
-                        shard: s as u32,
-                        served: shard_served as u32,
-                        span_ns: step_ns[s],
-                    },
-                );
-            }
+            self.record_span(&mut phase_ns, TickPhase::Settle, s..s + 1, t0);
+            self.journal.record(
+                tick,
+                EventKind::TickSpan {
+                    shard: s as u32,
+                    served: shard_served as u32,
+                    span_ns: step_ns[s],
+                },
+            );
         }
         for (&label, &n) in &by_label {
             self.metrics.record_label_served(label, n as u64);
         }
 
-        // Budget steering at the tick boundary (fleet-wide pass,
-        // recorded like the memory guard above).
-        let t0 = if timing { Some(Instant::now()) } else { None };
+        // Phase 5, steer: budget steering at the tick boundary (a
+        // fleet-wide pass, recorded like the memory guard above).
+        let t0 = Instant::now();
         self.steer_over_budget();
-        if let Some(t0) = t0 {
-            let ns = t0.elapsed().as_nanos() as u64;
-            for s in 0..k {
-                self.metrics.record_phase_ns(s, TickPhase::Steer, ns);
-            }
-            phase_ns[TickPhase::Steer as usize] = ns;
-        }
+        self.record_span(&mut phase_ns, TickPhase::Steer, 0..k, t0);
 
         // Close the tick cycle: report every steer since the previous
         // boundary (rebalance-on-leave + the pass above) and reset the
@@ -1181,6 +1144,24 @@ impl<T: ServedTask> ShardedServer<T> {
             faults,
             phase_ns,
         }
+    }
+
+    /// Close one tick-phase span opened at `since`: its wall-ns go onto
+    /// the histogram row of every shard in `shards` (one shard for the
+    /// per-shard phases, the whole fleet for the fleet-wide passes) and,
+    /// once, onto this tick's fleet total.
+    fn record_span(
+        &self,
+        phase_ns: &mut [u64; TICK_PHASES],
+        phase: TickPhase,
+        shards: std::ops::Range<usize>,
+        since: Instant,
+    ) {
+        let ns = since.elapsed().as_nanos() as u64;
+        for s in shards {
+            self.metrics.record_phase_ns(s, phase, ns);
+        }
+        phase_ns[phase as usize] += ns;
     }
 
     /// Recover a shard the health checker just declared Dead: salvage
@@ -1306,9 +1287,8 @@ impl<T: ServedTask> ShardedServer<T> {
     /// out over `NT_THREADS` scoped workers (contiguous bands of shards
     /// per worker). Returns one action vector per shard, in that shard's
     /// batch order (empty for idle shards), plus each shard's step
-    /// wall-ns (all zero when telemetry is off — no clock readings are
-    /// taken). The per-shard spans feed the [`TickPhase::PlanStep`]
-    /// histograms.
+    /// wall-ns (zero for idle shards). The per-shard spans feed the
+    /// [`TickPhase::PlanStep`] histograms.
     #[allow(clippy::type_complexity)]
     fn step_partitioned(
         &mut self,
@@ -1322,7 +1302,6 @@ impl<T: ServedTask> ShardedServer<T> {
         T::Action: Send,
     {
         let k = self.shards.len();
-        let timing = self.telemetry;
         #[allow(clippy::type_complexity)]
         let mut busy: Vec<(usize, &mut ServingEngine<T>, &[(SessionId, &T::Obs)])> = self
             .shards
@@ -1340,13 +1319,9 @@ impl<T: ServedTask> ShardedServer<T> {
         let mut results: Vec<Option<Vec<T::Action>>> = (0..k).map(|_| None).collect();
         let mut step_ns = vec![0u64; k];
         let timed_step = |e: &mut ServingEngine<T>, b: &[(SessionId, &T::Obs)]| {
-            if timing {
-                let t0 = Instant::now();
-                let r = e.step(task, b);
-                (r, t0.elapsed().as_nanos() as u64)
-            } else {
-                (e.step(task, b), 0)
-            }
+            let t0 = Instant::now();
+            let r = e.step(task, b);
+            (r, t0.elapsed().as_nanos() as u64)
         };
         if threads <= 1 {
             for (s, e, b) in busy {
@@ -1389,9 +1364,7 @@ impl<T: ServedTask> ShardedServer<T> {
         for (s, r) in results.iter().enumerate() {
             if !r.is_empty() {
                 self.metrics.record_served(s, r.len() as u64);
-                if timing {
-                    self.metrics.record_phase_ns(s, TickPhase::PlanStep, step_ns[s]);
-                }
+                self.metrics.record_phase_ns(s, TickPhase::PlanStep, step_ns[s]);
             }
         }
         (results, step_ns)

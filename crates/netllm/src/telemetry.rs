@@ -18,7 +18,7 @@
 //! "never blocks" here means "never waits on anything unbounded" — there
 //! is no condition variable, no channel, no backpressure from readers.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Why a session was steered between shards.
@@ -26,8 +26,8 @@ use std::sync::Mutex;
 pub enum SteerReason {
     /// Occupancy rebalance (e.g. on leave) moved it off the hottest shard.
     Rebalance = 0,
-    /// The budget steering pass (KV-byte or page denominated) moved it
-    /// off an over-budget shard.
+    /// The budget steering pass moved it off a shard holding more pool
+    /// pages than the `PageAware` budget.
     OverBudget = 1,
     /// An explicit [`crate::ShardedServer::steer`] call (operator or test).
     Manual = 2,
@@ -139,7 +139,6 @@ pub struct TelemetryRing {
     head: AtomicU64,
     /// Events lost to overwrite before any reader saw them.
     dropped: AtomicU64,
-    enabled: AtomicBool,
 }
 
 impl TelemetryRing {
@@ -150,24 +149,12 @@ impl TelemetryRing {
             slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
             head: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
         }
     }
 
     /// Resident capacity.
     pub fn capacity(&self) -> usize {
         self.slots.len()
-    }
-
-    /// Turn recording on/off. Off, [`record`](Self::record) is one
-    /// relaxed load and nothing else — the telemetry-off configuration.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether recording is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Total events ever allocated a sequence number (== the next one).
@@ -181,13 +168,10 @@ impl TelemetryRing {
     }
 
     /// Record one event at logical clock `clock`. Returns its sequence
-    /// number, or `None` when disabled or when the event lost an
+    /// number, or `None` when the event lost an
     /// overwrite race to a newer one (which counts it dropped — every
     /// allocated sequence number is accounted for exactly once).
     pub fn record(&self, clock: u64, kind: EventKind) -> Option<u64> {
-        if !self.enabled() {
-            return None;
-        }
         let seq = self.head.fetch_add(1, Ordering::AcqRel);
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
         let mut g = slot.lock().unwrap();
@@ -299,17 +283,6 @@ mod tests {
         assert_eq!(batch.next_seq, 10);
         // A caught-up cursor reports no drops.
         assert_eq!(ring.drain(6).dropped, 0);
-    }
-
-    #[test]
-    fn disabled_ring_records_nothing() {
-        let ring = TelemetryRing::new(4);
-        ring.set_enabled(false);
-        assert_eq!(ring.record(0, ev(1)), None);
-        assert_eq!(ring.head(), 0);
-        assert_eq!(ring.drain(0), EventsView::default());
-        ring.set_enabled(true);
-        assert!(ring.record(0, ev(1)).is_some());
     }
 
     /// The satellite stress test: concurrent writers and a live reader,
