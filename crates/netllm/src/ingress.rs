@@ -71,7 +71,7 @@ use crate::wire::{
     WIRE_VERSION,
 };
 use nt_llm::zoo::{size_spec, Zoo};
-use nt_llm::PagePool;
+use nt_llm::{session_floor_bytes, PagePool};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -304,9 +304,56 @@ struct OpenTicket {
     submitted: Instant,
 }
 
+/// Refuse a configuration the scheduler thread could only trip over after
+/// [`serve`] had already handed back a live-looking handle — a zero shard
+/// count or queue cap panics that thread at start-up, a pool the fleet's
+/// backbones do not fit panics it on the first client's `Join` — leaving
+/// clients connected to a listener nobody answers.
+fn check_config(models: &FleetModels, cfg: &IngressConfig) -> std::io::Result<()> {
+    let invalid = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
+    for (knob, value) in [
+        ("shards", cfg.shards),
+        ("queue_cap", cfg.queue_cap),
+        ("max_open_per_conn", cfg.max_open_per_conn),
+    ] {
+        if value == 0 {
+            return invalid(format!("IngressConfig::{knob} must be at least 1"));
+        }
+    }
+    let Some(pool) = &cfg.pool else {
+        if cfg.policy.page_budget().is_some() {
+            return invalid(format!("{:?} needs IngressConfig::pool", cfg.policy));
+        }
+        return Ok(());
+    };
+    for (label, lm) in [("abr", &models.abr.lm), ("cjs", &models.cjs.lm), ("vp", &models.vp.lm)] {
+        if pool.dim() != lm.cfg.d_model {
+            return invalid(format!(
+                "page pool is {} wide but the {label} backbone's d_model is {}",
+                pool.dim(),
+                lm.cfg.d_model
+            ));
+        }
+        let floor = session_floor_bytes(lm, pool.page_tokens());
+        let capacity = pool.capacity_pages() * pool.page_bytes();
+        if capacity < floor {
+            return invalid(format!(
+                "page pool holds {capacity}B but one full-context {label} session needs {floor}B"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Serve `models` on a fresh loopback listener. Returns once the
-/// listener is bound and the scheduler is running.
+/// listener is bound and the scheduler is running, or
+/// [`std::io::ErrorKind::InvalidInput`] (with the reason) for a `cfg` the
+/// fleet cannot be built from: a zero `shards`, `queue_cap` or
+/// `max_open_per_conn`, a `PageAware` policy without a pool, or a pool
+/// sized for a different width or below one full-context session of any
+/// of the three backbones.
 pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<IngressHandle> {
+    check_config(&models, &cfg)?;
     let listener = TcpListener::bind("127.0.0.1:0")?;
     let addr = listener.local_addr()?;
     let stats = Arc::new(IngressStats::default());

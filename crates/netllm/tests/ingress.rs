@@ -11,14 +11,18 @@
 //!   after a tick, mirroring `SubmitRetry`;
 //! - fairness: one greedy pipelining connection cannot monopolize the
 //!   shared admission queues — the per-connection in-flight cap refuses
-//!   *it*, and a slow client's submit→completion latency stays bounded.
+//!   *it*, and a slow client's submit→completion latency stays bounded;
+//! - a configuration the fleet cannot be built from is refused by `serve`
+//!   itself (`InvalidInput`), not discovered by the first client.
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
-    serve, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet, ShardedServer, Ticket,
-    TicketStatus, VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    serve, AdmissionPolicy, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet,
+    ShardedServer, Ticket, TicketStatus, VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS,
+    FLEET_VP,
 };
 use nt_abr::AbrObservation;
+use nt_llm::{session_floor_bytes, PageConfig, PagePool};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
@@ -405,4 +409,44 @@ fn greedy_connection_cannot_starve_a_slow_client() {
     );
     assert!(greedy_granted.load(Ordering::Relaxed) > 0, "the flood never got a single grant");
     handle.shutdown();
+}
+
+/// Regression: `serve` used to bind, spawn and return `Ok` before anything
+/// looked at the config — a zero shard count then killed the scheduler
+/// thread at start-up and an unfit pool killed it on the first `Join`,
+/// either way leaving clients on a listener nobody answers. Each bad
+/// config is now refused up front with its reason; the default (and a
+/// pool exactly at the floor) still serves.
+#[test]
+fn serve_rejects_configs_the_fleet_cannot_be_built_from() {
+    let models = || tiny("netllm-ingress-config");
+    let lm = models().abr.lm;
+    let d = lm.cfg.d_model;
+    let floor = session_floor_bytes(&lm, 8);
+    let pool = |dim: usize, budget_bytes: usize| {
+        Some(PagePool::new(dim, PageConfig { page_tokens: 8, budget_bytes }))
+    };
+    let page_policy = AdmissionPolicy::PageAware { budget_pages: 8 };
+    let bad = [
+        ("shards", IngressConfig { shards: 0, ..IngressConfig::default() }),
+        ("queue_cap", IngressConfig { queue_cap: 0, ..IngressConfig::default() }),
+        ("max_open_per_conn", IngressConfig { max_open_per_conn: 0, ..IngressConfig::default() }),
+        ("needs IngressConfig::pool", IngressConfig { policy: page_policy, ..Default::default() }),
+        ("d_model", IngressConfig { pool: pool(2 * d, 4 * floor), ..Default::default() }),
+        ("full-context", IngressConfig { pool: pool(d, floor / 2), ..Default::default() }),
+    ];
+    for (reason, cfg) in bad {
+        let Err(err) = serve(models(), cfg) else { panic!("config with bad {reason} was served") };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{reason}: {err}");
+        assert!(err.to_string().contains(reason), "{reason} not named in: {err}");
+    }
+
+    let at_floor =
+        IngressConfig { policy: page_policy, pool: pool(d, floor), ..Default::default() };
+    for cfg in [IngressConfig::default(), at_floor] {
+        let handle = serve(models(), cfg).expect("a buildable config serves");
+        let mut client = WireClient::connect(handle.addr()).expect("connect");
+        client.join(FLEET_ABR as u32).expect("the scheduler answers a join");
+        handle.shutdown();
+    }
 }
