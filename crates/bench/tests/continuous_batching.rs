@@ -161,16 +161,12 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
         // A page policy runs over a pool ample enough that the memory
         // guard never evicts or defers — the unbatched oracle below needs
         // no forced clears; only the steering pass is under test.
+        let ample = PageConfig { page_tokens: 8, budget_bytes: 1 << 20 };
         let mut server = match policy.page_budget() {
-            Some(_) => ShardedServer::with_memory(
-                SHARDS,
-                policy,
-                PagePool::for_model(
-                    &models.abr.lm,
-                    PageConfig { page_tokens: 8, budget_bytes: 1 << 20 },
-                ),
-                EvictionPolicy::None,
-            ),
+            Some(_) => {
+                let pool = PagePool::for_model(&models.abr.lm, ample);
+                ShardedServer::with_memory(SHARDS, policy, pool, EvictionPolicy::None)
+            }
             None => ShardedServer::with_policy(SHARDS, policy),
         };
         // Seed population: two ABR streams and one CJS stream.

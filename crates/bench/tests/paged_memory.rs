@@ -125,12 +125,17 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
     let mut deferrals = 0usize;
     let mut peak_bytes = 0usize;
     let mut ticks_run = 0u64;
-    let drive = |server: &mut ShardedServer<NetLlmAbr>,
-                 pending: &mut Vec<VecDeque<Ticket>>,
-                 served: &mut Vec<Vec<(u64, Vec<f32>)>>,
-                 evictions: &mut Vec<(u64, u64)>,
-                 deferrals: &mut usize,
-                 peak: &mut usize| {
+    // The trace, then (c) the deferral backlog: deferred arrivals resolve
+    // on later ticks — no admission lost.
+    for t in 0..11 * TICKS {
+        if t < TICKS {
+            for (s, &id) in ids.iter().enumerate() {
+                let ticket = server.submit(id, obs[s][t].clone()).expect("submit under the cap");
+                pending[s].push_back(ticket);
+            }
+        } else if pending.iter().all(VecDeque::is_empty) {
+            break;
+        }
         let report = server.tick(&m);
         assert!(
             report.memory.used_bytes <= budget,
@@ -138,11 +143,9 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
             report.tick,
             report.memory.used_bytes
         );
-        *peak = (*peak).max(report.memory.used_bytes);
-        for &v in &report.memory.evicted {
-            evictions.push((report.tick, v));
-        }
-        *deferrals += report.memory.deferred;
+        peak_bytes = peak_bytes.max(report.memory.used_bytes);
+        evictions.extend(report.memory.evicted.iter().map(|&v| (report.tick, v)));
+        deferrals += report.memory.deferred;
         for (s, q) in pending.iter_mut().enumerate() {
             if let Some(&front) = q.front() {
                 if server.poll(front).is_some() {
@@ -151,35 +154,7 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
                 }
             }
         }
-        report.tick
-    };
-    for t in 0..TICKS {
-        for (s, &id) in ids.iter().enumerate() {
-            let ticket = server.submit(id, obs[s][t].clone()).expect("submit under the cap");
-            pending[s].push_back(ticket);
-        }
-        ticks_run = drive(
-            &mut server,
-            &mut pending,
-            &mut served,
-            &mut evictions,
-            &mut deferrals,
-            &mut peak_bytes,
-        );
-    }
-    // (c) no admission lost: deferred arrivals resolve on later ticks.
-    for _ in 0..10 * TICKS {
-        if pending.iter().all(VecDeque::is_empty) {
-            break;
-        }
-        ticks_run = drive(
-            &mut server,
-            &mut pending,
-            &mut served,
-            &mut evictions,
-            &mut deferrals,
-            &mut peak_bytes,
-        );
+        ticks_run = report.tick;
     }
     for (s, q) in pending.iter().enumerate() {
         assert!(q.is_empty(), "session {s} has unresolved tickets (admission lost)");

@@ -404,11 +404,6 @@ impl<T: ServedTask> ShardedServer<T> {
         healthy[self.policy.place(id, &view)]
     }
 
-    /// The fleet-wide page pool, if the fleet is memory-bounded.
-    pub fn page_pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
-    }
-
     /// Occupancy of the fleet-wide pool (`None` for unbounded fleets).
     pub fn pool_stats(&self) -> Option<PoolStats> {
         self.pool.as_ref().map(PagePool::stats)
@@ -419,11 +414,6 @@ impl<T: ServedTask> ShardedServer<T> {
     pub fn set_queue_capacity(&mut self, cap: usize) {
         assert!(self.pending() == 0, "cannot resize queues with arrivals pending");
         self.queues = (0..self.shards.len()).map(|_| AdmissionQueue::with_capacity(cap)).collect();
-    }
-
-    /// The active admission policy.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.policy
     }
 
     /// Swap the admission policy at runtime (placement applies to future
@@ -1257,28 +1247,26 @@ impl<T: ServedTask> ShardedServer<T> {
                     )
             };
             // Hottest over-budget shard that still holds an eligible
-            // victim — shards whose sessions were all steered already (or
-            // whose moves would not improve anything) are passed over, not
-            // a reason to abandon cooler over-budget shards that can
-            // still be fixed.
-            let src = healthy
+            // victim, and its coldest such session (ties: lowest id —
+            // deterministic). Shards whose sessions were all steered
+            // already (or whose moves would not improve anything) are
+            // passed over, not a reason to abandon cooler over-budget
+            // shards that can still be fixed.
+            let pick = healthy
                 .iter()
                 .copied()
                 .filter(|&s| held[s] > budget)
-                .filter(|&s| {
-                    self.routes.iter().any(|(id, &(ss, l))| ss == s && eligible(self, id, ss, l))
+                .filter_map(|src| {
+                    self.routes
+                        .iter()
+                        .filter(|(id, &(s, l))| s == src && eligible(self, id, s, l))
+                        .min_by_key(|(&id, _)| {
+                            (self.last_served.get(&id).copied().unwrap_or(0), id)
+                        })
+                        .map(|(&id, _)| (src, id))
                 })
-                .max_by_key(|&s| (held[s], s));
-            let Some(src) = src else { break };
-            // Coldest eligible session on the hot shard (ties: lowest id —
-            // deterministic).
-            let victim = self
-                .routes
-                .iter()
-                .filter(|(id, &(s, l))| s == src && eligible(self, id, s, l))
-                .min_by_key(|(&id, _)| (self.last_served.get(&id).copied().unwrap_or(0), id))
-                .map(|(&id, _)| id)
-                .expect("src was filtered on having an eligible victim");
+                .max_by_key(|&(src, _)| (held[src], src));
+            let Some((src, victim)) = pick else { break };
             self.steer_with(victim, dest_for(src), SteerReason::OverBudget);
         }
     }
@@ -1408,7 +1396,6 @@ mod tests {
         assert_eq!(server.active(), 9);
         // Default placement is `LeastLoaded`: 9 joins spread 3/3/3, each
         // landing on the least-occupied shard (ties to the lowest index).
-        assert_eq!(server.policy(), AdmissionPolicy::LeastLoaded);
         assert_eq!(server.active_per_shard(), vec![3, 3, 3]);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(server.routes[&id].0, i % 3);

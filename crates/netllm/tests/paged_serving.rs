@@ -72,6 +72,63 @@ fn build_models(window: usize) -> Models {
     Models { abr, cjs, vp }
 }
 
+/// Poll each session's oldest outstanding ticket; bank `(tick, logits)`
+/// for every one the tick served.
+fn harvest(
+    server: &mut ShardedServer<NetLlmAbr>,
+    ids: &[u64],
+    pending: &mut [VecDeque<Ticket>],
+    served: &mut [Vec<(u64, Vec<f32>)>],
+    tick: u64,
+) {
+    for (s, q) in pending.iter_mut().enumerate() {
+        if let Some(&front) = q.front() {
+            if server.poll(front).is_some() {
+                q.pop_front();
+                served[s].push((tick, server.last_logits(ids[s]).to_vec()));
+            }
+        }
+    }
+}
+
+/// Unbatched replay of every session's submitted observations, clearing
+/// its cache exactly where the scheduler evicted it (`evictions` holds
+/// `(tick, session)`; `served` the `(tick, logits)` it answered): evicted
+/// or not, each session must re-anchor to the same logits at 1e-5.
+fn assert_forced_clear_replay(
+    m: &NetLlmAbr,
+    ids: &[u64],
+    subs: &[Vec<AbrObservation>],
+    served: &[Vec<(u64, Vec<f32>)>],
+    evictions: &[(u64, u64)],
+) {
+    for (s, &id) in ids.iter().enumerate() {
+        let mut ep = m.new_slot(0);
+        let mut sess = InferenceSession::new(&m.lm);
+        let mut prev_tick = 0u64;
+        for (i, o) in subs[s].iter().enumerate() {
+            let (tick, want) = &served[s][i];
+            if evictions.iter().any(|&(u, v)| v == id && u > prev_tick && u < *tick) {
+                sess.clear(); // mirror the eviction: re-anchor from scratch
+            }
+            let plan = m.plan_step(&mut ep, o, &sess);
+            if plan.reanchor {
+                sess.clear();
+            }
+            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
+            let out = m.settle_step(&mut ep, o, &hidden);
+            assert_eq!(out.logits.len(), want.len());
+            for (x, y) in out.logits.iter().zip(want) {
+                assert!(
+                    (x - y).abs() < 1e-5,
+                    "session {s} step {i}: served {y} vs forced-clear replay {x}"
+                );
+            }
+            prev_tick = *tick;
+        }
+    }
+}
+
 /// Paged (ample budget) vs contiguous mixed fleet, same trace, same
 /// mid-stream migration: logits must agree at 1e-5 tick for tick, and
 /// every page must be home once the fleet drops.
@@ -183,19 +240,6 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
     let mut served: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); B]; // (tick, logits)
     let mut evictions: Vec<(u64, u64)> = Vec::new(); // (tick, session)
     let mut deferrals = 0usize;
-    let harvest = |server: &mut ShardedServer<NetLlmAbr>,
-                   pending: &mut Vec<VecDeque<Ticket>>,
-                   served: &mut Vec<Vec<(u64, Vec<f32>)>>,
-                   tick: u64| {
-        for (s, q) in pending.iter_mut().enumerate() {
-            if let Some(&front) = q.front() {
-                if let Some(_action) = server.poll(front) {
-                    q.pop_front();
-                    served[s].push((tick, server.last_logits(ids[s]).to_vec()));
-                }
-            }
-        }
-    };
     #[allow(clippy::needless_range_loop)]
     for step in 0..steps {
         for (s, &id) in ids.iter().enumerate() {
@@ -217,7 +261,7 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
             evictions.push((report.tick, v));
         }
         deferrals += report.memory.deferred;
-        harvest(&mut server, &mut pending, &mut served, report.tick);
+        harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
     }
     // Drain the deferral backlog: every ticket must resolve.
     for _ in 0..40 {
@@ -229,7 +273,7 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
         for &v in &report.memory.evicted {
             evictions.push((report.tick, v));
         }
-        harvest(&mut server, &mut pending, &mut served, report.tick);
+        harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
     }
     for (s, q) in pending.iter().enumerate() {
         assert!(q.is_empty(), "session {s} has unresolved tickets (admission lost)");
@@ -243,33 +287,7 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
     drop(server);
     assert_eq!(pool.used_pages(), 0);
 
-    // ---- unbatched replay, clearing exactly where the scheduler evicted:
-    // the evicted sessions must re-anchor to the same logits at 1e-5.
-    for (s, &id) in ids.iter().enumerate() {
-        let mut ep = m.abr.new_slot(0);
-        let mut sess = InferenceSession::new(&m.abr.lm);
-        let mut prev_tick = 0u64;
-        for (i, o) in streams[s].iter().enumerate() {
-            let (tick, want) = &served[s][i];
-            if evictions.iter().any(|&(u, v)| v == id && u > prev_tick && u < *tick) {
-                sess.clear(); // mirror the eviction: re-anchor from scratch
-            }
-            let plan = m.abr.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.abr.lm, &m.abr.store, &plan.tokens);
-            let out = m.abr.settle_step(&mut ep, o, &hidden);
-            assert_eq!(out.logits.len(), want.len());
-            for (x, y) in out.logits.iter().zip(want) {
-                assert!(
-                    (x - y).abs() < 1e-5,
-                    "session {s} step {i}: served {y} vs forced-clear replay {x}"
-                );
-            }
-            prev_tick = *tick;
-        }
-    }
+    assert_forced_clear_replay(&m.abr, &ids, &streams, &served, &evictions);
 }
 
 /// Eviction disabled: a burst whose page demand exceeds the pool defers
@@ -629,19 +647,6 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
     let mut subs: Vec<Vec<AbrObservation>> = vec![Vec::new(); B]; // obs actually submitted
     let mut served: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); B];
     let mut evictions: Vec<(u64, u64)> = Vec::new();
-    let harvest = |server: &mut ShardedServer<NetLlmAbr>,
-                   pending: &mut Vec<VecDeque<Ticket>>,
-                   served: &mut Vec<Vec<(u64, Vec<f32>)>>,
-                   tick: u64| {
-        for (s, q) in pending.iter_mut().enumerate() {
-            if let Some(&front) = q.front() {
-                if server.poll(front).is_some() {
-                    q.pop_front();
-                    served[s].push((tick, server.last_logits(ids[s]).to_vec()));
-                }
-            }
-        }
-    };
     // `tick` is the schedule clock, not an index (the COLD/LATE skip windows
     // and the pressure-tick assertions below read it directly).
     #[allow(clippy::needless_range_loop)]
@@ -680,7 +685,7 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
             );
             assert_eq!(report.memory.deferred, 1, "the sacrifice's arrival is deferred");
         }
-        harvest(&mut server, &mut pending, &mut served, report.tick);
+        harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
         if tick == TICKS - 1 {
             // Every spared session was served this tick; only the
             // sacrifice waits for the next one.
@@ -698,7 +703,7 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
         for &v in &report.memory.evicted {
             evictions.push((report.tick, v));
         }
-        harvest(&mut server, &mut pending, &mut served, report.tick);
+        harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
     }
     for (s, q) in pending.iter().enumerate() {
         assert!(q.is_empty(), "session {s} has unresolved tickets (sacrifice lost its arrival)");
@@ -707,30 +712,5 @@ fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
     drop(server);
     assert_eq!(pool.used_pages(), 0);
 
-    // The evicted-then-rebuilt sessions must still match the unbatched
-    // forced-clear replay exactly.
-    for (s, &id) in ids.iter().enumerate() {
-        let mut ep = m.abr.new_slot(0);
-        let mut sess = InferenceSession::new(&m.abr.lm);
-        let mut prev_tick = 0u64;
-        for (i, o) in subs[s].iter().enumerate() {
-            let (tick, want) = &served[s][i];
-            if evictions.iter().any(|&(u, v)| v == id && u > prev_tick && u < *tick) {
-                sess.clear();
-            }
-            let plan = m.abr.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.abr.lm, &m.abr.store, &plan.tokens);
-            let out = m.abr.settle_step(&mut ep, o, &hidden);
-            for (x, y) in out.logits.iter().zip(want) {
-                assert!(
-                    (x - y).abs() < 1e-5,
-                    "session {s} step {i}: served {y} vs forced-clear replay {x}"
-                );
-            }
-            prev_tick = *tick;
-        }
-    }
+    assert_forced_clear_replay(&m.abr, &ids, &subs, &served, &evictions);
 }
