@@ -336,7 +336,6 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
                 })
                 .count();
             assert!(over_budget > 0, "the page budget must be tight enough that steering fires");
-            println!("budget steering fired {over_budget} times");
         }
     }
 
@@ -413,8 +412,7 @@ fn bursty_trace_cache_aware_matches_unbatched_paths() {
     println!("continuous-batching bursty trace seed: {seed} (0x{seed:x})");
     let mut models = build_models(3);
     // A small per-shard budget keeps the steering pass live through the
-    // whole trace (sessions hold 1-5 eight-row pages each at this scale;
-    // the fleet peaks near 30).
+    // whole trace (1-5 eight-row pages a session, ~30 at the fleet's peak).
     let policy = AdmissionPolicy::PageAware { budget_pages: 10 };
     let events = run_trace(&mut models, policy, true, seed);
     println!("bursty trace replayed {events} events");

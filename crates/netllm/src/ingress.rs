@@ -304,11 +304,9 @@ struct OpenTicket {
     submitted: Instant,
 }
 
-/// Refuse a configuration the scheduler thread could only trip over after
-/// [`serve`] had already handed back a live-looking handle — a zero shard
-/// count or queue cap panics that thread at start-up, a pool the fleet's
-/// backbones do not fit panics it on the first client's `Join` — leaving
-/// clients connected to a listener nobody answers.
+/// [`serve`]'s up-front refusals: each of these would otherwise panic the
+/// scheduler thread (at start-up, or on the first client's `Join`) after
+/// `serve` had handed back a handle, leaving a listener nobody answers.
 fn check_config(models: &FleetModels, cfg: &IngressConfig) -> std::io::Result<()> {
     let invalid = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
     for (knob, value) in [

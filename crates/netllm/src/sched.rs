@@ -338,9 +338,9 @@ pub struct PagePressure {
 pub struct PlacementView<'a> {
     /// Live slots per shard.
     pub active: &'a [usize],
-    /// KV bytes held per shard. No policy reads it (the byte-denominated
-    /// policy is gone); the field stays only because the `perf` placement
-    /// probe builds this view as a struct literal. The server passes `&[]`.
+    /// KV bytes held per shard. No policy reads it; the field stays only
+    /// because the `perf` placement probe builds this view as a struct
+    /// literal. The server passes `&[]`.
     pub cache_bytes: &'a [usize],
     /// Page economy per shard (one entry per shard; all-default for a
     /// pool-less fleet, which only `LeastLoaded` — reading none of it —
@@ -407,9 +407,9 @@ pub enum AdmissionPolicy {
 impl AdmissionPolicy {
     /// Pick the shard a new session joins. Pure in the
     /// [`PlacementView`], which carries one `active`, `pressure` and
-    /// `same_backbone` entry per shard. Neither policy reads the new
-    /// session's id (no policy routes by id); the parameter stays because
-    /// the `perf` placement probe passes it.
+    /// `same_backbone` entry per shard. Neither policy routes by the new
+    /// session's id; the parameter stays because the `perf` placement
+    /// probe passes it.
     pub fn place(&self, _id: u64, view: &PlacementView) -> usize {
         let k = view.active.len();
         assert!(

@@ -477,8 +477,7 @@ impl<T: ServedTask> ServingEngine<T> {
         self.slots.iter().map(|s| s.session.cache_bytes()).sum()
     }
 
-    /// Bytes held by one session's KV cache (per-victim accounting for a
-    /// cache-aware steering/eviction policy).
+    /// Bytes held by one session's KV cache.
     pub fn cache_bytes_of(&self, id: SessionId) -> usize {
         self.check(id);
         self.slots.get(id.index()).session.cache_bytes()

@@ -3,8 +3,7 @@
 //! below the budget, steers above it, never onto a destination whose free
 //! list cannot absorb the victim), and the double-migration regression —
 //! rebalance-on-leave and budget steering both firing in one tick cycle
-//! must never steer the same session twice. Budgets are in pool pages,
-//! read back from `pages_held_per_shard()`.
+//! must never steer the same session twice. Budgets are in pool pages.
 
 use netllm::{AdmissionPolicy, EvictionPolicy, NetLlmAbr, ShardedServer, Ticket};
 use nt_abr::{AbrObservation, AbrPolicy};
@@ -36,10 +35,6 @@ fn pooled_fleet(m: &NetLlmAbr, shards: usize) -> (ShardedServer<NetLlmAbr>, Page
         EvictionPolicy::None,
     );
     (server, pool)
-}
-
-fn pages_held(server: &ShardedServer<NetLlmAbr>) -> usize {
-    server.pages_held_per_shard().iter().sum()
 }
 
 /// Submit one observation per session, tick once, poll every ticket.
@@ -99,7 +94,7 @@ fn cache_aware_noop_below_budget_steers_above_and_respects_it() {
         assert!(report.steered.is_empty(), "LeastLoaded must not steer: {report:?}");
         assert_eq!(report.served_by_label, vec![("abr", 4)]);
     }
-    let total = pages_held(&server);
+    let total = pool.used_pages(); // every lent page is held by a session
     let per_session = total / 4;
     assert!(per_session > 1, "sessions must hold a few pool pages by now");
 
@@ -173,13 +168,13 @@ fn victimless_hot_shard_does_not_block_steering_cooler_shards() {
     let m = model(3, 34);
     let obs = AbrObservation::synthetic_stream(99, 6);
 
-    let (mut server, _pool) = pooled_fleet(&m, 3);
+    let (mut server, pool) = pooled_fleet(&m, 3);
     let ids: Vec<u64> = (0..7).map(|_| server.join(&m)).collect();
     assert_eq!(server.active_per_shard(), vec![3, 2, 2]);
     for round in 0..2 {
         let _ = serve_round(&mut server, &m, &ids, &obs[round..]);
     }
-    let per_session = pages_held(&server) / 7;
+    let per_session = pool.used_pages() / 7;
     assert!(per_session > 0);
 
     // Build: shard 2 = four sessions, all steered this cycle (hottest,
@@ -223,7 +218,7 @@ fn rebalance_and_cache_steering_never_double_migrate_in_one_tick() {
     let m = model(3, 33);
     let obs = AbrObservation::synthetic_stream(88, 8);
 
-    let (mut server, _pool) = pooled_fleet(&m, 3);
+    let (mut server, pool) = pooled_fleet(&m, 3);
     let ids: Vec<u64> = (0..7).map(|_| server.join(&m)).collect();
     assert_eq!(server.active_per_shard(), vec![3, 2, 2]);
     for round in 0..2 {
@@ -245,7 +240,7 @@ fn rebalance_and_cache_steering_never_double_migrate_in_one_tick() {
     // already steered this cycle.
     server.steer(ids[6], 1);
     assert_eq!(server.active_per_shard(), vec![1, 3, 2]);
-    let per_session = pages_held(&server) / 6;
+    let per_session = pool.used_pages() / 6;
     server.set_policy(AdmissionPolicy::PageAware { budget_pages: per_session * 5 / 2 });
 
     let report = server.tick(&m);

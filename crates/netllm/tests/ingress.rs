@@ -411,12 +411,10 @@ fn greedy_connection_cannot_starve_a_slow_client() {
     handle.shutdown();
 }
 
-/// Regression: `serve` used to bind, spawn and return `Ok` before anything
-/// looked at the config — a zero shard count then killed the scheduler
-/// thread at start-up and an unfit pool killed it on the first `Join`,
-/// either way leaving clients on a listener nobody answers. Each bad
-/// config is now refused up front with its reason; the default (and a
-/// pool exactly at the floor) still serves.
+/// Regression: a config the fleet cannot be built from is refused by
+/// `serve` with its reason, instead of `Ok` and a scheduler thread that
+/// dies on it (at start-up, or on the first `Join`) behind a live
+/// listener; the default (and a pool exactly at the floor) still serves.
 #[test]
 fn serve_rejects_configs_the_fleet_cannot_be_built_from() {
     let models = || tiny("netllm-ingress-config");
