@@ -224,17 +224,8 @@ impl LayerNorm {
         let bv = store.data(self.beta);
         let d = *x.shape().last().expect("layer_norm needs rank >= 1");
         assert_eq!(gv.shape(), &[d], "gamma shape");
-        let rows = x.numel() / d;
         let mut out = x.clone();
-        for r in 0..rows {
-            let s = &mut out.data_mut()[r * d..(r + 1) * d];
-            let mean = s.iter().sum::<f32>() / d as f32;
-            let var = s.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv = 1.0 / (var + self.eps).sqrt();
-            for (i, v) in s.iter_mut().enumerate() {
-                *v = (*v - mean) * inv * gv.data()[i] + bv.data()[i];
-            }
-        }
+        nt_tensor::tensor::layer_norm_in_place(out.data_mut(), gv.data(), bv.data(), self.eps);
         out
     }
 }

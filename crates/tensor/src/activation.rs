@@ -5,11 +5,15 @@
 //! together.
 //!
 //! Everything here is branch-free straight-line `f32` arithmetic with no
-//! libm call, so the loop in [`gelu_in_place`] autovectorises on baseline
-//! SSE2 (compares lower to `minps`/`maxps`/`andps` selects). Each element
-//! is computed by the same operation sequence wherever it sits in the
-//! slice — vector body or scalar tail — so `gelu(x)` and the slice
-//! kernel are bit-identical per element.
+//! libm call, so the loop behind [`gelu_in_place`] autovectorises
+//! (compares lower to `minps`/`maxps`/`andps` selects): 4 lanes in the
+//! baseline SSE2 instantiation, 8 in the AVX2 one [`crate::simd`] picks
+//! when the CPU has it. Each element is computed by the same operation
+//! sequence wherever it sits in the slice — vector body or scalar tail,
+//! either instantiation — so `gelu(x)` and the slice kernel are
+//! bit-identical per element.
+
+use crate::simd;
 
 pub(crate) const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 
@@ -72,13 +76,24 @@ pub(crate) fn tanh_fast(z: f32) -> f32 {
 /// Tanh-approximation GELU, shared by the taped forward, its backward and
 /// the graph-free inference kernels (one definition keeps the cached and
 /// uncached paths bit-identical).
-#[inline]
+#[inline(always)]
 pub fn gelu(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh_fast(GELU_C * (x + 0.044715 * x * x * x)))
 }
 
-/// [`gelu`] over a slice, in place.
+/// [`gelu`] over a slice, in place, in the widest instantiation of the
+/// loop the CPU runs (bit-identical per element in either).
 pub fn gelu_in_place(xs: &mut [f32]) {
+    simd::dispatch(
+        #[inline(always)]
+        |_wide| gelu_slice(xs),
+    );
+}
+
+/// The one slice body behind both instantiations (nothing in it depends
+/// on the vector width, so it ignores the flag).
+#[inline(always)]
+fn gelu_slice(xs: &mut [f32]) {
     for v in xs.iter_mut() {
         *v = gelu(*v);
     }
@@ -141,13 +156,24 @@ mod tests {
 
     #[test]
     fn slice_kernel_is_the_scalar_function_at_every_lane_position() {
-        // Lengths around the vector width: body and tail must agree.
-        let xs: Vec<f32> = (0..37).map(|i| -6.0 + 0.37 * i as f32).collect();
-        for len in [0, 1, 3, 4, 5, 8, 9, 16, 37] {
-            let mut got = xs[..len].to_vec();
-            gelu_in_place(&mut got);
-            let want: Vec<f32> = xs[..len].iter().map(|&x| gelu(x)).collect();
-            assert_eq!(got, want, "len {len}");
+        // Every length 0..=40 puts the body/tail split of a 4-, 8- and
+        // 16-wide vector loop at every position. The baseline
+        // instantiation always runs; the dispatched one is the AVX2
+        // instantiation wherever the CPU has it.
+        if !simd::wide_available() {
+            println!("avx2 not detected, skipped: the dispatched half reruns the baseline");
+        }
+        let xs: Vec<f32> = (0..40).map(|i| -7.0 + 0.37 * i as f32).collect();
+        for len in 0..=xs.len() {
+            let want: Vec<u32> = xs[..len].iter().map(|&x| gelu(x).to_bits()).collect();
+            for (name, kernel) in
+                [("baseline", gelu_slice as fn(&mut [f32])), ("dispatched", gelu_in_place)]
+            {
+                let mut got = xs[..len].to_vec();
+                kernel(&mut got);
+                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "{name}, len {len}");
+            }
         }
     }
 

@@ -13,7 +13,7 @@
 use crate::activation::{gelu_in_place, tanh_fast, GELU_C};
 use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, for_each_broadcast2, numel};
-use crate::tensor::{matmul_into, softmax_in_place, Tensor};
+use crate::tensor::{layer_norm_in_place, layer_norm_stats, matmul_into, softmax_in_place, Tensor};
 
 /// Identifier of a node on the tape.
 pub type NodeId = usize;
@@ -548,19 +548,10 @@ impl Graph {
         let d = *v.shape().last().expect("layer_norm needs rank >= 1");
         assert_eq!(self.nodes[gamma].value.shape(), &[d], "gamma shape");
         assert_eq!(self.nodes[beta].value.shape(), &[d], "beta shape");
-        let rows = v.numel() / d;
         let mut out = v.clone();
         let gv = self.nodes[gamma].value.data();
         let bv = self.nodes[beta].value.data();
-        for r in 0..rows {
-            let s = &mut out.data_mut()[r * d..(r + 1) * d];
-            let mean = s.iter().sum::<f32>() / d as f32;
-            let var = s.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for (i, x) in s.iter_mut().enumerate() {
-                *x = (*x - mean) * inv * gv[i] + bv[i];
-            }
-        }
+        layer_norm_in_place(out.data_mut(), gv, bv, eps);
         let ng = self.any_needs_grad(&[x, gamma, beta]);
         self.push(Op::LayerNorm { eps }, vec![x, gamma, beta], out, ng)
     }
@@ -987,9 +978,7 @@ impl Graph {
                 for r in 0..rows {
                     let off = r * d;
                     let row = &xd[off..off + d];
-                    let mean = row.iter().sum::<f32>() / d as f32;
-                    let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
+                    let (mean, inv) = layer_norm_stats(row, eps);
                     // xhat_i = (x_i - mean) * inv
                     let mut sum_gy = 0.0f32;
                     let mut sum_gy_xhat = 0.0f32;

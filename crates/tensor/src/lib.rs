@@ -2,8 +2,10 @@
 //!
 //! Dense `f32` tensors with reverse-mode automatic differentiation, built
 //! from scratch for the NetLLM reproduction (no BLAS; `unsafe` is denied
-//! crate-wide except for one small audited lifetime-erasure scope in the
-//! persistent worker pool — see `pool::dispatch`).
+//! crate-wide except for two small audited scopes: the lifetime erasure
+//! in the persistent worker pool, `pool::dispatch`, and the call into
+//! the AVX2 instantiation of a kernel once the CPU has reported the
+//! feature, `simd::dispatch`).
 //!
 //! Design goals follow the smoltcp ethos: simplicity and robustness over
 //! cleverness. Everything is deterministic under an explicit seed
@@ -16,9 +18,11 @@
 //! Implemented:
 //! - row-major dense tensors, NumPy-style broadcasting for binary ops
 //! - matmul / batched matmul (KC-tiled, MRxNR register-blocked SIMD
-//!   kernels over a packed B panel, optional row-block parallelism via
-//!   the persistent [`pool`] behind the `NT_THREADS` knob), transpose,
-//!   reshape, concat, narrow, row gather
+//!   kernels over a packed B panel — one source, a baseline 4x8 and an
+//!   AVX2 4x16 instantiation chosen per call from what the CPU reports —
+//!   optional row-block parallelism via the persistent [`pool`] behind
+//!   the `NT_THREADS` knob), transpose, reshape, concat, narrow, row
+//!   gather
 //! - activations (relu/gelu/tanh/sigmoid/exp/ln), softmax & log-softmax
 //! - fused layer-norm, 1-D convolution, inverted dropout
 //! - losses: MSE, (weighted) cross-entropy — the weighted form doubles as a
@@ -36,6 +40,7 @@ pub mod graph;
 pub mod pool;
 pub mod rng;
 pub mod shape;
+mod simd;
 pub mod tensor;
 
 pub use activation::{gelu, gelu_in_place};

@@ -21,9 +21,9 @@
 //! keeps the exact contiguous band-split math of the old scoped pool
 //! (`blocks_per_thread = n_blocks.div_ceil(threads)`), and hands each
 //! band to a task through a `Mutex<Option<&mut [T]>>` slot — no `unsafe`
-//! is needed to move the borrows. The only `unsafe` in the crate is the
-//! lifetime erasure in `dispatch`, a small audited scope documented
-//! in place.
+//! is needed to move the borrows. The only `unsafe` in this module is
+//! the lifetime erasure in `dispatch`, a small audited scope documented
+//! in place (the crate's one other scope is `simd::dispatch`).
 //!
 //! Panic safety: a panicking task is caught on the worker, recorded, and
 //! re-thrown on the dispatching thread once the whole job has drained —
@@ -93,10 +93,13 @@ pub fn in_worker() -> bool {
 ///
 /// Measured with the persistent pool on this workspace's kernels: a
 /// dispatch round trip (publish + wake + participate + join) costs on the
-/// order of a microsecond, and the serial quad kernel retires roughly a
-/// MAC per nanosecond, so 256 Ki MACs (~0.25 ms serial) amortizes the
-/// dispatch more than a hundredfold. The spawn-era pool needed `4 << 20`
-/// (tens of microseconds per `std::thread::scope` spawn).
+/// order of a microsecond, and the serial register-tile kernel reads
+/// ~14 GMAC/s in its baseline instantiation and ~26 in the AVX2 one on
+/// the reference box (`perf`'s `tensor.matmul_gmacs.dense`), so 256 Ki
+/// MACs are ~19 µs of serial work on the former and ~10 µs on the latter
+/// — ten to twenty dispatches' worth either way. The spawn-era pool
+/// needed `4 << 20` (tens of microseconds per `std::thread::scope`
+/// spawn).
 pub const PAR_FLOPS_MIN: usize = 1 << 18;
 
 /// Whether a kernel of roughly `flops` multiply-accumulates is worth a
@@ -184,8 +187,8 @@ where
     });
 }
 
-/// The dispatch core: persistent parked workers plus the one audited
-/// `unsafe` scope in this crate (lifetime erasure of the job closure).
+/// The dispatch core: persistent parked workers plus this module's one
+/// audited `unsafe` scope (lifetime erasure of the job closure).
 ///
 /// Protocol: [`run_job`] publishes a [`Job`] under the slot mutex, wakes
 /// the workers, claims tasks itself alongside them, and only returns

@@ -8,7 +8,9 @@
 use crate::pool;
 use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, for_each_broadcast2, numel, strides};
+use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// A dense row-major `f32` tensor.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -326,16 +328,22 @@ pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
 /// Rows per register-blocked pass: four output rows advance together so
 /// every loaded `b` value is reused four times from registers.
 const MR: usize = 4;
-/// Column-block width of the register tile: one f32x8-style vector of
-/// output columns per row, held in a fixed `[f32; NR]` accumulator array
-/// the autovectorizer maps onto SIMD lanes.
-const NR: usize = 8;
+/// Column-block width of the register tile — the `NR` const generic of
+/// the kernel bodies below — per instantiation ([`crate::simd`]): each
+/// accumulator row is a fixed `[f32; NR]` array the autovectorizer maps
+/// onto two vector registers, so the tile is 4x8 in 4-lane baseline
+/// (SSE2) code and 4x16 in 8-lane AVX2 code — eight accumulator
+/// registers either way.
+const NR_BASELINE: usize = 8;
+const NR_AVX2: usize = 16;
 /// Inner-dimension tile: the `b` panel touched by one k-block stays
 /// cache-resident while all row quads stream past it. Accumulation still
 /// runs in ascending-`k` order, so tiling never changes the result.
 const KC: usize = 512;
 /// RHS widths below this use the packed-transpose dot kernel instead of
 /// the register-tile kernel (too few columns to fill a lane block).
+/// Decided before an instantiation is picked: the dot kernel
+/// reassociates, so which shapes take it must not depend on the CPU.
 const N_SKINNY: usize = 8;
 
 /// `out += a x b` for row-major matrices.
@@ -347,8 +355,9 @@ const N_SKINNY: usize = 8;
 /// products additionally split their output rows across the persistent
 /// worker pool ([`crate::pool`], `NT_THREADS` knob). All paths accumulate
 /// each output element in ascending-`k` order through a single chain, so
-/// serial and parallel execution are bit-identical (only the skinny dot
-/// kernel reassociates within a chain, identically on both).
+/// serial and parallel execution, and the baseline and AVX2
+/// instantiations of the kernel, are bit-identical (only the skinny dot
+/// kernel reassociates within a chain, identically on all of them).
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -370,144 +379,211 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     }
 }
 
+/// One thread's GEMM. The register-tile kernel runs in the widest
+/// instantiation the CPU has; the skinny dot kernel has one (its eight
+/// accumulator lanes are fixed by the summation order, and one 8-lane
+/// chain measured no faster than the baseline's two 4-lane ones).
 fn matmul_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     if n < N_SKINNY && k >= 16 {
         return matmul_dot_packed(a, b, out, m, k, n);
     }
-    matmul_blocked_wide(a, b, out, m, k, n);
+    simd::dispatch(
+        #[inline(always)]
+        |wide| {
+            if wide {
+                matmul_blocked_wide::<NR_AVX2>(a, b, out, m, k, n)
+            } else {
+                matmul_blocked_wide::<NR_BASELINE>(a, b, out, m, k, n)
+            }
+        },
+    );
 }
 
 /// Wide-RHS register-tile kernel.
 ///
-/// For each [`KC`] k-tile and each [`NR`]-wide column block, the block of
-/// `b` is packed into a contiguous `[kc x NR]` panel once, then every
-/// [`MR`]-row quad streams through it holding an `MR x NR` accumulator
-/// tile in registers — `out` is loaded and stored once per (quad, block,
-/// k-tile) instead of once per `k` step. Each `[f32; NR]` accumulator
-/// row is a fixed f32x8-shaped array the autovectorizer maps onto SIMD
-/// lanes.
+/// For each [`KC`] k-tile, the columns are cut into `NR`-wide blocks
+/// ([`tile_column_block`]); in the 16-wide instantiation a remainder of
+/// eight or more then gets one [`NR_BASELINE`]-wide block, so no shape is
+/// served by a narrower tile than the baseline instantiation gives it
+/// (`n = 24` is 16 + 8, not 16 + an 8-column tail); what is left (`< 8`
+/// columns) is the ragged tail ([`axpy_row_tail`]).
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
 /// order (the tile is seeded from `out` and written back), so this is
 /// bit-identical to the naive triple loop and to its own parallel
-/// row-band splits (`tests/kernel_props.rs`).
-fn matmul_blocked_wide(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+/// row-band splits (`tests/kernel_props.rs`), whatever `NR` is.
+#[inline(always)]
+fn matmul_blocked_wide<const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     if m < MR {
         // Fewer rows than one quad — the token-decode shape (m = 1..3).
         // A packed panel only pays for itself when a full quad streams
         // through it, so this path reads `b` directly instead.
-        return matmul_narrow_direct(a, b, out, m, k, n);
+        return matmul_narrow_direct::<NR>(a, b, out, k, n);
     }
-    let n_main = n - n % NR;
     let mut panel = vec![0.0f32; KC.min(k) * NR];
     for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        let kc = k1 - k0;
-        for j0 in (0..n_main).step_by(NR) {
-            // Pack this k-tile of the next NR columns of b: one
-            // contiguous panel row per k step.
-            let panel = &mut panel[..kc * NR];
-            for (prow, kk) in panel.chunks_exact_mut(NR).zip(k0..k1) {
-                prow.copy_from_slice(&b[kk * n + j0..kk * n + j0 + NR]);
-            }
-            let panel = &panel[..];
-            let mut i = 0usize;
-            while i + MR <= m {
-                let a0 = &a[i * k..(i + 1) * k];
-                let a1 = &a[(i + 1) * k..(i + 2) * k];
-                let a2 = &a[(i + 2) * k..(i + 3) * k];
-                let a3 = &a[(i + 3) * k..(i + 4) * k];
-                let mut acc = [[0.0f32; NR]; MR];
-                for (r, accr) in acc.iter_mut().enumerate() {
-                    let o = (i + r) * n + j0;
-                    accr.copy_from_slice(&out[o..o + NR]);
-                }
-                for (prow, kk) in panel.chunks_exact(NR).zip(k0..k1) {
-                    let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-                    for l in 0..NR {
-                        acc[0][l] += x0 * prow[l];
-                        acc[1][l] += x1 * prow[l];
-                        acc[2][l] += x2 * prow[l];
-                        acc[3][l] += x3 * prow[l];
-                    }
-                }
-                for (r, accr) in acc.iter().enumerate() {
-                    let o = (i + r) * n + j0;
-                    out[o..o + NR].copy_from_slice(accr);
-                }
-                i += MR;
-            }
-            // Remainder rows: one NR-wide accumulator vector per row.
-            while i < m {
-                let arow = &a[i * k..(i + 1) * k];
-                let o = i * n + j0;
-                let mut acc = [0.0f32; NR];
-                acc.copy_from_slice(&out[o..o + NR]);
-                for (prow, kk) in panel.chunks_exact(NR).zip(k0..k1) {
-                    let x = arow[kk];
-                    for l in 0..NR {
-                        acc[l] += x * prow[l];
-                    }
-                }
-                out[o..o + NR].copy_from_slice(&acc);
-                i += 1;
+        let ks = k0..(k0 + KC).min(k);
+        let mut j0 = 0usize;
+        while j0 + NR <= n {
+            tile_column_block::<NR>(a, b, out, m, k, n, ks.clone(), j0, &mut panel);
+            j0 += NR;
+        }
+        if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
+            tile_column_block::<NR_BASELINE>(a, b, out, m, k, n, ks.clone(), j0, &mut panel);
+            j0 += NR_BASELINE;
+        }
+        if j0 < n {
+            for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+                axpy_row_tail(arow, b, orow, n, ks.clone(), j0);
             }
         }
-        // Ragged column tail (n % NR): plain ascending-k axpy over the
-        // last few columns, unpacked.
-        if n_main < n {
-            for i in 0..m {
-                let arow = &a[i * k..(i + 1) * k];
-                let (os, oe) = (i * n + n_main, (i + 1) * n);
-                for kk in k0..k1 {
-                    let x = arow[kk];
-                    let brow = &b[kk * n + n_main..(kk + 1) * n];
-                    for (o, &bv) in out[os..oe].iter_mut().zip(brow) {
-                        *o += x * bv;
-                    }
-                }
+    }
+}
+
+/// One `W`-wide column block of one k-tile, for `m >= MR` rows: the block
+/// of `b` is packed into a contiguous `[kc x W]` panel once, then every
+/// [`MR`]-row quad streams through it holding an `MR x W` accumulator
+/// tile in registers — `out` is loaded and stored once per (quad, block,
+/// k-tile) instead of once per `k` step. Each `[f32; W]` accumulator row
+/// is a fixed array the autovectorizer maps onto SIMD lanes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile_column_block<const W: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    ks: Range<usize>,
+    j0: usize,
+    panel: &mut [f32],
+) {
+    // Pack this k-tile of the next W columns of b: one contiguous panel
+    // row per k step.
+    let panel = &mut panel[..ks.len() * W];
+    for (prow, kk) in panel.chunks_exact_mut(W).zip(ks.clone()) {
+        prow.copy_from_slice(&b[kk * n + j0..kk * n + j0 + W]);
+    }
+    let panel = &panel[..];
+    let mut i = 0usize;
+    while i + MR <= m {
+        let a0 = &a[i * k..(i + 1) * k];
+        let a1 = &a[(i + 1) * k..(i + 2) * k];
+        let a2 = &a[(i + 2) * k..(i + 3) * k];
+        let a3 = &a[(i + 3) * k..(i + 4) * k];
+        let mut acc = [[0.0f32; W]; MR];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let o = (i + r) * n + j0;
+            accr.copy_from_slice(&out[o..o + W]);
+        }
+        for (prow, kk) in panel.chunks_exact(W).zip(ks.clone()) {
+            let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
+            for l in 0..W {
+                acc[0][l] += x0 * prow[l];
+                acc[1][l] += x1 * prow[l];
+                acc[2][l] += x2 * prow[l];
+                acc[3][l] += x3 * prow[l];
             }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            let o = (i + r) * n + j0;
+            out[o..o + W].copy_from_slice(accr);
+        }
+        i += MR;
+    }
+    // Remainder rows: one W-wide accumulator vector per row.
+    while i < m {
+        let arow = &a[i * k..(i + 1) * k];
+        let o = i * n + j0;
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(&out[o..o + W]);
+        for (prow, kk) in panel.chunks_exact(W).zip(ks.clone()) {
+            let x = arow[kk];
+            for l in 0..W {
+                acc[l] += x * prow[l];
+            }
+        }
+        out[o..o + W].copy_from_slice(&acc);
+        i += 1;
+    }
+}
+
+/// Ragged column tail of one output row (columns `j0..n`, fewer than a
+/// block): plain ascending-k axpy over the last few columns, unpacked.
+#[inline(always)]
+fn axpy_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], n: usize, ks: Range<usize>, j0: usize) {
+    for kk in ks {
+        let x = arow[kk];
+        let brow = &b[kk * n + j0..(kk + 1) * n];
+        for (o, &bv) in orow[j0..].iter_mut().zip(brow) {
+            *o += x * bv;
         }
     }
 }
 
 /// Sub-quad row count (`m < MR`): the single-token decode shape. Each
-/// row holds an [`NR`]-wide register accumulator per column block and
+/// row holds an `NR`-wide register accumulator per column block
+/// ([`direct_row_block`]; same block cut as [`matmul_blocked_wide`]) and
 /// streams `b` directly, so `out` is loaded and stored once per (block,
 /// k-tile) instead of once per `k` step, while skipping the panel pack
 /// that only a full quad can amortize. Same ascending-`k` single-chain
 /// accumulation as every other path.
-fn matmul_narrow_direct(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let n_main = n - n % NR;
+#[inline(always)]
+fn matmul_narrow_direct<const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    k: usize,
+    n: usize,
+) {
     for k0 in (0..k).step_by(KC) {
-        let k1 = (k0 + KC).min(k);
-        for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
-            for j0 in (0..n_main).step_by(NR) {
-                let o = i * n + j0;
-                let mut acc = [0.0f32; NR];
-                acc.copy_from_slice(&out[o..o + NR]);
-                for kk in k0..k1 {
-                    let x = arow[kk];
-                    let brow = &b[kk * n + j0..kk * n + j0 + NR];
-                    for l in 0..NR {
-                        acc[l] += x * brow[l];
-                    }
-                }
-                out[o..o + NR].copy_from_slice(&acc);
+        let ks = k0..(k0 + KC).min(k);
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            let mut j0 = 0usize;
+            while j0 + NR <= n {
+                direct_row_block::<NR>(arow, b, orow, n, ks.clone(), j0);
+                j0 += NR;
             }
-            if n_main < n {
-                let (os, oe) = (i * n + n_main, (i + 1) * n);
-                for kk in k0..k1 {
-                    let x = arow[kk];
-                    let brow = &b[kk * n + n_main..(kk + 1) * n];
-                    for (o, &bv) in out[os..oe].iter_mut().zip(brow) {
-                        *o += x * bv;
-                    }
-                }
+            if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
+                direct_row_block::<NR_BASELINE>(arow, b, orow, n, ks.clone(), j0);
+                j0 += NR_BASELINE;
+            }
+            if j0 < n {
+                axpy_row_tail(arow, b, orow, n, ks.clone(), j0);
             }
         }
     }
+}
+
+/// One `W`-wide column block of one output row over one k-tile, `b` read
+/// in place.
+#[inline(always)]
+fn direct_row_block<const W: usize>(
+    arow: &[f32],
+    b: &[f32],
+    orow: &mut [f32],
+    n: usize,
+    ks: Range<usize>,
+    j0: usize,
+) {
+    let mut acc = [0.0f32; W];
+    acc.copy_from_slice(&orow[j0..j0 + W]);
+    for kk in ks {
+        let x = arow[kk];
+        let brow = &b[kk * n + j0..kk * n + j0 + W];
+        for l in 0..W {
+            acc[l] += x * brow[l];
+        }
+    }
+    orow[j0..j0 + W].copy_from_slice(&acc);
 }
 
 /// Skinny-RHS kernel: packs `b` transposed so each output element is one
@@ -577,6 +653,29 @@ pub fn softmax_in_place(s: &mut [f32]) {
     if z > 0.0 {
         for v in s.iter_mut() {
             *v /= z;
+        }
+    }
+}
+
+/// Mean and `1 / sqrt(variance + eps)` of one layer-norm row. Both sums
+/// run sequentially in index order — the order every layer-norm result in
+/// the workspace is defined by — so they are deliberately not lane-split.
+pub(crate) fn layer_norm_stats(row: &[f32], eps: f32) -> (f32, f32) {
+    let d = row.len() as f32;
+    let mean = row.iter().sum::<f32>() / d;
+    let var = row.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / d;
+    (mean, 1.0 / (var + eps).sqrt())
+}
+
+/// In-place affine layer normalisation of every `gamma.len()`-wide row of
+/// `xs`: the one row kernel behind the taped [`crate::Graph::layer_norm`]
+/// and the graph-free `LayerNorm::eval`, so the two agree bit for bit.
+pub fn layer_norm_in_place(xs: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
+    assert_eq!(gamma.len(), beta.len(), "layer_norm gamma/beta length");
+    for row in xs.chunks_exact_mut(gamma.len()) {
+        let (mean, inv) = layer_norm_stats(row, eps);
+        for ((x, g), b) in row.iter_mut().zip(gamma).zip(beta) {
+            *x = (*x - mean) * inv * g + b;
         }
     }
 }
@@ -672,6 +771,63 @@ mod tests {
             let want = matmul_naive(&a, &b);
             for (x, y) in got.data().iter().zip(want.data()) {
                 assert!((x - y).abs() < 1e-4, "{m}x{k}x{n}: {x} vs {y}");
+            }
+        }
+    }
+
+    /// The register-tile kernel's baseline instantiation, its 16-wide
+    /// tile logic in baseline codegen, and `matmul_serial` as dispatched
+    /// (the AVX2 instantiation wherever the CPU has it), each against the
+    /// naive ascending-`k` loop bit for bit: `n` sits on both sides of the
+    /// 8- and 16-wide column tails, `k = 600` crosses the KC seam, `m`
+    /// covers sub-quad rows and quad remainders. Runs in release too
+    /// (`cargo test --release -p nt-tensor`), where the loops are
+    /// actually vectorised. Skinny shapes reach the dot kernel through
+    /// `matmul_serial` only; it reassociates, so it keeps its 1e-4.
+    #[test]
+    fn both_instantiations_match_the_naive_loop_bit_for_bit() {
+        type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let wide = simd::wide_available();
+        if !wide {
+            println!("avx2 not detected, skipped: the dispatched half reruns the baseline");
+        }
+        let mk: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 600];
+        let ns: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 192];
+        let mut rng = Rng::seeded(43);
+        for &m in mk {
+            for &k in mk {
+                for &n in ns {
+                    let skinny = n < N_SKINNY && k >= 16;
+                    if skinny && k == 600 {
+                        // As in tests/kernel_props.rs: no k-tile seam in
+                        // the dot kernel, and its error outgrows 1e-4.
+                        continue;
+                    }
+                    let a = Tensor::randn([m, k], 1.0, &mut rng);
+                    let b = Tensor::randn([k, n], 1.0, &mut rng);
+                    let want = matmul_naive(&a, &b);
+                    let run = |kernel: Gemm| {
+                        let mut out = vec![0.0f32; m * n];
+                        kernel(a.data(), b.data(), &mut out, m, k, n);
+                        out
+                    };
+                    for (name, exact, got) in [
+                        ("baseline", true, run(matmul_blocked_wide::<NR_BASELINE>)),
+                        ("16-wide, baseline codegen", true, run(matmul_blocked_wide::<NR_AVX2>)),
+                        (if wide { "avx2" } else { "dispatched" }, !skinny, run(matmul_serial)),
+                    ] {
+                        for (i, (x, y)) in got.iter().zip(want.data()).enumerate() {
+                            assert!(
+                                if exact {
+                                    x.to_bits() == y.to_bits()
+                                } else {
+                                    (x - y).abs() < 1e-4
+                                },
+                                "{name} {m}x{k}x{n} elem {i}: {x} vs naive {y}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -13,7 +13,10 @@
 //! only) and pool row-band splits (`m = 600`). The `NT_THREADS` {1, 4}
 //! axis comes from the CI matrix, which runs every test binary under both
 //! values — band splits never change per-element accumulation order, so
-//! the sweep must pass identically under either.
+//! the sweep must pass identically under either. `matmul_into` runs the
+//! AVX2 instantiation of the register-tile kernel wherever the CPU has
+//! it, so this sweep holds whichever one the host dispatches; the
+//! in-crate sweep in `src/tensor.rs` holds both on every host.
 
 use nt_tensor::tensor::matmul_into;
 use nt_tensor::Rng;
