@@ -669,12 +669,12 @@ impl TinyLm {
         match &mut cache.backing {
             KvBacking::Contig(layers) => {
                 for (blk, kv) in self.blocks.iter().zip(layers) {
-                    x = blk.eval_cached(store, &x, kv);
+                    x = blk.eval_cached_batched(store, &x, &[t_new], &mut [kv]);
                 }
             }
             KvBacking::Paged { layers, .. } => {
                 for (blk, kv) in self.blocks.iter().zip(layers) {
-                    x = blk.eval_cached(store, &x, kv);
+                    x = blk.eval_cached_batched(store, &x, &[t_new], &mut [kv]);
                 }
             }
         }

@@ -8,12 +8,14 @@
 //!
 //! - [`MultiHeadAttention::forward`] — taped, differentiable, used for
 //!   training and one-shot evaluation;
-//! - [`MultiHeadAttention::eval_cached`] — graph-free incremental decoding
-//!   against a per-layer [`AttnKv`] cache: only the *new* rows are
-//!   projected, their keys/values are appended to the cache, and attention
-//!   runs new-queries x all-keys. Causality is enforced by the absolute
-//!   position of each new row, so the result matches a full causal forward
-//!   over the concatenated sequence.
+//! - [`MultiHeadAttention::eval_cached_batched`] — graph-free incremental
+//!   decoding against per-layer [`KvStorage`] caches, one per sequence:
+//!   only the *new* rows are projected, their keys/values are appended to
+//!   the caches, and attention runs new-queries x all-keys. Causality is
+//!   enforced by the absolute position of each new row, so the result
+//!   matches a full causal forward over the concatenated sequence. One
+//!   sequence is a batch of one ([`MultiHeadAttention::eval_cached`]) —
+//!   there is no second kernel.
 
 use crate::layers::{Init, LayerNorm, Linear, Mlp};
 use crate::store::{Fwd, ParamStore};
@@ -327,59 +329,16 @@ impl MultiHeadAttention {
     }
 
     /// Graph-free causal attention for `x_new: [n, d]` new rows against (and
-    /// extending) the cache. The first new row sits at absolute position
+    /// extending) one cache: [`MultiHeadAttention::eval_cached_batched`]
+    /// with a single slot. The first new row sits at absolute position
     /// `kv.len()` before the call. Returns `[n, d]`.
-    ///
-    /// Heads read the `[t, d]` cache with a column stride instead of
-    /// materializing per-head copies, so the per-call memory traffic is the
-    /// `O(n x t x d)` of the attention math itself — the cache is appended
-    /// to, never copied. The accumulation order matches the taped per-head
-    /// matmuls, keeping cached and uncached logits identical. Generic over
-    /// [`KvStorage`], so the contiguous and paged layouts run the *same*
-    /// monomorphized loop in the same position order — bit-identical
-    /// results, only the row addressing differs.
     pub fn eval_cached<S: KvStorage>(
         &self,
         store: &ParamStore,
         x_new: &Tensor,
         kv: &mut S,
     ) -> Tensor {
-        let (n, d) = (x_new.shape()[0], self.dim);
-        debug_assert_eq!(x_new.shape()[1], d, "eval_cached dim mismatch");
-        let dh = d / self.heads;
-        let q = self.wq.eval(store, x_new);
-        let k_new = self.wk.eval(store, x_new);
-        let v_new = self.wv.eval(store, x_new);
-        kv.extend_rows(k_new.data(), v_new.data());
-        let t_total = kv.len();
-        let p0 = t_total - n; // absolute position of the first new row
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let mut cat = vec![0.0f32; n * d]; // heads write their column block
-        let mut scores = vec![0.0f32; t_total];
-        for h in 0..self.heads {
-            let off = h * dh;
-            for i in 0..n {
-                let qrow = &q.data()[i * d + off..i * d + off + dh];
-                // Causal: only this row's position and everything before it
-                // is visible, so compute nothing past it — masked entries
-                // would underflow to exactly 0 in the softmax anyway, which
-                // keeps this identical to the taped full-mask forward.
-                let visible = p0 + i + 1;
-                for (j, s) in scores[..visible].iter_mut().enumerate() {
-                    *s = dot_lanes(qrow, &kv.k_row(j)[off..off + dh]) * scale;
-                }
-                softmax_in_place(&mut scores[..visible]);
-                let out = &mut cat[i * d + off..i * d + off + dh];
-                for (j, &a) in scores[..visible].iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    axpy_lanes(a, &kv.v_row(j)[off..off + dh], out);
-                }
-            }
-        }
-        self.wo.eval(store, &Tensor::from_vec([n, d], cat))
+        self.eval_cached_batched(store, x_new, &[x_new.shape()[0]], &mut [kv])
     }
 
     /// Batched graph-free causal attention over many independent cached
@@ -392,11 +351,15 @@ impl MultiHeadAttention {
     /// (the batching win); the attention core runs per slot and per head
     /// over the cache in place: a score is a lane dot product of the
     /// query with a key row's head slice, the head output an axpy over
-    /// value rows, four query rows per value-row load. Accumulation
-    /// orders match [`MultiHeadAttention::eval_cached`] (up to kernel-
-    /// level reassociation on tiny shapes), so a batched step reproduces
-    /// the per-slot unbatched step within float tolerance — tested at
-    /// 1e-6 across ragged prefix lengths.
+    /// value rows, four query rows per value-row load. Causality: a row
+    /// at absolute position `p` scores keys `0..=p` only and leaves the
+    /// rest exactly zero, which is what the taped full-mask forward's
+    /// `-1e9` entries underflow to — tested against it at 1e-5. Every
+    /// slot reads only its own cache and each output element is one
+    /// ascending-position chain, so N slots reproduce N one-slot calls
+    /// (1e-6, ragged prefixes) and the contiguous and paged layouts run
+    /// the *same* monomorphized loop in the same order — bit-identical,
+    /// only the row addressing differs.
     pub fn eval_cached_batched<S: KvStorage>(
         &self,
         store: &ParamStore,
@@ -476,8 +439,6 @@ impl MultiHeadAttention {
 /// Dot product over two short contiguous slices with eight f32x8-style
 /// partial lanes, a four-lane pass over what remains, and a scalar tail —
 /// head widths like 12 take one 8-chunk plus one 4-chunk, no scalar loop.
-/// Shared by the batched and unbatched score kernels, so both paths
-/// reassociate identically.
 #[inline]
 fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     let mut acc8 = [0.0f32; 8];
@@ -511,7 +472,7 @@ fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
 /// `[f32; 8]` lane blocks. Per output element this is still exactly one
 /// fused add in the same order as a scalar loop — lane blocking never
 /// reassociates an axpy — so the value-pass results are bit-identical to
-/// the pre-SIMD kernels. Shared by the batched and unbatched value passes.
+/// the pre-SIMD kernels.
 #[inline]
 fn axpy_lanes(w: f32, x: &[f32], o: &mut [f32]) {
     debug_assert_eq!(x.len(), o.len());
@@ -579,25 +540,10 @@ impl TransformerBlock {
         f.g.add(x, m)
     }
 
-    /// Graph-free incremental forward of the block for `x_new: [n, d]` new
-    /// rows, extending this layer's KV cache. Dropout is identity (inference).
-    pub fn eval_cached<S: KvStorage>(
-        &self,
-        store: &ParamStore,
-        x_new: &Tensor,
-        kv: &mut S,
-    ) -> Tensor {
-        let n1 = self.ln1.eval(store, x_new);
-        let mut x = self.attn.eval_cached(store, &n1, kv);
-        x.add_assign(x_new);
-        let n2 = self.ln2.eval(store, &x);
-        x.add_assign(&self.mlp.eval(store, &n2));
-        x
-    }
-
-    /// Batched incremental forward: `x_new` stacks every slot's new rows
-    /// (`[N, d]`, grouped per `rows_per_slot`), `kvs[s]` is slot `s`'s
-    /// cache for this layer. LayerNorm and the MLP are position-wise, so
+    /// Graph-free incremental forward of the block: `x_new` stacks every
+    /// slot's new rows (`[N, d]`, grouped per `rows_per_slot`), `kvs[s]`
+    /// is slot `s`'s cache for this layer, extended in place. Dropout is
+    /// identity (inference). LayerNorm and the MLP are position-wise, so
     /// they run as single `[N, d]` passes; only attention needs the
     /// per-slot split. See [`MultiHeadAttention::eval_cached_batched`].
     pub fn eval_cached_batched<S: KvStorage>(
@@ -711,6 +657,28 @@ mod tests {
         for (a, b) in full.data().iter().zip(cached.data()) {
             assert!((a - b).abs() < 1e-5, "cached attention diverged: {a} vs {b}");
         }
+
+        // The N-slot shape against the same taped rows, without passing
+        // through the one-slot shape: three slots feed prefixes of `x` in
+        // ragged chunks (a slot sits out a call with zero rows), and by
+        // causality every output row at position `p` must equal taped
+        // row `p`.
+        let mut kvs: Vec<AttnKv> = (0..3).map(|_| AttnKv::empty(16)).collect();
+        for chunks in [[(0, 4), (0, 1), (0, 6)], [(4, 2), (1, 3), (6, 0)], [(6, 0), (4, 2), (6, 0)]]
+        {
+            let parts: Vec<Tensor> = chunks.iter().map(|&(p, n)| x.narrow(0, p, n)).collect();
+            let stacked = nt_tensor::concat(&parts.iter().collect::<Vec<_>>(), 0);
+            let rows = chunks.map(|(_, n)| n);
+            let mut refs: Vec<&mut AttnKv> = kvs.iter_mut().collect();
+            let out = mha.eval_cached_batched(&s, &stacked, &rows, &mut refs);
+            let positions = chunks.iter().flat_map(|&(p, n)| p..p + n);
+            for (got, p) in out.data().chunks(16).zip(positions) {
+                for (a, b) in got.iter().zip(&full.data()[p * 16..(p + 1) * 16]) {
+                    assert!((a - b).abs() < 1e-5, "batched row at {p} diverged: {a} vs {b}");
+                }
+            }
+        }
+        assert!(kvs.iter().all(|kv| kv.len() == 6));
     }
 
     #[test]
@@ -728,7 +696,7 @@ mod tests {
         let mut kv = AttnKv::empty(16);
         let mut rows = Vec::new();
         for i in 0..5 {
-            rows.push(blk.eval_cached(&s, &x.narrow(0, i, 1), &mut kv));
+            rows.push(blk.eval_cached_batched(&s, &x.narrow(0, i, 1), &[1], &mut [&mut kv]));
         }
         let refs: Vec<&Tensor> = rows.iter().collect();
         let cached = nt_tensor::concat(&refs, 0);
@@ -740,8 +708,7 @@ mod tests {
     #[test]
     fn batched_attention_matches_per_slot_unbatched_with_ragged_prefixes() {
         // Three slots with different cached prefix lengths and different
-        // new-row counts must reproduce three independent eval_cached
-        // calls exactly.
+        // new-row counts must reproduce three independent one-slot calls.
         let mut s = ParamStore::new();
         let mut rng = Rng::seeded(21);
         let mha = MultiHeadAttention::new(&mut s, "a", 16, 4, &mut rng);
@@ -803,7 +770,7 @@ mod tests {
 
         // And the non-empty slots must match their unbatched equivalents.
         let mut s2_kv = AttnKv::empty(16);
-        let want = blk.eval_cached(&s, &x.narrow(0, 3, 1), &mut s2_kv);
+        let want = blk.eval_cached_batched(&s, &x.narrow(0, 3, 1), &[1], &mut [&mut s2_kv]);
         for (a, b) in out.narrow(0, 3, 1).data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-6, "slot after idle diverged: {a} vs {b}");
         }

@@ -1,7 +1,7 @@
-//! Batched-vs-unbatched attention equivalence sweep over adversarial
-//! head widths and ragged slot shapes. The SIMD-lane score/value helpers
-//! (`dot_lanes` / `axpy_lanes`) are shared by both paths, so batched
-//! steps must reproduce per-slot unbatched steps at 1e-6 across every
+//! N-slots-vs-one-slot attention equivalence sweep over adversarial head
+//! widths and ragged slot shapes. Both are shapes through one cached
+//! core (`eval_cached` is `eval_cached_batched` of one), so a batched
+//! step must reproduce per-slot steps at 1e-6 across every
 //! lane-remainder class: head widths hitting the 8-lane block, the
 //! 4-lane pass and the scalar tail, with prefix lengths and new-row
 //! counts straddling the value-pass quad of 4.
