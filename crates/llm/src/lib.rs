@@ -20,9 +20,12 @@
 //!
 //! Generation runs through [`model::KvCache`] incremental decoding (one
 //! appended position per emitted token, with cross-call prefix reuse via
-//! [`model::DecodeSession`]); the uncached full re-forward is kept as the
-//! reference path for the equivalence tests and the latency benches. Still
-//! not implemented (by design): beam search, BPE.
+//! [`model::DecodeSession`]). There is one cached forward,
+//! [`model::TinyLm::forward_embeddings_cached_batched`]: a serving tick
+//! passes it every session's cache, a single sequence passes one. The
+//! uncached full re-forward is kept as the reference path for the
+//! equivalence tests and the latency benches. Still not implemented (by
+//! design): beam search, BPE.
 
 #![forbid(unsafe_code)]
 
@@ -32,9 +35,7 @@ pub mod pretrain;
 pub mod tokenizer;
 pub mod zoo;
 
-pub use model::{
-    sample_logits, BatchedDecodeSession, DecodeSession, KvCache, LmConfig, SlotMap, TinyLm,
-};
+pub use model::{sample_logits, DecodeSession, KvCache, LmConfig, SlotMap, TinyLm};
 pub use paged::{session_floor_bytes, PageConfig, PagePool, PoolStats};
 pub use pretrain::{eval_loss, pretrain, Corpus, CorpusMix, PretrainReport};
 pub use tokenizer::{Tokenizer, BOS, EOS, PAD, UNK};

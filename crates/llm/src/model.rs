@@ -342,13 +342,26 @@ impl DecodeSession {
     pub fn ids(&self) -> &[usize] {
         &self.ids
     }
+
+    /// Roll back to the longest prefix shared with `ids` and record `ids`
+    /// as the contents; returns the shared length, so `ids[shared..]` is
+    /// what the caller pushes through the backbone. The hidden state of
+    /// the last shared position is not cached as an output, so at least
+    /// the final token is always left to recompute.
+    fn rewind_to(&mut self, ids: &[usize]) -> usize {
+        let shared = self.ids.iter().zip(ids).take_while(|(a, b)| a == b).count();
+        let shared = shared.min(ids.len() - 1);
+        self.cache.truncate(shared);
+        self.ids.truncate(shared);
+        self.ids.extend_from_slice(&ids[shared..]);
+        shared
+    }
 }
 
-/// A slot registry with stable ids: the bookkeeping every batched server
+/// A slot registry with stable ids: the bookkeeping a batched server
 /// needs — smallest-free-id admission, removal that never disturbs other
-/// slots, and distinct `&mut` extraction for a batch of ids. Shared by
-/// [`BatchedDecodeSession`] (token pathway) and `nt-netllm`'s
-/// `ServingEngine` (adapter rollouts).
+/// slots, and distinct `&mut` extraction for a batch of ids. Backs
+/// `nt-netllm`'s `ServingEngine`.
 pub struct SlotMap<T> {
     slots: Vec<Option<T>>,
 }
@@ -423,114 +436,6 @@ impl<T> SlotMap<T> {
                 .unwrap_or_else(|| panic!("slot {id} not live (or duplicated in batch)"))
         })
         .collect()
-    }
-}
-
-/// One sequence inside a [`BatchedDecodeSession`].
-struct BatchSlot {
-    cache: KvCache,
-    ids: Vec<usize>,
-}
-
-/// Many independent decode sessions that advance through the backbone
-/// *together*: each batched call runs the projections and MLPs as single
-/// stacked GEMMs over every sequence's new tokens, while each slot keeps
-/// its own ragged-length KV cache and prefix-reuse bookkeeping.
-///
-/// Slots join and leave at any time without disturbing the others — a
-/// slot id stays stable for the slot's lifetime and is recycled only
-/// after `leave`.
-#[derive(Default)]
-pub struct BatchedDecodeSession {
-    slots: SlotMap<BatchSlot>,
-}
-
-impl BatchedDecodeSession {
-    /// Empty session (slots join later).
-    pub fn new() -> Self {
-        BatchedDecodeSession { slots: SlotMap::new() }
-    }
-
-    /// Add a fresh sequence; returns its stable slot id (smallest free).
-    pub fn join(&mut self, lm: &TinyLm) -> usize {
-        self.slots.insert(BatchSlot { cache: KvCache::new(lm), ids: Vec::new() })
-    }
-
-    /// Add a fresh sequence whose KV cache draws pages from `pool`;
-    /// appends reserve pages, truncate and leave return them. Paged and
-    /// contiguous slots cannot share one batched call (the whole batch
-    /// must use one backing).
-    pub fn join_paged(&mut self, lm: &TinyLm, pool: &PagePool) -> usize {
-        self.slots.insert(BatchSlot { cache: KvCache::new_paged(lm, pool), ids: Vec::new() })
-    }
-
-    /// Drop a sequence, freeing its cache and recycling its id. Other
-    /// slots are untouched.
-    pub fn leave(&mut self, slot: usize) {
-        let _ = self.slots.remove(slot);
-    }
-
-    /// Number of active sequences.
-    pub fn active(&self) -> usize {
-        self.slots.active()
-    }
-
-    /// Ids currently materialised in `slot`'s cache.
-    pub fn ids(&self, slot: usize) -> &[usize] {
-        &self.slots.get(slot).ids
-    }
-
-    /// Cached positions in `slot`.
-    pub fn len(&self, slot: usize) -> usize {
-        self.slots.get(slot).cache.len()
-    }
-
-    /// Roll `slot` back to its first `len` tokens, dropping the cached
-    /// suffix (candidate or speculative tokens that must not become part
-    /// of the persistent history). The next batched call re-decodes from
-    /// the kept prefix; other slots are untouched.
-    pub fn truncate(&mut self, slot: usize, len: usize) {
-        let s = self.slots.get_mut(slot);
-        assert!(len <= s.ids.len(), "cannot truncate slot {slot} of {} to {len}", s.ids.len());
-        s.cache.truncate(len);
-        s.ids.truncate(len);
-    }
-
-    /// True when no slot is active.
-    pub fn is_empty(&self) -> bool {
-        self.active() == 0
-    }
-
-    /// Bytes held by every active slot's KV cache.
-    pub fn bytes(&self) -> usize {
-        self.slots.iter().map(|s| s.cache.bytes()).sum()
-    }
-
-    /// Bytes held by one slot's KV cache — the per-slot accounting a
-    /// cache-aware admission/eviction policy steers on.
-    pub fn bytes_of(&self, slot: usize) -> usize {
-        self.slots.get(slot).cache.bytes()
-    }
-
-    /// The slot holding the most KV bytes, `(slot, bytes)` — the victim a
-    /// memory-pressure eviction hook picks when a budget is crossed.
-    pub fn heaviest(&self) -> Option<(usize, usize)> {
-        self.slots
-            .iter_entries()
-            .map(|(i, s)| (i, s.cache.bytes()))
-            .max_by_key(|&(i, b)| (b, usize::MAX - i))
-    }
-
-    /// Pool pages held across every active slot (0 when the session is
-    /// contiguous) — the allocator-invariant view the paging proptests
-    /// reconcile against the pool's own accounting.
-    pub fn pages_held(&self) -> usize {
-        self.slots.iter().map(|s| s.cache.pages_held()).sum()
-    }
-
-    /// Pages held by one slot's cache.
-    pub fn pages_of(&self, slot: usize) -> usize {
-        self.slots.get(slot).cache.pages_held()
     }
 }
 
@@ -643,50 +548,14 @@ impl TinyLm {
         f.g.value(logits).clone()
     }
 
-    /// Incremental backbone forward over *pre-embedded* new rows, extending
-    /// `cache`. The first new row occupies absolute position `cache.len()`.
-    /// Returns hidden states `[t_new, d_model]` for the new rows only.
-    pub fn forward_embeddings_cached(
-        &self,
-        store: &ParamStore,
-        emb_new: &Tensor,
-        cache: &mut KvCache,
-    ) -> Tensor {
-        let t_new = emb_new.shape()[0];
-        assert!(t_new > 0, "empty incremental input");
-        let start = cache.len();
-        assert!(
-            start + t_new <= self.cfg.max_seq,
-            "cache {} + new {} exceeds max_seq {}",
-            start,
-            t_new,
-            self.cfg.max_seq
-        );
-        let pos: Vec<usize> = (start..start + t_new).collect();
-        let p = self.pos_emb.eval(store, &pos);
-        let mut x = emb_new.add(&p);
-        cache.reserve(t_new);
-        match &mut cache.backing {
-            KvBacking::Contig(layers) => {
-                for (blk, kv) in self.blocks.iter().zip(layers) {
-                    x = blk.eval_cached_batched(store, &x, &[t_new], &mut [kv]);
-                }
-            }
-            KvBacking::Paged { layers, .. } => {
-                for (blk, kv) in self.blocks.iter().zip(layers) {
-                    x = blk.eval_cached_batched(store, &x, &[t_new], &mut [kv]);
-                }
-            }
-        }
-        self.ln_f.eval(store, &x)
-    }
-
-    /// Batched incremental backbone forward over pre-embedded new rows of
-    /// many independent sequences. `emb_new` stacks every slot's new rows
+    /// The incremental backbone forward — the only cached one; a single
+    /// sequence is a batch of one — over *pre-embedded* new rows of
+    /// independent sequences. `emb_new` stacks every slot's new rows
     /// (`[N, d_model]`, grouped per `rows_per_slot`); `caches[s]` holds
-    /// slot `s`'s KV state and may sit at any prefix length (ragged).
-    /// Returns hidden states `[N, d_model]` for the new rows only, in the
-    /// same slot order.
+    /// slot `s`'s KV state and may sit at any prefix length (ragged), its
+    /// first new row taking absolute position `caches[s].len()`. Returns
+    /// hidden states `[N, d_model]` for the new rows only, in the same
+    /// slot order.
     ///
     /// The projections, MLPs and layer-norms run as single stacked passes
     /// over all `N` rows — one GEMM instead of one per sequence — which is
@@ -751,59 +620,9 @@ impl TinyLm {
         self.ln_f.eval(store, &x)
     }
 
-    /// Start an empty batched decode session (sequences join later).
-    pub fn start_batched_session(&self) -> BatchedDecodeSession {
-        BatchedDecodeSession::new()
-    }
-
-    /// Batched analogue of [`TinyLm::next_token_logits_cached`]: one
-    /// `(slot, ids)` request per sequence (slots must be distinct and
-    /// active). Each slot reuses its longest shared prefix independently,
-    /// then every slot's unseen tokens go through the backbone in one
-    /// batched forward. Returns `[B, vocab]` next-token logits in request
-    /// order; equivalent to B separate cached calls within 1e-5 (tested,
-    /// including ragged prefixes and divergence rollbacks).
-    pub fn next_token_logits_batched(
-        &self,
-        store: &ParamStore,
-        requests: &[(usize, &[usize])],
-        session: &mut BatchedDecodeSession,
-    ) -> Tensor {
-        assert!(!requests.is_empty(), "empty request batch");
-        for &(sid, ids) in requests {
-            assert!(!ids.is_empty(), "empty input sequence for slot {sid}");
-        }
-        // Pull a distinct &mut slot per request, in request order.
-        let mut picked = session.slots.get_distinct_mut(requests.iter().map(|&(sid, _)| sid));
-        // Per-slot prefix reuse, identical to the single-session path.
-        let mut rows_per_slot = Vec::with_capacity(requests.len());
-        let mut new_ids = Vec::new();
-        for (slot, &(_, ids)) in picked.iter_mut().zip(requests) {
-            let mut shared = slot.ids.iter().zip(ids).take_while(|(a, b)| a == b).count();
-            shared = shared.min(ids.len() - 1);
-            slot.cache.truncate(shared);
-            slot.ids.truncate(shared);
-            rows_per_slot.push(ids.len() - shared);
-            new_ids.extend_from_slice(&ids[shared..]);
-            slot.ids.extend_from_slice(&ids[shared..]);
-        }
-        let emb = self.tok_emb.eval(store, &new_ids);
-        let mut caches: Vec<&mut KvCache> = picked.iter_mut().map(|s| &mut s.cache).collect();
-        let hidden =
-            self.forward_embeddings_cached_batched(store, &emb, &rows_per_slot, &mut caches);
-        // Last new row of each slot carries its next-token hidden state.
-        let mut last_rows = Vec::with_capacity(requests.len());
-        let mut row = 0usize;
-        for &n in &rows_per_slot {
-            row += n;
-            last_rows.push(row - 1);
-        }
-        let gathered = hidden.gather_rows(&last_rows); // [B, d]
-        self.lm_head.eval(store, &gathered)
-    }
-
-    /// Incremental forward over new token ids (embeds then defers to
-    /// [`TinyLm::forward_embeddings_cached`]).
+    /// Incremental forward over new token ids of one sequence: embeds,
+    /// then runs [`TinyLm::forward_embeddings_cached_batched`] over the
+    /// one cache.
     pub fn forward_hidden_cached(
         &self,
         store: &ParamStore,
@@ -811,7 +630,7 @@ impl TinyLm {
         cache: &mut KvCache,
     ) -> Tensor {
         let emb = self.tok_emb.eval(store, new_ids);
-        self.forward_embeddings_cached(store, &emb, cache)
+        self.forward_embeddings_cached_batched(store, &emb, &[new_ids.len()], &mut [cache])
     }
 
     /// Start an empty decode session.
@@ -831,14 +650,8 @@ impl TinyLm {
         session: &mut DecodeSession,
     ) -> Tensor {
         assert!(!ids.is_empty(), "empty input sequence");
-        let mut shared = session.ids.iter().zip(ids).take_while(|(a, b)| a == b).count();
-        // The hidden state of the last shared position is not cached as an
-        // output, so always recompute at least the final token.
-        shared = shared.min(ids.len() - 1);
-        session.cache.truncate(shared);
-        session.ids.truncate(shared);
+        let shared = session.rewind_to(ids);
         let hidden = self.forward_hidden_cached(store, &ids[shared..], &mut session.cache);
-        session.ids.extend_from_slice(&ids[shared..]);
         let t_new = hidden.shape()[0];
         let last = hidden.narrow(0, t_new - 1, 1);
         self.lm_head.eval(store, &last)
@@ -931,6 +744,35 @@ mod tests {
         TinyLm::new(store, cfg, &mut rng)
     }
 
+    /// Next-token logits `[B, vocab]` for `ids[b]` on `seqs[b]` through one
+    /// batched forward, each sequence reusing its own cached prefix.
+    fn decode_batched(
+        lm: &TinyLm,
+        s: &ParamStore,
+        seqs: &mut [DecodeSession],
+        ids: &[&[usize]],
+    ) -> Tensor {
+        let (mut rows, mut new_ids, mut last) = (Vec::new(), Vec::new(), Vec::new());
+        for (seq, ids) in seqs.iter_mut().zip(ids) {
+            let shared = seq.rewind_to(ids);
+            rows.push(ids.len() - shared);
+            new_ids.extend_from_slice(&ids[shared..]);
+            last.push(new_ids.len() - 1);
+        }
+        let emb = lm.tok_emb.eval(s, &new_ids);
+        let mut caches: Vec<&mut KvCache> = seqs.iter_mut().map(|seq| &mut seq.cache).collect();
+        let hidden = lm.forward_embeddings_cached_batched(s, &emb, &rows, &mut caches);
+        lm.lm_head.eval(s, &hidden.gather_rows(&last))
+    }
+
+    fn paged_session(lm: &TinyLm, pool: &PagePool) -> DecodeSession {
+        DecodeSession { cache: KvCache::new_paged(lm, pool), ids: Vec::new() }
+    }
+
+    fn argmax(row: &[f32]) -> usize {
+        row.iter().enumerate().max_by(|a, c| a.1.partial_cmp(c.1).unwrap()).unwrap().0
+    }
+
     #[test]
     fn hidden_and_logit_shapes() {
         let mut s = ParamStore::new();
@@ -962,41 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_hooks_enumerate_slots_and_pick_the_heaviest() {
-        let mut s = ParamStore::new();
-        let lm = tiny(&mut s);
-        let mut batched = BatchedDecodeSession::new();
-        let a = batched.join(&lm);
-        let b = batched.join(&lm);
-        let c = batched.join(&lm);
-        assert_eq!(batched.heaviest(), Some((0, 0)), "byte ties resolve to the lowest slot id");
-        // Grow b's cache past a's; leave c empty.
-        let _ = lm.next_token_logits_batched(
-            &s,
-            &[(a, &[1usize, 2][..]), (b, &[3, 4, 5, 6][..])],
-            &mut batched,
-        );
-        assert_eq!(batched.bytes_of(c), 0);
-        assert!(batched.bytes_of(b) > batched.bytes_of(a));
-        let (slot, bytes) = batched.heaviest().expect("three live slots");
-        assert_eq!((slot, bytes), (b, batched.bytes_of(b)));
-        assert_eq!(
-            batched.bytes_of(a) + batched.bytes_of(b) + batched.bytes_of(c),
-            batched.bytes()
-        );
-        // iter_entries walks live slots with their stable ids.
-        batched.leave(a);
-        let ids: Vec<usize> = batched.slots.iter_entries().map(|(i, _)| i).collect();
-        assert_eq!(ids, vec![b, c]);
-    }
-
-    #[test]
     fn paged_batched_decode_is_bit_identical_to_contiguous() {
-        // The same ragged batched decode through pool-backed slots must be
+        // The same ragged batched decode through pool-backed caches must be
         // byte-for-byte the contiguous result, across appends, divergence
         // rollbacks and page-boundary crossings — and every page must be
-        // back in the pool once the slots leave.
-        use crate::paged::{PageConfig, PagePool};
+        // back in the pool once the caches drop.
+        use crate::paged::PageConfig;
         let mut s = ParamStore::new();
         let lm = tiny(&mut s);
         let pool = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 1 << 16 });
@@ -1006,28 +819,19 @@ mod tests {
             .map(|&len| (0..len).map(|_| rng.below(16)).collect())
             .collect();
 
-        let mut flat = lm.start_batched_session();
-        let mut paged = lm.start_batched_session();
-        let flat_slots: Vec<usize> = prompts.iter().map(|_| flat.join(&lm)).collect();
-        let paged_slots: Vec<usize> =
-            prompts.iter().map(|_| paged.join_paged(&lm, &pool)).collect();
+        let mut flat: Vec<DecodeSession> = prompts.iter().map(|_| lm.start_session()).collect();
+        let mut paged: Vec<DecodeSession> =
+            prompts.iter().map(|_| paged_session(&lm, &pool)).collect();
+        let pages_held =
+            |seqs: &[DecodeSession]| seqs.iter().map(|q| q.cache.pages_held()).sum::<usize>();
         let mut seqs = prompts.clone();
         for step in 0..5 {
-            let freqs: Vec<(usize, &[usize])> =
-                flat_slots.iter().zip(&seqs).map(|(&sid, ids)| (sid, ids.as_slice())).collect();
-            let preqs: Vec<(usize, &[usize])> =
-                paged_slots.iter().zip(&seqs).map(|(&sid, ids)| (sid, ids.as_slice())).collect();
-            let want = lm.next_token_logits_batched(&s, &freqs, &mut flat);
-            let got = lm.next_token_logits_batched(&s, &preqs, &mut paged);
+            let ids: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+            let want = decode_batched(&lm, &s, &mut flat, &ids);
+            let got = decode_batched(&lm, &s, &mut paged, &ids);
             assert_eq!(want.data(), got.data(), "step {step}: paged decode diverged");
             for (b, seq) in seqs.iter_mut().enumerate() {
-                let next = want
-                    .row(b)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, c| a.1.partial_cmp(c.1).unwrap())
-                    .unwrap()
-                    .0;
+                let next = argmax(want.row(b));
                 seq.push((next + b) % 16);
                 if step == 2 && b == 1 {
                     // Divergence: rewrite the suffix so prefix-reuse
@@ -1037,17 +841,18 @@ mod tests {
                     seq.push((next + 7) % 16);
                 }
             }
-            // Pool accounting matches the slots' page tables at each step.
-            assert_eq!(pool.used_pages(), paged.pages_held());
+            // Pool accounting matches the caches' page tables at each step.
+            assert_eq!(pool.used_pages(), pages_held(&paged));
             assert!(pool.used_pages() + pool.free_pages() == pool.capacity_pages());
+            for q in &paged {
+                assert_eq!(q.cache.pages_held(), lm.cfg.n_layers * pool.pages_for(q.ids.len()));
+            }
         }
-        // Truncate releases whole pages; leave releases everything.
-        paged.truncate(paged_slots[0], 1);
-        assert_eq!(pool.used_pages(), paged.pages_held());
-        for &slot in &paged_slots {
-            paged.leave(slot);
-        }
-        assert_eq!(pool.used_pages(), 0, "leave must return every page");
+        // Truncate releases whole pages; drop releases everything.
+        paged[0].cache.truncate(1);
+        assert_eq!(pool.used_pages(), pages_held(&paged));
+        drop(paged);
+        assert_eq!(pool.used_pages(), 0, "drop must return every page");
     }
 
     #[test]
@@ -1104,6 +909,49 @@ mod tests {
                     );
                 }
             }
+
+            // The N-slot shape against the taped forward directly: three
+            // caches take the same prompt in different ragged chunkings
+            // (one per token, everything at once, two halves) inside
+            // shared batched calls, and by causality the hidden row at
+            // position `p` must give taped logits row `p`.
+            let mut f = Fwd::eval();
+            let taped = lm.forward_logits(&mut f, &s, &ids);
+            let taped = f.g.value(taped).clone();
+            let emb = lm.tok_emb.eval(&s, &ids);
+            let mut caches: Vec<KvCache> = (0..3).map(|_| KvCache::new(&lm)).collect();
+            for call in 0..len {
+                // (first position, row count) each slot feeds this call.
+                let chunks = [
+                    (call, 1),
+                    if call == 0 { (0, len) } else { (len, 0) },
+                    match call {
+                        0 => (0, len / 2),
+                        1 => (len / 2, len - len / 2),
+                        _ => (len, 0),
+                    },
+                ];
+                let parts: Vec<Tensor> = chunks.iter().map(|&(p, n)| emb.narrow(0, p, n)).collect();
+                let stacked = nt_tensor::concat(&parts.iter().collect::<Vec<_>>(), 0);
+                let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
+                let hidden = lm.forward_embeddings_cached_batched(
+                    &s,
+                    &stacked,
+                    &chunks.map(|(_, n)| n),
+                    &mut refs,
+                );
+                let logits = lm.lm_head.eval(&s, &hidden);
+                let positions = chunks.iter().flat_map(|&(p, n)| p..p + n);
+                for (got, p) in logits.data().chunks(16).zip(positions) {
+                    for (a, b) in got.iter().zip(taped.row(p)) {
+                        assert!(
+                            (a - b).abs() < 1e-5,
+                            "trial {trial}, position {p}: batched {a} vs taped {b}"
+                        );
+                    }
+                }
+            }
+            assert!(caches.iter().all(|c| c.len() == len));
         }
     }
 
@@ -1162,8 +1010,10 @@ mod tests {
         let full = f.g.value(full_node).clone();
 
         let mut cache = KvCache::new(&lm);
-        let first = lm.forward_embeddings_cached(&s, &emb.narrow(0, 0, 4), &mut cache);
-        let second = lm.forward_embeddings_cached(&s, &emb.narrow(0, 4, 2), &mut cache);
+        let first =
+            lm.forward_embeddings_cached_batched(&s, &emb.narrow(0, 0, 4), &[4], &mut [&mut cache]);
+        let second =
+            lm.forward_embeddings_cached_batched(&s, &emb.narrow(0, 4, 2), &[2], &mut [&mut cache]);
         assert_eq!(cache.len(), 6);
         let cached = nt_tensor::concat(&[&first, &second], 0);
         for (a, b) in full.data().iter().zip(cached.data()) {
@@ -1183,15 +1033,13 @@ mod tests {
             .map(|&len| (0..len).map(|_| rng.below(16)).collect())
             .collect();
 
-        let mut batched = lm.start_batched_session();
-        let slots: Vec<usize> = prompts.iter().map(|_| batched.join(&lm)).collect();
+        let mut batched: Vec<DecodeSession> = prompts.iter().map(|_| lm.start_session()).collect();
         let mut singles: Vec<DecodeSession> = prompts.iter().map(|_| lm.start_session()).collect();
         let mut seqs = prompts.clone();
 
         for step in 0..6 {
-            let requests: Vec<(usize, &[usize])> =
-                slots.iter().zip(&seqs).map(|(&sid, ids)| (sid, ids.as_slice())).collect();
-            let logits = lm.next_token_logits_batched(&s, &requests, &mut batched);
+            let ids: Vec<&[usize]> = seqs.iter().map(Vec::as_slice).collect();
+            let logits = decode_batched(&lm, &s, &mut batched, &ids);
             assert_eq!(logits.shape(), &[4, 16]);
             for (b, (seq, single)) in seqs.iter_mut().zip(singles.iter_mut()).enumerate() {
                 let want = lm.next_token_logits_cached(&s, seq, single);
@@ -1202,91 +1050,40 @@ mod tests {
                     );
                 }
                 // Greedy-extend each sequence so prefixes stay ragged.
-                let next = logits
-                    .row(b)
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, c| a.1.partial_cmp(c.1).unwrap())
-                    .unwrap()
-                    .0;
-                seq.push((next + b) % 16); // per-slot divergence
+                seq.push((argmax(logits.row(b)) + b) % 16); // per-slot divergence
             }
         }
     }
 
     #[test]
-    fn batched_session_join_leave_recycles_without_disturbing_others() {
-        let mut s = ParamStore::new();
-        let lm = tiny(&mut s);
-        let mut batched = lm.start_batched_session();
-        let a = batched.join(&lm);
-        let b = batched.join(&lm);
-        let c = batched.join(&lm);
-        assert_eq!((a, b, c), (0, 1, 2));
-
-        let ids_b = [1usize, 2, 3, 4];
-        let _ = lm.next_token_logits_batched(&s, &[(b, &ids_b)], &mut batched);
-        assert_eq!(batched.ids(b), &ids_b);
-
-        // Leaving a and c must not touch b; the freed ids are recycled.
-        batched.leave(a);
-        batched.leave(c);
-        assert_eq!(batched.active(), 1);
-        let d = batched.join(&lm);
-        assert_eq!(d, 0, "smallest freed id is reused");
-        assert_eq!(batched.ids(b), &ids_b, "surviving slot untouched by leave/join");
-
-        // b's cached prefix still matches a fresh single-session result.
-        let grown = [1usize, 2, 3, 4, 9];
-        let got = lm.next_token_logits_batched(&s, &[(b, &grown)], &mut batched);
-        let mut fresh = lm.start_session();
-        let want = lm.next_token_logits_cached(&s, &grown, &mut fresh);
-        for (x, y) in got.row(0).iter().zip(want.data()) {
-            assert!((x - y).abs() < 1e-5, "post-leave decode diverged: {x} vs {y}");
-        }
-    }
-
-    #[test]
     fn batched_truncate_rolls_back_candidate_suffix() {
-        // Speculative/candidate rollback inside a batched session: decode
-        // a suffix, truncate it away, and the slot must continue exactly
-        // like a session that never saw the suffix — while a co-resident
-        // slot is unaffected.
+        // Speculative/candidate rollback inside a batch: decode a suffix,
+        // truncate it away, and the sequence must continue exactly like a
+        // session that never saw the suffix — while a co-resident
+        // sequence is unaffected.
         let mut s = ParamStore::new();
         let lm = tiny(&mut s);
-        let mut batched = lm.start_batched_session();
-        let a = batched.join(&lm);
-        let b = batched.join(&lm);
+        let mut seqs: Vec<DecodeSession> = (0..2).map(|_| lm.start_session()).collect();
 
         let base = [1usize, 4, 5];
         let spec = [1usize, 4, 5, 9, 3]; // candidate suffix [9, 3]
         let other = [2usize, 7];
-        let _ = lm.next_token_logits_batched(&s, &[(a, &spec), (b, &other)], &mut batched);
-        assert_eq!(batched.len(a), 5);
-        batched.truncate(a, base.len());
-        assert_eq!(batched.len(a), 3);
-        assert_eq!(batched.ids(a), &base);
-        assert_eq!(batched.ids(b), &other, "co-resident slot untouched by rollback");
+        let _ = decode_batched(&lm, &s, &mut seqs, &[&spec, &other]);
+        assert_eq!(seqs[0].cache.len(), 5);
+        seqs[0].cache.truncate(base.len());
+        seqs[0].ids.truncate(base.len());
+        assert_eq!(seqs[0].cache.len(), 3);
+        assert_eq!(seqs[1].ids(), &other, "co-resident slot untouched by rollback");
+        assert_eq!(seqs[1].cache.len(), other.len());
 
         // Continue with a different suffix; must match a fresh session.
         let cont = [1usize, 4, 5, 2];
-        let got = lm.next_token_logits_batched(&s, &[(a, &cont)], &mut batched);
+        let got = decode_batched(&lm, &s, &mut seqs[..1], &[&cont]);
         let mut fresh = lm.start_session();
         let want = lm.next_token_logits_cached(&s, &cont, &mut fresh);
         for (x, y) in got.row(0).iter().zip(want.data()) {
             assert!((x - y).abs() < 1e-5, "post-rollback decode diverged: {x} vs {y}");
         }
-    }
-
-    #[test]
-    #[should_panic]
-    fn batched_decode_rejects_duplicate_slots() {
-        let mut s = ParamStore::new();
-        let lm = tiny(&mut s);
-        let mut batched = lm.start_batched_session();
-        let a = batched.join(&lm);
-        let ids = [1usize, 2];
-        let _ = lm.next_token_logits_batched(&s, &[(a, &ids), (a, &ids)], &mut batched);
     }
 
     #[test]

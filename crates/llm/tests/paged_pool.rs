@@ -15,7 +15,7 @@
 //! - **the budget is hard** — an allocation the free list cannot cover
 //!   takes nothing at all.
 
-use nt_llm::{LmConfig, PageConfig, PagePool, TinyLm};
+use nt_llm::{KvCache, LmConfig, PageConfig, PagePool, TinyLm};
 use proptest::prelude::*;
 
 /// Tiny backbone for the end-to-end half (1 layer, d=16, max_seq 16).
@@ -85,9 +85,9 @@ proptest! {
         prop_assert!(pool.free_pages() == capacity, "pages leaked");
     }
 
-    /// End-to-end through the real decode path: batched paged slots under
-    /// arbitrary join/append/truncate/evict/leave interleavings keep the
-    /// pool accounting exact and tight.
+    /// End-to-end through the real decode path: paged caches stepped by
+    /// the batched forward under arbitrary join/append/truncate/evict/
+    /// leave interleavings keep the pool accounting exact and tight.
     #[test]
     fn batched_session_never_leaks_or_double_frees(
         ops in proptest::collection::vec((0u8..8, 0usize..8), 1..32),
@@ -97,52 +97,51 @@ proptest! {
         // each; page_bytes = 2*4*16*4 = 512.
         let pool = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 16 * 512 });
         let capacity = pool.capacity_pages();
-        let mut session = lm.start_batched_session();
-        let mut slots: Vec<(usize, Vec<usize>)> = Vec::new(); // (slot id, shadow ids)
+        let mut slots: Vec<(KvCache, Vec<usize>)> = Vec::new(); // (cache, shadow ids)
         let mut rng = nt_tensor::Rng::seeded(7);
         for (op, x) in ops {
             match op {
                 0 | 1 => {
                     if slots.len() < 4 {
-                        slots.push((session.join_paged(&lm, &pool), Vec::new()));
+                        slots.push((KvCache::new_paged(&lm, &pool), Vec::new()));
                     }
                 }
                 2..=4 => {
-                    // Append 1-3 fresh ids through the real batched decode
-                    // (reserve -> attention extend -> settle).
+                    // Append 1-3 fresh ids through the real batched forward
+                    // (reserve -> attention extend).
                     let pick = x % slots.len().max(1);
-                    if let Some((slot, ids)) = slots.get_mut(pick) {
+                    if let Some((cache, ids)) = slots.get_mut(pick) {
                         let n = 1 + x % 3;
                         if ids.len() + n < lm.cfg.max_seq {
-                            for _ in 0..n {
-                                ids.push(rng.below(16));
-                            }
-                            let reqs: Vec<(usize, &[usize])> = vec![(*slot, ids.as_slice())];
-                            let _ = lm.next_token_logits_batched(&store, &reqs, &mut session);
+                            let fresh: Vec<usize> = (0..n).map(|_| rng.below(16)).collect();
+                            let emb = lm.tok_emb.eval(&store, &fresh);
+                            let _ = lm.forward_embeddings_cached_batched(
+                                &store, &emb, &[n], &mut [cache],
+                            );
+                            ids.extend(fresh);
                         }
                     }
                 }
                 5 => {
                     // Divergence truncate to an arbitrary prefix.
                     let pick = x % slots.len().max(1);
-                    if let Some((slot, ids)) = slots.get_mut(pick) {
+                    if let Some((cache, ids)) = slots.get_mut(pick) {
                         let keep = x % (ids.len() + 1);
-                        session.truncate(*slot, keep);
+                        cache.truncate(keep);
                         ids.truncate(keep);
                     }
                 }
                 6 => {
                     // Eviction: drop the whole cache, keep the slot.
                     let pick = x % slots.len().max(1);
-                    if let Some((slot, ids)) = slots.get_mut(pick) {
-                        session.truncate(*slot, 0);
+                    if let Some((cache, ids)) = slots.get_mut(pick) {
+                        cache.truncate(0);
                         ids.clear();
                     }
                 }
                 _ => {
                     if !slots.is_empty() {
-                        let (slot, _) = slots.remove(x % slots.len());
-                        session.leave(slot);
+                        drop(slots.remove(x % slots.len()));
                     }
                 }
             }
@@ -152,19 +151,18 @@ proptest! {
                 "used + free must equal capacity (double free or phantom page)"
             );
             prop_assert!(
-                pool.used_pages() == session.pages_held(),
+                pool.used_pages() == slots.iter().map(|(c, _)| c.pages_held()).sum::<usize>(),
                 "pool and page tables disagree on lent pages"
             );
-            for (slot, ids) in &slots {
+            for (cache, ids) in &slots {
+                prop_assert!(cache.len() == ids.len(), "cache and shadow ids disagree on length");
                 prop_assert!(
-                    session.pages_of(*slot) == lm.cfg.n_layers * pool.pages_for(ids.len()),
+                    cache.pages_held() == lm.cfg.n_layers * pool.pages_for(ids.len()),
                     "slot page table is not the tightest page-granular fit"
                 );
             }
         }
-        for (slot, _) in slots {
-            session.leave(slot);
-        }
+        drop(slots);
         prop_assert!(pool.used_pages() == 0, "pages leaked after every session left");
         prop_assert_eq!(pool.free_pages(), capacity);
     }

@@ -98,7 +98,7 @@ impl InferenceSession {
     /// Append token embeddings `[n, d_model]`, returning the backbone's
     /// hidden states `[n, d_model]` for the new rows only.
     pub fn append(&mut self, lm: &TinyLm, store: &ParamStore, emb: &Tensor) -> Tensor {
-        lm.forward_embeddings_cached(store, emb, &mut self.cache)
+        append_batched(lm, store, &mut [self], emb, &[emb.shape()[0]])
     }
 
     /// Bytes held by the cached keys/values.
