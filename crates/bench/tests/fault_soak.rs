@@ -27,8 +27,8 @@
 //! same scenario).
 
 use netllm::{
-    AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs, HealthConfig,
-    InferenceSession, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan,
+    step_single, AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs,
+    HealthConfig, InferenceSession, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
     ServedTask, ShardedServer, SubmitRetry, Ticket, TicketStatus, VpQuery, FLEET_ABR, FLEET_CJS,
     FLEET_VP,
 };
@@ -122,6 +122,33 @@ struct SoakOutcome {
     events: usize,
     kills: usize,
     tickets_failed: u64,
+}
+
+/// Unbatched replay of the observations one session was served
+/// (`served` holds `(obs index, tick, logits)`) through
+/// [`step_single`], its KV cleared before the first step after each drop
+/// the server made (`cleared_between(prev_tick, tick)`): every served
+/// logit must match at 1e-5.
+fn assert_replay<T: ServedTask>(
+    task: &T,
+    obs: &[T::Obs],
+    served: &[(usize, u64, Vec<f32>)],
+    cleared_between: impl Fn(u64, u64) -> bool,
+    what: &str,
+) {
+    let mut slot = task.new_slot(0);
+    let mut session = InferenceSession::new(task.backbone(0).0);
+    let mut prev = 0u64;
+    for (n, &(i, tick, ref want)) in served.iter().enumerate() {
+        if cleared_between(prev, tick) {
+            session.clear();
+        }
+        let out = step_single(task, &mut slot, &mut session, &obs[i]);
+        for (a, b) in out.logits.iter().zip(want) {
+            assert!((a - b).abs() < 1e-5, "{what} serve {n} (obs {i}): replay {a} vs served {b}");
+        }
+        prev = tick;
+    }
 }
 
 /// Replay one trace shape under its fault schedule and check every
@@ -446,63 +473,12 @@ fn run_soak(models: &Models, vp_refs: &[Vec<f32>], shape: TraceShape, seed: u64)
         // Clear before the first obs served after each KV drop.
         let cleared_between =
             |prev: u64, tick: u64| clears.iter().any(|&(u, id)| id == gid && u > prev && u <= tick);
+        let what = format!("[{}] session {s}", shape.label());
         match x.kind {
             FLEET_CJS => {
-                let m = &models.cjs;
-                let mut ep = m.new_slot(0);
-                let mut is = InferenceSession::new(&m.lm);
-                let mut prev = 0u64;
-                for (n, &(i, tick, ref want)) in x.served.iter().enumerate() {
-                    let o = &cjs_streams[s][i];
-                    if cleared_between(prev, tick) {
-                        is.clear();
-                    }
-                    let plan = m.plan_step(&mut ep, o, &is);
-                    if plan.reanchor {
-                        is.clear();
-                    }
-                    let hidden = is.append(&m.lm, &m.store, &plan.tokens);
-                    let out = m.settle_step(&mut ep, o, &hidden);
-                    if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback {
-                        is.truncate(is.len() - drop_rows);
-                        let _ = is.append(&m.lm, &m.store, &post_tokens);
-                    }
-                    for (a, b) in out.logits.iter().zip(want) {
-                        assert!(
-                            (a - b).abs() < 1e-5,
-                            "[{}] CJS session {s} serve {n} (obs {i}): replay {a} vs served {b}",
-                            shape.label()
-                        );
-                    }
-                    prev = tick;
-                }
+                assert_replay(&models.cjs, &cjs_streams[s], &x.served, cleared_between, &what)
             }
-            _ => {
-                let m = &models.abr;
-                let mut ep = m.new_slot(0);
-                let mut is = InferenceSession::new(&m.lm);
-                let mut prev = 0u64;
-                for (n, &(i, tick, ref want)) in x.served.iter().enumerate() {
-                    let o = &abr_streams[s][i];
-                    if cleared_between(prev, tick) {
-                        is.clear();
-                    }
-                    let plan = m.plan_step(&mut ep, o, &is);
-                    if plan.reanchor {
-                        is.clear();
-                    }
-                    let hidden = is.append(&m.lm, &m.store, &plan.tokens);
-                    let out = m.settle_step(&mut ep, o, &hidden);
-                    for (a, b) in out.logits.iter().zip(want) {
-                        assert!(
-                            (a - b).abs() < 1e-5,
-                            "[{}] ABR session {s} serve {n} (obs {i}): replay {a} vs served {b}",
-                            shape.label()
-                        );
-                    }
-                    prev = tick;
-                }
-            }
+            _ => assert_replay(&models.abr, &abr_streams[s], &x.served, cleared_between, &what),
         }
     }
     for (n, (k, got)) in vp_served.iter().enumerate() {
@@ -523,9 +499,8 @@ fn adversarial_soak_over_every_trace_shape() {
     let (sessions, ticks, floor) = SCALE;
     let base = trace_seed(DEFAULT_SOAK_SEED);
     println!("fault soak base seed: {base} (0x{base:x}), {sessions} sessions x {ticks} ticks");
-    let mut models = build_models(3);
-    // VP one-shot references, computed once up front (`forward_eval`
-    // needs `&mut`; the soak runs against a shared `&Models`).
+    let models = build_models(3);
+    // VP one-shot references, computed once up front for all shapes.
     let vp_refs: Vec<Vec<f32>> =
         vp_samples().iter().map(|s| models.vp.forward_eval(s, VP_PW).data().to_vec()).collect();
     let mut total = 0usize;

@@ -20,7 +20,9 @@
 #![cfg(not(debug_assertions))]
 #![allow(clippy::needless_range_loop)] // tick index drives parallel arrays
 
-use netllm::{AdmissionPolicy, InferenceSession, NetLlmAbr, ServedTask, ShardedServer, Ticket};
+use netllm::{
+    step_single, AdmissionPolicy, InferenceSession, NetLlmAbr, ServedTask, ShardedServer, Ticket,
+};
 use nt_abr::AbrObservation;
 use nt_llm::{size_spec, Zoo};
 use std::time::Instant;
@@ -79,12 +81,7 @@ fn kernel_tier2_gate_equivalence_then_throughput_then_dispatch() {
         let mut ep = m.new_slot(0);
         let mut sess = InferenceSession::new(&m.lm);
         for (i, o) in obs.iter().enumerate() {
-            let plan = m.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
-            let out = m.settle_step(&mut ep, o, &hidden);
+            let out = step_single(&m, &mut ep, &mut sess, o);
             for (x, y) in out.logits.iter().zip(&fleet_logits[s][i]) {
                 assert!((x - y).abs() < 1e-5, "stream {s} step {i}: unbatched {x} vs batched {y}");
             }

@@ -28,7 +28,8 @@
 #![allow(clippy::needless_range_loop)] // tick index drives several parallel arrays
 
 use netllm::{
-    AdmissionPolicy, EvictionPolicy, InferenceSession, NetLlmAbr, ServedTask, ShardedServer, Ticket,
+    step_single, AdmissionPolicy, EvictionPolicy, InferenceSession, NetLlmAbr, ServedTask,
+    ShardedServer, Ticket,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{session_floor_bytes, size_spec, PageConfig, PagePool, Zoo};
@@ -193,12 +194,7 @@ fn paged_memory_gate_b64_holds_budget_and_reanchors_to_reference() {
             if evictions.iter().any(|&(u, v)| v == id && u > prev_tick && u < *tick) {
                 sess.clear();
             }
-            let plan = m.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
-            let out = m.settle_step(&mut ep, o, &hidden);
+            let out = step_single(&m, &mut ep, &mut sess, o);
             for (x, y) in out.logits.iter().zip(want) {
                 assert!(
                     (x - y).abs() < 1e-5,

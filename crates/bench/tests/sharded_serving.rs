@@ -105,7 +105,7 @@ fn sharded_vp_one_shot_slots_match_unbatched_eval() {
     // equal the unbatched one-shot eval at 1e-5.
     let loaded = Zoo::new(std::env::temp_dir().join("sharded-serving-test"))
         .build_random(&size_spec("0.35b-sim"));
-    let mut m = NetLlmVp::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), 8, 0x32);
+    let m = NetLlmVp::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), 8, 0x32);
     let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
     let samples: Vec<VpSample> = extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30);
     let pw = 6usize;

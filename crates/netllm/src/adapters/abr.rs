@@ -18,7 +18,7 @@ use crate::adapt::{AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::AbrHead;
 use crate::multimodal::{LearnedTokens, Projection, ScalarEncoder, SeriesEncoder};
-use crate::serving::{ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
@@ -545,15 +545,12 @@ impl AbrPolicy for NetLlmAbr {
     fn select(&mut self, obs: &AbrObservation) -> usize {
         // KV-cached inference through the same ServedTask hooks the
         // batched engine drives — one slot, one model, zero divergence.
+        // The stream's state is lifted out while `self` is borrowed as
+        // the task.
         let mut ep = std::mem::take(&mut self.ep);
-        let plan = self.plan_step(&mut ep, obs, &self.session);
-        if plan.reanchor {
-            self.session.clear();
-        }
-        let hidden = self.session.append(&self.lm, &self.store, &plan.tokens);
-        let out = self.settle_step(&mut ep, obs, &hidden);
-        self.last_logits = out.logits;
-        self.ep = ep;
+        let mut session = std::mem::replace(&mut self.session, InferenceSession::new(&self.lm));
+        let out = step_single(&*self, &mut ep, &mut session, obs);
+        (self.ep, self.session, self.last_logits) = (ep, session, out.logits);
         out.action
     }
 }

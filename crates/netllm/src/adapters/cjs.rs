@@ -21,7 +21,7 @@ use crate::adapt::{AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
 use crate::multimodal::{mean_rows, GraphEncoder, LearnedTokens, Projection, ScalarEncoder};
-use crate::serving::{RollbackPlan, ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPlan};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
@@ -228,23 +228,12 @@ impl NetLlmCjs {
     /// rollback), so the two worlds are step-for-step identical.
     /// Panics when `obs.snap` has no candidates.
     pub fn decide_obs(&mut self, obs: &CjsObs) -> Decision {
+        // The stream's state is lifted out while `self` is borrowed as
+        // the task.
         let mut ep = std::mem::take(&mut self.ep);
-        let plan = self.plan_step(&mut ep, obs, &self.session);
-        if plan.reanchor {
-            self.session.clear();
-        }
-        let hidden = self.session.append(&self.lm, &self.store, &plan.tokens);
-        let out = self.settle_step(&mut ep, obs, &hidden);
-        if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback {
-            // The candidates are not part of the persistent history: roll
-            // them back and complete the step's triple with its action
-            // token.
-            let keep = self.session.len() - drop_rows;
-            self.session.truncate(keep);
-            self.session.append(&self.lm, &self.store, &post_tokens);
-        }
-        self.last_logits = out.logits;
-        self.ep = ep;
+        let mut session = std::mem::replace(&mut self.session, InferenceSession::new(&self.lm));
+        let out = step_single(&*self, &mut ep, &mut session, obs);
+        (self.ep, self.session, self.last_logits) = (ep, session, out.logits);
         out.action
     }
 

@@ -12,7 +12,7 @@ use crate::adapt::{AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
 use crate::multimodal::{ImageEncoder, LearnedTokens, Projection, SeriesEncoder};
-use crate::serving::{ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
@@ -49,9 +49,6 @@ pub struct NetLlmVp {
     head: VpHead,
     pub max_pw: usize,
     pub mode: AdaptMode,
-    /// KV-cached inference session (VP is single-shot per prediction, so the
-    /// win here is the graph-free eval path: no tape, no parameter clones).
-    session: InferenceSession,
 }
 
 impl NetLlmVp {
@@ -75,20 +72,7 @@ impl NetLlmVp {
         let queries = LearnedTokens::new(&mut store, "mm.vp_queries", max_pw, d, &mut rng);
         let head = VpHead::new(&mut store, d, &mut rng);
         mode.apply(&mut lm, &mut store, lora, &mut rng);
-        let session = InferenceSession::new(&lm);
-        NetLlmVp {
-            lm,
-            store,
-            img_enc,
-            vp_enc,
-            img_proj,
-            vp_proj,
-            queries,
-            head,
-            max_pw,
-            mode,
-            session,
-        }
+        NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
     }
 
     /// History deltas as the `[3, t]` series the CNN encoder expects.
@@ -136,15 +120,20 @@ impl NetLlmVp {
         nt_tensor::concat(&[&img_tokens, &vp_tokens, &q_tokens], 0)
     }
 
-    /// Graph-free prediction `[pw, 3]` (network-unit deltas) through the
-    /// shared inference session. Public so equivalence gates can compare
+    /// One query answered outside any engine: a one-shot slot on a fresh
+    /// session (a VP step always re-anchors, so nothing would be reused)
+    /// through the same hooks the engine drives.
+    fn answer(&self, sample: &VpSample, pw: usize) -> StepOutcome<Vec<Viewport>> {
+        let query = VpQuery { sample: sample.clone(), pw };
+        step_single(self, &mut VpSlot, &mut InferenceSession::new(&self.lm), &query)
+    }
+
+    /// Graph-free prediction `[pw, 3]` (network-unit deltas), no tape and
+    /// no parameter clones. Public so equivalence gates can compare
     /// served answers against the unbatched path at the logits level.
-    pub fn forward_eval(&mut self, sample: &VpSample, pw: usize) -> Tensor {
-        let tokens = self.query_tokens(sample, pw);
-        self.session.clear();
-        let hidden = self.session.append(&self.lm, &self.store, &tokens);
-        let total = hidden.shape()[0];
-        self.head.eval(&self.store, &hidden.narrow(0, total - pw, pw))
+    pub fn forward_eval(&self, sample: &VpSample, pw: usize) -> Tensor {
+        assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
+        Tensor::from_vec([pw, 3], self.answer(sample, pw).logits)
     }
 
     /// Scale predicted deltas `[pw_model, 3]` back to degrees and extend
@@ -291,9 +280,7 @@ impl VpPredictor for NetLlmVp {
     }
 
     fn predict(&mut self, sample: &VpSample, pw: usize) -> Vec<Viewport> {
-        let pw_model = pw.min(self.max_pw);
-        let v = self.forward_eval(sample, pw_model);
-        Self::deltas_to_viewports(sample, &v, pw)
+        self.answer(sample, pw).action
     }
 }
 
@@ -331,7 +318,7 @@ mod tests {
     fn eval_path_matches_taped_forward() {
         // The session-based prediction must equal the taped forward within
         // float tolerance for the same sample.
-        let mut m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, LoraSpec::default(), 20, 9);
+        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, LoraSpec::default(), 20, 9);
         let ss = samples();
         for s in ss.iter().take(3) {
             let pw = 12;

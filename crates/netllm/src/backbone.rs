@@ -96,7 +96,8 @@ impl InferenceSession {
     }
 
     /// Append token embeddings `[n, d_model]`, returning the backbone's
-    /// hidden states `[n, d_model]` for the new rows only.
+    /// hidden states `[n, d_model]` for the new rows only:
+    /// [`append_batched`] over this one session.
     pub fn append(&mut self, lm: &TinyLm, store: &ParamStore, emb: &Tensor) -> Tensor {
         append_batched(lm, store, &mut [self], emb, &[emb.shape()[0]])
     }
@@ -110,10 +111,11 @@ impl InferenceSession {
 /// Append token embeddings to many sessions in one batched backbone
 /// forward: `emb` stacks each session's new rows (`[N, d_model]`, grouped
 /// per `rows_per_slot`, ragged counts allowed), and the result is the
-/// hidden states `[N, d_model]` in the same order. Equivalent to calling
-/// [`InferenceSession::append`] per session, but the projections and MLPs
-/// run as single stacked GEMMs across every session — the serving
-/// engine's throughput lever.
+/// hidden states `[N, d_model]` in the same order. Each session reads
+/// only its own cache, so the answers are those of appending to each
+/// session alone (N slots ≡ one slot, pinned at 1e-6 in `nt-nn`'s
+/// attention tests), but the projections and MLPs run as single stacked
+/// GEMMs across every session — the serving engine's throughput lever.
 pub fn append_batched(
     lm: &TinyLm,
     store: &ParamStore,

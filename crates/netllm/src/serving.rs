@@ -8,8 +8,8 @@
 //! (`nt_llm::TinyLm::forward_embeddings_cached_batched`), while each slot
 //! keeps its own ragged-length KV cache, episode state and re-anchoring
 //! schedule — batching changes the arithmetic shape, never the answers
-//! (gated at 1e-5 against each adapter's sequential path, including
-//! re-anchor and rollback events).
+//! (gated at 1e-5 against [`step_single`], the one unbatched driver,
+//! including re-anchor and rollback events).
 //!
 //! ```text
 //!  stream 0 ─ obs ─┐  per-slot tokens    one batched    ┌─ action 0
@@ -507,9 +507,9 @@ impl<T: ServedTask> ServingEngine<T> {
     ///
     /// Per-slot semantics are identical to the adapter's unbatched path
     /// (`AbrPolicy::select`, `NetLlmCjs::decide_obs`, `NetLlmVp`'s
-    /// one-shot eval): the trait hooks *are* that path, so the episode
-    /// bookkeeping, re-anchor schedule and candidate rollback run the
-    /// same code in both worlds.
+    /// one-shot eval — all [`step_single`]): the trait hooks *are* that
+    /// path, so the episode bookkeeping, re-anchor schedule and candidate
+    /// rollback run the same code in both worlds.
     pub fn step(&mut self, task: &T, requests: &[(SessionId, &T::Obs)]) -> Vec<T::Action>
     where
         T: Sync,
@@ -627,6 +627,34 @@ impl<T: ServedTask> ServingEngine<T> {
         tagged.sort_unstable_by_key(|&(i, _)| i);
         tagged.into_iter().map(|(_, action)| action).collect()
     }
+}
+
+/// One decision for one session outside any engine — the unbatched
+/// driver: plan, clear on re-anchor, append, settle, apply the
+/// [`RollbackPlan`] (the returned outcome's `rollback` is `None`: it has
+/// been carried out). This is [`ServingEngine::step`] for a batch of one
+/// — same hooks, and [`InferenceSession::append`] is
+/// [`append_batched`] of one session — so it is both every adapter's
+/// single-stream entry point and the replay oracle the fleet gates
+/// compare served logits against.
+pub fn step_single<T: ServedTask>(
+    task: &T,
+    slot: &mut T::Slot,
+    session: &mut InferenceSession,
+    obs: &T::Obs,
+) -> StepOutcome<T::Action> {
+    let (lm, store) = task.backbone(task.group_of(slot));
+    let plan = task.plan_step(slot, obs, session);
+    if plan.reanchor {
+        session.clear();
+    }
+    let hidden = session.append(lm, store, &plan.tokens);
+    let mut out = task.settle_step(slot, obs, &hidden);
+    if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback.take() {
+        session.truncate(session.len() - drop_rows);
+        session.append(lm, store, &post_tokens);
+    }
+    out
 }
 
 /// Append `tokens[i]` to `slots[i]`'s session, one stacked backbone pass

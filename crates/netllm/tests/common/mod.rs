@@ -2,8 +2,9 @@
 #![allow(dead_code)] // each test binary uses its own subset
 
 use netllm::{
-    AdaptMode, CjsObs, FleetObs, GlobalSessionId, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet,
-    NetLlmVp, ServedTask, ShardedServer, Ticket, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    step_single, AdaptMode, CjsObs, FleetObs, GlobalSessionId, InferenceSession, LoraSpec,
+    NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, ServedTask, ShardedServer, Ticket, VpQuery,
+    FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
@@ -22,6 +23,15 @@ pub fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
 pub fn vp_samples() -> Vec<VpSample> {
     let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
     extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
+}
+
+/// Unbatched no-fault replay of one session's observations through
+/// [`step_single`] (re-anchors and candidate rollbacks included): the
+/// logits every served or recovered step must reproduce at 1e-5.
+pub fn replay_logits<T: ServedTask>(task: &T, obs: &[T::Obs]) -> Vec<Vec<f32>> {
+    let mut slot = task.new_slot(0);
+    let mut sess = InferenceSession::new(task.backbone(0).0);
+    obs.iter().map(|o| step_single(task, &mut slot, &mut sess, o).logits).collect()
 }
 
 /// One full round: submit every request, tick once, poll in request order.

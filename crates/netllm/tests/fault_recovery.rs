@@ -20,9 +20,9 @@
 //! proptest case is one randomized fault schedule against them.
 
 use netllm::{
-    AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs, HealthConfig,
-    InferenceSession, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan,
-    ServedTask, ShardedServer, SubmitRetry, Ticket, TicketStatus, FLEET_ABR, FLEET_CJS,
+    AdaptMode, AdmissionPolicy, EvictionPolicy, FaultPlan, FleetObs, HealthConfig, LoraSpec,
+    NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, ShardedServer, SubmitRetry, Ticket, TicketStatus,
+    FLEET_ABR, FLEET_CJS,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
@@ -31,7 +31,7 @@ use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 mod common;
-use common::record_cjs_obs;
+use common::{record_cjs_obs, replay_logits};
 
 const WINDOW: usize = 3;
 const STEPS: usize = 6;
@@ -73,44 +73,6 @@ fn models() -> &'static Models {
     })
 }
 
-/// Unbatched no-fault ABR replay: the logits every served/recovered step
-/// must reproduce at 1e-5.
-fn abr_reference(m: &NetLlmAbr, obs: &[AbrObservation]) -> Vec<Vec<f32>> {
-    let mut ep = m.new_slot(0);
-    let mut sess = InferenceSession::new(&m.lm);
-    obs.iter()
-        .map(|o| {
-            let plan = m.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
-            m.settle_step(&mut ep, o, &hidden).logits
-        })
-        .collect()
-}
-
-/// Unbatched no-fault CJS replay, candidate rollbacks applied.
-fn cjs_reference(m: &NetLlmCjs, obs: &[CjsObs]) -> Vec<Vec<f32>> {
-    let mut ep = m.new_slot(0);
-    let mut sess = InferenceSession::new(&m.lm);
-    obs.iter()
-        .map(|o| {
-            let plan = m.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
-            let out = m.settle_step(&mut ep, o, &hidden);
-            if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback {
-                sess.truncate(sess.len() - drop_rows);
-                let _ = sess.append(&m.lm, &m.store, &post_tokens);
-            }
-            out.logits
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -133,7 +95,7 @@ proptest! {
         let cjs_obs = record_cjs_obs(73);
         prop_assert!(cjs_obs.len() >= STEPS, "CJS probe too short: {}", cjs_obs.len());
         let cjs_obs = &cjs_obs[..STEPS];
-        let expected = [abr_reference(&m.abr, &abr_obs), cjs_reference(&m.cjs, cjs_obs)];
+        let expected = [replay_logits(&m.abr, &abr_obs), replay_logits(&m.cjs, cjs_obs)];
 
         let mut server = ShardedServer::with_policy(2, AdmissionPolicy::LeastLoaded);
         server.set_health_config(HealthConfig::fast());

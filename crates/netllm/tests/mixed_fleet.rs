@@ -22,7 +22,7 @@ use common::{fleet_models, interleaved_obs, record_cjs_obs, serve_round, vp_samp
 fn mixed_fleet_matches_each_adapters_unbatched_path() {
     let window = 3usize;
     let ticks = 8usize;
-    let common::FleetModels { abr: mut m_abr, cjs: mut m_cjs, vp: mut m_vp } =
+    let common::FleetModels { abr: mut m_abr, cjs: mut m_cjs, vp: m_vp } =
         fleet_models("netllm-mixed-fleet", window, 21);
 
     let abr_streams: Vec<Vec<AbrObservation>> =

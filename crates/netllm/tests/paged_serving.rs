@@ -27,9 +27,9 @@
 //!   (sparing the oldest arrival), never the just-deferred youngest.
 
 use netllm::{
-    AdaptMode, AdmissionPolicy, EvictionPolicy, FleetObs, FleetSlot, InferenceSession, LoraSpec,
-    NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan, ServedTask, ShardedServer, Ticket,
-    VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    step_single, AdaptMode, AdmissionPolicy, EvictionPolicy, FleetObs, FleetSlot, InferenceSession,
+    LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan, ServedTask, ShardedServer,
+    Ticket, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
@@ -111,12 +111,7 @@ fn assert_forced_clear_replay(
             if evictions.iter().any(|&(u, v)| v == id && u > prev_tick && u < *tick) {
                 sess.clear(); // mirror the eviction: re-anchor from scratch
             }
-            let plan = m.plan_step(&mut ep, o, &sess);
-            if plan.reanchor {
-                sess.clear();
-            }
-            let hidden = sess.append(&m.lm, &m.store, &plan.tokens);
-            let out = m.settle_step(&mut ep, o, &hidden);
+            let out = step_single(m, &mut ep, &mut sess, o);
             assert_eq!(out.logits.len(), want.len());
             for (x, y) in out.logits.iter().zip(want) {
                 assert!(
