@@ -207,19 +207,25 @@ impl LatencySnapshot {
     /// holding the nearest-rank sample (`2^i * sqrt(2)` ns for bucket
     /// `i`), still accurate to within a factor of two of the true value
     /// but centered instead of systematically high like the upper edge.
+    /// Never above the recorded maximum: a bucket's centre can exceed
+    /// every sample in it, and the open-ended last bucket has no upper
+    /// edge to take a mean with, so it reports the maximum itself.
     pub fn approx_quantile_ms(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let max_ns = self.max_ns as f64;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
             seen += n;
             if seen >= rank {
-                return (1u64 << i) as f64 * std::f64::consts::SQRT_2 / 1e6;
+                let open_ended = i + 1 == self.buckets.len();
+                let centre = (1u64 << i) as f64 * std::f64::consts::SQRT_2;
+                return if open_ended { max_ns } else { centre.min(max_ns) } / 1e6;
             }
         }
-        self.max_ns as f64 / 1e6
+        max_ns / 1e6
     }
 }
 
@@ -560,6 +566,20 @@ mod tests {
         let p99 = lat.approx_quantile_ms(0.99);
         assert!(p99 > 500.0, "p99 ~1s, got {p99}ms");
         assert!((lat.mean_ms() - 100.0).abs() < 1.0);
+
+        // A quantile never exceeds the recorded maximum: one 530 µs sample
+        // sits in [2^19, 2^20) ns, whose centre (741 µs) is above it.
+        let one = LatencyCounters::default();
+        one.record(530_000);
+        let one = one.snapshot();
+        assert_eq!(one.approx_quantile_ms(0.5), 0.53);
+        assert_eq!(one.approx_quantile_ms(0.99), 0.53);
+        // The open-ended last bucket reports the maximum, however far
+        // past its lower edge (2^30 ns ≈ 1.07 s) the samples were.
+        let slow = LatencyCounters::default();
+        slow.record(60_000_000_000);
+        slow.record(90_000_000_000);
+        assert_eq!(slow.snapshot().approx_quantile_ms(0.5), 90_000.0);
     }
 
     #[test]
