@@ -61,14 +61,6 @@ pub struct PageConfig {
     pub budget_bytes: usize,
 }
 
-impl PageConfig {
-    /// `page_tokens = 16` with the given budget — a page spans a couple of
-    /// decision-transformer steps at the repo's token-per-step scales.
-    pub fn with_budget(budget_bytes: usize) -> Self {
-        PageConfig { page_tokens: 16, budget_bytes }
-    }
-}
-
 /// Point-in-time occupancy of a [`PagePool`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PoolStats {

@@ -278,11 +278,6 @@ impl<T: ServedTask> ServingEngine<T> {
         ServingEngine { pool: Some(pool), ..ServingEngine::default() }
     }
 
-    /// The pool this engine's sessions draw pages from, if any.
-    pub fn page_pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
-    }
-
     /// Occupancy of the attached pool (`None` for contiguous engines).
     pub fn pool_stats(&self) -> Option<nt_llm::PoolStats> {
         self.pool.as_ref().map(PagePool::stats)

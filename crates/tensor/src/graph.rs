@@ -27,7 +27,6 @@ enum Op {
     Div,
     Neg,
     Scale(f32),
-    AddScalar,
     Matmul,
     BatchMatmul,
     TransposeLast2,
@@ -104,10 +103,6 @@ impl Graph {
         let mut g = Graph::new(false, 0);
         g.tape = false;
         g
-    }
-
-    pub fn is_training(&self) -> bool {
-        self.training
     }
 
     /// Whether backward bookkeeping is being recorded.
@@ -226,10 +221,6 @@ impl Graph {
 
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         self.unary(Op::Scale(c), a, |x| x * c)
-    }
-
-    pub fn add_scalar(&mut self, a: NodeId, c: f32) -> NodeId {
-        self.unary(Op::AddScalar, a, |x| x + c)
     }
 
     pub fn relu(&mut self, a: NodeId) -> NodeId {
@@ -699,7 +690,6 @@ impl Graph {
                     }
                 })
             }
-            Op::AddScalar => self.acc(grads, ps[0], |s| add_into(s, g)),
             Op::Relu => {
                 let x = self.nodes[ps[0]].value.data();
                 self.acc(grads, ps[0], |s| {

@@ -102,10 +102,6 @@ impl<'a> Odometer<'a> {
         self.done = true;
         false
     }
-
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
 }
 
 /// Apply `f(out_off, a_off, b_off)` over every position of `out_shape`,
