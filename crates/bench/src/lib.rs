@@ -15,9 +15,6 @@ pub mod stats;
 pub mod trace;
 
 pub use engine::Engine;
-pub use netload::{
-    dense_direct, dense_socket, kind_of, replay_direct, replay_socket, ObsStreams, ReplayOutcome,
-    ThroughputOutcome,
-};
+pub use netload::{dense_socket, kind_of, replay_direct, replay_socket, ObsStreams, ReplayOutcome};
 pub use report::{print_table, reports_dir, write_report};
 pub use trace::{trace_seed, Trace, TraceConfig, TraceShape};

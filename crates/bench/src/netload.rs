@@ -11,9 +11,10 @@
 //!
 //! Both record per-session `(obs index, action, logits)` streams, so the
 //! loopback gate (`tests/ingress_loopback.rs`) can assert the socket is
-//! a transport, not a different server. The dense fixed-batch drivers
-//! ([`dense_direct`], [`dense_socket`]) feed the throughput leg and
-//! `nt-top`'s demo fleet.
+//! a transport, not a different server. The dense fixed-batch driver
+//! ([`dense_socket`]) is the load behind the telemetry scrape gate and
+//! `nt-top`'s demo fleet; how fast the socket path is against direct
+//! submit/tick is `perf`'s `ingress.socket_over_direct`.
 
 use crate::trace::Trace;
 use netllm::{
@@ -33,9 +34,9 @@ pub const NETLOAD_PW: usize = 6;
 /// Per-session in-flight window on the socket path: one arrival queued
 /// while one serves keeps batches dense without unbounded pileup.
 const WINDOW: usize = 2;
-/// Deeper window for the dense throughput drivers — covers every round
-/// of the bench legs up front, so the admission queues stay primed and
-/// no tick waits on a client round trip.
+/// Deeper window for the dense driver — covers every round up front, so
+/// the admission queues stay primed and no tick waits on a client round
+/// trip.
 const DENSE_WINDOW: usize = 8;
 
 /// Session index → fleet group: a deterministic ABR/CJS/VP mix.
@@ -495,79 +496,11 @@ pub fn replay_direct(
     }
 }
 
-/// Dense fixed-batch outcome for the throughput comparison.
-pub struct ThroughputOutcome {
-    /// Decisions served.
-    pub decisions: u64,
-    /// Wall time, submit of the first to completion of the last.
-    pub elapsed: Duration,
-    /// Submit→completion latency per decision (ms).
-    pub latencies_ms: Vec<f64>,
-}
-
-impl ThroughputOutcome {
-    /// Decisions per second.
-    pub fn dec_per_s(&self) -> f64 {
-        self.decisions as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Direct baseline at fixed batch `sessions`: every session submits one
-/// observation per round, one tick serves the whole batch. Observation
-/// streams cycle, so any round count works.
-pub fn dense_direct(
-    models: &FleetModels,
-    shards: usize,
-    sessions: usize,
-    rounds: usize,
-    streams: &ObsStreams,
-) -> ThroughputOutcome {
-    let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
-    let mut server: ShardedServer<NetLlmFleet> = ShardedServer::new(shards);
-    let ids: Vec<u64> = (0..sessions).map(|s| server.join_group(&fleet, kind_of(s))).collect();
-    let mut latencies_ms = Vec::with_capacity(sessions * rounds);
-    let mut decisions = 0u64;
-    let started = Instant::now();
-    for round in 0..rounds {
-        let mut open: Vec<(u64, Ticket, Instant)> = ids
-            .iter()
-            .enumerate()
-            .map(|(s, &id)| {
-                let i = round % streams.len_for(s, usize::MAX).max(1);
-                let t = server.submit(id, streams.obs(s, i)).expect("dense submit");
-                (id, t, Instant::now())
-            })
-            .collect();
-        while !open.is_empty() {
-            server.tick(&fleet);
-            open.retain(|&(id, t, at)| match server.poll_status(t) {
-                TicketStatus::Served(_) => {
-                    let _ = server.last_logits(id);
-                    latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
-                    decisions += 1;
-                    false
-                }
-                TicketStatus::Failed => panic!("dense direct ticket failed"),
-                _ => true,
-            });
-        }
-    }
-    let elapsed = started.elapsed();
-    for id in ids {
-        let _ = server.leave(id);
-    }
-    ThroughputOutcome { decisions, elapsed, latencies_ms }
-}
-
-/// The same dense workload over the socket: `sessions` sessions each
-/// submitting `rounds` observations, pipelined under the per-session
-/// window, timed to the last completion.
-pub fn dense_socket(
-    addr: SocketAddr,
-    sessions: usize,
-    rounds: usize,
-    streams: &ObsStreams,
-) -> ThroughputOutcome {
+/// A dense fixed-batch workload over the socket: `sessions` sessions
+/// each submitting `rounds` observations (streams cycle, so any round
+/// count works), pipelined under the per-session window. Returns the
+/// decisions served once the last completion is in.
+pub fn dense_socket(addr: SocketAddr, sessions: usize, rounds: usize, streams: &ObsStreams) -> u64 {
     let client = WireClient::connect(addr).expect("connect to ingress");
     let (mut tx, mut rx) = client.split();
     let (ftx, frx) = mpsc::channel::<Frame>();
@@ -592,12 +525,10 @@ pub fn dense_socket(
     let mut sent = vec![0usize; sessions];
     let mut inflight = vec![0usize; sessions];
     let mut done = vec![0usize; sessions];
-    let mut pending_submit: VecDeque<(usize, Instant)> = VecDeque::new();
-    let mut open: BTreeMap<u64, (usize, Instant)> = BTreeMap::new();
-    let mut latencies_ms = Vec::with_capacity(sessions * rounds);
+    let mut pending_submit: VecDeque<usize> = VecDeque::new();
+    let mut open: BTreeMap<u64, usize> = BTreeMap::new();
     let mut decisions = 0u64;
-    let started = Instant::now();
-    let deadline = started + Duration::from_secs(600);
+    let deadline = Instant::now() + Duration::from_secs(600);
     while done.iter().sum::<usize>() < sessions * rounds {
         assert!(Instant::now() < deadline, "dense socket replay stalled");
         for s in 0..sessions {
@@ -606,7 +537,7 @@ pub fn dense_socket(
                 tx.submit(ids[s], &streams.obs(s, i)).expect("dense submit");
                 sent[s] += 1;
                 inflight[s] += 1;
-                pending_submit.push_back((s, Instant::now()));
+                pending_submit.push_back(s);
             }
         }
         let frame = match frx.try_recv() {
@@ -619,29 +550,27 @@ pub fn dense_socket(
         };
         match frame {
             Frame::TicketGrant { ticket, .. } => {
-                let (s, at) = pending_submit.pop_front().expect("unexpected grant");
-                open.insert(ticket, (s, at));
+                let s = pending_submit.pop_front().expect("unexpected grant");
+                open.insert(ticket, s);
             }
             Frame::Busy { retry_after_ms, .. } => {
                 // Dense mode never overruns the default queue cap, but
                 // pace and retry anyway so the driver is robust.
-                let (s, _) = pending_submit.pop_front().expect("unexpected Busy");
+                let s = pending_submit.pop_front().expect("unexpected Busy");
                 inflight[s] -= 1;
                 sent[s] -= 1;
                 std::thread::sleep(Duration::from_millis(retry_after_ms as u64));
             }
             Frame::Completion { ticket, session, .. } => {
-                let (s, at) = open.remove(&ticket).expect("completion for unknown ticket");
+                let s = open.remove(&ticket).expect("completion for unknown ticket");
                 assert_eq!(by_id[&session], s);
                 inflight[s] -= 1;
                 done[s] += 1;
                 decisions += 1;
-                latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
             }
             other => panic!("unexpected frame in dense replay: {other:?}"),
         }
     }
-    let elapsed = started.elapsed();
     for &id in &ids {
         tx.leave(id).expect("leave");
     }
@@ -654,5 +583,5 @@ pub fn dense_socket(
     }
     tx.bye().expect("bye");
     let _ = pump.join();
-    ThroughputOutcome { decisions, elapsed, latencies_ms }
+    decisions
 }

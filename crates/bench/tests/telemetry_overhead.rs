@@ -53,8 +53,8 @@ fn scrape_metrics_and_events_while_dense_load_runs() {
         mid_load_scrapes += 1;
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
-    let outcome = load.join().expect("load thread");
-    assert_eq!(outcome.decisions, (B * ROUNDS) as u64);
+    let decisions = load.join().expect("load thread");
+    assert_eq!(decisions, (B * ROUNDS) as u64);
     assert!(mid_load_scrapes > 0, "never scraped while load was running");
 
     // Final settle scrape: everything served is attributed somewhere.
