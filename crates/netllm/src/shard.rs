@@ -73,6 +73,9 @@ use nt_llm::{PagePool, PoolStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::time::Instant;
+use table::{Route, SessionTable, TicketLedger};
+
+mod table;
 
 /// Resident capacity of the fleet's event journal (see
 /// [`crate::telemetry::TelemetryRing`]): enough to hold several dense
@@ -139,31 +142,23 @@ impl<A, O> LeaveReport<A, O> {
 /// ```
 pub struct ShardedServer<T: ServedTask> {
     shards: Vec<ServingEngine<T>>,
-    /// Global id -> (shard, local id). A `BTreeMap` keeps every fleet
-    /// walk (rebalance victim selection, steering) deterministic.
-    routes: BTreeMap<GlobalSessionId, (usize, SessionId)>,
-    /// Backbone group per session — the adapter tag queued arrivals carry.
-    groups: BTreeMap<GlobalSessionId, usize>,
+    /// One record per live session: where it lives, its backbone group,
+    /// when it last answered, whether it already moved this tick cycle.
+    sessions: SessionTable,
     next_id: GlobalSessionId,
     /// Placement (and, for `PageAware`, steering) policy.
     policy: AdmissionPolicy,
     /// One pending-arrival queue per shard.
     queues: Vec<AdmissionQueue<T::Obs>>,
-    /// Served-but-unpolled actions, by ticket (tagged with their
-    /// session so `leave` can reclaim a departing session's answers).
-    completed: BTreeMap<Ticket, (GlobalSessionId, T::Action)>,
+    /// One state per ticket a poll can still observe: `Requeued`,
+    /// `Served` (with its action) or `Failed`; absent = `Pending`.
+    tickets: TicketLedger<T::Action>,
     /// Tickets are issued in submission order, so the next ticket number
     /// doubles as the logical arrival clock stamped onto queued
     /// observations.
     next_ticket: u64,
     /// Tick counter (drives the coldest-session bookkeeping).
     tick_no: u64,
-    /// Tick each session last produced an answer (coldest = smallest).
-    last_served: BTreeMap<GlobalSessionId, u64>,
-    /// Sessions already steered in the current tick cycle — rebalance and
-    /// budget steering both consult and feed this, so no session is
-    /// migrated twice between consecutive tick boundaries.
-    steered_this_tick: BTreeSet<GlobalSessionId>,
     /// Fleet-wide KV page pool (every shard's sessions draw from it); the
     /// global hard bound on KV memory when set.
     pool: Option<PagePool>,
@@ -182,11 +177,6 @@ pub struct ShardedServer<T: ServedTask> {
     /// Ground truth of the simulated shard processes (what the health
     /// checker can only infer from missing beats).
     crashed: Vec<CrashState>,
-    /// Tickets resolved `Failed` by a fault, not yet polled.
-    failed: BTreeSet<Ticket>,
-    /// Tickets whose arrivals a fault displaced back into a queue; the
-    /// mark clears when the arrival is finally served.
-    requeued: BTreeSet<Ticket>,
     /// Fleet width at construction — a dead shard keeps its index (routes
     /// stay dense), so this is the divisor for a shard's pool share.
     initial_shards: usize,
@@ -256,26 +246,21 @@ impl<T: ServedTask> ShardedServer<T> {
                     None => ServingEngine::new(),
                 })
                 .collect(),
-            routes: BTreeMap::new(),
-            groups: BTreeMap::new(),
+            sessions: SessionTable::default(),
             next_id: 0,
             policy,
             queues: (0..num_shards)
                 .map(|_| AdmissionQueue::with_capacity(DEFAULT_QUEUE_CAP))
                 .collect(),
-            completed: BTreeMap::new(),
+            tickets: TicketLedger::default(),
             next_ticket: 0,
             tick_no: 0,
-            last_served: BTreeMap::new(),
-            steered_this_tick: BTreeSet::new(),
             pool,
             eviction,
             metrics: MetricsRegistry::new(num_shards),
             faults: FaultPlan::new(),
             health: HealthChecker::new(num_shards, HealthConfig::default()),
             crashed: vec![CrashState::Up; num_shards],
-            failed: BTreeSet::new(),
-            requeued: BTreeSet::new(),
             initial_shards: num_shards,
             pool_minted,
             floor_pages: 0,
@@ -387,11 +372,9 @@ impl<T: ServedTask> ShardedServer<T> {
             .map(|&s| PagePressure { free_pages, held_pages: self.shards[s].pages_held() })
             .collect();
         let mut same_backbone = vec![0usize; healthy.len()];
-        for (sid, &(s, _)) in &self.routes {
-            if self.groups.get(sid) == Some(&group) {
-                if let Some(i) = healthy.iter().position(|&h| h == s) {
-                    same_backbone[i] += 1;
-                }
+        for (_, r) in self.sessions.iter().filter(|(_, r)| r.group == group) {
+            if let Some(i) = healthy.iter().position(|&h| h == r.shard) {
+                same_backbone[i] += 1;
             }
         }
         let view = PlacementView {
@@ -428,7 +411,7 @@ impl<T: ServedTask> ShardedServer<T> {
 
     /// The shard currently serving `id`.
     pub fn shard_of(&self, id: GlobalSessionId) -> usize {
-        self.routes.get(&id).expect("unknown session id").0
+        self.sessions.get(id).shard
     }
 
     /// Shard count.
@@ -454,8 +437,7 @@ impl<T: ServedTask> ShardedServer<T> {
             self.floor_pages = self.floor_pages.max(floor);
         }
         let local = self.shards[shard].join_group(task, group);
-        self.routes.insert(id, (shard, local));
-        self.groups.insert(id, group);
+        self.sessions.join(id, shard, local, group);
         id
     }
 
@@ -468,31 +450,15 @@ impl<T: ServedTask> ShardedServer<T> {
     /// sessions above the emptiest, steer the fullest shard's lowest-id
     /// session over (at most once per session per tick cycle).
     pub fn leave(&mut self, id: GlobalSessionId) -> LeaveReport<T::Action, T::Obs> {
-        let (shard, local) = self.routes.remove(&id).expect("unknown session id");
+        let Route { shard, local, .. } = self.sessions.leave(id);
+        // Queue FIFO and the ledger's order are both oldest first.
         let dropped_arrivals: Vec<(Ticket, T::Obs)> =
             self.queues[shard].remove_session(id).into_iter().map(|a| (a.ticket, a.obs)).collect();
-        // BTreeMap order: tickets ascending, i.e. oldest first.
-        let banked: Vec<Ticket> = self
-            .completed
-            .iter()
-            .filter(|(_, &(session, _))| session == id)
-            .map(|(&t, _)| t)
-            .collect();
-        let unpolled: Vec<(Ticket, T::Action)> = banked
-            .into_iter()
-            .map(|t| {
-                let (_, action) = self.completed.remove(&t).expect("ticket collected above");
-                (t, action)
-            })
-            .collect();
-        self.groups.remove(&id);
-        self.last_served.remove(&id);
-        self.steered_this_tick.remove(&id);
-        for &(t, _) in &dropped_arrivals {
-            // A dropped arrival's `Requeued` mark must not outlive it —
-            // poll_status would otherwise promise an answer forever.
-            self.requeued.remove(&t);
-        }
+        let dropped: Vec<Ticket> = dropped_arrivals.iter().map(|&(t, _)| t).collect();
+        // Nothing of the session stays observable: a `Requeued` mark on a
+        // dropped arrival would promise an answer forever, an unpolled
+        // `Failed` would sit in the ledger for the server's lifetime.
+        let unpolled = self.tickets.leave(id, &dropped);
         self.shards[shard].leave(local);
         while self.rebalance_once() {}
         LeaveReport { unpolled, dropped_arrivals }
@@ -525,11 +491,8 @@ impl<T: ServedTask> ShardedServer<T> {
         if max_a < min_a + 2 {
             return false;
         }
-        let victim = self
-            .routes
-            .iter()
-            .find(|(id, &(s, _))| s == max_s && !self.steered_this_tick.contains(id))
-            .map(|(&id, _)| id);
+        let victim =
+            self.sessions.iter().find(|(_, r)| r.shard == max_s && !r.steered).map(|(id, _)| id);
         match victim {
             Some(v) => {
                 self.steer_with(v, min_s, SteerReason::Rebalance);
@@ -557,7 +520,7 @@ impl<T: ServedTask> ShardedServer<T> {
     /// journal can say *why* a session moved, not just where.
     fn steer_with(&mut self, id: GlobalSessionId, dest: usize, reason: SteerReason) {
         assert!(dest < self.shards.len(), "shard {dest} out of range");
-        let &(src, local) = self.routes.get(&id).expect("unknown session id");
+        let &Route { shard: src, local, .. } = self.sessions.get(id);
         if src == dest
             || self.crashed[src] == CrashState::Down
             || self.crashed[dest] == CrashState::Down
@@ -566,13 +529,12 @@ impl<T: ServedTask> ShardedServer<T> {
         }
         let parked = self.shards[src].park(local);
         let new_local = self.shards[dest].admit(parked);
-        self.routes.insert(id, (dest, new_local));
+        self.sessions.steer(id, dest, new_local);
         // Pending arrivals follow their session (bypassing the cap: a
         // move must never drop a ticket).
         for a in self.queues[src].remove_session(id) {
             self.queues[dest].requeue(a);
         }
-        self.steered_this_tick.insert(id);
         self.metrics.record_steered(src);
         self.metrics.record_steered_in(dest);
         self.journal.record(
@@ -604,8 +566,8 @@ impl<T: ServedTask> ShardedServer<T> {
 
     /// Head outputs of `id`'s most recent step.
     pub fn last_logits(&self, id: GlobalSessionId) -> &[f32] {
-        let &(shard, local) = self.routes.get(&id).expect("unknown session id");
-        self.shards[shard].last_logits(local)
+        let r = self.sessions.get(id);
+        self.shards[r.shard].last_logits(r.local)
     }
 
     // ---- submit / tick / poll -------------------------------------------
@@ -628,7 +590,7 @@ impl<T: ServedTask> ShardedServer<T> {
         id: GlobalSessionId,
         obs: T::Obs,
     ) -> Result<Ticket, SubmitError<T::Obs>> {
-        let &(shard, _) = self.routes.get(&id).expect("unknown session id");
+        let &Route { shard, group, .. } = self.sessions.get(id);
         if !self.health.state(shard).is_healthy() {
             // Suspect: the shard may revive (stall) or be declared dead
             // and its sessions re-admitted elsewhere — either way a tick
@@ -636,7 +598,6 @@ impl<T: ServedTask> ShardedServer<T> {
             // re-routes at declaration).
             return Err(SubmitError::RetryAfterTick { obs });
         }
-        let group = self.groups[&id];
         let seq = self.next_ticket;
         let arrival = Arrival { ticket: Ticket(seq), session: id, group, obs };
         match self.queues[shard].push(arrival) {
@@ -655,20 +616,19 @@ impl<T: ServedTask> ShardedServer<T> {
 
     /// Arrivals queued for one session.
     pub fn pending_of(&self, id: GlobalSessionId) -> usize {
-        let &(shard, _) = self.routes.get(&id).expect("unknown session id");
-        self.queues[shard].pending_of(id)
+        self.queues[self.shard_of(id)].pending_of(id)
     }
 
     /// Served-but-unpolled actions.
     pub fn ready(&self) -> usize {
-        self.completed.len()
+        self.tickets.ready()
     }
 
     /// Redeem a ticket: `Some(action)` exactly once after the tick that
     /// served it, `None` while it is still queued (or after it was
     /// already polled, or after its session left).
     pub fn poll(&mut self, ticket: Ticket) -> Option<T::Action> {
-        self.completed.remove(&ticket).map(|(_, action)| action)
+        self.tickets.poll(ticket)
     }
 
     /// Redeem a ticket with its fault-aware resolution: `Served(action)`
@@ -679,17 +639,7 @@ impl<T: ServedTask> ShardedServer<T> {
     /// every ticket reaches `Served` or `Failed` once the queues drain —
     /// no ticket hangs (the fault-soak gate's first invariant).
     pub fn poll_status(&mut self, ticket: Ticket) -> TicketStatus<T::Action> {
-        if let Some((_, action)) = self.completed.remove(&ticket) {
-            self.requeued.remove(&ticket);
-            return TicketStatus::Served(action);
-        }
-        if self.failed.remove(&ticket) {
-            return TicketStatus::Failed;
-        }
-        if self.requeued.contains(&ticket) {
-            return TicketStatus::Requeued;
-        }
-        TicketStatus::Pending
+        self.tickets.poll_status(ticket)
     }
 
     /// The eviction policy's next victim: the idle session whose
@@ -711,29 +661,29 @@ impl<T: ServedTask> ShardedServer<T> {
         if self.eviction == EvictionPolicy::None {
             return None;
         }
-        self.routes
+        self.sessions
             .iter()
-            .filter(|(id, &(s, l))| {
-                !protected.contains(id)
-                    && self.health.state(s).is_healthy()
-                    && self.shards[s].pages_of(l) > 0
+            .filter(|&(id, r)| {
+                !protected.contains(&id)
+                    && self.health.state(r.shard).is_healthy()
+                    && self.shards[r.shard].pages_of(r.local) > 0
             })
-            .min_by_key(|(&id, &(s, l))| {
+            .min_by_key(|&(id, r)| {
                 (
-                    self.shards[s].rebuild_cost_of(task, l),
-                    usize::MAX - self.shards[s].pages_of(l),
-                    self.last_served.get(&id).copied().unwrap_or(0),
+                    self.shards[r.shard].rebuild_cost_of(task, r.local),
+                    usize::MAX - self.shards[r.shard].pages_of(r.local),
+                    r.last_served,
                     id,
                 )
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
     }
 
     /// Reclaim `victim`'s pages, recording the eviction under the rebuild
     /// rows its next step will now replay (priced *before* the clear —
     /// an empty cache prices 0).
     fn evict_session(&mut self, victim: GlobalSessionId, task: &T) {
-        let &(s, l) = self.routes.get(&victim).expect("victim is routed");
+        let &Route { shard: s, local: l, .. } = self.sessions.get(victim);
         let rows = self.shards[s].rebuild_rows_of(task, l) as u64;
         let _ = self.shards[s].evict(l);
         self.metrics.record_evicted(s, rows);
@@ -745,16 +695,16 @@ impl<T: ServedTask> ShardedServer<T> {
 
     /// One shard's drained batch as `(local id, obs)` requests.
     fn requests_of<'a>(
-        routes: &BTreeMap<GlobalSessionId, (usize, SessionId)>,
+        sessions: &SessionTable,
         shard: usize,
         batch: &'a [Arrival<T::Obs>],
     ) -> Vec<(SessionId, &'a T::Obs)> {
         batch
             .iter()
             .map(|a| {
-                let &(s, local) = routes.get(&a.session).expect("queued session left the fleet");
-                debug_assert_eq!(s, shard, "queued arrival on the wrong shard");
-                (local, &a.obs)
+                let r = sessions.get(a.session);
+                debug_assert_eq!(r.shard, shard, "queued arrival on the wrong shard");
+                (r.local, &a.obs)
             })
             .collect()
     }
@@ -767,7 +717,7 @@ impl<T: ServedTask> ShardedServer<T> {
             .iter()
             .enumerate()
             .map(|(s, batch)| {
-                self.shards[s].page_demand(task, &Self::requests_of(&self.routes, s, batch))
+                self.shards[s].page_demand(task, &Self::requests_of(&self.sessions, s, batch))
             })
             .sum()
     }
@@ -779,7 +729,7 @@ impl<T: ServedTask> ShardedServer<T> {
     /// against its own rebuild.
     fn release_reanchor_pages(&mut self, task: &T, drained: &[Vec<Arrival<T::Obs>>]) {
         for (s, batch) in drained.iter().enumerate() {
-            let reqs = Self::requests_of(&self.routes, s, batch);
+            let reqs = Self::requests_of(&self.sessions, s, batch);
             let _ = self.shards[s].release_reanchor_pages(task, &reqs);
         }
     }
@@ -1012,14 +962,16 @@ impl<T: ServedTask> ShardedServer<T> {
                     let orphans = std::mem::take(&mut drained[shard]);
                     let n = orphans.len() as u64;
                     for a in &orphans {
-                        self.requeued.insert(a.ticket);
+                        self.tickets.requeue(a.ticket);
                     }
                     self.queues[shard].requeue_front(orphans);
                     faults.arrivals_requeued += n;
                     self.metrics.record_arrivals_requeued(n);
                 }
                 Fault::Poison { session } => {
-                    let Some(&(s, local)) = self.routes.get(&session) else { continue };
+                    let Some(&Route { shard: s, local, .. }) = self.sessions.find(session) else {
+                        continue;
+                    };
                     if !self.health.state(s).is_healthy() {
                         continue;
                     }
@@ -1030,7 +982,7 @@ impl<T: ServedTask> ShardedServer<T> {
                     // exactly the pre-poison stream.
                     if let Some(pos) = drained[s].iter().position(|a| a.session == session) {
                         let a = drained[s].remove(pos);
-                        self.failed.insert(a.ticket);
+                        self.tickets.fail(a.ticket, a.session);
                         faults.tickets_failed += 1;
                         self.metrics.record_tickets_failed(1);
                     }
@@ -1046,7 +998,7 @@ impl<T: ServedTask> ShardedServer<T> {
                     let batch = std::mem::take(&mut drained[shard]);
                     let n = batch.len() as u64;
                     for a in batch {
-                        self.failed.insert(a.ticket);
+                        self.tickets.fail(a.ticket, a.session);
                     }
                     faults.tickets_failed += n;
                     self.metrics.record_tickets_failed(n);
@@ -1066,7 +1018,7 @@ impl<T: ServedTask> ShardedServer<T> {
         let per: Vec<Vec<(SessionId, &T::Obs)>> = drained
             .iter()
             .enumerate()
-            .map(|(s, batch)| Self::requests_of(&self.routes, s, batch))
+            .map(|(s, batch)| Self::requests_of(&self.sessions, s, batch))
             .collect();
 
         // Phase 3, plan+step: the busy shards, each timing its own step.
@@ -1084,9 +1036,8 @@ impl<T: ServedTask> ShardedServer<T> {
             let t0 = Instant::now();
             let shard_served = batch.len();
             for (a, action) in batch.into_iter().zip(actions) {
-                self.requeued.remove(&a.ticket); // displaced, now served
-                self.completed.insert(a.ticket, (a.session, action));
-                self.last_served.insert(a.session, tick);
+                self.tickets.serve(a.ticket, a.session, action);
+                self.sessions.mark_served(a.session, tick);
                 *by_label.entry(task.task_label(a.group)).or_default() += 1;
                 served += 1;
             }
@@ -1113,8 +1064,7 @@ impl<T: ServedTask> ShardedServer<T> {
         // Close the tick cycle: report every steer since the previous
         // boundary (rebalance-on-leave + the pass above) and reset the
         // double-migration guard.
-        let steered: Vec<GlobalSessionId> =
-            std::mem::take(&mut self.steered_this_tick).into_iter().collect();
+        let steered = self.sessions.end_cycle();
         if let Some(pool) = &self.pool {
             memory.used_bytes = pool.used_bytes();
         }
@@ -1166,17 +1116,16 @@ impl<T: ServedTask> ShardedServer<T> {
     /// session still fits (degraded capacity defers, never wedges).
     fn recover_shard(&mut self, dead: usize, report: &mut FaultReport) {
         self.crashed[dead] = CrashState::Down; // a fatal stall ends here too
-        let victims: Vec<GlobalSessionId> =
-            self.routes.iter().filter(|(_, &(s, _))| s == dead).map(|(&id, _)| id).collect();
+        let victims: Vec<(GlobalSessionId, Route)> =
+            self.sessions.iter().filter(|(_, r)| r.shard == dead).map(|(id, r)| (id, *r)).collect();
         let mut rows = 0u64;
-        for &id in &victims {
-            let &(_, local) = self.routes.get(&id).expect("victim is routed");
+        for &(id, Route { local, group, .. }) in &victims {
             let mut parked = self.shards[dead].park(local);
             rows += parked.kv_rows() as u64;
             parked.drop_kv();
-            let dest = self.place_on_healthy(id, self.groups[&id]);
+            let dest = self.place_on_healthy(id, group);
             let new_local = self.shards[dest].admit(parked);
-            self.routes.insert(id, (dest, new_local));
+            self.sessions.recover(id, dest, new_local);
         }
         report.sessions_recovered += victims.len() as u64;
         report.replay_rows += rows;
@@ -1192,8 +1141,8 @@ impl<T: ServedTask> ShardedServer<T> {
         let backlog = self.queues[dead].take_all();
         let n = backlog.len() as u64;
         for a in backlog {
-            let dest = self.routes.get(&a.session).expect("session recovered above").0;
-            self.requeued.insert(a.ticket);
+            let dest = self.shard_of(a.session);
+            self.tickets.requeue(a.ticket);
             self.queues[dest].requeue(a);
         }
         report.arrivals_requeued += n;
@@ -1237,12 +1186,12 @@ impl<T: ServedTask> ShardedServer<T> {
             let dest_for = |src: usize| {
                 *healthy.iter().filter(|&&s| s != src).min_by_key(|&&s| (held[s], s)).unwrap()
             };
-            let eligible = |server: &Self, id: &GlobalSessionId, shard: usize, local: SessionId| {
-                !server.steered_this_tick.contains(id)
+            let eligible = |r: &Route| {
+                !r.steered
                     && steer_improves(
-                        held[shard],
-                        held[dest_for(shard)],
-                        server.shards[shard].pages_of(local),
+                        held[r.shard],
+                        held[dest_for(r.shard)],
+                        self.shards[r.shard].pages_of(r.local),
                         free,
                     )
             };
@@ -1257,13 +1206,11 @@ impl<T: ServedTask> ShardedServer<T> {
                 .copied()
                 .filter(|&s| held[s] > budget)
                 .filter_map(|src| {
-                    self.routes
+                    self.sessions
                         .iter()
-                        .filter(|(id, &(s, l))| s == src && eligible(self, id, s, l))
-                        .min_by_key(|(&id, _)| {
-                            (self.last_served.get(&id).copied().unwrap_or(0), id)
-                        })
-                        .map(|(&id, _)| (src, id))
+                        .filter(|(_, r)| r.shard == src && eligible(r))
+                        .min_by_key(|&(id, r)| (r.last_served, id))
+                        .map(|(id, _)| (src, id))
                 })
                 .max_by_key(|&(src, _)| (held[src], src));
             let Some((src, victim)) = pick else { break };
@@ -1398,7 +1345,7 @@ mod tests {
         // landing on the least-occupied shard (ties to the lowest index).
         assert_eq!(server.active_per_shard(), vec![3, 3, 3]);
         for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(server.routes[&id].0, i % 3);
+            assert_eq!(server.shard_of(id), i % 3);
         }
         // Cache accounting is per shard and starts empty.
         assert_eq!(server.cache_bytes(), 0);
