@@ -36,6 +36,14 @@
 //! interleaved A/C/V/A/C/V arrival order still costs one stacked pass per
 //! backbone group.
 //!
+//! With `NT_THREADS > 1` the group-sorted batch is cut into contiguous
+//! bands of slots that run as the blocks of one
+//! [`nt_tensor::pool::for_each_block_mut`] call — the helper the GEMM row
+//! bands and the shard fan-out also use, so `&mut` work reaches the pool
+//! one way. A band owns its slots (KV caches, episode state) and a split
+//! never reorders a per-element accumulation, so threaded and serial
+//! serving are bit-identical (`tests/threaded_serving.rs`).
+//!
 //! Join/leave never disturbs other slots: a slot owns its KV session and
 //! episode state, and the batch is just "whichever slots got an
 //! observation this tick". [`SessionId`]s are generation-versioned, so a
@@ -47,7 +55,6 @@ use crate::backbone::{append_batched, InferenceSession};
 use nt_llm::{PagePool, SlotMap, TinyLm};
 use nt_nn::ParamStore;
 use nt_tensor::Tensor;
-use std::sync::Mutex;
 
 /// Token rows one slot contributes to a tick (built by
 /// [`ServedTask::plan_step`]).
@@ -528,18 +535,24 @@ impl<T: ServedTask> ServingEngine<T> {
             .collect();
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| groups[i]);
-        let requests: Vec<(SessionId, &T::Obs)> = order.iter().map(|&i| requests[i]).collect();
-        let requests = requests.as_slice();
-        // A distinct &mut slot per request (a duplicate id panics here).
-        let mut picked = self.slots.get_distinct_mut(requests.iter().map(|&(id, _)| id.index()));
+        // A distinct &mut slot per request (a duplicate id panics here),
+        // paired with its observation and, once its band ran, its new
+        // hidden rows.
+        let picked = self.slots.get_distinct_mut(order.iter().map(|&i| requests[i].0.index()));
+        let mut lanes: Vec<_> = picked
+            .into_iter()
+            .zip(&order)
+            .map(|(slot, &i)| (slot, requests[i].1, None::<Tensor>))
+            .collect();
 
         // Phases 1+2 (per band): plan each slot's token rows, then run
         // batched backbone steps over the band. Bands are contiguous
         // ranges of the group-sorted order, so a band holds at most
         // `groups()` runs; with NT_THREADS > 1 they fan out over the
-        // persistent kernel pool ([`nt_tensor::pool::run_tasks`]) — each
-        // band is an independent slice of slots (own KV caches, own
-        // episode state), and band splits never change any per-element
+        // persistent kernel pool, one block of
+        // [`nt_tensor::pool::for_each_block_mut`] per band — each band is
+        // an independent slice of slots (own KV caches, own episode
+        // state), and band splits never change any per-element
         // accumulation order, so threaded and serial serving are
         // bit-identical. Band tasks carry the pool's worker flag (no
         // second layer of per-matmul parallelism), and an engine that is
@@ -549,51 +562,32 @@ impl<T: ServedTask> ServingEngine<T> {
         } else {
             // At least two slots per band: a band of one stacks nothing,
             // so splitting further only makes the GEMMs shorter.
-            nt_tensor::pool::num_threads().min(requests.len() / 2).max(1)
+            nt_tensor::pool::num_threads().min(lanes.len() / 2).max(1)
         };
-        let band_len = requests.len().div_ceil(threads);
-        let run_band =
-            |slots: &mut [&mut EngineSlot<T>], reqs: &[(SessionId, &T::Obs)]| -> Vec<Tensor> {
-                let mut parts: Vec<Tensor> = Vec::with_capacity(reqs.len());
-                for (slot, &(_, obs)) in slots.iter_mut().zip(reqs) {
-                    let plan = task.plan_step(&mut slot.state, obs, &slot.session);
-                    if plan.reanchor {
-                        slot.session.clear();
-                    }
-                    parts.push(plan.tokens);
+        let band_len = lanes.len().div_ceil(threads);
+        nt_tensor::pool::for_each_block_mut(&mut lanes, band_len, |_, band| {
+            let mut parts: Vec<Tensor> = Vec::with_capacity(band.len());
+            for (slot, obs, _) in band.iter_mut() {
+                let plan = task.plan_step(&mut slot.state, obs, &slot.session);
+                if plan.reanchor {
+                    slot.session.clear();
                 }
-                append_by_group(task, slots, &parts)
-            };
-        let hidden: Vec<Tensor> = if threads <= 1 {
-            run_band(&mut picked, requests)
-        } else {
-            // Each band's borrows travel to its pool task through a
-            // take-once Mutex slot; outputs come back the same way.
-            #[allow(clippy::type_complexity)]
-            let bands: Vec<
-                Mutex<Option<(&mut [&mut EngineSlot<T>], &[(SessionId, &T::Obs)])>>,
-            > = picked
-                .chunks_mut(band_len)
-                .zip(requests.chunks(band_len))
-                .map(|pair| Mutex::new(Some(pair)))
-                .collect();
-            let outs: Vec<Mutex<Option<Vec<Tensor>>>> =
-                bands.iter().map(|_| Mutex::new(None)).collect();
-            nt_tensor::pool::run_tasks(bands.len(), |bi| {
-                let (slots, reqs) =
-                    bands[bi].lock().unwrap().take().expect("serving band dispatched twice");
-                *outs[bi].lock().unwrap() = Some(run_band(slots, reqs));
-            });
-            outs.into_iter()
-                .flat_map(|m| m.into_inner().unwrap().expect("serving band skipped"))
-                .collect()
-        };
+                parts.push(plan.tokens);
+            }
+            let mut slots: Vec<&mut EngineSlot<T>> =
+                band.iter_mut().map(|(slot, _, _)| &mut **slot).collect();
+            let hidden = append_by_group(task, &mut slots, &parts);
+            for ((_, _, out), h) in band.iter_mut().zip(hidden) {
+                *out = Some(h);
+            }
+        });
 
         // Phase 3: task heads over each slot's new hidden rows.
-        let mut actions = Vec::with_capacity(requests.len());
-        let mut rollbacks: Vec<Option<RollbackPlan>> = Vec::with_capacity(requests.len());
-        for ((slot, &(_, obs)), h) in picked.iter_mut().zip(requests).zip(&hidden) {
-            let out = task.settle_step(&mut slot.state, obs, h);
+        let mut actions = Vec::with_capacity(lanes.len());
+        let mut rollbacks: Vec<Option<RollbackPlan>> = Vec::with_capacity(lanes.len());
+        for (slot, obs, hidden) in lanes.iter_mut() {
+            let hidden = hidden.as_ref().expect("every band ran");
+            let out = task.settle_step(&mut slot.state, obs, hidden);
             slot.last_logits = out.logits;
             rollbacks.push(out.rollback);
             actions.push(out.action);
@@ -607,7 +601,7 @@ impl<T: ServedTask> ServingEngine<T> {
         // each slot.
         let mut rb_slots: Vec<&mut EngineSlot<T>> = Vec::new();
         let mut rb_tokens: Vec<Tensor> = Vec::new();
-        for (slot, plan) in picked.into_iter().zip(rollbacks) {
+        for ((slot, _, _), plan) in lanes.into_iter().zip(rollbacks) {
             if let Some(RollbackPlan { drop_rows, post_tokens }) = plan {
                 let keep = slot.session.len() - drop_rows;
                 slot.session.truncate(keep);

@@ -71,7 +71,6 @@ use crate::serving::{ServedTask, ServingEngine, SessionId};
 use crate::telemetry::{EventKind, SteerReason, TelemetryRing};
 use nt_llm::{PagePool, PoolStats};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
 use std::time::Instant;
 use table::{Route, SessionTable, TicketLedger};
 
@@ -1219,12 +1218,12 @@ impl<T: ServedTask> ShardedServer<T> {
     }
 
     /// Step every shard with a non-empty batch, fanning the busy shards
-    /// out over `NT_THREADS` scoped workers (contiguous bands of shards
-    /// per worker). Returns one action vector per shard, in that shard's
+    /// out over `NT_THREADS` pool workers (contiguous bands of shards per
+    /// worker — [`nt_tensor::pool::for_each_block_mut`] with one shard
+    /// per block). Returns one action vector per shard, in that shard's
     /// batch order (empty for idle shards), plus each shard's step
     /// wall-ns (zero for idle shards). The per-shard spans feed the
     /// [`TickPhase::PlanStep`] histograms.
-    #[allow(clippy::type_complexity)]
     fn step_partitioned(
         &mut self,
         task: &T,
@@ -1237,70 +1236,28 @@ impl<T: ServedTask> ShardedServer<T> {
         T::Action: Send,
     {
         let k = self.shards.len();
-        #[allow(clippy::type_complexity)]
-        let mut busy: Vec<(usize, &mut ServingEngine<T>, &[(SessionId, &T::Obs)])> = self
+        // (shard, engine, batch, answers, step ns) per busy shard.
+        let mut busy: Vec<_> = self
             .shards
             .iter_mut()
             .zip(per)
             .enumerate()
             .filter(|(_, (_, b))| !b.is_empty())
-            .map(|(s, (e, b))| (s, e, b.as_slice()))
+            .map(|(s, (e, b))| (s, e, b.as_slice(), Vec::new(), 0u64))
             .collect();
-        let threads = if nt_tensor::pool::in_worker() {
-            1
-        } else {
-            nt_tensor::pool::num_threads().min(busy.len())
-        };
-        let mut results: Vec<Option<Vec<T::Action>>> = (0..k).map(|_| None).collect();
+        nt_tensor::pool::for_each_block_mut(&mut busy, 1, |_, block| {
+            for (_, engine, batch, actions, ns) in block {
+                let t0 = Instant::now();
+                *actions = engine.step(task, batch);
+                *ns = t0.elapsed().as_nanos() as u64;
+            }
+        });
+        let mut results: Vec<Vec<T::Action>> = (0..k).map(|_| Vec::new()).collect();
         let mut step_ns = vec![0u64; k];
-        let timed_step = |e: &mut ServingEngine<T>, b: &[(SessionId, &T::Obs)]| {
-            let t0 = Instant::now();
-            let r = e.step(task, b);
-            (r, t0.elapsed().as_nanos() as u64)
-        };
-        if threads <= 1 {
-            for (s, e, b) in busy {
-                let (r, ns) = timed_step(e, b);
-                results[s] = Some(r);
-                step_ns[s] = ns;
-            }
-        } else {
-            // Shard bands fan out over the persistent kernel pool; each
-            // band's mutable borrows travel to its task through a
-            // take-once Mutex slot and the answers come back the same way.
-            let band_len = busy.len().div_ceil(threads);
-            #[allow(clippy::type_complexity)]
-            let bands: Vec<
-                Mutex<Option<&mut [(usize, &mut ServingEngine<T>, &[(SessionId, &T::Obs)])]>>,
-            > = busy.chunks_mut(band_len).map(|band| Mutex::new(Some(band))).collect();
-            #[allow(clippy::type_complexity)]
-            let outs: Vec<Mutex<Vec<(usize, Vec<T::Action>, u64)>>> =
-                bands.iter().map(|_| Mutex::new(Vec::new())).collect();
-            nt_tensor::pool::run_tasks(bands.len(), |bi| {
-                let band = bands[bi].lock().unwrap().take().expect("shard band dispatched twice");
-                let out: Vec<_> = band
-                    .iter_mut()
-                    .map(|(s, e, b)| {
-                        let (r, ns) = timed_step(e, b);
-                        (*s, r, ns)
-                    })
-                    .collect();
-                *outs[bi].lock().unwrap() = out;
-            });
-            for m in outs {
-                for (s, r, ns) in m.into_inner().unwrap() {
-                    results[s] = Some(r);
-                    step_ns[s] = ns;
-                }
-            }
-        }
-        let results: Vec<Vec<T::Action>> =
-            results.into_iter().map(Option::unwrap_or_default).collect();
-        for (s, r) in results.iter().enumerate() {
-            if !r.is_empty() {
-                self.metrics.record_served(s, r.len() as u64);
-                self.metrics.record_phase_ns(s, TickPhase::PlanStep, step_ns[s]);
-            }
+        for (s, _, _, actions, ns) in busy {
+            self.metrics.record_served(s, actions.len() as u64);
+            self.metrics.record_phase_ns(s, TickPhase::PlanStep, ns);
+            (results[s], step_ns[s]) = (actions, ns);
         }
         (results, step_ns)
     }

@@ -158,6 +158,13 @@ pub fn run_tasks<F: Fn(usize) + Sync>(n_tasks: usize, f: F) {
 /// math is unchanged from the scoped-spawn pool, so results stay
 /// bit-identical to it. Falls back to a plain serial loop when one thread
 /// is configured or on a pool worker thread.
+///
+/// Three layers fan out through here, and nothing else hands `&mut`
+/// bands to the pool: the kernels (GEMM row bands in `Tensor::matmul`,
+/// the batched matmul in `graph`), `netllm::ServingEngine::step` (one
+/// block per band of slots) and `netllm::ShardedServer::tick` (one block
+/// per busy shard). The outer two run their blocks as pool tasks, so the
+/// kernels underneath see [`in_worker`] and stay serial.
 pub fn for_each_block_mut<T: Send, F>(data: &mut [T], chunk_len: usize, f: F)
 where
     F: Fn(usize, &mut [T]) + Sync,
