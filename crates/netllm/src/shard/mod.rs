@@ -28,8 +28,8 @@
 //! (see [`crate::sched`]) and *steers*: at every tick boundary, while a
 //! shard holds more pool pages than the policy's budget, the coldest
 //! (least-recently-served) session is migrated to the lightest shard.
-//! Every steer is gated by [`steer_improves`], so a move never lands on a
-//! shard whose pool lacks the victim's pages. Steering and
+//! Every steer is gated by [`crate::sched::steer_improves`], so a move
+//! never lands on a shard whose pool lacks the victim's pages. Steering and
 //! rebalance-on-leave ([`ShardedServer::leave`]) share one guard: a
 //! session is steered at most once per tick cycle, so the two mechanisms
 //! can both fire in a tick without double-migrating anyone
@@ -39,10 +39,10 @@
 //! episode state travel wholesale, queued arrivals follow) and re-admits
 //! it on another shard — per-session math is untouched, so served answers
 //! stay bit-identical across migrations. Today shards are per-core
-//! (`NT_THREADS`-capped scoped workers, pool-registered so per-matmul and
-//! band parallelism never stack a second thread layer underneath); the
-//! same route-table design extends to per-process and per-host shards
-//! later — a shard is just an index.
+//! (`NT_THREADS`-capped pool workers, so per-matmul and band parallelism
+//! never stack a second thread layer underneath); the same route-table
+//! design extends to per-process and per-host shards later — a shard is
+//! just an index.
 //!
 //! **Fault tolerance**: each shard is a
 //! recoverable failure domain. A [`FaultPlan`] armed via
@@ -59,21 +59,41 @@
 //! shard's pool budget share is permanently retired (degraded capacity →
 //! deferral, never loss). Gated end to end by
 //! `nt-bench/tests/fault_soak.rs`.
+//!
+//! **Module map** — five files, each an `impl` block of the one
+//! [`ShardedServer`]:
+//!
+//! | file | holds |
+//! |---|---|
+//! | `mod.rs` | the struct, constructors, `submit` / `tick` / `poll`, the shard fan-out |
+//! | `table.rs` | the two tables all bookkeeping lives in: one `Route` per live session, one state per ticket (`Requeued`, `Served` or `Failed`; absent = `Pending`) |
+//! | `placement.rs` | join and leave, admission placement, rebalance, manual and budget steering |
+//! | `memory.rs` | page demand of a drained batch, the eviction order, the memory guard |
+//! | `recovery.rs` | the two fault firing points, heartbeats and health, recovery of a dead shard |
+//!
+//! [`ShardedServer::tick`] reads top to bottom as the pipeline: revive
+//! stalls + fire pre-drain faults → heartbeats / observe / recover →
+//! drain → fire mid-tick faults → memory guard → plan+step → settle →
+//! steer.
 
-use crate::fault::{Fault, FaultPlan, FaultReport};
-use crate::health::{HealthChecker, HealthConfig, Heartbeat};
+use crate::fault::{FaultPlan, FaultReport};
+use crate::health::{HealthChecker, HealthConfig};
 use crate::metrics::{MetricsRegistry, TickPhase, TICK_PHASES};
 use crate::sched::{
-    steer_improves, AdmissionPolicy, AdmissionQueue, Arrival, EvictionPolicy, MemoryReport,
-    PagePressure, PlacementView, SubmitError, TickReport, Ticket, TicketStatus,
+    AdmissionPolicy, AdmissionQueue, Arrival, EvictionPolicy, SubmitError, TickReport, Ticket,
+    TicketStatus,
 };
 use crate::serving::{ServedTask, ServingEngine, SessionId};
-use crate::telemetry::{EventKind, SteerReason, TelemetryRing};
-use nt_llm::{PagePool, PoolStats};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::telemetry::{EventKind, TelemetryRing};
+use nt_llm::PagePool;
+use recovery::CrashState;
+use std::collections::BTreeMap;
 use std::time::Instant;
 use table::{Route, SessionTable, TicketLedger};
 
+mod memory;
+mod placement;
+mod recovery;
 mod table;
 
 /// Resident capacity of the fleet's event journal (see
@@ -191,14 +211,6 @@ pub struct ShardedServer<T: ServedTask> {
     journal: TelemetryRing,
 }
 
-/// Simulated process state of one shard (the fault layer's ground truth).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum CrashState {
-    Up,
-    Stalled { until: u64 },
-    Down,
-}
-
 impl<T: ServedTask> ShardedServer<T> {
     /// A fleet of `num_shards` empty engines placing by
     /// [`AdmissionPolicy::LeastLoaded`].
@@ -267,15 +279,6 @@ impl<T: ServedTask> ShardedServer<T> {
         }
     }
 
-    /// A page-denominated policy without a page pool has nothing to
-    /// place or steer by — rejected here rather than silently degraded.
-    fn check_policy(policy: AdmissionPolicy, pooled: bool) {
-        assert!(
-            pooled || policy.page_budget().is_none(),
-            "{policy:?} needs a page pool — build the fleet with ShardedServer::with_memory"
-        );
-    }
-
     /// The fleet's per-shard metrics registry (see [`crate::metrics`]).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
@@ -294,103 +297,6 @@ impl<T: ServedTask> ShardedServer<T> {
         self.tick_no
     }
 
-    /// Arm (or extend) the fault schedule. Events fire inside future
-    /// [`ShardedServer::tick`]s at their exact logical-clock points;
-    /// events whose tick already passed fire on the next tick.
-    pub fn inject(&mut self, plan: FaultPlan) {
-        self.faults.extend(plan);
-    }
-
-    /// The per-shard health state machines (read side: states, last
-    /// heartbeats, configured thresholds).
-    pub fn health(&self) -> &HealthChecker {
-        &self.health
-    }
-
-    /// Replace the health thresholds. Only before any failure: retuning a
-    /// checker with Suspect/Dead shards would rewrite history.
-    pub fn set_health_config(&mut self, cfg: HealthConfig) {
-        assert!(
-            self.health.states().iter().all(|s| s.is_healthy())
-                && self.crashed.iter().all(|c| *c == CrashState::Up),
-            "cannot retune health thresholds after failures began"
-        );
-        self.health = HealthChecker::new(self.shards.len(), cfg);
-    }
-
-    /// Shards currently Healthy (placement, steering and rebalance only
-    /// ever target these).
-    pub fn healthy_shards(&self) -> Vec<usize> {
-        self.health.healthy_shards()
-    }
-
-    /// Shards that are believed Healthy *and* whose process is actually
-    /// up. The health checker only learns of a crash after
-    /// `miss_threshold` silent probes, but a join or migration RPC
-    /// against a dead process fails immediately (connection refused) and
-    /// one against a stalled process hangs — so placement and steering
-    /// skip dark shards without waiting for the declaration. The checker
-    /// stays the sole authority for declaring death and salvaging.
-    fn reachable_shards(&self) -> Vec<usize> {
-        self.health
-            .healthy_shards()
-            .into_iter()
-            .filter(|&s| self.crashed[s] == CrashState::Up)
-            .collect()
-    }
-
-    /// Place `id` on a Healthy shard via the admission policy, evaluated
-    /// over the surviving fleet view (so placement stays deterministic as
-    /// the fleet degrades).
-    /// Crashed-but-undeclared shards are skipped (fail-fast RPC); if
-    /// *every* Healthy shard is dark — the undetected-total-loss window —
-    /// fall back to the checker's view: the session lands on a doomed
-    /// shard and the next declaration salvages it, exactly as if the RPC
-    /// layer had raced the crash.
-    /// `group` is the session's backbone group — the batch-shape signal
-    /// `PageAware` ties break on (same-backbone slots share stacked
-    /// GEMMs). Placement always charges `need_pages: 0`: a fresh join's
-    /// cache starts empty, and a salvaged session's pages died with its
-    /// shard — its rebuild allocates on the next step, where the memory
-    /// guard arbitrates.
-    fn place_on_healthy(&self, id: GlobalSessionId, group: usize) -> usize {
-        let up = self.reachable_shards();
-        let healthy = if up.is_empty() { self.health.healthy_shards() } else { up };
-        assert!(
-            !healthy.is_empty(),
-            "no healthy shard left to place session {id} on — total fleet loss"
-        );
-        let active: Vec<usize> = healthy.iter().map(|&s| self.shards[s].active()).collect();
-        // One in-process pool serves every shard, so each shard reports
-        // the same (global) free list; a pool-less fleet has no page
-        // economy (all zero — only `LeastLoaded`, which reads none of it,
-        // places there).
-        let free_pages = self.pool_stats().map_or(0, |st| st.free_pages);
-        let pressure: Vec<PagePressure> = healthy
-            .iter()
-            .map(|&s| PagePressure { free_pages, held_pages: self.shards[s].pages_held() })
-            .collect();
-        let mut same_backbone = vec![0usize; healthy.len()];
-        for (_, r) in self.sessions.iter().filter(|(_, r)| r.group == group) {
-            if let Some(i) = healthy.iter().position(|&h| h == r.shard) {
-                same_backbone[i] += 1;
-            }
-        }
-        let view = PlacementView {
-            active: &active,
-            cache_bytes: &[],
-            pressure: &pressure,
-            same_backbone: &same_backbone,
-            need_pages: 0,
-        };
-        healthy[self.policy.place(id, &view)]
-    }
-
-    /// Occupancy of the fleet-wide pool (`None` for unbounded fleets).
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        self.pool.as_ref().map(PagePool::stats)
-    }
-
     /// Replace the per-shard backpressure cap (only while no arrival is
     /// pending, so no ticket can be dropped by the swap).
     pub fn set_queue_capacity(&mut self, cap: usize) {
@@ -398,148 +304,9 @@ impl<T: ServedTask> ShardedServer<T> {
         self.queues = (0..self.shards.len()).map(|_| AdmissionQueue::with_capacity(cap)).collect();
     }
 
-    /// Swap the admission policy at runtime (placement applies to future
-    /// joins; a new `PageAware` budget applies from the next tick's
-    /// steering pass). Live sessions and queues are untouched. Panics on
-    /// [`AdmissionPolicy::PageAware`] for a fleet built without a pool
-    /// (see [`ShardedServer::with_memory`]).
-    pub fn set_policy(&mut self, policy: AdmissionPolicy) {
-        Self::check_policy(policy, self.pool.is_some());
-        self.policy = policy;
-    }
-
-    /// The shard currently serving `id`.
-    pub fn shard_of(&self, id: GlobalSessionId) -> usize {
-        self.sessions.get(id).shard
-    }
-
     /// Shard count.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Admit a session on backbone group 0 (homogeneous tasks).
-    pub fn join(&mut self, task: &T) -> GlobalSessionId {
-        self.join_group(task, 0)
-    }
-
-    /// Admit a session on backbone `group`; the admission policy places it
-    /// from the current fleet view (live slots + page pressure per Healthy
-    /// shard — dead and suspect shards take no new sessions).
-    pub fn join_group(&mut self, task: &T, group: usize) -> GlobalSessionId {
-        let id = self.next_id;
-        self.next_id += 1;
-        let shard = self.place_on_healthy(id, group);
-        if let Some(pool) = &self.pool {
-            let lm = task.backbone(group).0;
-            let floor = lm.cfg.n_layers * pool.pages_for(lm.cfg.max_seq);
-            self.floor_pages = self.floor_pages.max(floor);
-        }
-        let local = self.shards[shard].join_group(task, group);
-        self.sessions.join(id, shard, local, group);
-        id
-    }
-
-    /// Remove a session, dropping its KV cache (a paged cache returns
-    /// every page to the pool). Nothing of the session lingers in the
-    /// server — and nothing is silently dropped either: its
-    /// served-but-unpolled actions and still-queued arrivals (whose
-    /// tickets will now never resolve) come back in the [`LeaveReport`].
-    /// Then rebalance: while departures leave the fullest shard ≥ 2
-    /// sessions above the emptiest, steer the fullest shard's lowest-id
-    /// session over (at most once per session per tick cycle).
-    pub fn leave(&mut self, id: GlobalSessionId) -> LeaveReport<T::Action, T::Obs> {
-        let Route { shard, local, .. } = self.sessions.leave(id);
-        // Queue FIFO and the ledger's order are both oldest first.
-        let dropped_arrivals: Vec<(Ticket, T::Obs)> =
-            self.queues[shard].remove_session(id).into_iter().map(|a| (a.ticket, a.obs)).collect();
-        let dropped: Vec<Ticket> = dropped_arrivals.iter().map(|&(t, _)| t).collect();
-        // Nothing of the session stays observable: a `Requeued` mark on a
-        // dropped arrival would promise an answer forever, an unpolled
-        // `Failed` would sit in the ledger for the server's lifetime.
-        let unpolled = self.tickets.leave(id, &dropped);
-        self.shards[shard].leave(local);
-        while self.rebalance_once() {}
-        LeaveReport { unpolled, dropped_arrivals }
-    }
-
-    /// One rebalance move, if the fleet is skewed. Returns whether a
-    /// session moved. Sessions already steered this tick cycle are not
-    /// eligible victims (no double-migration); only Healthy *and up*
-    /// shards are balanced — a dead shard's permanent 0-occupancy must
-    /// not attract the whole fleet, and during the undetected-crash
-    /// window (killed, not yet declared) a dark shard can neither send
-    /// nor receive a migration: a departure emptying it must not pull a
-    /// live session's KV onto a process that will take it to the grave.
-    fn rebalance_once(&mut self) -> bool {
-        let healthy = self.reachable_shards();
-        if healthy.len() < 2 {
-            return false;
-        }
-        let (mut min_s, mut min_a) = (healthy[0], usize::MAX);
-        let (mut max_s, mut max_a) = (healthy[0], 0usize);
-        for &s in &healthy {
-            let a = self.shards[s].active();
-            if a < min_a {
-                (min_s, min_a) = (s, a);
-            }
-            if a > max_a {
-                (max_s, max_a) = (s, a);
-            }
-        }
-        if max_a < min_a + 2 {
-            return false;
-        }
-        let victim =
-            self.sessions.iter().find(|(_, r)| r.shard == max_s && !r.steered).map(|(id, _)| id);
-        match victim {
-            Some(v) => {
-                self.steer_with(v, min_s, SteerReason::Rebalance);
-                true
-            }
-            // Every candidate was already steered this tick cycle; leave
-            // the skew for the next tick rather than double-migrate.
-            None => false,
-        }
-    }
-
-    /// Migrate a session to `dest` shard: its KV cache, episode state and
-    /// queued arrivals move wholesale, so subsequent answers are
-    /// bit-identical to never having moved. No-op when already home —
-    /// and no-op when either endpoint's process is down: the transfer
-    /// RPC fails fast against a crashed shard (even one the health
-    /// checker has not yet declared), so the session stays where it is
-    /// instead of marooning its KV on a dead process.
-    pub fn steer(&mut self, id: GlobalSessionId, dest: usize) {
-        self.steer_with(id, dest, SteerReason::Manual);
-    }
-
-    /// [`ShardedServer::steer`] with the trigger recorded: internal
-    /// callers (rebalance, budget steering) tag their moves so the
-    /// journal can say *why* a session moved, not just where.
-    fn steer_with(&mut self, id: GlobalSessionId, dest: usize, reason: SteerReason) {
-        assert!(dest < self.shards.len(), "shard {dest} out of range");
-        let &Route { shard: src, local, .. } = self.sessions.get(id);
-        if src == dest
-            || self.crashed[src] == CrashState::Down
-            || self.crashed[dest] == CrashState::Down
-        {
-            return;
-        }
-        let parked = self.shards[src].park(local);
-        let new_local = self.shards[dest].admit(parked);
-        self.sessions.steer(id, dest, new_local);
-        // Pending arrivals follow their session (bypassing the cap: a
-        // move must never drop a ticket).
-        for a in self.queues[src].remove_session(id) {
-            self.queues[dest].requeue(a);
-        }
-        self.metrics.record_steered(src);
-        self.metrics.record_steered_in(dest);
-        self.journal.record(
-            self.tick_no,
-            EventKind::Steer { src: src as u32, dst: dest as u32, session: id, reason },
-        );
     }
 
     /// Live sessions across the fleet.
@@ -550,17 +317,6 @@ impl<T: ServedTask> ShardedServer<T> {
     /// Live sessions per shard (the rebalance policy's balance view).
     pub fn active_per_shard(&self) -> Vec<usize> {
         self.shards.iter().map(ServingEngine::active).collect()
-    }
-
-    /// KV bytes held across the fleet.
-    pub fn cache_bytes(&self) -> usize {
-        self.shards.iter().map(ServingEngine::cache_bytes).sum()
-    }
-
-    /// Pool pages held per shard — the accounting `PageAware` placement
-    /// and steering run on (all zero for pool-less fleets).
-    pub fn pages_held_per_shard(&self) -> Vec<usize> {
-        self.shards.iter().map(ServingEngine::pages_held).collect()
     }
 
     /// Head outputs of `id`'s most recent step.
@@ -641,212 +397,6 @@ impl<T: ServedTask> ShardedServer<T> {
         self.tickets.poll_status(ticket)
     }
 
-    /// The eviction policy's next victim: the idle session whose
-    /// re-anchor rebuild is cheapest — fewest priced rebuild rows ×
-    /// backbone width first ([`ServingEngine::rebuild_cost_of`], 0
-    /// whenever the session's next step re-anchors regardless), ties to
-    /// the most pages held (biggest reclaim per re-anchor), then coldest,
-    /// then the lowest id. Age-blind before the tie-breaks by design: a
-    /// hot session due a free re-anchor beats a cold one carrying a full
-    /// window. Sessions in `protected` (their arrival is in this tick's
-    /// batch — drained or deferred) are never victims. `None` under
-    /// [`EvictionPolicy::None`], or when every page-holding session is
-    /// protected.
-    fn eviction_victim(
-        &self,
-        task: &T,
-        protected: &BTreeSet<GlobalSessionId>,
-    ) -> Option<GlobalSessionId> {
-        if self.eviction == EvictionPolicy::None {
-            return None;
-        }
-        self.sessions
-            .iter()
-            .filter(|&(id, r)| {
-                !protected.contains(&id)
-                    && self.health.state(r.shard).is_healthy()
-                    && self.shards[r.shard].pages_of(r.local) > 0
-            })
-            .min_by_key(|&(id, r)| {
-                (
-                    self.shards[r.shard].rebuild_cost_of(task, r.local),
-                    usize::MAX - self.shards[r.shard].pages_of(r.local),
-                    r.last_served,
-                    id,
-                )
-            })
-            .map(|(id, _)| id)
-    }
-
-    /// Reclaim `victim`'s pages, recording the eviction under the rebuild
-    /// rows its next step will now replay (priced *before* the clear —
-    /// an empty cache prices 0).
-    fn evict_session(&mut self, victim: GlobalSessionId, task: &T) {
-        let &Route { shard: s, local: l, .. } = self.sessions.get(victim);
-        let rows = self.shards[s].rebuild_rows_of(task, l) as u64;
-        let _ = self.shards[s].evict(l);
-        self.metrics.record_evicted(s, rows);
-        self.journal.record(
-            self.tick_no,
-            EventKind::Eviction { shard: s as u32, session: victim, rebuild_rows: rows },
-        );
-    }
-
-    /// One shard's drained batch as `(local id, obs)` requests.
-    fn requests_of<'a>(
-        sessions: &SessionTable,
-        shard: usize,
-        batch: &'a [Arrival<T::Obs>],
-    ) -> Vec<(SessionId, &'a T::Obs)> {
-        batch
-            .iter()
-            .map(|a| {
-                let r = sessions.get(a.session);
-                debug_assert_eq!(r.shard, shard, "queued arrival on the wrong shard");
-                (r.local, &a.obs)
-            })
-            .collect()
-    }
-
-    /// Pages the drained batches could allocate this tick (exact
-    /// [`ServedTask::plan_rows`] counts; clears charged from empty so no
-    /// band interleaving can starve a reservation).
-    fn batch_demand(&self, task: &T, drained: &[Vec<Arrival<T::Obs>>]) -> usize {
-        drained
-            .iter()
-            .enumerate()
-            .map(|(s, batch)| {
-                self.shards[s].page_demand(task, &Self::requests_of(&self.sessions, s, batch))
-            })
-            .sum()
-    }
-
-    /// Pre-release the pages of every drained session whose plan clears
-    /// (re-anchors) anyway — semantically free (the rebuild never reads
-    /// them; see [`ServingEngine::release_reanchor_pages`]) and the
-    /// reason a re-anchoring giant session can never wedge the pool
-    /// against its own rebuild.
-    fn release_reanchor_pages(&mut self, task: &T, drained: &[Vec<Arrival<T::Obs>>]) {
-        for (s, batch) in drained.iter().enumerate() {
-            let reqs = Self::requests_of(&self.sessions, s, batch);
-            let _ = self.shards[s].release_reanchor_pages(task, &reqs);
-        }
-    }
-
-    /// Pop every arrival of `victim` out of the drained batch and requeue
-    /// it at the *front* of its shard queue (FIFO preserved, ticket stays
-    /// pending — the same mechanics as a backpressure deferral). Returns
-    /// how many arrivals were deferred.
-    fn defer_session(
-        &mut self,
-        victim: GlobalSessionId,
-        drained: &mut [Vec<Arrival<T::Obs>>],
-    ) -> usize {
-        let mut deferred = 0usize;
-        for (s, batch) in drained.iter_mut().enumerate() {
-            let mut kept = Vec::with_capacity(batch.len());
-            let mut back = Vec::new();
-            for a in batch.drain(..) {
-                if a.session == victim {
-                    back.push(a);
-                } else {
-                    kept.push(a);
-                }
-            }
-            *batch = kept;
-            deferred += back.len();
-            if !back.is_empty() {
-                self.queues[s].requeue_front(back);
-            }
-        }
-        deferred
-    }
-
-    /// The memory guard, run between the drain and
-    /// the step: re-anchoring sessions return their pages up front, then
-    /// while the tick's page demand exceeds the pool's free list, reclaim
-    /// the [`EvictionPolicy`]'s chosen victim's pages (it re-anchors on
-    /// its next step). Victims are never sessions whose arrivals are in
-    /// the drained batch — evicting work we are about to serve forces an
-    /// immediate re-anchor of that very work (the pre-fix bug: the scan
-    /// recomputed its exclusion set per iteration, so a just-deferred
-    /// session — which serves next tick — was evicted by accident,
-    /// undoing the deferral's whole point; regression-pinned in
-    /// tests/paged_serving.rs).
-    ///
-    /// When pressure persists and every page-holding session is in the
-    /// batch, one of them must yield or the pool freezes (nothing served
-    /// → nothing grows or re-anchors → the same tick repeats forever).
-    /// The guard then *sacrifices* one batch member — chosen by the
-    /// eviction policy's own order, never the oldest arrival's session,
-    /// so the tick always serves someone — deferring its arrival and
-    /// reclaiming its pages as a single decision.
-    ///
-    /// When no victim remains at all, defer the globally youngest drained
-    /// arrivals back to the front of their queues — admission
-    /// backpressure instead of OOM growth, and their tickets stay
-    /// pending, so nothing is lost. After this guard every reservation
-    /// inside the step succeeds under any thread interleaving.
-    /// (Evictions only grow the free list, so demand is recomputed only
-    /// when a deferral shrinks the batch.)
-    fn memory_guard(&mut self, task: &T, drained: &mut [Vec<Arrival<T::Obs>>]) -> MemoryReport {
-        let mut report = MemoryReport::default();
-        let Some(pool) = self.pool.clone() else { return report };
-        self.release_reanchor_pages(task, drained);
-        // Computed ONCE from the batch as drained: a session deferred for
-        // backpressure stays protected for the rest of the tick.
-        let protected: BTreeSet<GlobalSessionId> =
-            drained.iter().flatten().map(|a| a.session).collect();
-        let mut demand = self.batch_demand(task, drained);
-        loop {
-            if demand <= pool.free_pages() {
-                break;
-            }
-            if let Some(victim) = self.eviction_victim(task, &protected) {
-                self.evict_session(victim, task);
-                report.evicted.push(victim);
-                continue;
-            }
-            // Every page holder is in the batch. Sacrifice by policy
-            // order, sparing the oldest arrival's session (progress
-            // guarantee); defer-and-evict is one decision, so the victim
-            // is never served in the tick that cleared its cache.
-            let oldest = drained
-                .iter()
-                .flatten()
-                .min_by_key(|a| a.ticket)
-                .map(|a| a.session)
-                .expect("demand > 0 implies a non-empty batch");
-            let spare: BTreeSet<GlobalSessionId> = [oldest].into_iter().collect();
-            if let Some(victim) = self.eviction_victim(task, &spare) {
-                report.deferred += self.defer_session(victim, drained);
-                self.evict_session(victim, task);
-                report.evicted.push(victim);
-                demand = self.batch_demand(task, drained);
-                continue;
-            }
-            // No reclaimable victim anywhere: defer the globally youngest
-            // drained arrival. The loop converges — every deferral
-            // strictly shrinks the batch, and a batch of one always fits:
-            // its session either grows incrementally (held + delta ≤ one
-            // full-context session ≤ capacity) or re-anchors (pages
-            // pre-released above, rebuild ≤ one full-context session ≤
-            // capacity — the `for_model` floor; regression-tested in
-            // tests/paged_serving.rs).
-            let youngest = drained
-                .iter()
-                .enumerate()
-                .filter_map(|(s, b)| b.last().map(|a| (a.ticket, s)))
-                .max_by_key(|&(ticket, _)| ticket);
-            let Some((_, s)) = youngest else { break };
-            let arrival = drained[s].pop().expect("shard batch has a last element");
-            self.queues[s].requeue_front(vec![arrival]);
-            report.deferred += 1;
-            demand = self.batch_demand(task, drained);
-        }
-        report
-    }
-
     /// Serve one scheduled tick: every shard drains its queue at this
     /// tick boundary (at most one arrival per session, FIFO within a
     /// session), the memory guard reserves the tick's page demand
@@ -872,57 +422,13 @@ impl<T: ServedTask> ShardedServer<T> {
         let k = self.shards.len();
         let mut faults = FaultReport::default();
 
-        // Revive expired stalls (the transient class: state intact, the
-        // next heartbeat snaps the shard back to Healthy).
-        for s in 0..k {
-            if let CrashState::Stalled { until } = self.crashed[s] {
-                if tick >= until {
-                    self.crashed[s] = CrashState::Up;
-                }
-            }
-        }
-
-        // Fire pre-drain faults: the shard is already dark when this
-        // tick's heartbeats are snapshotted below.
-        let mut plan = std::mem::take(&mut self.faults);
-        for f in plan.take_due(tick, true) {
-            match f {
-                Fault::Kill { shard, .. } => {
-                    if self.crashed[shard] != CrashState::Down {
-                        self.crashed[shard] = CrashState::Down;
-                        faults.killed.push(shard);
-                    }
-                }
-                Fault::Stall { shard, ticks } => {
-                    if self.crashed[shard] == CrashState::Up {
-                        self.crashed[shard] = CrashState::Stalled { until: tick + ticks };
-                        faults.stalled.push(shard);
-                    }
-                }
-                f => unreachable!("{f:?} is not a pre-drain fault"),
-            }
-        }
-
-        // Heartbeats + health observation. Recovery for newly-declared
-        // deaths runs *before* the drain, so salvaged sessions' arrivals
-        // (redistributed to survivors' queues) serve this same tick.
-        let beats: Vec<Option<Heartbeat>> = (0..k)
-            .map(|s| match self.crashed[s] {
-                CrashState::Up => Some(Heartbeat {
-                    tick,
-                    occupancy: self.shards[s].active(),
-                    queue_depth: self.queues[s].len(),
-                    kv_bytes: self.shards[s].cache_bytes(),
-                }),
-                _ => None,
-            })
-            .collect();
-        for s in self.health.observe(tick, &beats) {
-            faults.declared_dead.push(s);
-            self.metrics.record_shard_kill();
-            self.journal.record(tick, EventKind::ShardDead { shard: s as u32 });
-            self.recover_shard(s, &mut faults);
-        }
+        // Before the drain (see `recovery.rs`): expired stalls revive,
+        // pre-drain faults fire, and the health checker reads this tick's
+        // heartbeats — a shard it declares Dead is recovered here, so its
+        // sessions' arrivals serve this same tick on the survivors.
+        self.revive_stalls(tick);
+        self.fire_pre_drain_faults(tick, &mut faults);
+        self.observe_health(tick, &mut faults);
 
         // The five timed phases — drain → memory guard → plan+step →
         // settle → steer — each recorded through `record_span` (the
@@ -943,69 +449,9 @@ impl<T: ServedTask> ShardedServer<T> {
             drained.push(batch);
         }
 
-        // Fire mid-tick faults: after the drain, before the engine step —
-        // drained arrivals are in flight and must be requeued or failed,
-        // never lost.
-        for f in plan.take_due(tick, false) {
-            match f {
-                Fault::Kill { shard, .. } => {
-                    if self.crashed[shard] == CrashState::Down || self.health.state(shard).is_dead()
-                    {
-                        continue;
-                    }
-                    self.crashed[shard] = CrashState::Down;
-                    faults.killed.push(shard);
-                    // The drained batch is orphaned in the dead process:
-                    // back to the head of its queue (FIFO preserved),
-                    // redistributed with the backlog at declaration.
-                    let orphans = std::mem::take(&mut drained[shard]);
-                    let n = orphans.len() as u64;
-                    for a in &orphans {
-                        self.tickets.requeue(a.ticket);
-                    }
-                    self.queues[shard].requeue_front(orphans);
-                    faults.arrivals_requeued += n;
-                    self.metrics.record_arrivals_requeued(n);
-                }
-                Fault::Poison { session } => {
-                    let Some(&Route { shard: s, local, .. }) = self.sessions.find(session) else {
-                        continue;
-                    };
-                    if !self.health.state(s).is_healthy() {
-                        continue;
-                    }
-                    // Torn step: the in-flight arrival fails, and the
-                    // session's KV is untrusted (a CJS candidate may sit
-                    // half-applied) — drop it; the episode log was never
-                    // touched mid-step, so the next step re-anchors to
-                    // exactly the pre-poison stream.
-                    if let Some(pos) = drained[s].iter().position(|a| a.session == session) {
-                        let a = drained[s].remove(pos);
-                        self.tickets.fail(a.ticket, a.session);
-                        faults.tickets_failed += 1;
-                        self.metrics.record_tickets_failed(1);
-                    }
-                    let rows = self.shards[s].kv_rows_of(local) as u64;
-                    let _ = self.shards[s].evict(local);
-                    faults.replay_rows += rows;
-                    self.metrics.record_sessions_recovered(0, rows);
-                }
-                Fault::DropBatch { shard } => {
-                    if !self.health.state(shard).is_healthy() {
-                        continue;
-                    }
-                    let batch = std::mem::take(&mut drained[shard]);
-                    let n = batch.len() as u64;
-                    for a in batch {
-                        self.tickets.fail(a.ticket, a.session);
-                    }
-                    faults.tickets_failed += n;
-                    self.metrics.record_tickets_failed(n);
-                }
-                f => unreachable!("{f:?} is not a mid-tick fault"),
-            }
-        }
-        self.faults = plan;
+        // Mid-tick faults fire between the drain and the step: a drained
+        // arrival a fault catches in flight is requeued or failed.
+        self.fire_mid_tick_faults(tick, &mut drained, &mut faults);
 
         // Phase 2, memory guard: reserve the tick's page demand (evicting
         // / deferring under pressure). A fleet-wide pass (one pool, one
@@ -1101,120 +547,6 @@ impl<T: ServedTask> ShardedServer<T> {
             self.metrics.record_phase_ns(s, phase, ns);
         }
         phase_ns[phase as usize] += ns;
-    }
-
-    /// Recover a shard the health checker just declared Dead: salvage
-    /// every routed session (KV pages died with the process and are
-    /// reclaimed to the pool; the episode log survives and re-anchors the
-    /// session on its next step, exactly like an eviction), re-place each
-    /// on a Healthy shard via the admission policy, redistribute the dead
-    /// shard's queue backlog to the sessions' new homes (FIFO per session
-    /// preserved — `requeue` appends in order and a session's arrivals
-    /// only ever lived in this one queue), and permanently retire the
-    /// shard's share of the pool budget, clamped so one full-context
-    /// session still fits (degraded capacity defers, never wedges).
-    fn recover_shard(&mut self, dead: usize, report: &mut FaultReport) {
-        self.crashed[dead] = CrashState::Down; // a fatal stall ends here too
-        let victims: Vec<(GlobalSessionId, Route)> =
-            self.sessions.iter().filter(|(_, r)| r.shard == dead).map(|(id, r)| (id, *r)).collect();
-        let mut rows = 0u64;
-        for &(id, Route { local, group, .. }) in &victims {
-            let mut parked = self.shards[dead].park(local);
-            rows += parked.kv_rows() as u64;
-            parked.drop_kv();
-            let dest = self.place_on_healthy(id, group);
-            let new_local = self.shards[dest].admit(parked);
-            self.sessions.recover(id, dest, new_local);
-        }
-        report.sessions_recovered += victims.len() as u64;
-        report.replay_rows += rows;
-        self.metrics.record_sessions_recovered(victims.len() as u64, rows);
-        self.journal.record(
-            self.tick_no,
-            EventKind::Recovery {
-                shard: dead as u32,
-                sessions: victims.len() as u32,
-                replay_rows: rows,
-            },
-        );
-        let backlog = self.queues[dead].take_all();
-        let n = backlog.len() as u64;
-        for a in backlog {
-            let dest = self.shard_of(a.session);
-            self.tickets.requeue(a.ticket);
-            self.queues[dest].requeue(a);
-        }
-        report.arrivals_requeued += n;
-        self.metrics.record_arrivals_requeued(n);
-        if let Some(pool) = &self.pool {
-            let share = self.pool_minted / self.initial_shards;
-            let ceiling = pool.capacity_pages().saturating_sub(self.floor_pages);
-            let retired = pool.retire_pages(share.min(ceiling));
-            report.retired_pages += retired as u64;
-        }
-    }
-
-    /// The tick boundary's budget-enforcement pass: while any shard holds
-    /// more pool pages than the [`AdmissionPolicy::PageAware`] budget,
-    /// steer its coldest not-yet-steered session to the lightest shard —
-    /// provided the move passes [`steer_improves`]: the destination plus
-    /// the victim stays strictly below the source (no ping-pong between
-    /// equal-height shards, no bouncing a session whose cache alone
-    /// exceeds the budget) *and* the destination pool's free list covers
-    /// the victim's pages, so a steer never converts into an eviction on
-    /// arrival. (In-process fleets share one pool, making the page check
-    /// conservative — the move itself is a no-op on the free list — but
-    /// it is exactly the contract a per-process destination pool
-    /// enforces.) Bounded by the once-per-tick guard (each session moves
-    /// at most once), so the pass terminates even when the budget is
-    /// infeasible fleet-wide. A no-op under `LeastLoaded`.
-    fn steer_over_budget(&mut self) {
-        let Some(budget) = self.policy.page_budget() else { return };
-        // Only Healthy, up shards steer or receive — a dead shard's
-        // permanent 0 load must never make it the designated
-        // destination, including one whose crash no probe has missed yet
-        // (`steer` would refuse the transfer and the pass would spin on
-        // the same victim).
-        let healthy = self.reachable_shards();
-        if healthy.len() < 2 {
-            return;
-        }
-        loop {
-            let held = self.pages_held_per_shard();
-            let free = self.pool_stats().expect("a page policy implies a pool").free_pages;
-            let dest_for = |src: usize| {
-                *healthy.iter().filter(|&&s| s != src).min_by_key(|&&s| (held[s], s)).unwrap()
-            };
-            let eligible = |r: &Route| {
-                !r.steered
-                    && steer_improves(
-                        held[r.shard],
-                        held[dest_for(r.shard)],
-                        self.shards[r.shard].pages_of(r.local),
-                        free,
-                    )
-            };
-            // Hottest over-budget shard that still holds an eligible
-            // victim, and its coldest such session (ties: lowest id —
-            // deterministic). Shards whose sessions were all steered
-            // already (or whose moves would not improve anything) are
-            // passed over, not a reason to abandon cooler over-budget
-            // shards that can still be fixed.
-            let pick = healthy
-                .iter()
-                .copied()
-                .filter(|&s| held[s] > budget)
-                .filter_map(|src| {
-                    self.sessions
-                        .iter()
-                        .filter(|(_, r)| r.shard == src && eligible(r))
-                        .min_by_key(|&(id, r)| (r.last_served, id))
-                        .map(|(id, _)| (src, id))
-                })
-                .max_by_key(|&(src, _)| (held[src], src));
-            let Some((src, victim)) = pick else { break };
-            self.steer_with(victim, dest_for(src), SteerReason::OverBudget);
-        }
     }
 
     /// Step every shard with a non-empty batch, fanning the busy shards
