@@ -266,3 +266,53 @@ proptest! {
         prop_assert_eq!(stats.used_pages + stats.free_pages, stats.capacity_pages);
     }
 }
+
+/// A ticket is in one state at a time: one that a mid-tick kill marked
+/// `Requeued` and a later dropped batch failed reads `Failed` exactly
+/// once and is then consumed — it must not fall back to `Requeued`, a
+/// promise of an answer that will never come.
+#[test]
+fn requeued_then_failed_ticket_reads_failed_once_then_pending() {
+    let m = &models().abr;
+    let obs = AbrObservation::synthetic_stream(91, 1).remove(0);
+    let mut server = ShardedServer::with_policy(2, AdmissionPolicy::LeastLoaded);
+    server.set_health_config(HealthConfig::fast());
+    let id = server.join(m);
+    assert_eq!(server.shard_of(id), 0);
+    let ticket = server.submit(id, obs).unwrap();
+    // Tick 1: the arrival is drained, then its shard dies under it.
+    server.inject(FaultPlan::new().kill(1, 0));
+    let report = server.tick(m);
+    assert_eq!(report.faults.arrivals_requeued, 1);
+    assert_eq!(server.poll_status(ticket), TicketStatus::Requeued);
+    // Drop the survivor's batch every tick: once shard 0 is declared dead
+    // the arrival moves over, is drained there and lost with the batch.
+    let mut failed = 0;
+    for t in 2..=8 {
+        server.inject(FaultPlan::new().drop_batch(t, 1));
+        failed += server.tick(m).faults.tickets_failed;
+        if failed == 1 {
+            break;
+        }
+        assert_eq!(server.poll_status(ticket), TicketStatus::Requeued);
+    }
+    assert_eq!(failed, 1, "the recovered arrival is dropped with the survivor's batch");
+    assert_eq!(server.poll_status(ticket), TicketStatus::Failed);
+    assert_eq!(server.poll_status(ticket), TicketStatus::Pending, "a resolution is consumed");
+}
+
+/// `leave` reclaims everything a session left behind, an unpolled
+/// `Failed` ticket included: afterwards the ticket reads `Pending`, like
+/// every ticket of a departed session.
+#[test]
+fn leave_reclaims_an_unpolled_failed_ticket() {
+    let m = &models().abr;
+    let obs = AbrObservation::synthetic_stream(93, 1).remove(0);
+    let mut server = ShardedServer::with_policy(1, AdmissionPolicy::LeastLoaded);
+    let id = server.join(m);
+    let ticket = server.submit(id, obs).unwrap();
+    server.inject(FaultPlan::new().drop_batch(1, 0));
+    assert_eq!(server.tick(m).faults.tickets_failed, 1);
+    assert!(server.leave(id).is_clean(), "a failed ticket is neither an action nor an arrival");
+    assert_eq!(server.poll_status(ticket), TicketStatus::Pending);
+}
