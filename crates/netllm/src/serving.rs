@@ -214,6 +214,13 @@ impl SessionId {
     pub fn index(self) -> usize {
         self.idx as usize
     }
+
+    /// A handle no engine issued, for tests of bookkeeping that only
+    /// stores and compares handles.
+    #[cfg(test)]
+    pub(crate) fn for_test(idx: u32, gen: u32) -> Self {
+        SessionId { idx, gen }
+    }
 }
 
 /// A session lifted out of an engine (KV cache + episode state), ready to

@@ -207,3 +207,180 @@ impl<A> TicketLedger<A> {
             .collect()
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The model's view of one ticket.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Model {
+        /// Queued, undisturbed (or consumed / reclaimed: nothing to say).
+        Pending,
+        Requeued,
+        Served,
+        Failed,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Requeue / serve / fail / poll / poll_status / leave in any
+        /// order: the ledger always reports the model's single state,
+        /// `Served` and `Failed` are each observed at most once per
+        /// ticket, and a leave removes exactly the leaver's entries and
+        /// returns its served actions oldest first.
+        #[test]
+        fn a_ticket_has_one_state_and_terminal_states_are_observed_once(
+            ops in proptest::collection::vec((0u8..8, 0u64..12), 1..200),
+        ) {
+            const SESSIONS: u64 = 3;
+            let owner = |t: u64| t % SESSIONS;
+            let mut ledger: TicketLedger<u64> = TicketLedger::default();
+            // Tickets 0..12 are all "submitted"; `queued` says whether
+            // the arrival is still in a queue (unresolved, owner live).
+            let mut model = [Model::Pending; 12];
+            let mut queued = [true; 12];
+            let mut seen_served = [0u32; 12];
+            let mut seen_failed = [0u32; 12];
+            for (op, t) in ops {
+                let (ticket, i) = (Ticket(t), t as usize);
+                match op {
+                    0 if queued[i] => {
+                        ledger.requeue(ticket);
+                        model[i] = Model::Requeued;
+                    }
+                    1 | 2 if queued[i] => {
+                        ledger.serve(ticket, owner(t), t * 10);
+                        (model[i], queued[i]) = (Model::Served, false);
+                    }
+                    3 if queued[i] => {
+                        ledger.fail(ticket, owner(t));
+                        (model[i], queued[i]) = (Model::Failed, false);
+                    }
+                    4 => {
+                        let got = ledger.poll(ticket);
+                        prop_assert_eq!(got, (model[i] == Model::Served).then_some(t * 10));
+                        if got.is_some() {
+                            seen_served[i] += 1;
+                            model[i] = Model::Pending;
+                        }
+                    }
+                    5 | 6 => {
+                        let want = match model[i] {
+                            Model::Pending => TicketStatus::Pending,
+                            Model::Requeued => TicketStatus::Requeued,
+                            Model::Served => TicketStatus::Served(t * 10),
+                            Model::Failed => TicketStatus::Failed,
+                        };
+                        let got = ledger.poll_status(ticket);
+                        prop_assert_eq!(&got, &want);
+                        seen_served[i] += u32::from(matches!(got, TicketStatus::Served(_)));
+                        seen_failed[i] += u32::from(got == TicketStatus::Failed);
+                        if got.is_terminal() {
+                            model[i] = Model::Pending;
+                        }
+                    }
+                    7 => {
+                        // Session `t % SESSIONS` leaves: its queued
+                        // arrivals are dropped, its banked actions come
+                        // back ascending, nothing of it stays observable
+                        // and nobody else's entry moves.
+                        let s = owner(t);
+                        let mine = |x: &u64| owner(*x) == s;
+                        let dropped: Vec<Ticket> = (0..12u64)
+                            .filter(mine)
+                            .filter(|&x| queued[x as usize])
+                            .map(Ticket)
+                            .collect();
+                        let want: Vec<(Ticket, u64)> = (0..12u64)
+                            .filter(mine)
+                            .filter(|&x| model[x as usize] == Model::Served)
+                            .map(|x| (Ticket(x), x * 10))
+                            .collect();
+                        prop_assert_eq!(ledger.leave(s, &dropped), want);
+                        for x in (0..12usize).filter(|&x| owner(x as u64) == s) {
+                            seen_served[x] += u32::from(model[x] == Model::Served);
+                            (model[x], queued[x]) = (Model::Pending, false);
+                        }
+                    }
+                    _ => {} // the op's precondition does not hold: skip
+                }
+                let live = model.iter().filter(|&&m| m != Model::Pending).count();
+                prop_assert_eq!(ledger.states.len(), live); // nothing lingers, nothing extra
+                prop_assert_eq!(
+                    ledger.ready(),
+                    model.iter().filter(|&&m| m == Model::Served).count()
+                );
+            }
+            prop_assert!(seen_served.iter().all(|&n| n <= 1), "an action was handed out twice");
+            prop_assert!(seen_failed.iter().all(|&n| n <= 1), "a failure was reported twice");
+        }
+
+        /// Join / steer / recover / serve / leave / end-of-cycle in any
+        /// order: every live id has exactly one route, agreeing with the
+        /// model field for field; steer marks are reported once,
+        /// ascending, and reset at the cycle boundary.
+        #[test]
+        fn every_live_session_has_one_route_and_steer_marks_reset_each_cycle(
+            ops in proptest::collection::vec((0u8..7, 0u64..6, 0usize..4), 1..200),
+        ) {
+            let handle = |shard: usize, n: u32| SessionId::for_test(shard as u32, n);
+            let mut table = SessionTable::default();
+            let mut model: BTreeMap<GlobalSessionId, Route> = BTreeMap::new();
+            let mut moves = 0u32;
+            for (tick, (op, id, shard)) in ops.into_iter().enumerate() {
+                let live = model.contains_key(&id);
+                moves += 1;
+                match op {
+                    0 | 1 if !live => {
+                        let group = shard % 3;
+                        table.join(id, shard, handle(shard, moves), group);
+                        model.insert(
+                            id,
+                            Route {
+                                shard,
+                                local: handle(shard, moves),
+                                group,
+                                last_served: 0,
+                                steered: false,
+                            },
+                        );
+                    }
+                    2 if live => {
+                        table.steer(id, shard, handle(shard, moves));
+                        let r = model.get_mut(&id).unwrap();
+                        (r.shard, r.local, r.steered) = (shard, handle(shard, moves), true);
+                    }
+                    3 if live => {
+                        table.recover(id, shard, handle(shard, moves));
+                        let r = model.get_mut(&id).unwrap();
+                        (r.shard, r.local) = (shard, handle(shard, moves));
+                    }
+                    4 if live => {
+                        table.mark_served(id, tick as u64 + 1);
+                        model.get_mut(&id).unwrap().last_served = tick as u64 + 1;
+                    }
+                    5 if live => {
+                        prop_assert_eq!(table.leave(id), model.remove(&id).unwrap());
+                        prop_assert!(table.find(id).is_none());
+                    }
+                    6 => {
+                        let want: Vec<GlobalSessionId> =
+                            model.iter().filter(|(_, r)| r.steered).map(|(&id, _)| id).collect();
+                        prop_assert_eq!(table.end_cycle(), want); // ascending by id
+                        model.values_mut().for_each(|r| r.steered = false);
+                        prop_assert!(table.end_cycle().is_empty(), "marks survived the boundary");
+                    }
+                    _ => {} // the op's precondition does not hold: skip
+                }
+                let got: Vec<(GlobalSessionId, Route)> =
+                    table.iter().map(|(id, r)| (id, *r)).collect();
+                let want: Vec<(GlobalSessionId, Route)> =
+                    model.iter().map(|(&id, r)| (id, *r)).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+}
