@@ -193,13 +193,7 @@ impl Engine {
         let mut model = probe;
         if checkpoint::load(&mut model.store, &path).is_ok() {
             // target_return is data-dependent; recompute cheaply.
-            let data = self.abr_experience();
-            let best = data
-                .iter()
-                .filter(|t| t.steps.len() >= 2)
-                .map(|t| t.total_return())
-                .fold(f64::MIN, f64::max);
-            model.target_return = (best * 1.1) as f32;
+            model.target_return = NetLlmAbr::target_return_for(&self.abr_experience());
             return model;
         }
         let data = self.abr_experience();
@@ -235,10 +229,7 @@ impl Engine {
         let path = self.ckpt(&format!("netllm-cjs-{}", mode.name()));
         let mut model = probe;
         if checkpoint::load(&mut model.store, &path).is_ok() {
-            let data = self.cjs_experience();
-            let best =
-                data.iter().filter_map(|t| t.steps.first().map(|s| s.rtg)).fold(f32::MIN, f32::max);
-            model.target_return = best * 0.95;
+            model.target_return = NetLlmCjs::target_return_for(&self.cjs_experience());
             return model;
         }
         let data = self.cjs_experience();

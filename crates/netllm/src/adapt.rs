@@ -1,8 +1,8 @@
 //! Adaptation modes and the LoRA budget (paper §4.3 + Fig 13 ablations).
 
 use nt_llm::TinyLm;
-use nt_nn::ParamStore;
-use nt_tensor::Rng;
+use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
+use nt_tensor::{NodeId, Rng};
 
 /// Low-rank adaptation budget. The paper uses rank 32 (VP) / 128 (ABR/CJS)
 /// on a 7B model; ranks here are scaled with the backbone.
@@ -58,6 +58,39 @@ impl AdaptMode {
             AdaptMode::NoDomain => "no-domain-knowledge",
         }
     }
+}
+
+/// The DD-LRNA optimisation loop every adapter shares: `iters` steps of
+/// Adam at `lr` with the gradient norm clipped to 1, returning the mean
+/// loss over the final 20% of steps. Each iteration hands `loss_of` the
+/// model, a fresh training tape (`Fwd::train(seed ^ it)`) and the one
+/// sampling RNG (seeded with `seed`; draw order is the caller's), and
+/// gets back the loss node to descend — or `None` to skip an unusable
+/// sample. `store` names the model's parameters for the optimiser.
+pub(crate) fn fit<M>(
+    model: &mut M,
+    store: fn(&mut M) -> &mut ParamStore,
+    iters: usize,
+    lr: f32,
+    seed: u64,
+    mut loss_of: impl FnMut(&M, &mut Fwd, &mut Rng) -> Option<NodeId>,
+) -> f32 {
+    let mut rng = Rng::seeded(seed);
+    let mut opt = Adam::new(lr);
+    let tail_start = iters - (iters / 5).max(1);
+    let (mut tail, mut tail_n) = (0.0f64, 0usize);
+    for it in 0..iters {
+        let mut f = Fwd::train(seed ^ it as u64);
+        let Some(loss) = loss_of(model, &mut f, &mut rng) else { continue };
+        if it >= tail_start {
+            tail += f.g.value(loss).item() as f64;
+            tail_n += 1;
+        }
+        let mut grads = f.backward(loss);
+        clip_grad_norm(&mut grads, 1.0);
+        opt.step(store(model), &grads);
+    }
+    (tail / tail_n.max(1) as f64) as f32
 }
 
 #[cfg(test)]

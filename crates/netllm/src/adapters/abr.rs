@@ -14,7 +14,7 @@
 //! dataset, slightly stretched) and the return-to-go is decremented by the
 //! realised per-chunk QoE.
 
-use crate::adapt::{AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::AbrHead;
 use crate::multimodal::{LearnedTokens, Projection, ScalarEncoder, SeriesEncoder};
@@ -22,7 +22,7 @@ use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
+use nt_nn::{Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 
 const FEAT: usize = 24;
@@ -391,41 +391,36 @@ impl NetLlmAbr {
         }
     }
 
+    /// The return inference is prompted with after adapting on `dataset`:
+    /// the best behaviour return among its usable trajectories, stretched
+    /// 10%.
+    pub fn target_return_for(dataset: &[AbrTrajectory]) -> f32 {
+        let best = dataset
+            .iter()
+            .filter(|t| t.steps.len() >= 2)
+            .map(|t| t.total_return())
+            .fold(f64::MIN, f64::max);
+        (best * 1.1) as f32
+    }
+
     /// Data-driven adaptation over a fixed experience dataset (collected
     /// once — the key cost saving of Fig 3). Returns the tail-mean loss.
     pub fn adapt(&mut self, dataset: &[AbrTrajectory], iters: usize, lr: f32, seed: u64) -> f32 {
         assert!(!dataset.is_empty());
         let usable: Vec<&AbrTrajectory> = dataset.iter().filter(|t| t.steps.len() >= 2).collect();
         assert!(!usable.is_empty(), "trajectories too short");
-        // Target return for inference: best behaviour return, stretched 10%.
-        let best = usable.iter().map(|t| t.total_return()).fold(f64::MIN, f64::max);
-        self.target_return = (best * 1.1) as f32;
-
-        let mut rng = Rng::seeded(seed);
-        let mut opt = Adam::new(lr);
-        let tail_start = iters - (iters / 5).max(1);
-        let (mut tail, mut tail_n) = (0.0f64, 0usize);
-        for it in 0..iters {
+        self.target_return = Self::target_return_for(dataset);
+        let store: fn(&mut Self) -> &mut ParamStore = |m| &mut m.store;
+        fit(self, store, iters, lr, seed, |m, f, rng| {
             let traj = usable[rng.below(usable.len())];
             let rtgs = traj.returns_to_go();
-            let w = self.window.min(traj.steps.len());
+            let w = m.window.min(traj.steps.len());
             let start = rng.below(traj.steps.len() - w + 1);
             let steps = &traj.steps[start..start + w];
-            let rtg_slice = &rtgs[start..start + w];
             let actions: Vec<usize> = steps.iter().map(|s| s.action).collect();
-            let mut f = Fwd::train(seed ^ it as u64);
-            let logits = self.window_logits(&mut f, steps, rtg_slice, true);
-            let loss = f.g.cross_entropy(logits, &actions);
-            let lv = f.g.value(loss).item();
-            if it >= tail_start {
-                tail += lv as f64;
-                tail_n += 1;
-            }
-            let mut grads = f.backward(loss);
-            clip_grad_norm(&mut grads, 1.0);
-            opt.step(&mut self.store, &grads);
-        }
-        (tail / tail_n.max(1) as f64) as f32
+            let logits = m.window_logits(f, steps, &rtgs[start..start + w], true);
+            Some(f.g.cross_entropy(logits, &actions))
+        })
     }
 }
 

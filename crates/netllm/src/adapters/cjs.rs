@@ -17,7 +17,7 @@
 //! This is the documented simplification of Eq. (2)'s full action
 //! factorisation (see DESIGN.md).
 
-use crate::adapt::{AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
 use crate::multimodal::{mean_rows, GraphEncoder, LearnedTokens, Projection, ScalarEncoder};
@@ -25,7 +25,7 @@ use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPla
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
+use nt_nn::{Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 
 const FEAT: usize = 24;
@@ -299,49 +299,37 @@ impl NetLlmCjs {
         (nodes, self.graph_proj.eval(&self.store, &pooled))
     }
 
+    /// The return inference is prompted with after adapting on `dataset`:
+    /// the best behaviour return among its episodes (returns are negative;
+    /// 0.95 stretches toward 0).
+    pub fn target_return_for(dataset: &[CjsTrajectory]) -> f32 {
+        let best =
+            dataset.iter().filter_map(|t| t.steps.first().map(|s| s.rtg)).fold(f32::MIN, f32::max);
+        best * 0.95
+    }
+
     /// Data-driven adaptation on collected trajectories.
     pub fn adapt(&mut self, dataset: &[CjsTrajectory], iters: usize, lr: f32, seed: u64) -> f32 {
         let usable: Vec<&CjsTrajectory> = dataset.iter().filter(|t| !t.steps.is_empty()).collect();
         assert!(!usable.is_empty(), "empty experience dataset");
-        let best = usable
-            .iter()
-            .map(|t| t.steps.first().map(|s| s.rtg).unwrap_or(f32::MIN))
-            .fold(f32::MIN, f32::max);
-        self.target_return = best * 0.95; // returns are negative; 0.95 stretches toward 0
-
-        let mut rng = Rng::seeded(seed);
-        let mut opt = Adam::new(lr);
-        let tail_start = iters - (iters / 5).max(1);
-        let (mut tail, mut tail_n) = (0.0f64, 0usize);
-        for it in 0..iters {
+        self.target_return = Self::target_return_for(dataset);
+        let store: fn(&mut Self) -> &mut ParamStore = |m| &mut m.store;
+        fit(self, store, iters, lr, seed, |m, f, rng| {
             let traj = usable[rng.below(usable.len())];
             let t = rng.below(traj.steps.len());
-            let h0 = t.saturating_sub(self.window - 1);
+            let h0 = t.saturating_sub(m.window - 1);
             let history: Vec<(f32, GraphSnapshot, usize)> =
                 traj.steps[h0..t].iter().map(|s| (s.rtg, s.snap.clone(), s.cap_choice)).collect();
             let step = &traj.steps[t];
-            if step.snap.candidates.is_empty() || step.stage_choice >= MAX_CANDS {
-                continue;
+            // A choice beyond the candidate-token budget cannot be scored.
+            if step.stage_choice >= step.snap.candidates.len().min(MAX_CANDS) {
+                return None;
             }
-            let mut f = Fwd::train(seed ^ it as u64);
-            let (sl, cl) = self.decision_logits(&mut f, &history, step.rtg, &step.snap);
-            let c = f.g.value(sl).shape()[1];
-            if step.stage_choice >= c {
-                continue;
-            }
+            let (sl, cl) = m.decision_logits(f, &history, step.rtg, &step.snap);
             let ls = f.g.cross_entropy(sl, &[step.stage_choice]);
             let lc = f.g.cross_entropy(cl, &[step.cap_choice]);
-            let loss = f.g.add(ls, lc);
-            let lv = f.g.value(loss).item();
-            if it >= tail_start {
-                tail += lv as f64;
-                tail_n += 1;
-            }
-            let mut grads = f.backward(loss);
-            clip_grad_norm(&mut grads, 1.0);
-            opt.step(&mut self.store, &grads);
-        }
-        (tail / tail_n.max(1) as f64) as f32
+            Some(f.g.add(ls, lc))
+        })
     }
 }
 

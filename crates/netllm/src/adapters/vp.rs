@@ -8,14 +8,14 @@
 //! maps the hidden states at the query positions to per-step viewport
 //! deltas — a complete, always-valid answer in a single inference.
 
-use crate::adapt::{AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
 use crate::multimodal::{ImageEncoder, LearnedTokens, Projection, SeriesEncoder};
 use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
+use nt_nn::{Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use nt_vp::{apply_deltas, to_deltas, Viewport, VpPredictor, VpSample, GRID};
 
@@ -166,35 +166,21 @@ impl NetLlmVp {
     /// of the final 20% of steps.
     pub fn adapt(&mut self, samples: &[VpSample], iters: usize, lr: f32, seed: u64) -> f32 {
         assert!(!samples.is_empty());
-        let mut rng = Rng::seeded(seed);
-        let mut opt = Adam::new(lr);
-        let tail_start = iters - (iters / 5).max(1);
-        let mut tail = 0.0f64;
-        let mut tail_n = 0usize;
-        for it in 0..iters {
+        let store: fn(&mut Self) -> &mut ParamStore = |m| &mut m.store;
+        fit(self, store, iters, lr, seed, |m, f, rng| {
             let s = &samples[rng.below(samples.len())];
             let mut full = vec![*s.history.last().unwrap()];
             full.extend_from_slice(&s.future);
             let targets = to_deltas(&full);
-            let pw = targets.len().min(self.max_pw);
-            let mut f = Fwd::train(seed ^ it as u64);
-            let pred = self.forward(&mut f, s, pw);
+            let pw = targets.len().min(m.max_pw);
+            let pred = m.forward(f, s, pw);
             let mut tflat = Vec::with_capacity(pw * 3);
             for d in &targets[..pw] {
                 tflat.extend(d.iter().map(|x| x / DELTA_SCALE));
             }
             let tgt = f.input(Tensor::from_vec([pw, 3], tflat));
-            let loss = f.g.mse(pred, tgt);
-            let lv = f.g.value(loss).item();
-            if it >= tail_start {
-                tail += lv as f64;
-                tail_n += 1;
-            }
-            let mut grads = f.backward(loss);
-            clip_grad_norm(&mut grads, 1.0);
-            opt.step(&mut self.store, &grads);
-        }
-        (tail / tail_n.max(1) as f64) as f32
+            Some(f.g.mse(pred, tgt))
+        })
     }
 
     /// Peak training-step memory in bytes (tape activations + gradients +

@@ -17,10 +17,10 @@
 //! single position instead of re-running the prompt — the inference *count*
 //! the figure reports is unchanged, only the per-inference cost shrank.
 
-use crate::adapt::LoraSpec;
+use crate::adapt::{fit, LoraSpec};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::{TinyLm, Tokenizer, EOS};
-use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
+use nt_nn::ParamStore;
 use nt_tensor::Rng;
 use nt_vp::{Viewport, VpSample};
 use std::time::{Duration, Instant};
@@ -112,38 +112,21 @@ impl PromptVp {
     /// span (standard instruction-tuning masking).
     pub fn adapt(&mut self, samples: &[VpSample], iters: usize, lr: f32, seed: u64) -> f32 {
         assert!(!samples.is_empty());
-        let mut rng = Rng::seeded(seed);
-        let mut opt = Adam::new(lr);
-        let tail_start = iters - (iters / 5).max(1);
-        let (mut tail, mut tail_n) = (0.0f64, 0usize);
-        for it in 0..iters {
+        let store: fn(&mut Self) -> &mut ParamStore = |m| &mut m.store;
+        fit(self, store, iters, lr, seed, |m, f, rng| {
             let s = &samples[rng.below(samples.len())];
-            let prompt = render_prompt(&s.history);
-            let answer = render_answer(&s.future);
-            let mut ids = self.tok.encode(&prompt);
+            let mut ids = m.tok.encode(&render_prompt(&s.history));
             let prompt_len = ids.len();
-            ids.extend(self.tok.encode(&answer));
+            ids.extend(m.tok.encode(&render_answer(&s.future)));
             ids.push(EOS);
-            if ids.len() > self.lm.cfg.max_seq {
-                continue;
+            if ids.len() > m.lm.cfg.max_seq {
+                return None;
             }
-            let mut f = Fwd::train(seed ^ it as u64);
-            let logits = self.lm.forward_logits(&mut f, &self.store, &ids[..ids.len() - 1]);
+            let logits = m.lm.forward_logits(f, &m.store, &ids[..ids.len() - 1]);
             // Positions prompt_len-1 .. end predict the answer tokens.
-            let span = ids.len() - prompt_len;
-            let answer_logits = f.g.narrow(logits, 0, prompt_len - 1, span);
-            let targets: Vec<usize> = ids[prompt_len..].to_vec();
-            let loss = f.g.cross_entropy(answer_logits, &targets);
-            let lv = f.g.value(loss).item();
-            if it >= tail_start {
-                tail += lv as f64;
-                tail_n += 1;
-            }
-            let mut grads = f.backward(loss);
-            clip_grad_norm(&mut grads, 1.0);
-            opt.step(&mut self.store, &grads);
-        }
-        (tail / tail_n.max(1) as f64) as f32
+            let answer_logits = f.g.narrow(logits, 0, prompt_len - 1, ids.len() - prompt_len);
+            Some(f.g.cross_entropy(answer_logits, &ids[prompt_len..]))
+        })
     }
 
     /// Token-decode one answer. Returns the parsed viewports (if valid), the
