@@ -348,30 +348,43 @@ impl NetLlmAbr {
         });
     }
 
-    /// Build the token rows this step appends to the KV session, deciding
+    /// The re-anchor rule, stated once: the step at episode index `n`
+    /// clears the session and rebuilds from the training window when the
+    /// session is empty (fresh episode, eviction, recovery), when the
+    /// context cannot take one more step, or when the visible history
+    /// reached twice the training window — bounding the train/inference
+    /// prompt-length mismatch (see `backbone` docs).
+    fn reanchors(&self, ep: &AbrEpisode, n: usize, session: &InferenceSession) -> bool {
+        session.is_empty() || !session.fits(TOK_PER_STEP) || n - ep.anchor >= 2 * self.window
+    }
+
+    /// Steps a re-anchor at episode index `n` re-encodes (the last
+    /// `window`, fewer early in an episode).
+    fn rebuild_window(&self, n: usize) -> usize {
+        self.window.min(n + 1)
+    }
+
+    /// Token rows of that rebuild: one state per step, an action token
+    /// between consecutive steps.
+    fn rebuild_len(&self, n: usize) -> usize {
+        self.rebuild_window(n) * TOK_PER_STEP - 1
+    }
+
+    /// Build the token rows this step appends to `session`, deciding
     /// between the incremental append (settled action token + new state)
     /// and a re-anchor rebuild of the last `window` steps. Returns the
     /// rows and whether the caller must clear its session first (the
-    /// re-anchor case). `session_len`/`session_fits` describe the calling
-    /// stream's KV session.
-    pub(crate) fn step_tokens(
-        &self,
-        ep: &mut AbrEpisode,
-        session_len: usize,
-        session_fits: bool,
-    ) -> (Tensor, bool) {
+    /// re-anchor case).
+    fn step_tokens(&self, ep: &mut AbrEpisode, session: &InferenceSession) -> (Tensor, bool) {
         let n = ep.episode.steps.len() - 1; // index of the current step
-        let grown = n - ep.anchor >= 2 * self.window;
-        if session_len > 0 && session_fits && !grown {
+        if !self.reanchors(ep, n, session) {
             let prev_action = ep.episode.steps[n - 1].action;
             let state = self.state_tokens_eval(&ep.episode.steps[n], ep.rtg_now);
             (nt_tensor::concat(&[&self.action_token_eval(prev_action), &state], 0), false)
         } else {
-            // Fresh episode or full context: rebuild from the last
-            // `window` steps, reconstructing their rtg prompts from the
-            // realised rewards (identical values to when they were
-            // current).
-            let w = self.window.min(n + 1);
+            // Reconstruct the window's rtg prompts from the realised
+            // rewards (identical values to when they were current).
+            let w = self.rebuild_window(n);
             ep.anchor = n + 1 - w;
             let mut rtgs = vec![ep.rtg_now; w];
             for k in (0..w - 1).rev() {
@@ -462,36 +475,25 @@ impl ServedTask for NetLlmAbr {
         _obs: &AbrObservation,
         session: &InferenceSession,
     ) -> (usize, bool) {
-        // Mirrors `settle_and_push` + `step_tokens` without mutating: the
-        // incoming observation becomes step index `n = steps.len()`, so
-        // the incremental append is a settled action token plus one state
-        // (TOK_PER_STEP rows) and the re-anchor rebuild is `w` states with
-        // `w - 1` action tokens between them. Exactness is pinned by
-        // `plan_rows_matches_actual_plan` below.
+        // The incoming observation becomes step index `n = steps.len()`:
+        // either a settled action token plus one state, or the rebuild.
         let n = ep.episode.steps.len();
-        let grown = n - ep.anchor >= 2 * self.window;
-        if !session.is_empty() && session.fits(TOK_PER_STEP) && !grown {
-            (TOK_PER_STEP, false)
+        if self.reanchors(ep, n, session) {
+            (self.rebuild_len(n), true)
         } else {
-            let w = self.window.min(n + 1);
-            (w * TOK_PER_STEP - 1, true)
+            (TOK_PER_STEP, false)
         }
     }
 
     fn rebuild_rows(&self, ep: &AbrEpisode, session: &InferenceSession) -> usize {
-        // The eviction price, by the same `plan_rows` case split: when
-        // the next step would re-anchor anyway (grown history, full or
-        // empty context) the cache is dead weight — clearing it costs
-        // nothing extra. Otherwise the rebuild replays `w` window states
-        // where the intact path appends one (`plan_rows(cleared) -
-        // plan_rows(intact)`, pinned exact in `tests/paged_serving.rs`).
+        // The eviction price: nothing when the next step re-anchors
+        // anyway (the cache is dead weight), otherwise the rebuild in
+        // place of the one-step append.
         let n = ep.episode.steps.len();
-        let grown = n - ep.anchor >= 2 * self.window;
-        if session.is_empty() || !session.fits(TOK_PER_STEP) || grown {
+        if self.reanchors(ep, n, session) {
             0
         } else {
-            let w = self.window.min(n + 1);
-            (w * TOK_PER_STEP - 1).saturating_sub(TOK_PER_STEP)
+            self.rebuild_len(n).saturating_sub(TOK_PER_STEP)
         }
     }
 
@@ -502,13 +504,9 @@ impl ServedTask for NetLlmAbr {
         session: &InferenceSession,
     ) -> StepPlan {
         // The session holds tokens for steps `anchor..=n-1` (the last one
-        // missing its action token, chosen after the fact). Append the
-        // settled action plus the new step's state; re-anchor to the
-        // training window when the context fills or the visible history
-        // reaches twice the training window, so the train/inference
-        // prompt-length mismatch stays bounded (see `backbone` docs).
+        // missing its action token, chosen after the fact).
         self.settle_and_push(ep, obs);
-        let (tokens, reanchor) = self.step_tokens(ep, session.len(), session.fits(TOK_PER_STEP));
+        let (tokens, reanchor) = self.step_tokens(ep, session);
         StepPlan { tokens, reanchor }
     }
 

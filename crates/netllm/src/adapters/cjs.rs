@@ -299,6 +299,32 @@ impl NetLlmCjs {
         (nodes, self.graph_proj.eval(&self.store, &pooled))
     }
 
+    /// The re-anchor rule, stated once: a decision with `cands` candidate
+    /// tokens clears the session and rebuilds from the training window
+    /// when the session is empty (fresh episode, eviction, recovery), when
+    /// the context cannot take the decision's tokens (2 prompt rows + the
+    /// candidates + the action token appended after the rollback), or when
+    /// the visible history reached twice the training window — bounding
+    /// the train/inference prompt-length mismatch (see `backbone` docs).
+    /// `None` is the eviction pricer's view: no observation yet, so the
+    /// context-full edge cannot be evaluated and is taken not to fire.
+    fn reanchors(&self, ep: &CjsEpisode, session: &InferenceSession, cands: Option<usize>) -> bool {
+        session.is_empty()
+            || cands.is_some_and(|c| !session.fits(2 + c + 1))
+            || ep.steps.len() - ep.anchor >= 2 * self.window
+    }
+
+    /// First history entry a re-anchor re-encodes.
+    fn rebuild_anchor(&self, ep: &CjsEpisode) -> usize {
+        ep.steps.len().saturating_sub(self.window - 1)
+    }
+
+    /// Token rows of that history: one `[rtg, graph, action]` triple per
+    /// entry, in front of the current decision's own rows.
+    fn rebuild_len(&self, ep: &CjsEpisode) -> usize {
+        3 * (ep.steps.len() - self.rebuild_anchor(ep))
+    }
+
     /// The return inference is prompted with after adapting on `dataset`:
     /// the best behaviour return among its episodes (returns are negative;
     /// 0.95 stretches toward 0).
@@ -359,17 +385,13 @@ impl ServedTask for NetLlmCjs {
         obs: &CjsObs,
         session: &InferenceSession,
     ) -> (usize, bool) {
-        // Mirrors `plan_step`'s re-anchor rule without mutating: a
-        // decision appends `[rtg, graph, cand_1..c]` (2 + c rows), with
-        // `3 x` history triples in front on a rebuild. The rollback pass
+        // A decision appends `[rtg, graph, cand_1..c]` (2 + c rows), with
+        // the history triples in front on a rebuild. The rollback pass
         // later shrinks the suffix (drops `c`, appends 1), so the plan
-        // rows are the step's peak. Exactness is pinned by
-        // `plan_rows_matches_actual_plan` below.
+        // rows are the step's peak.
         let c = obs.snap.candidates.len().clamp(1, MAX_CANDS);
-        let grown = ep.steps.len() - ep.anchor >= 2 * self.window;
-        if session.is_empty() || !session.fits(2 + c + 1) || grown {
-            let anchor = ep.steps.len().saturating_sub(self.window - 1);
-            (3 * (ep.steps.len() - anchor) + 2 + c, true)
+        if self.reanchors(ep, session, Some(c)) {
+            (self.rebuild_len(ep) + 2 + c, true)
         } else {
             (2 + c, false)
         }
@@ -378,19 +400,15 @@ impl ServedTask for NetLlmCjs {
     fn rebuild_rows(&self, ep: &CjsEpisode, session: &InferenceSession) -> usize {
         // The eviction price: the current decision's `2 + c` rows are
         // appended either way, so clearing the cache costs exactly the
-        // `3 x` history triples a rebuild replays in front of them — and
-        // nothing when the next step re-anchors regardless (grown
-        // history or an already-empty cache). The context-full trigger
-        // (`!fits(2 + c + 1)`) depends on the unknown next observation's
-        // candidate count, so a session about to re-anchor on *that*
-        // edge is priced at the full history — a conservative
+        // history a rebuild replays in front of them — and nothing when
+        // the next step re-anchors regardless. A session about to
+        // re-anchor on the context-full edge (unknown next candidate
+        // count) is priced at the full history: a conservative
         // over-estimate, which only demotes it in the victim scan.
-        let grown = ep.steps.len() - ep.anchor >= 2 * self.window;
-        if session.is_empty() || grown {
+        if self.reanchors(ep, session, None) {
             0
         } else {
-            let anchor = ep.steps.len().saturating_sub(self.window - 1);
-            3 * (ep.steps.len() - anchor)
+            self.rebuild_len(ep)
         }
     }
 
@@ -405,16 +423,11 @@ impl ServedTask for NetLlmCjs {
         ep.pending_c = c;
 
         // The session holds `[rtg, graph, action]` triples for steps
-        // `anchor..`. Re-anchor to the training window when the context
-        // cannot take this decision's tokens (2 prompt rows + `c`
-        // candidates + the action token appended after the rollback) or
-        // the visible history reaches twice the training window, bounding
-        // the train/inference prompt-length mismatch (see `backbone` docs).
-        let grown = ep.steps.len() - ep.anchor >= 2 * self.window;
-        let reanchor = session.is_empty() || !session.fits(2 + c + 1) || grown;
+        // `anchor..`.
+        let reanchor = self.reanchors(ep, session, Some(c));
         let mut parts: Vec<Tensor> = Vec::new();
         if reanchor {
-            ep.anchor = ep.steps.len().saturating_sub(self.window - 1);
+            ep.anchor = self.rebuild_anchor(ep);
             for (rtg, hsnap, cap) in &ep.steps[ep.anchor..] {
                 parts.push(self.rtg_token_eval(*rtg));
                 parts.push(self.graph_tokens_eval(hsnap).1);
