@@ -22,8 +22,7 @@ use netllm::{
     TicketStatus, WireClient, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
-use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
+use nt_vp::VpSample;
 use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::mpsc;
@@ -65,22 +64,12 @@ impl ObsStreams {
             .collect();
         let cjs = (0..sessions)
             .map(|s| {
-                let jobs = generate_workload(&WorkloadConfig {
-                    num_jobs: 4,
-                    mean_interarrival: 1.5,
-                    seed: seed ^ (2000 + s as u64),
-                });
-                let mut obs = Vec::new();
-                let mut hook = |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| {
-                    obs.push(CjsObs::from_view(view))
-                };
-                run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
+                let mut obs = CjsObs::synthetic_stream(seed ^ (2000 + s as u64), 6);
                 obs.truncate(max_per_session);
                 obs
             })
             .collect();
-        let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-        let samples = extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30);
+        let samples = VpSample::synthetic_pool();
         ObsStreams { abr, cjs, samples }
     }
 
@@ -372,7 +361,7 @@ pub fn replay_direct(
     streams: &ObsStreams,
 ) -> ReplayOutcome {
     let sessions = trace.sessions.len();
-    let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
+    let fleet = models.fleet();
     let mut server: ShardedServer<NetLlmFleet> = ShardedServer::new(shards);
 
     struct Sess {

@@ -20,83 +20,27 @@
 //! every served logit still equals the unbatched replay.
 
 use netllm::{
-    AdmissionPolicy, CjsObs, EventKind, EvictionPolicy, FleetAction, FleetObs, NetLlmAbr,
-    NetLlmCjs, NetLlmFleet, NetLlmVp, ShardedServer, SteerReason, Ticket, FLEET_ABR, FLEET_CJS,
-    FLEET_VP,
+    AdmissionPolicy, CjsObs, EventKind, EvictionPolicy, FleetAction, FleetModels, FleetObs,
+    NetLlmFleet, ShardedServer, SteerReason, Ticket, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::{AbrObservation, AbrPolicy};
-use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
-#[cfg(not(debug_assertions))]
-use nt_llm::session_floor_bytes;
-use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
+use nt_bench::trace_seed;
+use nt_cjs::Scheduler;
+use nt_llm::{PageConfig, PagePool};
 use nt_tensor::Rng;
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
+use nt_vp::VpSample;
 use std::collections::VecDeque;
+#[cfg(not(debug_assertions))]
+use {
+    netllm::NetLlmAbr,
+    nt_llm::{session_floor_bytes, size_spec, Zoo},
+};
 
 const DEFAULT_TRACE_SEED: u64 = 0xC01D_5EED;
 
-/// The trace seed, `NT_TRACE_SEED` (decimal or `0x`-hex) overriding the
-/// default — echoed by every trace test so a CI artifact pins the replay.
-fn trace_seed() -> u64 {
-    match std::env::var("NT_TRACE_SEED") {
-        Ok(s) => {
-            let s = s.trim();
-            let parsed = match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16),
-                None => s.parse(),
-            };
-            parsed.unwrap_or_else(|_| panic!("unparseable NT_TRACE_SEED: {s:?}"))
-        }
-        Err(_) => DEFAULT_TRACE_SEED,
-    }
-}
-
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 6, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 6, Some(&mut hook));
-    obs
-}
-
-fn vp_samples() -> Vec<VpSample> {
-    let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-    extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
-}
-
-struct Models {
-    abr: NetLlmAbr,
-    cjs: NetLlmCjs,
-    vp: NetLlmVp,
-}
-
-fn build_models(window: usize) -> Models {
-    let zoo = Zoo::new(std::env::temp_dir().join("netllm-continuous-batching"));
-    let mut abr = NetLlmAbr::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        window,
-        21,
-    );
-    abr.target_return = 2.0;
-    let mut cjs = NetLlmCjs::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        window,
-        22,
-    );
-    cjs.target_return = -1.0;
-    let vp = NetLlmVp::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        8,
-        23,
-    );
-    Models { abr, cjs, vp }
+fn build_models(window: usize) -> FleetModels {
+    let dir = std::env::temp_dir().join("netllm-continuous-batching");
+    FleetModels::seeded(&dir, "0.35b-sim", window, 21)
 }
 
 /// One persistent session's trace-side bookkeeping.
@@ -118,18 +62,19 @@ struct Sess {
 /// Replay one randomized trace through the scheduled front end and
 /// compare every session against its unbatched reference. Returns the
 /// event count (joins + submits + leaves).
-fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u64) -> usize {
+fn run_trace(models: &mut FleetModels, policy: AdmissionPolicy, bursty: bool, seed: u64) -> usize {
     const SHARDS: usize = 3;
     const TICKS: usize = 36;
     let pw = 6usize;
 
     let abr_streams: Vec<Vec<AbrObservation>> =
         (0..6).map(|s| AbrObservation::synthetic_stream(500 + s as u64, 30)).collect();
-    let cjs_streams: Vec<Vec<CjsObs>> = (0..3).map(|s| record_cjs_obs(700 + s as u64)).collect();
+    let cjs_streams: Vec<Vec<CjsObs>> =
+        (0..3).map(|s| CjsObs::synthetic_stream(700 + s as u64, 6)).collect();
     for (s, st) in cjs_streams.iter().enumerate() {
         assert!(st.len() >= 10, "CJS probe stream {s} too short: {}", st.len());
     }
-    let samples = vp_samples();
+    let samples = VpSample::synthetic_pool();
 
     let mut rng = Rng::seeded(seed);
     let mut events = 0usize;
@@ -398,7 +343,7 @@ fn run_trace(models: &mut Models, policy: AdmissionPolicy, bursty: bool, seed: u
 
 #[test]
 fn uniform_trace_least_loaded_matches_unbatched_paths() {
-    let seed = trace_seed();
+    let seed = trace_seed(DEFAULT_TRACE_SEED);
     println!("continuous-batching uniform trace seed: {seed} (0x{seed:x})");
     let mut models = build_models(3);
     let events = run_trace(&mut models, AdmissionPolicy::LeastLoaded, false, seed);
@@ -408,7 +353,7 @@ fn uniform_trace_least_loaded_matches_unbatched_paths() {
 
 #[test]
 fn bursty_trace_cache_aware_matches_unbatched_paths() {
-    let seed = trace_seed() ^ 0x0B00_57ED;
+    let seed = trace_seed(DEFAULT_TRACE_SEED) ^ 0x0B00_57ED;
     println!("continuous-batching bursty trace seed: {seed} (0x{seed:x})");
     let mut models = build_models(3);
     // A small per-shard budget keeps the steering pass live through the

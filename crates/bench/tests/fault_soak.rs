@@ -27,18 +27,21 @@
 //! same scenario).
 
 use netllm::{
-    step_single, AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs,
-    HealthConfig, InferenceSession, LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp,
-    ServedTask, ShardedServer, SubmitRetry, Ticket, TicketStatus, VpQuery, FLEET_ABR, FLEET_CJS,
-    FLEET_VP,
+    step_single, AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetModels, FleetObs,
+    HealthConfig, InferenceSession, NetLlmFleet, ServedTask, ShardedServer, SubmitRetry, Ticket,
+    TicketStatus, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_bench::{trace_seed, Trace, TraceConfig, TraceShape};
-use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
-use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
+use nt_llm::{PageConfig, PagePool};
 use nt_tensor::Rng;
-use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
+use nt_vp::VpSample;
 use std::collections::VecDeque;
+#[cfg(not(debug_assertions))]
+use {
+    netllm::{AdaptMode, LoraSpec, NetLlmAbr},
+    nt_llm::{size_spec, Zoo},
+};
 
 const DEFAULT_SOAK_SEED: u64 = 0xFA17_5EED; // stable default
 /// Pooled-value width of the VP one-shot queries (and their references).
@@ -49,52 +52,8 @@ const SCALE: (usize, u64, usize) = (12, 24, 120); // (sessions, ticks, event flo
 #[cfg(not(debug_assertions))]
 const SCALE: (usize, u64, usize) = (18, 36, 200);
 
-fn record_cjs_obs(seed: u64) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 8, mean_interarrival: 1.2, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, 8, Some(&mut hook));
-    obs
-}
-
-fn vp_samples() -> Vec<VpSample> {
-    let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
-    extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
-}
-
-struct Models {
-    abr: NetLlmAbr,
-    cjs: NetLlmCjs,
-    vp: NetLlmVp,
-}
-
-fn build_models(window: usize) -> Models {
-    let zoo = Zoo::new(std::env::temp_dir().join("netllm-fault-soak"));
-    let mut abr = NetLlmAbr::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        51,
-    );
-    abr.target_return = 2.0;
-    let mut cjs = NetLlmCjs::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        52,
-    );
-    cjs.target_return = -1.0;
-    let vp = NetLlmVp::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        53,
-    );
-    Models { abr, cjs, vp }
+fn build_models(window: usize) -> FleetModels {
+    FleetModels::sized(&std::env::temp_dir().join("netllm-fault-soak"), "0.35b-sim", window)
 }
 
 /// One trace session's soak-side bookkeeping.
@@ -154,7 +113,12 @@ fn assert_replay<T: ServedTask>(
 /// Replay one trace shape under its fault schedule and check every
 /// invariant. Returns the event tally for the >= floor assertion.
 #[allow(clippy::needless_range_loop)]
-fn run_soak(models: &Models, vp_refs: &[Vec<f32>], shape: TraceShape, seed: u64) -> SoakOutcome {
+fn run_soak(
+    models: &FleetModels,
+    vp_refs: &[Vec<f32>],
+    shape: TraceShape,
+    seed: u64,
+) -> SoakOutcome {
     const SHARDS: usize = 3;
     const POOL_PAGES: usize = 80;
     let (sessions, ticks, _) = SCALE;
@@ -165,7 +129,7 @@ fn run_soak(models: &Models, vp_refs: &[Vec<f32>], shape: TraceShape, seed: u64)
         TraceShape::FlashCrowd | TraceShape::HeavyTail => sessions * 2,
         _ => sessions,
     };
-    let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
+    let fleet = models.fleet();
     let trace = Trace::generate(&TraceConfig { shape, ticks, sessions, seed });
     let mut rng = Rng::seeded(seed ^ 0xD15A_57E5);
 
@@ -173,8 +137,8 @@ fn run_soak(models: &Models, vp_refs: &[Vec<f32>], shape: TraceShape, seed: u64)
         .map(|s| AbrObservation::synthetic_stream(seed ^ (1000 + s as u64), ticks as usize))
         .collect();
     let cjs_streams: Vec<Vec<CjsObs>> =
-        (0..sessions).map(|s| record_cjs_obs(seed ^ (2000 + s as u64))).collect();
-    let samples = vp_samples();
+        (0..sessions).map(|s| CjsObs::synthetic_stream(seed ^ (2000 + s as u64), 8)).collect();
+    let samples = VpSample::synthetic_pool();
     let pw = VP_PW;
 
     // Fault schedule: every shape gets a seeded stall plus lazily
@@ -501,8 +465,10 @@ fn adversarial_soak_over_every_trace_shape() {
     println!("fault soak base seed: {base} (0x{base:x}), {sessions} sessions x {ticks} ticks");
     let models = build_models(3);
     // VP one-shot references, computed once up front for all shapes.
-    let vp_refs: Vec<Vec<f32>> =
-        vp_samples().iter().map(|s| models.vp.forward_eval(s, VP_PW).data().to_vec()).collect();
+    let vp_refs: Vec<Vec<f32>> = VpSample::synthetic_pool()
+        .iter()
+        .map(|s| models.vp.forward_eval(s, VP_PW).data().to_vec())
+        .collect();
     let mut total = 0usize;
     for (i, shape) in TraceShape::ALL.into_iter().enumerate() {
         let outcome = run_soak(&models, &vp_refs, shape, base ^ ((i as u64) << 8));

@@ -17,7 +17,7 @@ use netllm::{
     AdaptMode, CjsObs, GlobalSessionId, LoraSpec, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer,
     Ticket, VpQuery,
 };
-use nt_cjs::{generate_workload, run_workload, Scheduler, Srpt, WorkloadConfig};
+use nt_cjs::Scheduler;
 use nt_llm::{size_spec, Zoo};
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 use std::time::Instant;
@@ -28,18 +28,6 @@ fn cjs_model(label: &str, window: usize, seed: u64) -> NetLlmCjs {
     let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, seed);
     m.target_return = -1.0;
     m
-}
-
-/// Decision-time observations recorded once with an existing scheduler;
-/// replaying them open-loop lets batched and unbatched paths see the
-/// exact same inputs.
-fn record_cjs_obs(seed: u64, executors: usize) -> Vec<CjsObs> {
-    let jobs = generate_workload(&WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed });
-    let mut obs = Vec::new();
-    let mut hook =
-        |view: &nt_cjs::SchedView, _d: &nt_cjs::Decision| obs.push(CjsObs::from_view(view));
-    run_workload(&mut Srpt, &jobs, executors, Some(&mut hook));
-    obs
 }
 
 /// One full round: submit every request, tick once, poll in request order.
@@ -69,7 +57,8 @@ fn sharded_cjs_matches_unbatched_rollouts_with_rollback() {
     // decide_obs() replay chunk for chunk, across re-anchors.
     let window = 3usize;
     let mut m = cjs_model("0.35b-sim", window, 0x31);
-    let streams: Vec<Vec<CjsObs>> = (0..6).map(|s| record_cjs_obs(40 + s as u64, 6)).collect();
+    let streams: Vec<Vec<CjsObs>> =
+        (0..6).map(|s| CjsObs::synthetic_stream(40 + s as u64, 6)).collect();
     let ticks = streams.iter().map(Vec::len).min().unwrap().min(10);
     assert!(ticks > 2 * window, "probe must cross a re-anchor: only {ticks} ticks");
 
@@ -147,7 +136,8 @@ fn multi_shard_fleet_beats_single_shard_aggregate_throughput() {
     const BATCH: usize = 16;
     let mut m = cjs_model("7b-sim", 8, 0x33);
     m.target_return = -1.0;
-    let streams: Vec<Vec<CjsObs>> = (0..BATCH).map(|s| record_cjs_obs(900 + s as u64, 8)).collect();
+    let streams: Vec<Vec<CjsObs>> =
+        (0..BATCH).map(|s| CjsObs::synthetic_stream(900 + s as u64, 8)).collect();
     let ticks = streams.iter().map(Vec::len).min().unwrap().min(16);
 
     let workers = nt_tensor::pool::num_threads();

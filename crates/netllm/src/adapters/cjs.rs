@@ -120,6 +120,24 @@ impl CjsObs {
             total_executors: view.total_executors,
         }
     }
+
+    /// Deterministic open-loop observation stream: every decision-time
+    /// view of a seeded four-job workload run under SRPT on `executors`
+    /// executors. Recorded once and replayed, so batched and unbatched
+    /// paths see byte-identical inputs (the CJS counterpart of
+    /// `AbrObservation::synthetic_stream`).
+    pub fn synthetic_stream(seed: u64, executors: usize) -> Vec<CjsObs> {
+        let cfg = nt_cjs::WorkloadConfig { num_jobs: 4, mean_interarrival: 1.5, seed };
+        let mut obs = Vec::new();
+        let mut hook = |view: &SchedView, _: &Decision| obs.push(CjsObs::from_view(view));
+        nt_cjs::run_workload(
+            &mut nt_cjs::Srpt,
+            &nt_cjs::generate_workload(&cfg),
+            executors,
+            Some(&mut hook),
+        );
+        obs
+    }
 }
 
 /// Mutable per-session rollout state: everything one live scheduling

@@ -106,31 +106,26 @@ impl FleetModels {
     /// `(label, window)` — the zoo seeds by spec and the adapters by
     /// fixed constants, so two calls build identical fleets.
     pub fn sized(dir: &Path, label: &str, window: usize) -> Self {
+        Self::seeded(dir, label, window, 51)
+    }
+
+    /// [`FleetModels::sized`] with the adapters seeded `seed`, `seed + 1`
+    /// and `seed + 2` (ABR, CJS, VP): a test that wants a fleet of its
+    /// own picks its own seed.
+    pub fn seeded(dir: &Path, label: &str, window: usize, seed: u64) -> Self {
         let zoo = Zoo::new(dir.to_path_buf());
-        let mut abr = NetLlmAbr::new(
-            zoo.build_random(&size_spec(label)),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            window,
-            51,
-        );
+        let (spec, mode, lora) = (size_spec(label), AdaptMode::NoDomain, LoraSpec::default());
+        let mut abr = NetLlmAbr::new(zoo.build_random(&spec), mode, lora, window, seed);
         abr.target_return = 2.0;
-        let mut cjs = NetLlmCjs::new(
-            zoo.build_random(&size_spec(label)),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            window,
-            52,
-        );
+        let mut cjs = NetLlmCjs::new(zoo.build_random(&spec), mode, lora, window, seed + 1);
         cjs.target_return = -1.0;
-        let vp = NetLlmVp::new(
-            zoo.build_random(&size_spec(label)),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            8,
-            53,
-        );
+        let vp = NetLlmVp::new(zoo.build_random(&spec), mode, lora, 8, seed + 2);
         FleetModels { abr, cjs, vp }
+    }
+
+    /// The models as the borrowed task a [`ShardedServer`] serves.
+    pub fn fleet(&self) -> NetLlmFleet<'_> {
+        NetLlmFleet { abr: &self.abr, cjs: &self.cjs, vp: &self.vp }
     }
 }
 
@@ -488,7 +483,7 @@ fn run_scheduler(
     stats: Arc<IngressStats>,
     stop: Arc<AtomicBool>,
 ) {
-    let fleet = NetLlmFleet { abr: &models.abr, cjs: &models.cjs, vp: &models.vp };
+    let fleet = models.fleet();
     let mut server: ShardedServer<NetLlmFleet> = match cfg.pool {
         Some(pool) => ShardedServer::with_memory(cfg.shards, cfg.policy, pool, cfg.eviction),
         None => ShardedServer::with_policy(cfg.shards, cfg.policy),

@@ -20,57 +20,24 @@
 //! proptest case is one randomized fault schedule against them.
 
 use netllm::{
-    AdaptMode, AdmissionPolicy, EvictionPolicy, FaultPlan, FleetObs, HealthConfig, LoraSpec,
-    NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, ShardedServer, SubmitRetry, Ticket, TicketStatus,
-    FLEET_ABR, FLEET_CJS,
+    AdmissionPolicy, CjsObs, EvictionPolicy, FaultPlan, FleetObs, HealthConfig, ShardedServer,
+    SubmitRetry, Ticket, TicketStatus, FLEET_ABR, FLEET_CJS,
 };
 use nt_abr::AbrObservation;
-use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
+use nt_llm::{PageConfig, PagePool};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
 mod common;
-use common::{record_cjs_obs, replay_logits};
+use common::{fleet_models, replay_logits, FleetModels};
 
 const WINDOW: usize = 3;
 const STEPS: usize = 6;
 
-struct Models {
-    abr: NetLlmAbr,
-    cjs: NetLlmCjs,
-    vp: NetLlmVp,
-}
-
-fn models() -> &'static Models {
-    static M: OnceLock<Models> = OnceLock::new();
-    M.get_or_init(|| {
-        let zoo = Zoo::new(std::env::temp_dir().join("netllm-fault-recovery"));
-        let mut abr = NetLlmAbr::new(
-            zoo.build_random(&size_spec("0.35b-sim")),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            WINDOW,
-            41,
-        );
-        abr.target_return = 2.0;
-        let mut cjs = NetLlmCjs::new(
-            zoo.build_random(&size_spec("0.35b-sim")),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            WINDOW,
-            42,
-        );
-        cjs.target_return = -1.0;
-        let vp = NetLlmVp::new(
-            zoo.build_random(&size_spec("0.35b-sim")),
-            AdaptMode::NoDomain,
-            LoraSpec::default(),
-            8,
-            43,
-        );
-        Models { abr, cjs, vp }
-    })
+fn models() -> &'static FleetModels {
+    static M: OnceLock<FleetModels> = OnceLock::new();
+    M.get_or_init(|| fleet_models("netllm-fault-recovery", WINDOW, 41))
 }
 
 proptest! {
@@ -90,9 +57,9 @@ proptest! {
     ) {
         let (mid_tick, kill_cjs_home) = (mid_tick_bit == 1, kill_cjs_bit == 1);
         let m = models();
-        let fleet = NetLlmFleet { abr: &m.abr, cjs: &m.cjs, vp: &m.vp };
+        let fleet = m.fleet();
         let abr_obs = AbrObservation::synthetic_stream(71, STEPS);
-        let cjs_obs = record_cjs_obs(73);
+        let cjs_obs = CjsObs::synthetic_stream(73, 6);
         prop_assert!(cjs_obs.len() >= STEPS, "CJS probe too short: {}", cjs_obs.len());
         let cjs_obs = &cjs_obs[..STEPS];
         let expected = [replay_logits(&m.abr, &abr_obs), replay_logits(&m.cjs, cjs_obs)];

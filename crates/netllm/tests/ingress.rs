@@ -17,17 +17,15 @@
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
-    serve, AdmissionPolicy, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet,
+    serve, AdmissionPolicy, CjsObs, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet,
     ShardedServer, Ticket, TicketStatus, VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS,
     FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{session_floor_bytes, PageConfig, PagePool};
+use nt_vp::VpSample;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-
-mod common;
-use common::{record_cjs_obs, vp_samples};
 
 fn tiny(name: &str) -> FleetModels {
     FleetModels::tiny(&std::env::temp_dir().join(name), 2)
@@ -41,8 +39,8 @@ fn socket_path_matches_in_process_fleet() {
     const ROUNDS: usize = 3;
     let models = tiny("netllm-ingress-eq");
     let reference = tiny("netllm-ingress-eq"); // same zoo dir -> same weights
-    let cjs_obs = record_cjs_obs(9);
-    let samples = vp_samples();
+    let cjs_obs = CjsObs::synthetic_stream(9, 6);
+    let samples = VpSample::synthetic_pool();
     let abr_stream = AbrObservation::synthetic_stream(70, ROUNDS);
     assert!(cjs_obs.len() >= ROUNDS && samples.len() >= ROUNDS);
     let obs_for = |group: usize, round: usize| -> FleetObs {
@@ -55,7 +53,7 @@ fn socket_path_matches_in_process_fleet() {
     let groups = [FLEET_ABR, FLEET_CJS, FLEET_VP, FLEET_ABR];
 
     // ---- in-process reference: same joins, same observations ----------
-    let fleet = NetLlmFleet { abr: &reference.abr, cjs: &reference.cjs, vp: &reference.vp };
+    let fleet = reference.fleet();
     let mut server: ShardedServer<NetLlmFleet> = ShardedServer::new(2);
     let ref_ids: Vec<u64> = groups.iter().map(|&g| server.join_group(&fleet, g)).collect();
     // expected[session][round] = (action debug, logits)

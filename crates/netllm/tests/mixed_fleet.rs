@@ -5,18 +5,19 @@
 //! tick, and the ABR streams crossing their 2x-window re-anchor.
 
 use netllm::{
-    FleetAction, FleetObs, FleetSlot, InferenceSession, NetLlmFleet, ServedTask, ServingEngine,
-    ShardedServer, StepOutcome, StepPlan, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    CjsObs, FleetAction, FleetObs, FleetSlot, InferenceSession, NetLlmFleet, ServedTask,
+    ServingEngine, ShardedServer, StepOutcome, StepPlan, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_cjs::Scheduler;
 use nt_llm::TinyLm;
 use nt_nn::ParamStore;
 use nt_tensor::Tensor;
+use nt_vp::VpSample;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 mod common;
-use common::{fleet_models, interleaved_obs, record_cjs_obs, serve_round, vp_samples, KINDS};
+use common::{fleet_models, interleaved_obs, serve_round, KINDS};
 
 #[test]
 fn mixed_fleet_matches_each_adapters_unbatched_path() {
@@ -27,9 +28,9 @@ fn mixed_fleet_matches_each_adapters_unbatched_path() {
 
     let abr_streams: Vec<Vec<AbrObservation>> =
         (0..2).map(|s| AbrObservation::synthetic_stream(70 + s as u64, ticks)).collect();
-    let cjs_obs = record_cjs_obs(9);
+    let cjs_obs = CjsObs::synthetic_stream(9, 6);
     assert!(cjs_obs.len() >= ticks, "CJS probe too short: {}", cjs_obs.len());
-    let samples = vp_samples();
+    let samples = VpSample::synthetic_pool();
     let pw = 6usize;
 
     // ---- the fleet: 2 ABR + 1 CJS persistent, VP one-shots per tick ----

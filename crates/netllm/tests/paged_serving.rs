@@ -27,49 +27,20 @@
 //!   (sparing the oldest arrival), never the just-deferred youngest.
 
 use netllm::{
-    step_single, AdaptMode, AdmissionPolicy, EvictionPolicy, FleetObs, FleetSlot, InferenceSession,
-    LoraSpec, NetLlmAbr, NetLlmCjs, NetLlmFleet, NetLlmVp, RollbackPlan, ServedTask, ShardedServer,
-    Ticket, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    step_single, AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FleetObs, FleetSlot,
+    InferenceSession, LoraSpec, NetLlmAbr, RollbackPlan, ServedTask, ShardedServer, Ticket,
+    VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
+use nt_vp::VpSample;
 use std::collections::VecDeque;
 
 mod common;
-use common::{record_cjs_obs, serve_round, vp_samples};
+use common::{fleet_models, serve_round, FleetModels};
 
-struct Models {
-    abr: NetLlmAbr,
-    cjs: NetLlmCjs,
-    vp: NetLlmVp,
-}
-
-fn build_models(window: usize) -> Models {
-    let zoo = Zoo::new(std::env::temp_dir().join("netllm-paged-serving"));
-    let mut abr = NetLlmAbr::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        31,
-    );
-    abr.target_return = 2.0;
-    let mut cjs = NetLlmCjs::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        window,
-        32,
-    );
-    cjs.target_return = -1.0;
-    let vp = NetLlmVp::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        8,
-        33,
-    );
-    Models { abr, cjs, vp }
+fn build_models(window: usize) -> FleetModels {
+    fleet_models("netllm-paged-serving", window, 31)
 }
 
 /// Poll each session's oldest outstanding ticket; bank `(tick, logits)`
@@ -132,13 +103,13 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
     let window = 3usize;
     let ticks = 8usize;
     let m = build_models(window);
-    let fleet = NetLlmFleet { abr: &m.abr, cjs: &m.cjs, vp: &m.vp };
+    let fleet = m.fleet();
 
     let abr_streams: Vec<Vec<AbrObservation>> =
         (0..2).map(|s| AbrObservation::synthetic_stream(170 + s as u64, ticks)).collect();
-    let cjs_obs = record_cjs_obs(19);
+    let cjs_obs = CjsObs::synthetic_stream(19, 6);
     assert!(cjs_obs.len() >= ticks, "CJS probe too short: {}", cjs_obs.len());
-    let samples = vp_samples();
+    let samples = VpSample::synthetic_pool();
     let pw = 6usize;
 
     let pool = PagePool::for_model(&m.abr.lm, PageConfig { page_tokens: 8, budget_bytes: 1 << 20 });
@@ -291,7 +262,7 @@ fn eviction_under_pressure_reanchors_to_the_forced_clear_reference() {
 #[test]
 fn full_pool_defers_admission_instead_of_growing() {
     let m = build_models(3);
-    let samples = vp_samples();
+    let samples = VpSample::synthetic_pool();
     let pw = 6usize;
     // 20 pages (the one-full-session floor); each VP query wants 3
     // (4 saliency patches + 9 history deltas + 6 query tokens = 19 rows
@@ -446,7 +417,7 @@ fn plan_rows_matches_actual_plan_for_every_adapter() {
     assert!(reanchors >= 3, "probe must cover fresh, natural and evicted re-anchors");
 
     // ---- CJS: history rebuilds + candidate rollback --------------------
-    let obs = record_cjs_obs(29);
+    let obs = CjsObs::synthetic_stream(29, 6);
     assert!(obs.len() > 2 * window + 2);
     let mut ep = m.cjs.new_slot(0);
     let mut sess = InferenceSession::new(&m.cjs.lm);
@@ -470,7 +441,7 @@ fn plan_rows_matches_actual_plan_for_every_adapter() {
     }
 
     // ---- VP: one-shot query, always a clear ----------------------------
-    let sample = &vp_samples()[0];
+    let sample = &VpSample::synthetic_pool()[0];
     let slot = m.vp.new_slot(0);
     let sess = InferenceSession::new(&m.vp.lm);
     let q = VpQuery { sample: sample.clone(), pw: 5 };
@@ -496,7 +467,7 @@ fn plan_rows_matches_actual_plan_for_every_adapter() {
 fn rebuild_rows_price_equals_the_reanchor_replay_delta() {
     let window = 3usize;
     let m = build_models(window);
-    let fleet = NetLlmFleet { abr: &m.abr, cjs: &m.cjs, vp: &m.vp };
+    let fleet = m.fleet();
 
     // ---- ABR: incremental, natural re-anchor, post-eviction ------------
     let stream = AbrObservation::synthetic_stream(701, 14);
@@ -537,7 +508,7 @@ fn rebuild_rows_price_equals_the_reanchor_replay_delta() {
     assert!(priced_steps >= 5, "ABR probe must exercise non-zero prices ({priced_steps})");
 
     // ---- CJS: history rebuilds + candidate rollback ---------------------
-    let obs = record_cjs_obs(39);
+    let obs = CjsObs::synthetic_stream(39, 6);
     assert!(obs.len() > 2 * window + 2);
     let mut ep = m.cjs.new_slot(0);
     let mut sess = InferenceSession::new(&m.cjs.lm);
@@ -582,7 +553,7 @@ fn rebuild_rows_price_equals_the_reanchor_replay_delta() {
     assert!(priced_steps >= 3, "CJS probe must exercise non-zero prices ({priced_steps})");
 
     // ---- VP: one-shot, the rebuild is always inevitable -----------------
-    let sample = &vp_samples()[0];
+    let sample = &VpSample::synthetic_pool()[0];
     let mut slot = m.vp.new_slot(0);
     let mut sess = InferenceSession::new(&m.vp.lm);
     let q = VpQuery { sample: sample.clone(), pw: 5 };

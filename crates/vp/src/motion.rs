@@ -223,6 +223,16 @@ pub struct VpSample {
     pub saliency: Tensor,
 }
 
+impl VpSample {
+    /// The fixed 30-sample pool serving tests and load generators draw
+    /// their VP queries from: one Jin2022-like video, two viewers, 20 s,
+    /// history 10 / horizon 20 samples.
+    pub fn synthetic_pool() -> Vec<VpSample> {
+        let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
+        extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30)
+    }
+}
+
 /// Extract sliding-window samples from a dataset subset.
 ///
 /// `video_sel`/`viewer_sel` filter traces; `hw`/`pw` are in *samples*;
