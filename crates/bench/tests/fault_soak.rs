@@ -52,10 +52,6 @@ const SCALE: (usize, u64, usize) = (12, 24, 120); // (sessions, ticks, event flo
 #[cfg(not(debug_assertions))]
 const SCALE: (usize, u64, usize) = (18, 36, 200);
 
-fn build_models(window: usize) -> FleetModels {
-    FleetModels::sized(&std::env::temp_dir().join("netllm-fault-soak"), "0.35b-sim", window)
-}
-
 /// One trace session's soak-side bookkeeping.
 struct Sess {
     /// Joined id while alive (`None` before join and after leave).
@@ -463,7 +459,7 @@ fn adversarial_soak_over_every_trace_shape() {
     let (sessions, ticks, floor) = SCALE;
     let base = trace_seed(DEFAULT_SOAK_SEED);
     println!("fault soak base seed: {base} (0x{base:x}), {sessions} sessions x {ticks} ticks");
-    let models = build_models(3);
+    let models = FleetModels::tiny(&std::env::temp_dir().join("netllm-fault-soak"), 3);
     // VP one-shot references, computed once up front for all shapes.
     let vp_refs: Vec<Vec<f32>> = VpSample::synthetic_pool()
         .iter()

@@ -66,7 +66,7 @@
 //! | file | holds |
 //! |---|---|
 //! | `mod.rs` | the struct, constructors, `submit` / `tick` / `poll`, the shard fan-out |
-//! | `table.rs` | the two tables all bookkeeping lives in: one `Route` per live session, one state per ticket (`Requeued`, `Served` or `Failed`; absent = `Pending`) |
+//! | `table.rs` | one `Route` per live session; one state per ticket (absent = `Pending`) |
 //! | `placement.rs` | join and leave, admission placement, rebalance, manual and budget steering |
 //! | `memory.rs` | page demand of a drained batch, the eviction order, the memory guard |
 //! | `recovery.rs` | the two fault firing points, heartbeats and health, recovery of a dead shard |
@@ -467,13 +467,13 @@ impl<T: ServedTask> ShardedServer<T> {
             .collect();
 
         // Phase 3, plan+step: the busy shards, each timing its own step.
-        let (results, step_ns) = self.step_partitioned(task, &per);
-        phase_ns[TickPhase::PlanStep as usize] = step_ns.iter().sum();
+        let stepped = self.step_partitioned(task, &per);
+        phase_ns[TickPhase::PlanStep as usize] = stepped.iter().map(|(_, ns)| ns).sum();
 
         // Phase 4, settle: bank the actions under their tickets.
         let mut served = 0usize;
         let mut by_label: BTreeMap<&'static str, usize> = BTreeMap::new();
-        for (s, (batch, actions)) in drained.into_iter().zip(results).enumerate() {
+        for (s, (batch, (actions, step_ns))) in drained.into_iter().zip(stepped).enumerate() {
             debug_assert_eq!(batch.len(), actions.len(), "shard returned a ragged tick");
             if batch.is_empty() {
                 continue;
@@ -492,7 +492,7 @@ impl<T: ServedTask> ShardedServer<T> {
                 EventKind::TickSpan {
                     shard: s as u32,
                     served: shard_served as u32,
-                    span_ns: step_ns[s],
+                    span_ns: step_ns,
                 },
             );
         }
@@ -552,22 +552,21 @@ impl<T: ServedTask> ShardedServer<T> {
     /// Step every shard with a non-empty batch, fanning the busy shards
     /// out over `NT_THREADS` pool workers (contiguous bands of shards per
     /// worker — [`nt_tensor::pool::for_each_block_mut`] with one shard
-    /// per block). Returns one action vector per shard, in that shard's
-    /// batch order (empty for idle shards), plus each shard's step
-    /// wall-ns (zero for idle shards). The per-shard spans feed the
-    /// [`TickPhase::PlanStep`] histograms.
+    /// per block). Returns, per shard, its actions in batch order and its
+    /// step's wall-ns (empty and zero for idle shards). The per-shard
+    /// spans feed the [`TickPhase::PlanStep`] histograms.
     fn step_partitioned(
         &mut self,
         task: &T,
         per: &[Vec<(SessionId, &T::Obs)>],
-    ) -> (Vec<Vec<T::Action>>, Vec<u64>)
+    ) -> Vec<(Vec<T::Action>, u64)>
     where
         T: Sync,
         T::Obs: Sync,
         T::Slot: Send,
         T::Action: Send,
     {
-        let k = self.shards.len();
+        let mut stepped: Vec<_> = (0..self.shards.len()).map(|_| (Vec::new(), 0u64)).collect();
         // (shard, engine, batch, answers, step ns) per busy shard.
         let mut busy: Vec<_> = self
             .shards
@@ -584,14 +583,12 @@ impl<T: ServedTask> ShardedServer<T> {
                 *ns = t0.elapsed().as_nanos() as u64;
             }
         });
-        let mut results: Vec<Vec<T::Action>> = (0..k).map(|_| Vec::new()).collect();
-        let mut step_ns = vec![0u64; k];
         for (s, _, _, actions, ns) in busy {
             self.metrics.record_served(s, actions.len() as u64);
             self.metrics.record_phase_ns(s, TickPhase::PlanStep, ns);
-            (results[s], step_ns[s]) = (actions, ns);
+            stepped[s] = (actions, ns);
         }
-        (results, step_ns)
+        stepped
     }
 }
 

@@ -131,11 +131,10 @@ impl<T: ServedTask> ShardedServer<T> {
         // Queue FIFO and the ledger's order are both oldest first.
         let dropped_arrivals: Vec<(Ticket, T::Obs)> =
             self.queues[shard].remove_session(id).into_iter().map(|a| (a.ticket, a.obs)).collect();
-        let dropped: Vec<Ticket> = dropped_arrivals.iter().map(|&(t, _)| t).collect();
         // Nothing of the session stays observable: a `Requeued` mark on a
         // dropped arrival would promise an answer forever, an unpolled
         // `Failed` would sit in the ledger for the server's lifetime.
-        let unpolled = self.tickets.leave(id, &dropped);
+        let unpolled = self.tickets.leave(id);
         self.shards[shard].leave(local);
         while self.rebalance_once() {}
         LeaveReport { unpolled, dropped_arrivals }

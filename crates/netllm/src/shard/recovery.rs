@@ -130,7 +130,7 @@ impl<T: ServedTask> ShardedServer<T> {
                     let orphans = std::mem::take(&mut drained[shard]);
                     let n = orphans.len() as u64;
                     for a in &orphans {
-                        self.tickets.requeue(a.ticket);
+                        self.tickets.requeue(a.ticket, a.session);
                     }
                     self.queues[shard].requeue_front(orphans);
                     faults.arrivals_requeued += n;
@@ -214,7 +214,7 @@ impl<T: ServedTask> ShardedServer<T> {
         let n = backlog.len() as u64;
         for a in backlog {
             let dest = self.shard_of(a.session);
-            self.tickets.requeue(a.ticket);
+            self.tickets.requeue(a.ticket, a.session);
             self.queues[dest].requeue(a);
         }
         report.arrivals_requeued += n;

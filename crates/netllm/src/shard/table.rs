@@ -78,22 +78,26 @@ impl SessionTable {
         self.routes.iter().map(|(&id, r)| (id, r))
     }
 
-    /// A migration moved `id`: new home, and no second move this cycle.
-    pub fn steer(&mut self, id: GlobalSessionId, shard: usize, local: SessionId) {
-        let r = self.routes.get_mut(&id).expect("unknown session id");
-        (r.shard, r.local, r.steered) = (shard, local, true);
+    fn route_mut(&mut self, id: GlobalSessionId) -> &mut Route {
+        self.routes.get_mut(&id).expect("unknown session id")
     }
 
     /// Crash recovery re-homed `id` — not a steer: a salvaged session may
     /// still be balanced this cycle.
     pub fn recover(&mut self, id: GlobalSessionId, shard: usize, local: SessionId) {
-        let r = self.routes.get_mut(&id).expect("unknown session id");
+        let r = self.route_mut(id);
         (r.shard, r.local) = (shard, local);
+    }
+
+    /// A migration moved `id`: new home, and no second move this cycle.
+    pub fn steer(&mut self, id: GlobalSessionId, shard: usize, local: SessionId) {
+        self.recover(id, shard, local);
+        self.route_mut(id).steered = true;
     }
 
     /// `id` produced an answer at `tick`.
     pub fn mark_served(&mut self, id: GlobalSessionId, tick: u64) {
-        self.routes.get_mut(&id).expect("served session left the fleet").last_served = tick;
+        self.route_mut(id).last_served = tick;
     }
 
     /// Close the tick cycle: every session steered since the previous
@@ -112,15 +116,15 @@ enum TicketState<A> {
     /// an answer.
     Requeued,
     /// Served, not yet redeemed.
-    Served { session: GlobalSessionId, action: A },
+    Served(A),
     /// Lost to a fault, not yet reported.
-    Failed { session: GlobalSessionId },
+    Failed,
 }
 
-/// Ticket → its one observable state; absent = `Pending` (see the module
-/// docs for the state diagram).
+/// Ticket → its owner and its one observable state; absent = `Pending`
+/// (see the module docs for the state diagram).
 pub(super) struct TicketLedger<A> {
-    states: BTreeMap<Ticket, TicketState<A>>,
+    states: BTreeMap<Ticket, (GlobalSessionId, TicketState<A>)>,
 }
 
 impl<A> Default for TicketLedger<A> {
@@ -130,43 +134,41 @@ impl<A> Default for TicketLedger<A> {
 }
 
 impl<A> TicketLedger<A> {
+    /// The one transition: an unresolved ticket (absent or `Requeued`)
+    /// takes state `to`, replacing whatever it had.
+    fn set(&mut self, ticket: Ticket, session: GlobalSessionId, to: TicketState<A>) {
+        let previous = self.states.insert(ticket, (session, to));
+        debug_assert!(
+            matches!(previous, None | Some((_, TicketState::Requeued))),
+            "{ticket:?} was already resolved"
+        );
+    }
+
     /// A fault put `ticket`'s arrival back into a queue.
-    pub fn requeue(&mut self, ticket: Ticket) {
-        let previous = self.states.insert(ticket, TicketState::Requeued);
-        debug_assert!(
-            matches!(previous, None | Some(TicketState::Requeued)),
-            "{ticket:?} was resolved, yet its arrival is queued"
-        );
+    pub fn requeue(&mut self, ticket: Ticket, session: GlobalSessionId) {
+        self.set(ticket, session, TicketState::Requeued);
     }
 
-    /// A tick answered `ticket` (a `Requeued` mark ends here).
+    /// A tick answered `ticket`.
     pub fn serve(&mut self, ticket: Ticket, session: GlobalSessionId, action: A) {
-        self.resolve(ticket, TicketState::Served { session, action });
+        self.set(ticket, session, TicketState::Served(action));
     }
 
-    /// A fault consumed `ticket`'s arrival (a `Requeued` mark ends here
-    /// too: the ticket is no longer owed an answer).
+    /// A fault consumed `ticket`'s arrival: it is no longer owed an
+    /// answer, whatever displaced it before.
     pub fn fail(&mut self, ticket: Ticket, session: GlobalSessionId) {
-        self.resolve(ticket, TicketState::Failed { session });
-    }
-
-    fn resolve(&mut self, ticket: Ticket, to: TicketState<A>) {
-        let previous = self.states.insert(ticket, to);
-        debug_assert!(
-            matches!(previous, None | Some(TicketState::Requeued)),
-            "{ticket:?} resolved twice"
-        );
+        self.set(ticket, session, TicketState::Failed);
     }
 
     /// Served-but-unredeemed tickets.
     pub fn ready(&self) -> usize {
-        self.states.values().filter(|st| matches!(st, TicketState::Served { .. })).count()
+        self.states.values().filter(|(_, st)| matches!(st, TicketState::Served(_))).count()
     }
 
     /// Redeem a served ticket; any other state stays as it is.
     pub fn poll(&mut self, ticket: Ticket) -> Option<A> {
         match self.states.remove(&ticket)? {
-            TicketState::Served { action, .. } => Some(action),
+            (_, TicketState::Served(action)) => Some(action),
             other => {
                 self.states.insert(ticket, other);
                 None
@@ -179,29 +181,23 @@ impl<A> TicketLedger<A> {
     pub fn poll_status(&mut self, ticket: Ticket) -> TicketStatus<A> {
         match self.states.remove(&ticket) {
             None => TicketStatus::Pending,
-            Some(TicketState::Served { action, .. }) => TicketStatus::Served(action),
-            Some(TicketState::Failed { .. }) => TicketStatus::Failed,
-            Some(TicketState::Requeued) => {
-                self.states.insert(ticket, TicketState::Requeued);
+            Some((_, TicketState::Served(action))) => TicketStatus::Served(action),
+            Some((_, TicketState::Failed)) => TicketStatus::Failed,
+            Some(requeued) => {
+                self.states.insert(ticket, requeued);
                 TicketStatus::Requeued
             }
         }
     }
 
-    /// `session` is leaving with `dropped` arrivals still queued: forget
-    /// everything it left behind — the `Requeued` marks of those
-    /// arrivals, its unreported `Failed` tickets — and hand back its
-    /// unredeemed actions, oldest first.
-    pub fn leave(&mut self, session: GlobalSessionId, dropped: &[Ticket]) -> Vec<(Ticket, A)> {
+    /// `session` is leaving: forget everything it left behind — `Requeued`
+    /// marks (their arrivals are dropped with it), unreported `Failed`
+    /// tickets — and hand back its unredeemed actions, oldest first.
+    pub fn leave(&mut self, session: GlobalSessionId) -> Vec<(Ticket, A)> {
         self.states
-            .extract_if(.., |ticket, st| match st {
-                TicketState::Requeued => dropped.contains(ticket),
-                TicketState::Served { session: s, .. } | TicketState::Failed { session: s } => {
-                    *s == session
-                }
-            })
-            .filter_map(|(ticket, st)| match st {
-                TicketState::Served { action, .. } => Some((ticket, action)),
+            .extract_if(.., |_, (owner, _)| *owner == session)
+            .filter_map(|(ticket, (_, st))| match st {
+                TicketState::Served(action) => Some((ticket, action)),
                 _ => None,
             })
             .collect()
@@ -233,89 +229,76 @@ mod tests {
         /// returns its served actions oldest first.
         #[test]
         fn a_ticket_has_one_state_and_terminal_states_are_observed_once(
-            ops in proptest::collection::vec((0u8..8, 0u64..12), 1..200),
+            ops in proptest::collection::vec((0u8..8, 0usize..12), 1..200),
         ) {
-            const SESSIONS: u64 = 3;
-            let owner = |t: u64| t % SESSIONS;
+            // Ticket `i` belongs to session `i % 3` and answers `10 * i`.
+            let (owner, action) = (|i: usize| (i % 3) as u64, |i: usize| 10 * i as u64);
             let mut ledger: TicketLedger<u64> = TicketLedger::default();
-            // Tickets 0..12 are all "submitted"; `queued` says whether
-            // the arrival is still in a queue (unresolved, owner live).
             let mut model = [Model::Pending; 12];
+            // Whether ticket `i`'s arrival is still queued: unresolved,
+            // owner live — the only time a tick or a fault can touch it.
             let mut queued = [true; 12];
-            let mut seen_served = [0u32; 12];
-            let mut seen_failed = [0u32; 12];
-            for (op, t) in ops {
-                let (ticket, i) = (Ticket(t), t as usize);
+            let mut seen = [(0u32, 0u32); 12]; // (Served, Failed) reads
+            for (op, i) in ops {
+                let ticket = Ticket(i as u64);
                 match op {
                     0 if queued[i] => {
-                        ledger.requeue(ticket);
+                        ledger.requeue(ticket, owner(i));
                         model[i] = Model::Requeued;
                     }
                     1 | 2 if queued[i] => {
-                        ledger.serve(ticket, owner(t), t * 10);
+                        ledger.serve(ticket, owner(i), action(i));
                         (model[i], queued[i]) = (Model::Served, false);
                     }
                     3 if queued[i] => {
-                        ledger.fail(ticket, owner(t));
+                        ledger.fail(ticket, owner(i));
                         (model[i], queued[i]) = (Model::Failed, false);
                     }
                     4 => {
                         let got = ledger.poll(ticket);
-                        prop_assert_eq!(got, (model[i] == Model::Served).then_some(t * 10));
+                        prop_assert_eq!(got, (model[i] == Model::Served).then(|| action(i)));
                         if got.is_some() {
-                            seen_served[i] += 1;
+                            seen[i].0 += 1;
                             model[i] = Model::Pending;
                         }
                     }
                     5 | 6 => {
-                        let want = match model[i] {
+                        let got = ledger.poll_status(ticket);
+                        prop_assert_eq!(&got, &match model[i] {
                             Model::Pending => TicketStatus::Pending,
                             Model::Requeued => TicketStatus::Requeued,
-                            Model::Served => TicketStatus::Served(t * 10),
+                            Model::Served => TicketStatus::Served(action(i)),
                             Model::Failed => TicketStatus::Failed,
-                        };
-                        let got = ledger.poll_status(ticket);
-                        prop_assert_eq!(&got, &want);
-                        seen_served[i] += u32::from(matches!(got, TicketStatus::Served(_)));
-                        seen_failed[i] += u32::from(got == TicketStatus::Failed);
+                        });
                         if got.is_terminal() {
+                            seen[i].0 += u32::from(got != TicketStatus::Failed);
+                            seen[i].1 += u32::from(got == TicketStatus::Failed);
                             model[i] = Model::Pending;
                         }
                     }
                     7 => {
-                        // Session `t % SESSIONS` leaves: its queued
-                        // arrivals are dropped, its banked actions come
+                        // `i`'s owner leaves: its banked actions come
                         // back ascending, nothing of it stays observable
-                        // and nobody else's entry moves.
-                        let s = owner(t);
-                        let mine = |x: &u64| owner(*x) == s;
-                        let dropped: Vec<Ticket> = (0..12u64)
-                            .filter(mine)
-                            .filter(|&x| queued[x as usize])
-                            .map(Ticket)
+                        // and (the size check below) nobody else's moves.
+                        let mine: Vec<usize> = (0..12).filter(|&x| owner(x) == owner(i)).collect();
+                        let want: Vec<(Ticket, u64)> = mine
+                            .iter()
+                            .filter(|&&x| model[x] == Model::Served)
+                            .map(|&x| (Ticket(x as u64), action(x)))
                             .collect();
-                        let want: Vec<(Ticket, u64)> = (0..12u64)
-                            .filter(mine)
-                            .filter(|&x| model[x as usize] == Model::Served)
-                            .map(|x| (Ticket(x), x * 10))
-                            .collect();
-                        prop_assert_eq!(ledger.leave(s, &dropped), want);
-                        for x in (0..12usize).filter(|&x| owner(x as u64) == s) {
-                            seen_served[x] += u32::from(model[x] == Model::Served);
+                        prop_assert_eq!(ledger.leave(owner(i)), want);
+                        for x in mine {
+                            seen[x].0 += u32::from(model[x] == Model::Served);
                             (model[x], queued[x]) = (Model::Pending, false);
                         }
                     }
                     _ => {} // the op's precondition does not hold: skip
                 }
-                let live = model.iter().filter(|&&m| m != Model::Pending).count();
-                prop_assert_eq!(ledger.states.len(), live); // nothing lingers, nothing extra
-                prop_assert_eq!(
-                    ledger.ready(),
-                    model.iter().filter(|&&m| m == Model::Served).count()
-                );
+                let count = |m: Model| model.iter().filter(|&&x| x == m).count();
+                prop_assert_eq!(ledger.states.len(), 12 - count(Model::Pending));
+                prop_assert_eq!(ledger.ready(), count(Model::Served));
             }
-            prop_assert!(seen_served.iter().all(|&n| n <= 1), "an action was handed out twice");
-            prop_assert!(seen_failed.iter().all(|&n| n <= 1), "a failure was reported twice");
+            prop_assert!(seen.iter().all(|&(s, f)| s <= 1 && f <= 1), "a resolution read twice");
         }
 
         /// Join / steer / recover / serve / leave / end-of-cycle in any
@@ -335,18 +318,10 @@ mod tests {
                 moves += 1;
                 match op {
                     0 | 1 if !live => {
-                        let group = shard % 3;
-                        table.join(id, shard, handle(shard, moves), group);
-                        model.insert(
-                            id,
-                            Route {
-                                shard,
-                                local: handle(shard, moves),
-                                group,
-                                last_served: 0,
-                                steered: false,
-                            },
-                        );
+                        let (local, group) = (handle(shard, moves), shard % 3);
+                        table.join(id, shard, local, group);
+                        let fresh = Route { shard, local, group, last_served: 0, steered: false };
+                        model.insert(id, fresh);
                     }
                     2 if live => {
                         table.steer(id, shard, handle(shard, moves));
