@@ -257,18 +257,9 @@ impl KvCache {
             _ => {}
         }
         let len = self.len();
-        fn snapshot<S: KvStorage>(kv: &S, len: usize) -> (Vec<f32>, Vec<f32>) {
-            let mut k = Vec::new();
-            let mut v = Vec::new();
-            for j in 0..len {
-                k.extend_from_slice(kv.k_row(j));
-                v.extend_from_slice(kv.v_row(j));
-            }
-            (k, v)
-        }
         let rows: Vec<(Vec<f32>, Vec<f32>)> = match &self.backing {
-            KvBacking::Contig(layers) => layers.iter().map(|l| snapshot(l, len)).collect(),
-            KvBacking::Paged { layers, .. } => layers.iter().map(|l| snapshot(l, len)).collect(),
+            KvBacking::Contig(layers) => layers.iter().map(KvStorage::to_rows).collect(),
+            KvBacking::Paged { layers, .. } => layers.iter().map(KvStorage::to_rows).collect(),
         };
         let new_backing = match target {
             None => KvBacking::Contig(

@@ -16,18 +16,44 @@
 //!   matches a full causal forward over the concatenated sequence. One
 //!   sequence is a batch of one ([`MultiHeadAttention::eval_cached`]) —
 //!   there is no second kernel.
+//!
+//! The cached path is laid out for the `nt_tensor::attn` register tiles:
+//! a cache stores its keys in channel-major blocks (`[dim][B]` per `B`
+//! positions — a page of a [`PagedAttnKv`], 16 positions of an
+//! [`AttnKv`]) and its values row-major:
+//!
+//! ```text
+//!   one block of one layer: B = 4 positions p0..p3, dim = heads x dh
+//!
+//!   keys, channel-major [dim][B]            values, row-major [B][dim]
+//!
+//!     c0      p0 p1 p2 p3 ┐                       c0 .. c(dh-1) │ c(dh) ..
+//!     c1      p0 p1 p2 p3 │ head 0's slab:    p0   x ..   x     │   x   ..
+//!     ..      .. .. .. .. │ [dh][B],          p1   x ..   x     │   x   ..
+//!     c(dh-1) p0 p1 p2 p3 ┘ contiguous        p2   x ..   x     │   x   ..
+//!     c(dh)   p0 p1 p2 p3 ┐                   p3   x ..   x     │   x   ..
+//!     ..      .. .. .. .. │ head 1's slab         └── head 0 ──┘ └ head 1
+//! ```
+//!
+//! so a head's keys are one contiguous slab with positions in the lanes
+//! (QKᵀ is a 4-row x 16-lane tile over it) and its values are `dh`-wide
+//! row slices (PV is a 4-row x `dh` tile walking them in position order).
 
 use crate::layers::{Init, LayerNorm, Linear, Mlp};
 use crate::store::{Fwd, ParamStore};
 use nt_tensor::tensor::softmax_in_place;
-use nt_tensor::{NodeId, Rng, Tensor};
+use nt_tensor::{attn, NodeId, Rng, Tensor};
 
-/// Storage backend for a per-layer KV cache. The attention kernels read
-/// keys/values row-by-row through this interface, so the contiguous
-/// ([`AttnKv`]) and paged ([`PagedAttnKv`]) layouts share one generic code
-/// path — iteration order over positions never changes, only where the
-/// rows live, which keeps the two layouts bit-identical (tested with `==`,
-/// not a tolerance).
+/// Storage backend for a per-layer KV cache, read by the attention core
+/// one **block** at a time: block `b` covers positions `b * block_tokens
+/// ..` and holds its keys channel-major (`[dim][block_tokens]`, so a
+/// head's slice is one contiguous slab whose lanes are positions — the
+/// layout the `nt_tensor::attn` tiles stream) and its values row-major.
+/// The contiguous ([`AttnKv`]) and paged ([`PagedAttnKv`]) layouts differ
+/// only in block width and in where a block lives; every score is its own
+/// chain over the head's channels and every output element one chain over
+/// ascending positions whatever the width, which keeps the two layouts
+/// bit-identical (tested with `==`, not a tolerance).
 pub trait KvStorage {
     /// Number of cached positions.
     fn len(&self) -> usize;
@@ -36,26 +62,71 @@ pub trait KvStorage {
         self.len() == 0
     }
 
-    /// Append raw key/value rows (`n * dim` floats each). Paged storage
+    /// Append raw key/value rows (`n * dim` floats each, row-major); keys
+    /// are transposed into their blocks on the way in. Paged storage
     /// requires the capacity to be reserved beforehand (pages pushed by
     /// the owner) — the attention kernel never allocates.
     fn extend_rows(&mut self, k_rows: &[f32], v_rows: &[f32]);
 
-    /// Key row `j` as a contiguous `[dim]` slice.
-    fn k_row(&self, j: usize) -> &[f32];
+    /// Positions per block.
+    fn block_tokens(&self) -> usize;
 
-    /// Value row `j` as a contiguous `[dim]` slice.
-    fn v_row(&self, j: usize) -> &[f32];
+    /// Keys of block `b`, channel-major `[dim][block_tokens]`. Lanes at or
+    /// past [`KvStorage::len`] hold whatever was written there before
+    /// (zeros, a truncated suffix, a page's previous tenant): readers mask
+    /// them, they are never cleared.
+    fn k_block(&self, b: usize) -> &[f32];
+
+    /// Values of block `b`, row-major `[.., dim]`, covering at least the
+    /// block's filled positions.
+    fn v_block(&self, b: usize) -> &[f32];
+
+    /// Every cached row read back out as row-major `(keys, values)`,
+    /// `len * dim` floats each — what [`KvStorage::extend_rows`] of an
+    /// empty cache takes to reproduce this one.
+    fn to_rows(&self) -> (Vec<f32>, Vec<f32>) {
+        let (len, bt) = (self.len(), self.block_tokens());
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        for b in 0..len.div_ceil(bt) {
+            let filled = (len - b * bt).min(bt);
+            let kb = self.k_block(b);
+            let d = kb.len() / bt;
+            for lane in 0..filled {
+                k.extend(kb.iter().skip(lane).step_by(bt));
+            }
+            v.extend_from_slice(&self.v_block(b)[..filled * d]);
+        }
+        (k, v)
+    }
 }
 
-/// Per-layer key/value cache for incremental decoding: flat row-major
-/// `[t, dim]` buffers that grow by `extend` and shrink by `truncate`, so an
-/// append costs `O(new x dim)` and a rollback is `O(1)` — the cache itself
-/// is never copied. Head split happens at attention time via strided reads,
-/// same split as the taped path.
+/// Write row-major key `rows` (`[m, d]`) into lanes `lane0..lane0 + m` of
+/// a channel-major `[d][bt]` block.
+fn write_keys(block: &mut [f32], bt: usize, lane0: usize, rows: &[f32], d: usize) {
+    let m = rows.len() / d;
+    for (c, lanes) in block.chunks_exact_mut(bt).enumerate() {
+        for (r, lane) in lanes[lane0..lane0 + m].iter_mut().enumerate() {
+            *lane = rows[r * d + c];
+        }
+    }
+}
+
+/// Block width of the contiguous cache: one 16-lane tile per block, the
+/// widest the attention tiles take.
+const CONTIG_BLOCK: usize = 16;
+
+/// Per-layer key/value cache for incremental decoding in flat buffers
+/// that grow by `extend` and shrink by `truncate`, so an append costs
+/// `O(new x dim)` and a rollback is `O(1)` — the cache itself is never
+/// copied. Keys sit in consecutive channel-major blocks of
+/// 16 positions (`CONTIG_BLOCK`), values row-major `[t, dim]`; the head split
+/// happens at attention time via strided reads, same split as the taped
+/// path.
 #[derive(Clone, Debug)]
 pub struct AttnKv {
+    /// Whole blocks, `[dim][CONTIG_BLOCK]` each.
     k: Vec<f32>,
+    /// Exactly the cached rows.
     v: Vec<f32>,
     dim: usize,
 }
@@ -68,24 +139,25 @@ impl AttnKv {
 
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        self.k.len() / self.dim.max(1)
+        self.v.len() / self.dim.max(1)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.k.is_empty()
+        self.v.is_empty()
     }
 
-    /// Drop every cached position from `len` on (prefix rollback).
+    /// Drop every cached position from `len` on (prefix rollback). The
+    /// tail block keeps the dropped keys in its lanes past `len`.
     pub fn truncate(&mut self, len: usize) {
         if len < self.len() {
-            self.k.truncate(len * self.dim);
+            self.k.truncate(len.div_ceil(CONTIG_BLOCK) * CONTIG_BLOCK * self.dim);
             self.v.truncate(len * self.dim);
         }
     }
 
-    /// Bytes held by the cached buffers.
+    /// Bytes held by the cached positions (keys + values).
     pub fn bytes(&self) -> usize {
-        (self.k.len() + self.v.len()) * 4
+        2 * self.v.len() * 4
     }
 }
 
@@ -95,28 +167,47 @@ impl KvStorage for AttnKv {
     }
 
     fn extend_rows(&mut self, k_rows: &[f32], v_rows: &[f32]) {
-        debug_assert_eq!(k_rows.len() % self.dim.max(1), 0);
+        let d = self.dim.max(1);
+        debug_assert_eq!(k_rows.len() % d, 0);
         debug_assert_eq!(k_rows.len(), v_rows.len());
-        self.k.extend_from_slice(k_rows);
+        let block = CONTIG_BLOCK * d;
+        let (mut at, end) = (self.len(), self.len() + k_rows.len() / d);
+        self.k.resize(end.div_ceil(CONTIG_BLOCK) * block, 0.0);
+        let mut rows = k_rows;
+        while at < end {
+            let (b, lane0) = (at / CONTIG_BLOCK, at % CONTIG_BLOCK);
+            let (head, rest) = rows.split_at((end - at).min(CONTIG_BLOCK - lane0) * d);
+            write_keys(&mut self.k[b * block..(b + 1) * block], CONTIG_BLOCK, lane0, head, d);
+            at += head.len() / d;
+            rows = rest;
+        }
         self.v.extend_from_slice(v_rows);
     }
 
-    #[inline]
-    fn k_row(&self, j: usize) -> &[f32] {
-        &self.k[j * self.dim..(j + 1) * self.dim]
+    fn block_tokens(&self) -> usize {
+        CONTIG_BLOCK
     }
 
     #[inline]
-    fn v_row(&self, j: usize) -> &[f32] {
-        &self.v[j * self.dim..(j + 1) * self.dim]
+    fn k_block(&self, b: usize) -> &[f32] {
+        let block = CONTIG_BLOCK * self.dim;
+        &self.k[b * block..(b + 1) * block]
+    }
+
+    #[inline]
+    fn v_block(&self, b: usize) -> &[f32] {
+        let block = CONTIG_BLOCK * self.dim;
+        &self.v[b * block..self.v.len().min((b + 1) * block)]
     }
 }
 
 /// One fixed-size KV page: backing store for up to `page_tokens` cached
-/// positions of one layer (keys and values side by side). Pages are
-/// uniform, interchangeable buffers — a free-list allocator (`nt-llm`'s
-/// `PagePool`) hands them out and takes them back; which particular
-/// buffer a session receives never affects the math.
+/// positions of one layer — one block of a [`PagedAttnKv`], keys
+/// channel-major `[dim][page_tokens]` beside values row-major
+/// `[page_tokens][dim]`. Pages are uniform, interchangeable buffers — a
+/// free-list allocator (`nt-llm`'s `PagePool`) hands them out and takes
+/// them back without clearing them; which particular buffer a session
+/// receives never affects the math.
 #[derive(Clone, Debug)]
 pub struct KvPage {
     k: Vec<f32>,
@@ -137,11 +228,11 @@ impl KvPage {
 
 /// Per-layer key/value cache backed by fixed-size [`KvPage`]s instead of
 /// one contiguous buffer: position `j` lives in page `j / page_tokens` at
-/// row `j % page_tokens`, so a session's cache grows page-granularly and a
-/// truncate can hand whole pages back to the pool. `page_tokens` is a
-/// power of two, so the row lookup in the attention inner loop is a
-/// shift + mask, and every row slice stays contiguous — dot/axpy stream
-/// page runs exactly like the flat layout, in the same position order.
+/// lane (keys) and row (values) `j % page_tokens`, so a session's cache
+/// grows page-granularly and a truncate can hand whole pages back to the
+/// pool. A page is one block of the [`KvStorage`] interface; `page_tokens`
+/// is a power of two, which is what lets the attention tiles cut a block
+/// into whole lane groups.
 ///
 /// The struct owns its page *table*; page *allocation* is the owner's job
 /// (`nt-llm`'s `KvCache` reserves pages from the `PagePool` before an
@@ -152,34 +243,26 @@ pub struct PagedAttnKv {
     pages: Vec<KvPage>,
     len: usize,
     dim: usize,
-    /// `log2(page_tokens)` — row lookup is `j >> shift`, `j & mask`.
-    shift: u32,
-    mask: usize,
+    page_tokens: usize,
 }
 
 impl PagedAttnKv {
     /// Empty paged cache for a `dim`-wide layer. `page_tokens` must be a
-    /// power of two (shift/mask row lookup in the attention hot loop).
+    /// power of two (a block is cut into whole lane groups).
     pub fn new(page_tokens: usize, dim: usize) -> Self {
         assert!(page_tokens.is_power_of_two(), "page_tokens {page_tokens} must be a power of two");
         assert!(dim > 0, "paged KV needs a positive dim");
-        PagedAttnKv {
-            pages: Vec::new(),
-            len: 0,
-            dim,
-            shift: page_tokens.trailing_zeros(),
-            mask: page_tokens - 1,
-        }
+        PagedAttnKv { pages: Vec::new(), len: 0, dim, page_tokens }
     }
 
     /// Positions one page holds.
     pub fn page_tokens(&self) -> usize {
-        self.mask + 1
+        self.page_tokens
     }
 
     /// Positions the current page table can hold without new pages.
     pub fn capacity(&self) -> usize {
-        self.pages.len() * self.page_tokens()
+        self.pages.len() * self.page_tokens
     }
 
     /// Pages currently held (used + reserved-but-unfilled).
@@ -190,11 +273,7 @@ impl PagedAttnKv {
     /// Hand a reserved page to this layer's table (capacity grows by
     /// `page_tokens` positions).
     pub fn push_page(&mut self, page: KvPage) {
-        debug_assert_eq!(
-            page.k.len(),
-            self.page_tokens() * self.dim,
-            "page sized for another pool"
-        );
+        debug_assert_eq!(page.k.len(), self.page_tokens * self.dim, "page sized for another pool");
         self.pages.push(page);
     }
 
@@ -211,7 +290,7 @@ impl PagedAttnKv {
     /// pool). After this, `capacity()` is the tightest page-granular fit
     /// of `len()`.
     pub fn release_unused(&mut self) -> Vec<KvPage> {
-        let needed = self.len.div_ceil(self.page_tokens());
+        let needed = self.len.div_ceil(self.page_tokens);
         self.pages.split_off(needed)
     }
 
@@ -229,36 +308,43 @@ impl KvStorage for PagedAttnKv {
     }
 
     fn extend_rows(&mut self, k_rows: &[f32], v_rows: &[f32]) {
-        let d = self.dim;
+        let (d, pt) = (self.dim, self.page_tokens);
         debug_assert_eq!(k_rows.len() % d, 0);
         debug_assert_eq!(k_rows.len(), v_rows.len());
-        let n = k_rows.len() / d;
+        let end = self.len + k_rows.len() / d;
         assert!(
-            self.len + n <= self.capacity(),
-            "paged KV overflow: {} + {n} positions exceed {} reserved (reserve pages first)",
+            end <= self.capacity(),
+            "paged KV overflow: {} + {} positions exceed {} reserved (reserve pages first)",
             self.len,
+            end - self.len,
             self.capacity()
         );
-        for r in 0..n {
-            let j = self.len + r;
-            let (p, row) = (j >> self.shift, j & self.mask);
-            let dst = row * d;
-            self.pages[p].k[dst..dst + d].copy_from_slice(&k_rows[r * d..(r + 1) * d]);
-            self.pages[p].v[dst..dst + d].copy_from_slice(&v_rows[r * d..(r + 1) * d]);
+        let (mut k_rows, mut v_rows) = (k_rows, v_rows);
+        while self.len < end {
+            let (p, lane0) = (self.len / pt, self.len % pt);
+            let take = (end - self.len).min(pt - lane0) * d;
+            let (k_head, k_rest) = k_rows.split_at(take);
+            let (v_head, v_rest) = v_rows.split_at(take);
+            let page = &mut self.pages[p];
+            write_keys(&mut page.k, pt, lane0, k_head, d);
+            page.v[lane0 * d..lane0 * d + take].copy_from_slice(v_head);
+            self.len += take / d;
+            (k_rows, v_rows) = (k_rest, v_rest);
         }
-        self.len += n;
+    }
+
+    fn block_tokens(&self) -> usize {
+        self.page_tokens
     }
 
     #[inline]
-    fn k_row(&self, j: usize) -> &[f32] {
-        let (p, row) = (j >> self.shift, j & self.mask);
-        &self.pages[p].k[row * self.dim..(row + 1) * self.dim]
+    fn k_block(&self, b: usize) -> &[f32] {
+        &self.pages[b].k
     }
 
     #[inline]
-    fn v_row(&self, j: usize) -> &[f32] {
-        let (p, row) = (j >> self.shift, j & self.mask);
-        &self.pages[p].v[row * self.dim..(row + 1) * self.dim]
+    fn v_block(&self, b: usize) -> &[f32] {
+        &self.pages[b].v
     }
 }
 
@@ -349,17 +435,21 @@ impl MultiHeadAttention {
     ///
     /// The four projections run as single `[N, d]` GEMMs across all slots
     /// (the batching win); the attention core runs per slot and per head
-    /// over the cache in place: a score is a lane dot product of the
-    /// query with a key row's head slice, the head output an axpy over
-    /// value rows, four query rows per value-row load. Causality: a row
-    /// at absolute position `p` scores keys `0..=p` only and leaves the
-    /// rest exactly zero, which is what the taped full-mask forward's
-    /// `-1e9` entries underflow to — tested against it at 1e-5. Every
-    /// slot reads only its own cache and each output element is one
-    /// ascending-position chain, so N slots reproduce N one-slot calls
-    /// (1e-6, ragged prefixes) and the contiguous and paged layouts run
-    /// the *same* monomorphized loop in the same order — bit-identical,
-    /// only the row addressing differs.
+    /// over the cache's blocks in place, on the `nt_tensor::attn` register
+    /// tiles: scores are a 4-row x 16-lane tile over each key block a row
+    /// can see (one chain over the head's channels per score, scaled
+    /// once — what the taped `matmul(qh, kᵀ)` then `scale` computes), the
+    /// head output a 4-row x `dh` tile that walks the value blocks in
+    /// position order. Causality: a row at absolute position `p` takes
+    /// its softmax over keys `0..=p` only and every other lane of its
+    /// score row is then set to exactly zero, which is what the taped
+    /// full-mask forward's `-1e9` entries underflow to — tested against
+    /// it at 1e-5 — and what keeps a block's unfilled lanes (stale keys
+    /// of a truncated suffix or of a page's previous tenant) out of the
+    /// value pass. Every slot reads only its own cache and each output
+    /// element is one ascending-position chain, so N slots reproduce N
+    /// one-slot calls (1e-6, ragged prefixes) and the contiguous and
+    /// paged layouts, whatever their block widths, are bit-identical.
     pub fn eval_cached_batched<S: KvStorage>(
         &self,
         store: &ParamStore,
@@ -377,9 +467,10 @@ impl MultiHeadAttention {
         let q = self.wq.eval(store, x_new);
         let k_new = self.wk.eval(store, x_new);
         let v_new = self.wv.eval(store, x_new);
+        let q = q.data();
 
         let mut cat = vec![0.0f32; total * d];
-        let mut scores = Vec::new(); // [n, t] scratch, reused across slots
+        let mut scores = Vec::new(); // [n, blocks * bt] scratch, reused across slots
         let mut row0 = 0usize;
         for (s, kv) in kvs.iter_mut().enumerate() {
             let n = rows_per_slot[s];
@@ -392,100 +483,56 @@ impl MultiHeadAttention {
             );
             let t = kv.len();
             let p0 = t - n; // absolute position of the slot's first new row
+            let bt = kv.block_tokens();
+            let blocks = t.div_ceil(bt);
+            let width = blocks * bt; // score row: every lane of every block
+            if scores.len() < n * width {
+                scores.resize(n * width, 0.0);
+            }
             for h in 0..heads {
                 let off = h * dh;
-                // Scores: dot products against the head's key column
-                // block, read in place (each key slice is contiguous —
-                // paged storage streams the same rows out of page runs).
-                scores.clear();
-                scores.resize(n * t, 0.0);
-                for i in 0..n {
-                    let qrow = &q.data()[(row0 + i) * d + off..(row0 + i) * d + off + dh];
-                    let visible = p0 + i + 1;
-                    let srow = &mut scores[i * t..i * t + t];
-                    for (j, sv) in srow[..visible].iter_mut().enumerate() {
-                        *sv = dot_lanes(qrow, &kv.k_row(j)[off..off + dh]) * scale;
-                    }
-                    softmax_in_place(&mut srow[..visible]);
-                    // Future positions stay exactly zero — the causal trim
-                    // of the unbatched path.
+                // Row `i` sits at position `p0 + i` and sees block `b` from
+                // `i >= first(b)` on; earlier rows skip the block.
+                let first = |b: usize| (b * bt).saturating_sub(p0);
+                for b in 0..blocks {
+                    let i0 = first(b);
+                    attn::qk_block(
+                        &q[(row0 + i0) * d + off..],
+                        d,
+                        n - i0,
+                        &kv.k_block(b)[off * bt..(off + dh) * bt],
+                        bt,
+                        scale,
+                        &mut scores[i0 * width + b * bt..],
+                        width,
+                    );
                 }
-                // Head output: four score rows advance together so every
-                // value row is loaded once per quad.
-                let mut quad_start = 0usize;
-                while quad_start < n {
-                    let quad = (n - quad_start).min(4);
-                    // Highest visible position inside this quad; zero
-                    // weights beyond a row's own limit contribute nothing.
-                    let j_max = p0 + quad_start + quad;
-                    for j in 0..j_max {
-                        let vrow = &kv.v_row(j)[off..off + dh];
-                        for qi in 0..quad {
-                            let w = scores[(quad_start + qi) * t + j];
-                            let orow = &mut cat[(row0 + quad_start + qi) * d + off
-                                ..(row0 + quad_start + qi) * d + off + dh];
-                            axpy_lanes(w, vrow, orow);
-                        }
-                    }
-                    quad_start += quad;
+                for (i, srow) in scores[..n * width].chunks_exact_mut(width).enumerate() {
+                    let (seen, unseen) = srow.split_at_mut(p0 + i + 1);
+                    softmax_in_place(seen);
+                    // Future positions, lanes past the filled length and
+                    // blocks this row skipped: exactly zero.
+                    unseen.fill(0.0);
+                }
+                for b in 0..blocks {
+                    let i0 = first(b);
+                    attn::pv_block(
+                        &scores[i0 * width + b * bt..],
+                        width,
+                        n - i0,
+                        p0 + i0 + 1 - b * bt,
+                        &kv.v_block(b)[off..],
+                        d,
+                        (t - b * bt).min(bt),
+                        dh,
+                        &mut cat[(row0 + i0) * d + off..],
+                        d,
+                    );
                 }
             }
             row0 += n;
         }
         self.wo.eval(store, &Tensor::from_vec([total, d], cat))
-    }
-}
-
-/// Dot product over two short contiguous slices with eight f32x8-style
-/// partial lanes, a four-lane pass over what remains, and a scalar tail —
-/// head widths like 12 take one 8-chunk plus one 4-chunk, no scalar loop.
-#[inline]
-fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
-    let mut acc8 = [0.0f32; 8];
-    let xc = x.chunks_exact(8);
-    let yc = y.chunks_exact(8);
-    let (xr, yr) = (xc.remainder(), yc.remainder());
-    for (xs, ys) in xc.zip(yc) {
-        for l in 0..8 {
-            acc8[l] += xs[l] * ys[l];
-        }
-    }
-    let mut acc4 = [0.0f32; 4];
-    let xc4 = xr.chunks_exact(4);
-    let yc4 = yr.chunks_exact(4);
-    let (xr4, yr4) = (xc4.remainder(), yc4.remainder());
-    for (xs, ys) in xc4.zip(yc4) {
-        for l in 0..4 {
-            acc4[l] += xs[l] * ys[l];
-        }
-    }
-    let mut tail = 0.0f32;
-    for (a, b) in xr4.iter().zip(yr4) {
-        tail += a * b;
-    }
-    let h8 =
-        ((acc8[0] + acc8[4]) + (acc8[1] + acc8[5])) + ((acc8[2] + acc8[6]) + (acc8[3] + acc8[7]));
-    h8 + (acc4[0] + acc4[2]) + (acc4[1] + acc4[3]) + tail
-}
-
-/// `o += w * x` over two equal-length contiguous slices, in fixed
-/// `[f32; 8]` lane blocks. Per output element this is still exactly one
-/// fused add in the same order as a scalar loop — lane blocking never
-/// reassociates an axpy — so the value-pass results are bit-identical to
-/// the pre-SIMD kernels.
-#[inline]
-fn axpy_lanes(w: f32, x: &[f32], o: &mut [f32]) {
-    debug_assert_eq!(x.len(), o.len());
-    let xc = x.chunks_exact(8);
-    let xr = xc.remainder();
-    let mut oc = o.chunks_exact_mut(8);
-    for (os, xs) in (&mut oc).zip(xc) {
-        for l in 0..8 {
-            os[l] += w * xs[l];
-        }
-    }
-    for (ov, &xv) in oc.into_remainder().iter_mut().zip(xr) {
-        *ov += w * xv;
     }
 }
 
@@ -807,9 +854,11 @@ mod tests {
         assert_eq!(f2.data(), p2.data(), "paged second chunk must be bit-identical");
         assert_eq!(KvStorage::len(&paged), 8);
         assert_eq!(paged.pages_held(), 2);
+        let ((fk, fv), (pk, pv)) = (flat.to_rows(), paged.to_rows());
         for j in 0..8 {
-            assert_eq!(flat.k_row(j), paged.k_row(j), "key row {j} diverged");
-            assert_eq!(flat.v_row(j), paged.v_row(j), "value row {j} diverged");
+            let row = j * 16..(j + 1) * 16;
+            assert_eq!(fk[row.clone()], pk[row.clone()], "key row {j} diverged");
+            assert_eq!(fv[row.clone()], pv[row], "value row {j} diverged");
         }
     }
 
@@ -855,7 +904,7 @@ mod tests {
         let freed = kv.release_unused();
         assert_eq!(freed.len(), 1, "only the wholly-unused page is released");
         assert_eq!((KvStorage::len(&kv), kv.pages_held(), kv.capacity()), (5, 2, 8));
-        assert_eq!(kv.k_row(4), &[8.0, 9.0], "kept rows survive the release");
+        assert_eq!(kv.to_rows().0[4 * 2..], [8.0, 9.0], "kept rows survive the release");
         kv.truncate(0);
         assert_eq!(kv.release_unused().len(), 2);
         assert_eq!(kv.bytes(), 0);

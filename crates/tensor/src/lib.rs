@@ -36,6 +36,7 @@
 #![deny(unsafe_code)]
 
 mod activation;
+pub mod attn;
 pub mod graph;
 pub mod pool;
 pub mod rng;
