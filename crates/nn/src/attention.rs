@@ -41,7 +41,6 @@
 
 use crate::layers::{Init, LayerNorm, Linear, Mlp};
 use crate::store::{Fwd, ParamStore};
-use nt_tensor::tensor::softmax_in_place;
 use nt_tensor::{attn, NodeId, Rng, Tensor};
 
 /// Storage backend for a per-layer KV cache, read by the attention core
@@ -507,13 +506,10 @@ impl MultiHeadAttention {
                         width,
                     );
                 }
-                for (i, srow) in scores[..n * width].chunks_exact_mut(width).enumerate() {
-                    let (seen, unseen) = srow.split_at_mut(p0 + i + 1);
-                    softmax_in_place(seen);
-                    // Future positions, lanes past the filled length and
-                    // blocks this row skipped: exactly zero.
-                    unseen.fill(0.0);
-                }
+                // Row `i` over keys `0..=p0 + i`; future positions, lanes
+                // past the filled length and blocks the row skipped come
+                // back exactly zero.
+                attn::softmax_causal(&mut scores[..n * width], width, p0 + 1);
                 for b in 0..blocks {
                     let i0 = first(b);
                     attn::pv_block(

@@ -36,7 +36,7 @@ const EXP_HI: f32 = 88.0;
 /// and `2^n` built directly from exponent bits.
 #[inline(always)]
 #[allow(clippy::excessive_precision)] // Cephes' coefficients as published
-fn exp_fast(x: f32) -> f32 {
+pub(crate) fn exp_fast(x: f32) -> f32 {
     let xc = if x > EXP_HI { EXP_HI } else { x };
     let xc = if xc < EXP_LO { EXP_LO } else { xc };
     let t = xc * std::f32::consts::LOG2_E + ROUND_MAGIC;

@@ -14,15 +14,24 @@
 //!   key block, a 4-row x `W`-lane accumulator tile per lane group;
 //! - [`pv_block`]: those rows' weighted sum over one value block, a 4-row
 //!   x `dh` accumulator tile seeded from and written back to the output,
-//!   so consecutive blocks continue one chain.
+//!   so consecutive blocks continue one chain;
+//! - [`softmax_causal`], between the two: each score row normalised over
+//!   the prefix it may see and exactly zero everywhere else.
 //!
 //! Every score is one chain over `c = 0..dh` ascending from zero, scaled
 //! once; every output element is one chain over ascending positions. No
 //! instantiation reassociates or fuses, so all of them are bit-identical
 //! to the naive per-element loops and to each other, whatever the block
 //! width — which is what keeps paged and contiguous caches (different
-//! block widths) bit-identical.
+//! block widths) bit-identical. The softmax's max and sum are split over
+//! eight lanes fixed in the source, not by the vector width, for the same
+//! reason.
+//!
+//! This softmax is the cached core's own. `tensor::softmax_in_place`
+//! (taped forward, cross-entropy, sampling) stays on libm `exp` as the
+//! independent reference the cached core is tested against.
 
+use crate::activation::exp_fast;
 use crate::simd;
 
 /// Rows per register tile: four query rows share every loaded key or
@@ -36,6 +45,16 @@ const QK_LANES_WIDE: usize = 16;
 /// Column chunk of the PV tile: a head is covered in chunks of at most
 /// this many channels (one chunk for every head width in the zoo).
 const PV_LANES: usize = 16;
+/// Partial maxima and sums of one softmax row. Fixed here rather than per
+/// instantiation: the sum's association order is part of the result.
+const SOFTMAX_LANES: usize = 8;
+/// A softmax row is processed in whole groups of this many lanes — the
+/// widest vector any instantiation uses — so its loops have no scalar
+/// remainder. Padding lanes are exact zeros in the sum, so the group size
+/// is not part of the result.
+const SOFTMAX_PAD: usize = 16;
+/// Rows per softmax stack.
+const SOFTMAX_ROWS: usize = 8;
 
 /// Scaled dot-product scores of `rows` query rows against one key block.
 /// For every lane `l in 0..width`, with `c` ascending from zero over the
@@ -165,6 +184,90 @@ fn qk_tiles<const W: usize>(
             i += 1;
         }
     }
+}
+
+/// Causal softmax of a stack of `width`-wide score rows, in place: row `r`
+/// is normalised over its first `vis_first + r` lanes (what a query at
+/// that position may see) and every other lane of the row is set to
+/// exactly zero — future positions, lanes past the cache's filled length,
+/// blocks the row never scored. After it the whole stack is defined,
+/// whatever was in those lanes before, so nothing stale reaches
+/// [`pv_block`].
+///
+/// `e^x` is `exp_fast` (2.5e-7 relative), the maximum and the sum run in
+/// [`SOFTMAX_LANES`] interleaved partials combined by one fixed tree, and
+/// the division is one reciprocal per row: within 1e-6 of an `f64`
+/// softmax, bit-identical across instantiations.
+pub fn softmax_causal(scores: &mut [f32], width: usize, vis_first: usize) {
+    simd::dispatch(
+        #[inline(always)]
+        |_wide| softmax_causal_body(scores, width, vis_first),
+    );
+}
+
+/// [`softmax_causal`] in the caller's codegen. Rows go through in stacks
+/// of [`SOFTMAX_ROWS`], pass by pass rather than row by row: a row's four
+/// passes (mask and lane-split max, `exp_fast(v - max)`, lane-split sum,
+/// scale by the reciprocal) each wait for the one before, different rows
+/// wait for nothing, so pass-major order keeps several rows in flight.
+///
+/// A row's visible prefix is rounded up to whole [`SOFTMAX_PAD`] groups
+/// and the lanes that adds are set to `-inf` first — `exp_fast` maps them
+/// to exactly `0.0`, which the sum and the scaling leave alone — so every
+/// pass is a plain loop over whole vectors in every instantiation: no
+/// scalar `exp` tail at any prefix length. Only a row narrower than the
+/// padding (1- to 8-position blocks) has remainder lanes; they join
+/// partials `0..` in the same order. The largest element maps to exactly
+/// 1.0, so a sum is at least 1.
+#[inline(always)]
+fn softmax_causal_body(scores: &mut [f32], width: usize, vis_first: usize) {
+    if width == 0 {
+        return;
+    }
+    for (c, stack) in scores.chunks_mut(SOFTMAX_ROWS * width).enumerate() {
+        let visible = |r: usize| (vis_first + c * SOFTMAX_ROWS + r).min(width);
+        let span = |r: usize| visible(r).next_multiple_of(SOFTMAX_PAD).min(width);
+        let mut mx = [0.0f32; SOFTMAX_ROWS];
+        for (r, row) in stack.chunks_exact_mut(width).enumerate() {
+            row[visible(r)..span(r)].fill(f32::NEG_INFINITY);
+            row[span(r)..].fill(0.0);
+            mx[r] =
+                lane_split(&row[..span(r)], f32::NEG_INFINITY, |a, b| if a > b { a } else { b });
+        }
+        for (r, row) in stack.chunks_exact_mut(width).enumerate() {
+            for x in row[..span(r)].iter_mut() {
+                *x = exp_fast(*x - mx[r]);
+            }
+        }
+        for (r, row) in stack.chunks_exact_mut(width).enumerate() {
+            let s = &mut row[..span(r)];
+            if s.is_empty() {
+                continue; // nothing visible: the row is all zeros
+            }
+            let inv = 1.0 / lane_split(s, 0.0, |a, b| a + b);
+            for x in s.iter_mut() {
+                *x *= inv;
+            }
+        }
+    }
+}
+
+/// Reduce `s` with `f` in [`SOFTMAX_LANES`] interleaved partials (partial
+/// `l` takes elements `l`, `l + 8`, ...) combined by one fixed tree.
+#[inline(always)]
+fn lane_split(s: &[f32], identity: f32, f: impl Fn(f32, f32) -> f32) -> f32 {
+    let mut p = [identity; SOFTMAX_LANES];
+    let groups = s.chunks_exact(SOFTMAX_LANES);
+    let rest = groups.remainder();
+    for g in groups {
+        for l in 0..SOFTMAX_LANES {
+            p[l] = f(p[l], g[l]);
+        }
+    }
+    for (pl, &x) in p.iter_mut().zip(rest) {
+        *pl = f(*pl, x);
+    }
+    f(f(f(p[0], p[4]), f(p[1], p[5])), f(f(p[2], p[6]), f(p[3], p[7])))
 }
 
 /// Weighted value sum of `rows` score rows over one value block,
