@@ -195,9 +195,9 @@ fn qk_tiles<const W: usize>(
 /// [`pv_block`].
 ///
 /// `e^x` is `exp_fast` (2.5e-7 relative), the maximum and the sum run in
-/// [`SOFTMAX_LANES`] interleaved partials combined by one fixed tree, and
-/// the division is one reciprocal per row: within 1e-6 of an `f64`
-/// softmax, bit-identical across instantiations.
+/// eight interleaved partials combined by one fixed tree, and the
+/// division is one reciprocal per row: within 1e-6 of an `f64` softmax,
+/// bit-identical across instantiations.
 pub fn softmax_causal(scores: &mut [f32], width: usize, vis_first: usize) {
     simd::dispatch(
         #[inline(always)]
