@@ -7,11 +7,16 @@
 //! Everything here is branch-free straight-line `f32` arithmetic with no
 //! libm call, so the loop behind [`gelu_in_place`] autovectorises
 //! (compares lower to `minps`/`maxps`/`andps` selects): 4 lanes in the
-//! baseline SSE2 instantiation, 8 in the AVX2 one [`crate::simd`] picks
-//! when the CPU has it. Each element is computed by the same operation
-//! sequence wherever it sits in the slice — vector body or scalar tail,
-//! either instantiation — so `gelu(x)` and the slice kernel are
-//! bit-identical per element.
+//! baseline SSE2 instantiation, 8 in the AVX2 and 16 in the AVX-512 one
+//! [`crate::simd`] picks when the CPU has them. Each element is computed
+//! by the same operation sequence wherever it sits in the slice — vector
+//! body or scalar tail, any instantiation — so `gelu(x)` and the slice
+//! kernel are bit-identical per element.
+//!
+//! [`exp_fast`] is also the `exp` of the cached attention core's softmax
+//! ([`crate::attn::softmax_causal`]), and of nothing else:
+//! `tensor::softmax_in_place` — taped forward, cross-entropy, sampling —
+//! keeps libm's, as the independent reference.
 
 use crate::simd;
 
@@ -82,16 +87,16 @@ pub fn gelu(x: f32) -> f32 {
 }
 
 /// [`gelu`] over a slice, in place, in the widest instantiation of the
-/// loop the CPU runs (bit-identical per element in either).
+/// loop the CPU runs (bit-identical per element in all of them).
 pub fn gelu_in_place(xs: &mut [f32]) {
     simd::dispatch(
         #[inline(always)]
-        |_wide| gelu_slice(xs),
+        |_level| gelu_slice(xs),
     );
 }
 
-/// The one slice body behind both instantiations (nothing in it depends
-/// on the vector width, so it ignores the flag).
+/// The one slice body behind every instantiation (nothing in it depends
+/// on the vector width, so it ignores the level).
 #[inline(always)]
 fn gelu_slice(xs: &mut [f32]) {
     for v in xs.iter_mut() {
@@ -157,22 +162,29 @@ mod tests {
     #[test]
     fn slice_kernel_is_the_scalar_function_at_every_lane_position() {
         // Every length 0..=40 puts the body/tail split of a 4-, 8- and
-        // 16-wide vector loop at every position. The baseline
-        // instantiation always runs; the dispatched one is the AVX2
-        // instantiation wherever the CPU has it.
-        if !simd::wide_available() {
-            println!("avx2 not detected, skipped: the dispatched half reruns the baseline");
-        }
+        // 16-wide vector loop at every position. The baseline body always
+        // runs; each level the CPU has runs through the capped dispatch,
+        // and the public entry as dispatched.
+        let levels = simd::runnable_levels();
         let xs: Vec<f32> = (0..40).map(|i| -7.0 + 0.37 * i as f32).collect();
         for len in 0..=xs.len() {
             let want: Vec<u32> = xs[..len].iter().map(|&x| gelu(x).to_bits()).collect();
-            for (name, kernel) in
-                [("baseline", gelu_slice as fn(&mut [f32])), ("dispatched", gelu_in_place)]
-            {
+            let run = |kernel: &dyn Fn(&mut [f32])| {
                 let mut got = xs[..len].to_vec();
                 kernel(&mut got);
-                let got: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(got, want, "{name}, len {len}");
+                got.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(run(&gelu_slice), want, "baseline body, len {len}");
+            assert_eq!(run(&gelu_in_place), want, "dispatched, len {len}");
+            for &level in &levels {
+                let at_level = |xs: &mut [f32]| {
+                    simd::dispatch_up_to(
+                        level,
+                        #[inline(always)]
+                        |_| gelu_slice(xs),
+                    )
+                };
+                assert_eq!(run(&at_level), want, "{level:?}, len {len}");
             }
         }
     }

@@ -37,14 +37,12 @@ use crate::simd;
 /// Rows per register tile: four query rows share every loaded key or
 /// value lane group, as in the GEMM.
 const MR: usize = 4;
-/// Widest lane group of the QK tile per instantiation: the 4 x `W`
-/// accumulators are eight vector registers in 4-lane baseline code at 8
-/// and in 8-lane AVX2 code at 16.
+/// Widest lane group of the QK tile: 16 positions, one block of the
+/// contiguous cache. The 4 x 16 accumulators are eight vector registers
+/// in 8-lane AVX2 code and four in 16-lane AVX-512 code; 4-lane baseline
+/// code takes 8 lanes at a time to stay at eight.
+const QK_LANES: usize = 16;
 const QK_LANES_BASELINE: usize = 8;
-const QK_LANES_WIDE: usize = 16;
-/// Column chunk of the PV tile: a head is covered in chunks of at most
-/// this many channels (one chunk for every head width in the zoo).
-const PV_LANES: usize = 16;
 /// Partial maxima and sums of one softmax row. Fixed here rather than per
 /// instantiation: the sum's association order is part of the result.
 const SOFTMAX_LANES: usize = 8;
@@ -82,19 +80,17 @@ pub fn qk_block(
 ) {
     simd::dispatch(
         #[inline(always)]
-        |wide| {
-            let lanes = if wide { QK_LANES_WIDE } else { QK_LANES_BASELINE };
-            qk_block_body(lanes, q, q_stride, rows, k, width, scale, scores, s_stride)
-        },
+        |level| qk_block_body(level, q, q_stride, rows, k, width, scale, scores, s_stride),
     );
 }
 
 /// [`qk_block`] in the caller's codegen: the lane group is the largest
-/// power of two that divides `width`, up to `max_lanes`.
+/// power of two that divides `width`, up to what `level` holds in eight
+/// registers.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn qk_block_body(
-    max_lanes: usize,
+    level: simd::Level,
     q: &[f32],
     q_stride: usize,
     rows: usize,
@@ -108,6 +104,7 @@ fn qk_block_body(
         return;
     }
     debug_assert_eq!(k.len() % width, 0, "key slab is [dh][width]");
+    let max_lanes = if level == simd::Level::Baseline { QK_LANES_BASELINE } else { QK_LANES };
     match (1usize << width.trailing_zeros()).min(max_lanes) {
         16 => qk_tiles::<16>(q, q_stride, rows, k, width, scale, scores, s_stride),
         8 => qk_tiles::<8>(q, q_stride, rows, k, width, scale, scores, s_stride),
@@ -201,7 +198,7 @@ fn qk_tiles<const W: usize>(
 pub fn softmax_causal(scores: &mut [f32], width: usize, vis_first: usize) {
     simd::dispatch(
         #[inline(always)]
-        |_wide| softmax_causal_body(scores, width, vis_first),
+        |_level| softmax_causal_body(scores, width, vis_first),
     );
 }
 
@@ -299,13 +296,15 @@ pub fn pv_block(
 ) {
     simd::dispatch(
         #[inline(always)]
-        |_wide| pv_block_body(w, w_stride, rows, vis_first, v, v_stride, keys, dh, out, o_stride),
+        |_level| pv_block_body(w, w_stride, rows, vis_first, v, v_stride, keys, dh, out, o_stride),
     );
 }
 
-/// [`pv_block`] in the caller's codegen. The zoo's head widths each get
-/// the tile body with `dh` a literal, so its lane loops have constant
-/// trip counts; any other width runs the same body with `dh` a variable.
+/// [`pv_block`] in the caller's codegen: the head's `dh` channels are
+/// covered left to right by the widest of the 16-, 12-, 8-, 6- and
+/// 1-channel tiles that still fits — one pass for each of the zoo's head
+/// widths (6, 8, 12, 16), 16 + 8 for 24, and single columns for whatever
+/// an odd width leaves over.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pv_block_body(
@@ -320,22 +319,30 @@ fn pv_block_body(
     out: &mut [f32],
     o_stride: usize,
 ) {
-    match dh {
-        6 => pv_tiles(w, w_stride, rows, vis_first, v, v_stride, keys, 6, out, o_stride),
-        8 => pv_tiles(w, w_stride, rows, vis_first, v, v_stride, keys, 8, out, o_stride),
-        12 => pv_tiles(w, w_stride, rows, vis_first, v, v_stride, keys, 12, out, o_stride),
-        16 => pv_tiles(w, w_stride, rows, vis_first, v, v_stride, keys, 16, out, o_stride),
-        _ => pv_tiles(w, w_stride, rows, vis_first, v, v_stride, keys, dh, out, o_stride),
+    let mut c0 = 0usize;
+    while c0 < dh {
+        let (v, out) = (&v[c0..], &mut out[c0..]);
+        c0 += match dh - c0 {
+            16.. => pv_tiles::<16>(w, w_stride, rows, vis_first, v, v_stride, keys, out, o_stride),
+            12.. => pv_tiles::<12>(w, w_stride, rows, vis_first, v, v_stride, keys, out, o_stride),
+            8.. => pv_tiles::<8>(w, w_stride, rows, vis_first, v, v_stride, keys, out, o_stride),
+            6.. => pv_tiles::<6>(w, w_stride, rows, vis_first, v, v_stride, keys, out, o_stride),
+            _ => pv_tiles::<1>(w, w_stride, rows, vis_first, v, v_stride, keys, out, o_stride),
+        };
     }
 }
 
-/// The PV tile body: per row quad and per [`PV_LANES`]-channel chunk of
-/// the head, a 4 x chunk accumulator tile is seeded from `out`, takes one
-/// `mul` then `add` per visible position in ascending order, and is
-/// written back; remainder rows get a one-row tile.
+/// The PV tile body over `W` channels (returns `W`): per row quad a 4 x
+/// `W` accumulator tile is seeded from `out`, takes one `mul` then `add`
+/// per visible position in ascending order, and is written back;
+/// remainder rows get a one-row tile. `W` is a constant so that every
+/// lane loop runs over a whole fixed-size array — the one form every
+/// instantiation keeps in registers (a run-time lane count sent the
+/// 512-bit one through masked loads and a stack-resident tile, at a
+/// fraction of the rate).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn pv_tiles(
+fn pv_tiles<const W: usize>(
     w: &[f32],
     w_stride: usize,
     rows: usize,
@@ -343,10 +350,9 @@ fn pv_tiles(
     v: &[f32],
     v_stride: usize,
     keys: usize,
-    dh: usize,
     out: &mut [f32],
     o_stride: usize,
-) {
+) -> usize {
     let mut i = 0usize;
     while i + MR <= rows {
         let jn = keys.min(vis_first + i + MR - 1);
@@ -354,46 +360,38 @@ fn pv_tiles(
         let w1 = &w[(i + 1) * w_stride..(i + 1) * w_stride + jn];
         let w2 = &w[(i + 2) * w_stride..(i + 2) * w_stride + jn];
         let w3 = &w[(i + 3) * w_stride..(i + 3) * w_stride + jn];
-        for c0 in (0..dh).step_by(PV_LANES) {
-            let cw = (dh - c0).min(PV_LANES);
-            let mut acc = [[0.0f32; PV_LANES]; MR];
-            for (r, accr) in acc.iter_mut().enumerate() {
-                let o = (i + r) * o_stride + c0;
-                accr[..cw].copy_from_slice(&out[o..o + cw]);
+        let mut acc = [[0.0f32; W]; MR];
+        for (r, accr) in acc.iter_mut().enumerate() {
+            accr.copy_from_slice(&out[(i + r) * o_stride..(i + r) * o_stride + W]);
+        }
+        for j in 0..jn {
+            let vr = &v[j * v_stride..j * v_stride + W];
+            let (x0, x1, x2, x3) = (w0[j], w1[j], w2[j], w3[j]);
+            for l in 0..W {
+                acc[0][l] += x0 * vr[l];
+                acc[1][l] += x1 * vr[l];
+                acc[2][l] += x2 * vr[l];
+                acc[3][l] += x3 * vr[l];
             }
-            for j in 0..jn {
-                let vr = &v[j * v_stride + c0..j * v_stride + c0 + cw];
-                let (x0, x1, x2, x3) = (w0[j], w1[j], w2[j], w3[j]);
-                for l in 0..cw {
-                    acc[0][l] += x0 * vr[l];
-                    acc[1][l] += x1 * vr[l];
-                    acc[2][l] += x2 * vr[l];
-                    acc[3][l] += x3 * vr[l];
-                }
-            }
-            for (r, accr) in acc.iter().enumerate() {
-                let o = (i + r) * o_stride + c0;
-                out[o..o + cw].copy_from_slice(&accr[..cw]);
-            }
+        }
+        for (r, accr) in acc.iter().enumerate() {
+            out[(i + r) * o_stride..(i + r) * o_stride + W].copy_from_slice(accr);
         }
         i += MR;
     }
     while i < rows {
         let jn = keys.min(vis_first + i);
         let wr = &w[i * w_stride..i * w_stride + jn];
-        for c0 in (0..dh).step_by(PV_LANES) {
-            let cw = (dh - c0).min(PV_LANES);
-            let o = i * o_stride + c0;
-            let mut acc = [0.0f32; PV_LANES];
-            acc[..cw].copy_from_slice(&out[o..o + cw]);
-            for (j, &x) in wr.iter().enumerate() {
-                let vr = &v[j * v_stride + c0..j * v_stride + c0 + cw];
-                for l in 0..cw {
-                    acc[l] += x * vr[l];
-                }
+        let mut acc = [0.0f32; W];
+        acc.copy_from_slice(&out[i * o_stride..i * o_stride + W]);
+        for (j, &x) in wr.iter().enumerate() {
+            let vr = &v[j * v_stride..j * v_stride + W];
+            for l in 0..W {
+                acc[l] += x * vr[l];
             }
-            out[o..o + cw].copy_from_slice(&acc[..cw]);
         }
+        out[i * o_stride..i * o_stride + W].copy_from_slice(&acc);
         i += 1;
     }
+    W
 }

@@ -332,10 +332,11 @@ const MR: usize = 4;
 /// the kernel bodies below — per instantiation ([`crate::simd`]): each
 /// accumulator row is a fixed `[f32; NR]` array the autovectorizer maps
 /// onto two vector registers, so the tile is 4x8 in 4-lane baseline
-/// (SSE2) code and 4x16 in 8-lane AVX2 code — eight accumulator
-/// registers either way.
+/// (SSE2) code, 4x16 in 8-lane AVX2 code and 4x32 in 16-lane AVX-512
+/// code — eight accumulator registers every time.
 const NR_BASELINE: usize = 8;
 const NR_AVX2: usize = 16;
+const NR_AVX512: usize = 32;
 /// Inner-dimension tile: the `b` panel touched by one k-block stays
 /// cache-resident while all row quads stream past it. Accumulation still
 /// runs in ascending-`k` order, so tiling never changes the result.
@@ -355,9 +356,9 @@ const N_SKINNY: usize = 8;
 /// products additionally split their output rows across the persistent
 /// worker pool ([`crate::pool`], `NT_THREADS` knob). All paths accumulate
 /// each output element in ascending-`k` order through a single chain, so
-/// serial and parallel execution, and the baseline and AVX2
-/// instantiations of the kernel, are bit-identical (only the skinny dot
-/// kernel reassociates within a chain, identically on all of them).
+/// serial and parallel execution, and the three instantiations of the
+/// kernel, are bit-identical (only the skinny dot kernel reassociates
+/// within a chain, identically on all of them).
 pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -389,24 +390,38 @@ fn matmul_serial(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: u
     }
     simd::dispatch(
         #[inline(always)]
-        |wide| {
-            if wide {
-                matmul_blocked_wide::<NR_AVX2>(a, b, out, m, k, n)
-            } else {
-                matmul_blocked_wide::<NR_BASELINE>(a, b, out, m, k, n)
-            }
-        },
+        |level| matmul_blocked(level, a, b, out, m, k, n),
     );
+}
+
+/// The register-tile kernel at `level`'s tile width, in the caller's
+/// codegen.
+#[inline(always)]
+fn matmul_blocked(
+    level: simd::Level,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    match level {
+        simd::Level::Baseline => matmul_blocked_wide::<NR_BASELINE>(a, b, out, m, k, n),
+        simd::Level::Avx2 => matmul_blocked_wide::<NR_AVX2>(a, b, out, m, k, n),
+        simd::Level::Avx512 => matmul_blocked_wide::<NR_AVX512>(a, b, out, m, k, n),
+    }
 }
 
 /// Wide-RHS register-tile kernel.
 ///
 /// For each [`KC`] k-tile, the columns are cut into `NR`-wide blocks
-/// ([`tile_column_block`]); in the 16-wide instantiation a remainder of
-/// eight or more then gets one [`NR_BASELINE`]-wide block, so no shape is
-/// served by a narrower tile than the baseline instantiation gives it
-/// (`n = 24` is 16 + 8, not 16 + an 8-column tail); what is left (`< 8`
-/// columns) is the ragged tail ([`axpy_row_tail`]).
+/// ([`tile_column_block`]), then the remainder steps down through the
+/// narrower tiles — 32 → 16 → 8 → ragged tail ([`column_cut`]) — so no
+/// shape is served by a narrower tile than a lower instantiation gives it
+/// (`n = 48` is 32 + 16 and `n = 24` is 16 + 8, not a block plus a
+/// column-at-a-time tail); what is left (`< 8` columns) is the ragged
+/// tail ([`axpy_row_tail`]).
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
 /// order (the tile is seeded from `out` and written back), so this is
@@ -428,16 +443,17 @@ fn matmul_blocked_wide<const NR: usize>(
         return matmul_narrow_direct::<NR>(a, b, out, k, n);
     }
     let mut panel = vec![0.0f32; KC.min(k) * NR];
+    let (wide, half, quarter, j0) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
-        let mut j0 = 0usize;
-        while j0 + NR <= n {
-            tile_column_block::<NR>(a, b, out, m, k, n, ks.clone(), j0, &mut panel);
-            j0 += NR;
+        for j in (0..wide).step_by(NR) {
+            tile_column_block::<NR>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
         }
-        if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
-            tile_column_block::<NR_BASELINE>(a, b, out, m, k, n, ks.clone(), j0, &mut panel);
-            j0 += NR_BASELINE;
+        if let Some(j) = half {
+            tile_column_block::<NR_AVX2>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
+        }
+        if let Some(j) = quarter {
+            tile_column_block::<NR_BASELINE>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
         }
         if j0 < n {
             for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
@@ -445,6 +461,27 @@ fn matmul_blocked_wide<const NR: usize>(
             }
         }
     }
+}
+
+/// The column cut of an `NR`-wide instantiation over `n` columns:
+/// `NR`-wide blocks cover `0..wide`; a remainder of 16 or more then gets
+/// one 16-wide block and one of 8 or more one 8-wide block (each only in
+/// an instantiation wider than it, given as the block's first column);
+/// the ragged tail starts at the last value.
+#[inline(always)]
+fn column_cut<const NR: usize>(n: usize) -> (usize, Option<usize>, Option<usize>, usize) {
+    let wide = n - n % NR;
+    let mut j0 = wide;
+    let (mut half, mut quarter) = (None, None);
+    if NR > NR_AVX2 && j0 + NR_AVX2 <= n {
+        half = Some(j0);
+        j0 += NR_AVX2;
+    }
+    if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
+        quarter = Some(j0);
+        j0 += NR_BASELINE;
+    }
+    (wide, half, quarter, j0)
 }
 
 /// One `W`-wide column block of one k-tile, for `m >= MR` rows: the block
@@ -544,17 +581,18 @@ fn matmul_narrow_direct<const NR: usize>(
     k: usize,
     n: usize,
 ) {
+    let (wide, half, quarter, j0) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
         for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            let mut j0 = 0usize;
-            while j0 + NR <= n {
-                direct_row_block::<NR>(arow, b, orow, n, ks.clone(), j0);
-                j0 += NR;
+            for j in (0..wide).step_by(NR) {
+                direct_row_block::<NR>(arow, b, orow, n, ks.clone(), j);
             }
-            if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
-                direct_row_block::<NR_BASELINE>(arow, b, orow, n, ks.clone(), j0);
-                j0 += NR_BASELINE;
+            if let Some(j) = half {
+                direct_row_block::<NR_AVX2>(arow, b, orow, n, ks.clone(), j);
+            }
+            if let Some(j) = quarter {
+                direct_row_block::<NR_BASELINE>(arow, b, orow, n, ks.clone(), j);
             }
             if j0 < n {
                 axpy_row_tail(arow, b, orow, n, ks.clone(), j0);
@@ -775,24 +813,41 @@ mod tests {
         }
     }
 
-    /// The register-tile kernel's baseline instantiation, its 16-wide
-    /// tile logic in baseline codegen, and `matmul_serial` as dispatched
-    /// (the AVX2 instantiation wherever the CPU has it), each against the
-    /// naive ascending-`k` loop bit for bit: `n` sits on both sides of the
-    /// 8- and 16-wide column tails, `k = 600` crosses the KC seam, `m`
+    /// The register-tile kernel's baseline instantiation, its 16- and
+    /// 32-wide tile logic in baseline codegen, and the kernel as
+    /// dispatched at every level this CPU has (AVX2, AVX-512), each
+    /// against the naive ascending-`k` loop bit for bit: `n` sits on both
+    /// sides of the 8-, 16- and 32-wide column tails and on every step of
+    /// the 32 + 16 + 8 + tail cut, `k = 600` crosses the KC seam, `m`
     /// covers sub-quad rows and quad remainders. Runs in release too
     /// (`cargo test --release -p nt-tensor`), where the loops are
     /// actually vectorised. Skinny shapes reach the dot kernel through
     /// `matmul_serial` only; it reassociates, so it keeps its 1e-4.
     #[test]
     fn both_instantiations_match_the_naive_loop_bit_for_bit() {
-        type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-        let wide = simd::wide_available();
-        if !wide {
-            println!("avx2 not detected, skipped: the dispatched half reruns the baseline");
-        }
+        type Gemm<'a> = &'a dyn Fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
+        let at_level = |level: simd::Level| {
+            move |a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize| {
+                simd::dispatch_up_to(
+                    level,
+                    #[inline(always)]
+                    |l| matmul_blocked(l, a, b, out, m, k, n),
+                )
+            }
+        };
+        let at_levels: Vec<_> =
+            simd::runnable_levels().into_iter().map(|l| (format!("{l:?}"), at_level(l))).collect();
+        let mut kernels: Vec<(&str, bool, Gemm)> = vec![
+            ("baseline", true, &matmul_blocked_wide::<NR_BASELINE>),
+            ("16-wide, baseline codegen", true, &matmul_blocked_wide::<NR_AVX2>),
+            ("32-wide, baseline codegen", true, &matmul_blocked_wide::<NR_AVX512>),
+            ("dispatched", false, &matmul_serial),
+        ];
+        kernels.extend(at_levels.iter().map(|(name, f)| (name.as_str(), true, f as Gemm)));
         let mk: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 600];
-        let ns: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 192];
+        let ns: &[usize] = &[
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 47, 48, 56, 63, 64, 65, 144, 192,
+        ];
         let mut rng = Rng::seeded(43);
         for &m in mk {
             for &k in mk {
@@ -806,16 +861,12 @@ mod tests {
                     let a = Tensor::randn([m, k], 1.0, &mut rng);
                     let b = Tensor::randn([k, n], 1.0, &mut rng);
                     let want = matmul_naive(&a, &b);
-                    let run = |kernel: Gemm| {
-                        let mut out = vec![0.0f32; m * n];
-                        kernel(a.data(), b.data(), &mut out, m, k, n);
-                        out
-                    };
-                    for (name, exact, got) in [
-                        ("baseline", true, run(matmul_blocked_wide::<NR_BASELINE>)),
-                        ("16-wide, baseline codegen", true, run(matmul_blocked_wide::<NR_AVX2>)),
-                        (if wide { "avx2" } else { "dispatched" }, !skinny, run(matmul_serial)),
-                    ] {
+                    for &(name, tile_only, kernel) in &kernels {
+                        // `matmul_serial` sends skinny shapes to the dot
+                        // kernel; everything else is the tile kernel.
+                        let exact = tile_only || !skinny;
+                        let mut got = vec![0.0f32; m * n];
+                        kernel(a.data(), b.data(), &mut got, m, k, n);
                         for (i, (x, y)) in got.iter().zip(want.data()).enumerate() {
                             assert!(
                                 if exact {
