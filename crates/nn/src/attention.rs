@@ -889,6 +889,82 @@ mod tests {
         assert_eq!(want.data(), got.data(), "paged batched attention must be bit-identical");
     }
 
+    /// A channel-major block is scored a whole lane group at a time,
+    /// lanes past the filled length included, and those hold whatever
+    /// was written there before: a truncated suffix, or the previous
+    /// tenant of a recycled page. Row-major storage never touched a row
+    /// at or past `len`; here the mask after the softmax is what keeps
+    /// them out. Fill those lanes with NaN every way they can be filled:
+    /// the outputs must equal a fresh cache's by bits.
+    #[test]
+    fn stale_lanes_of_a_truncated_or_recycled_block_never_reach_the_output() {
+        let mut s = ParamStore::new();
+        let mut rng = Rng::seeded(33);
+        let mha = MultiHeadAttention::new(&mut s, "a", 16, 4, &mut rng);
+        let x = Tensor::randn([7, 16], 1.0, &mut rng);
+        let nan = vec![f32::NAN; 11 * 16];
+
+        // Five rows, then two, on a cache `prepare`d some stale way; and
+        // five rows, a NaN suffix truncated away mid-block, then one row
+        // (shorter than what was dropped).
+        fn serve<S: KvStorage>(
+            mha: &MultiHeadAttention,
+            s: &ParamStore,
+            x: &Tensor,
+            nan: &[f32],
+            kv: &mut S,
+            truncate: fn(&mut S, usize),
+            mid_block: bool,
+        ) -> Vec<u32> {
+            let mut out = mha.eval_cached(s, &x.narrow(0, 0, 5), kv).into_data();
+            if mid_block {
+                kv.extend_rows(&nan[..3 * 16], &nan[..3 * 16]);
+                truncate(kv, 5);
+                out.extend(mha.eval_cached(s, &x.narrow(0, 5, 1), kv).into_data());
+            } else {
+                out.extend(mha.eval_cached(s, &x.narrow(0, 5, 2), kv).into_data());
+            }
+            assert!(out.iter().all(|v| v.is_finite()), "a stale lane reached the output");
+            out.iter().map(|v| v.to_bits()).collect()
+        }
+
+        for mid_block in [false, true] {
+            let flat = |kv: &mut AttnKv| serve(&mha, &s, &x, &nan, kv, AttnKv::truncate, mid_block);
+            let paged = |kv: &mut PagedAttnKv| {
+                serve(&mha, &s, &x, &nan, kv, PagedAttnKv::truncate, mid_block)
+            };
+            let want = flat(&mut AttnKv::empty(16));
+
+            let mut kv = AttnKv::empty(16);
+            kv.extend_rows(&nan, &nan);
+            kv.truncate(0);
+            assert_eq!(flat(&mut kv), want, "contiguous, NaN rows truncated away");
+
+            for page_tokens in [4usize, 16] {
+                let mut fresh = PagedAttnKv::new(page_tokens, 16);
+                give_pages(&mut fresh, 11, 16);
+                assert_eq!(paged(&mut fresh), want, "paged, fresh pages");
+
+                let mut kv = PagedAttnKv::new(page_tokens, 16);
+                give_pages(&mut kv, 11, 16);
+                kv.extend_rows(&nan, &nan);
+                kv.truncate(0);
+                assert_eq!(paged(&mut kv), want, "paged, NaN rows truncated away");
+
+                // The same pages through the pool's round trip: released
+                // as they are, handed to the next tenant uncleared.
+                kv.truncate(0);
+                kv.extend_rows(&nan, &nan);
+                kv.truncate(0);
+                let mut tenant = PagedAttnKv::new(page_tokens, 16);
+                for page in kv.release_unused() {
+                    tenant.push_page(page);
+                }
+                assert_eq!(paged(&mut tenant), want, "paged, pages recycled from a NaN tenant");
+            }
+        }
+    }
+
     #[test]
     fn paged_truncate_releases_whole_pages_only() {
         let mut kv = PagedAttnKv::new(4, 2);
