@@ -830,31 +830,36 @@ mod tests {
     #[test]
     fn paged_attention_is_bit_identical_to_contiguous() {
         // Same rows through the contiguous and the paged storage must give
-        // byte-for-byte equal outputs: the kernels run one generic loop in
-        // one position order, only the row addressing differs. Page size 4
-        // with 6+2 rows exercises page-boundary crossings mid-append.
+        // byte-for-byte equal outputs: both run the same tiles, every
+        // score and every output element is one chain whatever the block
+        // width, only where a block lives differs. Page size 4 with 6+2
+        // rows exercises page-boundary crossings mid-append; the other
+        // sizes put the paged block width below, at and above the
+        // contiguous cache's 16.
         let mut s = ParamStore::new();
         let mut rng = Rng::seeded(31);
         let mha = MultiHeadAttention::new(&mut s, "a", 16, 4, &mut rng);
         let x = Tensor::randn([8, 16], 1.0, &mut rng);
 
-        let mut flat = AttnKv::empty(16);
-        let mut paged = PagedAttnKv::new(4, 16);
-        give_pages(&mut paged, 8, 16);
+        for page_tokens in [4usize, 1, 2, 8, 16, 32] {
+            let mut flat = AttnKv::empty(16);
+            let mut paged = PagedAttnKv::new(page_tokens, 16);
+            give_pages(&mut paged, 8, 16);
 
-        let f1 = mha.eval_cached(&s, &x.narrow(0, 0, 6), &mut flat);
-        let p1 = mha.eval_cached(&s, &x.narrow(0, 0, 6), &mut paged);
-        assert_eq!(f1.data(), p1.data(), "paged first chunk must be bit-identical");
-        let f2 = mha.eval_cached(&s, &x.narrow(0, 6, 2), &mut flat);
-        let p2 = mha.eval_cached(&s, &x.narrow(0, 6, 2), &mut paged);
-        assert_eq!(f2.data(), p2.data(), "paged second chunk must be bit-identical");
-        assert_eq!(KvStorage::len(&paged), 8);
-        assert_eq!(paged.pages_held(), 2);
-        let ((fk, fv), (pk, pv)) = (flat.to_rows(), paged.to_rows());
-        for j in 0..8 {
-            let row = j * 16..(j + 1) * 16;
-            assert_eq!(fk[row.clone()], pk[row.clone()], "key row {j} diverged");
-            assert_eq!(fv[row.clone()], pv[row], "value row {j} diverged");
+            let f1 = mha.eval_cached(&s, &x.narrow(0, 0, 6), &mut flat);
+            let p1 = mha.eval_cached(&s, &x.narrow(0, 0, 6), &mut paged);
+            assert_eq!(f1.data(), p1.data(), "paged first chunk must be bit-identical");
+            let f2 = mha.eval_cached(&s, &x.narrow(0, 6, 2), &mut flat);
+            let p2 = mha.eval_cached(&s, &x.narrow(0, 6, 2), &mut paged);
+            assert_eq!(f2.data(), p2.data(), "paged second chunk must be bit-identical");
+            assert_eq!(KvStorage::len(&paged), 8);
+            assert_eq!(paged.pages_held(), 8usize.div_ceil(page_tokens));
+            let ((fk, fv), (pk, pv)) = (flat.to_rows(), paged.to_rows());
+            for j in 0..8 {
+                let row = j * 16..(j + 1) * 16;
+                assert_eq!(fk[row.clone()], pk[row.clone()], "key row {j} diverged");
+                assert_eq!(fv[row.clone()], pv[row], "value row {j} diverged");
+            }
         }
     }
 
@@ -866,27 +871,29 @@ mod tests {
         let prefix_lens = [0usize, 5, 9];
         let new_rows = [2usize, 1, 3];
 
-        let mut flats: Vec<AttnKv> = prefix_lens.iter().map(|_| AttnKv::empty(16)).collect();
-        let mut pageds: Vec<PagedAttnKv> =
-            prefix_lens.iter().map(|_| PagedAttnKv::new(4, 16)).collect();
-        for ((flat, paged), &p) in flats.iter_mut().zip(pageds.iter_mut()).zip(&prefix_lens) {
-            give_pages(paged, p + 4, 16);
-            if p > 0 {
-                let warm = Tensor::randn([p, 16], 0.7, &mut rng);
-                let a = mha.eval_cached(&s, &warm, flat);
-                let b = mha.eval_cached(&s, &warm, paged);
-                assert_eq!(a.data(), b.data());
+        for page_tokens in [4usize, 1, 2, 8, 16, 32] {
+            let mut flats: Vec<AttnKv> = prefix_lens.iter().map(|_| AttnKv::empty(16)).collect();
+            let mut pageds: Vec<PagedAttnKv> =
+                prefix_lens.iter().map(|_| PagedAttnKv::new(page_tokens, 16)).collect();
+            for ((flat, paged), &p) in flats.iter_mut().zip(pageds.iter_mut()).zip(&prefix_lens) {
+                give_pages(paged, p + 4, 16);
+                if p > 0 {
+                    let warm = Tensor::randn([p, 16], 0.7, &mut rng);
+                    let a = mha.eval_cached(&s, &warm, flat);
+                    let b = mha.eval_cached(&s, &warm, paged);
+                    assert_eq!(a.data(), b.data());
+                }
             }
+            let news: Vec<Tensor> =
+                new_rows.iter().map(|&n| Tensor::randn([n, 16], 0.7, &mut rng)).collect();
+            let refs: Vec<&Tensor> = news.iter().collect();
+            let stacked = nt_tensor::concat(&refs, 0);
+            let mut flat_refs: Vec<&mut AttnKv> = flats.iter_mut().collect();
+            let want = mha.eval_cached_batched(&s, &stacked, &new_rows, &mut flat_refs);
+            let mut paged_refs: Vec<&mut PagedAttnKv> = pageds.iter_mut().collect();
+            let got = mha.eval_cached_batched(&s, &stacked, &new_rows, &mut paged_refs);
+            assert_eq!(want.data(), got.data(), "paged batched attention must be bit-identical");
         }
-        let news: Vec<Tensor> =
-            new_rows.iter().map(|&n| Tensor::randn([n, 16], 0.7, &mut rng)).collect();
-        let refs: Vec<&Tensor> = news.iter().collect();
-        let stacked = nt_tensor::concat(&refs, 0);
-        let mut flat_refs: Vec<&mut AttnKv> = flats.iter_mut().collect();
-        let want = mha.eval_cached_batched(&s, &stacked, &new_rows, &mut flat_refs);
-        let mut paged_refs: Vec<&mut PagedAttnKv> = pageds.iter_mut().collect();
-        let got = mha.eval_cached_batched(&s, &stacked, &new_rows, &mut paged_refs);
-        assert_eq!(want.data(), got.data(), "paged batched attention must be bit-identical");
     }
 
     /// A channel-major block is scored a whole lane group at a time,

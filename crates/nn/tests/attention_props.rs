@@ -1,10 +1,10 @@
 //! N-slots-vs-one-slot attention equivalence sweep over adversarial head
 //! widths and ragged slot shapes. Both are shapes through one cached
 //! core (`eval_cached` is `eval_cached_batched` of one), so a batched
-//! step must reproduce per-slot steps at 1e-6 across every
-//! lane-remainder class: head widths hitting the 8-lane block, the
-//! 4-lane pass and the scalar tail, with prefix lengths and new-row
-//! counts straddling the value-pass quad of 4.
+//! step must reproduce per-slot steps at 1e-6 across every way a head
+//! width is cut into value-pass tiles (16, 12, 8, 6 channels, then single
+//! columns), with prefix lengths and new-row counts straddling the row
+//! quad of 4 and the 16-position key block.
 
 use nt_nn::attention::{AttnKv, MultiHeadAttention};
 use nt_nn::store::ParamStore;
@@ -12,15 +12,17 @@ use nt_tensor::{Rng, Tensor};
 
 #[test]
 fn batched_matches_unbatched_across_head_widths_and_ragged_shapes() {
-    // (dim, heads): head widths 3, 7, 8, 12, 17 — scalar-only, scalar
-    // tail, exact 8-lane block, 8+4 lanes, 8+4+scalar.
-    for (dim, heads) in [(3usize, 1usize), (7, 1), (16, 2), (24, 2), (17, 1)] {
+    // (dim, heads): head widths 3, 7, 8, 12, 17, 24, 10 — single columns
+    // only, 6 + 1, one 8-tile, one 12-tile, 16 + 1, and two widths that
+    // take more than one wide pass: 16 + 8 and 8 + 1 + 1.
+    for (dim, heads) in [(3usize, 1usize), (7, 1), (16, 2), (24, 2), (17, 1), (24, 1), (10, 1)] {
         let mut store = ParamStore::new();
         let mut rng = Rng::seeded(71 + dim as u64);
         let mha = MultiHeadAttention::new(&mut store, "a", dim, heads, &mut rng);
-        // Ragged slots: empty prefix, mid-quad, quad boundary, past it.
-        let prefix_lens = [0usize, 3, 4, 9];
-        let new_rows = [2usize, 1, 4, 3];
+        // Ragged slots: empty prefix, mid-quad, quad boundary, past it,
+        // and new rows that run across the end of a key block.
+        let prefix_lens = [0usize, 3, 4, 9, 14];
+        let new_rows = [2usize, 1, 4, 3, 5];
 
         let mut kvs_seq: Vec<AttnKv> = prefix_lens.iter().map(|_| AttnKv::empty(dim)).collect();
         for (kv, &p) in kvs_seq.iter_mut().zip(&prefix_lens) {

@@ -395,3 +395,211 @@ fn pv_tiles<const W: usize>(
     }
     W
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rng::Rng;
+    use crate::simd::Level;
+
+    type Qk<'a> = &'a dyn Fn(&[f32], usize, usize, &[f32], usize, f32, &mut [f32], usize);
+    type Pv<'a> =
+        &'a dyn Fn(&[f32], usize, usize, usize, &[f32], usize, usize, usize, &mut [f32], usize);
+    type Softmax<'a> = &'a dyn Fn(&mut [f32], usize, usize);
+
+    /// Every way a kernel can run on this host, by name: the baseline
+    /// body called directly, each level the CPU has through the capped
+    /// dispatch, and the public entry as dispatched.
+    fn each_instantiation(mut check: impl FnMut(&str, Qk, Pv, Softmax)) {
+        check(
+            "baseline body",
+            &|q, qs, rows, k, width, scale, s, ss| {
+                qk_block_body(Level::Baseline, q, qs, rows, k, width, scale, s, ss)
+            },
+            &pv_block_body,
+            &softmax_causal_body,
+        );
+        for level in simd::runnable_levels() {
+            check(
+                &format!("{level:?}"),
+                &|q, qs, rows, k, width, scale, s, ss| {
+                    simd::dispatch_up_to(
+                        level,
+                        #[inline(always)]
+                        |l| qk_block_body(l, q, qs, rows, k, width, scale, s, ss),
+                    )
+                },
+                &|w, ws, rows, vis, v, vs, keys, dh, out, os| {
+                    simd::dispatch_up_to(
+                        level,
+                        #[inline(always)]
+                        |_| pv_block_body(w, ws, rows, vis, v, vs, keys, dh, out, os),
+                    )
+                },
+                &|s, width, vis| {
+                    simd::dispatch_up_to(
+                        level,
+                        #[inline(always)]
+                        |_| softmax_causal_body(s, width, vis),
+                    )
+                },
+            );
+        }
+        check("dispatched", &qk_block, &pv_block, &softmax_causal);
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// One head of one slot, driven block by block the way the cached
+    /// core drives it (`n` new rows on a `prefix`-long cache, head 1 of
+    /// 2 so every stride and offset is live): the QK tile against the
+    /// naive `c`-ascending chain scaled once, the PV tile against the
+    /// naive position-ascending chain over the visible keys, by bits.
+    /// Lanes past the filled length hold a finite marker, so whole blocks
+    /// compare.
+    #[test]
+    fn qk_and_pv_tiles_match_the_naive_chains_bit_for_bit() {
+        let mut rng = Rng::seeded(71);
+        for dh in [1usize, 3, 4, 6, 7, 8, 12, 16, 17, 32] {
+            let (d, off, scale) = (2 * dh, dh, 1.0 / (dh as f32).sqrt());
+            for bt in [1usize, 2, 4, 8, 16, 32] {
+                for n in 1..=9usize {
+                    for prefix in [0usize, 1, 15, 16, 17, 33] {
+                        let t = prefix + n;
+                        let blocks = t.div_ceil(bt);
+                        let width = blocks * bt;
+                        let mut draw =
+                            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.normal()).collect() };
+                        let q = draw(n * d);
+                        let k_rows = draw(t * d);
+                        let v_rows = draw(t * d);
+                        // Keys channel-major per block, unfilled lanes 7.0.
+                        let mut k_blocks = vec![7.0f32; blocks * d * bt];
+                        for j in 0..t {
+                            for c in 0..d {
+                                k_blocks[(j / bt) * d * bt + c * bt + j % bt] = k_rows[j * d + c];
+                            }
+                        }
+                        let key =
+                            |j: usize, c: usize| k_blocks[(j / bt) * d * bt + c * bt + j % bt];
+                        let first = |b: usize| (b * bt).saturating_sub(prefix);
+
+                        // Weights: random on the visible prefix, exact
+                        // zeros beyond (what the softmax leaves).
+                        let mut weights = vec![0.0f32; n * width];
+                        for i in 0..n {
+                            for j in 0..=prefix + i {
+                                weights[i * width + j] = rng.normal();
+                            }
+                        }
+                        let mut want_scores = vec![0.0f32; n * width];
+                        let mut want_out = vec![0.0f32; n * d];
+                        for i in 0..n {
+                            let seen = (prefix + i) / bt + 1; // blocks row i scores
+                            for j in 0..seen * bt {
+                                let mut acc = 0.0f32;
+                                for c in 0..dh {
+                                    acc += q[i * d + off + c] * key(j, off + c);
+                                }
+                                want_scores[i * width + j] = acc * scale;
+                            }
+                            for c in 0..dh {
+                                let mut acc = 0.0f32;
+                                for j in 0..=prefix + i {
+                                    acc += weights[i * width + j] * v_rows[j * d + off + c];
+                                }
+                                want_out[i * d + off + c] = acc;
+                            }
+                        }
+
+                        each_instantiation(|name, qk, pv, _| {
+                            let what = format!("{name}: dh {dh} bt {bt} n {n} prefix {prefix}");
+                            let mut scores = vec![0.0f32; n * width];
+                            let mut out = vec![0.0f32; n * d];
+                            for b in 0..blocks {
+                                let i0 = first(b);
+                                qk(
+                                    &q[i0 * d + off..],
+                                    d,
+                                    n - i0,
+                                    &k_blocks[b * d * bt + off * bt..b * d * bt + (off + dh) * bt],
+                                    bt,
+                                    scale,
+                                    &mut scores[i0 * width + b * bt..],
+                                    width,
+                                );
+                                pv(
+                                    &weights[i0 * width + b * bt..],
+                                    width,
+                                    n - i0,
+                                    prefix + i0 + 1 - b * bt,
+                                    &v_rows[b * bt * d + off..],
+                                    d,
+                                    (t - b * bt).min(bt),
+                                    dh,
+                                    &mut out[i0 * d + off..],
+                                    d,
+                                );
+                            }
+                            assert_eq!(bits(&scores), bits(&want_scores), "QK tile, {what}");
+                            assert_eq!(bits(&out), bits(&want_out), "PV tile, {what}");
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// The causal softmax against an `f64` softmax of the visible prefix:
+    /// every prefix length 0..=40 (so the padded span's end sits at every
+    /// lane position, in 40- and 48-wide rows), starting from rows whose
+    /// other lanes are NaN. Visible lanes within 1e-6 and summing to 1
+    /// within 1e-6, every other lane exactly `+0.0`, and the same bits
+    /// from every instantiation. Eleven rows per call, so a stack
+    /// boundary falls inside.
+    #[test]
+    fn causal_softmax_matches_f64_and_every_instantiation_agrees_by_bits() {
+        let mut rng = Rng::seeded(72);
+        for width in [40usize, 48] {
+            for vis_first in 0..=40usize {
+                let rows = 11usize;
+                let visible = |r: usize| (vis_first + r).min(width);
+                let mut input = vec![f32::NAN; rows * width];
+                for r in 0..rows {
+                    for x in &mut input[r * width..r * width + visible(r)] {
+                        *x = 3.0 * rng.normal();
+                    }
+                }
+                let mut first: Option<Vec<u32>> = None;
+                each_instantiation(|name, _, _, softmax| {
+                    let what = format!("{name}: width {width} vis_first {vis_first}");
+                    let mut got = input.clone();
+                    softmax(&mut got, width, vis_first);
+                    for r in 0..rows {
+                        let (seen, unseen) = got[r * width..(r + 1) * width].split_at(visible(r));
+                        assert!(
+                            unseen.iter().all(|x| x.to_bits() == 0),
+                            "{what}: row {r} has a non-zero masked lane"
+                        );
+                        if seen.is_empty() {
+                            continue;
+                        }
+                        let xs = &input[r * width..r * width + visible(r)];
+                        let mx = xs.iter().cloned().fold(f32::NEG_INFINITY, f32::max) as f64;
+                        let z: f64 = xs.iter().map(|&x| (x as f64 - mx).exp()).sum();
+                        for (g, &x) in seen.iter().zip(xs) {
+                            let want = (x as f64 - mx).exp() / z;
+                            assert!((*g as f64 - want).abs() <= 1e-6, "{what}: {g} vs {want}");
+                        }
+                        let sum: f64 = seen.iter().map(|&x| x as f64).sum();
+                        assert!((sum - 1.0).abs() <= 1e-6, "{what}: row {r} sums to {sum}");
+                    }
+                    let got = bits(&got);
+                    assert_eq!(*first.get_or_insert_with(|| got.clone()), got, "{what}");
+                });
+            }
+        }
+    }
+}
