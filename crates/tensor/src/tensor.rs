@@ -705,16 +705,58 @@ pub(crate) fn layer_norm_stats(row: &[f32], eps: f32) -> (f32, f32) {
     (mean, 1.0 / (var + eps).sqrt())
 }
 
+/// [`layer_norm_stats`] of four rows at once (`quad` is `[4, d]`): four
+/// independent chains advance together, each still its own row's sum in
+/// index order, so every result is bit-identical to the one-row kernel —
+/// the additions of one chain wait on each other, those of four rows do
+/// not.
+fn layer_norm_stats4(quad: &[f32], d: usize, eps: f32) -> [(f32, f32); 4] {
+    let (r0, rest) = quad.split_at(d);
+    let (r1, rest) = rest.split_at(d);
+    let (r2, r3) = rest.split_at(d);
+    // Whatever `Iterator::sum` starts from, so an all-`-0.0` row agrees.
+    let zero: f32 = std::iter::empty::<f32>().sum();
+    let n = d as f32;
+    let mut s = [zero; 4];
+    for c in 0..d {
+        s[0] += r0[c];
+        s[1] += r1[c];
+        s[2] += r2[c];
+        s[3] += r3[c];
+    }
+    let m = s.map(|s| s / n);
+    let mut v = [zero; 4];
+    for c in 0..d {
+        v[0] += (r0[c] - m[0]) * (r0[c] - m[0]);
+        v[1] += (r1[c] - m[1]) * (r1[c] - m[1]);
+        v[2] += (r2[c] - m[2]) * (r2[c] - m[2]);
+        v[3] += (r3[c] - m[3]) * (r3[c] - m[3]);
+    }
+    std::array::from_fn(|r| (m[r], 1.0 / (v[r] / n + eps).sqrt()))
+}
+
 /// In-place affine layer normalisation of every `gamma.len()`-wide row of
-/// `xs`: the one row kernel behind the taped [`crate::Graph::layer_norm`]
-/// and the graph-free `LayerNorm::eval`, so the two agree bit for bit.
+/// `xs`: the one kernel behind the taped [`crate::Graph::layer_norm`] and
+/// the graph-free `LayerNorm::eval`, so the two agree bit for bit. Rows go
+/// four at a time through [`layer_norm_stats4`], the remainder through
+/// [`layer_norm_stats`]; a row's result does not depend on which.
 pub fn layer_norm_in_place(xs: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     assert_eq!(gamma.len(), beta.len(), "layer_norm gamma/beta length");
-    for row in xs.chunks_exact_mut(gamma.len()) {
-        let (mean, inv) = layer_norm_stats(row, eps);
+    let d = gamma.len();
+    let normalise = |row: &mut [f32], (mean, inv): (f32, f32)| {
         for ((x, g), b) in row.iter_mut().zip(gamma).zip(beta) {
             *x = (*x - mean) * inv * g + b;
         }
+    };
+    let mut quads = xs.chunks_exact_mut(4 * d);
+    for quad in &mut quads {
+        let stats = layer_norm_stats4(quad, d, eps);
+        for (row, stats) in quad.chunks_exact_mut(d).zip(stats) {
+            normalise(row, stats);
+        }
+    }
+    for row in quads.into_remainder().chunks_exact_mut(d) {
+        normalise(row, layer_norm_stats(row, eps));
     }
 }
 
@@ -909,6 +951,34 @@ mod tests {
         let s = t.softmax_last();
         assert!((s.data()[0] - 1.0).abs() < 1e-5);
         assert!(!s.has_non_finite());
+    }
+
+    /// Four rows' statistics advancing together must not change a bit:
+    /// every row count 0..=9 (whole quads, every remainder) against the
+    /// one-row kernel applied row by row, an all-`-0.0` row included.
+    #[test]
+    fn layer_norm_quads_match_the_one_row_kernel_bit_for_bit() {
+        let mut rng = Rng::seeded(44);
+        for d in [1usize, 5, 48] {
+            let gamma: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
+            let beta: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
+            for rows in 0..=9usize {
+                let mut xs = Tensor::randn([rows, d], 2.0, &mut rng).into_data();
+                if rows > 2 {
+                    xs[2 * d..3 * d].fill(-0.0);
+                }
+                let mut want = xs.clone();
+                for row in want.chunks_exact_mut(d) {
+                    let (mean, inv) = layer_norm_stats(row, 1e-5);
+                    for ((x, g), b) in row.iter_mut().zip(&gamma).zip(&beta) {
+                        *x = (*x - mean) * inv * g + b;
+                    }
+                }
+                layer_norm_in_place(&mut xs, &gamma, &beta, 1e-5);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&xs), bits(&want), "{rows} rows of {d}");
+            }
+        }
     }
 
     #[test]
