@@ -535,10 +535,9 @@ impl MultiHeadAttention {
 /// Upper-triangular `-1e9` mask (0 on and below the diagonal).
 pub fn causal_mask(t: usize) -> Tensor {
     let mut m = Tensor::zeros([t, t]);
-    for i in 0..t {
-        for j in (i + 1)..t {
-            *m.at_mut(&[i, j]) = -1e9;
-        }
+    // By flat index: `Tensor::at_mut` builds a strides `Vec` per call.
+    for (i, row) in m.data_mut().chunks_exact_mut(t.max(1)).enumerate() {
+        row[i + 1..].fill(-1e9);
     }
     m
 }
