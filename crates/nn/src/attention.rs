@@ -110,6 +110,25 @@ fn write_keys(block: &mut [f32], bt: usize, lane0: usize, rows: &[f32], d: usize
     }
 }
 
+/// How `n` rows appended at position `at` fall into blocks of `bt`
+/// positions: one `(block, first lane, rows of the append)` per block
+/// touched.
+fn block_runs(
+    at: usize,
+    n: usize,
+    bt: usize,
+) -> impl Iterator<Item = (usize, usize, std::ops::Range<usize>)> {
+    let mut done = 0usize;
+    std::iter::from_fn(move || {
+        (done < n).then(|| {
+            let (b, lane0) = ((at + done) / bt, (at + done) % bt);
+            let rows = done..n.min(done + bt - lane0);
+            done = rows.end;
+            (b, lane0, rows)
+        })
+    })
+}
+
 /// Block width of the contiguous cache: one 16-lane tile per block, the
 /// widest the attention tiles take.
 const CONTIG_BLOCK: usize = 16;
@@ -117,10 +136,9 @@ const CONTIG_BLOCK: usize = 16;
 /// Per-layer key/value cache for incremental decoding in flat buffers
 /// that grow by `extend` and shrink by `truncate`, so an append costs
 /// `O(new x dim)` and a rollback is `O(1)` — the cache itself is never
-/// copied. Keys sit in consecutive channel-major blocks of
-/// 16 positions (`CONTIG_BLOCK`), values row-major `[t, dim]`; the head split
-/// happens at attention time via strided reads, same split as the taped
-/// path.
+/// copied. Keys sit in consecutive channel-major blocks of 16 positions
+/// (`CONTIG_BLOCK`), values row-major `[t, dim]`; the head split happens at
+/// attention time via strided reads, same split as the taped path.
 #[derive(Clone, Debug)]
 pub struct AttnKv {
     /// Whole blocks, `[dim][CONTIG_BLOCK]` each.
@@ -169,16 +187,11 @@ impl KvStorage for AttnKv {
         let d = self.dim.max(1);
         debug_assert_eq!(k_rows.len() % d, 0);
         debug_assert_eq!(k_rows.len(), v_rows.len());
-        let block = CONTIG_BLOCK * d;
-        let (mut at, end) = (self.len(), self.len() + k_rows.len() / d);
-        self.k.resize(end.div_ceil(CONTIG_BLOCK) * block, 0.0);
-        let mut rows = k_rows;
-        while at < end {
-            let (b, lane0) = (at / CONTIG_BLOCK, at % CONTIG_BLOCK);
-            let (head, rest) = rows.split_at((end - at).min(CONTIG_BLOCK - lane0) * d);
-            write_keys(&mut self.k[b * block..(b + 1) * block], CONTIG_BLOCK, lane0, head, d);
-            at += head.len() / d;
-            rows = rest;
+        let (len, n, block) = (self.len(), k_rows.len() / d, CONTIG_BLOCK * d);
+        self.k.resize((len + n).div_ceil(CONTIG_BLOCK) * block, 0.0);
+        for (b, lane0, rows) in block_runs(len, n, CONTIG_BLOCK) {
+            let dst = &mut self.k[b * block..(b + 1) * block];
+            write_keys(dst, CONTIG_BLOCK, lane0, &k_rows[rows.start * d..rows.end * d], d);
         }
         self.v.extend_from_slice(v_rows);
     }
@@ -310,26 +323,19 @@ impl KvStorage for PagedAttnKv {
         let (d, pt) = (self.dim, self.page_tokens);
         debug_assert_eq!(k_rows.len() % d, 0);
         debug_assert_eq!(k_rows.len(), v_rows.len());
-        let end = self.len + k_rows.len() / d;
+        let n = k_rows.len() / d;
         assert!(
-            end <= self.capacity(),
-            "paged KV overflow: {} + {} positions exceed {} reserved (reserve pages first)",
+            self.len + n <= self.capacity(),
+            "paged KV overflow: {} + {n} positions exceed {} reserved (reserve pages first)",
             self.len,
-            end - self.len,
             self.capacity()
         );
-        let (mut k_rows, mut v_rows) = (k_rows, v_rows);
-        while self.len < end {
-            let (p, lane0) = (self.len / pt, self.len % pt);
-            let take = (end - self.len).min(pt - lane0) * d;
-            let (k_head, k_rest) = k_rows.split_at(take);
-            let (v_head, v_rest) = v_rows.split_at(take);
-            let page = &mut self.pages[p];
-            write_keys(&mut page.k, pt, lane0, k_head, d);
-            page.v[lane0 * d..lane0 * d + take].copy_from_slice(v_head);
-            self.len += take / d;
-            (k_rows, v_rows) = (k_rest, v_rest);
+        for (p, lane0, rows) in block_runs(self.len, n, pt) {
+            let (src, page) = (rows.start * d..rows.end * d, &mut self.pages[p]);
+            write_keys(&mut page.k, pt, lane0, &k_rows[src.clone()], d);
+            page.v[lane0 * d..lane0 * d + src.len()].copy_from_slice(&v_rows[src]);
         }
+        self.len += n;
     }
 
     fn block_tokens(&self) -> usize {

@@ -12,11 +12,11 @@
 //!
 //! - [`qk_block`]: scores of up to all of a slot's new rows against one
 //!   key block, a 4-row x `W`-lane accumulator tile per lane group;
+//! - [`softmax_causal`]: each score row normalised over the prefix it may
+//!   see and exactly zero everywhere else;
 //! - [`pv_block`]: those rows' weighted sum over one value block, a 4-row
 //!   x `dh` accumulator tile seeded from and written back to the output,
-//!   so consecutive blocks continue one chain;
-//! - [`softmax_causal`], between the two: each score row normalised over
-//!   the prefix it may see and exactly zero everywhere else.
+//!   so consecutive blocks continue one chain.
 //!
 //! Every score is one chain over `c = 0..dh` ascending from zero, scaled
 //! once; every output element is one chain over ascending positions. No

@@ -443,45 +443,45 @@ fn matmul_blocked_wide<const NR: usize>(
         return matmul_narrow_direct::<NR>(a, b, out, k, n);
     }
     let mut panel = vec![0.0f32; KC.min(k) * NR];
-    let (wide, half, quarter, j0) = column_cut::<NR>(n);
+    let (wide, at16, at8, tail) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
         for j in (0..wide).step_by(NR) {
             tile_column_block::<NR>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
         }
-        if let Some(j) = half {
+        if let Some(j) = at16 {
             tile_column_block::<NR_AVX2>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
         }
-        if let Some(j) = quarter {
+        if let Some(j) = at8 {
             tile_column_block::<NR_BASELINE>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
         }
-        if j0 < n {
+        if tail < n {
             for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-                axpy_row_tail(arow, b, orow, n, ks.clone(), j0);
+                axpy_row_tail(arow, b, orow, n, ks.clone(), tail);
             }
         }
     }
 }
 
-/// The column cut of an `NR`-wide instantiation over `n` columns:
-/// `NR`-wide blocks cover `0..wide`; a remainder of 16 or more then gets
-/// one 16-wide block and one of 8 or more one 8-wide block (each only in
-/// an instantiation wider than it, given as the block's first column);
-/// the ragged tail starts at the last value.
+/// The column cut of an `NR`-wide instantiation over `n` columns, as
+/// `(wide, at16, at8, tail)`: `NR`-wide blocks cover `0..wide`; a
+/// remainder of 16 or more then gets one 16-wide block at `at16` and one
+/// of 8 or more one 8-wide block at `at8` (each only in an instantiation
+/// wider than that block); the ragged tail is `tail..n`.
 #[inline(always)]
 fn column_cut<const NR: usize>(n: usize) -> (usize, Option<usize>, Option<usize>, usize) {
     let wide = n - n % NR;
-    let mut j0 = wide;
-    let (mut half, mut quarter) = (None, None);
-    if NR > NR_AVX2 && j0 + NR_AVX2 <= n {
-        half = Some(j0);
-        j0 += NR_AVX2;
+    let mut tail = wide;
+    let (mut at16, mut at8) = (None, None);
+    if NR > NR_AVX2 && tail + NR_AVX2 <= n {
+        at16 = Some(tail);
+        tail += NR_AVX2;
     }
-    if NR > NR_BASELINE && j0 + NR_BASELINE <= n {
-        quarter = Some(j0);
-        j0 += NR_BASELINE;
+    if NR > NR_BASELINE && tail + NR_BASELINE <= n {
+        at8 = Some(tail);
+        tail += NR_BASELINE;
     }
-    (wide, half, quarter, j0)
+    (wide, at16, at8, tail)
 }
 
 /// One `W`-wide column block of one k-tile, for `m >= MR` rows: the block
@@ -581,21 +581,21 @@ fn matmul_narrow_direct<const NR: usize>(
     k: usize,
     n: usize,
 ) {
-    let (wide, half, quarter, j0) = column_cut::<NR>(n);
+    let (wide, at16, at8, tail) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
         for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
             for j in (0..wide).step_by(NR) {
                 direct_row_block::<NR>(arow, b, orow, n, ks.clone(), j);
             }
-            if let Some(j) = half {
+            if let Some(j) = at16 {
                 direct_row_block::<NR_AVX2>(arow, b, orow, n, ks.clone(), j);
             }
-            if let Some(j) = quarter {
+            if let Some(j) = at8 {
                 direct_row_block::<NR_BASELINE>(arow, b, orow, n, ks.clone(), j);
             }
-            if j0 < n {
-                axpy_row_tail(arow, b, orow, n, ks.clone(), j0);
+            if tail < n {
+                axpy_row_tail(arow, b, orow, n, ks.clone(), tail);
             }
         }
     }
@@ -738,8 +738,8 @@ fn layer_norm_stats4(quad: &[f32], d: usize, eps: f32) -> [(f32, f32); 4] {
 /// In-place affine layer normalisation of every `gamma.len()`-wide row of
 /// `xs`: the one kernel behind the taped [`crate::Graph::layer_norm`] and
 /// the graph-free `LayerNorm::eval`, so the two agree bit for bit. Rows go
-/// four at a time through [`layer_norm_stats4`], the remainder through
-/// [`layer_norm_stats`]; a row's result does not depend on which.
+/// four at a time through `layer_norm_stats4`, the remainder through
+/// `layer_norm_stats`; a row's result does not depend on which.
 pub fn layer_norm_in_place(xs: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     assert_eq!(gamma.len(), beta.len(), "layer_norm gamma/beta length");
     let d = gamma.len();
