@@ -95,9 +95,9 @@ pub fn in_worker() -> bool {
 /// dispatch round trip (publish + wake + participate + join) costs on the
 /// order of a microsecond, and the serial register-tile kernel reads
 /// ~14 GMAC/s in its baseline instantiation, ~26 in the AVX2 one and
-/// GEMM512 in the AVX-512 one on the reference box (`perf`'s
+/// ~37 in the AVX-512 one on the reference box (`perf`'s
 /// `tensor.matmul_gmacs.dense`), so 256 Ki MACs are ~19 µs of serial work
-/// on the first, ~10 µs on the second and US512 µs on the third — still
+/// on the first, ~10 µs on the second and ~7 µs on the third — still
 /// several dispatches' worth at the fastest. The constant has not moved
 /// with the kernels; re-tuning it wants the `NT_THREADS` scaling curve
 /// ROADMAP item 2 asks for. The spawn-era pool needed `4 << 20` (tens of
