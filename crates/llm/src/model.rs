@@ -23,7 +23,7 @@
 use crate::paged::PagePool;
 use crate::tokenizer::EOS;
 use nt_nn::{
-    AttnKv, Embedding, Fwd, Init, KvStorage, LayerNorm, Linear, PagedAttnKv, ParamStore,
+    Embedding, Fwd, Init, KvPage, KvStorage, LayerNorm, Linear, PagedAttnKv, ParamStore,
     TransformerBlock,
 };
 use nt_tensor::{NodeId, Rng, Tensor};
@@ -69,40 +69,33 @@ pub struct TinyLm {
     pub lm_head: Linear,
 }
 
-/// Where a [`KvCache`]'s rows live: one contiguous buffer per layer (the
-/// reference layout) or page tables over a shared [`PagePool`] (the
-/// memory-bounded layout). The attention kernels are generic over
-/// [`KvStorage`], so the two backings are bit-identical — only allocation
-/// granularity differs.
-enum KvBacking {
-    Contig(Vec<AttnKv>),
-    Paged { layers: Vec<PagedAttnKv>, pool: PagePool },
-}
+/// Positions per page of a pool-less cache: the widest attention tile, so
+/// a pool-less cache's blocks are those of the reference `AttnKv` and
+/// every served value keeps its bits.
+const OWN_PAGE_TOKENS: usize = 16;
 
 /// Per-layer key/value cache for incremental decoding. Filling position `t`
 /// costs `O(t)` attention instead of the `O(t^2)` of a full re-forward, and
 /// the cache is the *only* state the incremental path carries — weights stay
 /// in the [`ParamStore`] untouched.
 ///
-/// Two backings share every code path: the default contiguous buffers grow
-/// unboundedly (until a re-anchor clears them), while [`KvCache::new_paged`]
-/// draws fixed-size pages from a [`PagePool`] — appends reserve pages,
-/// truncate/clear/drop return them, so total KV across every paged session
-/// is hard-bounded by the pool budget.
+/// Every cache is a page table per layer ([`PagedAttnKv`]); a pool only
+/// decides who lends the pages. [`KvCache::new_paged`] borrows them from a
+/// [`PagePool`] — appends reserve pages, truncate/clear/drop return them,
+/// so total KV across a pool's sessions is hard-bounded by its budget.
+/// [`KvCache::new`] mints its own 16-position pages and keeps them as
+/// capacity across truncate/clear, so a re-anchor allocates nothing.
 pub struct KvCache {
-    backing: KvBacking,
+    layers: Vec<PagedAttnKv>,
+    /// Lender of every page; `None` when the cache mints its own.
+    pool: Option<PagePool>,
     dim: usize,
 }
 
 impl KvCache {
-    /// Empty cache shaped for `lm` (contiguous per-layer buffers).
+    /// Empty pool-less cache shaped for `lm`.
     pub fn new(lm: &TinyLm) -> Self {
-        KvCache {
-            backing: KvBacking::Contig(
-                (0..lm.cfg.n_layers).map(|_| AttnKv::empty(lm.cfg.d_model)).collect(),
-            ),
-            dim: lm.cfg.d_model,
-        }
+        KvCache::build(lm, None)
     }
 
     /// Empty cache shaped for `lm`, backed by pages from `pool`. Appends
@@ -116,206 +109,145 @@ impl KvCache {
             pool.dim(),
             lm.cfg.d_model
         );
+        KvCache::build(lm, Some(pool.clone()))
+    }
+
+    fn build(lm: &TinyLm, pool: Option<PagePool>) -> Self {
+        let page_tokens = pool.as_ref().map_or(OWN_PAGE_TOKENS, PagePool::page_tokens);
         KvCache {
-            backing: KvBacking::Paged {
-                layers: (0..lm.cfg.n_layers)
-                    .map(|_| PagedAttnKv::new(pool.page_tokens(), lm.cfg.d_model))
-                    .collect(),
-                pool: pool.clone(),
-            },
+            layers: (0..lm.cfg.n_layers)
+                .map(|_| PagedAttnKv::new(page_tokens, lm.cfg.d_model))
+                .collect(),
+            pool,
             dim: lm.cfg.d_model,
         }
     }
 
     /// Whether this cache draws from a [`PagePool`].
     pub fn is_paged(&self) -> bool {
-        matches!(self.backing, KvBacking::Paged { .. })
+        self.pool.is_some()
     }
 
     /// The pool a paged cache draws from.
     pub fn pool(&self) -> Option<&PagePool> {
-        match &self.backing {
-            KvBacking::Paged { pool, .. } => Some(pool),
-            KvBacking::Contig(_) => None,
-        }
+        self.pool.as_ref()
     }
 
     /// Number of cached positions.
     pub fn len(&self) -> usize {
-        match &self.backing {
-            KvBacking::Contig(layers) => layers.first().map_or(0, AttnKv::len),
-            KvBacking::Paged { layers, .. } => layers.first().map_or(0, KvStorage::len),
-        }
+        self.layers.first().map_or(0, KvStorage::len)
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Forget everything (a paged cache returns every page to the pool).
+    /// Forget everything (a pool-backed cache returns every page).
     pub fn clear(&mut self) {
         self.truncate(0);
     }
 
     /// Roll back to the first `len` positions (prefix reuse after a
     /// divergence or a speculative suffix). Pages the shorter prefix no
-    /// longer touches go straight back to the pool.
+    /// longer touches go straight back to the pool, if there is one.
     pub fn truncate(&mut self, len: usize) {
-        match &mut self.backing {
-            KvBacking::Contig(layers) => {
-                for kv in layers {
-                    kv.truncate(len);
-                }
-            }
-            KvBacking::Paged { layers, pool } => {
-                for kv in layers {
-                    kv.truncate(len);
-                    pool.release_pages(kv.release_unused());
-                }
+        for kv in &mut self.layers {
+            kv.truncate(len);
+            if let Some(pool) = &self.pool {
+                pool.release_pages(kv.release_unused());
             }
         }
     }
 
-    /// Bytes held by cached keys/values across all layers. Paged caches
-    /// charge whole pages (including a partially-filled tail page) — the
-    /// honest number a memory budget accounts for.
+    /// Bytes held by cached keys/values across all layers. Pool-backed
+    /// caches charge whole pages (including a partially-filled tail page)
+    /// — the honest number a memory budget accounts for; pool-less ones
+    /// charge the filled rows.
     pub fn bytes(&self) -> usize {
-        match &self.backing {
-            KvBacking::Contig(layers) => layers.iter().map(AttnKv::bytes).sum(),
-            KvBacking::Paged { layers, .. } => layers.iter().map(PagedAttnKv::bytes).sum(),
+        match self.pool {
+            Some(_) => self.layers.iter().map(PagedAttnKv::bytes).sum(),
+            None => self.layers.len() * 2 * self.len() * self.dim * 4,
         }
     }
 
-    /// Pages held across all layers (0 for a contiguous cache).
+    /// Pool pages held across all layers (0 for a pool-less cache).
     pub fn pages_held(&self) -> usize {
-        match &self.backing {
-            KvBacking::Contig(_) => 0,
-            KvBacking::Paged { layers, .. } => layers.iter().map(PagedAttnKv::pages_held).sum(),
+        match self.pool {
+            Some(_) => self.layers.iter().map(PagedAttnKv::pages_held).sum(),
+            None => 0,
         }
     }
 
-    /// Pages a paged cache would have to allocate to append `rows` more
-    /// positions (0 for contiguous caches).
+    /// Pool pages this cache would have to allocate to append `rows` more
+    /// positions (0 for a pool-less cache).
     pub fn pages_needed(&self, rows: usize) -> usize {
-        match &self.backing {
-            KvBacking::Contig(_) => 0,
-            KvBacking::Paged { layers, pool } => {
-                let want = pool.pages_for(self.len() + rows);
-                layers.iter().map(|l| want.saturating_sub(l.pages_held())).sum()
-            }
-        }
+        let Some(pool) = &self.pool else { return 0 };
+        let want = pool.pages_for(self.len() + rows);
+        self.layers.iter().map(|l| want.saturating_sub(l.pages_held())).sum()
     }
 
-    /// Ensure capacity for `rows` more positions, allocating pages from
-    /// the pool for a paged cache (all layers, all-or-nothing). Returns
-    /// `false` — taking nothing — when the pool cannot supply them; the
-    /// caller must evict, defer, or fail. Contiguous caches always
-    /// succeed (they grow their buffers lazily).
-    pub fn try_reserve(&mut self, rows: usize) -> bool {
-        let need = self.pages_needed(rows);
-        if need == 0 {
-            return true;
-        }
-        let KvBacking::Paged { layers, pool } = &mut self.backing else { return true };
-        let want = pool.pages_for(KvStorage::len(&layers[0]) + rows);
-        let Some(mut pages) = pool.alloc_pages(need) else { return false };
-        for layer in layers {
-            while layer.pages_held() < want {
-                layer.push_page(pages.pop().expect("allocation covered every layer"));
-            }
-        }
-        true
-    }
-
-    /// [`KvCache::try_reserve`] that panics when the pool is exhausted —
-    /// the forward paths call this; serving layers keep it from firing by
-    /// evicting or deferring ahead of the step.
+    /// Ensure capacity for `rows` more positions in every layer: pages
+    /// from the pool (all layers, all-or-nothing), or minted by a
+    /// pool-less cache. The forward paths call this; it panics when the
+    /// pool is exhausted, which serving layers prevent by evicting or
+    /// deferring ahead of the step.
     pub fn reserve(&mut self, rows: usize) {
-        if !self.try_reserve(rows) {
-            let pool = self.pool().expect("only paged caches can exhaust");
-            panic!(
-                "KV page pool exhausted: need {} pages for {rows} more rows, {} free of {} \
-                 (raise the budget, evict sessions, or defer admission)",
-                self.pages_needed(rows),
-                pool.free_pages(),
-                pool.capacity_pages()
-            );
+        let need = self.pages_needed(rows);
+        let mut lent = match &self.pool {
+            Some(pool) if need > 0 => pool.alloc_pages(need).unwrap_or_else(|| {
+                panic!(
+                    "KV page pool exhausted: need {need} pages for {rows} more rows, {} free \
+                     of {} (raise the budget, evict sessions, or defer admission)",
+                    pool.free_pages(),
+                    pool.capacity_pages()
+                )
+            }),
+            _ => Vec::new(),
+        };
+        let upto = self.len() + rows;
+        for layer in &mut self.layers {
+            while layer.capacity() < upto {
+                let page = match &self.pool {
+                    Some(_) => lent.pop().expect("allocation covered every layer"),
+                    None => KvPage::new(OWN_PAGE_TOKENS, self.dim),
+                };
+                layer.push_page(page);
+            }
         }
     }
 
-    /// Re-home this cache onto `target` (`None` = contiguous): a no-op
-    /// when the backing already matches, otherwise the filled rows are
-    /// copied into the new layout and the old pages (if any) go back to
-    /// their pool. Values are preserved exactly, so a migrated session's
-    /// subsequent answers are bit-identical — this is what lets a
-    /// parked serving slot move between engines regardless of their
-    /// memory mode. Panics when `target` cannot supply the pages.
+    /// Re-home this cache onto `target` (`None` = pool-less): a no-op
+    /// when the lender already matches, otherwise the filled rows are
+    /// copied into pages of the new lender and the old pages (if any) go
+    /// back to their pool. Values are preserved exactly. Panics when
+    /// `target` cannot supply the pages.
     pub fn adopt(&mut self, target: Option<&PagePool>) {
-        match (&self.backing, target) {
-            (KvBacking::Contig(_), None) => return,
-            (KvBacking::Paged { pool, .. }, Some(p)) if pool.same_pool(p) => return,
+        match (&self.pool, target) {
+            (None, None) => return,
+            (Some(pool), Some(p)) if pool.same_pool(p) => return,
             _ => {}
         }
-        let len = self.len();
-        let rows: Vec<(Vec<f32>, Vec<f32>)> = match &self.backing {
-            KvBacking::Contig(layers) => layers.iter().map(KvStorage::to_rows).collect(),
-            KvBacking::Paged { layers, .. } => layers.iter().map(KvStorage::to_rows).collect(),
+        let page_tokens = target.map_or(OWN_PAGE_TOKENS, PagePool::page_tokens);
+        let mut moved = KvCache {
+            layers: self.layers.iter().map(|_| PagedAttnKv::new(page_tokens, self.dim)).collect(),
+            pool: target.cloned(),
+            dim: self.dim,
         };
-        let new_backing = match target {
-            None => KvBacking::Contig(
-                rows.iter()
-                    .map(|(k, v)| {
-                        let mut kv = AttnKv::empty(self.dim);
-                        kv.extend_rows(k, v);
-                        kv
-                    })
-                    .collect(),
-            ),
-            Some(pool) => {
-                assert_eq!(pool.dim(), self.dim, "adopting pool sized for another model width");
-                let per_layer = pool.pages_for(len);
-                let mut pages = pool.alloc_pages(per_layer * rows.len()).unwrap_or_else(|| {
-                    panic!(
-                        "cannot adopt session of {len} positions: needs {} pages, {} free",
-                        per_layer * rows.len(),
-                        pool.free_pages()
-                    )
-                });
-                KvBacking::Paged {
-                    layers: rows
-                        .iter()
-                        .map(|(k, v)| {
-                            let mut kv = PagedAttnKv::new(pool.page_tokens(), self.dim);
-                            for _ in 0..per_layer {
-                                kv.push_page(pages.pop().expect("allocation covered every layer"));
-                            }
-                            kv.extend_rows(k, v);
-                            kv
-                        })
-                        .collect(),
-                    pool: pool.clone(),
-                }
-            }
-        };
-        let old = std::mem::replace(&mut self.backing, new_backing);
-        if let KvBacking::Paged { mut layers, pool } = old {
-            for l in &mut layers {
-                l.truncate(0);
-                pool.release_pages(l.release_unused());
-            }
+        moved.reserve(self.len());
+        for (dst, src) in moved.layers.iter_mut().zip(&self.layers) {
+            let (k, v) = src.to_rows();
+            dst.extend_rows(&k, &v);
         }
+        *self = moved;
     }
 }
 
 impl Drop for KvCache {
-    /// A dropped paged cache returns every page — leave/recycle can never
-    /// leak pool capacity.
+    /// A dropped pool-backed cache returns every page — leave/recycle can
+    /// never leak pool capacity.
     fn drop(&mut self) {
-        if let KvBacking::Paged { layers, pool } = &mut self.backing {
-            for l in layers {
-                l.truncate(0);
-                pool.release_pages(l.release_unused());
-            }
+        if self.pool.is_some() {
+            self.clear();
         }
     }
 }
@@ -580,33 +512,9 @@ impl TinyLm {
         for (cache, &n) in caches.iter_mut().zip(rows_per_slot) {
             cache.reserve(n);
         }
-        // The backing must be uniform across the batch: the stacked
-        // attention pass runs one monomorphized kernel per layer.
-        let paged = caches.first().is_some_and(|c| c.is_paged());
-        assert!(
-            caches.iter().all(|c| c.is_paged() == paged),
-            "a batched step cannot mix paged and contiguous KV caches"
-        );
         for (l, blk) in self.blocks.iter().enumerate() {
-            x = if paged {
-                let mut kvs: Vec<&mut PagedAttnKv> = caches
-                    .iter_mut()
-                    .map(|c| match &mut c.backing {
-                        KvBacking::Paged { layers, .. } => &mut layers[l],
-                        KvBacking::Contig(_) => unreachable!("uniform backing asserted above"),
-                    })
-                    .collect();
-                blk.eval_cached_batched(store, &x, rows_per_slot, &mut kvs)
-            } else {
-                let mut kvs: Vec<&mut AttnKv> = caches
-                    .iter_mut()
-                    .map(|c| match &mut c.backing {
-                        KvBacking::Contig(layers) => &mut layers[l],
-                        KvBacking::Paged { .. } => unreachable!("uniform backing asserted above"),
-                    })
-                    .collect();
-                blk.eval_cached_batched(store, &x, rows_per_slot, &mut kvs)
-            };
+            let mut kvs: Vec<_> = caches.iter_mut().map(|c| &mut c.layers[l]).collect();
+            x = blk.eval_cached_batched(store, &x, rows_per_slot, &mut kvs);
         }
         self.ln_f.eval(store, &x)
     }
