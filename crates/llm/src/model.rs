@@ -69,9 +69,8 @@ pub struct TinyLm {
     pub lm_head: Linear,
 }
 
-/// Positions per page of a pool-less cache: the widest attention tile, so
-/// a pool-less cache's blocks are those of the reference `AttnKv` and
-/// every served value keeps its bits.
+/// Positions per page of a pool-less cache: the widest attention tile,
+/// which is also the block width of `nt-nn`'s reference storage.
 const OWN_PAGE_TOKENS: usize = 16;
 
 /// Per-layer key/value cache for incremental decoding. Filling position `t`
@@ -123,14 +122,14 @@ impl KvCache {
         }
     }
 
-    /// Whether this cache draws from a [`PagePool`].
-    pub fn is_paged(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    /// The pool a paged cache draws from.
-    pub fn pool(&self) -> Option<&PagePool> {
-        self.pool.as_ref()
+    /// Whether `pool` lends this cache its pages (`None`: whether the
+    /// cache is pool-less). Pages never change lenders.
+    pub fn draws_from(&self, pool: Option<&PagePool>) -> bool {
+        match (&self.pool, pool) {
+            (None, None) => true,
+            (Some(own), Some(p)) => own.same_pool(p),
+            _ => false,
+        }
     }
 
     /// Number of cached positions.
@@ -214,31 +213,6 @@ impl KvCache {
                 layer.push_page(page);
             }
         }
-    }
-
-    /// Re-home this cache onto `target` (`None` = pool-less): a no-op
-    /// when the lender already matches, otherwise the filled rows are
-    /// copied into pages of the new lender and the old pages (if any) go
-    /// back to their pool. Values are preserved exactly. Panics when
-    /// `target` cannot supply the pages.
-    pub fn adopt(&mut self, target: Option<&PagePool>) {
-        match (&self.pool, target) {
-            (None, None) => return,
-            (Some(pool), Some(p)) if pool.same_pool(p) => return,
-            _ => {}
-        }
-        let page_tokens = target.map_or(OWN_PAGE_TOKENS, PagePool::page_tokens);
-        let mut moved = KvCache {
-            layers: self.layers.iter().map(|_| PagedAttnKv::new(page_tokens, self.dim)).collect(),
-            pool: target.cloned(),
-            dim: self.dim,
-        };
-        moved.reserve(self.len());
-        for (dst, src) in moved.layers.iter_mut().zip(&self.layers) {
-            let (k, v) = src.to_rows();
-            dst.extend_rows(&k, &v);
-        }
-        *self = moved;
     }
 }
 
@@ -752,38 +726,6 @@ mod tests {
         assert_eq!(pool.used_pages(), pages_held(&paged));
         drop(paged);
         assert_eq!(pool.used_pages(), 0, "drop must return every page");
-    }
-
-    #[test]
-    fn adopt_rehomes_kv_between_layouts_without_changing_values() {
-        use crate::paged::{PageConfig, PagePool};
-        let mut s = ParamStore::new();
-        let lm = tiny(&mut s);
-        let pool_a = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 1 << 15 });
-        let pool_b = PagePool::for_model(&lm, PageConfig { page_tokens: 8, budget_bytes: 1 << 15 });
-        let ids = [1usize, 4, 9, 2, 7];
-
-        let mut cache = KvCache::new_paged(&lm, &pool_a);
-        let _ = lm.forward_hidden_cached(&s, &ids, &mut cache);
-        let held_a = pool_a.used_pages();
-        assert!(held_a > 0);
-
-        // paged(A) -> paged(B) -> contiguous -> paged(A): the decode must
-        // continue bit-identically to a session that never moved.
-        cache.adopt(Some(&pool_b));
-        assert_eq!(pool_a.used_pages(), 0, "re-homing returns the old pool's pages");
-        assert!(pool_b.used_pages() > 0);
-        cache.adopt(None);
-        assert_eq!(pool_b.used_pages(), 0);
-        cache.adopt(Some(&pool_a));
-        let hidden = lm.forward_hidden_cached(&s, &[5, 3], &mut cache);
-
-        let mut fresh = KvCache::new(&lm);
-        let _ = lm.forward_hidden_cached(&s, &ids, &mut fresh);
-        let want = lm.forward_hidden_cached(&s, &[5, 3], &mut fresh);
-        assert_eq!(hidden.data(), want.data(), "adopt changed the cached values");
-        drop(cache);
-        assert_eq!(pool_a.used_pages(), 0, "drop must return every page");
     }
 
     #[test]

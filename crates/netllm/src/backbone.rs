@@ -42,16 +42,10 @@ impl InferenceSession {
         InferenceSession { cache: KvCache::new_paged(lm, pool), max_tokens: lm.cfg.max_seq }
     }
 
-    /// Whether this session's KV cache is page-backed.
-    pub fn is_paged(&self) -> bool {
-        self.cache.is_paged()
-    }
-
-    /// Re-home the KV cache onto `pool` (`None` = contiguous) — values are
-    /// preserved exactly, so answers stay bit-identical across the move.
-    /// No-op when the backing already matches; see `KvCache::adopt`.
-    pub fn adopt(&mut self, pool: Option<&PagePool>) {
-        self.cache.adopt(pool);
+    /// Whether `pool` lends this session's KV pages (`None`: whether the
+    /// session is pool-less); see `KvCache::draws_from`.
+    pub fn draws_from(&self, pool: Option<&PagePool>) -> bool {
+        self.cache.draws_from(pool)
     }
 
     /// Pool pages held by this session's cache (0 when contiguous).

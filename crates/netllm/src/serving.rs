@@ -453,15 +453,23 @@ impl<T: ServedTask> ServingEngine<T> {
     }
 
     /// Re-admit a parked session; returns its new id (the old one is
-    /// dead: admission always bumps the generation). The session's KV
-    /// cache is re-homed onto this engine's memory mode (same pool: no-op;
-    /// different pool or contiguous: values copied exactly), so a parked
-    /// slot moves between engines without changing any answer.
+    /// dead: admission always bumps the generation). The session must
+    /// draw its KV pages from this engine's pool (or both be pool-less):
+    /// pages never change lenders, and the shards of one
+    /// [`crate::ShardedServer`] share one pool or none, so a parked slot
+    /// moves between them without touching its cache. Panics otherwise.
     pub fn admit(&mut self, parked: ParkedSlot<T>) -> SessionId {
+        let mut slot = parked.0;
+        let mode = |pooled: bool| if pooled { "pool-backed" } else { "pool-less" };
+        assert!(
+            slot.session.draws_from(self.pool.as_ref()),
+            "a slot parked from a {} engine cannot enter this {} engine: KV pages never \
+             change lenders (the shards of one server share one pool or none)",
+            mode(!slot.session.draws_from(None)),
+            mode(self.pool.is_some())
+        );
         self.next_gen += 1;
         let gen = self.next_gen;
-        let mut slot = parked.0;
-        slot.session.adopt(self.pool.as_ref());
         slot.gen = gen;
         let idx = self.slots.insert(slot);
         SessionId { idx: idx as u32, gen }

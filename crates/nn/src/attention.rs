@@ -79,24 +79,6 @@ pub trait KvStorage {
     /// Values of block `b`, row-major `[.., dim]`, covering at least the
     /// block's filled positions.
     fn v_block(&self, b: usize) -> &[f32];
-
-    /// Every cached row read back out as row-major `(keys, values)`,
-    /// `len * dim` floats each — what [`KvStorage::extend_rows`] of an
-    /// empty cache takes to reproduce this one.
-    fn to_rows(&self) -> (Vec<f32>, Vec<f32>) {
-        let (len, bt) = (self.len(), self.block_tokens());
-        let (mut k, mut v) = (Vec::new(), Vec::new());
-        for b in 0..len.div_ceil(bt) {
-            let filled = (len - b * bt).min(bt);
-            let kb = self.k_block(b);
-            let d = kb.len() / bt;
-            for lane in 0..filled {
-                k.extend(kb.iter().skip(lane).step_by(bt));
-            }
-            v.extend_from_slice(&self.v_block(b)[..filled * d]);
-        }
-        (k, v)
-    }
 }
 
 /// Write row-major key `rows` (`[m, d]`) into lanes `lane0..lane0 + m` of
@@ -824,6 +806,23 @@ mod tests {
         }
     }
 
+    /// Every cached row of `kv` read back out as row-major `(keys,
+    /// values)`, `len * dim` floats each.
+    fn to_rows(kv: &impl KvStorage) -> (Vec<f32>, Vec<f32>) {
+        let (len, bt) = (kv.len(), kv.block_tokens());
+        let (mut k, mut v) = (Vec::new(), Vec::new());
+        for b in 0..len.div_ceil(bt) {
+            let filled = (len - b * bt).min(bt);
+            let kb = kv.k_block(b);
+            let d = kb.len() / bt;
+            for lane in 0..filled {
+                k.extend(kb.iter().skip(lane).step_by(bt));
+            }
+            v.extend_from_slice(&kv.v_block(b)[..filled * d]);
+        }
+        (k, v)
+    }
+
     /// Hand `kv` enough pages for `upto` positions (the allocator's job in
     /// production — `nt-llm`'s `KvCache::reserve`).
     fn give_pages(kv: &mut PagedAttnKv, upto: usize, dim: usize) {
@@ -859,7 +858,7 @@ mod tests {
             assert_eq!(f2.data(), p2.data(), "paged second chunk must be bit-identical");
             assert_eq!(KvStorage::len(&paged), 8);
             assert_eq!(paged.pages_held(), 8usize.div_ceil(page_tokens));
-            let ((fk, fv), (pk, pv)) = (flat.to_rows(), paged.to_rows());
+            let ((fk, fv), (pk, pv)) = (to_rows(&flat), to_rows(&paged));
             for j in 0..8 {
                 let row = j * 16..(j + 1) * 16;
                 assert_eq!(fk[row.clone()], pk[row.clone()], "key row {j} diverged");
@@ -988,7 +987,7 @@ mod tests {
         let freed = kv.release_unused();
         assert_eq!(freed.len(), 1, "only the wholly-unused page is released");
         assert_eq!((KvStorage::len(&kv), kv.pages_held(), kv.capacity()), (5, 2, 8));
-        assert_eq!(kv.to_rows().0[4 * 2..], [8.0, 9.0], "kept rows survive the release");
+        assert_eq!(to_rows(&kv).0[4 * 2..], [8.0, 9.0], "kept rows survive the release");
         kv.truncate(0);
         assert_eq!(kv.release_unused().len(), 2);
         assert_eq!(kv.bytes(), 0);
