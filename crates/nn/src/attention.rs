@@ -72,8 +72,8 @@ pub trait KvStorage {
 
     /// Keys of block `b`, channel-major `[dim][block_tokens]`. Lanes at or
     /// past [`KvStorage::len`] hold whatever was written there before
-    /// (zeros, a truncated suffix, a page's previous tenant): readers mask
-    /// them, they are never cleared.
+    /// (zeros, a truncated suffix, a page's previous tenant; NaN once a
+    /// debug build truncated a [`PagedAttnKv`]): readers mask them.
     fn k_block(&self, b: usize) -> &[f32];
 
     /// Values of block `b`, row-major `[.., dim]`, covering at least the
@@ -273,10 +273,22 @@ impl PagedAttnKv {
 
     /// Roll back to the first `len` positions. Pages are not released
     /// here — call [`PagedAttnKv::release_unused`] to pop the pages the
-    /// shorter prefix no longer touches.
+    /// shorter prefix no longer touches. Debug builds fill every key lane
+    /// and value row at or past the new length with NaN, so released
+    /// pages go back poisoned and a stale lane that reached an output
+    /// would read NaN instead of a plausible number.
     pub fn truncate(&mut self, len: usize) {
-        if len < self.len {
-            self.len = len;
+        self.len = self.len.min(len);
+        #[cfg(debug_assertions)]
+        {
+            let (pt, d) = (self.page_tokens, self.dim);
+            for (p, page) in self.pages.iter_mut().enumerate().skip(self.len / pt) {
+                let lane0 = self.len.saturating_sub(p * pt);
+                for lanes in page.k.chunks_exact_mut(pt) {
+                    lanes[lane0..].fill(f32::NAN);
+                }
+                page.v[lane0 * d..].fill(f32::NAN);
+            }
         }
     }
 
@@ -991,6 +1003,29 @@ mod tests {
         kv.truncate(0);
         assert_eq!(kv.release_unused().len(), 2);
         assert_eq!(kv.bytes(), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_truncate_poisons_every_lane_past_len() {
+        let mut kv = PagedAttnKv::new(4, 2);
+        give_pages(&mut kv, 12, 2);
+        let rows: Vec<f32> = (0..20).map(|x| x as f32).collect();
+        kv.extend_rows(&rows, &rows); // 10 positions across 3 pages
+        kv.truncate(5);
+        for pos in 0..12 {
+            let (b, lane) = (pos / 4, pos % 4);
+            let keys: Vec<f32> = kv.k_block(b).iter().skip(lane).step_by(4).copied().collect();
+            let vals = &kv.v_block(b)[lane * 2..(lane + 1) * 2];
+            if pos < 5 {
+                assert_eq!((&keys[..], vals), (&rows[pos * 2..][..2], &rows[pos * 2..][..2]));
+            } else {
+                assert!(keys.iter().chain(vals).all(|x| x.is_nan()), "position {pos} not poisoned");
+            }
+        }
+        let released = kv.release_unused();
+        assert_eq!(released.len(), 1);
+        assert!(released.iter().all(|p| p.k.iter().chain(&p.v).all(|x| x.is_nan())));
     }
 
     #[test]
