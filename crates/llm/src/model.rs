@@ -729,6 +729,56 @@ mod tests {
     }
 
     #[test]
+    fn pool_less_cache_charges_rows_and_keeps_its_pages() {
+        // Without a pool, `bytes()` counts filled rows (what a pool-less
+        // fleet's `cache_bytes()` budgets from), the page gauges read 0,
+        // and the pages minted stay as capacity across truncate/clear.
+        let mut s = ParamStore::new();
+        let mut rng = Rng::seeded(14);
+        let cfg = LmConfig {
+            vocab: 16,
+            d_model: 16,
+            n_layers: 2,
+            n_heads: 2,
+            mlp_mult: 2,
+            max_seq: 40,
+            dropout: 0.0,
+        };
+        let lm = TinyLm::new(&mut s, cfg, &mut rng);
+        let ids: Vec<usize> = (0..40).map(|_| rng.below(16)).collect();
+        let feed = |cache: &mut KvCache, n: usize| {
+            let at = cache.len();
+            let _ = lm.forward_hidden_cached(&s, &ids[at..at + n], cache);
+        };
+        let check = |cache: &KvCache| {
+            assert_eq!(cache.bytes(), 2 * 2 * cache.len() * 16 * 4);
+            assert_eq!(cache.pages_held(), 0);
+            for rows in [0, 1, 17, 40 - cache.len()] {
+                assert_eq!(cache.pages_needed(rows), 0);
+            }
+        };
+        let pages =
+            |cache: &KvCache| cache.layers.iter().map(PagedAttnKv::pages_held).sum::<usize>();
+
+        let mut cache = KvCache::new(&lm);
+        check(&cache);
+        for (keep, n) in [(0, 20), (20, 1), (21, 1), (22, 1), (9, 4), (13, 1), (5, 30)] {
+            cache.truncate(keep);
+            check(&cache);
+            feed(&mut cache, n);
+            check(&cache);
+        }
+        let held = pages(&cache);
+        assert_eq!(held, 2 * 35usize.div_ceil(16));
+        cache.clear();
+        check(&cache);
+        assert_eq!(pages(&cache), held, "clear keeps the pages as capacity");
+        feed(&mut cache, 35);
+        check(&cache);
+        assert_eq!(pages(&cache), held, "a re-append no longer than before mints no page");
+    }
+
+    #[test]
     fn cached_logits_match_full_forward_for_random_prompts() {
         // The KV-cached incremental path must reproduce the full re-forward
         // logits within 1e-5 at every prefix of random prompts.
