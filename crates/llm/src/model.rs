@@ -679,13 +679,15 @@ mod tests {
     #[test]
     fn paged_batched_decode_is_bit_identical_to_contiguous() {
         // The same ragged batched decode through pool-backed caches must be
-        // byte-for-byte the contiguous result, across appends, divergence
+        // byte-for-byte the pool-less result, across appends, divergence
         // rollbacks and page-boundary crossings — and every page must be
-        // back in the pool once the caches drop.
+        // back in the pool once the caches drop. A batch that stacks
+        // pool-backed and pool-less caches in one call must match too.
         use crate::paged::PageConfig;
         let mut s = ParamStore::new();
         let lm = tiny(&mut s);
-        let pool = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 1 << 16 });
+        let cfg = PageConfig { page_tokens: 4, budget_bytes: 1 << 16 };
+        let (pool, mixed_pool) = (PagePool::for_model(&lm, cfg), PagePool::for_model(&lm, cfg));
         let mut rng = Rng::seeded(41);
         let prompts: Vec<Vec<usize>> = [3usize, 7, 1, 5]
             .iter()
@@ -695,6 +697,9 @@ mod tests {
         let mut flat: Vec<DecodeSession> = prompts.iter().map(|_| lm.start_session()).collect();
         let mut paged: Vec<DecodeSession> =
             prompts.iter().map(|_| paged_session(&lm, &pool)).collect();
+        let mut mixed: Vec<DecodeSession> = (0..prompts.len())
+            .map(|b| if b % 2 == 0 { paged_session(&lm, &mixed_pool) } else { lm.start_session() })
+            .collect();
         let pages_held =
             |seqs: &[DecodeSession]| seqs.iter().map(|q| q.cache.pages_held()).sum::<usize>();
         let mut seqs = prompts.clone();
@@ -703,6 +708,8 @@ mod tests {
             let want = decode_batched(&lm, &s, &mut flat, &ids);
             let got = decode_batched(&lm, &s, &mut paged, &ids);
             assert_eq!(want.data(), got.data(), "step {step}: paged decode diverged");
+            let got = decode_batched(&lm, &s, &mut mixed, &ids);
+            assert_eq!(want.data(), got.data(), "step {step}: mixed-lender batch diverged");
             for (b, seq) in seqs.iter_mut().enumerate() {
                 let next = argmax(want.row(b));
                 seq.push((next + b) % 16);
@@ -726,6 +733,8 @@ mod tests {
         assert_eq!(pool.used_pages(), pages_held(&paged));
         drop(paged);
         assert_eq!(pool.used_pages(), 0, "drop must return every page");
+        drop(mixed);
+        assert_eq!(mixed_pool.used_pages(), 0, "drop must return every page");
     }
 
     #[test]
