@@ -841,6 +841,25 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(
+        expected = "parked from a pool-less engine cannot enter this pool-backed engine"
+    )]
+    fn admit_refuses_a_slot_whose_pages_come_from_another_lender() {
+        // KV pages never change lenders: a slot parked off a pool-less
+        // engine cannot enter an engine whose sessions draw from a pool.
+        let m = model(4, 46);
+        let pool = PagePool::for_model(
+            &m.lm,
+            nt_llm::PageConfig { page_tokens: 8, budget_bytes: 1 << 20 },
+        );
+        let mut pool_less = ServingEngine::new();
+        let mut pool_backed = ServingEngine::with_page_pool(pool);
+        let a = pool_less.join(&m);
+        let _ = pool_less.step(&m, &[(a, &obs_stream(15, 1)[0])]);
+        let _ = pool_backed.admit(pool_less.park(a));
+    }
+
+    #[test]
     #[should_panic]
     fn duplicate_session_in_batch_panics() {
         let m = model(4, 43);
