@@ -13,7 +13,9 @@
 //! Generation decodes incrementally against a [`KvCache`]: each emitted
 //! token appends one position per layer instead of re-running the whole
 //! sequence, and [`DecodeSession`] reuses the longest shared prefix across
-//! calls. The per-answer *inference count* of the Figure 2 latency account
+//! calls. Every cache is one page table per layer; a [`PagePool`] only
+//! decides who lends the pages (without one, the cache mints its own), so
+//! one batched forward takes any mix of caches. The per-answer *inference count* of the Figure 2 latency account
 //! is unchanged — token decoding still costs one backbone inference per
 //! token, each inference is just no longer quadratic in the prompt. The
 //! uncached [`TinyLm::next_token_logits`] is kept as the reference path;

@@ -1,13 +1,14 @@
 //! Paged KV-cache memory: the [`PagePool`] allocator.
 //!
-//! A contiguous per-session KV cache makes worst-case memory the product
-//! of *every* live session's longest prefix — unbounded at batch 64+
-//! until each session happens to re-anchor. Paging turns that into a hard
-//! configurable bound: KV storage is carved into fixed-size
-//! [`nt_nn::KvPage`]s drawn from one fleet-wide pool whose capacity is a
-//! **global byte budget**. Sessions hold page *tables*
-//! ([`nt_nn::PagedAttnKv`], one per layer); the pool owns every page that
-//! is not currently lent out, on a free list.
+//! Every `KvCache` is a page *table* per layer ([`nt_nn::PagedAttnKv`])
+//! over fixed-size [`nt_nn::KvPage`]s; a pool only decides who lends the
+//! pages. A pool-less cache mints its own and keeps them, so worst-case
+//! memory is the product of *every* live session's longest prefix —
+//! unbounded at batch 64+ until each session happens to re-anchor. A
+//! [`PagePool`] turns that into a hard configurable bound: its sessions'
+//! pages come from one fleet-wide pool whose capacity is a **global byte
+//! budget**, and the pool owns every page that is not currently lent out,
+//! on a free list.
 //!
 //! ```text
 //!            PagePool (budget_bytes -> capacity pages, pre-minted)
@@ -29,7 +30,7 @@
 //!   multi-layer reservation can never strand a session half-grown.
 //! - **Uniform pages.** Pages are interchangeable buffers for one model
 //!   width (`dim`); which buffer a session gets never affects the math
-//!   (the attention kernels are bit-identical across layouts).
+//!   (the attention kernels are bit-identical across page widths).
 //! - **Cheap handles.** [`PagePool`] is a clone-able `Arc` handle; every
 //!   session's `KvCache` carries one so truncate/drop can return pages
 //!   without threading the pool through every call site. Allocation and

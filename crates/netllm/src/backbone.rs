@@ -18,6 +18,12 @@
 //! conditioning is unchanged; exact fixed-window semantics would force a
 //! full re-encode every step, because sliding the window shifts every
 //! token's absolute position).
+//!
+//! The session's cache is a page table per layer: [`InferenceSession::new`]
+//! mints its own pages (unbounded, kept across clears), while
+//! [`InferenceSession::paged`] borrows them from a [`PagePool`] whose
+//! budget bounds every session it lends to. Answers are the same bits
+//! either way.
 
 use nt_llm::{KvCache, PagePool, TinyLm};
 use nt_nn::ParamStore;
@@ -48,13 +54,13 @@ impl InferenceSession {
         self.cache.draws_from(pool)
     }
 
-    /// Pool pages held by this session's cache (0 when contiguous).
+    /// Pool pages held by this session's cache (0 when pool-less).
     pub fn pages_held(&self) -> usize {
         self.cache.pages_held()
     }
 
     /// Pages this session would have to allocate to append `rows` more
-    /// token positions (0 when contiguous).
+    /// token positions (0 when pool-less).
     pub fn pages_needed(&self, rows: usize) -> usize {
         self.cache.pages_needed(rows)
     }

@@ -239,7 +239,7 @@ impl<T: ServedTask> ParkedSlot<T> {
     }
 
     /// Pool pages the parked session holds across layers (0 when
-    /// contiguous).
+    /// pool-less).
     pub fn pages_held(&self) -> usize {
         self.0.session.pages_held()
     }
@@ -280,7 +280,8 @@ impl<T: ServedTask> Default for ServingEngine<T> {
 }
 
 impl<T: ServedTask> ServingEngine<T> {
-    /// Engine with no live sessions (contiguous, unbounded KV caches).
+    /// Engine with no live sessions whose KV caches mint their own pages
+    /// (pool-less, unbounded).
     pub fn new() -> Self {
         ServingEngine::default()
     }
@@ -292,7 +293,7 @@ impl<T: ServedTask> ServingEngine<T> {
         ServingEngine { pool: Some(pool), ..ServingEngine::default() }
     }
 
-    /// Occupancy of the attached pool (`None` for contiguous engines).
+    /// Occupancy of the attached pool (`None` for pool-less engines).
     pub fn pool_stats(&self) -> Option<nt_llm::PoolStats> {
         self.pool.as_ref().map(PagePool::stats)
     }
@@ -360,13 +361,13 @@ impl<T: ServedTask> ServingEngine<T> {
         pages
     }
 
-    /// Pool pages held by one session (0 for contiguous sessions).
+    /// Pool pages held by one session (0 for pool-less sessions).
     pub fn pages_of(&self, id: SessionId) -> usize {
         self.check(id);
         self.slots.get(id.index()).session.pages_held()
     }
 
-    /// Pool pages held across every live session (0 for contiguous
+    /// Pool pages held across every live session (0 for pool-less
     /// engines) — this shard's half of the [`crate::sched::PagePressure`]
     /// snapshot.
     pub fn pages_held(&self) -> usize {

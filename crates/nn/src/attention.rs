@@ -48,7 +48,7 @@ use nt_tensor::{attn, NodeId, Rng, Tensor};
 /// ..` and holds its keys channel-major (`[dim][block_tokens]`, so a
 /// head's slice is one contiguous slab whose lanes are positions — the
 /// layout the `nt_tensor::attn` tiles stream) and its values row-major.
-/// The contiguous ([`AttnKv`]) and paged ([`PagedAttnKv`]) layouts differ
+/// The reference ([`AttnKv`]) and paged ([`PagedAttnKv`]) layouts differ
 /// only in block width and in where a block lives; every score is its own
 /// chain over the head's channels and every output element one chain over
 /// ascending positions whatever the width, which keeps the two layouts
@@ -111,14 +111,16 @@ fn block_runs(
     })
 }
 
-/// Block width of the contiguous cache: one 16-lane tile per block, the
+/// Block width of the reference cache: one 16-lane tile per block, the
 /// widest the attention tiles take.
 const CONTIG_BLOCK: usize = 16;
 
-/// Per-layer key/value cache for incremental decoding in flat buffers
-/// that grow by `extend` and shrink by `truncate`, so an append costs
-/// `O(new x dim)` and a rollback is `O(1)` — the cache itself is never
-/// copied. Keys sit in consecutive channel-major blocks of 16 positions
+/// The reference per-layer key/value cache: flat buffers that grow by
+/// `extend` and shrink by `truncate`, so an append costs `O(new x dim)`
+/// and a rollback is `O(1)` — the cache itself is never copied. Serving
+/// never builds one (`nt-llm`'s `KvCache` is a [`PagedAttnKv`] per
+/// layer); the by-bits attention tests compare the paged storage to it.
+/// Keys sit in consecutive channel-major blocks of 16 positions
 /// (`CONTIG_BLOCK`), values row-major `[t, dim]`; the head split happens at
 /// attention time via strided reads, same split as the taped path.
 #[derive(Clone, Debug)]
@@ -447,7 +449,7 @@ impl MultiHeadAttention {
     /// of a truncated suffix or of a page's previous tenant) out of the
     /// value pass. Every slot reads only its own cache and each output
     /// element is one ascending-position chain, so N slots reproduce N
-    /// one-slot calls (1e-6, ragged prefixes) and the contiguous and
+    /// one-slot calls (1e-6, ragged prefixes) and the reference and
     /// paged layouts, whatever their block widths, are bit-identical.
     pub fn eval_cached_batched<S: KvStorage>(
         &self,
