@@ -155,11 +155,6 @@ impl AttnKv {
             self.v.truncate(len * self.dim);
         }
     }
-
-    /// Bytes held by the cached positions (keys + values).
-    pub fn bytes(&self) -> usize {
-        2 * self.v.len() * 4
-    }
 }
 
 impl KvStorage for AttnKv {
