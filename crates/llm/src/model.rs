@@ -15,10 +15,11 @@
 //! sequence, and [`DecodeSession`] reuses the longest shared prefix across
 //! calls. Every cache is one page table per layer; a [`PagePool`] only
 //! decides who lends the pages (without one, the cache mints its own), so
-//! one batched forward takes any mix of caches. The per-answer *inference count* of the Figure 2 latency account
-//! is unchanged — token decoding still costs one backbone inference per
-//! token, each inference is just no longer quadratic in the prompt. The
-//! uncached [`TinyLm::next_token_logits`] is kept as the reference path;
+//! one batched forward takes any mix of caches. The per-answer *inference
+//! count* of the Figure 2 latency account is unchanged — token decoding
+//! still costs one backbone inference per token, each inference is just no
+//! longer quadratic in the prompt. The uncached
+//! [`TinyLm::next_token_logits`] is kept as the reference path;
 //! `nt-bench`'s `latency` bench and the logits-equivalence tests compare
 //! the two.
 

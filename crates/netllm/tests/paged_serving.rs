@@ -131,7 +131,8 @@ fn paged_mixed_fleet_matches_contiguous_including_migration() {
         for tick in 0..ticks {
             if tick == 3 {
                 // Migration mid-stream: park/admit must stay bit-identical
-                // in both memory modes (the cache moves with its lender).
+                // in both memory modes (the shards share one lender, so
+                // the cache moves as it is).
                 let dest = 1 - server.shard_of(abr_ids[0]);
                 server.steer(abr_ids[0], dest);
             }
