@@ -17,13 +17,14 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::AbrHead;
-use crate::multimodal::{LearnedTokens, Projection, ScalarEncoder, SeriesEncoder};
+use crate::multimodal::{LearnedTokens, Projection, ScalarEncoder, SeriesEncoder, TokenRing};
 use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
+use std::borrow::Cow;
 
 const FEAT: usize = 24;
 /// Tokens per trajectory step: return, throughput, delay, sizes, buffer, action.
@@ -135,6 +136,9 @@ pub struct AbrEpisode {
     pub prev_buffer: f64,
     /// First episode step currently encoded in the KV session.
     pub anchor: usize,
+    /// Observation tokens `[4, d]` of the last `window` steps. They
+    /// outlive an eviction, which clears only the KV session.
+    obs_rows: TokenRing,
 }
 
 impl AbrEpisode {
@@ -289,12 +293,18 @@ impl NetLlmAbr {
         self.head.forward(f, &self.store, gathered)
     }
 
-    /// Graph-free state tokens `[5, d]` for one step (same encoder math as
-    /// [`NetLlmAbr::tokenize`], without the tape).
-    pub(crate) fn state_tokens_eval(&self, s: &AbrStep, rtg: f32) -> Tensor {
+    /// Graph-free return-to-go token `[1, d]` (same encoder math as
+    /// [`NetLlmAbr::tokenize`], without the tape); with the step's
+    /// [`NetLlmAbr::obs_tokens_eval`] it forms the step's state.
+    fn rtg_token_eval(&self, rtg: f32) -> Tensor {
+        let rtg_feat = self.rtg_enc.eval(&self.store, &Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.eval(&self.store, &rtg_feat)
+    }
+
+    /// Graph-free observation tokens `[4, d]` of one step: throughput,
+    /// delay, sizes, buffer.
+    fn obs_tokens_eval(&self, s: &AbrStep) -> Tensor {
         let st = &self.store;
-        let rtg_feat = self.rtg_enc.eval(st, &Tensor::from_vec([1, 1], vec![rtg]));
-        let rtg_tok = self.rtg_proj.eval(st, &rtg_feat);
         let thr_feat = self.thr_enc.eval_pooled(st, &padded_series(&s.thr_hist, 8, 0.1));
         let thr_tok = self.thr_proj.eval(st, &thr_feat);
         let dl_feat = self.delay_enc.eval_pooled(st, &padded_series(&s.delay_hist, 8, 0.1));
@@ -308,7 +318,7 @@ impl NetLlmAbr {
         let sz_tok = self.sizes_proj.eval(st, &self.sizes_enc.eval(st, &sizes));
         let buf = Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]);
         let buf_tok = self.buf_proj.eval(st, &self.buf_enc.eval(st, &buf));
-        nt_tensor::concat(&[&rtg_tok, &thr_tok, &dl_tok, &sz_tok, &buf_tok], 0)
+        nt_tensor::concat(&[&thr_tok, &dl_tok, &sz_tok, &buf_tok], 0)
     }
 
     fn action_token_eval(&self, action: usize) -> Tensor {
@@ -377,31 +387,50 @@ impl NetLlmAbr {
     /// re-anchor case).
     fn step_tokens(&self, ep: &mut AbrEpisode, session: &InferenceSession) -> (Tensor, bool) {
         let n = ep.episode.steps.len() - 1; // index of the current step
-        if !self.reanchors(ep, n, session) {
-            let prev_action = ep.episode.steps[n - 1].action;
-            let state = self.state_tokens_eval(&ep.episode.steps[n], ep.rtg_now);
-            (nt_tensor::concat(&[&self.action_token_eval(prev_action), &state], 0), false)
+        let reanchor = self.reanchors(ep, n, session);
+        let rtg = self.rtg_token_eval(ep.rtg_now);
+        let obs = self.obs_tokens_eval(&ep.episode.steps[n]);
+        let tokens = if reanchor {
+            self.rebuild_tokens(ep, n, &rtg, &obs)
         } else {
-            // Reconstruct the window's rtg prompts from the realised
-            // rewards (identical values to when they were current).
-            let w = self.rebuild_window(n);
-            ep.anchor = n + 1 - w;
-            let mut rtgs = vec![ep.rtg_now; w];
-            for k in (0..w - 1).rev() {
-                let future_reward = ep.episode.steps[ep.anchor + k].reward / R_SCALE;
-                rtgs[k] = rtgs[k + 1] + future_reward as f32;
-            }
-            let mut groups: Vec<Tensor> = Vec::with_capacity(2 * w);
-            for (k, &rtg) in rtgs.iter().enumerate() {
-                let step = &ep.episode.steps[ep.anchor + k];
-                groups.push(self.state_tokens_eval(step, rtg));
-                if k + 1 < w {
-                    groups.push(self.action_token_eval(step.action));
-                }
-            }
-            let refs: Vec<&Tensor> = groups.iter().collect();
-            (nt_tensor::concat(&refs, 0), true)
+            let prev_action = self.action_token_eval(ep.episode.steps[n - 1].action);
+            nt_tensor::concat(&[&prev_action, &rtg, &obs], 0)
+        };
+        ep.obs_rows.push(n, obs, self.window);
+        (tokens, reanchor)
+    }
+
+    /// The re-anchor rebuild at step `n`, whose own tokens are `rtg` and
+    /// `obs`: the window's history steps (state, then action), then the
+    /// current state. History observation tokens come from the slot's
+    /// ring; only a step it no longer holds is encoded again.
+    fn rebuild_tokens(&self, ep: &mut AbrEpisode, n: usize, rtg: &Tensor, obs: &Tensor) -> Tensor {
+        // Reconstruct the window's rtg prompts from the realised
+        // rewards (identical values to when they were current).
+        let w = self.rebuild_window(n);
+        ep.anchor = n + 1 - w;
+        let mut rtgs = vec![ep.rtg_now; w];
+        for k in (0..w - 1).rev() {
+            let future_reward = ep.episode.steps[ep.anchor + k].reward / R_SCALE;
+            rtgs[k] = rtgs[k + 1] + future_reward as f32;
         }
+        let history = &ep.episode.steps[ep.anchor..n];
+        let rtg_rows: Vec<Tensor> = rtgs[..w - 1].iter().map(|&r| self.rtg_token_eval(r)).collect();
+        let obs_rows: Vec<Cow<Tensor>> = (ep.anchor..n)
+            .zip(history)
+            .map(|(i, step)| match ep.obs_rows.get(i) {
+                Some(rows) => Cow::Borrowed(rows),
+                None => Cow::Owned(self.obs_tokens_eval(step)),
+            })
+            .collect();
+        let action_rows: Vec<Tensor> =
+            history.iter().map(|step| self.action_token_eval(step.action)).collect();
+        let mut parts: Vec<&Tensor> = Vec::with_capacity(3 * w - 1);
+        for k in 0..w - 1 {
+            parts.extend([&rtg_rows[k], obs_rows[k].as_ref(), &action_rows[k]]);
+        }
+        parts.extend([rtg, obs]);
+        nt_tensor::concat(&parts, 0)
     }
 
     /// The return inference is prompted with after adapting on `dataset`:

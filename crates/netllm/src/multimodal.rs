@@ -9,6 +9,7 @@
 
 use nt_nn::{Conv1d, Fwd, Gnn, Init, LayerNorm, Linear, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
+use std::collections::VecDeque;
 
 /// GELU over a freshly computed tensor, in place — the same slice kernel
 /// the taped `Graph::gelu` forward runs, so both paths stay bit-identical.
@@ -293,6 +294,34 @@ impl LearnedTokens {
     /// Graph-free lookup.
     pub fn eval(&self, store: &ParamStore, idx: &[usize]) -> Tensor {
         self.table.eval(store, idx)
+    }
+}
+
+/// The token rows a slot encoded for its most recent trajectory steps,
+/// keyed by step index and bounded by the adapter's window. Encoding a
+/// step is a pure function of that step, so a re-anchor rebuild copies the
+/// rows kept here instead of rerunning the encoders, and the tokens it
+/// appends are byte for byte those of a rebuild that encodes every step.
+/// A step the ring does not hold is encoded afresh.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TokenRing {
+    entries: VecDeque<(usize, Tensor)>,
+}
+
+impl TokenRing {
+    /// Rows kept for step `step`, if the ring still holds them.
+    pub(crate) fn get(&self, step: usize) -> Option<&Tensor> {
+        self.entries.iter().find(|(i, _)| *i == step).map(|(_, rows)| rows)
+    }
+
+    /// Keep `rows` for step `step`, dropping the oldest steps beyond `cap`.
+    /// Steps arrive in increasing order.
+    pub(crate) fn push(&mut self, step: usize, rows: Tensor, cap: usize) {
+        debug_assert!(self.entries.back().is_none_or(|&(i, _)| i < step), "steps out of order");
+        self.entries.push_back((step, rows));
+        while self.entries.len() > cap {
+            self.entries.pop_front();
+        }
     }
 }
 
