@@ -20,13 +20,16 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
-use crate::multimodal::{mean_rows, GraphEncoder, LearnedTokens, Projection, ScalarEncoder};
+use crate::multimodal::{
+    mean_rows, GraphEncoder, LearnedTokens, Projection, ScalarEncoder, TokenRing,
+};
 use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPlan};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
+use std::borrow::Cow;
 
 const FEAT: usize = 24;
 /// Cap on candidate tokens per decision (token-budget guard; beyond this
@@ -155,6 +158,12 @@ pub struct CjsEpisode {
     /// Candidate count of the in-flight decision (set by `plan_step`,
     /// consumed by `settle_step`).
     pending_c: usize,
+    /// `[rtg, graph]` tokens of the in-flight decision, which
+    /// `settle_step` keeps in `rows` with the chosen action's token.
+    pending_rows: Option<(Tensor, Tensor)>,
+    /// `[rtg, graph, action]` tokens of the last `window - 1` history
+    /// entries. They outlive an eviction, which clears only the KV session.
+    rows: TokenRing,
 }
 
 impl CjsEpisode {
@@ -317,6 +326,15 @@ impl NetLlmCjs {
         (nodes, self.graph_proj.eval(&self.store, &pooled))
     }
 
+    /// Graph-free `[rtg, graph, action]` tokens `[3, d]` of one history
+    /// entry.
+    fn history_tokens_eval(&self, (rtg, snap, cap): &(f32, GraphSnapshot, usize)) -> Tensor {
+        let rtg = self.rtg_token_eval(*rtg);
+        let graph = self.graph_tokens_eval(snap).1;
+        let action = self.action_tokens.eval(&self.store, &[*cap]);
+        nt_tensor::concat(&[&rtg, &graph, &action], 0)
+    }
+
     /// The re-anchor rule, stated once: a decision with `cands` candidate
     /// tokens clears the session and rebuilds from the training window
     /// when the session is empty (fresh episode, eviction, recovery), when
@@ -440,25 +458,30 @@ impl ServedTask for NetLlmCjs {
         ep.last_decision_time = obs.now;
         ep.pending_c = c;
 
-        // The session holds `[rtg, graph, action]` triples for steps
-        // `anchor..`.
-        let reanchor = self.reanchors(ep, session, Some(c));
-        let mut parts: Vec<Tensor> = Vec::new();
-        if reanchor {
-            ep.anchor = self.rebuild_anchor(ep);
-            for (rtg, hsnap, cap) in &ep.steps[ep.anchor..] {
-                parts.push(self.rtg_token_eval(*rtg));
-                parts.push(self.graph_tokens_eval(hsnap).1);
-                parts.push(self.action_tokens.eval(&self.store, &[*cap]));
-            }
-        }
         // Current decision: [rtg_t, graph_t, cand_1..c].
-        parts.push(self.rtg_token_eval(ep.rtg_now));
-        let (nodes, graph_tok) = self.graph_tokens_eval(&obs.snap);
-        parts.push(graph_tok);
-        parts.push(self.node_proj.eval(&self.store, &nodes.gather_rows(&obs.snap.candidates[..c])));
-        let refs: Vec<&Tensor> = parts.iter().collect();
-        StepPlan { tokens: nt_tensor::concat(&refs, 0), reanchor }
+        let rtg = self.rtg_token_eval(ep.rtg_now);
+        let (nodes, graph) = self.graph_tokens_eval(&obs.snap);
+        let cands = self.node_proj.eval(&self.store, &nodes.gather_rows(&obs.snap.candidates[..c]));
+        // The session holds `[rtg, graph, action]` triples for steps
+        // `anchor..`; a rebuild copies them from the ring and encodes
+        // only an entry it no longer holds.
+        let reanchor = self.reanchors(ep, session, Some(c));
+        let tokens = if reanchor {
+            ep.anchor = self.rebuild_anchor(ep);
+            let history: Vec<Cow<Tensor>> = (ep.anchor..ep.steps.len())
+                .map(|i| match ep.rows.get(i) {
+                    Some(rows) => Cow::Borrowed(rows),
+                    None => Cow::Owned(self.history_tokens_eval(&ep.steps[i])),
+                })
+                .collect();
+            let mut parts: Vec<&Tensor> = history.iter().map(|rows| rows.as_ref()).collect();
+            parts.extend([&rtg, &graph, &cands]);
+            nt_tensor::concat(&parts, 0)
+        } else {
+            nt_tensor::concat(&[&rtg, &graph, &cands], 0)
+        };
+        ep.pending_rows = Some((rtg, graph));
+        StepPlan { tokens, reanchor }
     }
 
     fn settle_step(
@@ -477,16 +500,20 @@ impl ServedTask for NetLlmCjs {
         let stage = stage_logits.argmax();
         let cap_idx = cap_logits.argmax();
         let cap = (CAP_FRACS[cap_idx] * obs.total_executors as f64).ceil() as usize;
+        let action = self.action_tokens.eval(&self.store, &[cap_idx]);
+        let (rtg, graph) = ep.pending_rows.take().expect("plan_step keeps the decision's rows");
+        ep.rows.push(
+            ep.steps.len(),
+            nt_tensor::concat(&[&rtg, &graph, &action], 0),
+            self.window - 1,
+        );
         ep.steps.push((ep.rtg_now, obs.snap.clone(), cap_idx));
         let mut logits = stage_logits.into_data();
         logits.extend_from_slice(cap_logits.data());
         StepOutcome {
             action: Decision { candidate: stage, cap: cap.max(1) },
             logits,
-            rollback: Some(RollbackPlan {
-                drop_rows: c,
-                post_tokens: self.action_tokens.eval(&self.store, &[cap_idx]),
-            }),
+            rollback: Some(RollbackPlan { drop_rows: c, post_tokens: action }),
         }
     }
 }
