@@ -706,6 +706,57 @@ mod tests {
         assert!(m.ep.anchor > 0, "probe should have re-anchored at least once");
     }
 
+    /// One unbatched step that also hands back the planned tokens.
+    fn plan_and_settle(
+        m: &NetLlmAbr,
+        ep: &mut AbrEpisode,
+        session: &mut InferenceSession,
+        obs: &AbrObservation,
+    ) -> (StepPlan, Vec<f32>) {
+        let plan = m.plan_step(ep, obs, session);
+        if plan.reanchor {
+            session.clear();
+        }
+        let hidden = session.append(&m.lm, &m.store, &plan.tokens);
+        let out = m.settle_step(ep, obs, &hidden);
+        (plan, out.logits)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn rebuilds_from_cached_rows_equal_rebuilds_that_encode_every_step() {
+        // A slot that keeps its observation rows and a twin that forgets
+        // them before every plan (so each rebuild encodes its whole
+        // window) must plan the same bits, across natural re-anchors and
+        // an eviction's forced clear.
+        let window = 3;
+        let mut m =
+            NetLlmAbr::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), window, 31);
+        m.target_return = 2.0;
+        let (mut kept, mut forgot) = (m.new_slot(0), m.new_slot(0));
+        let (mut s_kept, mut s_forgot) =
+            (InferenceSession::new(&m.lm), InferenceSession::new(&m.lm));
+        let evict_at = 9;
+        let mut natural = 0;
+        for (t, obs) in AbrObservation::synthetic_stream(32, 20).iter().enumerate() {
+            if t == evict_at {
+                s_kept.clear();
+                s_forgot.clear();
+            }
+            forgot.obs_rows.clear();
+            let (a, la) = plan_and_settle(&m, &mut kept, &mut s_kept, obs);
+            let (b, lb) = plan_and_settle(&m, &mut forgot, &mut s_forgot, obs);
+            assert_eq!(a.reanchor, b.reanchor, "step {t}");
+            assert_eq!(bits(a.tokens.data()), bits(b.tokens.data()), "step {t}: tokens differ");
+            assert_eq!(bits(&la), bits(&lb), "step {t}: logits differ");
+            natural += usize::from(a.reanchor && t != 0 && t != evict_at);
+        }
+        assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
+    }
+
     #[test]
     fn long_episode_reanchors_within_context() {
         // 48-chunk sessions exceed the backbone context; the session must

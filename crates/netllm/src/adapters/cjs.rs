@@ -628,6 +628,71 @@ mod tests {
         assert!(checked >= 3, "probe too short: only {checked} decisions checked");
     }
 
+    /// One unbatched decision, rollback included, that also hands back the
+    /// planned tokens.
+    fn plan_and_settle(
+        m: &NetLlmCjs,
+        ep: &mut CjsEpisode,
+        session: &mut InferenceSession,
+        obs: &CjsObs,
+    ) -> (StepPlan, Vec<f32>) {
+        let plan = m.plan_step(ep, obs, session);
+        if plan.reanchor {
+            session.clear();
+        }
+        let hidden = session.append(&m.lm, &m.store, &plan.tokens);
+        let mut out = m.settle_step(ep, obs, &hidden);
+        let rb = out.rollback.take().expect("a CJS decision rolls its candidates back");
+        session.truncate(session.len() - rb.drop_rows);
+        session.append(&m.lm, &m.store, &rb.post_tokens);
+        (plan, out.logits)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn rebuilds_from_cached_rows_equal_rebuilds_that_encode_every_entry() {
+        // A slot that keeps its history tokens and a twin that forgets them
+        // before every plan (so each rebuild runs the GNN on its whole
+        // window) must plan the same bits, across natural and context-full
+        // re-anchors and an eviction's forced clear. A short context makes
+        // the context-full edge reachable.
+        let mut spec = size_spec("0.35b-sim");
+        spec.cfg.max_seq = 44;
+        let loaded = Zoo::new(std::env::temp_dir().join("netllm-cjs-test")).build_random(&spec);
+        let window = 7;
+        let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, 23);
+        m.target_return = -1.0;
+        let stream = CjsObs::synthetic_stream(24, 6);
+        let (mut kept, mut forgot) = (m.new_slot(0), m.new_slot(0));
+        let (mut s_kept, mut s_forgot) =
+            (InferenceSession::new(&m.lm), InferenceSession::new(&m.lm));
+        let evict_at = stream.len() / 2;
+        let (mut natural, mut full) = (0, 0);
+        for (t, obs) in stream.iter().enumerate() {
+            if t == evict_at {
+                s_kept.clear();
+                s_forgot.clear();
+            }
+            let c = obs.snap.candidates.len().min(MAX_CANDS);
+            if !s_kept.is_empty() && kept.steps.len() - kept.anchor >= 2 * window {
+                natural += 1;
+            } else if !s_kept.is_empty() && !s_kept.fits(2 + c + 1) {
+                full += 1;
+            }
+            forgot.rows.clear();
+            let (a, la) = plan_and_settle(&m, &mut kept, &mut s_kept, obs);
+            let (b, lb) = plan_and_settle(&m, &mut forgot, &mut s_forgot, obs);
+            assert_eq!(a.reanchor, b.reanchor, "decision {t}");
+            assert_eq!(bits(a.tokens.data()), bits(b.tokens.data()), "decision {t}: tokens differ");
+            assert_eq!(bits(&la), bits(&lb), "decision {t}: logits differ");
+        }
+        assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
+        assert!(full >= 1, "probe should re-anchor on a full context, got {full}");
+    }
+
     #[test]
     fn adaptation_reduces_imitation_loss() {
         let train = vec![collect_episode(&mut Srpt, &jobs(6, 6), 8)];

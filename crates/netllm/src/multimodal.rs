@@ -323,6 +323,12 @@ impl TokenRing {
             self.entries.pop_front();
         }
     }
+
+    /// Forget every step, so the next rebuild encodes its whole window.
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+    }
 }
 
 #[cfg(test)]
