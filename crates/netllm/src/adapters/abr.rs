@@ -731,7 +731,9 @@ mod tests {
         // A slot that keeps its observation rows and a twin that forgets
         // them before every plan (so each rebuild encodes its whole
         // window) must plan the same bits, across natural re-anchors and
-        // an eviction's forced clear.
+        // an eviction's forced clear. After ten windows of steps the ring
+        // still holds one window: slot memory does not grow with the
+        // episode.
         let window = 3;
         let mut m =
             NetLlmAbr::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), window, 31);
@@ -741,7 +743,7 @@ mod tests {
             (InferenceSession::new(&m.lm), InferenceSession::new(&m.lm));
         let evict_at = 9;
         let mut natural = 0;
-        for (t, obs) in AbrObservation::synthetic_stream(32, 20).iter().enumerate() {
+        for (t, obs) in AbrObservation::synthetic_stream(32, 10 * window).iter().enumerate() {
             if t == evict_at {
                 s_kept.clear();
                 s_forgot.clear();
@@ -755,6 +757,7 @@ mod tests {
             natural += usize::from(a.reanchor && t != 0 && t != evict_at);
         }
         assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
+        assert_eq!(kept.obs_rows.len(), window, "the ring must hold exactly one window");
     }
 
     #[test]

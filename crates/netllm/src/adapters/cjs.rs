@@ -658,7 +658,9 @@ mod tests {
         // before every plan (so each rebuild runs the GNN on its whole
         // window) must plan the same bits, across natural and context-full
         // re-anchors and an eviction's forced clear. A short context makes
-        // the context-full edge reachable.
+        // the context-full edge reachable. After ten windows of decisions
+        // the ring still holds one history window: slot memory does not
+        // grow with the episode.
         let mut spec = size_spec("0.35b-sim");
         spec.cfg.max_seq = 44;
         let loaded = Zoo::new(std::env::temp_dir().join("netllm-cjs-test")).build_random(&spec);
@@ -666,6 +668,7 @@ mod tests {
         let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, 23);
         m.target_return = -1.0;
         let stream = CjsObs::synthetic_stream(24, 6);
+        assert!(stream.len() >= 10 * window, "stream too short: {}", stream.len());
         let (mut kept, mut forgot) = (m.new_slot(0), m.new_slot(0));
         let (mut s_kept, mut s_forgot) =
             (InferenceSession::new(&m.lm), InferenceSession::new(&m.lm));
@@ -691,6 +694,7 @@ mod tests {
         }
         assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
         assert!(full >= 1, "probe should re-anchor on a full context, got {full}");
+        assert_eq!(kept.rows.len(), window - 1, "the ring must hold exactly one history window");
     }
 
     #[test]

@@ -324,6 +324,12 @@ impl TokenRing {
         }
     }
 
+    /// Steps held.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Forget every step, so the next rebuild encodes its whole window.
     #[cfg(test)]
     pub(crate) fn clear(&mut self) {
