@@ -405,8 +405,11 @@ impl NetLlmAbr {
     /// current state. History observation tokens come from the slot's
     /// ring; only a step it no longer holds is encoded again.
     fn rebuild_tokens(&self, ep: &mut AbrEpisode, n: usize, rtg: &Tensor, obs: &Tensor) -> Tensor {
-        // Reconstruct the window's rtg prompts from the realised
-        // rewards (identical values to when they were current).
+        // Reconstruct the window's rtg prompts from the realised rewards.
+        // This backward `f32` sum can differ in the last bit from the
+        // forward decrements that prompted each step when it was current,
+        // so the rebuild encodes its rtg tokens afresh and reuses only the
+        // observation tokens.
         let w = self.rebuild_window(n);
         ep.anchor = n + 1 - w;
         let mut rtgs = vec![ep.rtg_now; w];
