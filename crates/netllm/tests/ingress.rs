@@ -322,10 +322,14 @@ fn greedy_connection_cannot_starve_a_slow_client() {
         max_open_per_conn: 4,
         ..IngressConfig::default()
     };
+    let burst = 2 * cfg.max_open_per_conn;
     let handle = serve(tiny("netllm-ingress-fair"), cfg).unwrap();
 
-    // Greedy: split client, sender floods one session as fast as the
-    // socket takes frames, receiver drains grants/busy/completions.
+    // Greedy: split client, sender floods one session, receiver drains
+    // grants/busy/completions. The flood opens with a back-to-back burst
+    // of twice the cap, which reaches the scheduler faster than ticks can
+    // resolve tickets, so the cap is always hit; a paced flood alone can
+    // be served about as fast as it arrives in a release build.
     let greedy_busy = Arc::new(AtomicU64::new(0));
     let greedy_granted = Arc::new(AtomicU64::new(0));
     let stop = Arc::new(AtomicBool::new(false));
@@ -336,6 +340,9 @@ fn greedy_connection_cannot_starve_a_slow_client() {
     let flooder = {
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
+            for _ in 0..burst {
+                gtx.submit(gsession, &FleetObs::Abr(flood_obs.clone())).unwrap();
+            }
             while !stop.load(Ordering::SeqCst) {
                 if gtx.submit(gsession, &FleetObs::Abr(flood_obs.clone())).is_err() {
                     break;
