@@ -417,23 +417,18 @@ impl NetLlmAbr {
             let future_reward = ep.episode.steps[ep.anchor + k].reward / R_SCALE;
             rtgs[k] = rtgs[k + 1] + future_reward as f32;
         }
-        let history = &ep.episode.steps[ep.anchor..n];
-        let rtg_rows: Vec<Tensor> = rtgs[..w - 1].iter().map(|&r| self.rtg_token_eval(r)).collect();
-        let obs_rows: Vec<Cow<Tensor>> = (ep.anchor..n)
-            .zip(history)
-            .map(|(i, step)| match ep.obs_rows.get(i) {
+        let mut groups: Vec<Cow<Tensor>> = Vec::with_capacity(3 * w - 1);
+        for (k, step) in ep.episode.steps[ep.anchor..n].iter().enumerate() {
+            groups.push(Cow::Owned(self.rtg_token_eval(rtgs[k])));
+            groups.push(match ep.obs_rows.get(ep.anchor + k) {
                 Some(rows) => Cow::Borrowed(rows),
                 None => Cow::Owned(self.obs_tokens_eval(step)),
-            })
-            .collect();
-        let action_rows: Vec<Tensor> =
-            history.iter().map(|step| self.action_token_eval(step.action)).collect();
-        let mut parts: Vec<&Tensor> = Vec::with_capacity(3 * w - 1);
-        for k in 0..w - 1 {
-            parts.extend([&rtg_rows[k], obs_rows[k].as_ref(), &action_rows[k]]);
+            });
+            groups.push(Cow::Owned(self.action_token_eval(step.action)));
         }
-        parts.extend([rtg, obs]);
-        nt_tensor::concat(&parts, 0)
+        groups.extend([Cow::Borrowed(rtg), Cow::Borrowed(obs)]);
+        let refs: Vec<&Tensor> = groups.iter().map(|rows| rows.as_ref()).collect();
+        nt_tensor::concat(&refs, 0)
     }
 
     /// The return inference is prompted with after adapting on `dataset`:
