@@ -341,6 +341,21 @@ const NR_AVX512: usize = 32;
 /// cache-resident while all row quads stream past it. Accumulation still
 /// runs in ascending-`k` order, so tiling never changes the result.
 const KC: usize = 512;
+/// Row count from which the quad tile packs each `KC x W` block of `b`
+/// into a contiguous panel; below it the quads read `b` in place. The
+/// pack is a fresh allocation plus a copy of the block per call, and only
+/// enough quads streaming through the panel pay that back. Measured
+/// single-threaded at AVX-512 on a 2-core x86-64 VM (medians of five
+/// interleaved rounds): on the 7b-sim serving shapes (`k x n` = 48x48,
+/// 48x192, 192x48) reading in place ran 1.09-1.88x the packed rate at
+/// 4-28 rows and 0.96-1.17x from 32 to 256 rows; on a 256x256 product
+/// the panel wins from 20 rows on (in place 0.86-0.94x).
+const PACK_MIN_ROWS: usize = 32;
+/// Widths of the sub-quad register tile ([`sub_quad_tile`]), widest
+/// first. An instantiation takes the ones up to `2 * NR`, four of its
+/// vectors: 64/48/32/24/16/8 at AVX-512, 32/24/16/8 at AVX2, 16/8 in
+/// baseline code.
+const SUB_QUAD_WIDTHS: [usize; 6] = [64, 48, 32, 24, 16, 8];
 /// RHS widths below this use the packed-transpose dot kernel instead of
 /// the register-tile kernel (too few columns to fill a lane block).
 /// Decided before an instantiation is picked: the dot kernel
@@ -415,18 +430,22 @@ fn matmul_blocked(
 
 /// Wide-RHS register-tile kernel.
 ///
-/// For each [`KC`] k-tile, the columns are cut into `NR`-wide blocks
-/// ([`tile_column_block`]), then the remainder steps down through the
-/// narrower tiles — 32 → 16 → 8 → ragged tail ([`column_cut`]) — so no
-/// shape is served by a narrower tile than a lower instantiation gives it
-/// (`n = 48` is 32 + 16 and `n = 24` is 16 + 8, not a block plus a
-/// column-at-a-time tail); what is left (`< 8` columns) is the ragged
-/// tail ([`axpy_row_tail`]).
+/// The whole [`MR`]-row quads come first. For each [`KC`] k-tile their
+/// columns are cut into `NR`-wide blocks ([`quad_column_block`]), then the
+/// remainder steps down through the narrower tiles — 32 → 16 → 8 → ragged
+/// tail ([`column_cut`]) — so no shape is served by a narrower tile than
+/// a lower instantiation gives it (`n = 48` is 32 + 16 and `n = 24` is
+/// 16 + 8, not a block plus a column-at-a-time tail); what is left (`< 8`
+/// columns) is the ragged tail ([`axpy_row_tail`]). The rows that do not
+/// fill a quad — every row of an `m < 4` call, the `m % 4` tail of a
+/// larger one — then run together as one sub-quad tile
+/// ([`sub_quad_rows`]).
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
-/// order (the tile is seeded from `out` and written back), so this is
+/// order (each tile is seeded from `out` and written back), so this is
 /// bit-identical to the naive triple loop and to its own parallel
-/// row-band splits (`tests/kernel_props.rs`), whatever `NR` is.
+/// row-band splits (`tests/kernel_props.rs`), whatever `NR` is and
+/// whether `b` is packed or read in place.
 #[inline(always)]
 fn matmul_blocked_wide<const NR: usize>(
     a: &[f32],
@@ -436,29 +455,30 @@ fn matmul_blocked_wide<const NR: usize>(
     k: usize,
     n: usize,
 ) {
-    if m < MR {
-        // Fewer rows than one quad — the token-decode shape (m = 1..3).
-        // A packed panel only pays for itself when a full quad streams
-        // through it, so this path reads `b` directly instead.
-        return matmul_narrow_direct::<NR>(a, b, out, k, n);
-    }
-    let mut panel = vec![0.0f32; KC.min(k) * NR];
+    let quads = m - m % MR;
+    let mut panel = if m >= PACK_MIN_ROWS { vec![0.0f32; KC.min(k) * NR] } else { Vec::new() };
     let (wide, at16, at8, tail) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
         for j in (0..wide).step_by(NR) {
-            tile_column_block::<NR>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
         }
         if let Some(j) = at16 {
-            tile_column_block::<NR_AVX2>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR_AVX2>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
         }
         if let Some(j) = at8 {
-            tile_column_block::<NR_BASELINE>(a, b, out, m, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR_BASELINE>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
         }
         if tail < n {
-            for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).take(quads) {
                 axpy_row_tail(arow, b, orow, n, ks.clone(), tail);
             }
+        }
+        match m - quads {
+            0 => {}
+            1 => sub_quad_rows::<1, NR>(a, b, out, quads, k, n, ks),
+            2 => sub_quad_rows::<2, NR>(a, b, out, quads, k, n, ks),
+            _ => sub_quad_rows::<3, NR>(a, b, out, quads, k, n, ks),
         }
     }
 }
@@ -484,72 +504,122 @@ fn column_cut<const NR: usize>(n: usize) -> (usize, Option<usize>, Option<usize>
     (wide, at16, at8, tail)
 }
 
-/// One `W`-wide column block of one k-tile, for `m >= MR` rows: the block
-/// of `b` is packed into a contiguous `[kc x W]` panel once, then every
-/// [`MR`]-row quad streams through it holding an `MR x W` accumulator
-/// tile in registers — `out` is loaded and stored once per (quad, block,
-/// k-tile) instead of once per `k` step. Each `[f32; W]` accumulator row
-/// is a fixed array the autovectorizer maps onto SIMD lanes.
+/// One `W`-wide column block of one k-tile over the first `quads` rows (a
+/// multiple of [`MR`]), one `MR x W` [`tile`] per quad. A non-empty
+/// `panel` (calls of [`PACK_MIN_ROWS`] rows or more) first receives the
+/// block of `b`, one contiguous `W`-wide row per `k` step, and every quad
+/// streams through that; otherwise the quads read `b` in place.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile_column_block<const W: usize>(
+fn quad_column_block<const W: usize>(
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
-    m: usize,
+    quads: usize,
     k: usize,
     n: usize,
     ks: Range<usize>,
     j0: usize,
     panel: &mut [f32],
 ) {
-    // Pack this k-tile of the next W columns of b: one contiguous panel
-    // row per k step.
+    if panel.is_empty() {
+        for i in (0..quads).step_by(MR) {
+            tile::<MR, W>(a, k, ks.clone(), b_rows::<W>(b, n, ks.clone(), j0), out, n, i, j0);
+        }
+        return;
+    }
     let panel = &mut panel[..ks.len() * W];
-    for (prow, kk) in panel.chunks_exact_mut(W).zip(ks.clone()) {
-        prow.copy_from_slice(&b[kk * n + j0..kk * n + j0 + W]);
+    for (prow, brow) in panel.chunks_exact_mut(W).zip(b_rows::<W>(b, n, ks.clone(), j0)) {
+        prow.copy_from_slice(brow);
     }
-    let panel = &panel[..];
-    let mut i = 0usize;
-    while i + MR <= m {
-        let a0 = &a[i * k..(i + 1) * k];
-        let a1 = &a[(i + 1) * k..(i + 2) * k];
-        let a2 = &a[(i + 2) * k..(i + 3) * k];
-        let a3 = &a[(i + 3) * k..(i + 4) * k];
-        let mut acc = [[0.0f32; W]; MR];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let o = (i + r) * n + j0;
-            accr.copy_from_slice(&out[o..o + W]);
+    for i in (0..quads).step_by(MR) {
+        tile::<MR, W>(a, k, ks.clone(), panel.chunks_exact(W), out, n, i, j0);
+    }
+}
+
+/// The `R < MR` rows from `i0` on over one k-tile, as one `R`-row
+/// [`tile`] per column block reading `b` in place: the rows advance
+/// together, so each loaded `b` value serves all of them and every `k`
+/// step has `R` times the independent chains of a one-row loop. The
+/// column cut takes the widest of [`SUB_QUAD_WIDTHS`] up to `2 * NR` that
+/// fits, then the next, down to 8; what is left (`< 8` columns) is the
+/// ragged tail ([`axpy_row_tail`]).
+#[inline(always)]
+fn sub_quad_rows<const R: usize, const NR: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    i0: usize,
+    k: usize,
+    n: usize,
+    ks: Range<usize>,
+) {
+    let mut j = 0usize;
+    while let Some(w) = SUB_QUAD_WIDTHS.into_iter().find(|&w| w <= 2 * NR && j + w <= n) {
+        let ks = ks.clone();
+        match w {
+            64 => tile::<R, 64>(a, k, ks.clone(), b_rows::<64>(b, n, ks, j), out, n, i0, j),
+            48 => tile::<R, 48>(a, k, ks.clone(), b_rows::<48>(b, n, ks, j), out, n, i0, j),
+            32 => tile::<R, 32>(a, k, ks.clone(), b_rows::<32>(b, n, ks, j), out, n, i0, j),
+            24 => tile::<R, 24>(a, k, ks.clone(), b_rows::<24>(b, n, ks, j), out, n, i0, j),
+            16 => tile::<R, 16>(a, k, ks.clone(), b_rows::<16>(b, n, ks, j), out, n, i0, j),
+            _ => tile::<R, 8>(a, k, ks.clone(), b_rows::<8>(b, n, ks, j), out, n, i0, j),
         }
-        for (prow, kk) in panel.chunks_exact(W).zip(ks.clone()) {
-            let (x0, x1, x2, x3) = (a0[kk], a1[kk], a2[kk], a3[kk]);
-            for l in 0..W {
-                acc[0][l] += x0 * prow[l];
-                acc[1][l] += x1 * prow[l];
-                acc[2][l] += x2 * prow[l];
-                acc[3][l] += x3 * prow[l];
+        j += w;
+    }
+    if j < n {
+        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).skip(i0).take(R) {
+            axpy_row_tail(arow, b, orow, n, ks.clone(), j);
+        }
+    }
+}
+
+/// Columns `j0..j0 + W` of the rows `ks` of `b`, read in place.
+#[inline(always)]
+fn b_rows<const W: usize>(
+    b: &[f32],
+    n: usize,
+    ks: Range<usize>,
+    j0: usize,
+) -> impl Iterator<Item = &[f32]> {
+    b[ks.start * n..ks.end * n].chunks_exact(n).map(move |row| &row[j0..j0 + W])
+}
+
+/// One `R x W` register tile over one k-tile: rows `i0..i0 + R`, columns
+/// `j0..j0 + W` of `out`, with `brows` yielding the tile's `W`-wide row of
+/// `b` for each `k` in `ks` — from a packed panel or from `b` in place
+/// ([`b_rows`]). `out` is loaded and stored once per tile instead of once
+/// per `k` step, and each `[f32; W]` accumulator row is a fixed array the
+/// autovectorizer maps onto SIMD lanes.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn tile<'b, const R: usize, const W: usize>(
+    a: &[f32],
+    k: usize,
+    ks: Range<usize>,
+    brows: impl Iterator<Item = &'b [f32]>,
+    out: &mut [f32],
+    n: usize,
+    i0: usize,
+    j0: usize,
+) {
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    let mut acc = [[0.0f32; W]; R];
+    for (r, accr) in acc.iter_mut().enumerate() {
+        let o = (i0 + r) * n + j0;
+        accr.copy_from_slice(&out[o..o + W]);
+    }
+    for (brow, kk) in brows.zip(ks) {
+        let x: [f32; R] = std::array::from_fn(|r| arows[r][kk]);
+        for l in 0..W {
+            for r in 0..R {
+                acc[r][l] += x[r] * brow[l];
             }
         }
-        for (r, accr) in acc.iter().enumerate() {
-            let o = (i + r) * n + j0;
-            out[o..o + W].copy_from_slice(accr);
-        }
-        i += MR;
     }
-    // Remainder rows: one W-wide accumulator vector per row.
-    while i < m {
-        let arow = &a[i * k..(i + 1) * k];
-        let o = i * n + j0;
-        let mut acc = [0.0f32; W];
-        acc.copy_from_slice(&out[o..o + W]);
-        for (prow, kk) in panel.chunks_exact(W).zip(ks.clone()) {
-            let x = arow[kk];
-            for l in 0..W {
-                acc[l] += x * prow[l];
-            }
-        }
-        out[o..o + W].copy_from_slice(&acc);
-        i += 1;
+    for (r, accr) in acc.iter().enumerate() {
+        let o = (i0 + r) * n + j0;
+        out[o..o + W].copy_from_slice(accr);
     }
 }
 
@@ -564,64 +634,6 @@ fn axpy_row_tail(arow: &[f32], b: &[f32], orow: &mut [f32], n: usize, ks: Range<
             *o += x * bv;
         }
     }
-}
-
-/// Sub-quad row count (`m < MR`): the single-token decode shape. Each
-/// row holds an `NR`-wide register accumulator per column block
-/// ([`direct_row_block`]; same block cut as [`matmul_blocked_wide`]) and
-/// streams `b` directly, so `out` is loaded and stored once per (block,
-/// k-tile) instead of once per `k` step, while skipping the panel pack
-/// that only a full quad can amortize. Same ascending-`k` single-chain
-/// accumulation as every other path.
-#[inline(always)]
-fn matmul_narrow_direct<const NR: usize>(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    let (wide, at16, at8, tail) = column_cut::<NR>(n);
-    for k0 in (0..k).step_by(KC) {
-        let ks = k0..(k0 + KC).min(k);
-        for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for j in (0..wide).step_by(NR) {
-                direct_row_block::<NR>(arow, b, orow, n, ks.clone(), j);
-            }
-            if let Some(j) = at16 {
-                direct_row_block::<NR_AVX2>(arow, b, orow, n, ks.clone(), j);
-            }
-            if let Some(j) = at8 {
-                direct_row_block::<NR_BASELINE>(arow, b, orow, n, ks.clone(), j);
-            }
-            if tail < n {
-                axpy_row_tail(arow, b, orow, n, ks.clone(), tail);
-            }
-        }
-    }
-}
-
-/// One `W`-wide column block of one output row over one k-tile, `b` read
-/// in place.
-#[inline(always)]
-fn direct_row_block<const W: usize>(
-    arow: &[f32],
-    b: &[f32],
-    orow: &mut [f32],
-    n: usize,
-    ks: Range<usize>,
-    j0: usize,
-) {
-    let mut acc = [0.0f32; W];
-    acc.copy_from_slice(&orow[j0..j0 + W]);
-    for kk in ks {
-        let x = arow[kk];
-        let brow = &b[kk * n + j0..kk * n + j0 + W];
-        for l in 0..W {
-            acc[l] += x * brow[l];
-        }
-    }
-    orow[j0..j0 + W].copy_from_slice(&acc);
 }
 
 /// Skinny-RHS kernel: packs `b` transposed so each output element is one
