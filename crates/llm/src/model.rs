@@ -27,7 +27,7 @@ use crate::paged::PagePool;
 use crate::tokenizer::EOS;
 use nt_nn::{
     Embedding, Fwd, Init, KvPage, KvStorage, LayerNorm, Linear, PagedAttnKv, ParamStore,
-    TransformerBlock,
+    TransformerBlock, Workspace,
 };
 use nt_tensor::{NodeId, Rng, Tensor};
 use serde::{Deserialize, Serialize};
@@ -459,20 +459,28 @@ impl TinyLm {
     ///
     /// The projections, MLPs and layer-norms run as single stacked passes
     /// over all `N` rows — one GEMM instead of one per sequence — which is
-    /// where batched serving earns its throughput.
+    /// where batched serving earns its throughput. `emb_new` becomes the
+    /// residual stream: the position rows are added into it, every block
+    /// and `ln_f` update it in place, and it comes back as the hidden
+    /// states. Every intermediate lives in `ws`, which the caller reuses
+    /// across forwards (it holds no state between them).
     pub fn forward_embeddings_cached_batched(
         &self,
         store: &ParamStore,
-        emb_new: &Tensor,
+        emb_new: Tensor,
         rows_per_slot: &[usize],
         caches: &mut [&mut KvCache],
+        ws: &mut Workspace,
     ) -> Tensor {
-        let total = emb_new.shape()[0];
+        let (total, d) = (emb_new.shape()[0], self.cfg.d_model);
+        assert_eq!(emb_new.shape(), &[total, d], "emb_new must be [N, d_model]");
         assert_eq!(rows_per_slot.len(), caches.len(), "one row count per cache");
         assert_eq!(rows_per_slot.iter().sum::<usize>(), total, "row counts must cover emb_new");
         assert!(total > 0, "empty batched input");
+        let mut x = emb_new;
         // Ragged positions: each slot's rows continue from its own prefix.
-        let mut pos = Vec::with_capacity(total);
+        let table = store.data(self.pos_emb.table).data();
+        let mut rows = x.data_mut().chunks_exact_mut(d);
         for (cache, &n) in caches.iter().zip(rows_per_slot) {
             let start = cache.len();
             assert!(
@@ -482,23 +490,26 @@ impl TinyLm {
                 n,
                 self.cfg.max_seq
             );
-            pos.extend(start..start + n);
+            for (row, pos) in rows.by_ref().take(n).zip(table[start * d..].chunks_exact(d)) {
+                for (v, p) in row.iter_mut().zip(pos) {
+                    *v += p;
+                }
+            }
         }
-        let p = self.pos_emb.eval(store, &pos);
-        let mut x = emb_new.add(&p);
         for (cache, &n) in caches.iter_mut().zip(rows_per_slot) {
             cache.reserve(n);
         }
         for (l, blk) in self.blocks.iter().enumerate() {
             let mut kvs: Vec<_> = caches.iter_mut().map(|c| &mut c.layers[l]).collect();
-            x = blk.eval_cached_batched(store, &x, rows_per_slot, &mut kvs);
+            blk.eval_cached_batched(store, x.data_mut(), rows_per_slot, &mut kvs, ws);
         }
-        self.ln_f.eval(store, &x)
+        self.ln_f.eval_in_place(store, x.data_mut());
+        x
     }
 
     /// Incremental forward over new token ids of one sequence: embeds,
     /// then runs [`TinyLm::forward_embeddings_cached_batched`] over the
-    /// one cache.
+    /// one cache, with a workspace of its own.
     pub fn forward_hidden_cached(
         &self,
         store: &ParamStore,
@@ -506,7 +517,8 @@ impl TinyLm {
         cache: &mut KvCache,
     ) -> Tensor {
         let emb = self.tok_emb.eval(store, new_ids);
-        self.forward_embeddings_cached_batched(store, &emb, &[new_ids.len()], &mut [cache])
+        let ws = &mut Workspace::default();
+        self.forward_embeddings_cached_batched(store, emb, &[new_ids.len()], &mut [cache], ws)
     }
 
     /// Start an empty decode session.
@@ -637,7 +649,8 @@ mod tests {
         }
         let emb = lm.tok_emb.eval(s, &new_ids);
         let mut caches: Vec<&mut KvCache> = seqs.iter_mut().map(|seq| &mut seq.cache).collect();
-        let hidden = lm.forward_embeddings_cached_batched(s, &emb, &rows, &mut caches);
+        let ws = &mut Workspace::default();
+        let hidden = lm.forward_embeddings_cached_batched(s, emb, &rows, &mut caches, ws);
         lm.lm_head.eval(s, &hidden.gather_rows(&last))
     }
 
@@ -839,9 +852,10 @@ mod tests {
                 let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
                 let hidden = lm.forward_embeddings_cached_batched(
                     &s,
-                    &stacked,
+                    stacked,
                     &chunks.map(|(_, n)| n),
                     &mut refs,
+                    &mut Workspace::default(),
                 );
                 let logits = lm.lm_head.eval(&s, &hidden);
                 let positions = chunks.iter().flat_map(|&(p, n)| p..p + n);
@@ -912,11 +926,21 @@ mod tests {
         let full_node = lm.forward_embeddings(&mut f, &s, e);
         let full = f.g.value(full_node).clone();
 
-        let mut cache = KvCache::new(&lm);
-        let first =
-            lm.forward_embeddings_cached_batched(&s, &emb.narrow(0, 0, 4), &[4], &mut [&mut cache]);
-        let second =
-            lm.forward_embeddings_cached_batched(&s, &emb.narrow(0, 4, 2), &[2], &mut [&mut cache]);
+        let (mut cache, ws) = (KvCache::new(&lm), &mut Workspace::default());
+        let first = lm.forward_embeddings_cached_batched(
+            &s,
+            emb.narrow(0, 0, 4),
+            &[4],
+            &mut [&mut cache],
+            ws,
+        );
+        let second = lm.forward_embeddings_cached_batched(
+            &s,
+            emb.narrow(0, 4, 2),
+            &[2],
+            &mut [&mut cache],
+            ws,
+        );
         assert_eq!(cache.len(), 6);
         let cached = nt_tensor::concat(&[&first, &second], 0);
         for (a, b) in full.data().iter().zip(cached.data()) {

@@ -114,10 +114,7 @@ proptest! {
                         let n = 1 + x % 3;
                         if ids.len() + n < lm.cfg.max_seq {
                             let fresh: Vec<usize> = (0..n).map(|_| rng.below(16)).collect();
-                            let emb = lm.tok_emb.eval(&store, &fresh);
-                            let _ = lm.forward_embeddings_cached_batched(
-                                &store, &emb, &[n], &mut [cache],
-                            );
+                            let _ = lm.forward_hidden_cached(&store, &fresh, cache);
                             ids.extend(fresh);
                         }
                     }

@@ -26,7 +26,7 @@
 //! either way.
 
 use nt_llm::{KvCache, PagePool, TinyLm};
-use nt_nn::ParamStore;
+use nt_nn::{ParamStore, Workspace};
 use nt_tensor::Tensor;
 
 /// A cached inference session over a [`TinyLm`] backbone.
@@ -116,6 +116,8 @@ impl InferenceSession {
 /// session alone (N slots ≡ one slot, pinned at 1e-6 in `nt-nn`'s
 /// attention tests), but the projections and MLPs run as single stacked
 /// GEMMs across every session — the serving engine's throughput lever.
+/// Runs the serving engine's forward on a copy of `emb` and a fresh
+/// workspace.
 pub fn append_batched(
     lm: &TinyLm,
     store: &ParamStore,
@@ -123,11 +125,25 @@ pub fn append_batched(
     emb: &Tensor,
     rows_per_slot: &[usize],
 ) -> Tensor {
+    append_batched_with(lm, store, sessions, emb.clone(), rows_per_slot, &mut Workspace::default())
+}
+
+/// [`append_batched`] that takes the stacked rows by value — they become
+/// the backbone's residual stream and come back as the hidden states —
+/// and borrows the caller's workspace, which it reuses across calls.
+pub(crate) fn append_batched_with(
+    lm: &TinyLm,
+    store: &ParamStore,
+    sessions: &mut [&mut InferenceSession],
+    emb: Tensor,
+    rows_per_slot: &[usize],
+    ws: &mut Workspace,
+) -> Tensor {
     for (sess, &n) in sessions.iter().zip(rows_per_slot) {
         assert!(sess.fits(n), "session of {} cannot take {} more tokens", sess.len(), n);
     }
     let mut caches: Vec<&mut KvCache> = sessions.iter_mut().map(|s| &mut s.cache).collect();
-    lm.forward_embeddings_cached_batched(store, emb, rows_per_slot, &mut caches)
+    lm.forward_embeddings_cached_batched(store, emb, rows_per_slot, &mut caches, ws)
 }
 
 #[cfg(test)]

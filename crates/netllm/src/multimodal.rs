@@ -264,8 +264,9 @@ impl Projection {
 
     /// Graph-free inference forward.
     pub fn eval(&self, store: &ParamStore, feats: &Tensor) -> Tensor {
-        let y = self.proj.eval(store, feats);
-        self.norm.eval(store, &y)
+        let mut y = self.proj.eval(store, feats);
+        self.norm.eval_in_place(store, y.data_mut());
+        y
     }
 }
 

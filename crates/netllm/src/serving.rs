@@ -51,9 +51,9 @@
 //! stream's slot. Sharding across engines lives in
 //! [`crate::ShardedServer`].
 
-use crate::backbone::{append_batched, InferenceSession};
+use crate::backbone::{append_batched_with, InferenceSession};
 use nt_llm::{PagePool, SlotMap, TinyLm};
-use nt_nn::ParamStore;
+use nt_nn::{ParamStore, Workspace};
 use nt_tensor::Tensor;
 
 /// Token rows one slot contributes to a tick (built by
@@ -271,11 +271,14 @@ pub struct ServingEngine<T: ServedTask> {
     /// KV pages for admitted sessions come from here when set (possibly
     /// shared with other engines — the budget is global to the pool).
     pool: Option<PagePool>,
+    /// The backbone forward's buffers, one per band of slots a tick runs
+    /// in parallel, reused across ticks.
+    workspaces: Vec<Workspace>,
 }
 
 impl<T: ServedTask> Default for ServingEngine<T> {
     fn default() -> Self {
-        ServingEngine { slots: SlotMap::new(), next_gen: 0, pool: None }
+        ServingEngine { slots: SlotMap::new(), next_gen: 0, pool: None, workspaces: Vec::new() }
     }
 }
 
@@ -581,7 +584,13 @@ impl<T: ServedTask> ServingEngine<T> {
             nt_tensor::pool::num_threads().min(lanes.len() / 2).max(1)
         };
         let band_len = lanes.len().div_ceil(threads);
-        nt_tensor::pool::for_each_block_mut(&mut lanes, band_len, |_, band| {
+        let n_bands = lanes.len().div_ceil(band_len);
+        if self.workspaces.len() < n_bands {
+            self.workspaces.resize_with(n_bands, Workspace::default);
+        }
+        let mut bands: Vec<_> = lanes.chunks_mut(band_len).zip(&mut self.workspaces).collect();
+        nt_tensor::pool::for_each_block_mut(&mut bands, 1, |_, block| {
+            let (band, ws) = &mut block[0];
             let mut parts: Vec<Tensor> = Vec::with_capacity(band.len());
             for (slot, obs, _) in band.iter_mut() {
                 let plan = task.plan_step(&mut slot.state, obs, &slot.session);
@@ -592,7 +601,7 @@ impl<T: ServedTask> ServingEngine<T> {
             }
             let mut slots: Vec<&mut EngineSlot<T>> =
                 band.iter_mut().map(|(slot, _, _)| &mut **slot).collect();
-            let hidden = append_by_group(task, &mut slots, &parts);
+            let hidden = append_by_group(task, &mut slots, &parts, ws);
             for ((_, _, out), h) in band.iter_mut().zip(hidden) {
                 *out = Some(h);
             }
@@ -625,7 +634,7 @@ impl<T: ServedTask> ServingEngine<T> {
                 rb_tokens.push(post_tokens);
             }
         }
-        let _ = append_by_group(task, &mut rb_slots, &rb_tokens);
+        let _ = append_by_group(task, &mut rb_slots, &rb_tokens, &mut self.workspaces[0]);
 
         // Scatter the group-ordered decisions back to request order.
         let mut tagged: Vec<(usize, T::Action)> = order.into_iter().zip(actions).collect();
@@ -638,10 +647,10 @@ impl<T: ServedTask> ServingEngine<T> {
 /// driver: plan, clear on re-anchor, append, settle, apply the
 /// [`RollbackPlan`] (the returned outcome's `rollback` is `None`: it has
 /// been carried out). This is [`ServingEngine::step`] for a batch of one
-/// — same hooks, and [`InferenceSession::append`] is
-/// [`append_batched`] of one session — so it is both every adapter's
-/// single-stream entry point and the replay oracle the fleet gates
-/// compare served logits against.
+/// — same hooks, the same batched append of one session, on a workspace
+/// local to the call — so it is both every adapter's single-stream entry
+/// point and the replay oracle the fleet gates compare served logits
+/// against.
 pub fn step_single<T: ServedTask>(
     task: &T,
     slot: &mut T::Slot,
@@ -649,26 +658,31 @@ pub fn step_single<T: ServedTask>(
     obs: &T::Obs,
 ) -> StepOutcome<T::Action> {
     let (lm, store) = task.backbone(task.group_of(slot));
+    let ws = &mut Workspace::default();
     let plan = task.plan_step(slot, obs, session);
     if plan.reanchor {
         session.clear();
     }
-    let hidden = session.append(lm, store, &plan.tokens);
+    let rows = plan.tokens.shape()[0];
+    let hidden = append_batched_with(lm, store, &mut [&mut *session], plan.tokens, &[rows], ws);
     let mut out = task.settle_step(slot, obs, &hidden);
     if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback.take() {
         session.truncate(session.len() - drop_rows);
-        session.append(lm, store, &post_tokens);
+        let rows = post_tokens.shape()[0];
+        append_batched_with(lm, store, &mut [session], post_tokens, &[rows], ws);
     }
     out
 }
 
 /// Append `tokens[i]` to `slots[i]`'s session, one stacked backbone pass
-/// per maximal run of same-backbone slots (different groups may run
-/// different weights). Returns each slot's new hidden rows, in slot order.
+/// on `ws` per maximal run of same-backbone slots (different groups may
+/// run different weights). Returns each slot's new hidden rows, in slot
+/// order.
 fn append_by_group<T: ServedTask>(
     task: &T,
     slots: &mut [&mut EngineSlot<T>],
     tokens: &[Tensor],
+    ws: &mut Workspace,
 ) -> Vec<Tensor> {
     let mut hidden_per_slot = Vec::with_capacity(slots.len());
     let mut rest = tokens;
@@ -681,7 +695,7 @@ fn append_by_group<T: ServedTask>(
         let rows: Vec<usize> = tokens.iter().map(|t| t.shape()[0]).collect();
         let mut sessions: Vec<&mut InferenceSession> =
             run.iter_mut().map(|s| &mut s.session).collect();
-        let hidden = append_batched(lm, store, &mut sessions, &stacked, &rows);
+        let hidden = append_batched_with(lm, store, &mut sessions, stacked, &rows, ws);
         let mut row = 0usize;
         for &n in &rows {
             hidden_per_slot.push(hidden.narrow(0, row, n));

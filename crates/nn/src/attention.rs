@@ -428,6 +428,8 @@ impl MultiHeadAttention {
     /// `[N, d]` tensor, grouped by slot in `rows_per_slot` order (ragged:
     /// slots may contribute different row counts, including zero), and
     /// `kvs[s]` is slot `s`'s cache — each with its own prefix length.
+    /// Returns `[N, d]`: the attention core the cached block runs (see
+    /// [`TransformerBlock::eval_cached_batched`]), into fresh buffers.
     ///
     /// The four projections run as single `[N, d]` GEMMs across all slots
     /// (the batching win); the attention core runs per slot and per head
@@ -453,30 +455,47 @@ impl MultiHeadAttention {
         rows_per_slot: &[usize],
         kvs: &mut [&mut S],
     ) -> Tensor {
-        let (total, d) = (x_new.shape()[0], self.dim);
-        assert_eq!(x_new.shape()[1], d, "eval_cached_batched dim mismatch");
+        let mut out = Vec::new();
+        let scratch = &mut AttnScratch::default();
+        self.attend(store, x_new.data(), rows_per_slot, kvs, scratch, &mut out);
+        Tensor::from_vec([x_new.shape()[0], self.dim], out)
+    }
+
+    /// The attention core of [`MultiHeadAttention::eval_cached_batched`]
+    /// over the row-major `[N, d]` rows `x`, through `scratch`, into `out`
+    /// (resized to `[N, d]`).
+    fn attend<S: KvStorage>(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        rows_per_slot: &[usize],
+        kvs: &mut [&mut S],
+        scratch: &mut AttnScratch,
+        out: &mut Vec<f32>,
+    ) {
+        let d = self.dim;
+        let total = x.len() / d;
+        assert_eq!(x.len(), total * d, "attention rows must be {d} wide");
         assert_eq!(rows_per_slot.len(), kvs.len(), "one row count per slot");
-        assert_eq!(rows_per_slot.iter().sum::<usize>(), total, "row counts must cover x_new");
+        assert_eq!(rows_per_slot.iter().sum::<usize>(), total, "row counts must cover x");
         let heads = self.heads;
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let q = self.wq.eval(store, x_new);
-        let k_new = self.wk.eval(store, x_new);
-        let v_new = self.wv.eval(store, x_new);
-        let q = q.data();
+        let AttnScratch { q, k: k_new, v: v_new, cat, scores } = scratch;
+        self.wq.eval_into(store, x, total, q);
+        self.wk.eval_into(store, x, total, k_new);
+        self.wv.eval_into(store, x, total, v_new);
 
-        let mut cat = vec![0.0f32; total * d];
-        let mut scores = Vec::new(); // [n, blocks * bt] scratch, reused across slots
+        // The PV tiles accumulate into `cat`.
+        cat.clear();
+        cat.resize(total * d, 0.0);
         let mut row0 = 0usize;
         for (s, kv) in kvs.iter_mut().enumerate() {
             let n = rows_per_slot[s];
             if n == 0 {
                 continue;
             }
-            kv.extend_rows(
-                &k_new.data()[row0 * d..(row0 + n) * d],
-                &v_new.data()[row0 * d..(row0 + n) * d],
-            );
+            kv.extend_rows(&k_new[row0 * d..(row0 + n) * d], &v_new[row0 * d..(row0 + n) * d]);
             let t = kv.len();
             let p0 = t - n; // absolute position of the slot's first new row
             let bt = kv.block_tokens();
@@ -525,8 +544,42 @@ impl MultiHeadAttention {
             }
             row0 += n;
         }
-        self.wo.eval(store, &Tensor::from_vec([total, d], cat))
+        self.wo.eval_into(store, cat, total, out);
     }
+}
+
+/// The buffers of the graph-free cached forward
+/// ([`TransformerBlock::eval_cached_batched`]): both layer norms' output,
+/// the MLP's hidden rows, each sublayer's output and the attention core's
+/// projections, head concat and score rows. Every buffer is resized to
+/// the call's shape and fully rewritten (or zero-filled where a kernel
+/// accumulates) before it is read, so a workspace carries no state from
+/// one forward to the next: reusing one across layers, ticks and row
+/// counts changes no bit, and only saves the allocations. One forward
+/// borrows it at a time — a serving engine keeps one per band of slots
+/// it runs in parallel.
+#[derive(Debug, Default)]
+pub struct Workspace {
+    /// The layer-norm output the next sublayer reads, `[N, d]`.
+    normed: Vec<f32>,
+    /// The MLP's hidden rows, `[N, mlp_mult * d]`.
+    hidden: Vec<f32>,
+    /// A sublayer's output before the residual add, `[N, d]`.
+    out: Vec<f32>,
+    attn: AttnScratch,
+}
+
+/// The attention core's buffers (see [`Workspace`]).
+#[derive(Debug, Default)]
+struct AttnScratch {
+    /// Query, key and value projections of the new rows, `[N, d]` each.
+    q: Vec<f32>,
+    k: Vec<f32>,
+    v: Vec<f32>,
+    /// Every head's output side by side, `[N, d]`.
+    cat: Vec<f32>,
+    /// One slot's score rows for one head, `[n, blocks * block_tokens]`.
+    scores: Vec<f32>,
 }
 
 /// Upper-triangular `-1e9` mask (0 on and below the diagonal).
@@ -579,25 +632,43 @@ impl TransformerBlock {
         f.g.add(x, m)
     }
 
-    /// Graph-free incremental forward of the block: `x_new` stacks every
-    /// slot's new rows (`[N, d]`, grouped per `rows_per_slot`), `kvs[s]`
-    /// is slot `s`'s cache for this layer, extended in place. Dropout is
-    /// identity (inference). LayerNorm and the MLP are position-wise, so
-    /// they run as single `[N, d]` passes; only attention needs the
-    /// per-slot split. See [`MultiHeadAttention::eval_cached_batched`].
+    /// Graph-free incremental forward of the block, in place: `x` stacks
+    /// every slot's new rows of the residual stream (row-major `[N, d]`,
+    /// grouped per `rows_per_slot`) and leaves holding the block's output;
+    /// `kvs[s]` is slot `s`'s cache for this layer, extended in place.
+    /// Dropout is identity (inference). LayerNorm and the MLP are
+    /// position-wise, so they run as single `[N, d]` passes; only
+    /// attention needs the per-slot split (see
+    /// [`MultiHeadAttention::eval_cached_batched`]). Every intermediate
+    /// lives in `ws`. Each residual add is `x += sublayer(x)`, the same
+    /// bits as the taped `x + sublayer(x)`.
     pub fn eval_cached_batched<S: KvStorage>(
         &self,
         store: &ParamStore,
-        x_new: &Tensor,
+        x: &mut [f32],
         rows_per_slot: &[usize],
         kvs: &mut [&mut S],
-    ) -> Tensor {
-        let n1 = self.ln1.eval(store, x_new);
-        let mut x = self.attn.eval_cached_batched(store, &n1, rows_per_slot, kvs);
-        x.add_assign(x_new);
-        let n2 = self.ln2.eval(store, &x);
-        x.add_assign(&self.mlp.eval(store, &n2));
-        x
+        ws: &mut Workspace,
+    ) {
+        let Workspace { normed, hidden, out, attn } = ws;
+        normed.clear();
+        normed.extend_from_slice(x);
+        self.ln1.eval_in_place(store, normed);
+        self.attn.attend(store, normed, rows_per_slot, kvs, attn, out);
+        add_rows(x, out);
+        normed.clear();
+        normed.extend_from_slice(x);
+        self.ln2.eval_in_place(store, normed);
+        self.mlp.eval_into(store, normed, x.len() / self.attn.dim, hidden, out);
+        add_rows(x, out);
+    }
+}
+
+/// `x += y`, elementwise over equal lengths.
+fn add_rows(x: &mut [f32], y: &[f32]) {
+    assert_eq!(x.len(), y.len(), "residual add needs matching lengths");
+    for (a, b) in x.iter_mut().zip(y) {
+        *a += b;
     }
 }
 
@@ -732,10 +803,12 @@ mod tests {
         let full_node = blk.forward(&mut f, &s, xi, true);
         let full = f.g.value(full_node).clone();
 
-        let mut kv = AttnKv::empty(16);
+        let (mut kv, mut ws) = (AttnKv::empty(16), Workspace::default());
         let mut rows = Vec::new();
         for i in 0..5 {
-            rows.push(blk.eval_cached_batched(&s, &x.narrow(0, i, 1), &[1], &mut [&mut kv]));
+            let mut row = x.narrow(0, i, 1);
+            blk.eval_cached_batched(&s, row.data_mut(), &[1], &mut [&mut kv], &mut ws);
+            rows.push(row);
         }
         let refs: Vec<&Tensor> = rows.iter().collect();
         let cached = nt_tensor::concat(&refs, 0);
@@ -801,15 +874,23 @@ mod tests {
         let mut kv_idle = AttnKv::empty(16);
         let mut kv_b = AttnKv::empty(16);
         let mut kvs: Vec<&mut AttnKv> = vec![&mut kv_a, &mut kv_idle, &mut kv_b];
-        let out = blk.eval_cached_batched(&s, &x, &[3, 0, 1], &mut kvs);
-        assert_eq!(out.shape(), &[4, 16]);
+        let mut out = x.clone();
+        blk.eval_cached_batched(
+            &s,
+            out.data_mut(),
+            &[3, 0, 1],
+            &mut kvs,
+            &mut Workspace::default(),
+        );
         assert_eq!(kv_a.len(), 3);
         assert_eq!(kv_idle.len(), 0, "idle slot must not grow");
         assert_eq!(kv_b.len(), 1);
 
         // And the non-empty slots must match their unbatched equivalents.
         let mut s2_kv = AttnKv::empty(16);
-        let want = blk.eval_cached_batched(&s, &x.narrow(0, 3, 1), &[1], &mut [&mut s2_kv]);
+        let mut want = x.narrow(0, 3, 1);
+        let ws = &mut Workspace::default();
+        blk.eval_cached_batched(&s, want.data_mut(), &[1], &mut [&mut s2_kv], ws);
         for (a, b) in out.narrow(0, 3, 1).data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-6, "slot after idle diverged: {a} vs {b}");
         }

@@ -2,6 +2,7 @@
 //! Conv1d and a two-layer MLP.
 
 use crate::store::{Fwd, ParamId, ParamStore};
+use nt_tensor::tensor::matmul_into;
 use nt_tensor::{NodeId, Rng, Tensor};
 
 /// Weight initialisation schemes.
@@ -126,40 +127,45 @@ impl Linear {
         }
     }
 
-    /// Graph-free inference forward over `[n, in_dim]`: same math (including
-    /// the LoRA branch) without tape bookkeeping or parameter cloning. The
-    /// bias seeds the output buffer before the accumulating matmul kernel
-    /// runs, so no broadcast pass is needed afterwards.
+    /// Graph-free inference forward over `[n, in_dim]`:
+    /// [`Linear::eval_into`] into a fresh buffer.
     pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         assert_eq!(x.shape().len(), 2, "Linear::eval input must be [n, in]");
-        assert_eq!(x.shape()[1], self.in_dim, "Linear in_dim mismatch");
         let n = x.shape()[0];
-        let mut out = vec![0.0f32; n * self.out_dim];
-        if let Some(bid) = self.b {
-            let bias = store.data(bid).data();
-            for row in out.chunks_exact_mut(self.out_dim) {
-                row.copy_from_slice(bias);
+        let mut out = Vec::new();
+        self.eval_into(store, x.data(), n, &mut out);
+        Tensor::from_vec([n, self.out_dim], out)
+    }
+
+    /// Graph-free inference forward of `n` row-major rows `x` (`[n,
+    /// in_dim]`) into `out`, resized to `[n, out_dim]`: same math
+    /// (including the LoRA branch) without tape bookkeeping or parameter
+    /// cloning. The bias seeds `out` before the accumulating matmul kernel
+    /// runs, so no broadcast pass is needed afterwards, and an `out`
+    /// reused across calls allocates nothing once it has grown.
+    pub fn eval_into(&self, store: &ParamStore, x: &[f32], n: usize, out: &mut Vec<f32>) {
+        assert_eq!(x.len(), n * self.in_dim, "Linear in_dim mismatch");
+        out.resize(n * self.out_dim, 0.0);
+        match self.b {
+            Some(bid) => {
+                let bias = store.data(bid).data();
+                for row in out.chunks_exact_mut(self.out_dim) {
+                    row.copy_from_slice(bias);
+                }
             }
+            None => out.fill(0.0),
         }
         let w = store.data(self.w);
-        nt_tensor::tensor::matmul_into(x.data(), w.data(), &mut out, n, self.in_dim, self.out_dim);
+        matmul_into(x, w.data(), out, n, self.in_dim, self.out_dim);
         if let Some(l) = &self.lora {
-            let xa = x.matmul(store.data(l.a)); // [n, r]
-            let bmat = store.data(l.b);
+            let mut xa = vec![0.0f32; n * l.rank];
+            matmul_into(x, store.data(l.a).data(), &mut xa, n, self.in_dim, l.rank);
             let mut xab = vec![0.0f32; n * self.out_dim];
-            nt_tensor::tensor::matmul_into(
-                xa.data(),
-                bmat.data(),
-                &mut xab,
-                n,
-                l.rank,
-                self.out_dim,
-            );
+            matmul_into(&xa, store.data(l.b).data(), &mut xab, n, l.rank, self.out_dim);
             for (o, v) in out.iter_mut().zip(&xab) {
                 *o += v * l.scale;
             }
         }
-        Tensor::from_vec([n, self.out_dim], out)
     }
 }
 
@@ -217,16 +223,13 @@ impl LayerNorm {
         f.g.layer_norm(x, g, b, self.eps)
     }
 
-    /// Graph-free inference forward (same per-row statistics as the taped
-    /// kernel, so cached and uncached paths agree numerically).
-    pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let gv = store.data(self.gamma);
-        let bv = store.data(self.beta);
-        let d = *x.shape().last().expect("layer_norm needs rank >= 1");
-        assert_eq!(gv.shape(), &[d], "gamma shape");
-        let mut out = x.clone();
-        nt_tensor::tensor::layer_norm_in_place(out.data_mut(), gv.data(), bv.data(), self.eps);
-        out
+    /// Graph-free inference forward over every row of `xs`, in place
+    /// (same per-row statistics as the taped kernel, so cached and
+    /// uncached paths agree numerically).
+    pub fn eval_in_place(&self, store: &ParamStore, xs: &mut [f32]) {
+        let gv = store.data(self.gamma).data();
+        assert_eq!(xs.len() % gv.len(), 0, "layer_norm rows must be gamma-wide");
+        nt_tensor::tensor::layer_norm_in_place(xs, gv, store.data(self.beta).data(), self.eps);
     }
 }
 
@@ -326,12 +329,20 @@ impl Mlp {
         self.down.forward(f, store, h)
     }
 
-    /// Graph-free inference forward over `[n, dim]` (GELU applied in
-    /// place — no intermediate allocation).
-    pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        let mut h = self.up.eval(store, x);
-        nt_tensor::gelu_in_place(h.data_mut());
-        self.down.eval(store, &h)
+    /// Graph-free inference forward of `n` rows `x` into `out`, through
+    /// `hidden` (GELU applied in place): with both buffers reused across
+    /// calls, nothing is allocated.
+    pub fn eval_into(
+        &self,
+        store: &ParamStore,
+        x: &[f32],
+        n: usize,
+        hidden: &mut Vec<f32>,
+        out: &mut Vec<f32>,
+    ) {
+        self.up.eval_into(store, x, n, hidden);
+        nt_tensor::gelu_in_place(hidden);
+        self.down.eval_into(store, hidden, n, out);
     }
 }
 

@@ -13,7 +13,8 @@
 //! - [`layers`] — `Linear` (+[`layers::Lora`] adapters), `Embedding`,
 //!   `LayerNorm`, `Conv1d`, `Mlp`
 //! - [`attention`] — multi-head self-attention with causal masking,
-//!   pre-norm `TransformerBlock`
+//!   pre-norm `TransformerBlock`, and the reused `Workspace` of its
+//!   graph-free cached forward
 //! - [`lstm`], [`gnn`] — recurrent and graph encoders
 //! - [`optim`] — SGD(+momentum), Adam/AdamW, cosine LR schedule,
 //!   global-norm clipping (in [`store`])
@@ -31,6 +32,7 @@ pub mod store;
 
 pub use attention::{
     causal_mask, AttnKv, KvPage, KvStorage, MultiHeadAttention, PagedAttnKv, TransformerBlock,
+    Workspace,
 };
 pub use gnn::{normalized_adjacency, Gnn, GnnLayer};
 pub use layers::{Conv1d, Embedding, Init, LayerNorm, Linear, Lora, Mlp};

@@ -156,16 +156,6 @@ impl Tensor {
         self.zip(other, |a, b| a + b)
     }
 
-    /// In-place elementwise `self += other` for identically shaped
-    /// tensors: the residual-add of the inference hot path, without the
-    /// broadcast machinery or an output allocation.
-    pub fn add_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "add_assign needs matching shapes");
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     pub fn sub(&self, other: &Tensor) -> Tensor {
         self.zip(other, |a, b| a - b)
     }
@@ -749,9 +739,9 @@ fn layer_norm_stats4(quad: &[f32], d: usize, eps: f32) -> [(f32, f32); 4] {
 
 /// In-place affine layer normalisation of every `gamma.len()`-wide row of
 /// `xs`: the one kernel behind the taped [`crate::Graph::layer_norm`] and
-/// the graph-free `LayerNorm::eval`, so the two agree bit for bit. Rows go
-/// four at a time through `layer_norm_stats4`, the remainder through
-/// `layer_norm_stats`; a row's result does not depend on which.
+/// the graph-free `LayerNorm::eval_in_place`, so the two agree bit for
+/// bit. Rows go four at a time through `layer_norm_stats4`, the remainder
+/// through `layer_norm_stats`; a row's result does not depend on which.
 pub fn layer_norm_in_place(xs: &mut [f32], gamma: &[f32], beta: &[f32], eps: f32) {
     assert_eq!(gamma.len(), beta.len(), "layer_norm gamma/beta length");
     let d = gamma.len();
