@@ -7,7 +7,7 @@
 
 use crate::pool;
 use crate::rng::Rng;
-use crate::shape::{broadcast_shapes, for_each_broadcast2, numel, strides};
+use crate::shape::{broadcast_shapes, for_each_broadcast2, numel};
 use crate::simd;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -116,17 +116,26 @@ impl Tensor {
 
     /// Element at a multi-index.
     pub fn at(&self, idx: &[usize]) -> f32 {
-        let st = strides(&self.shape);
-        debug_assert_eq!(idx.len(), self.shape.len());
-        let off: usize = idx.iter().zip(&st).map(|(i, s)| i * s).sum();
-        self.data[off]
+        self.data[self.offset(idx)]
     }
 
     /// Mutable element at a multi-index.
     pub fn at_mut(&mut self, idx: &[usize]) -> &mut f32 {
-        let st = strides(&self.shape);
-        let off: usize = idx.iter().zip(&st).map(|(i, s)| i * s).sum();
+        let off = self.offset(idx);
         &mut self.data[off]
+    }
+
+    /// Row-major offset of a multi-index, folded over the shape without
+    /// building a strides `Vec`. Panics unless there is one index per dim.
+    fn offset(&self, idx: &[usize]) -> usize {
+        assert_eq!(
+            idx.len(),
+            self.shape.len(),
+            "index of rank {} into {:?}",
+            idx.len(),
+            self.shape
+        );
+        idx.iter().zip(&self.shape).fold(0, |off, (&i, &dim)| off * dim + i)
     }
 
     /// Row `i` of a 2-D tensor.
@@ -773,6 +782,23 @@ mod tests {
         assert_eq!(t.row(0), &[1., 2., 3.]);
         assert_eq!(t.numel(), 6);
         assert_eq!(Tensor::scalar(4.0).item(), 4.0);
+    }
+
+    #[test]
+    fn at_folds_every_rank() {
+        let t = Tensor::from_vec([2, 3, 4], (0..24).map(|x| x as f32).collect());
+        assert_eq!(t.at(&[1, 2, 3]), 23.0);
+        assert_eq!(t.at(&[1, 0, 2]), 14.0);
+        assert_eq!(Tensor::scalar(4.0).at(&[]), 4.0);
+    }
+
+    /// A short index used to be cut to the shape's prefix by `zip` and
+    /// land on another element.
+    #[test]
+    #[should_panic(expected = "index of rank 1")]
+    fn at_mut_rejects_a_short_index() {
+        let mut t = Tensor::zeros([2, 3]);
+        *t.at_mut(&[1]) = 1.0;
     }
 
     #[test]
