@@ -872,21 +872,24 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cached_logits_match_full_forward_with_lora() {
-        let mut s = ParamStore::new();
-        let mut lm = tiny(&mut s);
-        let mut rng = Rng::seeded(12);
-        lm.attach_lora(&mut s, 2, 4.0, &mut rng);
-        // Give the zero-initialised B matrices real values so the LoRA
-        // branch contributes.
+    /// Attach rank-2 LoRA adapters and give their zero-initialised B
+    /// matrices real values, so the LoRA branch contributes.
+    fn attach_live_lora(lm: &mut TinyLm, s: &mut ParamStore, rng: &mut Rng) {
+        lm.attach_lora(s, 2, 4.0, rng);
         let ids_all: Vec<usize> = s.ids().collect();
         for id in ids_all {
             if s.name(id).contains("lora_b") {
                 let shape = s.data(id).shape().to_vec();
-                *s.data_mut(id) = Tensor::randn(shape, 0.3, &mut rng);
+                *s.data_mut(id) = Tensor::randn(shape, 0.3, rng);
             }
         }
+    }
+
+    #[test]
+    fn cached_logits_match_full_forward_with_lora() {
+        let mut s = ParamStore::new();
+        let mut lm = tiny(&mut s);
+        attach_live_lora(&mut lm, &mut s, &mut Rng::seeded(12));
         let ids = [1usize, 4, 9, 2, 7, 5];
         let mut session = lm.start_session();
         for t in 1..=ids.len() {
@@ -896,6 +899,59 @@ mod tests {
                 assert!((a - b).abs() < 1e-5, "LoRA cached {a} vs full {b}");
             }
         }
+    }
+
+    /// A workspace carries nothing from one forward to the next: one
+    /// workspace taken through forwards of 97, 1, 23 and 6 rows (ragged
+    /// over four slots, one slot idle in each), on pool-less caches, on
+    /// pool-backed caches and on a LoRA-attached model in turn, gives the
+    /// bits of a fresh workspace per forward.
+    #[test]
+    fn a_reused_workspace_gives_the_bits_of_fresh_ones() {
+        use crate::paged::PageConfig;
+        let mut s = ParamStore::new();
+        let mut rng = Rng::seeded(15);
+        let cfg = LmConfig {
+            vocab: 16,
+            d_model: 16,
+            n_layers: 2,
+            n_heads: 2,
+            mlp_mult: 2,
+            max_seq: 64,
+            dropout: 0.0,
+        };
+        let mut lm = TinyLm::new(&mut s, cfg, &mut rng);
+        // The hidden bits of the four forwards, through `shared` or
+        // through a fresh workspace each.
+        fn run(
+            lm: &TinyLm,
+            s: &ParamStore,
+            pool: Option<&PagePool>,
+            mut shared: Option<&mut Workspace>,
+        ) -> Vec<u32> {
+            let calls = [[30, 25, 0, 42], [0, 0, 1, 0], [5, 7, 11, 0], [1, 2, 0, 3]];
+            let mut caches: Vec<KvCache> = (0..4)
+                .map(|_| pool.map_or_else(|| KvCache::new(lm), |p| KvCache::new_paged(lm, p)))
+                .collect();
+            let (mut rng, mut bits) = (Rng::seeded(16), Vec::new());
+            for rows in &calls {
+                let emb = Tensor::randn([rows.iter().sum::<usize>(), 16], 0.5, &mut rng);
+                let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
+                let mut fresh = Workspace::default();
+                let ws = shared.as_deref_mut().unwrap_or(&mut fresh);
+                let hidden = lm.forward_embeddings_cached_batched(s, emb, rows, &mut refs, ws);
+                bits.extend(hidden.data().iter().map(|v| v.to_bits()));
+            }
+            bits
+        }
+        let pool = PagePool::for_model(&lm, PageConfig { page_tokens: 4, budget_bytes: 1 << 20 });
+        let mut ws = Workspace::default();
+        for pool in [None, Some(&pool)] {
+            let want = run(&lm, &s, pool, None);
+            assert_eq!(run(&lm, &s, pool, Some(&mut ws)), want, "pool-backed: {}", pool.is_some());
+        }
+        attach_live_lora(&mut lm, &mut s, &mut rng);
+        assert_eq!(run(&lm, &s, None, Some(&mut ws)), run(&lm, &s, None, None), "LoRA attached");
     }
 
     #[test]
