@@ -889,7 +889,8 @@ mod tests {
     /// against the naive ascending-`k` loop bit for bit: `n` sits on both
     /// sides of the 8-, 16- and 32-wide column tails and on every step of
     /// the 32 + 16 + 8 + tail cut, `k = 600` crosses the KC seam, `m`
-    /// covers sub-quad rows and quad remainders. Runs in release too
+    /// covers sub-quad rows, quad remainders and both sides of the
+    /// `PACK_MIN_ROWS` cut (31, 32, 33). Runs in release too
     /// (`cargo test --release -p nt-tensor`), where the loops are
     /// actually vectorised. Skinny shapes reach the dot kernel through
     /// `matmul_serial` only; it reassociates, so it keeps its 1e-4.
@@ -914,7 +915,7 @@ mod tests {
             ("dispatched", false, &matmul_serial),
         ];
         kernels.extend(at_levels.iter().map(|(name, f)| (name.as_str(), true, f as Gemm)));
-        let mk: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65, 600];
+        let mk: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 600];
         let ns: &[usize] = &[
             1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 47, 48, 56, 63, 64, 65, 144, 192,
         ];

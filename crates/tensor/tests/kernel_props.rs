@@ -6,17 +6,18 @@
 //! skinny dot kernel (`n < 8 && k >= 16`) reassociates inside a chain
 //! (eight partial accumulators); it is held to 1e-4.
 //!
-//! Shapes are adversarial: every m, k in {1..9, 15, 16, 17, 63, 64, 65,
-//! 600} and n in {1..9, 15, 16, 17, 63, 64, 65}, covering quad-row
-//! remainders, NR column-tail remainders, the sub-quad decode path, the
+//! Shapes are adversarial: every m, k in {1..9, 15, 16, 17, 31, 32, 33,
+//! 63, 64, 65, 600} and n in {1..9, 15, 16, 17, 63, 64, 65}, covering
+//! quad-row remainders, NR column-tail remainders, the sub-quad tile, both
+//! sides of the 32-row cut where the quads start packing `b`, the
 //! skinny-RHS switch, the KC k-tile seam (`k = 600`, register-tile shapes
 //! only) and pool row-band splits (`m = 600`). The `NT_THREADS` {1, 4}
 //! axis comes from the CI matrix, which runs every test binary under both
 //! values — band splits never change per-element accumulation order, so
 //! the sweep must pass identically under either. `matmul_into` runs the
-//! AVX2 instantiation of the register-tile kernel wherever the CPU has
-//! it, so this sweep holds whichever one the host dispatches; the
-//! in-crate sweep in `src/tensor.rs` holds both on every host.
+//! widest instantiation of the register-tile kernel the CPU has, so this
+//! sweep holds whichever one the host dispatches; the in-crate sweep in
+//! `src/tensor.rs` holds every one the host can run.
 
 use nt_tensor::tensor::matmul_into;
 use nt_tensor::Rng;
@@ -37,7 +38,7 @@ fn naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
 #[test]
 fn register_tile_kernel_matches_legacy_kernel_across_adversarial_shapes() {
     let dims: &[usize] = &[1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65];
-    let tall: Vec<usize> = dims.iter().copied().chain([600]).collect();
+    let tall: Vec<usize> = dims.iter().copied().chain([31, 32, 33, 600]).collect();
     let mut rng = Rng::seeded(60);
     for &m in &tall {
         for &k in &tall {
