@@ -22,8 +22,6 @@ use std::time::Instant;
 const BATCH: usize = 16;
 const CHUNKS: usize = 24;
 const WINDOW: usize = 8;
-/// Timed repetitions per side.
-const REPS: usize = 5;
 
 fn model() -> NetLlmAbr {
     let loaded = Zoo::new(std::env::temp_dir().join("serving-throughput-test"))
@@ -47,6 +45,7 @@ fn batched_serving_is_3x_over_independent_sessions_at_batch_16() {
     let streams: Vec<Vec<AbrObservation>> =
         (0..BATCH).map(|s| obs_stream(900 + s as u64)).collect();
 
+    // ---- batched engine: 16 streams, one step per tick -----------------
     // Warm-up round (allocator, zoo weights already built above).
     {
         let mut engine = ServingEngine::new();
@@ -55,13 +54,8 @@ fn batched_serving_is_3x_over_independent_sessions_at_batch_16() {
         let _ = engine.step(&m, &reqs);
     }
     let mut batched_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    let mut seq_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-    let (mut batched, mut sequential) = (std::time::Duration::MAX, std::time::Duration::MAX);
-    // The two sides alternate rep by rep and each keeps its fastest:
-    // interference on a shared host only slows a rep, and two
-    // back-to-back phases could otherwise land in different clock states.
-    for _ in 0..REPS {
-        // ---- batched engine: 16 streams, one step per tick -------------
+    let mut batched = std::time::Duration::MAX;
+    for _ in 0..2 {
         let mut engine = ServingEngine::new();
         let ids: Vec<_> = (0..BATCH).map(|_| engine.join(&m)).collect();
         for b in batched_logits.iter_mut() {
@@ -77,8 +71,12 @@ fn batched_serving_is_3x_over_independent_sessions_at_batch_16() {
             }
         }
         batched = batched.min(start.elapsed());
+    }
 
-        // ---- sequential baseline: 16 independent single-stream rollouts
+    // ---- sequential baseline: 16 independent single-stream rollouts ----
+    let mut seq_logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
+    let mut sequential = std::time::Duration::MAX;
+    for _ in 0..2 {
         for s in seq_logits.iter_mut() {
             s.clear();
         }
