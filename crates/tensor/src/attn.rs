@@ -4,7 +4,7 @@
 //! A KV cache hands attention its keys in **channel-major blocks** — block
 //! `b` holds `width` consecutive positions as `[dim][width]`, so one
 //! head's slice of it is a contiguous `[dh][width]` slab — and its values
-//! row-major. That key layout is exactly the packed `B` panel of the GEMM
+//! row-major. That key layout is exactly the `B` operand of the GEMM
 //! tile in [`crate::tensor`]: one slab row per inner step, `width`
 //! positions side by side in the lanes. The kernels here take plain
 //! slices and strides (they know nothing of pages or caches) and are

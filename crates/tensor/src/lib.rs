@@ -18,7 +18,7 @@
 //! Implemented:
 //! - row-major dense tensors, NumPy-style broadcasting for binary ops
 //! - matmul / batched matmul (KC-tiled, MRxNR register-blocked SIMD
-//!   kernels over a packed B panel — one source, a baseline 4x8, an AVX2
+//!   kernels reading B in place — one source, a baseline 4x8, an AVX2
 //!   4x16 and an AVX-512 4x32 instantiation chosen per call from what
 //!   the CPU reports — optional row-block parallelism via the persistent
 //!   [`pool`] behind the `NT_THREADS` knob), transpose, reshape, concat,

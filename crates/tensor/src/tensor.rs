@@ -336,21 +336,11 @@ const MR: usize = 4;
 const NR_BASELINE: usize = 8;
 const NR_AVX2: usize = 16;
 const NR_AVX512: usize = 32;
-/// Inner-dimension tile: the `b` panel touched by one k-block stays
+/// Inner-dimension tile: the block of `b` touched by one k-tile stays
 /// cache-resident while all row quads stream past it. Accumulation still
 /// runs in ascending-`k` order, so tiling never changes the result.
 const KC: usize = 512;
-/// Row count from which the quad tile packs each `KC x W` block of `b`
-/// into a contiguous panel; below it the quads read `b` in place. The
-/// pack is a fresh allocation plus a copy of the block per call, and only
-/// enough quads streaming through the panel pay that back. Measured
-/// single-threaded at AVX-512 on a 2-core x86-64 VM (medians of five
-/// interleaved rounds): on the 7b-sim serving shapes (`k x n` = 48x48,
-/// 48x192, 192x48) reading in place ran 1.09-1.88x the packed rate at
-/// 4-28 rows and 0.96-1.17x from 32 to 256 rows; on a 256x256 product
-/// the panel wins from 20 rows on (in place 0.86-0.94x).
-const PACK_MIN_ROWS: usize = 32;
-/// Widths of the sub-quad register tile ([`sub_quad_tile`]), widest
+/// Widths of the sub-quad register tile ([`sub_quad_rows`]), widest
 /// first. An instantiation takes the ones up to `2 * NR`, four of its
 /// vectors: 64/48/32/24/16/8 at AVX-512, 32/24/16/8 at AVX2, 16/8 in
 /// baseline code.
@@ -438,13 +428,14 @@ fn matmul_blocked(
 /// columns) is the ragged tail ([`axpy_row_tail`]). The rows that do not
 /// fill a quad — every row of an `m < 4` call, the `m % 4` tail of a
 /// larger one — then run together as one sub-quad tile
-/// ([`sub_quad_rows`]).
+/// ([`sub_quad_rows`]). Every tile reads `b` in place: on the served
+/// shapes a per-call packed panel bought nothing it did not spend on its
+/// allocation and copy.
 ///
 /// Every output element is still one accumulation chain in ascending-`k`
 /// order (each tile is seeded from `out` and written back), so this is
 /// bit-identical to the naive triple loop and to its own parallel
-/// row-band splits (`tests/kernel_props.rs`), whatever `NR` is and
-/// whether `b` is packed or read in place.
+/// row-band splits (`tests/kernel_props.rs`), whatever `NR` is.
 #[inline(always)]
 fn matmul_blocked_wide<const NR: usize>(
     a: &[f32],
@@ -455,18 +446,17 @@ fn matmul_blocked_wide<const NR: usize>(
     n: usize,
 ) {
     let quads = m - m % MR;
-    let mut panel = if m >= PACK_MIN_ROWS { vec![0.0f32; KC.min(k) * NR] } else { Vec::new() };
     let (wide, at16, at8, tail) = column_cut::<NR>(n);
     for k0 in (0..k).step_by(KC) {
         let ks = k0..(k0 + KC).min(k);
         for j in (0..wide).step_by(NR) {
-            quad_column_block::<NR>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR>(a, b, out, quads, k, n, ks.clone(), j);
         }
         if let Some(j) = at16 {
-            quad_column_block::<NR_AVX2>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR_AVX2>(a, b, out, quads, k, n, ks.clone(), j);
         }
         if let Some(j) = at8 {
-            quad_column_block::<NR_BASELINE>(a, b, out, quads, k, n, ks.clone(), j, &mut panel);
+            quad_column_block::<NR_BASELINE>(a, b, out, quads, k, n, ks.clone(), j);
         }
         if tail < n {
             for (arow, orow) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)).take(quads) {
@@ -504,10 +494,7 @@ fn column_cut<const NR: usize>(n: usize) -> (usize, Option<usize>, Option<usize>
 }
 
 /// One `W`-wide column block of one k-tile over the first `quads` rows (a
-/// multiple of [`MR`]), one `MR x W` [`tile`] per quad. A non-empty
-/// `panel` (calls of [`PACK_MIN_ROWS`] rows or more) first receives the
-/// block of `b`, one contiguous `W`-wide row per `k` step, and every quad
-/// streams through that; otherwise the quads read `b` in place.
+/// multiple of [`MR`]), one `MR x W` [`tile`] per quad.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn quad_column_block<const W: usize>(
@@ -519,25 +506,14 @@ fn quad_column_block<const W: usize>(
     n: usize,
     ks: Range<usize>,
     j0: usize,
-    panel: &mut [f32],
 ) {
-    if panel.is_empty() {
-        for i in (0..quads).step_by(MR) {
-            tile::<MR, W>(a, k, ks.clone(), b_rows::<W>(b, n, ks.clone(), j0), out, n, i, j0);
-        }
-        return;
-    }
-    let panel = &mut panel[..ks.len() * W];
-    for (prow, brow) in panel.chunks_exact_mut(W).zip(b_rows::<W>(b, n, ks.clone(), j0)) {
-        prow.copy_from_slice(brow);
-    }
     for i in (0..quads).step_by(MR) {
-        tile::<MR, W>(a, k, ks.clone(), panel.chunks_exact(W), out, n, i, j0);
+        tile::<MR, W>(a, b, out, k, n, ks.clone(), i, j0);
     }
 }
 
 /// The `R < MR` rows from `i0` on over one k-tile, as one `R`-row
-/// [`tile`] per column block reading `b` in place: the rows advance
+/// [`tile`] per column block: the rows advance
 /// together, so each loaded `b` value serves all of them and every `k`
 /// step has `R` times the independent chains of a one-row loop. The
 /// column cut takes the widest of [`SUB_QUAD_WIDTHS`] up to `2 * NR` that
@@ -557,12 +533,12 @@ fn sub_quad_rows<const R: usize, const NR: usize>(
     while let Some(w) = SUB_QUAD_WIDTHS.into_iter().find(|&w| w <= 2 * NR && j + w <= n) {
         let ks = ks.clone();
         match w {
-            64 => tile::<R, 64>(a, k, ks.clone(), b_rows::<64>(b, n, ks, j), out, n, i0, j),
-            48 => tile::<R, 48>(a, k, ks.clone(), b_rows::<48>(b, n, ks, j), out, n, i0, j),
-            32 => tile::<R, 32>(a, k, ks.clone(), b_rows::<32>(b, n, ks, j), out, n, i0, j),
-            24 => tile::<R, 24>(a, k, ks.clone(), b_rows::<24>(b, n, ks, j), out, n, i0, j),
-            16 => tile::<R, 16>(a, k, ks.clone(), b_rows::<16>(b, n, ks, j), out, n, i0, j),
-            _ => tile::<R, 8>(a, k, ks.clone(), b_rows::<8>(b, n, ks, j), out, n, i0, j),
+            64 => tile::<R, 64>(a, b, out, k, n, ks, i0, j),
+            48 => tile::<R, 48>(a, b, out, k, n, ks, i0, j),
+            32 => tile::<R, 32>(a, b, out, k, n, ks, i0, j),
+            24 => tile::<R, 24>(a, b, out, k, n, ks, i0, j),
+            16 => tile::<R, 16>(a, b, out, k, n, ks, i0, j),
+            _ => tile::<R, 8>(a, b, out, k, n, ks, i0, j),
         }
         j += w;
     }
@@ -573,32 +549,20 @@ fn sub_quad_rows<const R: usize, const NR: usize>(
     }
 }
 
-/// Columns `j0..j0 + W` of the rows `ks` of `b`, read in place.
-#[inline(always)]
-fn b_rows<const W: usize>(
-    b: &[f32],
-    n: usize,
-    ks: Range<usize>,
-    j0: usize,
-) -> impl Iterator<Item = &[f32]> {
-    b[ks.start * n..ks.end * n].chunks_exact(n).map(move |row| &row[j0..j0 + W])
-}
-
 /// One `R x W` register tile over one k-tile: rows `i0..i0 + R`, columns
-/// `j0..j0 + W` of `out`, with `brows` yielding the tile's `W`-wide row of
-/// `b` for each `k` in `ks` — from a packed panel or from `b` in place
-/// ([`b_rows`]). `out` is loaded and stored once per tile instead of once
-/// per `k` step, and each `[f32; W]` accumulator row is a fixed array the
-/// autovectorizer maps onto SIMD lanes.
+/// `j0..j0 + W` of `out`, reading the matching `W`-wide row of `b` in
+/// place for each `k` in `ks`. `out` is loaded and stored once per tile
+/// instead of once per `k` step, and each `[f32; W]` accumulator row is a
+/// fixed array the autovectorizer maps onto SIMD lanes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile<'b, const R: usize, const W: usize>(
+fn tile<const R: usize, const W: usize>(
     a: &[f32],
-    k: usize,
-    ks: Range<usize>,
-    brows: impl Iterator<Item = &'b [f32]>,
+    b: &[f32],
     out: &mut [f32],
+    k: usize,
     n: usize,
+    ks: Range<usize>,
     i0: usize,
     j0: usize,
 ) {
@@ -608,7 +572,9 @@ fn tile<'b, const R: usize, const W: usize>(
         let o = (i0 + r) * n + j0;
         accr.copy_from_slice(&out[o..o + W]);
     }
+    let brows = b[ks.start * n..ks.end * n].chunks_exact(n);
     for (brow, kk) in brows.zip(ks) {
+        let brow = &brow[j0..j0 + W];
         let x: [f32; R] = std::array::from_fn(|r| arows[r][kk]);
         for l in 0..W {
             for r in 0..R {
@@ -889,8 +855,8 @@ mod tests {
     /// against the naive ascending-`k` loop bit for bit: `n` sits on both
     /// sides of the 8-, 16- and 32-wide column tails and on every step of
     /// the 32 + 16 + 8 + tail cut, `k = 600` crosses the KC seam, `m`
-    /// covers sub-quad rows, quad remainders and both sides of the
-    /// `PACK_MIN_ROWS` cut (31, 32, 33). Runs in release too
+    /// covers sub-quad rows and quad remainders (31, 32, 33 among
+    /// them). Runs in release too
     /// (`cargo test --release -p nt-tensor`), where the loops are
     /// actually vectorised. Skinny shapes reach the dot kernel through
     /// `matmul_serial` only; it reassociates, so it keeps its 1e-4.

@@ -8,8 +8,7 @@
 //!
 //! Shapes are adversarial: every m, k in {1..9, 15, 16, 17, 31, 32, 33,
 //! 63, 64, 65, 600} and n in {1..9, 15, 16, 17, 63, 64, 65}, covering
-//! quad-row remainders, NR column-tail remainders, the sub-quad tile, both
-//! sides of the 32-row cut where the quads start packing `b`, the
+//! quad-row remainders, NR column-tail remainders, the sub-quad tile, the
 //! skinny-RHS switch, the KC k-tile seam (`k = 600`, register-tile shapes
 //! only) and pool row-band splits (`m = 600`). The `NT_THREADS` {1, 4}
 //! axis comes from the CI matrix, which runs every test binary under both
