@@ -97,7 +97,8 @@ impl InferenceSession {
 
     /// Append token embeddings `[n, d_model]`, returning the backbone's
     /// hidden states `[n, d_model]` for the new rows only:
-    /// [`append_batched`] over this one session.
+    /// [`append_batched`] over this one session, with its per-call copy
+    /// of `emb` and fresh workspace.
     pub fn append(&mut self, lm: &TinyLm, store: &ParamStore, emb: &Tensor) -> Tensor {
         append_batched(lm, store, &mut [self], emb, &[emb.shape()[0]])
     }
@@ -116,8 +117,13 @@ impl InferenceSession {
 /// session alone (N slots ≡ one slot, pinned at 1e-6 in `nt-nn`'s
 /// attention tests), but the projections and MLPs run as single stacked
 /// GEMMs across every session — the serving engine's throughput lever.
-/// Runs the serving engine's forward on a copy of `emb` and a fresh
-/// workspace.
+///
+/// It runs the serving engine's forward, but not at the engine's cost:
+/// the engine hands its stacked rows over by value and reuses one
+/// workspace per band, while this wrapper clones `emb` and builds a fresh
+/// [`Workspace`] on every call. Timings of it, and of
+/// [`InferenceSession::append`], which goes through it, include that copy
+/// and the workspace's allocations.
 pub fn append_batched(
     lm: &TinyLm,
     store: &ParamStore,

@@ -10,6 +10,14 @@
 //! unchanged. A constant may change only in a change that rides ROADMAP
 //! item 10's rung 4 (task-metric equivalence), which states that it moves
 //! bits and is judged by task metrics instead.
+//!
+//! The constants also fold in the random weights and synthetic
+//! observations, drawn through `Rng::normal` (Box–Muller on `f32`
+//! `ln` / `sin` / `cos`) and `exp`, which the platform's libm serves. They
+//! were computed against glibc on x86-64. On a libc whose libm rounds any
+//! of these differently the digests differ with no kernel changed, so a
+//! failure there is not by itself a served-bits regression: compare the
+//! digests at the parent commit on the same host first.
 
 use netllm::{
     step_single, CjsObs, FleetModels, InferenceSession, ServedTask, StepOutcome, StepPlan, VpQuery,
