@@ -578,54 +578,53 @@ mod tests {
 
     #[test]
     fn cached_decisions_match_taped_reference() {
-        // Replay every recorded decision through the taped `decision_logits`
+        // Drive every decision of a recorded observation stream through
+        // the cached path and replay it through the taped `decision_logits`
         // reference. The replay mirrors the session's re-anchor bookkeeping
         // (anchor index + token count), so the taped path sees the exact
-        // token sequence the cached path saw — across re-anchors too.
+        // token sequence the cached path saw — across re-anchors too. The
+        // stage and cap logits must agree at 1e-5 on every decision, and
+        // so must the choices.
         let mut m = NetLlmCjs::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), 8, 21);
         m.target_return = -1.0;
-        let w = jobs(2, 22);
-        // Record the stage choice of every decision as it is made (the
-        // episode log only keeps the cap choice).
-        let mut stages: Vec<usize> = Vec::new();
-        let stats = {
-            let mut hook = |_: &SchedView, d: &Decision| stages.push(d.candidate);
-            run_workload(&mut m, &w, 6, Some(&mut hook))
-        };
-        assert_eq!(stats.jcts.len(), 2);
-        let episode = m.ep.steps.clone();
-        assert_eq!(stages.len(), episode.len());
-        assert!(episode.len() > 2 * m.window, "probe should span at least one re-anchor");
+        m.reset();
+        let stream = CjsObs::synthetic_stream(22, 6);
         let max_tokens = m.lm.cfg.max_seq;
-        let (mut anchor, mut len) = (0usize, 0usize);
-        let mut checked = 0;
-        for t in 0..episode.len() {
-            let (rtg, snap, recorded_cap) = &episode[t];
-            let c = snap.candidates.len().min(MAX_CANDS);
+        let (mut anchor, mut len, mut reanchors) = (0usize, 0usize, 0usize);
+        for (t, obs) in stream.iter().enumerate() {
+            let decision = m.decide_obs(obs);
+            let c = obs.snap.candidates.len().min(MAX_CANDS);
             if len == 0 || len + 2 + c + 1 > max_tokens || t - anchor >= 2 * m.window {
+                reanchors += usize::from(t > 0);
                 anchor = t.saturating_sub(m.window - 1);
                 len = 3 * (t - anchor);
             }
             len += 3;
-            // Spot-check a few decisions (the taped forward is slow).
-            if t % 17 == 0 {
-                let history: Vec<(f32, GraphSnapshot, usize)> = episode[anchor..t].to_vec();
-                let mut f = Fwd::eval();
-                let (sl, cl) = m.decision_logits(&mut f, &history, *rtg, snap);
-                assert_eq!(
-                    f.g.value(sl).argmax(),
-                    stages[t],
-                    "decision {t} (anchor {anchor}): cached stage diverged from taped reference"
+            let (rtg, snap, recorded_cap) = &m.ep.steps[t];
+            let mut f = Fwd::eval();
+            let (sl, cl) = m.decision_logits(&mut f, &m.ep.steps[anchor..t], *rtg, snap);
+            let (sl, cl) = (f.g.value(sl), f.g.value(cl));
+            let reference: Vec<f32> = sl.data().iter().chain(cl.data()).copied().collect();
+            assert_eq!(m.last_logits().len(), reference.len(), "decision {t}: logit count");
+            for (a, b) in m.last_logits().iter().zip(&reference) {
+                assert!(
+                    (a - b).abs() < 1e-5,
+                    "decision {t} (anchor {anchor}): cached logits diverged from taped path: \
+                     {a} vs {b}"
                 );
-                assert_eq!(
-                    f.g.value(cl).argmax(),
-                    *recorded_cap,
-                    "decision {t} (anchor {anchor}): cached cap diverged from taped reference"
-                );
-                checked += 1;
             }
+            assert_eq!(
+                sl.argmax(),
+                decision.candidate,
+                "decision {t} (anchor {anchor}): cached stage diverged from taped reference"
+            );
+            assert_eq!(
+                cl.argmax(),
+                *recorded_cap,
+                "decision {t} (anchor {anchor}): cached cap diverged from taped reference"
+            );
         }
-        assert!(checked >= 3, "probe too short: only {checked} decisions checked");
+        assert!(reanchors >= 2, "probe should re-anchor at least twice, got {reanchors}");
     }
 
     /// One unbatched decision, rollback included, that also hands back the
