@@ -59,8 +59,7 @@ impl DecimaNet {
         let c = snap.candidates.len();
         assert!(c > 0, "no candidates");
         let feats = f.input(snap.feats.clone());
-        let adj = f.input(snap.adj.clone());
-        let emb = self.gnn.forward(f, store, feats, adj); // [n, EMB]
+        let emb = self.gnn.run(f, store, feats, &snap.adj); // [n, EMB]
         let global = f.g.mean_axis(emb, 0); // [EMB]
         let global = f.g.reshape(global, [1, EMB]);
         let cand = f.g.rows(emb, &snap.candidates); // [c, EMB]

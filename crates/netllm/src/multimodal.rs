@@ -217,13 +217,12 @@ impl GraphEncoder {
     /// Per-node features `[n, feat_dim]` from `(feats, adj)`.
     pub fn forward(&self, f: &mut Fwd, store: &ParamStore, feats: &Tensor, adj: &Tensor) -> NodeId {
         let x = f.input(feats.clone());
-        let a = f.input(adj.clone());
-        self.gnn.forward(f, store, x, a)
+        self.gnn.run(f, store, x, adj)
     }
 
     /// Graph-free inference forward.
     pub fn eval(&self, store: &ParamStore, feats: &Tensor, adj: &Tensor) -> Tensor {
-        self.gnn.eval(store, feats, adj)
+        self.gnn.run(&mut nt_nn::Eager, store, feats.clone(), adj)
     }
 }
 

@@ -8,9 +8,10 @@
 //! matrix — our DAGs have at most a few dozen stages, so dense is the simple
 //! and robust choice.
 
+use crate::exec::Exec;
 use crate::layers::{Init, Linear};
-use crate::store::{Fwd, ParamStore};
-use nt_tensor::{NodeId, Rng, Tensor};
+use crate::store::ParamStore;
+use nt_tensor::{Rng, Tensor};
 
 /// One message-passing layer.
 #[derive(Clone, Debug)]
@@ -50,19 +51,12 @@ impl GnnLayer {
     }
 
     /// `h: [n, in]`, `adj: [n, n]` (constant), returns `[n, out]` after ReLU.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, h: NodeId, adj: NodeId) -> NodeId {
-        let agg = f.g.matmul(adj, h);
-        let a = self.w_agg.forward(f, store, agg);
-        let s = self.w_self.forward(f, store, h);
-        let sum = f.g.add(s, a);
-        f.g.relu(sum)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, h: &Tensor, adj: &Tensor) -> Tensor {
-        let a = self.w_agg.eval(store, &adj.matmul(h));
-        let s = self.w_self.eval(store, h);
-        s.add(&a).map(|x| x.max(0.0))
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, h: E::V, adj: &E::V) -> E::V {
+        let agg = e.matmul(adj, &h);
+        let a = e.linear(store, &self.w_agg, &agg);
+        let s = e.linear(store, &self.w_self, &h);
+        let sum = e.add(s, &a);
+        e.relu(sum)
     }
 }
 
@@ -94,22 +88,16 @@ impl Gnn {
         Gnn { layers, readout }
     }
 
-    /// Per-node embeddings `[n, out_dim]`.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, feats: NodeId, adj: NodeId) -> NodeId {
+    /// Per-node embeddings `[n, out_dim]` of node features `[n, in_dim]`
+    /// over the adjacency operator `adj` (`[n, n]`, which the eager
+    /// executor borrows).
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, feats: E::V, adj: &Tensor) -> E::V {
+        let adj = e.constant(adj);
         let mut h = feats;
         for layer in &self.layers {
-            h = layer.forward(f, store, h, adj);
+            h = layer.run(e, store, h, &adj);
         }
-        self.readout.forward(f, store, h)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, feats: &Tensor, adj: &Tensor) -> Tensor {
-        let mut h = feats.clone();
-        for layer in &self.layers {
-            h = layer.eval(store, &h, adj);
-        }
-        self.readout.eval(store, &h)
+        e.linear(store, &self.readout, &h)
     }
 }
 
@@ -137,6 +125,7 @@ pub fn normalized_adjacency(n: usize, edges: &[(usize, usize)]) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::Fwd;
 
     #[test]
     fn adjacency_rows_average_parents() {
@@ -153,8 +142,8 @@ mod tests {
         let gnn = Gnn::new(&mut s, "g", 4, 8, 6, 2, &mut rng);
         let mut f = Fwd::eval();
         let feats = f.input(Tensor::randn([5, 4], 1.0, &mut rng));
-        let adj = f.input(normalized_adjacency(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]));
-        let out = gnn.forward(&mut f, &s, feats, adj);
+        let adj = normalized_adjacency(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
+        let out = gnn.run(&mut f, &s, feats, &adj);
         assert_eq!(f.g.value(out).shape(), &[5, 6]);
         let l = f.g.mean_all(out);
         let grads = f.backward(l);
@@ -176,8 +165,7 @@ mod tests {
             *feats.at_mut(&[1, 0]) = 1.0;
             *feats.at_mut(&[2, 0]) = 1.0;
             let fi = f.input(feats);
-            let ai = f.input(adj.clone());
-            let out = gnn.forward(&mut f, &s, fi, ai);
+            let out = gnn.run(&mut f, &s, fi, &adj);
             f.g.value(out).row(2).to_vec()
         };
         let a = run(0.0);

@@ -15,6 +15,9 @@
 //! - [`attention`] — multi-head self-attention with causal masking,
 //!   pre-norm `TransformerBlock`, and the reused `Workspace` of its
 //!   graph-free cached forward
+//! - [`exec`] — the [`exec::Exec`] op set every model-side module is
+//!   written in once, and its two executors: taped over [`store::Fwd`],
+//!   graph-free over `Tensor` ([`exec::Eager`])
 //! - [`lstm`], [`gnn`] — recurrent and graph encoders
 //! - [`optim`] — SGD(+momentum), Adam/AdamW, cosine LR schedule,
 //!   global-norm clipping (in [`store`])
@@ -24,6 +27,7 @@
 
 pub mod attention;
 pub mod checkpoint;
+pub mod exec;
 pub mod gnn;
 pub mod layers;
 pub mod lstm;
@@ -34,6 +38,7 @@ pub use attention::{
     causal_mask, AttnKv, KvPage, KvStorage, MultiHeadAttention, PagedAttnKv, TransformerBlock,
     Workspace,
 };
+pub use exec::{Eager, Exec};
 pub use gnn::{normalized_adjacency, Gnn, GnnLayer};
 pub use layers::{Conv1d, Embedding, Init, LayerNorm, Linear, Lora, Mlp};
 pub use lstm::Lstm;

@@ -10,6 +10,7 @@ use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, for_each_broadcast2, numel};
 use crate::simd;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// A dense row-major `f32` tensor.
@@ -289,15 +290,16 @@ impl Tensor {
 /// Concatenate tensors along `axis` (graph-free kernel; all inputs must
 /// agree on the other dims). This plus [`Tensor::narrow`] are the two
 /// shape ops a KV cache leans on: append new keys/values, slice the live
-/// prefix back out.
-pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
+/// prefix back out. The parts may be owned or borrowed.
+pub fn concat<T: Borrow<Tensor>>(parts: &[T], axis: usize) -> Tensor {
     assert!(!parts.is_empty(), "concat of nothing");
-    let first = parts[0].shape().to_vec();
+    let tensor: fn(&T) -> &Tensor = Borrow::borrow;
+    let first = tensor(&parts[0]).shape().to_vec();
     let rank = first.len();
     assert!(axis < rank, "concat axis {axis} out of rank {rank}");
     let mut axis_total = 0usize;
     for p in parts {
-        let s = p.shape();
+        let s = tensor(p).shape();
         assert_eq!(s.len(), rank, "concat rank mismatch");
         for d in 0..rank {
             if d != axis {
@@ -312,7 +314,7 @@ pub fn concat(parts: &[&Tensor], axis: usize) -> Tensor {
     let inner: usize = first[axis + 1..].iter().product();
     let mut out = vec![0.0f32; crate::shape::numel(&out_shape)];
     let mut axis_off = 0usize;
-    for p in parts {
+    for p in parts.iter().map(tensor) {
         let len = p.shape()[axis];
         for o in 0..outer {
             let src = &p.data()[o * len * inner..(o + 1) * len * inner];
