@@ -22,7 +22,7 @@ use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Fwd, ParamStore};
+use nt_nn::{Eager, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::borrow::Cow;
 
@@ -246,28 +246,28 @@ impl NetLlmAbr {
         let mut pos = 0usize;
         for (i, s) in steps.iter().enumerate() {
             let rtg_feat =
-                self.rtg_enc.forward(f, &self.store, &Tensor::from_vec([1, 1], vec![rtgs[i]]));
-            groups.push(self.rtg_proj.forward(f, &self.store, rtg_feat));
+                self.rtg_enc.run(f, &self.store, Tensor::from_vec([1, 1], vec![rtgs[i]]));
+            groups.push(self.rtg_proj.run(f, &self.store, rtg_feat));
             let thr = padded_series(&s.thr_hist, 8, 0.1);
-            let thr_feat = self.thr_enc.forward_pooled(f, &self.store, &thr);
-            groups.push(self.thr_proj.forward(f, &self.store, thr_feat));
+            let thr_feat = self.thr_enc.pooled(f, &self.store, thr);
+            groups.push(self.thr_proj.run(f, &self.store, thr_feat));
             let dl = padded_series(&s.delay_hist, 8, 0.1);
-            let dl_feat = self.delay_enc.forward_pooled(f, &self.store, &dl);
-            groups.push(self.delay_proj.forward(f, &self.store, dl_feat));
+            let dl_feat = self.delay_enc.pooled(f, &self.store, dl);
+            groups.push(self.delay_proj.run(f, &self.store, dl_feat));
             let sizes = Tensor::from_vec(
                 [1, 6],
                 (0..6)
                     .map(|r| s.next_sizes.get(r).map(|&x| (x / 20.0) as f32).unwrap_or(0.0))
                     .collect(),
             );
-            let sz_feat = self.sizes_enc.forward(f, &self.store, &sizes);
-            groups.push(self.sizes_proj.forward(f, &self.store, sz_feat));
-            let buf_feat = self.buf_enc.forward(
+            let sz_feat = self.sizes_enc.run(f, &self.store, sizes);
+            groups.push(self.sizes_proj.run(f, &self.store, sz_feat));
+            let buf_feat = self.buf_enc.run(
                 f,
                 &self.store,
-                &Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]),
+                Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]),
             );
-            groups.push(self.buf_proj.forward(f, &self.store, buf_feat));
+            groups.push(self.buf_proj.run(f, &self.store, buf_feat));
             pos += 5;
             read_positions.push(pos - 1); // the buffer token closes the state
             if i + 1 < steps.len() || include_last_action {
@@ -290,34 +290,38 @@ impl NetLlmAbr {
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let rows: Vec<NodeId> = reads.iter().map(|&p| f.g.narrow(hidden, 0, p, 1)).collect();
         let gathered = f.g.concat(&rows, 0); // [w, d]
-        self.head.forward(f, &self.store, gathered)
+        self.head.run(f, &self.store, &gathered)
     }
 
     /// Graph-free return-to-go token `[1, d]` (same encoder math as
     /// [`NetLlmAbr::tokenize`], without the tape); with the step's
     /// [`NetLlmAbr::obs_tokens_eval`] it forms the step's state.
     fn rtg_token_eval(&self, rtg: f32) -> Tensor {
-        let rtg_feat = self.rtg_enc.eval(&self.store, &Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.eval(&self.store, &rtg_feat)
+        let rtg_feat =
+            self.rtg_enc.run(&mut Eager, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.run(&mut Eager, &self.store, rtg_feat)
     }
 
     /// Graph-free observation tokens `[4, d]` of one step: throughput,
     /// delay, sizes, buffer.
     fn obs_tokens_eval(&self, s: &AbrStep) -> Tensor {
         let st = &self.store;
-        let thr_feat = self.thr_enc.eval_pooled(st, &padded_series(&s.thr_hist, 8, 0.1));
-        let thr_tok = self.thr_proj.eval(st, &thr_feat);
-        let dl_feat = self.delay_enc.eval_pooled(st, &padded_series(&s.delay_hist, 8, 0.1));
-        let dl_tok = self.delay_proj.eval(st, &dl_feat);
+        let e = &mut Eager;
+        let thr_feat = self.thr_enc.pooled(e, st, padded_series(&s.thr_hist, 8, 0.1));
+        let thr_tok = self.thr_proj.run(e, st, thr_feat);
+        let dl_feat = self.delay_enc.pooled(e, st, padded_series(&s.delay_hist, 8, 0.1));
+        let dl_tok = self.delay_proj.run(e, st, dl_feat);
         let sizes = Tensor::from_vec(
             [1, 6],
             (0..6)
                 .map(|r| s.next_sizes.get(r).map(|&x| (x / 20.0) as f32).unwrap_or(0.0))
                 .collect(),
         );
-        let sz_tok = self.sizes_proj.eval(st, &self.sizes_enc.eval(st, &sizes));
+        let sz_feat = self.sizes_enc.run(e, st, sizes);
+        let sz_tok = self.sizes_proj.run(e, st, sz_feat);
         let buf = Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]);
-        let buf_tok = self.buf_proj.eval(st, &self.buf_enc.eval(st, &buf));
+        let buf_feat = self.buf_enc.run(e, st, buf);
+        let buf_tok = self.buf_proj.run(e, st, buf_feat);
         nt_tensor::concat(&[&thr_tok, &dl_tok, &sz_tok, &buf_tok], 0)
     }
 
@@ -545,7 +549,7 @@ impl ServedTask for NetLlmAbr {
     ) -> StepOutcome<usize> {
         // The final appended row is the current step's state-closing token.
         let t_new = hidden.shape()[0];
-        let logits = self.head.eval(&self.store, &hidden.narrow(0, t_new - 1, 1));
+        let logits = self.head.run(&mut Eager, &self.store, &hidden.narrow(0, t_new - 1, 1));
         let best = logits.argmax();
         ep.episode.steps.last_mut().unwrap().action = best;
         StepOutcome { action: best, logits: logits.into_data(), rollback: None }

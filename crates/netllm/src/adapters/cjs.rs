@@ -20,14 +20,12 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
-use crate::multimodal::{
-    mean_rows, GraphEncoder, LearnedTokens, Projection, ScalarEncoder, TokenRing,
-};
+use crate::multimodal::{GraphEncoder, LearnedTokens, Projection, ScalarEncoder, TokenRing};
 use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPlan};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Fwd, ParamStore};
+use nt_nn::{Eager, Exec, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::borrow::Cow;
 
@@ -282,7 +280,7 @@ impl NetLlmCjs {
             let nodes = self.graph_enc.forward(f, &self.store, &hsnap.feats, &hsnap.adj);
             let pooled = f.g.mean_axis(nodes, 0);
             let pooled = f.g.reshape(pooled, [1, FEAT]);
-            groups.push(self.graph_proj.forward(f, &self.store, pooled));
+            groups.push(self.graph_proj.run(f, &self.store, pooled));
             groups.push(self.action_tokens.get(f, &self.store, &[*cap]));
             pos += 3;
         }
@@ -291,39 +289,39 @@ impl NetLlmCjs {
         let nodes = self.graph_enc.forward(f, &self.store, &snap.feats, &snap.adj);
         let pooled = f.g.mean_axis(nodes, 0);
         let pooled = f.g.reshape(pooled, [1, FEAT]);
-        groups.push(self.graph_proj.forward(f, &self.store, pooled));
+        groups.push(self.graph_proj.run(f, &self.store, pooled));
         let pooled_pos = pos + 1;
         let c = snap.candidates.len().min(MAX_CANDS);
         let cand_feats = f.g.rows(nodes, &snap.candidates[..c]);
-        groups.push(self.node_proj.forward(f, &self.store, cand_feats));
+        groups.push(self.node_proj.run(f, &self.store, cand_feats));
         let first_cand = pos + 2;
 
         let tokens = f.g.concat(&groups, 0);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let cand_hidden = f.g.narrow(hidden, 0, first_cand, c);
-        let stage_logits = self.heads.stage_logits(f, &self.store, cand_hidden);
+        let stage_logits = self.heads.stage_logits(f, &self.store, &cand_hidden);
         let pooled_hidden = f.g.narrow(hidden, 0, pooled_pos, 1);
-        let cap_logits = self.heads.cap_logits(f, &self.store, pooled_hidden);
+        let cap_logits = self.heads.cap_logits(f, &self.store, &pooled_hidden);
         (stage_logits, cap_logits)
     }
 
     fn rtg_token(&self, f: &mut Fwd, rtg: f32) -> NodeId {
-        let feat = self.rtg_enc.forward(f, &self.store, &Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.forward(f, &self.store, feat)
+        let feat = self.rtg_enc.run(f, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.run(f, &self.store, feat)
     }
 
     /// Graph-free `[1, d]` return-to-go token.
     fn rtg_token_eval(&self, rtg: f32) -> Tensor {
-        let feat = self.rtg_enc.eval(&self.store, &Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.eval(&self.store, &feat)
+        let feat = self.rtg_enc.run(&mut Eager, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.run(&mut Eager, &self.store, feat)
     }
 
     /// Graph-free per-node GNN features and the pooled graph token.
     /// Returns `(node_feats [n, FEAT], graph_token [1, d])`.
     fn graph_tokens_eval(&self, snap: &GraphSnapshot) -> (Tensor, Tensor) {
         let nodes = self.graph_enc.eval(&self.store, &snap.feats, &snap.adj);
-        let pooled = mean_rows(&nodes);
-        (nodes, self.graph_proj.eval(&self.store, &pooled))
+        let pooled = Eager.mean_rows(&nodes);
+        (nodes, self.graph_proj.run(&mut Eager, &self.store, pooled))
     }
 
     /// Graph-free `[rtg, graph, action]` tokens `[3, d]` of one history
@@ -461,7 +459,11 @@ impl ServedTask for NetLlmCjs {
         // Current decision: [rtg_t, graph_t, cand_1..c].
         let rtg = self.rtg_token_eval(ep.rtg_now);
         let (nodes, graph) = self.graph_tokens_eval(&obs.snap);
-        let cands = self.node_proj.eval(&self.store, &nodes.gather_rows(&obs.snap.candidates[..c]));
+        let cands = self.node_proj.run(
+            &mut Eager,
+            &self.store,
+            nodes.gather_rows(&obs.snap.candidates[..c]),
+        );
         // The session holds `[rtg, graph, action]` triples for steps
         // `anchor..`; a rebuild copies them from the ring and encodes
         // only an entry it no longer holds.
@@ -495,8 +497,9 @@ impl ServedTask for NetLlmCjs {
         // re-anchor rebuild).
         let c = ep.pending_c;
         let n = hidden.shape()[0];
-        let stage_logits = self.heads.stage_logits_eval(&self.store, &hidden.narrow(0, n - c, c));
-        let cap_logits = self.heads.cap_logits_eval(&self.store, &hidden.narrow(0, n - c - 1, 1));
+        let e = &mut Eager;
+        let stage_logits = self.heads.stage_logits(e, &self.store, &hidden.narrow(0, n - c, c));
+        let cap_logits = self.heads.cap_logits(e, &self.store, &hidden.narrow(0, n - c - 1, 1));
         let stage = stage_logits.argmax();
         let cap_idx = cap_logits.argmax();
         let cap = (CAP_FRACS[cap_idx] * obs.total_executors as f64).ceil() as usize;

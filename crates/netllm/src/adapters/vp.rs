@@ -15,7 +15,7 @@ use crate::multimodal::{ImageEncoder, LearnedTokens, Projection, SeriesEncoder};
 use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Fwd, ParamStore};
+use nt_nn::{Eager, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use nt_vp::{apply_deltas, to_deltas, Viewport, VpPredictor, VpSample, GRID};
 
@@ -93,17 +93,17 @@ impl NetLlmVp {
     fn forward(&self, f: &mut Fwd, sample: &VpSample, pw: usize) -> NodeId {
         assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
         let series = Self::history_series(sample);
-        let img_feats = self.img_enc.forward(f, &self.store, &sample.saliency);
-        let img_tokens = self.img_proj.forward(f, &self.store, img_feats);
-        let vp_feats = self.vp_enc.forward_steps(f, &self.store, &series);
-        let vp_tokens = self.vp_proj.forward(f, &self.store, vp_feats);
+        let img_feats = self.img_enc.run(f, &self.store, &sample.saliency);
+        let img_tokens = self.img_proj.run(f, &self.store, img_feats);
+        let vp_feats = self.vp_enc.steps(f, &self.store, series);
+        let vp_tokens = self.vp_proj.run(f, &self.store, vp_feats);
         let q_idx: Vec<usize> = (0..pw).collect();
         let q_tokens = self.queries.get(f, &self.store, &q_idx);
         let tokens = f.g.concat(&[img_tokens, vp_tokens, q_tokens], 0);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let total = f.g.value(hidden).shape()[0];
         let query_hidden = f.g.narrow(hidden, 0, total - pw, pw);
-        self.head.forward(f, &self.store, query_hidden)
+        self.head.run(f, &self.store, &query_hidden)
     }
 
     /// Graph-free token build `[n, d]` for one query:
@@ -113,8 +113,11 @@ impl NetLlmVp {
         assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
         let st = &self.store;
         let series = Self::history_series(sample);
-        let img_tokens = self.img_proj.eval(st, &self.img_enc.eval(st, &sample.saliency));
-        let vp_tokens = self.vp_proj.eval(st, &self.vp_enc.eval_steps(st, &series));
+        let e = &mut Eager;
+        let img_feats = self.img_enc.run(e, st, &sample.saliency);
+        let img_tokens = self.img_proj.run(e, st, img_feats);
+        let vp_feats = self.vp_enc.steps(e, st, series);
+        let vp_tokens = self.vp_proj.run(e, st, vp_feats);
         let q_idx: Vec<usize> = (0..pw).collect();
         let q_tokens = self.queries.eval(st, &q_idx);
         nt_tensor::concat(&[&img_tokens, &vp_tokens, &q_tokens], 0)
@@ -254,7 +257,7 @@ impl ServedTask for NetLlmVp {
     ) -> StepOutcome<Vec<Viewport>> {
         let pw = obs.pw.min(self.max_pw);
         let n = hidden.shape()[0];
-        let v = self.head.eval(&self.store, &hidden.narrow(0, n - pw, pw));
+        let v = self.head.run(&mut Eager, &self.store, &hidden.narrow(0, n - pw, pw));
         let action = Self::deltas_to_viewports(&obs.sample, &v, obs.pw);
         StepOutcome { action, logits: v.into_data(), rollback: None }
     }

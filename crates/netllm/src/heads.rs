@@ -6,8 +6,8 @@
 //! an existing candidate stage), and one backbone inference yields one
 //! complete answer — the two properties token-based decoding lacks.
 
-use nt_nn::{Fwd, Init, Linear, ParamStore};
-use nt_tensor::{NodeId, Rng, Tensor};
+use nt_nn::{Exec, Init, Linear, ParamStore};
+use nt_tensor::Rng;
 
 /// VP head: hidden states at the `pw` query positions -> per-step viewport
 /// deltas `(roll, pitch, yaw)`.
@@ -21,13 +21,8 @@ impl VpHead {
     }
 
     /// `[pw, d_model]` -> `[pw, 3]` deltas (network units).
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, hidden: NodeId) -> NodeId {
-        self.lin.forward(f, store, hidden)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, hidden: &Tensor) -> Tensor {
-        self.lin.eval(store, hidden)
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, hidden: &E::V) -> E::V {
+        e.linear(store, &self.lin, hidden)
     }
 }
 
@@ -46,13 +41,8 @@ impl AbrHead {
     }
 
     /// `[n, d_model]` -> `[n, rungs]` logits.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, hidden: NodeId) -> NodeId {
-        self.lin.forward(f, store, hidden)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, hidden: &Tensor) -> Tensor {
-        self.lin.eval(store, hidden)
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, hidden: &E::V) -> E::V {
+        e.linear(store, &self.lin, hidden)
     }
 }
 
@@ -74,32 +64,22 @@ impl CjsHeads {
     }
 
     /// Candidate hiddens `[c, d_model]` -> stage logits `[1, c]`.
-    pub fn stage_logits(&self, f: &mut Fwd, store: &ParamStore, cand_hidden: NodeId) -> NodeId {
-        let c = f.g.value(cand_hidden).shape()[0];
-        let scores = self.stage.forward(f, store, cand_hidden); // [c,1]
-        f.g.reshape(scores, [1, c])
+    pub fn stage_logits<E: Exec>(&self, e: &mut E, store: &ParamStore, cand_hidden: &E::V) -> E::V {
+        let c = e.shape(cand_hidden)[0];
+        let scores = e.linear(store, &self.stage, cand_hidden); // [c,1]
+        e.reshape(scores, [1, c])
     }
 
     /// One hidden `[1, d_model]` -> cap logits `[1, num_caps]`.
-    pub fn cap_logits(&self, f: &mut Fwd, store: &ParamStore, hidden: NodeId) -> NodeId {
-        self.cap.forward(f, store, hidden)
-    }
-
-    /// Graph-free candidate scores `[c, d_model]` -> `[1, c]`.
-    pub fn stage_logits_eval(&self, store: &ParamStore, cand_hidden: &Tensor) -> Tensor {
-        let c = cand_hidden.shape()[0];
-        self.stage.eval(store, cand_hidden).reshape([1, c])
-    }
-
-    /// Graph-free cap logits `[1, d_model]` -> `[1, num_caps]`.
-    pub fn cap_logits_eval(&self, store: &ParamStore, hidden: &Tensor) -> Tensor {
-        self.cap.eval(store, hidden)
+    pub fn cap_logits<E: Exec>(&self, e: &mut E, store: &ParamStore, hidden: &E::V) -> E::V {
+        e.linear(store, &self.cap, hidden)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nt_nn::Fwd;
     use nt_tensor::Tensor;
 
     #[test]
@@ -111,7 +91,7 @@ mod tests {
         for i in 0..50 {
             let mut f = Fwd::eval();
             let h = f.input(Tensor::randn([1, 16], 10.0, &mut Rng::seeded(i)));
-            let logits = head.forward(&mut f, &s, h);
+            let logits = head.run(&mut f, &s, &h);
             let a = f.g.value(logits).argmax();
             assert!(a < 6);
         }
@@ -124,7 +104,7 @@ mod tests {
         let head = VpHead::new(&mut s, 16, &mut rng);
         let mut f = Fwd::eval();
         let h = f.input(Tensor::randn([20, 16], 1.0, &mut rng));
-        let y = head.forward(&mut f, &s, h);
+        let y = head.run(&mut f, &s, &h);
         assert_eq!(f.g.value(y).shape(), &[20, 3]);
     }
 
@@ -135,10 +115,10 @@ mod tests {
         let heads = CjsHeads::new(&mut s, 16, 5, &mut rng);
         let mut f = Fwd::eval();
         let cands = f.input(Tensor::randn([7, 16], 1.0, &mut rng));
-        let logits = heads.stage_logits(&mut f, &s, cands);
+        let logits = heads.stage_logits(&mut f, &s, &cands);
         assert_eq!(f.g.value(logits).shape(), &[1, 7]);
         let h = f.input(Tensor::randn([1, 16], 1.0, &mut rng));
-        let cap = heads.cap_logits(&mut f, &s, h);
+        let cap = heads.cap_logits(&mut f, &s, &h);
         assert_eq!(f.g.value(cap).shape(), &[1, 5]);
     }
 }

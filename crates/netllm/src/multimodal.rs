@@ -7,16 +7,9 @@
 //! images, 1-D CNN for time-series/sequence data, a fully connected layer
 //! for scalars, and a GNN for DAGs.
 
-use nt_nn::{Conv1d, Fwd, Gnn, Init, LayerNorm, Linear, ParamStore};
+use nt_nn::{Conv1d, Exec, Fwd, Gnn, Init, LayerNorm, Linear, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::collections::VecDeque;
-
-/// GELU over a freshly computed tensor, in place — the same slice kernel
-/// the taped `Graph::gelu` forward runs, so both paths stay bit-identical.
-fn gelu_owned(mut t: Tensor) -> Tensor {
-    nt_tensor::gelu_in_place(t.data_mut());
-    t
-}
 
 /// ViT-lite image encoder: non-overlapping patch embedding over a square
 /// grid image, mean-pooled into one feature vector. The projection into
@@ -70,15 +63,10 @@ impl ImageEncoder {
     }
 
     /// Encode `[grid, grid]` image -> `[num_patches, feat_dim]` features.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, img: &Tensor) -> NodeId {
-        let x = f.input(self.patchify(img));
-        let feats = self.patch.forward(f, store, x);
-        f.g.gelu(feats)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, img: &Tensor) -> Tensor {
-        gelu_owned(self.patch.eval(store, &self.patchify(img)))
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, img: &Tensor) -> E::V {
+        let x = e.input(self.patchify(img));
+        let feats = e.linear(store, &self.patch, &x);
+        e.gelu(feats)
     }
 }
 
@@ -113,54 +101,18 @@ impl SeriesEncoder {
     }
 
     /// Encode `[channels_in, t]` -> `[t, feat_dim]` per-step features.
-    pub fn forward_steps(&self, f: &mut Fwd, store: &ParamStore, series: &Tensor) -> NodeId {
+    pub fn steps<E: Exec>(&self, e: &mut E, store: &ParamStore, series: Tensor) -> E::V {
         assert_eq!(series.shape().len(), 2);
         assert_eq!(series.shape()[0], self.channels_in);
-        let t = series.shape()[1];
-        let x = f.input(series.clone().reshape([1, self.channels_in, t]));
-        let y = self.conv.forward(f, store, x); // [1, feat, t]
-        let y = f.g.gelu(y);
-        let y = f.g.reshape(y, [self.feat_dim, t]);
-        f.g.transpose_last2(y) // [t, feat]
+        let y = e.conv_steps(store, &self.conv, series); // [t, feat]
+        e.gelu(y)
     }
 
     /// Encode to a single pooled feature row `[1, feat_dim]`.
-    pub fn forward_pooled(&self, f: &mut Fwd, store: &ParamStore, series: &Tensor) -> NodeId {
-        let steps = self.forward_steps(f, store, series);
-        let pooled = f.g.mean_axis(steps, 0); // [feat]
-        f.g.reshape(pooled, [1, self.feat_dim])
+    pub fn pooled<E: Exec>(&self, e: &mut E, store: &ParamStore, series: Tensor) -> E::V {
+        let steps = self.steps(e, store, series);
+        e.mean_rows(&steps)
     }
-
-    /// Graph-free `[channels_in, t]` -> `[t, feat_dim]`.
-    pub fn eval_steps(&self, store: &ParamStore, series: &Tensor) -> Tensor {
-        assert_eq!(series.shape().len(), 2);
-        assert_eq!(series.shape()[0], self.channels_in);
-        let t = series.shape()[1];
-        let x = series.clone().reshape([1, self.channels_in, t]);
-        let y = gelu_owned(self.conv.eval(store, &x)); // [1, feat, t]
-        y.reshape([self.feat_dim, t]).t() // [t, feat]
-    }
-
-    /// Graph-free pooled feature row `[1, feat_dim]`.
-    pub fn eval_pooled(&self, store: &ParamStore, series: &Tensor) -> Tensor {
-        let steps = self.eval_steps(store, series);
-        mean_rows(&steps)
-    }
-}
-
-/// Column-wise mean of a `[n, d]` tensor -> `[1, d]` (graph-free pooling).
-pub(crate) fn mean_rows(x: &Tensor) -> Tensor {
-    let (n, d) = (x.shape()[0], x.shape()[1]);
-    let mut out = vec![0.0f32; d];
-    for r in 0..n {
-        for (o, v) in out.iter_mut().zip(&x.data()[r * d..(r + 1) * d]) {
-            *o += v;
-        }
-    }
-    for v in &mut out {
-        *v /= n as f32;
-    }
-    Tensor::from_vec([1, d], out)
 }
 
 /// Fully connected encoder for scalar (or small fixed-vector) inputs.
@@ -184,15 +136,10 @@ impl ScalarEncoder {
     }
 
     /// Encode `[n, in_dim]` -> `[n, feat_dim]`.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, x: &Tensor) -> NodeId {
-        let xi = f.input(x.clone());
-        let y = self.fc.forward(f, store, xi);
-        f.g.gelu(y)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
-        gelu_owned(self.fc.eval(store, x))
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, x: Tensor) -> E::V {
+        let xi = e.input(x);
+        let y = e.linear(store, &self.fc, &xi);
+        e.gelu(y)
     }
 }
 
@@ -256,16 +203,9 @@ impl Projection {
     }
 
     /// `[n, feat_dim]` features -> `[n, d_model]` token-like embeddings.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, feats: NodeId) -> NodeId {
-        let y = self.proj.forward(f, store, feats);
-        self.norm.forward(f, store, y)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, feats: &Tensor) -> Tensor {
-        let mut y = self.proj.eval(store, feats);
-        self.norm.eval_in_place(store, y.data_mut());
-        y
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, feats: E::V) -> E::V {
+        let y = e.linear(store, &self.proj, &feats);
+        e.layer_norm(store, &self.norm, y)
     }
 }
 
@@ -348,7 +288,7 @@ mod tests {
         let enc = ImageEncoder::new(&mut s, "img", 8, 4, 16, &mut rng);
         let mut f = Fwd::eval();
         let img = Tensor::randn([8, 8], 1.0, &mut rng);
-        let y = enc.forward(&mut f, &s, &img);
+        let y = enc.run(&mut f, &s, &img);
         assert_eq!(f.g.value(y).shape(), &[4, 16]);
     }
 
@@ -359,9 +299,9 @@ mod tests {
         let enc = SeriesEncoder::new(&mut s, "ts", 3, 12, 3, &mut rng);
         let mut f = Fwd::eval();
         let series = Tensor::randn([3, 10], 1.0, &mut rng);
-        let steps = enc.forward_steps(&mut f, &s, &series);
+        let steps = enc.steps(&mut f, &s, series.clone());
         assert_eq!(f.g.value(steps).shape(), &[10, 12]);
-        let pooled = enc.forward_pooled(&mut f, &s, &series);
+        let pooled = enc.pooled(&mut f, &s, series);
         assert_eq!(f.g.value(pooled).shape(), &[1, 12]);
     }
 
@@ -372,7 +312,7 @@ mod tests {
         let proj = Projection::new(&mut s, "p", 8, 16, &mut rng);
         let mut f = Fwd::eval();
         let feats = f.input(Tensor::randn([5, 8], 3.0, &mut rng));
-        let y = proj.forward(&mut f, &s, feats);
+        let y = proj.run(&mut f, &s, feats);
         let v = f.g.value(y);
         assert_eq!(v.shape(), &[5, 16]);
         for r in 0..5 {
@@ -388,7 +328,7 @@ mod tests {
         let mut rng = Rng::seeded(4);
         let enc = ScalarEncoder::new(&mut s, "sc", 1, 8, &mut rng);
         let mut f = Fwd::eval();
-        let y = enc.forward(&mut f, &s, &Tensor::from_vec([2, 1], vec![0.5, -0.5]));
+        let y = enc.run(&mut f, &s, Tensor::from_vec([2, 1], vec![0.5, -0.5]));
         assert_eq!(f.g.value(y).shape(), &[2, 8]);
     }
 

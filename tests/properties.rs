@@ -382,7 +382,7 @@ proptest! {
         let head = netllm::AbrHead::new(&mut store, 16, 6, &mut rng);
         let mut f = nt_nn::Fwd::eval();
         let h = f.input(nt_tensor::Tensor::randn([1, 16], scale, &mut rng));
-        let logits = head.forward(&mut f, &store, h);
+        let logits = head.run(&mut f, &store, &h);
         let answer = f.g.value(logits).argmax();
         prop_assert!(answer < 6);
     }
