@@ -17,12 +17,12 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::AbrHead;
-use crate::multimodal::{LearnedTokens, Projection, ScalarEncoder, SeriesEncoder, TokenRing};
+use crate::multimodal::{Projection, ScalarEncoder, SeriesEncoder, TokenRing};
 use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Eager, Fwd, ParamStore};
+use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::borrow::Cow;
 
@@ -162,7 +162,7 @@ pub struct NetLlmAbr {
     delay_proj: Projection,
     sizes_proj: Projection,
     buf_proj: Projection,
-    action_tokens: LearnedTokens,
+    action_tokens: Embedding,
     pub(crate) head: AbrHead,
     pub window: usize,
     pub mode: AdaptMode,
@@ -201,7 +201,7 @@ impl NetLlmAbr {
         let delay_proj = Projection::new(&mut store, "mm.delay_tok", FEAT, d, &mut rng);
         let sizes_proj = Projection::new(&mut store, "mm.sizes_tok", FEAT, d, &mut rng);
         let buf_proj = Projection::new(&mut store, "mm.buf_tok", FEAT, d, &mut rng);
-        let action_tokens = LearnedTokens::new(&mut store, "mm.abr_actions", 6, d, &mut rng);
+        let action_tokens = Embedding::new(&mut store, "mm.abr_actions", 6, d, &mut rng);
         let head = AbrHead::new(&mut store, d, 6, &mut rng);
         mode.apply(&mut lm, &mut store, lora, &mut rng);
         let session = InferenceSession::new(&lm);
@@ -245,33 +245,12 @@ impl NetLlmAbr {
         let mut read_positions = Vec::with_capacity(steps.len());
         let mut pos = 0usize;
         for (i, s) in steps.iter().enumerate() {
-            let rtg_feat =
-                self.rtg_enc.run(f, &self.store, Tensor::from_vec([1, 1], vec![rtgs[i]]));
-            groups.push(self.rtg_proj.run(f, &self.store, rtg_feat));
-            let thr = padded_series(&s.thr_hist, 8, 0.1);
-            let thr_feat = self.thr_enc.pooled(f, &self.store, thr);
-            groups.push(self.thr_proj.run(f, &self.store, thr_feat));
-            let dl = padded_series(&s.delay_hist, 8, 0.1);
-            let dl_feat = self.delay_enc.pooled(f, &self.store, dl);
-            groups.push(self.delay_proj.run(f, &self.store, dl_feat));
-            let sizes = Tensor::from_vec(
-                [1, 6],
-                (0..6)
-                    .map(|r| s.next_sizes.get(r).map(|&x| (x / 20.0) as f32).unwrap_or(0.0))
-                    .collect(),
-            );
-            let sz_feat = self.sizes_enc.run(f, &self.store, sizes);
-            groups.push(self.sizes_proj.run(f, &self.store, sz_feat));
-            let buf_feat = self.buf_enc.run(
-                f,
-                &self.store,
-                Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]),
-            );
-            groups.push(self.buf_proj.run(f, &self.store, buf_feat));
+            groups.push(self.rtg_token(f, rtgs[i]));
+            groups.push(self.obs_tokens(f, s));
             pos += 5;
             read_positions.push(pos - 1); // the buffer token closes the state
             if i + 1 < steps.len() || include_last_action {
-                groups.push(self.action_tokens.get(f, &self.store, &[s.action.min(5)]));
+                groups.push(self.action_token(f, s.action));
                 pos += 1;
             }
         }
@@ -293,20 +272,17 @@ impl NetLlmAbr {
         self.head.run(f, &self.store, &gathered)
     }
 
-    /// Graph-free return-to-go token `[1, d]` (same encoder math as
-    /// [`NetLlmAbr::tokenize`], without the tape); with the step's
-    /// [`NetLlmAbr::obs_tokens_eval`] it forms the step's state.
-    fn rtg_token_eval(&self, rtg: f32) -> Tensor {
-        let rtg_feat =
-            self.rtg_enc.run(&mut Eager, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.run(&mut Eager, &self.store, rtg_feat)
+    /// Return-to-go token `[1, d]`; with the step's
+    /// [`NetLlmAbr::obs_tokens`] it forms the step's state.
+    fn rtg_token<E: Exec>(&self, e: &mut E, rtg: f32) -> E::V {
+        let rtg_feat = self.rtg_enc.run(e, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.run(e, &self.store, rtg_feat)
     }
 
-    /// Graph-free observation tokens `[4, d]` of one step: throughput,
-    /// delay, sizes, buffer.
-    fn obs_tokens_eval(&self, s: &AbrStep) -> Tensor {
+    /// Observation tokens `[4, d]` of one step: throughput, delay, sizes,
+    /// buffer.
+    fn obs_tokens<E: Exec>(&self, e: &mut E, s: &AbrStep) -> E::V {
         let st = &self.store;
-        let e = &mut Eager;
         let thr_feat = self.thr_enc.pooled(e, st, padded_series(&s.thr_hist, 8, 0.1));
         let thr_tok = self.thr_proj.run(e, st, thr_feat);
         let dl_feat = self.delay_enc.pooled(e, st, padded_series(&s.delay_hist, 8, 0.1));
@@ -322,11 +298,12 @@ impl NetLlmAbr {
         let buf = Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]);
         let buf_feat = self.buf_enc.run(e, st, buf);
         let buf_tok = self.buf_proj.run(e, st, buf_feat);
-        nt_tensor::concat(&[&thr_tok, &dl_tok, &sz_tok, &buf_tok], 0)
+        e.concat(&[thr_tok, dl_tok, sz_tok, buf_tok])
     }
 
-    fn action_token_eval(&self, action: usize) -> Tensor {
-        self.action_tokens.eval(&self.store, &[action.min(5)])
+    /// Learned token `[1, d]` of a settled action.
+    fn action_token<E: Exec>(&self, e: &mut E, action: usize) -> E::V {
+        e.embed(&self.store, &self.action_tokens, &[action.min(5)])
     }
 
     /// Action logits of the most recent [`AbrPolicy::select`] call.
@@ -392,12 +369,12 @@ impl NetLlmAbr {
     fn step_tokens(&self, ep: &mut AbrEpisode, session: &InferenceSession) -> (Tensor, bool) {
         let n = ep.episode.steps.len() - 1; // index of the current step
         let reanchor = self.reanchors(ep, n, session);
-        let rtg = self.rtg_token_eval(ep.rtg_now);
-        let obs = self.obs_tokens_eval(&ep.episode.steps[n]);
+        let rtg = self.rtg_token(&mut Eager, ep.rtg_now);
+        let obs = self.obs_tokens(&mut Eager, &ep.episode.steps[n]);
         let tokens = if reanchor {
             self.rebuild_tokens(ep, n, &rtg, &obs)
         } else {
-            let prev_action = self.action_token_eval(ep.episode.steps[n - 1].action);
+            let prev_action = self.action_token(&mut Eager, ep.episode.steps[n - 1].action);
             nt_tensor::concat(&[&prev_action, &rtg, &obs], 0)
         };
         ep.obs_rows.push(n, obs, self.window);
@@ -423,12 +400,12 @@ impl NetLlmAbr {
         }
         let mut groups: Vec<Cow<Tensor>> = Vec::with_capacity(3 * w - 1);
         for (k, step) in ep.episode.steps[ep.anchor..n].iter().enumerate() {
-            groups.push(Cow::Owned(self.rtg_token_eval(rtgs[k])));
+            groups.push(Cow::Owned(self.rtg_token(&mut Eager, rtgs[k])));
             groups.push(match ep.obs_rows.get(ep.anchor + k) {
                 Some(rows) => Cow::Borrowed(rows),
-                None => Cow::Owned(self.obs_tokens_eval(step)),
+                None => Cow::Owned(self.obs_tokens(&mut Eager, step)),
             });
-            groups.push(Cow::Owned(self.action_token_eval(step.action)));
+            groups.push(Cow::Owned(self.action_token(&mut Eager, step.action)));
         }
         groups.extend([Cow::Borrowed(rtg), Cow::Borrowed(obs)]);
         let refs: Vec<&Tensor> = groups.iter().map(|rows| rows.as_ref()).collect();
