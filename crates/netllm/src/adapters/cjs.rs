@@ -20,12 +20,12 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
-use crate::multimodal::{GraphEncoder, LearnedTokens, Projection, ScalarEncoder, TokenRing};
+use crate::multimodal::{Projection, ScalarEncoder, TokenRing};
 use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPlan};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Eager, Exec, Fwd, ParamStore};
+use nt_nn::{Eager, Embedding, Exec, Fwd, Gnn, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::borrow::Cow;
 
@@ -175,12 +175,12 @@ impl CjsEpisode {
 pub struct NetLlmCjs {
     pub lm: TinyLm,
     pub store: ParamStore,
-    graph_enc: GraphEncoder,
+    gnn: Gnn,
     graph_proj: Projection,
     node_proj: Projection,
     rtg_enc: ScalarEncoder,
     rtg_proj: Projection,
-    action_tokens: LearnedTokens,
+    action_tokens: Embedding,
     heads: CjsHeads,
     pub window: usize,
     pub mode: AdaptMode,
@@ -212,20 +212,20 @@ impl NetLlmCjs {
             (window - 1) * 3 + 2 + MAX_CANDS <= lm.cfg.max_seq,
             "window {window} + candidates exceed backbone max_seq"
         );
-        let graph_enc = GraphEncoder::new(&mut store, "mm.dag", NODE_FEATS, FEAT, &mut rng);
+        let gnn = Gnn::new(&mut store, "mm.dag.gnn", NODE_FEATS, FEAT, FEAT, 2, &mut rng);
         let graph_proj = Projection::new(&mut store, "mm.dag_tok", FEAT, d, &mut rng);
         let node_proj = Projection::new(&mut store, "mm.node_tok", FEAT, d, &mut rng);
         let rtg_enc = ScalarEncoder::new(&mut store, "mm.cjs_rtg", 1, FEAT, &mut rng);
         let rtg_proj = Projection::new(&mut store, "mm.cjs_rtg_tok", FEAT, d, &mut rng);
         let action_tokens =
-            LearnedTokens::new(&mut store, "mm.cjs_actions", CAP_FRACS.len(), d, &mut rng);
+            Embedding::new(&mut store, "mm.cjs_actions", CAP_FRACS.len(), d, &mut rng);
         let heads = CjsHeads::new(&mut store, d, CAP_FRACS.len(), &mut rng);
         mode.apply(&mut lm, &mut store, lora, &mut rng);
         let session = InferenceSession::new(&lm);
         NetLlmCjs {
             lm,
             store,
-            graph_enc,
+            gnn,
             graph_proj,
             node_proj,
             rtg_enc,
@@ -272,65 +272,63 @@ impl NetLlmCjs {
         rtg_now: f32,
         snap: &GraphSnapshot,
     ) -> (NodeId, NodeId) {
-        let mut groups: Vec<NodeId> = Vec::new();
-        let mut pos = 0usize;
-        for (rtg, hsnap, cap) in history {
-            let rt = self.rtg_token(f, *rtg);
-            groups.push(rt);
-            let nodes = self.graph_enc.forward(f, &self.store, &hsnap.feats, &hsnap.adj);
-            let pooled = f.g.mean_axis(nodes, 0);
-            let pooled = f.g.reshape(pooled, [1, FEAT]);
-            groups.push(self.graph_proj.run(f, &self.store, pooled));
-            groups.push(self.action_tokens.get(f, &self.store, &[*cap]));
-            pos += 3;
-        }
-        let rt = self.rtg_token(f, rtg_now);
-        groups.push(rt);
-        let nodes = self.graph_enc.forward(f, &self.store, &snap.feats, &snap.adj);
-        let pooled = f.g.mean_axis(nodes, 0);
-        let pooled = f.g.reshape(pooled, [1, FEAT]);
-        groups.push(self.graph_proj.run(f, &self.store, pooled));
-        let pooled_pos = pos + 1;
-        let c = snap.candidates.len().min(MAX_CANDS);
-        let cand_feats = f.g.rows(nodes, &snap.candidates[..c]);
-        groups.push(self.node_proj.run(f, &self.store, cand_feats));
-        let first_cand = pos + 2;
+        let mut groups: Vec<NodeId> = history.iter().map(|h| self.history_tokens(f, h)).collect();
+        let (rtg, graph, cands) = self.decision_tokens(f, rtg_now, snap);
+        let c = f.shape(&cands)[0];
+        let pooled_pos = 3 * history.len() + 1;
+        groups.extend([rtg, graph, cands]);
 
         let tokens = f.g.concat(&groups, 0);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
-        let cand_hidden = f.g.narrow(hidden, 0, first_cand, c);
+        let cand_hidden = f.g.narrow(hidden, 0, pooled_pos + 1, c);
         let stage_logits = self.heads.stage_logits(f, &self.store, &cand_hidden);
         let pooled_hidden = f.g.narrow(hidden, 0, pooled_pos, 1);
         let cap_logits = self.heads.cap_logits(f, &self.store, &pooled_hidden);
         (stage_logits, cap_logits)
     }
 
-    fn rtg_token(&self, f: &mut Fwd, rtg: f32) -> NodeId {
-        let feat = self.rtg_enc.run(f, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.run(f, &self.store, feat)
+    /// Return-to-go token `[1, d]`.
+    fn rtg_token<E: Exec>(&self, e: &mut E, rtg: f32) -> E::V {
+        let feat = self.rtg_enc.run(e, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+        self.rtg_proj.run(e, &self.store, feat)
     }
 
-    /// Graph-free `[1, d]` return-to-go token.
-    fn rtg_token_eval(&self, rtg: f32) -> Tensor {
-        let feat = self.rtg_enc.run(&mut Eager, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
-        self.rtg_proj.run(&mut Eager, &self.store, feat)
-    }
-
-    /// Graph-free per-node GNN features and the pooled graph token.
+    /// Per-node GNN features and the pooled graph token.
     /// Returns `(node_feats [n, FEAT], graph_token [1, d])`.
-    fn graph_tokens_eval(&self, snap: &GraphSnapshot) -> (Tensor, Tensor) {
-        let nodes = self.graph_enc.eval(&self.store, &snap.feats, &snap.adj);
-        let pooled = Eager.mean_rows(&nodes);
-        (nodes, self.graph_proj.run(&mut Eager, &self.store, pooled))
+    fn graph_tokens<E: Exec>(&self, e: &mut E, snap: &GraphSnapshot) -> (E::V, E::V) {
+        let feats = e.input(snap.feats.clone());
+        let nodes = self.gnn.run(e, &self.store, feats, &snap.adj);
+        let pooled = e.mean_rows(&nodes);
+        let graph = self.graph_proj.run(e, &self.store, pooled);
+        (nodes, graph)
     }
 
-    /// Graph-free `[rtg, graph, action]` tokens `[3, d]` of one history
-    /// entry.
-    fn history_tokens_eval(&self, (rtg, snap, cap): &(f32, GraphSnapshot, usize)) -> Tensor {
-        let rtg = self.rtg_token_eval(*rtg);
-        let graph = self.graph_tokens_eval(snap).1;
-        let action = self.action_tokens.eval(&self.store, &[*cap]);
-        nt_tensor::concat(&[&rtg, &graph, &action], 0)
+    /// `[rtg, graph, action]` tokens `[3, d]` of one history entry.
+    fn history_tokens<E: Exec>(
+        &self,
+        e: &mut E,
+        (rtg, snap, cap): &(f32, GraphSnapshot, usize),
+    ) -> E::V {
+        let rtg = self.rtg_token(e, *rtg);
+        let graph = self.graph_tokens(e, snap).1;
+        let action = e.embed(&self.store, &self.action_tokens, &[*cap]);
+        e.concat(&[rtg, graph, action])
+    }
+
+    /// The current decision's tokens: `rtg [1, d]`, `graph [1, d]` and one
+    /// token per candidate stage, `[c, d]` (at most [`MAX_CANDS`]).
+    fn decision_tokens<E: Exec>(
+        &self,
+        e: &mut E,
+        rtg: f32,
+        snap: &GraphSnapshot,
+    ) -> (E::V, E::V, E::V) {
+        let c = snap.candidates.len().min(MAX_CANDS);
+        let rtg = self.rtg_token(e, rtg);
+        let (nodes, graph) = self.graph_tokens(e, snap);
+        let cand_feats = e.gather_rows(&nodes, &snap.candidates[..c]);
+        let cands = self.node_proj.run(e, &self.store, cand_feats);
+        (rtg, graph, cands)
     }
 
     /// The re-anchor rule, stated once: a decision with `cands` candidate
@@ -457,13 +455,7 @@ impl ServedTask for NetLlmCjs {
         ep.pending_c = c;
 
         // Current decision: [rtg_t, graph_t, cand_1..c].
-        let rtg = self.rtg_token_eval(ep.rtg_now);
-        let (nodes, graph) = self.graph_tokens_eval(&obs.snap);
-        let cands = self.node_proj.run(
-            &mut Eager,
-            &self.store,
-            nodes.gather_rows(&obs.snap.candidates[..c]),
-        );
+        let (rtg, graph, cands) = self.decision_tokens(&mut Eager, ep.rtg_now, &obs.snap);
         // The session holds `[rtg, graph, action]` triples for steps
         // `anchor..`; a rebuild copies them from the ring and encodes
         // only an entry it no longer holds.
@@ -473,7 +465,7 @@ impl ServedTask for NetLlmCjs {
             let history: Vec<Cow<Tensor>> = (ep.anchor..ep.steps.len())
                 .map(|i| match ep.rows.get(i) {
                     Some(rows) => Cow::Borrowed(rows),
-                    None => Cow::Owned(self.history_tokens_eval(&ep.steps[i])),
+                    None => Cow::Owned(self.history_tokens(&mut Eager, &ep.steps[i])),
                 })
                 .collect();
             let mut parts: Vec<&Tensor> = history.iter().map(|rows| rows.as_ref()).collect();
@@ -503,7 +495,7 @@ impl ServedTask for NetLlmCjs {
         let stage = stage_logits.argmax();
         let cap_idx = cap_logits.argmax();
         let cap = (CAP_FRACS[cap_idx] * obs.total_executors as f64).ceil() as usize;
-        let action = self.action_tokens.eval(&self.store, &[cap_idx]);
+        let action = e.embed(&self.store, &self.action_tokens, &[cap_idx]);
         let (rtg, graph) = ep.pending_rows.take().expect("plan_step keeps the decision's rows");
         ep.rows.push(
             ep.steps.len(),

@@ -7,7 +7,7 @@
 //! images, 1-D CNN for time-series/sequence data, a fully connected layer
 //! for scalars, and a GNN for DAGs.
 
-use nt_nn::{Conv1d, Exec, Fwd, Gnn, Init, LayerNorm, Linear, ParamStore};
+use nt_nn::{Conv1d, Exec, Fwd, Init, LayerNorm, Linear, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use std::collections::VecDeque;
 
@@ -140,36 +140,6 @@ impl ScalarEncoder {
         let xi = e.input(x);
         let y = e.linear(store, &self.fc, &xi);
         e.gelu(y)
-    }
-}
-
-/// GNN encoder for DAG inputs (stage graphs in CJS).
-pub struct GraphEncoder {
-    pub gnn: Gnn,
-    pub feat_dim: usize,
-}
-
-impl GraphEncoder {
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        node_feats: usize,
-        feat_dim: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        let gnn = Gnn::new(store, &format!("{name}.gnn"), node_feats, feat_dim, feat_dim, 2, rng);
-        GraphEncoder { gnn, feat_dim }
-    }
-
-    /// Per-node features `[n, feat_dim]` from `(feats, adj)`.
-    pub fn forward(&self, f: &mut Fwd, store: &ParamStore, feats: &Tensor, adj: &Tensor) -> NodeId {
-        let x = f.input(feats.clone());
-        self.gnn.run(f, store, x, adj)
-    }
-
-    /// Graph-free inference forward.
-    pub fn eval(&self, store: &ParamStore, feats: &Tensor, adj: &Tensor) -> Tensor {
-        self.gnn.run(&mut nt_nn::Eager, store, feats.clone(), adj)
     }
 }
 
@@ -330,17 +300,5 @@ mod tests {
         let mut f = Fwd::eval();
         let y = enc.run(&mut f, &s, Tensor::from_vec([2, 1], vec![0.5, -0.5]));
         assert_eq!(f.g.value(y).shape(), &[2, 8]);
-    }
-
-    #[test]
-    fn graph_encoder_shapes() {
-        let mut s = ParamStore::new();
-        let mut rng = Rng::seeded(5);
-        let enc = GraphEncoder::new(&mut s, "g", 8, 16, &mut rng);
-        let mut f = Fwd::eval();
-        let feats = Tensor::randn([4, 8], 1.0, &mut rng);
-        let adj = nt_nn::normalized_adjacency(4, &[(0, 1), (1, 2), (2, 3)]);
-        let y = enc.forward(&mut f, &s, &feats, &adj);
-        assert_eq!(f.g.value(y).shape(), &[4, 16]);
     }
 }
