@@ -11,11 +11,11 @@
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
-use crate::multimodal::{ImageEncoder, LearnedTokens, Projection, SeriesEncoder};
+use crate::multimodal::{ImageEncoder, Projection, SeriesEncoder};
 use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
-use nt_nn::{Eager, Fwd, ParamStore};
+use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
 use nt_vp::{apply_deltas, to_deltas, Viewport, VpPredictor, VpSample, GRID};
 
@@ -45,7 +45,7 @@ pub struct NetLlmVp {
     vp_enc: SeriesEncoder,
     img_proj: Projection,
     vp_proj: Projection,
-    queries: LearnedTokens,
+    queries: Embedding,
     head: VpHead,
     pub max_pw: usize,
     pub mode: AdaptMode,
@@ -69,7 +69,7 @@ impl NetLlmVp {
         let vp_enc = SeriesEncoder::new(&mut store, "mm.vp", 3, FEAT, 3, &mut rng);
         let img_proj = Projection::new(&mut store, "mm.img_to_tok", FEAT, d, &mut rng);
         let vp_proj = Projection::new(&mut store, "mm.vp_to_tok", FEAT, d, &mut rng);
-        let queries = LearnedTokens::new(&mut store, "mm.vp_queries", max_pw, d, &mut rng);
+        let queries = Embedding::new(&mut store, "mm.vp_queries", max_pw, d, &mut rng);
         let head = VpHead::new(&mut store, d, &mut rng);
         mode.apply(&mut lm, &mut store, lora, &mut rng);
         NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
@@ -91,36 +91,28 @@ impl NetLlmVp {
     /// Build the token sequence and return the delta-prediction node
     /// `[pw, 3]` (network units).
     fn forward(&self, f: &mut Fwd, sample: &VpSample, pw: usize) -> NodeId {
-        assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
-        let series = Self::history_series(sample);
-        let img_feats = self.img_enc.run(f, &self.store, &sample.saliency);
-        let img_tokens = self.img_proj.run(f, &self.store, img_feats);
-        let vp_feats = self.vp_enc.steps(f, &self.store, series);
-        let vp_tokens = self.vp_proj.run(f, &self.store, vp_feats);
-        let q_idx: Vec<usize> = (0..pw).collect();
-        let q_tokens = self.queries.get(f, &self.store, &q_idx);
-        let tokens = f.g.concat(&[img_tokens, vp_tokens, q_tokens], 0);
+        let tokens = self.query_tokens(f, sample, pw);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let total = f.g.value(hidden).shape()[0];
         let query_hidden = f.g.narrow(hidden, 0, total - pw, pw);
         self.head.run(f, &self.store, &query_hidden)
     }
 
-    /// Graph-free token build `[n, d]` for one query:
+    /// Token build `[n, d]` for one query:
     /// `[saliency patches | history-delta tokens | pw query tokens]`.
-    /// Shared by the single-stream eval path and the serving engine.
-    fn query_tokens(&self, sample: &VpSample, pw: usize) -> Tensor {
+    /// Shared by the taped forward, the single-stream eval path and the
+    /// serving engine.
+    fn query_tokens<E: Exec>(&self, e: &mut E, sample: &VpSample, pw: usize) -> E::V {
         assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
         let st = &self.store;
         let series = Self::history_series(sample);
-        let e = &mut Eager;
         let img_feats = self.img_enc.run(e, st, &sample.saliency);
         let img_tokens = self.img_proj.run(e, st, img_feats);
         let vp_feats = self.vp_enc.steps(e, st, series);
         let vp_tokens = self.vp_proj.run(e, st, vp_feats);
         let q_idx: Vec<usize> = (0..pw).collect();
-        let q_tokens = self.queries.eval(st, &q_idx);
-        nt_tensor::concat(&[&img_tokens, &vp_tokens, &q_tokens], 0)
+        let q_tokens = e.embed(st, &self.queries, &q_idx);
+        e.concat(&[img_tokens, vp_tokens, q_tokens])
     }
 
     /// One query answered outside any engine: a one-shot slot on a fresh
@@ -246,7 +238,7 @@ impl ServedTask for NetLlmVp {
         _session: &InferenceSession,
     ) -> StepPlan {
         let pw = obs.pw.min(self.max_pw);
-        StepPlan { tokens: self.query_tokens(&obs.sample, pw), reanchor: true }
+        StepPlan { tokens: self.query_tokens(&mut Eager, &obs.sample, pw), reanchor: true }
     }
 
     fn settle_step(

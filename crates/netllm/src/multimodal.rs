@@ -7,8 +7,8 @@
 //! images, 1-D CNN for time-series/sequence data, a fully connected layer
 //! for scalars, and a GNN for DAGs.
 
-use nt_nn::{Conv1d, Exec, Fwd, Init, LayerNorm, Linear, ParamStore};
-use nt_tensor::{NodeId, Rng, Tensor};
+use nt_nn::{Conv1d, Exec, Init, LayerNorm, Linear, ParamStore};
+use nt_tensor::{Rng, Tensor};
 use std::collections::VecDeque;
 
 /// ViT-lite image encoder: non-overlapping patch embedding over a square
@@ -179,34 +179,6 @@ impl Projection {
     }
 }
 
-/// Learned query/placeholder tokens (e.g. the VP head's future-step slots
-/// and the DT-style return token embedding base).
-pub struct LearnedTokens {
-    table: nt_nn::Embedding,
-}
-
-impl LearnedTokens {
-    pub fn new(
-        store: &mut ParamStore,
-        name: &str,
-        count: usize,
-        d_model: usize,
-        rng: &mut Rng,
-    ) -> Self {
-        LearnedTokens { table: nt_nn::Embedding::new(store, name, count, d_model, rng) }
-    }
-
-    /// Fetch tokens `[k, d_model]` by index.
-    pub fn get(&self, f: &mut Fwd, store: &ParamStore, idx: &[usize]) -> NodeId {
-        self.table.forward(f, store, idx)
-    }
-
-    /// Graph-free lookup.
-    pub fn eval(&self, store: &ParamStore, idx: &[usize]) -> Tensor {
-        self.table.eval(store, idx)
-    }
-}
-
 /// The token rows a slot encoded for its most recent trajectory steps,
 /// keyed by step index and bounded by the adapter's window. Encoding a
 /// step is a pure function of that step, so a re-anchor rebuild copies the
@@ -250,6 +222,7 @@ impl TokenRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nt_nn::Fwd;
 
     #[test]
     fn image_encoder_patch_count() {
