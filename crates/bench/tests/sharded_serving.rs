@@ -1,17 +1,15 @@
-//! Acceptance gates for the sharded fleet: CJS and VP served through
+//! Equivalence gates for the sharded fleet: CJS and VP served through
 //! `ShardedServer` must match their unbatched `InferenceSession` paths at
 //! 1e-5 (the CJS path exercises a candidate-token rollback inside every
 //! batched step; ABR equivalence incl. steer/rebalance lives with the
-//! router's unit tests), and on hosts where the shard fan-out can engage
-//! (>= 4 pool workers on >= 4 hardware threads) a multi-shard fleet must
-//! beat one shard's aggregate decision throughput.
+//! router's unit tests), and a multi-shard CJS fleet must give the answers
+//! of the same fleet behind one shard.
 //!
-//! The logits-equivalence half always runs. The timing half is
-//! release-only (debug codegen distorts the kernels it measures — CI runs
-//! `cargo test --release -p nt-bench --test sharded_serving`). Per-shard
-//! math is identical across shard counts, so on narrow hosts the honest
-//! expectation is parity: there the gate enforces no-regression and
-//! prints the measured ratio.
+//! They check answers, not speed. Per-shard math is identical across
+//! shard counts, and the throughput a fleet reaches is `perf`'s to
+//! measure (`dense_direct`, `shard_kill`), compared parent against change
+//! with the spread stated. CI runs this file in release too
+//! (`cargo test --release -p nt-bench --test sharded_serving`).
 
 use netllm::{
     AdaptMode, CjsObs, GlobalSessionId, LoraSpec, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer,
@@ -20,7 +18,6 @@ use netllm::{
 use nt_cjs::Scheduler;
 use nt_llm::{size_spec, Zoo};
 use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
-use std::time::Instant;
 
 fn cjs_model(label: &str, window: usize, seed: u64) -> NetLlmCjs {
     let loaded =
@@ -127,79 +124,40 @@ fn sharded_vp_one_shot_slots_match_unbatched_eval() {
 
 #[test]
 #[allow(clippy::needless_range_loop)]
-fn multi_shard_fleet_beats_single_shard_aggregate_throughput() {
-    // Aggregate decision throughput of a CJS fleet (rollback pass in
-    // every tick) at batch 16: K shards stepping on NT_THREADS workers
-    // vs the same fleet behind one shard. Multi-shard and single-shard
-    // answers are identical (checked below); the timing bar binds where
-    // the fan-out can engage.
+fn multi_shard_fleet_matches_single_shard_answers() {
+    // A CJS fleet (rollback pass in every tick) at batch 16: K shards
+    // stepping on NT_THREADS workers must give every session the logits
+    // the same fleet gets behind one shard.
     const BATCH: usize = 16;
     let mut m = cjs_model("7b-sim", 8, 0x33);
     m.target_return = -1.0;
     let streams: Vec<Vec<CjsObs>> =
         (0..BATCH).map(|s| CjsObs::synthetic_stream(900 + s as u64, 8)).collect();
     let ticks = streams.iter().map(Vec::len).min().unwrap().min(16);
+    let k = nt_tensor::pool::num_threads().clamp(2, 4);
 
-    let workers = nt_tensor::pool::num_threads();
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let k = workers.clamp(2, 4);
-
-    let run = |shards: usize| -> (std::time::Duration, Vec<Vec<Vec<f32>>>) {
-        let mut best = std::time::Duration::MAX;
+    let run = |shards: usize| -> Vec<Vec<Vec<f32>>> {
         let mut logits: Vec<Vec<Vec<f32>>> = vec![Vec::new(); BATCH];
-        for _ in 0..2 {
-            let mut server = ShardedServer::new(shards);
-            let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
-            for l in logits.iter_mut() {
-                l.clear();
+        let mut server = ShardedServer::new(shards);
+        let ids: Vec<_> = (0..BATCH).map(|_| server.join(&m)).collect();
+        for t in 0..ticks {
+            let reqs: Vec<_> =
+                ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
+            let _ = serve_round(&mut server, &m, &reqs);
+            for (s, &id) in ids.iter().enumerate() {
+                logits[s].push(server.last_logits(id).to_vec());
             }
-            let start = Instant::now();
-            for t in 0..ticks {
-                let reqs: Vec<_> =
-                    ids.iter().enumerate().map(|(s, &id)| (id, &streams[s][t])).collect();
-                let _ = serve_round(&mut server, &m, &reqs);
-                for (s, &id) in ids.iter().enumerate() {
-                    logits[s].push(server.last_logits(id).to_vec());
-                }
-            }
-            best = best.min(start.elapsed());
         }
-        (best, logits)
+        logits
     };
-    // Warm-up (allocator, zoo weights already built above).
-    let _ = run(1);
-    let (single, single_logits) = run(1);
-    let (sharded, sharded_logits) = run(k);
+    let single_logits = run(1);
+    let sharded_logits = run(k);
 
-    // Same answers regardless of shard count.
     for s in 0..BATCH {
         for t in 0..ticks {
             for (x, y) in sharded_logits[s][t].iter().zip(&single_logits[s][t]) {
                 assert!((x - y).abs() < 1e-5, "stream {s} tick {t}: {k}-shard {x} vs 1-shard {y}");
             }
         }
-    }
-
-    let speedup = single.as_secs_f64() / sharded.as_secs_f64().max(1e-9);
-    let decisions = (BATCH * ticks) as f64;
-    println!(
-        "sharded CJS fleet at B={BATCH}: {k} shards {:.1} dec/s vs 1 shard {:.1} dec/s \
-         ({speedup:.2}x, {workers} workers on {hw} hw threads)",
-        decisions / sharded.as_secs_f64(),
-        decisions / single.as_secs_f64()
-    );
-    #[cfg(not(debug_assertions))]
-    if workers >= 4 && hw >= 4 {
-        assert!(
-            speedup >= 1.05,
-            "{k} shards on {workers} workers must beat one shard's aggregate throughput: \
-             sharded {sharded:?} vs single {single:?} ({speedup:.2}x)"
-        );
-    } else {
-        assert!(
-            speedup >= 0.85,
-            "sharding regressed vs one shard on a {hw}-thread host: \
-             sharded {sharded:?} vs single {single:?} ({speedup:.2}x)"
-        );
     }
 }
