@@ -15,7 +15,7 @@ use crate::job::Job;
 use crate::policies::Srpt;
 use crate::sim::{run_workload, Decision, SchedView, Scheduler};
 use crate::snapshot::{snapshot, GraphSnapshot, NODE_FEATS};
-use nt_nn::{clip_grad_norm, Adam, Fwd, Gnn, Init, Linear, ParamStore};
+use nt_nn::{clip_grad_norm, Adam, Exec, Fwd, Gnn, Init, Linear, ParamStore};
 use nt_tensor::{NodeId, Rng};
 
 /// Executor-cap menu as fractions of the cluster.
@@ -60,8 +60,7 @@ impl DecimaNet {
         assert!(c > 0, "no candidates");
         let feats = f.input(snap.feats.clone());
         let emb = self.gnn.run(f, store, feats, &snap.adj); // [n, EMB]
-        let global = f.g.mean_axis(emb, 0); // [EMB]
-        let global = f.g.reshape(global, [1, EMB]);
+        let global = f.mean_rows(&emb); // [1, EMB]
         let cand = f.g.rows(emb, &snap.candidates); // [c, EMB]
         let glob_rep = f.g.rows(global, &vec![0usize; c]); // [c, EMB]
         let cat = f.g.concat(&[cand, glob_rep], 1); // [c, 2*EMB]

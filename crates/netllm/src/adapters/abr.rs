@@ -231,30 +231,26 @@ impl NetLlmAbr {
     }
 
     /// Tokenise window steps; the final step may omit its action token (at
-    /// inference the action is what we are about to predict). Returns
-    /// `(tokens [n, d], state-final token positions per step)`.
+    /// inference the action is what we are about to predict). Step `i`
+    /// occupies rows `TOK_PER_STEP * i ..`, and its buffer token, at offset
+    /// 4, closes its state.
     fn tokenize(
         &self,
         f: &mut Fwd,
         steps: &[AbrStep],
         rtgs: &[f32],
         include_last_action: bool,
-    ) -> (NodeId, Vec<usize>) {
+    ) -> NodeId {
         assert!(!steps.is_empty());
         let mut groups: Vec<NodeId> = Vec::new();
-        let mut read_positions = Vec::with_capacity(steps.len());
-        let mut pos = 0usize;
         for (i, s) in steps.iter().enumerate() {
             groups.push(self.rtg_token(f, rtgs[i]));
             groups.push(self.obs_tokens(f, s));
-            pos += 5;
-            read_positions.push(pos - 1); // the buffer token closes the state
             if i + 1 < steps.len() || include_last_action {
                 groups.push(self.action_token(f, s.action));
-                pos += 1;
             }
         }
-        (f.g.concat(&groups, 0), read_positions)
+        f.g.concat(&groups, 0)
     }
 
     /// Action logits for every step in the window: `[w, 6]`.
@@ -265,10 +261,10 @@ impl NetLlmAbr {
         rtgs: &[f32],
         include_last_action: bool,
     ) -> NodeId {
-        let (tokens, reads) = self.tokenize(f, steps, rtgs, include_last_action);
+        let tokens = self.tokenize(f, steps, rtgs, include_last_action);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
-        let rows: Vec<NodeId> = reads.iter().map(|&p| f.g.narrow(hidden, 0, p, 1)).collect();
-        let gathered = f.g.concat(&rows, 0); // [w, d]
+        let reads: Vec<usize> = (0..steps.len()).map(|i| TOK_PER_STEP * i + 4).collect();
+        let gathered = f.gather_rows(&hidden, &reads); // [w, d]
         self.head.run(f, &self.store, &gathered)
     }
 
@@ -408,8 +404,7 @@ impl NetLlmAbr {
             groups.push(Cow::Owned(self.action_token(&mut Eager, step.action)));
         }
         groups.extend([Cow::Borrowed(rtg), Cow::Borrowed(obs)]);
-        let refs: Vec<&Tensor> = groups.iter().map(|rows| rows.as_ref()).collect();
-        nt_tensor::concat(&refs, 0)
+        nt_tensor::concat(&groups, 0)
     }
 
     /// The return inference is prompted with after adapting on `dataset`:

@@ -19,7 +19,6 @@ pub struct ImageEncoder {
     patch: Linear,
     pub grid: usize,
     pub patch_size: usize,
-    pub feat_dim: usize,
 }
 
 impl ImageEncoder {
@@ -35,7 +34,7 @@ impl ImageEncoder {
         let in_dim = patch_size * patch_size;
         let patch =
             Linear::new(store, &format!("{name}.patch"), in_dim, feat_dim, true, Init::Xavier, rng);
-        ImageEncoder { patch, grid, patch_size, feat_dim }
+        ImageEncoder { patch, grid, patch_size }
     }
 
     /// Patch tokens one image expands into (`(grid / patch_size)^2`) —
@@ -75,7 +74,6 @@ impl ImageEncoder {
 pub struct SeriesEncoder {
     conv: Conv1d,
     pub channels_in: usize,
-    pub feat_dim: usize,
 }
 
 impl SeriesEncoder {
@@ -97,7 +95,7 @@ impl SeriesEncoder {
             kernel / 2,
             rng,
         );
-        SeriesEncoder { conv, channels_in, feat_dim }
+        SeriesEncoder { conv, channels_in }
     }
 
     /// Encode `[channels_in, t]` -> `[t, feat_dim]` per-step features.
@@ -118,8 +116,6 @@ impl SeriesEncoder {
 /// Fully connected encoder for scalar (or small fixed-vector) inputs.
 pub struct ScalarEncoder {
     fc: Linear,
-    pub in_dim: usize,
-    pub feat_dim: usize,
 }
 
 impl ScalarEncoder {
@@ -132,7 +128,7 @@ impl ScalarEncoder {
     ) -> Self {
         let fc =
             Linear::new(store, &format!("{name}.fc"), in_dim, feat_dim, true, Init::Xavier, rng);
-        ScalarEncoder { fc, in_dim, feat_dim }
+        ScalarEncoder { fc }
     }
 
     /// Encode `[n, in_dim]` -> `[n, feat_dim]`.

@@ -6,9 +6,9 @@
 //! DD-LRNA differentiates through. The eager executor is [`Eager`]: values
 //! are [`Tensor`]s, and each op runs the graph-free serving kernel
 //! (bias-seeded [`Linear::eval`], [`LayerNorm::eval_in_place`], in-place
-//! GELU and ReLU, [`Conv1d::eval`]). Each op forwards to the layer
-//! primitive its module called before it was generic, so neither executor
-//! changes a bit of what it computes.
+//! GELU, [`Conv1d::eval`]). Each op forwards to the layer primitive or
+//! tensor kernel its module called before it was generic, so neither
+//! executor changes a bit of what it computes.
 
 use crate::layers::{Conv1d, Embedding, LayerNorm, Linear};
 use crate::store::{Fwd, ParamStore};
@@ -38,7 +38,7 @@ pub trait Exec {
     fn gelu(&mut self, x: Self::V) -> Self::V;
     fn relu(&mut self, x: Self::V) -> Self::V;
     /// Elementwise `a + b` of same-shaped values.
-    fn add(&mut self, a: Self::V, b: &Self::V) -> Self::V;
+    fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// `[m, k] x [k, n] -> [m, n]`.
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// Column means of `[n, d]` as one row `[1, d]`.
@@ -94,8 +94,8 @@ impl Exec for Fwd {
         self.g.relu(x)
     }
 
-    fn add(&mut self, a: NodeId, b: &NodeId) -> NodeId {
-        self.g.add(a, *b)
+    fn add(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
+        self.g.add(*a, *b)
     }
 
     fn matmul(&mut self, a: &NodeId, b: &NodeId) -> NodeId {
@@ -122,7 +122,7 @@ impl Exec for Fwd {
 }
 
 /// The graph-free executor serving runs: no tape, no parameter clones,
-/// and elementwise ops in place on the tensor they are handed.
+/// and GELU and layer norm in place on the tensor they are handed.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Eager;
 
@@ -166,19 +166,12 @@ impl Exec for Eager {
         x
     }
 
-    fn relu(&mut self, mut x: Tensor) -> Tensor {
-        for v in x.data_mut() {
-            *v = v.max(0.0);
-        }
-        x
+    fn relu(&mut self, x: Tensor) -> Tensor {
+        x.map(|v| v.max(0.0))
     }
 
-    fn add(&mut self, mut a: Tensor, b: &Tensor) -> Tensor {
-        assert_eq!(a.shape(), b.shape(), "add shape mismatch");
-        for (x, y) in a.data_mut().iter_mut().zip(b.data()) {
-            *x += y;
-        }
-        a
+    fn add(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
+        a.add(b)
     }
 
     fn matmul(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
@@ -186,17 +179,8 @@ impl Exec for Eager {
     }
 
     fn mean_rows(&mut self, x: &Tensor) -> Tensor {
-        let (n, d) = (x.shape()[0], x.shape()[1]);
-        let mut out = vec![0.0f32; d];
-        for row in x.data().chunks_exact(d) {
-            for (o, v) in out.iter_mut().zip(row) {
-                *o += v;
-            }
-        }
-        for v in &mut out {
-            *v /= n as f32;
-        }
-        Tensor::from_vec([1, d], out)
+        let d = x.shape()[1];
+        x.reduce_axis(0, true).reshape([1, d])
     }
 
     fn gather_rows(&mut self, x: &Tensor, idx: &[usize]) -> Tensor {

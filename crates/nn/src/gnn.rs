@@ -55,7 +55,7 @@ impl GnnLayer {
         let agg = e.matmul(adj, &h);
         let a = e.linear(store, &self.w_agg, &agg);
         let s = e.linear(store, &self.w_self, &h);
-        let sum = e.add(s, &a);
+        let sum = e.add(&s, &a);
         e.relu(sum)
     }
 }

@@ -416,29 +416,7 @@ impl Graph {
     }
 
     fn reduce_axis(&mut self, a: NodeId, axis: usize, mean: bool) -> NodeId {
-        let v = &self.nodes[a].value;
-        let shape = v.shape().to_vec();
-        assert!(axis < shape.len(), "reduce axis out of range");
-        let outer: usize = shape[..axis].iter().product();
-        let inner: usize = shape[axis + 1..].iter().product();
-        let d = shape[axis];
-        let mut out_shape = shape.clone();
-        out_shape.remove(axis);
-        let mut out = vec![0.0f32; outer * inner];
-        for o in 0..outer {
-            for j in 0..d {
-                let base = (o * d + j) * inner;
-                for i in 0..inner {
-                    out[o * inner + i] += v.data()[base + i];
-                }
-            }
-        }
-        if mean {
-            for x in &mut out {
-                *x /= d as f32;
-            }
-        }
-        let t = Tensor::from_vec(out_shape, out);
+        let t = self.nodes[a].value.reduce_axis(axis, mean);
         let ng = self.nodes[a].needs_grad;
         let op = if mean { Op::MeanAxis(axis) } else { Op::SumAxis(axis) };
         self.push(op, vec![a], t, ng)

@@ -146,6 +146,34 @@ impl Tensor {
         &self.data[i * cols..(i + 1) * cols]
     }
 
+    /// Sum (or, with `mean`, the mean) over `axis`, which is dropped from
+    /// the shape. Each output element adds its inputs in ascending index
+    /// order, then divides once.
+    pub fn reduce_axis(&self, axis: usize, mean: bool) -> Tensor {
+        let shape = &self.shape;
+        assert!(axis < shape.len(), "reduce axis out of range");
+        let outer: usize = shape[..axis].iter().product();
+        let inner: usize = shape[axis + 1..].iter().product();
+        let d = shape[axis];
+        let mut out_shape = shape.clone();
+        out_shape.remove(axis);
+        let mut out = vec![0.0f32; outer * inner];
+        for o in 0..outer {
+            for j in 0..d {
+                let base = (o * d + j) * inner;
+                for i in 0..inner {
+                    out[o * inner + i] += self.data[base + i];
+                }
+            }
+        }
+        if mean {
+            for x in &mut out {
+                *x /= d as f32;
+            }
+        }
+        Tensor::from_vec(out_shape, out)
+    }
+
     /// Elementwise map.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor { shape: self.shape.clone(), data: self.data.iter().map(|&x| f(x)).collect() }
