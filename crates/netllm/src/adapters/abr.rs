@@ -29,6 +29,10 @@ use std::borrow::Cow;
 const FEAT: usize = 24;
 /// Tokens per trajectory step: return, throughput, delay, sizes, buffer, action.
 pub(crate) const TOK_PER_STEP: usize = 6;
+/// Row of a step's buffer token within the step: the last of
+/// [`NetLlmAbr::obs_tokens`] after the rtg token, it closes the step's
+/// state, and the head reads the step's action logits there.
+const STATE_CLOSE: usize = 4;
 /// Reward scale: per-chunk QoE is divided by this before entering returns.
 pub(crate) const R_SCALE: f64 = 5.0;
 
@@ -233,7 +237,7 @@ impl NetLlmAbr {
     /// Tokenise window steps; the final step may omit its action token (at
     /// inference the action is what we are about to predict). Step `i`
     /// occupies rows `TOK_PER_STEP * i ..`, and its buffer token, at offset
-    /// 4, closes its state.
+    /// [`STATE_CLOSE`], closes its state.
     fn tokenize(
         &self,
         f: &mut Fwd,
@@ -263,7 +267,7 @@ impl NetLlmAbr {
     ) -> NodeId {
         let tokens = self.tokenize(f, steps, rtgs, include_last_action);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
-        let reads: Vec<usize> = (0..steps.len()).map(|i| TOK_PER_STEP * i + 4).collect();
+        let reads: Vec<usize> = (0..steps.len()).map(|i| TOK_PER_STEP * i + STATE_CLOSE).collect();
         let gathered = f.gather_rows(&hidden, &reads); // [w, d]
         self.head.run(f, &self.store, &gathered)
     }

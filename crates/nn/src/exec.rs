@@ -166,8 +166,11 @@ impl Exec for Eager {
         x
     }
 
-    fn relu(&mut self, x: Tensor) -> Tensor {
-        x.map(|v| v.max(0.0))
+    fn relu(&mut self, mut x: Tensor) -> Tensor {
+        for v in x.data_mut() {
+            *v = v.max(0.0);
+        }
+        x
     }
 
     fn add(&mut self, a: &Tensor, b: &Tensor) -> Tensor {
@@ -179,8 +182,19 @@ impl Exec for Eager {
     }
 
     fn mean_rows(&mut self, x: &Tensor) -> Tensor {
-        let d = x.shape()[1];
-        x.reduce_axis(0, true).reshape([1, d])
+        // `reduce_axis`'s order (rows ascending, then one divide), written
+        // straight into the `[1, d]` row so no shape is built twice.
+        let (n, d) = (x.shape()[0], x.shape()[1]);
+        let mut out = vec![0.0f32; d];
+        for r in 0..n {
+            for (o, v) in out.iter_mut().zip(&x.data()[r * d..(r + 1) * d]) {
+                *o += v;
+            }
+        }
+        for v in &mut out {
+            *v /= n as f32;
+        }
+        Tensor::from_vec([1, d], out)
     }
 
     fn gather_rows(&mut self, x: &Tensor, idx: &[usize]) -> Tensor {
