@@ -29,9 +29,8 @@ use std::borrow::Cow;
 const FEAT: usize = 24;
 /// Tokens per trajectory step: return, throughput, delay, sizes, buffer, action.
 pub(crate) const TOK_PER_STEP: usize = 6;
-/// Row of a step's buffer token within the step: the last of
-/// [`NetLlmAbr::obs_tokens`] after the rtg token, it closes the step's
-/// state, and the head reads the step's action logits there.
+/// Row of a step's buffer token, the last of [`NetLlmAbr::obs_tokens`]
+/// after the rtg token: it closes the state, and the head reads it.
 const STATE_CLOSE: usize = 4;
 /// Reward scale: per-chunk QoE is divided by this before entering returns.
 pub(crate) const R_SCALE: f64 = 5.0;
@@ -234,11 +233,12 @@ impl NetLlmAbr {
         }
     }
 
-    /// Tokenise window steps; the final step may omit its action token (at
-    /// inference the action is what we are about to predict). Step `i`
-    /// occupies rows `TOK_PER_STEP * i ..`, and its buffer token, at offset
-    /// [`STATE_CLOSE`], closes its state.
-    fn tokenize(
+    /// Action logits for every step in the window: `[w, 6]`. The final
+    /// step may omit its action token (at inference the action is what we
+    /// are about to predict). Step `i` occupies rows `TOK_PER_STEP * i ..`,
+    /// and the head reads its buffer token, at offset [`STATE_CLOSE`],
+    /// which closes its state.
+    fn window_logits(
         &self,
         f: &mut Fwd,
         steps: &[AbrStep],
@@ -249,23 +249,14 @@ impl NetLlmAbr {
         let mut groups: Vec<NodeId> = Vec::new();
         for (i, s) in steps.iter().enumerate() {
             groups.push(self.rtg_token(f, rtgs[i]));
-            groups.push(self.obs_tokens(f, s));
+            let obs = self.obs_tokens(f, s);
+            debug_assert_eq!(f.shape(&obs)[0], STATE_CLOSE);
+            groups.push(obs);
             if i + 1 < steps.len() || include_last_action {
                 groups.push(self.action_token(f, s.action));
             }
         }
-        f.g.concat(&groups, 0)
-    }
-
-    /// Action logits for every step in the window: `[w, 6]`.
-    fn window_logits(
-        &self,
-        f: &mut Fwd,
-        steps: &[AbrStep],
-        rtgs: &[f32],
-        include_last_action: bool,
-    ) -> NodeId {
-        let tokens = self.tokenize(f, steps, rtgs, include_last_action);
+        let tokens = f.g.concat(&groups, 0);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let reads: Vec<usize> = (0..steps.len()).map(|i| TOK_PER_STEP * i + STATE_CLOSE).collect();
         let gathered = f.gather_rows(&hidden, &reads); // [w, d]

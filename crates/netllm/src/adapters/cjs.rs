@@ -462,13 +462,13 @@ impl ServedTask for NetLlmCjs {
         let reanchor = self.reanchors(ep, session, Some(c));
         let tokens = if reanchor {
             ep.anchor = self.rebuild_anchor(ep);
-            let mut parts: Vec<Cow<Tensor>> = (ep.anchor..ep.steps.len())
+            let parts: Vec<Cow<Tensor>> = (ep.anchor..ep.steps.len())
                 .map(|i| match ep.rows.get(i) {
                     Some(rows) => Cow::Borrowed(rows),
                     None => Cow::Owned(self.history_tokens(&mut Eager, &ep.steps[i])),
                 })
+                .chain([&rtg, &graph, &cands].map(Cow::Borrowed))
                 .collect();
-            parts.extend([Cow::Borrowed(&rtg), Cow::Borrowed(&graph), Cow::Borrowed(&cands)]);
             nt_tensor::concat(&parts, 0)
         } else {
             nt_tensor::concat(&[&rtg, &graph, &cands], 0)

@@ -167,9 +167,7 @@ impl Exec for Eager {
     }
 
     fn relu(&mut self, mut x: Tensor) -> Tensor {
-        for v in x.data_mut() {
-            *v = v.max(0.0);
-        }
+        x.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
         x
     }
 
@@ -182,18 +180,11 @@ impl Exec for Eager {
     }
 
     fn mean_rows(&mut self, x: &Tensor) -> Tensor {
-        // `reduce_axis`'s order (rows ascending, then one divide), written
-        // straight into the `[1, d]` row so no shape is built twice.
+        // `reduce_axis`'s order (rows ascending, one divide), as a `[1, d]` row.
         let (n, d) = (x.shape()[0], x.shape()[1]);
         let mut out = vec![0.0f32; d];
-        for r in 0..n {
-            for (o, v) in out.iter_mut().zip(&x.data()[r * d..(r + 1) * d]) {
-                *o += v;
-            }
-        }
-        for v in &mut out {
-            *v /= n as f32;
-        }
+        x.data().chunks(d).for_each(|row| out.iter_mut().zip(row).for_each(|(o, v)| *o += v));
+        out.iter_mut().for_each(|o| *o /= n as f32);
         Tensor::from_vec([1, d], out)
     }
 
