@@ -434,6 +434,59 @@ mod tests {
         }
     }
 
+    /// A conv layer with random weights and a random (non-zero) bias.
+    fn random_conv(
+        c_in: usize,
+        k: usize,
+        stride: usize,
+        pad: usize,
+        rng: &mut Rng,
+    ) -> (ParamStore, Conv1d) {
+        let mut s = ParamStore::new();
+        let conv = Conv1d::new(&mut s, "c", c_in, 5, k, stride, pad, rng);
+        *s.data_mut(conv.b) = Tensor::randn([5], 1.0, rng);
+        (s, conv)
+    }
+
+    #[test]
+    fn conv_kernel_matches_the_taped_loop_bit_for_bit() {
+        // Every shape the sweep reaches, batched (b = 3) and unbatched:
+        // the graph-free kernel must write the taped conv's forward value.
+        let mut rng = Rng::seeded(7);
+        for c_in in 1..=4 {
+            for k in 1..=5 {
+                for stride in 1..=3 {
+                    for pad in 0..=2 {
+                        let (s, conv) = random_conv(c_in, k, stride, pad, &mut rng);
+                        for t in k.saturating_sub(2 * pad).max(1)..=12 {
+                            for b in [1, 3] {
+                                let x = Tensor::randn([b, c_in, t], 1.0, &mut rng);
+                                let mut g = nt_tensor::Graph::inference();
+                                let (xi, w, bias) = (
+                                    g.constant(x.clone()),
+                                    g.constant(s.data(conv.w).clone()),
+                                    g.constant(s.data(conv.b).clone()),
+                                );
+                                let y = g.conv1d(xi, w, bias, stride, pad);
+                                let want = g.value(y);
+                                let got = conv.eval(&s, &x);
+                                assert_eq!(got.shape(), want.shape());
+                                let bits = |v: &Tensor| -> Vec<u32> {
+                                    v.data().iter().map(|x| x.to_bits()).collect()
+                                };
+                                assert_eq!(
+                                    bits(&got),
+                                    bits(want),
+                                    "c_in {c_in} k {k} stride {stride} pad {pad} t {t} b {b}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn mlp_trains_xor() {
         // End-to-end sanity: a small MLP fits XOR with Adam.
