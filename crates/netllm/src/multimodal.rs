@@ -102,7 +102,8 @@ impl SeriesEncoder {
     pub fn steps<E: Exec>(&self, e: &mut E, store: &ParamStore, series: Tensor) -> E::V {
         assert_eq!(series.shape().len(), 2);
         assert_eq!(series.shape()[0], self.channels_in);
-        let y = e.conv_steps(store, &self.conv, series); // [t, feat]
+        let (c, t) = (series.shape()[0], series.shape()[1]);
+        let y = e.conv_steps(store, &self.conv, series.reshape([1, c, t])); // [t, feat]
         e.gelu(y)
     }
 

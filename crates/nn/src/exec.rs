@@ -6,7 +6,7 @@
 //! DD-LRNA differentiates through. The eager executor is [`Eager`]: values
 //! are [`Tensor`]s, and each op runs the graph-free serving kernel
 //! (bias-seeded [`Linear::eval`], [`LayerNorm::eval_in_place`], in-place
-//! GELU, [`Conv1d::eval`]). Each op forwards to the layer primitive or
+//! GELU, [`Conv1d::eval_steps`]). Each op forwards to the layer primitive or
 //! tensor kernel its module called before it was generic, so neither
 //! executor changes a bit of what it computes.
 
@@ -31,7 +31,8 @@ pub trait Exec {
     fn linear(&mut self, store: &ParamStore, l: &Linear, x: &Self::V) -> Self::V;
     /// Layer normalisation of every row.
     fn layer_norm(&mut self, store: &ParamStore, ln: &LayerNorm, x: Self::V) -> Self::V;
-    /// Convolve a `[c_in, t]` series into `[t, c_out]` per-step features.
+    /// Convolve `b` series `[b, c_in, t]` into their per-step features,
+    /// stacked `[b * t_out, c_out]`.
     fn conv_steps(&mut self, store: &ParamStore, conv: &Conv1d, series: Tensor) -> Self::V;
     /// Look up `[ids.len(), dim]` rows of an embedding table.
     fn embed(&mut self, store: &ParamStore, table: &Embedding, ids: &[usize]) -> Self::V;
@@ -74,12 +75,11 @@ impl Exec for Fwd {
     }
 
     fn conv_steps(&mut self, store: &ParamStore, conv: &Conv1d, series: Tensor) -> NodeId {
-        let (c, t) = (series.shape()[0], series.shape()[1]);
-        let x = self.g.constant(series.reshape([1, c, t]));
-        let y = conv.forward(self, store, x); // [1, c_out, t_out]
-        let (c_out, t_out) = (self.shape(&y)[1], self.shape(&y)[2]);
-        let y = self.g.reshape(y, [c_out, t_out]);
-        self.g.transpose_last2(y)
+        let x = self.g.constant(series);
+        let y = conv.forward(self, store, x); // [b, c_out, t_out]
+        let y = self.g.transpose_last2(y);
+        let (b, t_out, c_out) = (self.shape(&y)[0], self.shape(&y)[1], self.shape(&y)[2]);
+        self.g.reshape(y, [b * t_out, c_out])
     }
 
     fn embed(&mut self, store: &ParamStore, table: &Embedding, ids: &[usize]) -> NodeId {
@@ -151,10 +151,7 @@ impl Exec for Eager {
     }
 
     fn conv_steps(&mut self, store: &ParamStore, conv: &Conv1d, series: Tensor) -> Tensor {
-        let (c, t) = (series.shape()[0], series.shape()[1]);
-        let y = conv.eval(store, &series.reshape([1, c, t])); // [1, c_out, t_out]
-        let (c_out, t_out) = (y.shape()[1], y.shape()[2]);
-        y.reshape([c_out, t_out]).t()
+        conv.eval_steps(store, &series)
     }
 
     fn embed(&mut self, store: &ParamStore, table: &Embedding, ids: &[usize]) -> Tensor {

@@ -269,36 +269,50 @@ impl Conv1d {
         f.g.conv1d(x, w, b, self.stride, self.pad)
     }
 
-    /// Graph-free inference forward over `[batch, c_in, t]`.
-    pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
+    /// Graph-free inference forward of `b` series `[b, c_in, t]` into their
+    /// per-step features `[b * t_out, c_out]`: row `i * t_out + s` is
+    /// series `i` at output step `s`, the taped conv's `[b, c_out, t_out]`
+    /// transposed. Channels run innermost, against a `[c_in, k, c_out]`
+    /// view of the weights. Each output keeps the taped conv's chain: the
+    /// bias, then the taps in ascending (channel, offset) order with the
+    /// padding skipped, so the values are its bits.
+    pub fn eval_steps(&self, store: &ParamStore, x: &Tensor) -> Tensor {
         let wv = store.data(self.w);
-        let bv = store.data(self.b);
+        let bias = store.data(self.b).data();
         assert_eq!(x.shape().len(), 3, "conv1d input must be [b,ci,t]");
         let (b, ci, t) = (x.shape()[0], x.shape()[1], x.shape()[2]);
         let (co, ci2, k) = (wv.shape()[0], wv.shape()[1], wv.shape()[2]);
         assert_eq!(ci, ci2, "conv1d channel mismatch");
         assert!(t + 2 * self.pad >= k, "conv1d kernel larger than padded input");
         let t_out = (t + 2 * self.pad - k) / self.stride + 1;
-        let mut out = vec![0.0f32; b * co * t_out];
-        for bi in 0..b {
-            for oc in 0..co {
-                for ot in 0..t_out {
-                    let mut acc = bv.data()[oc];
-                    for icc in 0..ci {
-                        for kk in 0..k {
-                            let it = (ot * self.stride + kk) as isize - self.pad as isize;
-                            if it < 0 || it >= t as isize {
-                                continue;
-                            }
-                            acc += x.data()[(bi * ci + icc) * t + it as usize]
-                                * wv.data()[(oc * ci + icc) * k + kk];
+        let mut taps = vec![0.0f32; ci * k * co];
+        for (oc, w_oc) in wv.data().chunks_exact(ci * k).enumerate() {
+            for (tap, &w) in w_oc.iter().enumerate() {
+                taps[tap * co + oc] = w;
+            }
+        }
+        let mut out = Vec::with_capacity(b * t_out * co);
+        for series in x.data().chunks_exact(ci * t) {
+            for s in 0..t_out {
+                // Offsets `kk` whose input step `s * stride + kk - pad`
+                // lies inside the series.
+                let first = s * self.stride;
+                let (lo, hi) =
+                    (self.pad.saturating_sub(first), k.min((t + self.pad).saturating_sub(first)));
+                let start = out.len();
+                out.extend_from_slice(bias);
+                let row = &mut out[start..];
+                for (xs, taps) in series.chunks_exact(t).zip(taps.chunks_exact(k * co)) {
+                    for kk in lo..hi {
+                        let v = xs[first + kk - self.pad];
+                        for (o, w) in row.iter_mut().zip(&taps[kk * co..(kk + 1) * co]) {
+                            *o += v * w;
                         }
                     }
-                    out[(bi * co + oc) * t_out + ot] = acc;
                 }
             }
         }
-        Tensor::from_vec([b, co, t_out], out)
+        Tensor::from_vec([b * t_out, co], out)
     }
 }
 
@@ -451,7 +465,8 @@ mod tests {
     #[test]
     fn conv_kernel_matches_the_taped_loop_bit_for_bit() {
         // Every shape the sweep reaches, batched (b = 3) and unbatched:
-        // the graph-free kernel must write the taped conv's forward value.
+        // the graph-free kernel's `[b * t_out, c_out]` rows must hold the
+        // taped conv's forward value, transposed.
         let mut rng = Rng::seeded(7);
         for c_in in 1..=4 {
             for k in 1..=5 {
@@ -468,9 +483,10 @@ mod tests {
                                     g.constant(s.data(conv.b).clone()),
                                 );
                                 let y = g.conv1d(xi, w, bias, stride, pad);
+                                let y = g.transpose_last2(y);
                                 let want = g.value(y);
-                                let got = conv.eval(&s, &x);
-                                assert_eq!(got.shape(), want.shape());
+                                let got = conv.eval_steps(&s, &x);
+                                assert_eq!(got.shape()[0], b * want.shape()[1]);
                                 let bits = |v: &Tensor| -> Vec<u32> {
                                     v.data().iter().map(|x| x.to_bits()).collect()
                                 };
