@@ -59,8 +59,8 @@ impl DecimaNet {
         let c = snap.candidates.len();
         assert!(c > 0, "no candidates");
         let feats = f.input(snap.feats.clone());
-        let emb = self.gnn.run(f, store, feats, &snap.adj); // [n, EMB]
-        let global = f.mean_rows(&emb); // [1, EMB]
+        let emb = self.gnn.run(f, store, feats, &[&snap.adj]); // [n, EMB]
+        let global = f.mean_rows(&emb, &[snap.n]); // [1, EMB]
         let cand = f.g.rows(emb, &snap.candidates); // [c, EMB]
         let glob_rep = f.g.rows(global, &vec![0usize; c]); // [c, EMB]
         let cat = f.g.concat(&[cand, glob_rep], 1); // [c, 2*EMB]

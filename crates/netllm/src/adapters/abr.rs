@@ -16,15 +16,14 @@
 
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
-use crate::heads::AbrHead;
+use crate::heads::{argmax, AbrHead};
 use crate::multimodal::{Projection, ScalarEncoder, SeriesEncoder, TokenRing};
-use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, Lane, LanePlan, ServedTask, StepOutcome};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
-use std::borrow::Cow;
 
 const FEAT: usize = 24;
 /// Tokens per trajectory step: return, throughput, delay, sizes, buffer, action.
@@ -237,7 +236,8 @@ impl NetLlmAbr {
     /// step may omit its action token (at inference the action is what we
     /// are about to predict). Step `i` occupies rows `TOK_PER_STEP * i ..`,
     /// and the head reads its buffer token, at offset [`STATE_CLOSE`],
-    /// which closes its state.
+    /// which closes its state. Each step goes through the encoders alone:
+    /// stacking the window would reorder the gradient sums.
     fn window_logits(
         &self,
         f: &mut Fwd,
@@ -248,12 +248,12 @@ impl NetLlmAbr {
         assert!(!steps.is_empty());
         let mut groups: Vec<NodeId> = Vec::new();
         for (i, s) in steps.iter().enumerate() {
-            groups.push(self.rtg_token(f, rtgs[i]));
-            let obs = self.obs_tokens(f, s);
-            debug_assert_eq!(f.shape(&obs)[0], STATE_CLOSE);
-            groups.push(obs);
+            groups.push(self.rtg_tokens(f, &rtgs[i..=i]));
+            let obs = self.obs_tokens(f, &[s]);
+            debug_assert_eq!(obs.len(), STATE_CLOSE);
+            groups.push(f.concat(&obs));
             if i + 1 < steps.len() || include_last_action {
-                groups.push(self.action_token(f, s.action));
+                groups.push(self.action_rows(f, &[s.action]));
             }
         }
         let tokens = f.g.concat(&groups, 0);
@@ -263,38 +263,45 @@ impl NetLlmAbr {
         self.head.run(f, &self.store, &gathered)
     }
 
-    /// Return-to-go token `[1, d]`; with the step's
-    /// [`NetLlmAbr::obs_tokens`] it forms the step's state.
-    fn rtg_token<E: Exec>(&self, e: &mut E, rtg: f32) -> E::V {
-        let rtg_feat = self.rtg_enc.run(e, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+    /// Return-to-go tokens `[rtgs.len(), d]`, one per prompt; with a
+    /// step's [`NetLlmAbr::obs_tokens`] each forms that step's state.
+    fn rtg_tokens<E: Exec>(&self, e: &mut E, rtgs: &[f32]) -> E::V {
+        let rtg = Tensor::from_vec([rtgs.len(), 1], rtgs.to_vec());
+        let rtg_feat = self.rtg_enc.run(e, &self.store, rtg);
         self.rtg_proj.run(e, &self.store, rtg_feat)
     }
 
-    /// Observation tokens `[4, d]` of one step: throughput, delay, sizes,
-    /// buffer.
-    fn obs_tokens<E: Exec>(&self, e: &mut E, s: &AbrStep) -> E::V {
+    /// Observation tokens of `steps`, one `[steps.len(), d]` value per
+    /// modality: throughput, delay, sizes, buffer. Step `i`'s four tokens
+    /// are row `i` of each, in that order.
+    fn obs_tokens<E: Exec>(&self, e: &mut E, steps: &[&AbrStep]) -> [E::V; 4] {
         let st = &self.store;
-        let thr_feat = self.thr_enc.pooled(e, st, padded_series(&s.thr_hist, 8, 0.1));
+        let b = steps.len();
+        let series = |hist: fn(&AbrStep) -> &[f64]| {
+            let xs = steps.iter().flat_map(|s| padded_series(hist(s), 8, 0.1)).collect();
+            Tensor::from_vec([b, 1, 8], xs)
+        };
+        let thr_feat = self.thr_enc.pooled(e, st, series(|s| &s.thr_hist));
         let thr_tok = self.thr_proj.run(e, st, thr_feat);
-        let dl_feat = self.delay_enc.pooled(e, st, padded_series(&s.delay_hist, 8, 0.1));
+        let dl_feat = self.delay_enc.pooled(e, st, series(|s| &s.delay_hist));
         let dl_tok = self.delay_proj.run(e, st, dl_feat);
-        let sizes = Tensor::from_vec(
-            [1, 6],
-            (0..6)
-                .map(|r| s.next_sizes.get(r).map(|&x| (x / 20.0) as f32).unwrap_or(0.0))
-                .collect(),
-        );
-        let sz_feat = self.sizes_enc.run(e, st, sizes);
+        let sizes = steps
+            .iter()
+            .flat_map(|s| (0..6).map(|r| s.next_sizes.get(r).map(|&x| (x / 20.0) as f32)))
+            .map(|x| x.unwrap_or(0.0))
+            .collect();
+        let sz_feat = self.sizes_enc.run(e, st, Tensor::from_vec([b, 6], sizes));
         let sz_tok = self.sizes_proj.run(e, st, sz_feat);
-        let buf = Tensor::from_vec([1, 1], vec![(s.buffer / 30.0) as f32]);
-        let buf_feat = self.buf_enc.run(e, st, buf);
+        let buf = steps.iter().map(|s| (s.buffer / 30.0) as f32).collect();
+        let buf_feat = self.buf_enc.run(e, st, Tensor::from_vec([b, 1], buf));
         let buf_tok = self.buf_proj.run(e, st, buf_feat);
-        e.concat(&[thr_tok, dl_tok, sz_tok, buf_tok])
+        [thr_tok, dl_tok, sz_tok, buf_tok]
     }
 
-    /// Learned token `[1, d]` of a settled action.
-    fn action_token<E: Exec>(&self, e: &mut E, action: usize) -> E::V {
-        e.embed(&self.store, &self.action_tokens, &[action.min(5)])
+    /// Learned tokens `[actions.len(), d]` of settled actions.
+    fn action_rows<E: Exec>(&self, e: &mut E, actions: &[usize]) -> E::V {
+        let ids: Vec<usize> = actions.iter().map(|&a| a.min(5)).collect();
+        e.embed(&self.store, &self.action_tokens, &ids)
     }
 
     /// Action logits of the most recent [`AbrPolicy::select`] call.
@@ -352,54 +359,22 @@ impl NetLlmAbr {
         self.rebuild_window(n) * TOK_PER_STEP - 1
     }
 
-    /// Build the token rows this step appends to `session`, deciding
-    /// between the incremental append (settled action token + new state)
-    /// and a re-anchor rebuild of the last `window` steps. Returns the
-    /// rows and whether the caller must clear its session first (the
-    /// re-anchor case).
-    fn step_tokens(&self, ep: &mut AbrEpisode, session: &InferenceSession) -> (Tensor, bool) {
-        let n = ep.episode.steps.len() - 1; // index of the current step
-        let reanchor = self.reanchors(ep, n, session);
-        let rtg = self.rtg_token(&mut Eager, ep.rtg_now);
-        let obs = self.obs_tokens(&mut Eager, &ep.episode.steps[n]);
-        let tokens = if reanchor {
-            self.rebuild_tokens(ep, n, &rtg, &obs)
-        } else {
-            let prev_action = self.action_token(&mut Eager, ep.episode.steps[n - 1].action);
-            nt_tensor::concat(&[&prev_action, &rtg, &obs], 0)
-        };
-        ep.obs_rows.push(n, obs, self.window);
-        (tokens, reanchor)
-    }
-
-    /// The re-anchor rebuild at step `n`, whose own tokens are `rtg` and
-    /// `obs`: the window's history steps (state, then action), then the
-    /// current state. History observation tokens come from the slot's
-    /// ring; only a step it no longer holds is encoded again.
-    fn rebuild_tokens(&self, ep: &mut AbrEpisode, n: usize, rtg: &Tensor, obs: &Tensor) -> Tensor {
-        // Reconstruct the window's rtg prompts from the realised rewards.
-        // This backward `f32` sum can differ in the last bit from the
-        // forward decrements that prompted each step when it was current,
-        // so the rebuild encodes its rtg tokens afresh and reuses only the
-        // observation tokens.
+    /// Re-anchor at step `n`: move the anchor to the rebuild window's
+    /// first step and push the window's history rtg prompts onto `rtgs`,
+    /// reconstructed from the realised rewards. This backward `f32` sum
+    /// can differ in the last bit from the forward decrements that
+    /// prompted each step when it was current, so a rebuild encodes its
+    /// rtg tokens afresh and reuses only the observation tokens.
+    fn reanchor(&self, ep: &mut AbrEpisode, n: usize, rtgs: &mut Vec<f32>) {
         let w = self.rebuild_window(n);
         ep.anchor = n + 1 - w;
-        let mut rtgs = vec![ep.rtg_now; w];
+        let base = rtgs.len();
+        rtgs.resize(base + w - 1, 0.0);
+        let mut later = ep.rtg_now;
         for k in (0..w - 1).rev() {
-            let future_reward = ep.episode.steps[ep.anchor + k].reward / R_SCALE;
-            rtgs[k] = rtgs[k + 1] + future_reward as f32;
+            later += (ep.episode.steps[ep.anchor + k].reward / R_SCALE) as f32;
+            rtgs[base + k] = later;
         }
-        let mut groups: Vec<Cow<Tensor>> = Vec::with_capacity(3 * w - 1);
-        for (k, step) in ep.episode.steps[ep.anchor..n].iter().enumerate() {
-            groups.push(Cow::Owned(self.rtg_token(&mut Eager, rtgs[k])));
-            groups.push(match ep.obs_rows.get(ep.anchor + k) {
-                Some(rows) => Cow::Borrowed(rows),
-                None => Cow::Owned(self.obs_tokens(&mut Eager, step)),
-            });
-            groups.push(Cow::Owned(self.action_token(&mut Eager, step.action)));
-        }
-        groups.extend([Cow::Borrowed(rtg), Cow::Borrowed(obs)]);
-        nt_tensor::concat(&groups, 0)
     }
 
     /// The return inference is prompted with after adapting on `dataset`:
@@ -435,21 +410,17 @@ impl NetLlmAbr {
     }
 }
 
-fn padded_series(xs: &[f64], len: usize, scale: f64) -> Tensor {
-    let mut v = vec![0.0f32; len];
-    for (i, slot) in v.iter_mut().enumerate() {
-        let idx = xs.len() as isize - len as isize + i as isize;
-        if idx >= 0 {
-            *slot = (xs[idx as usize] * scale) as f32;
-        }
-    }
-    Tensor::from_vec([1, len], v)
+/// The last `len` values of `xs`, scaled, zero-padded in front.
+fn padded_series(xs: &[f64], len: usize, scale: f64) -> impl Iterator<Item = f32> + '_ {
+    let kept = &xs[xs.len().saturating_sub(len)..];
+    std::iter::repeat_n(0.0, len - kept.len()).chain(kept.iter().map(move |&x| (x * scale) as f32))
 }
 
 /// ABR behind the serving engine: incremental decision-transformer steps.
-/// [`ServedTask::plan_step`]/[`ServedTask::settle_step`] *are* the
-/// single-stream [`AbrPolicy::select`] path (which routes through them),
-/// so batched and unbatched rollouts stay step-for-step identical.
+/// [`ServedTask::plan_batch`]/[`ServedTask::settle_batch`] *are* the
+/// single-stream [`AbrPolicy::select`] path (which routes through them at
+/// one lane), so batched and unbatched rollouts stay step-for-step
+/// identical.
 impl ServedTask for NetLlmAbr {
     type Obs = AbrObservation;
     type Action = usize;
@@ -495,31 +466,106 @@ impl ServedTask for NetLlmAbr {
         }
     }
 
-    fn plan_step(
+    fn plan_batch(
         &self,
-        ep: &mut AbrEpisode,
-        obs: &AbrObservation,
-        session: &InferenceSession,
-    ) -> StepPlan {
-        // The session holds tokens for steps `anchor..=n-1` (the last one
-        // missing its action token, chosen after the fact).
-        self.settle_and_push(ep, obs);
-        let (tokens, reanchor) = self.step_tokens(ep, session);
-        StepPlan { tokens, reanchor }
+        lanes: &mut [Lane<'_, AbrEpisode, AbrObservation>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        // Each lane settles its previous chunk and pushes the observation
+        // as its current step `n`; its session holds tokens for steps
+        // `anchor..=n-1` (the last one missing its action token, chosen
+        // after the fact). The rtg and action batches list the prompts
+        // and settled actions in the order the lanes write them: a
+        // rebuild's history steps, then the current state.
+        let (mut reanchors, mut rtgs, mut actions) = (Vec::new(), Vec::new(), Vec::new());
+        for (lane, session) in lanes.iter_mut().zip(sessions) {
+            let ep = &mut *lane.slot;
+            self.settle_and_push(ep, lane.obs);
+            let n = ep.episode.steps.len() - 1;
+            let clear = self.reanchors(ep, n, session);
+            if clear {
+                self.reanchor(ep, n, &mut rtgs);
+                actions.extend(ep.episode.steps[ep.anchor..n].iter().map(|s| s.action));
+            } else {
+                actions.push(ep.episode.steps[n - 1].action);
+            }
+            rtgs.push(ep.rtg_now);
+            reanchors.push(clear);
+        }
+        let e = &mut Eager;
+        let rtg = self.rtg_tokens(e, &rtgs);
+        let acts = self.action_rows(e, &actions);
+        let obs = {
+            let steps: Vec<&AbrStep> =
+                lanes.iter().map(|l| l.slot.episode.steps.last().expect("pushed above")).collect();
+            self.obs_tokens(e, &steps)
+        };
+
+        // Write each lane's rows: the incremental append (settled action
+        // token + new state) or the rebuild of its window, whose history
+        // observation tokens come from the slot's ring; only a step the
+        // ring no longer holds is encoded again.
+        let d = self.lm.cfg.d_model;
+        let (mut next_rtg, mut next_act) = (0, 0);
+        let take = |t: &Tensor, next: &mut usize, stacked: &mut Vec<f32>| {
+            stacked.extend_from_slice(t.row(*next));
+            *next += 1;
+        };
+        let mut plans = Vec::with_capacity(lanes.len());
+        for (i, (lane, clear)) in lanes.iter_mut().zip(reanchors).enumerate() {
+            let ep = &mut *lane.slot;
+            let n = ep.episode.steps.len() - 1;
+            let start = stacked.len();
+            if clear {
+                for step in ep.anchor..n {
+                    take(&rtg, &mut next_rtg, stacked);
+                    match ep.obs_rows.get(step) {
+                        Some(rows) => stacked.extend_from_slice(rows.data()),
+                        None => self
+                            .obs_tokens(e, &[&ep.episode.steps[step]])
+                            .iter()
+                            .for_each(|t| stacked.extend_from_slice(t.data())),
+                    }
+                    take(&acts, &mut next_act, stacked);
+                }
+            } else {
+                take(&acts, &mut next_act, stacked);
+            }
+            take(&rtg, &mut next_rtg, stacked);
+            let mut own = Vec::with_capacity(obs.len() * d);
+            obs.iter().for_each(|t| own.extend_from_slice(t.row(i)));
+            stacked.extend_from_slice(&own);
+            ep.obs_rows.push(n, Tensor::from_vec([obs.len(), d], own), self.window);
+            plans.push(LanePlan { rows: (stacked.len() - start) / d, reanchor: clear });
+        }
+        plans
     }
 
-    fn settle_step(
+    fn settle_batch(
         &self,
-        ep: &mut AbrEpisode,
-        _obs: &AbrObservation,
+        lanes: &mut [Lane<'_, AbrEpisode, AbrObservation>],
         hidden: &Tensor,
-    ) -> StepOutcome<usize> {
-        // The final appended row is the current step's state-closing token.
-        let t_new = hidden.shape()[0];
-        let logits = self.head.run(&mut Eager, &self.store, &hidden.narrow(0, t_new - 1, 1));
-        let best = logits.argmax();
-        ep.episode.steps.last_mut().unwrap().action = best;
-        StepOutcome { action: best, logits: logits.into_data(), rollback: None }
+        rows: &[usize],
+    ) -> Vec<StepOutcome<usize>> {
+        // Each lane's final row is its current step's state-closing token.
+        let last: Vec<usize> = rows
+            .iter()
+            .scan(0, |end, &n| {
+                *end += n;
+                Some(*end - 1)
+            })
+            .collect();
+        let logits = self.head.run(&mut Eager, &self.store, &hidden.gather_rows(&last));
+        lanes
+            .iter_mut()
+            .zip(logits.data().chunks_exact(self.head.rungs))
+            .map(|(lane, logits)| {
+                let best = argmax(logits);
+                lane.slot.episode.steps.last_mut().expect("planned this tick").action = best;
+                StepOutcome { action: best, logits: logits.to_vec(), rollback: None }
+            })
+            .collect()
     }
 }
 
@@ -549,6 +595,7 @@ impl AbrPolicy for NetLlmAbr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::StepPlan;
     use nt_abr::{envivio_like, generate_set, run_session, Bba, SimConfig, TraceKind};
     use nt_llm::{size_spec, Zoo};
 

@@ -19,15 +19,14 @@
 
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
-use crate::heads::CjsHeads;
+use crate::heads::{argmax, CjsHeads};
 use crate::multimodal::{Projection, ScalarEncoder, TokenRing};
-use crate::serving::{step_single, RollbackPlan, ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, Lane, LanePlan, RollbackPlan, ServedTask, StepOutcome};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, Gnn, ParamStore};
 use nt_tensor::{NodeId, Rng, Tensor};
-use std::borrow::Cow;
 
 const FEAT: usize = 24;
 /// Cap on candidate tokens per decision (token-budget guard; beyond this
@@ -153,12 +152,12 @@ pub struct CjsEpisode {
     pub last_decision_time: f64,
     /// First episode entry currently encoded in the KV session.
     pub anchor: usize,
-    /// Candidate count of the in-flight decision (set by `plan_step`,
-    /// consumed by `settle_step`).
+    /// Candidate count of the in-flight decision (set by `plan_batch`,
+    /// consumed by `settle_batch`).
     pending_c: usize,
-    /// `[rtg, graph]` tokens of the in-flight decision, which
-    /// `settle_step` keeps in `rows` with the chosen action's token.
-    pending_rows: Option<(Tensor, Tensor)>,
+    /// `[rtg, graph]` token rows of the in-flight decision, which
+    /// `settle_batch` keeps in `rows` with the chosen action's token.
+    pending_rows: Option<Vec<f32>>,
     /// `[rtg, graph, action]` tokens of the last `window - 1` history
     /// entries. They outlive an eviction, which clears only the KV session.
     rows: TokenRing,
@@ -264,7 +263,9 @@ impl NetLlmCjs {
 
     /// Build tokens for a window ending at the current decision. Returns
     /// `(stage_logits [1, c], cap_logits [1, K])` where `c` is the
-    /// (possibly truncated) candidate count.
+    /// (possibly truncated) candidate count. Each history entry goes
+    /// through the encoders alone: stacking the window would reorder the
+    /// gradient sums.
     fn decision_logits(
         &self,
         f: &mut Fwd,
@@ -273,7 +274,7 @@ impl NetLlmCjs {
         snap: &GraphSnapshot,
     ) -> (NodeId, NodeId) {
         let mut groups: Vec<NodeId> = history.iter().map(|h| self.history_tokens(f, h)).collect();
-        let (rtg, graph, cands) = self.decision_tokens(f, rtg_now, snap);
+        let (rtg, graph, cands) = self.decision_tokens(f, &[rtg_now], &[snap]);
         let c = f.shape(&cands)[0];
         let pooled_pos = 3 * history.len() + 1;
         groups.extend([rtg, graph, cands]);
@@ -287,18 +288,24 @@ impl NetLlmCjs {
         (stage_logits, cap_logits)
     }
 
-    /// Return-to-go token `[1, d]`.
-    fn rtg_token<E: Exec>(&self, e: &mut E, rtg: f32) -> E::V {
-        let feat = self.rtg_enc.run(e, &self.store, Tensor::from_vec([1, 1], vec![rtg]));
+    /// Return-to-go tokens `[rtgs.len(), d]`, one per prompt.
+    fn rtg_tokens<E: Exec>(&self, e: &mut E, rtgs: &[f32]) -> E::V {
+        let rtg = Tensor::from_vec([rtgs.len(), 1], rtgs.to_vec());
+        let feat = self.rtg_enc.run(e, &self.store, rtg);
         self.rtg_proj.run(e, &self.store, feat)
     }
 
-    /// Per-node GNN features and the pooled graph token.
-    /// Returns `(node_feats [n, FEAT], graph_token [1, d])`.
-    fn graph_tokens<E: Exec>(&self, e: &mut E, snap: &GraphSnapshot) -> (E::V, E::V) {
-        let feats = e.input(snap.feats.clone());
-        let nodes = self.gnn.run(e, &self.store, feats, &snap.adj);
-        let pooled = e.mean_rows(&nodes);
+    /// Per-node GNN features of every snapshot's graph, stacked
+    /// `[sum n_i, FEAT]`, and one pooled graph token per snapshot,
+    /// `[snaps.len(), d]`. The GNN's linears run once over every node;
+    /// each graph aggregates and pools its own.
+    fn graph_tokens<E: Exec>(&self, e: &mut E, snaps: &[&GraphSnapshot]) -> (E::V, E::V) {
+        let feats: Vec<&Tensor> = snaps.iter().map(|s| &s.feats).collect();
+        let feats = e.input(nt_tensor::concat(&feats, 0));
+        let adjs: Vec<&Tensor> = snaps.iter().map(|s| &s.adj).collect();
+        let nodes = self.gnn.run(e, &self.store, feats, &adjs);
+        let counts: Vec<usize> = snaps.iter().map(|s| s.feats.shape()[0]).collect();
+        let pooled = e.mean_rows(&nodes, &counts);
         let graph = self.graph_proj.run(e, &self.store, pooled);
         (nodes, graph)
     }
@@ -309,24 +316,32 @@ impl NetLlmCjs {
         e: &mut E,
         (rtg, snap, cap): &(f32, GraphSnapshot, usize),
     ) -> E::V {
-        let rtg = self.rtg_token(e, *rtg);
-        let graph = self.graph_tokens(e, snap).1;
+        let rtg = self.rtg_tokens(e, &[*rtg]);
+        let graph = self.graph_tokens(e, &[snap]).1;
         let action = e.embed(&self.store, &self.action_tokens, &[*cap]);
         e.concat(&[rtg, graph, action])
     }
 
-    /// The current decision's tokens: `rtg [1, d]`, `graph [1, d]` and one
-    /// token per candidate stage, `[c, d]` (at most [`MAX_CANDS`]).
+    /// The tokens of decisions prompted with `rtgs` over `snaps`: rtg
+    /// `[n, d]` and graph `[n, d]`, one row per decision, and one token
+    /// per candidate stage, each decision's (at most [`MAX_CANDS`]) in
+    /// turn.
     fn decision_tokens<E: Exec>(
         &self,
         e: &mut E,
-        rtg: f32,
-        snap: &GraphSnapshot,
+        rtgs: &[f32],
+        snaps: &[&GraphSnapshot],
     ) -> (E::V, E::V, E::V) {
-        let c = snap.candidates.len().min(MAX_CANDS);
-        let rtg = self.rtg_token(e, rtg);
-        let (nodes, graph) = self.graph_tokens(e, snap);
-        let cand_feats = e.gather_rows(&nodes, &snap.candidates[..c]);
+        let rtg = self.rtg_tokens(e, rtgs);
+        let (nodes, graph) = self.graph_tokens(e, snaps);
+        let mut cand_idx = Vec::new();
+        let mut first_node = 0;
+        for snap in snaps {
+            let c = snap.candidates.len().min(MAX_CANDS);
+            cand_idx.extend(snap.candidates[..c].iter().map(|&i| first_node + i));
+            first_node += snap.feats.shape()[0];
+        }
+        let cand_feats = e.gather_rows(&nodes, &cand_idx);
         let cands = self.node_proj.run(e, &self.store, cand_feats);
         (rtg, graph, cands)
     }
@@ -444,71 +459,116 @@ impl ServedTask for NetLlmCjs {
         }
     }
 
-    fn plan_step(&self, ep: &mut CjsEpisode, obs: &CjsObs, session: &InferenceSession) -> StepPlan {
-        let c = obs.snap.candidates.len().min(MAX_CANDS);
-        assert!(c > 0, "CJS decision needs at least one candidate");
-        // Decrement return-to-go by the realised cost since the last
-        // decision: active jobs x elapsed time (cost is negative return).
-        let dt = (obs.now - ep.last_decision_time).max(0.0);
-        ep.rtg_now += (dt * obs.active_jobs as f64 / R_SCALE) as f32;
-        ep.last_decision_time = obs.now;
-        ep.pending_c = c;
+    fn plan_batch(
+        &self,
+        lanes: &mut [Lane<'_, CjsEpisode, CjsObs>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        let mut rtgs = Vec::with_capacity(lanes.len());
+        let mut reanchors = Vec::with_capacity(lanes.len());
+        for (lane, session) in lanes.iter_mut().zip(sessions) {
+            let (ep, obs) = (&mut *lane.slot, lane.obs);
+            let c = obs.snap.candidates.len().min(MAX_CANDS);
+            assert!(c > 0, "CJS decision needs at least one candidate");
+            // Decrement return-to-go by the realised cost since the last
+            // decision: active jobs x elapsed time (cost is negative
+            // return).
+            let dt = (obs.now - ep.last_decision_time).max(0.0);
+            ep.rtg_now += (dt * obs.active_jobs as f64 / R_SCALE) as f32;
+            ep.last_decision_time = obs.now;
+            ep.pending_c = c;
+            rtgs.push(ep.rtg_now);
+            reanchors.push(self.reanchors(ep, session, Some(c)));
+        }
+        // Every decision's [rtg_t, graph_t, cand_1..c] in one pass.
+        let e = &mut Eager;
+        let snaps: Vec<&GraphSnapshot> = lanes.iter().map(|l| &l.obs.snap).collect();
+        let (rtg, graph, cands) = self.decision_tokens(e, &rtgs, &snaps);
 
-        // Current decision: [rtg_t, graph_t, cand_1..c].
-        let (rtg, graph, cands) = self.decision_tokens(&mut Eager, ep.rtg_now, &obs.snap);
         // The session holds `[rtg, graph, action]` triples for steps
-        // `anchor..`; a rebuild copies them from the ring and encodes
-        // only an entry it no longer holds.
-        let reanchor = self.reanchors(ep, session, Some(c));
-        let tokens = if reanchor {
-            ep.anchor = self.rebuild_anchor(ep);
-            let parts: Vec<Cow<Tensor>> = (ep.anchor..ep.steps.len())
-                .map(|i| match ep.rows.get(i) {
-                    Some(rows) => Cow::Borrowed(rows),
-                    None => Cow::Owned(self.history_tokens(&mut Eager, &ep.steps[i])),
-                })
-                .chain([&rtg, &graph, &cands].map(Cow::Borrowed))
-                .collect();
-            nt_tensor::concat(&parts, 0)
-        } else {
-            nt_tensor::concat(&[&rtg, &graph, &cands], 0)
-        };
-        ep.pending_rows = Some((rtg, graph));
-        StepPlan { tokens, reanchor }
+        // `anchor..`; a rebuild copies them from the ring and encodes only
+        // an entry it no longer holds.
+        let d = self.lm.cfg.d_model;
+        let mut next_cand = 0;
+        let mut plans = Vec::with_capacity(lanes.len());
+        for (i, (lane, clear)) in lanes.iter_mut().zip(reanchors).enumerate() {
+            let ep = &mut *lane.slot;
+            let start = stacked.len();
+            if clear {
+                ep.anchor = self.rebuild_anchor(ep);
+                for k in ep.anchor..ep.steps.len() {
+                    match ep.rows.get(k) {
+                        Some(rows) => stacked.extend_from_slice(rows.data()),
+                        None => {
+                            stacked.extend_from_slice(self.history_tokens(e, &ep.steps[k]).data())
+                        }
+                    }
+                }
+            }
+            let mut kept = Vec::with_capacity(3 * d);
+            kept.extend_from_slice(rtg.row(i));
+            kept.extend_from_slice(graph.row(i));
+            stacked.extend_from_slice(&kept);
+            let c = ep.pending_c;
+            stacked.extend_from_slice(&cands.data()[next_cand * d..(next_cand + c) * d]);
+            next_cand += c;
+            ep.pending_rows = Some(kept);
+            plans.push(LanePlan { rows: (stacked.len() - start) / d, reanchor: clear });
+        }
+        plans
     }
 
-    fn settle_step(
+    fn settle_batch(
         &self,
-        ep: &mut CjsEpisode,
-        obs: &CjsObs,
+        lanes: &mut [Lane<'_, CjsEpisode, CjsObs>],
         hidden: &Tensor,
-    ) -> StepOutcome<Decision> {
-        // The candidate rows close the append; the pooled-graph row sits
-        // just before them (history rows may precede both after a
-        // re-anchor rebuild).
-        let c = ep.pending_c;
-        let n = hidden.shape()[0];
-        let e = &mut Eager;
-        let stage_logits = self.heads.stage_logits(e, &self.store, &hidden.narrow(0, n - c, c));
-        let cap_logits = self.heads.cap_logits(e, &self.store, &hidden.narrow(0, n - c - 1, 1));
-        let stage = stage_logits.argmax();
-        let cap_idx = cap_logits.argmax();
-        let cap = (CAP_FRACS[cap_idx] * obs.total_executors as f64).ceil() as usize;
-        let action = e.embed(&self.store, &self.action_tokens, &[cap_idx]);
-        let (rtg, graph) = ep.pending_rows.take().expect("plan_step keeps the decision's rows");
-        ep.rows.push(
-            ep.steps.len(),
-            nt_tensor::concat(&[&rtg, &graph, &action], 0),
-            self.window - 1,
-        );
-        ep.steps.push((ep.rtg_now, obs.snap.clone(), cap_idx));
-        let mut logits = stage_logits.into_data();
-        logits.extend_from_slice(cap_logits.data());
-        StepOutcome {
-            action: Decision { candidate: stage, cap: cap.max(1) },
-            logits,
-            rollback: Some(RollbackPlan { drop_rows: c, post_tokens: action }),
+        rows: &[usize],
+    ) -> Vec<StepOutcome<Decision>> {
+        // Each lane's candidate rows close its append; its pooled-graph
+        // row sits just before them (history rows may precede both after
+        // a re-anchor rebuild).
+        let (mut cand_rows, mut graph_rows) = (Vec::new(), Vec::with_capacity(lanes.len()));
+        let mut end = 0;
+        for (lane, &n) in lanes.iter().zip(rows) {
+            end += n;
+            let c = lane.slot.pending_c;
+            cand_rows.extend(end - c..end);
+            graph_rows.push(end - c - 1);
         }
+        let e = &mut Eager;
+        let stage_logits = self.heads.stage_logits(e, &self.store, &hidden.gather_rows(&cand_rows));
+        let cap_logits = self.heads.cap_logits(e, &self.store, &hidden.gather_rows(&graph_rows));
+        let caps: Vec<usize> =
+            cap_logits.data().chunks_exact(self.heads.num_caps).map(argmax).collect();
+        let actions = e.embed(&self.store, &self.action_tokens, &caps);
+
+        let mut outcomes = Vec::with_capacity(lanes.len());
+        let mut next_cand = 0;
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let (ep, obs) = (&mut *lane.slot, lane.obs);
+            let c = ep.pending_c;
+            let stage = &stage_logits.data()[next_cand..next_cand + c];
+            next_cand += c;
+            let cap = (CAP_FRACS[caps[i]] * obs.total_executors as f64).ceil() as usize;
+            let action = actions.row(i);
+            let mut kept = ep.pending_rows.take().expect("plan_batch keeps the decision's rows");
+            kept.extend_from_slice(action);
+            let d = action.len();
+            ep.rows.push(ep.steps.len(), Tensor::from_vec([3, d], kept), self.window - 1);
+            ep.steps.push((ep.rtg_now, obs.snap.clone(), caps[i]));
+            let mut logits = stage.to_vec();
+            logits.extend_from_slice(cap_logits.row(i));
+            outcomes.push(StepOutcome {
+                action: Decision { candidate: argmax(stage), cap: cap.max(1) },
+                logits,
+                rollback: Some(RollbackPlan {
+                    drop_rows: c,
+                    post_tokens: Tensor::from_vec([1, d], action.to_vec()),
+                }),
+            });
+        }
+        outcomes
     }
 }
 
@@ -533,6 +593,7 @@ impl Scheduler for NetLlmCjs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::StepPlan;
     use nt_cjs::{generate_workload, run_workload, Srpt, WorkloadConfig};
     use nt_llm::{size_spec, Zoo};
 

@@ -12,7 +12,7 @@ use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
 use crate::multimodal::{ImageEncoder, Projection, SeriesEncoder};
-use crate::serving::{step_single, ServedTask, StepOutcome, StepPlan};
+use crate::serving::{step_single, Lane, LanePlan, ServedTask, StepOutcome};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
@@ -75,44 +75,62 @@ impl NetLlmVp {
         NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
     }
 
-    /// History deltas as the `[3, t]` series the CNN encoder expects.
-    fn history_series(sample: &VpSample) -> Tensor {
-        let hist_deltas = to_deltas(&sample.history);
-        let t = hist_deltas.len();
-        let mut flat = Vec::with_capacity(3 * t);
-        for c in 0..3 {
-            for d in &hist_deltas {
-                flat.push(d[c] / DELTA_SCALE);
+    /// Histories of equal length as the `[b, 3, t]` series the CNN encoder
+    /// expects: `t` deltas per history.
+    fn history_series(samples: &[(&VpSample, usize)]) -> Tensor {
+        let t = samples[0].0.history.len() - 1;
+        let mut flat = Vec::with_capacity(samples.len() * 3 * t);
+        for (sample, _) in samples {
+            let hist_deltas = to_deltas(&sample.history);
+            assert_eq!(hist_deltas.len(), t, "one series batch, one history length");
+            for c in 0..3 {
+                flat.extend(hist_deltas.iter().map(|d| d[c] / DELTA_SCALE));
             }
         }
-        Tensor::from_vec([3, t], flat)
+        Tensor::from_vec([samples.len(), 3, t], flat)
     }
 
     /// Build the token sequence and return the delta-prediction node
     /// `[pw, 3]` (network units).
     fn forward(&self, f: &mut Fwd, sample: &VpSample, pw: usize) -> NodeId {
-        let tokens = self.query_tokens(f, sample, pw);
+        let groups = self.query_tokens(f, &[(sample, pw)]);
+        let tokens = f.concat(&groups);
         let hidden = self.lm.forward_embeddings(f, &self.store, tokens);
         let total = f.g.value(hidden).shape()[0];
         let query_hidden = f.g.narrow(hidden, 0, total - pw, pw);
         self.head.run(f, &self.store, &query_hidden)
     }
 
-    /// Token build `[n, d]` for one query:
+    /// The token groups of `(sample, pw)` queries, each stacked across the
+    /// queries in turn: saliency patches `[n * patches, d]`,
+    /// history-delta tokens `[sum t_i, d]` and query tokens `[sum pw_i,
+    /// d]`. One query's tokens are
     /// `[saliency patches | history-delta tokens | pw query tokens]`.
-    /// Shared by the taped forward, the single-stream eval path and the
-    /// serving engine.
-    fn query_tokens<E: Exec>(&self, e: &mut E, sample: &VpSample, pw: usize) -> E::V {
-        assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
+    /// Shared by the taped forward (one query) and serving.
+    fn query_tokens<E: Exec>(&self, e: &mut E, queries: &[(&VpSample, usize)]) -> [E::V; 3] {
         let st = &self.store;
-        let series = Self::history_series(sample);
-        let img_feats = self.img_enc.run(e, st, &sample.saliency);
+        let imgs: Vec<&Tensor> = queries.iter().map(|(s, _)| &s.saliency).collect();
+        let img_feats = self.img_enc.run(e, st, &imgs);
         let img_tokens = self.img_proj.run(e, st, img_feats);
-        let vp_feats = self.vp_enc.steps(e, st, series);
+        // Histories of one length share a conv pass.
+        let mut vp_feats: Vec<E::V> = queries
+            .chunk_by(|a, b| a.0.history.len() == b.0.history.len())
+            .map(|run| self.vp_enc.steps(e, st, Self::history_series(run)))
+            .collect();
+        let vp_feats = match vp_feats.len() {
+            1 => vp_feats.pop().expect("one run"),
+            _ => e.concat(&vp_feats),
+        };
         let vp_tokens = self.vp_proj.run(e, st, vp_feats);
-        let q_idx: Vec<usize> = (0..pw).collect();
+        let q_idx: Vec<usize> = queries
+            .iter()
+            .flat_map(|&(_, pw)| {
+                assert!(pw <= self.max_pw, "pw {pw} exceeds max_pw {}", self.max_pw);
+                0..pw
+            })
+            .collect();
         let q_tokens = e.embed(st, &self.queries, &q_idx);
-        e.concat(&[img_tokens, vp_tokens, q_tokens])
+        [img_tokens, vp_tokens, q_tokens]
     }
 
     /// One query answered outside any engine: a one-shot slot on a fresh
@@ -131,20 +149,14 @@ impl NetLlmVp {
         Tensor::from_vec([pw, 3], self.answer(sample, pw).logits)
     }
 
-    /// Scale predicted deltas `[pw_model, 3]` back to degrees and extend
-    /// them to `pw` steps (velocity hold, decayed) from the sample's last
-    /// known viewport. Shared by [`VpPredictor::predict`] and the served
-    /// path.
-    fn deltas_to_viewports(sample: &VpSample, v: &Tensor, pw: usize) -> Vec<Viewport> {
-        let pw_model = v.shape()[0];
-        let mut deltas: Vec<[f32; 3]> = (0..pw_model)
-            .map(|i| {
-                [
-                    v.at(&[i, 0]) * DELTA_SCALE,
-                    v.at(&[i, 1]) * DELTA_SCALE,
-                    v.at(&[i, 2]) * DELTA_SCALE,
-                ]
-            })
+    /// Scale predicted deltas `[pw_model, 3]` (row-major in `v`) back to
+    /// degrees and extend them to `pw` steps (velocity hold, decayed) from
+    /// the sample's last known viewport. Shared by
+    /// [`VpPredictor::predict`] and the served path.
+    fn deltas_to_viewports(sample: &VpSample, v: &[f32], pw: usize) -> Vec<Viewport> {
+        let mut deltas: Vec<[f32; 3]> = v
+            .chunks_exact(3)
+            .map(|d| [d[0] * DELTA_SCALE, d[1] * DELTA_SCALE, d[2] * DELTA_SCALE])
             .collect();
         // Horizons beyond max_pw: hold the final predicted velocity, decayed.
         while deltas.len() < pw {
@@ -191,7 +203,7 @@ impl NetLlmVp {
 }
 
 /// VP behind the serving engine: one-shot eval slots. Every tick is a
-/// complete question — [`StepPlan::reanchor`] always clears the slot's
+/// complete question — [`LanePlan::reanchor`] always clears the slot's
 /// session, the query tokens go through the shared batched backbone
 /// step, and the head answers at the query positions. Slots typically
 /// join, answer, and leave.
@@ -231,27 +243,55 @@ impl ServedTask for NetLlmVp {
         0
     }
 
-    fn plan_step(
+    fn plan_batch(
         &self,
-        _slot: &mut VpSlot,
-        obs: &VpQuery,
-        _session: &InferenceSession,
-    ) -> StepPlan {
-        let pw = obs.pw.min(self.max_pw);
-        StepPlan { tokens: self.query_tokens(&mut Eager, &obs.sample, pw), reanchor: true }
+        lanes: &mut [Lane<'_, VpSlot, VpQuery>],
+        _sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        let queries: Vec<(&VpSample, usize)> =
+            lanes.iter().map(|l| (&l.obs.sample, l.obs.pw.min(self.max_pw))).collect();
+        let [img, hist, q] = self.query_tokens(&mut Eager, &queries);
+        let (d, patches) = (self.lm.cfg.d_model, self.img_enc.num_patches());
+        let (mut next_hist, mut next_q) = (0, 0);
+        let mut plans = Vec::with_capacity(queries.len());
+        for (i, (sample, pw)) in queries.into_iter().enumerate() {
+            let t = sample.history.len() - 1;
+            stacked.extend_from_slice(&img.data()[i * patches * d..(i + 1) * patches * d]);
+            stacked.extend_from_slice(&hist.data()[next_hist * d..(next_hist + t) * d]);
+            stacked.extend_from_slice(&q.data()[next_q * d..(next_q + pw) * d]);
+            (next_hist, next_q) = (next_hist + t, next_q + pw);
+            plans.push(LanePlan { rows: patches + t + pw, reanchor: true });
+        }
+        plans
     }
 
-    fn settle_step(
+    fn settle_batch(
         &self,
-        _slot: &mut VpSlot,
-        obs: &VpQuery,
+        lanes: &mut [Lane<'_, VpSlot, VpQuery>],
         hidden: &Tensor,
-    ) -> StepOutcome<Vec<Viewport>> {
-        let pw = obs.pw.min(self.max_pw);
-        let n = hidden.shape()[0];
-        let v = self.head.run(&mut Eager, &self.store, &hidden.narrow(0, n - pw, pw));
-        let action = Self::deltas_to_viewports(&obs.sample, &v, obs.pw);
-        StepOutcome { action, logits: v.into_data(), rollback: None }
+        rows: &[usize],
+    ) -> Vec<StepOutcome<Vec<Viewport>>> {
+        // Each lane's query rows close its append; one head pass reads
+        // them all.
+        let mut query_rows = Vec::new();
+        let mut end = 0;
+        for (lane, &n) in lanes.iter().zip(rows) {
+            end += n;
+            query_rows.extend(end - lane.obs.pw.min(self.max_pw)..end);
+        }
+        let v = self.head.run(&mut Eager, &self.store, &hidden.gather_rows(&query_rows));
+        let mut next = 0;
+        lanes
+            .iter()
+            .map(|lane| {
+                let pw = lane.obs.pw.min(self.max_pw);
+                let deltas = v.data()[3 * next..3 * (next + pw)].to_vec();
+                next += pw;
+                let action = Self::deltas_to_viewports(&lane.obs.sample, &deltas, lane.obs.pw);
+                StepOutcome { action, logits: deltas, rollback: None }
+            })
+            .collect()
     }
 }
 

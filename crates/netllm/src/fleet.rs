@@ -16,8 +16,9 @@ use crate::adapters::abr::AbrEpisode;
 use crate::adapters::cjs::{CjsEpisode, CjsObs};
 use crate::adapters::vp::{VpQuery, VpSlot};
 use crate::backbone::InferenceSession;
-use crate::serving::{ServedTask, StepOutcome, StepPlan};
+use crate::serving::{Lane, LanePlan, ServedTask, StepOutcome};
 use crate::{NetLlmAbr, NetLlmCjs, NetLlmVp};
+use nt_abr::AbrObservation;
 use nt_cjs::Decision;
 use nt_llm::TinyLm;
 use nt_nn::ParamStore;
@@ -42,13 +43,13 @@ pub struct NetLlmFleet<'m> {
 /// A tick observation for one fleet session (must match the slot's task).
 #[derive(Clone, Debug)]
 pub enum FleetObs {
-    Abr(nt_abr::AbrObservation),
+    Abr(AbrObservation),
     Cjs(CjsObs),
     Vp(VpQuery),
 }
 
-impl From<nt_abr::AbrObservation> for FleetObs {
-    fn from(o: nt_abr::AbrObservation) -> Self {
+impl From<AbrObservation> for FleetObs {
+    fn from(o: AbrObservation) -> Self {
         FleetObs::Abr(o)
     }
 }
@@ -172,52 +173,84 @@ impl ServedTask for NetLlmFleet<'_> {
         }
     }
 
-    fn plan_step(
+    fn plan_batch(
         &self,
-        slot: &mut FleetSlot,
-        obs: &FleetObs,
-        session: &InferenceSession,
-    ) -> StepPlan {
-        match (slot, obs) {
-            (FleetSlot::Abr(ep), FleetObs::Abr(o)) => self.abr.plan_step(ep, o, session),
-            (FleetSlot::Cjs(ep), FleetObs::Cjs(o)) => self.cjs.plan_step(ep, o, session),
-            (FleetSlot::Vp(sl), FleetObs::Vp(o)) => self.vp.plan_step(sl, o, session),
-            _ => panic!("fleet observation does not match the session's task"),
+        lanes: &mut [Lane<'_, FleetSlot, FleetObs>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        // A run is one group, so one member serves it whole.
+        match self.group_of(lanes[0].slot) {
+            FLEET_ABR => self.abr.plan_batch(&mut member(lanes, as_abr), sessions, stacked),
+            FLEET_CJS => self.cjs.plan_batch(&mut member(lanes, as_cjs), sessions, stacked),
+            _ => self.vp.plan_batch(&mut member(lanes, as_vp), sessions, stacked),
         }
     }
 
-    fn settle_step(
+    fn settle_batch(
         &self,
-        slot: &mut FleetSlot,
-        obs: &FleetObs,
+        lanes: &mut [Lane<'_, FleetSlot, FleetObs>],
         hidden: &Tensor,
-    ) -> StepOutcome<FleetAction> {
-        match (slot, obs) {
-            (FleetSlot::Abr(ep), FleetObs::Abr(o)) => {
-                let out = self.abr.settle_step(ep, o, hidden);
-                StepOutcome {
-                    action: FleetAction::Abr(out.action),
-                    logits: out.logits,
-                    rollback: out.rollback,
-                }
+        rows: &[usize],
+    ) -> Vec<StepOutcome<FleetAction>> {
+        match self.group_of(lanes[0].slot) {
+            FLEET_ABR => {
+                let out = self.abr.settle_batch(&mut member(lanes, as_abr), hidden, rows);
+                tagged(out, FleetAction::Abr)
             }
-            (FleetSlot::Cjs(ep), FleetObs::Cjs(o)) => {
-                let out = self.cjs.settle_step(ep, o, hidden);
-                StepOutcome {
-                    action: FleetAction::Cjs(out.action),
-                    logits: out.logits,
-                    rollback: out.rollback,
-                }
+            FLEET_CJS => {
+                let out = self.cjs.settle_batch(&mut member(lanes, as_cjs), hidden, rows);
+                tagged(out, FleetAction::Cjs)
             }
-            (FleetSlot::Vp(sl), FleetObs::Vp(o)) => {
-                let out = self.vp.settle_step(sl, o, hidden);
-                StepOutcome {
-                    action: FleetAction::Vp(out.action),
-                    logits: out.logits,
-                    rollback: out.rollback,
-                }
+            _ => {
+                let out = self.vp.settle_batch(&mut member(lanes, as_vp), hidden, rows);
+                tagged(out, FleetAction::Vp)
             }
-            _ => panic!("fleet observation does not match the session's task"),
         }
     }
+}
+
+/// A fleet run's lanes as lanes of the member `pick` unwraps.
+fn member<'a, S, O>(
+    lanes: &'a mut [Lane<'_, FleetSlot, FleetObs>],
+    pick: fn(&'a mut FleetSlot, &'a FleetObs) -> Option<Lane<'a, S, O>>,
+) -> Vec<Lane<'a, S, O>> {
+    lanes
+        .iter_mut()
+        .map(|l| pick(l.slot, l.obs).expect("fleet observation does not match the session's task"))
+        .collect()
+}
+
+fn as_abr<'a>(
+    slot: &'a mut FleetSlot,
+    obs: &'a FleetObs,
+) -> Option<Lane<'a, AbrEpisode, AbrObservation>> {
+    match (slot, obs) {
+        (FleetSlot::Abr(slot), FleetObs::Abr(obs)) => Some(Lane { slot, obs }),
+        _ => None,
+    }
+}
+
+fn as_cjs<'a>(slot: &'a mut FleetSlot, obs: &'a FleetObs) -> Option<Lane<'a, CjsEpisode, CjsObs>> {
+    match (slot, obs) {
+        (FleetSlot::Cjs(slot), FleetObs::Cjs(obs)) => Some(Lane { slot, obs }),
+        _ => None,
+    }
+}
+
+fn as_vp<'a>(slot: &'a mut FleetSlot, obs: &'a FleetObs) -> Option<Lane<'a, VpSlot, VpQuery>> {
+    match (slot, obs) {
+        (FleetSlot::Vp(slot), FleetObs::Vp(obs)) => Some(Lane { slot, obs }),
+        _ => None,
+    }
+}
+
+/// A member's outcomes with its actions tagged as fleet actions.
+fn tagged<A>(
+    outs: Vec<StepOutcome<A>>,
+    tag: fn(A) -> FleetAction,
+) -> Vec<StepOutcome<FleetAction>> {
+    outs.into_iter()
+        .map(|o| StepOutcome { action: tag(o.action), logits: o.logits, rollback: o.rollback })
+        .collect()
 }

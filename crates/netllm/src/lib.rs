@@ -85,8 +85,8 @@ pub use sched::{
     PagePressure, PlacementView, SubmitError, SubmitRetry, TickReport, Ticket, TicketStatus,
 };
 pub use serving::{
-    step_single, ParkedSlot, RollbackPlan, ServedTask, ServingEngine, SessionId, StepOutcome,
-    StepPlan,
+    step_single, Lane, LanePlan, ParkedSlot, RollbackPlan, ServedTask, ServingEngine, SessionId,
+    StepOutcome, StepPlan,
 };
 pub use settings::{
     AbrSetting, CjsSetting, Fidelity, VpSetting, ABR_DEFAULT, ABR_UNSEEN1, ABR_UNSEEN2,

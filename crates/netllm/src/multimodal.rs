@@ -44,26 +44,30 @@ impl ImageEncoder {
         per_side * per_side
     }
 
-    fn patchify(&self, img: &Tensor) -> Tensor {
-        assert_eq!(img.shape(), &[self.grid, self.grid], "image shape");
-        let p = self.patch_size;
-        let per_side = self.grid / p;
-        let mut patches = Vec::with_capacity(per_side * per_side * p * p);
-        for pr in 0..per_side {
-            for pc in 0..per_side {
-                for r in 0..p {
-                    for c in 0..p {
-                        patches.push(img.at(&[pr * p + r, pc * p + c]));
+    /// Every image's patches in order, stacked `[imgs.len() * num_patches,
+    /// patch_size^2]`.
+    fn patchify(&self, imgs: &[&Tensor]) -> Tensor {
+        let (g, p) = (self.grid, self.patch_size);
+        let per_side = g / p;
+        let mut patches = Vec::with_capacity(imgs.len() * g * g);
+        for img in imgs {
+            assert_eq!(img.shape(), &[g, g], "image shape");
+            for pr in 0..per_side {
+                for pc in 0..per_side {
+                    for r in 0..p {
+                        let row = (pr * p + r) * g + pc * p;
+                        patches.extend_from_slice(&img.data()[row..row + p]);
                     }
                 }
             }
         }
-        Tensor::from_vec([per_side * per_side, p * p], patches)
+        Tensor::from_vec([imgs.len() * per_side * per_side, p * p], patches)
     }
 
-    /// Encode `[grid, grid]` image -> `[num_patches, feat_dim]` features.
-    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, img: &Tensor) -> E::V {
-        let x = e.input(self.patchify(img));
+    /// Encode `[grid, grid]` images -> `[imgs.len() * num_patches,
+    /// feat_dim]` features, each image's patches in order.
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, imgs: &[&Tensor]) -> E::V {
+        let x = e.input(self.patchify(imgs));
         let feats = e.linear(store, &self.patch, &x);
         e.gelu(feats)
     }
@@ -98,19 +102,21 @@ impl SeriesEncoder {
         SeriesEncoder { conv, channels_in }
     }
 
-    /// Encode `[channels_in, t]` -> `[t, feat_dim]` per-step features.
+    /// Encode `b` series `[b, channels_in, t]` -> `[b * t, feat_dim]`
+    /// per-step features, each series' steps in order.
     pub fn steps<E: Exec>(&self, e: &mut E, store: &ParamStore, series: Tensor) -> E::V {
-        assert_eq!(series.shape().len(), 2);
-        assert_eq!(series.shape()[0], self.channels_in);
-        let (c, t) = (series.shape()[0], series.shape()[1]);
-        let y = e.conv_steps(store, &self.conv, series.reshape([1, c, t])); // [t, feat]
+        assert_eq!(series.shape().len(), 3);
+        assert_eq!(series.shape()[1], self.channels_in);
+        let y = e.conv_steps(store, &self.conv, series); // [b * t, feat]
         e.gelu(y)
     }
 
-    /// Encode to a single pooled feature row `[1, feat_dim]`.
+    /// Encode `b` series to one pooled feature row each, `[b, feat_dim]`.
     pub fn pooled<E: Exec>(&self, e: &mut E, store: &ParamStore, series: Tensor) -> E::V {
+        let b = series.shape()[0];
         let steps = self.steps(e, store, series);
-        e.mean_rows(&steps)
+        let per_series = e.shape(&steps)[0] / b;
+        e.mean_rows(&steps, &vec![per_series; b])
     }
 }
 
@@ -228,7 +234,7 @@ mod tests {
         let enc = ImageEncoder::new(&mut s, "img", 8, 4, 16, &mut rng);
         let mut f = Fwd::eval();
         let img = Tensor::randn([8, 8], 1.0, &mut rng);
-        let y = enc.run(&mut f, &s, &img);
+        let y = enc.run(&mut f, &s, &[&img]);
         assert_eq!(f.g.value(y).shape(), &[4, 16]);
     }
 
@@ -238,11 +244,11 @@ mod tests {
         let mut rng = Rng::seeded(2);
         let enc = SeriesEncoder::new(&mut s, "ts", 3, 12, 3, &mut rng);
         let mut f = Fwd::eval();
-        let series = Tensor::randn([3, 10], 1.0, &mut rng);
+        let series = Tensor::randn([2, 3, 10], 1.0, &mut rng);
         let steps = enc.steps(&mut f, &s, series.clone());
-        assert_eq!(f.g.value(steps).shape(), &[10, 12]);
+        assert_eq!(f.g.value(steps).shape(), &[20, 12]);
         let pooled = enc.pooled(&mut f, &s, series);
-        assert_eq!(f.g.value(pooled).shape(), &[1, 12]);
+        assert_eq!(f.g.value(pooled).shape(), &[2, 12]);
     }
 
     #[test]

@@ -12,18 +12,20 @@
 //! including re-anchor and rollback events).
 //!
 //! ```text
-//!  stream 0 ─ obs ─┐  per-slot tokens    one batched    ┌─ action 0
-//!  stream 1 ─ obs ─┤  plan_step(slot)    backbone       ├─ action 1
-//!      ...         ├─────[rows]────────► step [N,d] ────┤   ...
-//!  stream B ─ obs ─┘   (ragged rows)         │          └─ action B
-//!                       slot KV caches ──────┘   settle_step per slot
-//!                                                └─ rollback pass (CJS)
+//!  stream 0 ─ obs ─┐  plan_batch per run:   one batched    ┌─ action 0
+//!  stream 1 ─ obs ─┤  encoders once, rows   backbone       ├─ action 1
+//!      ...         ├──straight into [N,d]─► step [N,d] ────┤   ...
+//!  stream B ─ obs ─┘   (ragged rows)            │          └─ action B
+//!                       slot KV caches ─────────┘   settle_batch per run:
+//!                                                   hidden rows by range,
+//!                                                   heads once
+//!                                                   └─ rollback pass (CJS)
 //! ```
 //!
 //! What used to be hard-coded ABR logic is now the [`ServedTask`] trait:
-//! an adapter describes how an observation becomes token rows
-//! ([`ServedTask::plan_step`] — including its re-anchor policy) and how
-//! the new hidden rows become a decision ([`ServedTask::settle_step`] —
+//! an adapter describes how a run of observations becomes token rows
+//! ([`ServedTask::plan_batch`] — including its re-anchor policy) and how
+//! the new hidden rows become decisions ([`ServedTask::settle_batch`] —
 //! including an optional candidate rollback, the CJS pattern where
 //! per-decision candidate tokens are `truncate`d out of the persistent
 //! history and replaced by the chosen action token). ABR serves
@@ -35,6 +37,16 @@
 //! the engine serves the batch in backbone-group order, so an
 //! interleaved A/C/V/A/C/V arrival order still costs one stacked pass per
 //! backbone group.
+//!
+//! A run — the same-group slots of one band — is the hooks' unit of
+//! work. `plan_batch` runs each modality's encoder and projection once
+//! over the run's stacked inputs and writes every lane's token rows
+//! straight into the run's stacked buffer, which the backbone takes by
+//! value as its residual stream. `settle_batch` reads each lane's hidden
+//! rows by range from the stacked output and runs each head once over the
+//! rows it gathers. Every kernel on the way is one ascending chain per
+//! output element, so a lane's bits do not depend on what it is stacked
+//! with, and [`step_single`] is the same run at one lane.
 //!
 //! With `NT_THREADS > 1` the group-sorted batch is cut into contiguous
 //! bands of slots that run as the blocks of one
@@ -56,8 +68,26 @@ use nt_llm::{PagePool, SlotMap, TinyLm};
 use nt_nn::{ParamStore, Workspace};
 use nt_tensor::Tensor;
 
+/// One lane of a batched hook call: a session's episode state and the
+/// observation it consumes this tick. The engine hands the hooks every
+/// lane of one same-backbone run at once.
+pub struct Lane<'a, S, O> {
+    pub slot: &'a mut S,
+    pub obs: &'a O,
+}
+
+/// What [`ServedTask::plan_batch`] wrote for one lane.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct LanePlan {
+    /// Token rows the lane appended to the run's stacked buffer.
+    pub rows: usize,
+    /// Clear the lane's KV session before appending (episode start or
+    /// re-anchor rebuild).
+    pub reanchor: bool,
+}
+
 /// Token rows one slot contributes to a tick (built by
-/// [`ServedTask::plan_step`]).
+/// [`ServedTask::plan_step`], the one-lane [`ServedTask::plan_batch`]).
 pub struct StepPlan {
     /// Embedded rows `[n, d_model]` to append to the slot's KV session.
     pub tokens: Tensor,
@@ -66,7 +96,7 @@ pub struct StepPlan {
     pub reanchor: bool,
 }
 
-/// Candidate rollback requested by [`ServedTask::settle_step`]: the final
+/// Candidate rollback requested by [`ServedTask::settle_batch`]: the final
 /// `drop_rows` rows of the slot's session are not part of the persistent
 /// history (e.g. CJS candidate tokens) — the engine truncates them away
 /// and appends `post_tokens` (e.g. the chosen action token) in a second
@@ -78,7 +108,8 @@ pub struct RollbackPlan {
     pub post_tokens: Tensor,
 }
 
-/// What one slot's tick produced (built by [`ServedTask::settle_step`]).
+/// What one slot's tick produced (one per lane of
+/// [`ServedTask::settle_batch`]).
 pub struct StepOutcome<A> {
     /// The decision returned to the caller.
     pub action: A,
@@ -90,12 +121,19 @@ pub struct StepOutcome<A> {
     pub rollback: Option<RollbackPlan>,
 }
 
-/// An adapter that can be served by the [`ServingEngine`]: how an
-/// observation becomes token rows, and how the resulting hidden rows
-/// become a decision. Implemented by [`crate::NetLlmAbr`] (incremental
+/// An adapter that can be served by the [`ServingEngine`]: how a run of
+/// observations becomes token rows, and how the resulting hidden rows
+/// become decisions. Implemented by [`crate::NetLlmAbr`] (incremental
 /// decision-transformer steps), [`crate::NetLlmCjs`] (adds candidate
 /// rollback), [`crate::NetLlmVp`] (one-shot eval) and
 /// [`crate::NetLlmFleet`] (all three behind one engine).
+///
+/// The two required hooks take a whole run of same-group lanes, so each
+/// encoder, projection and head runs once per run over its stacked
+/// inputs. Every kernel they reach is one ascending chain per output
+/// element, so a lane's rows are the same bits whatever it is stacked
+/// with: [`ServedTask::plan_step`] and [`ServedTask::settle_step`] are the
+/// same hooks at one lane.
 pub trait ServedTask {
     /// Per-tick observation a live session consumes.
     type Obs;
@@ -132,18 +170,59 @@ pub trait ServedTask {
     /// Fresh episode state for a session joining `group`.
     fn new_slot(&self, group: usize) -> Self::Slot;
 
-    /// Phase-1 hook: settle the previous tick's realised outcome into the
-    /// episode and build the token rows this tick appends. `session` is
-    /// read-only here — ask for a clear via [`StepPlan::reanchor`]; the
-    /// engine (or the unbatched caller) owns the append.
+    /// Phase-1 hook over one run of same-group lanes: settle each lane's
+    /// previous outcome into its episode and write the token rows it
+    /// appends this tick straight into `stacked` (`d_model` values per
+    /// row), lane after lane. `sessions[i]` is lane `i`'s session, read
+    /// only here — a lane asks for a clear through [`LanePlan::reanchor`];
+    /// the engine (or the unbatched caller) owns the append. Returns one
+    /// [`LanePlan`] per lane.
+    fn plan_batch(
+        &self,
+        lanes: &mut [Lane<'_, Self::Slot, Self::Obs>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan>;
+
+    /// Phase-3 hook over the same run: `hidden` stacks the run's new
+    /// hidden rows (`[sum rows, d_model]`), lane `i` owning the `rows[i]`
+    /// after the lanes before it — exactly the rows it planned. Read the
+    /// task head, commit each decision to its episode, and optionally
+    /// request a candidate rollback. Returns one outcome per lane.
+    fn settle_batch(
+        &self,
+        lanes: &mut [Lane<'_, Self::Slot, Self::Obs>],
+        hidden: &Tensor,
+        rows: &[usize],
+    ) -> Vec<StepOutcome<Self::Action>>;
+
+    /// [`ServedTask::plan_batch`] for one lane, its rows as a tensor.
     fn plan_step(
         &self,
         slot: &mut Self::Slot,
         obs: &Self::Obs,
         session: &InferenceSession,
-    ) -> StepPlan;
+    ) -> StepPlan {
+        let d = self.backbone(self.group_of(slot)).0.cfg.d_model;
+        let mut stacked = Vec::new();
+        let plan = self.plan_batch(&mut [Lane { slot, obs }], &[session], &mut stacked)[0];
+        StepPlan { tokens: Tensor::from_vec([plan.rows, d], stacked), reanchor: plan.reanchor }
+    }
 
-    /// Token rows the next [`ServedTask::plan_step`] for `(slot, obs)`
+    /// [`ServedTask::settle_batch`] for one lane over its new hidden rows
+    /// `[n, d_model]`.
+    fn settle_step(
+        &self,
+        slot: &mut Self::Slot,
+        obs: &Self::Obs,
+        hidden: &Tensor,
+    ) -> StepOutcome<Self::Action> {
+        let rows = hidden.shape()[0];
+        let mut outcomes = self.settle_batch(&mut [Lane { slot, obs }], hidden, &[rows]);
+        outcomes.pop().expect("one lane, one outcome")
+    }
+
+    /// Token rows the next [`ServedTask::plan_batch`] for `(slot, obs)`
     /// will append, and whether it will clear the session first — computed
     /// *without* running the encoders and without mutating the slot, so
     /// the paged-memory scheduler can reserve pages (and evict or defer)
@@ -177,17 +256,6 @@ pub trait ServedTask {
         let _ = slot;
         session.len()
     }
-
-    /// Phase-3 hook: read the task head over this slot's new hidden rows
-    /// `[n, d_model]` (exactly the rows planned this tick), commit the
-    /// decision to the episode, and optionally request a candidate
-    /// rollback.
-    fn settle_step(
-        &self,
-        slot: &mut Self::Slot,
-        obs: &Self::Obs,
-        hidden: &Tensor,
-    ) -> StepOutcome<Self::Action>;
 }
 
 /// One live session inside the engine.
@@ -328,7 +396,7 @@ impl<T: ServedTask> ServingEngine<T> {
     /// Return the pages of every batch session whose next plan clears
     /// (re-anchors) anyway: the rebuild never reads the old cache, so
     /// clearing it *before* the step is semantically free — the step's
-    /// `plan_step` sees an empty session and takes the same rebuild
+    /// `plan_batch` sees an empty session and takes the same rebuild
     /// branch with the same tokens. Doing it up front lets the memory
     /// guard count those pages as available under any thread
     /// interleaving, so a re-anchoring giant session can never wedge the
@@ -353,7 +421,7 @@ impl<T: ServedTask> ServingEngine<T> {
 
     /// Reclaim a session's pages by dropping its KV cache (the episode
     /// state survives). The session re-anchors from its episode log on
-    /// its next step — every adapter's `plan_step` rebuilds from an empty
+    /// its next step — every adapter's `plan_batch` rebuilds from an empty
     /// session — so subsequent answers equal a session that re-anchored
     /// at this tick. Returns the pages freed.
     pub fn evict(&mut self, id: SessionId) -> usize {
@@ -536,6 +604,7 @@ impl<T: ServedTask> ServingEngine<T> {
         T: Sync,
         T::Obs: Sync,
         T::Slot: Send,
+        T::Action: Send,
     {
         assert!(!requests.is_empty(), "empty serving batch");
         // Serve in group order: a stable sort of the request positions by
@@ -555,25 +624,25 @@ impl<T: ServedTask> ServingEngine<T> {
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| groups[i]);
         // A distinct &mut slot per request (a duplicate id panics here),
-        // paired with its observation and, once its band ran, its new
-        // hidden rows.
+        // paired with its observation and, once its band ran, its outcome.
         let picked = self.slots.get_distinct_mut(order.iter().map(|&i| requests[i].0.index()));
         let mut lanes: Vec<_> = picked
             .into_iter()
             .zip(&order)
-            .map(|(slot, &i)| (slot, requests[i].1, None::<Tensor>))
+            .map(|(slot, &i)| (slot, requests[i].1, None::<StepOutcome<T::Action>>))
             .collect();
 
-        // Phases 1+2 (per band): plan each slot's token rows, then run
-        // batched backbone steps over the band. Bands are contiguous
-        // ranges of the group-sorted order, so a band holds at most
-        // `groups()` runs; with NT_THREADS > 1 they fan out over the
-        // persistent kernel pool, one block of
-        // [`nt_tensor::pool::for_each_block_mut`] per band — each band is
-        // an independent slice of slots (own KV caches, own episode
-        // state), and band splits never change any per-element
-        // accumulation order, so threaded and serial serving are
-        // bit-identical. Band tasks carry the pool's worker flag (no
+        // Phases 1-3 (per band): each same-group run of the band plans
+        // every lane's token rows into one stacked buffer, runs one
+        // batched backbone step over it, and settles every lane from the
+        // stacked hidden rows ([`serve_run`]). Bands are contiguous ranges
+        // of the group-sorted order, so a band holds at most `groups()`
+        // runs; with NT_THREADS > 1 they fan out over the persistent
+        // kernel pool, one block of [`nt_tensor::pool::for_each_block_mut`]
+        // per band — each band is an independent slice of slots (own KV
+        // caches, own episode state), and band splits never change any
+        // per-element accumulation order, so threaded and serial serving
+        // are bit-identical. Band tasks carry the pool's worker flag (no
         // second layer of per-matmul parallelism), and an engine that is
         // *itself* inside a pool worker (a shard task) stays serial.
         let threads = if nt_tensor::pool::in_worker() {
@@ -591,32 +660,25 @@ impl<T: ServedTask> ServingEngine<T> {
         let mut bands: Vec<_> = lanes.chunks_mut(band_len).zip(&mut self.workspaces).collect();
         nt_tensor::pool::for_each_block_mut(&mut bands, 1, |_, block| {
             let (band, ws) = &mut block[0];
-            let mut parts: Vec<Tensor> = Vec::with_capacity(band.len());
-            for (slot, obs, _) in band.iter_mut() {
-                let plan = task.plan_step(&mut slot.state, obs, &slot.session);
-                if plan.reanchor {
-                    slot.session.clear();
+            let same_group = |a: &(&mut EngineSlot<T>, _, _), b: &(&mut EngineSlot<T>, _, _)| {
+                task.group_of(&a.0.state) == task.group_of(&b.0.state)
+            };
+            for run in band.chunk_by_mut(same_group) {
+                let outcomes = {
+                    let (mut hooks, mut sessions): (Vec<_>, Vec<_>) = run
+                        .iter_mut()
+                        .map(|(slot, obs, _)| {
+                            let EngineSlot { state, session, .. } = &mut **slot;
+                            (Lane { slot: state, obs: *obs }, session)
+                        })
+                        .unzip();
+                    serve_run(task, &mut hooks, &mut sessions, ws)
+                };
+                for ((_, _, out), outcome) in run.iter_mut().zip(outcomes) {
+                    *out = Some(outcome);
                 }
-                parts.push(plan.tokens);
-            }
-            let mut slots: Vec<&mut EngineSlot<T>> =
-                band.iter_mut().map(|(slot, _, _)| &mut **slot).collect();
-            let hidden = append_by_group(task, &mut slots, &parts, ws);
-            for ((_, _, out), h) in band.iter_mut().zip(hidden) {
-                *out = Some(h);
             }
         });
-
-        // Phase 3: task heads over each slot's new hidden rows.
-        let mut actions = Vec::with_capacity(lanes.len());
-        let mut rollbacks: Vec<Option<RollbackPlan>> = Vec::with_capacity(lanes.len());
-        for (slot, obs, hidden) in lanes.iter_mut() {
-            let hidden = hidden.as_ref().expect("every band ran");
-            let out = task.settle_step(&mut slot.state, obs, hidden);
-            slot.last_logits = out.logits;
-            rollbacks.push(out.rollback);
-            actions.push(out.action);
-        }
 
         // Rollback pass: slots whose trailing rows are not persistent
         // history (CJS candidates) truncate them away, then their post
@@ -624,17 +686,21 @@ impl<T: ServedTask> ServingEngine<T> {
         // batched append per backbone group. Per-slot math is identical
         // to the unbatched truncate-then-append — KV state is private to
         // each slot.
+        let mut actions = Vec::with_capacity(lanes.len());
         let mut rb_slots: Vec<&mut EngineSlot<T>> = Vec::new();
         let mut rb_tokens: Vec<Tensor> = Vec::new();
-        for ((slot, _, _), plan) in lanes.into_iter().zip(rollbacks) {
-            if let Some(RollbackPlan { drop_rows, post_tokens }) = plan {
+        for (slot, _, outcome) in lanes {
+            let outcome = outcome.expect("every band ran");
+            slot.last_logits = outcome.logits;
+            if let Some(RollbackPlan { drop_rows, post_tokens }) = outcome.rollback {
                 let keep = slot.session.len() - drop_rows;
                 slot.session.truncate(keep);
                 rb_slots.push(slot);
                 rb_tokens.push(post_tokens);
             }
+            actions.push(outcome.action);
         }
-        let _ = append_by_group(task, &mut rb_slots, &rb_tokens, &mut self.workspaces[0]);
+        append_rollbacks(task, &mut rb_slots, &rb_tokens, &mut self.workspaces[0]);
 
         // Scatter the group-ordered decisions back to request order.
         let mut tagged: Vec<(usize, T::Action)> = order.into_iter().zip(actions).collect();
@@ -647,26 +713,21 @@ impl<T: ServedTask> ServingEngine<T> {
 /// driver: plan, clear on re-anchor, append, settle, apply the
 /// [`RollbackPlan`] (the returned outcome's `rollback` is `None`: it has
 /// been carried out). This is [`ServingEngine::step`] for a batch of one
-/// — same hooks, the same batched append of one session, on a workspace
-/// local to the call — so it is both every adapter's single-stream entry
-/// point and the replay oracle the fleet gates compare served logits
-/// against.
+/// — the same run of hooks at one lane, on a workspace local to the call
+/// — so it is both every adapter's single-stream entry point and the
+/// replay oracle the fleet gates compare served logits against.
 pub fn step_single<T: ServedTask>(
     task: &T,
     slot: &mut T::Slot,
     session: &mut InferenceSession,
     obs: &T::Obs,
 ) -> StepOutcome<T::Action> {
-    let (lm, store) = task.backbone(task.group_of(slot));
     let ws = &mut Workspace::default();
-    let plan = task.plan_step(slot, obs, session);
-    if plan.reanchor {
-        session.clear();
-    }
-    let rows = plan.tokens.shape()[0];
-    let hidden = append_batched_with(lm, store, &mut [&mut *session], plan.tokens, &[rows], ws);
-    let mut out = task.settle_step(slot, obs, &hidden);
+    let lane = Lane { slot: &mut *slot, obs };
+    let mut out = serve_run(task, &mut [lane], &mut [&mut *session], ws);
+    let mut out = out.pop().expect("one lane, one outcome");
     if let Some(RollbackPlan { drop_rows, post_tokens }) = out.rollback.take() {
+        let (lm, store) = task.backbone(task.group_of(slot));
         session.truncate(session.len() - drop_rows);
         let rows = post_tokens.shape()[0];
         append_batched_with(lm, store, &mut [session], post_tokens, &[rows], ws);
@@ -674,35 +735,56 @@ pub fn step_single<T: ServedTask>(
     out
 }
 
+/// One run of same-group lanes through [`ServedTask::plan_batch`], one
+/// stacked backbone pass on `ws` over the buffer it wrote, and
+/// [`ServedTask::settle_batch`] over the hidden rows that pass returns.
+/// `sessions[i]` is lane `i`'s session.
+fn serve_run<T: ServedTask>(
+    task: &T,
+    lanes: &mut [Lane<'_, T::Slot, T::Obs>],
+    sessions: &mut [&mut InferenceSession],
+    ws: &mut Workspace,
+) -> Vec<StepOutcome<T::Action>> {
+    let (lm, store) = task.backbone(task.group_of(lanes[0].slot));
+    let d = lm.cfg.d_model;
+    let mut stacked = Vec::new();
+    let plans = {
+        let views: Vec<&InferenceSession> = sessions.iter().map(|s| &**s).collect();
+        task.plan_batch(lanes, &views, &mut stacked)
+    };
+    let rows: Vec<usize> = plans.iter().map(|p| p.rows).collect();
+    assert_eq!(rows.len(), lanes.len(), "one plan per lane");
+    assert_eq!(rows.iter().sum::<usize>() * d, stacked.len(), "plans must fill the stacked rows");
+    for (session, plan) in sessions.iter_mut().zip(&plans) {
+        if plan.reanchor {
+            session.clear();
+        }
+    }
+    let tokens = Tensor::from_vec([stacked.len() / d, d], stacked);
+    let hidden = append_batched_with(lm, store, sessions, tokens, &rows, ws);
+    task.settle_batch(lanes, &hidden, &rows)
+}
+
 /// Append `tokens[i]` to `slots[i]`'s session, one stacked backbone pass
 /// on `ws` per maximal run of same-backbone slots (different groups may
-/// run different weights). Returns each slot's new hidden rows, in slot
-/// order.
-fn append_by_group<T: ServedTask>(
+/// run different weights). The hidden rows are not read.
+fn append_rollbacks<T: ServedTask>(
     task: &T,
     slots: &mut [&mut EngineSlot<T>],
     tokens: &[Tensor],
     ws: &mut Workspace,
-) -> Vec<Tensor> {
-    let mut hidden_per_slot = Vec::with_capacity(slots.len());
+) {
     let mut rest = tokens;
     for run in slots.chunk_by_mut(|a, b| task.group_of(&a.state) == task.group_of(&b.state)) {
         let (tokens, tail) = rest.split_at(run.len());
         rest = tail;
         let (lm, store) = task.backbone(task.group_of(&run[0].state));
-        let refs: Vec<&Tensor> = tokens.iter().collect();
-        let stacked = nt_tensor::concat(&refs, 0);
+        let stacked = nt_tensor::concat(tokens, 0);
         let rows: Vec<usize> = tokens.iter().map(|t| t.shape()[0]).collect();
         let mut sessions: Vec<&mut InferenceSession> =
             run.iter_mut().map(|s| &mut s.session).collect();
-        let hidden = append_batched_with(lm, store, &mut sessions, stacked, &rows, ws);
-        let mut row = 0usize;
-        for &n in &rows {
-            hidden_per_slot.push(hidden.narrow(0, row, n));
-            row += n;
-        }
+        append_batched_with(lm, store, &mut sessions, stacked, &rows, ws);
     }
-    hidden_per_slot
 }
 
 #[cfg(test)]

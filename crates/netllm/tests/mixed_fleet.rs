@@ -5,8 +5,8 @@
 //! tick, and the ABR streams crossing their 2x-window re-anchor.
 
 use netllm::{
-    CjsObs, FleetAction, FleetObs, FleetSlot, InferenceSession, NetLlmFleet, ServedTask,
-    ServingEngine, ShardedServer, StepOutcome, StepPlan, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    CjsObs, FleetAction, FleetObs, FleetSlot, InferenceSession, Lane, LanePlan, NetLlmFleet,
+    ServedTask, ServingEngine, ShardedServer, StepOutcome, VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_cjs::Scheduler;
@@ -136,16 +136,21 @@ impl ServedTask for CountingFleet<'_> {
     fn new_slot(&self, group: usize) -> FleetSlot {
         self.inner.new_slot(group)
     }
-    fn plan_step(&self, slot: &mut FleetSlot, obs: &FleetObs, s: &InferenceSession) -> StepPlan {
-        self.inner.plan_step(slot, obs, s)
-    }
-    fn settle_step(
+    fn plan_batch(
         &self,
-        slot: &mut FleetSlot,
-        obs: &FleetObs,
+        lanes: &mut [Lane<'_, FleetSlot, FleetObs>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        self.inner.plan_batch(lanes, sessions, stacked)
+    }
+    fn settle_batch(
+        &self,
+        lanes: &mut [Lane<'_, FleetSlot, FleetObs>],
         hidden: &Tensor,
-    ) -> StepOutcome<FleetAction> {
-        self.inner.settle_step(slot, obs, hidden)
+        rows: &[usize],
+    ) -> Vec<StepOutcome<FleetAction>> {
+        self.inner.settle_batch(lanes, hidden, rows)
     }
 }
 

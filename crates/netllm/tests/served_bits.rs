@@ -20,7 +20,8 @@
 //! digests at the parent commit on the same host first.
 
 use netllm::{
-    step_single, CjsObs, FleetModels, InferenceSession, ServedTask, StepOutcome, StepPlan, VpQuery,
+    step_single, CjsObs, FleetModels, InferenceSession, Lane, LanePlan, ServedTask, StepOutcome,
+    VpQuery,
 };
 use nt_abr::AbrObservation;
 use nt_llm::TinyLm;
@@ -76,28 +77,44 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
         self.task.new_slot(group)
     }
 
-    fn plan_step(&self, slot: &mut T::Slot, obs: &T::Obs, session: &InferenceSession) -> StepPlan {
-        let plan = self.task.plan_step(slot, obs, session);
-        self.eat(plan.tokens.shape()[0], plan.tokens.data());
-        let reanchored = plan.reanchor && !session.is_empty();
-        self.reanchors.set(self.reanchors.get() + usize::from(reanchored));
-        plan
+    fn plan_batch(
+        &self,
+        lanes: &mut [Lane<'_, T::Slot, T::Obs>],
+        sessions: &[&InferenceSession],
+        stacked: &mut Vec<f32>,
+    ) -> Vec<LanePlan> {
+        let start = stacked.len();
+        let plans = self.task.plan_batch(lanes, sessions, stacked);
+        let d = self.task.backbone(self.task.group_of(lanes[0].slot)).0.cfg.d_model;
+        let mut row = start / d;
+        for (plan, session) in plans.iter().zip(sessions) {
+            self.eat(plan.rows, &stacked[row * d..(row + plan.rows) * d]);
+            row += plan.rows;
+            let reanchored = plan.reanchor && !session.is_empty();
+            self.reanchors.set(self.reanchors.get() + usize::from(reanchored));
+        }
+        plans
     }
 
-    fn settle_step(
+    fn settle_batch(
         &self,
-        slot: &mut T::Slot,
-        obs: &T::Obs,
+        lanes: &mut [Lane<'_, T::Slot, T::Obs>],
         hidden: &Tensor,
-    ) -> StepOutcome<T::Action> {
-        self.eat(hidden.shape()[0], hidden.data());
-        let out = self.task.settle_step(slot, obs, hidden);
-        self.eat(1, &out.logits);
-        if let Some(rb) = &out.rollback {
-            self.eat(rb.drop_rows, rb.post_tokens.data());
-            self.rollbacks.set(self.rollbacks.get() + 1);
+        rows: &[usize],
+    ) -> Vec<StepOutcome<T::Action>> {
+        let outs = self.task.settle_batch(lanes, hidden, rows);
+        let d = hidden.shape()[1];
+        let mut row = 0;
+        for (&n, out) in rows.iter().zip(&outs) {
+            self.eat(n, &hidden.data()[row * d..(row + n) * d]);
+            row += n;
+            self.eat(1, &out.logits);
+            if let Some(rb) = &out.rollback {
+                self.eat(rb.drop_rows, rb.post_tokens.data());
+                self.rollbacks.set(self.rollbacks.get() + 1);
+            }
         }
-        out
+        outs
     }
 }
 

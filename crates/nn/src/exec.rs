@@ -12,8 +12,17 @@
 
 use crate::layers::{Conv1d, Embedding, LayerNorm, Linear};
 use crate::store::{Fwd, ParamStore};
+use nt_tensor::tensor::matmul_into;
 use nt_tensor::{NodeId, Tensor};
 use std::borrow::Cow;
+
+/// `(first row, rows)` of each consecutive group of `counts`.
+fn row_groups(counts: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    counts.iter().scan(0, |start, &n| {
+        *start += n;
+        Some((*start - n, n))
+    })
+}
 
 /// The ops a module is written in. Ops that can reuse their operand take
 /// it by value; ops that only read it take a reference.
@@ -42,13 +51,27 @@ pub trait Exec {
     fn add(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
     /// `[m, k] x [k, n] -> [m, n]`.
     fn matmul(&mut self, a: &Self::V, b: &Self::V) -> Self::V;
-    /// Column means of `[n, d]` as one row `[1, d]`.
-    fn mean_rows(&mut self, x: &Self::V) -> Self::V;
+    /// Column means of consecutive row groups of `[sum counts, d]`, one
+    /// `[1, d]` row per group: `[counts.len(), d]`.
+    fn mean_rows(&mut self, x: &Self::V, counts: &[usize]) -> Self::V;
+    /// Block-diagonal product: each square block `[n_i, n_i]` times its
+    /// own `n_i` consecutive rows of `x` (`[sum n_i, d]`), stacked.
+    fn block_matmul(&mut self, blocks: &[&Self::V], x: &Self::V) -> Self::V;
     /// Rows `idx` of `[n, d]`.
     fn gather_rows(&mut self, x: &Self::V, idx: &[usize]) -> Self::V;
     /// Stack `[n_i, d]` values into `[sum n_i, d]`.
     fn concat(&mut self, parts: &[Self::V]) -> Self::V;
     fn reshape(&mut self, x: Self::V, shape: [usize; 2]) -> Self::V;
+}
+
+impl Fwd {
+    /// One group's value as it is, more groups' stacked.
+    fn stack(&mut self, parts: Vec<NodeId>) -> NodeId {
+        match parts[..] {
+            [one] => one,
+            _ => self.g.concat(&parts, 0),
+        }
+    }
 }
 
 impl Exec for Fwd {
@@ -102,10 +125,28 @@ impl Exec for Fwd {
         self.g.matmul(*a, *b)
     }
 
-    fn mean_rows(&mut self, x: &NodeId) -> NodeId {
+    fn mean_rows(&mut self, x: &NodeId, counts: &[usize]) -> NodeId {
         let d = self.shape(x)[1];
-        let mean = self.g.mean_axis(*x, 0); // [d]
-        self.g.reshape(mean, [1, d])
+        let means: Vec<NodeId> = row_groups(counts)
+            .map(|(start, n)| {
+                let rows = if counts.len() == 1 { *x } else { self.g.narrow(*x, 0, start, n) };
+                let mean = self.g.mean_axis(rows, 0); // [d]
+                self.g.reshape(mean, [1, d])
+            })
+            .collect();
+        self.stack(means)
+    }
+
+    fn block_matmul(&mut self, blocks: &[&NodeId], x: &NodeId) -> NodeId {
+        let counts: Vec<usize> = blocks.iter().map(|b| self.shape(b)[0]).collect();
+        let parts: Vec<NodeId> = row_groups(&counts)
+            .zip(blocks)
+            .map(|((start, n), block)| {
+                let rows = if blocks.len() == 1 { *x } else { self.g.narrow(*x, 0, start, n) };
+                self.g.matmul(**block, rows)
+            })
+            .collect();
+        self.stack(parts)
     }
 
     fn gather_rows(&mut self, x: &NodeId, idx: &[usize]) -> NodeId {
@@ -176,13 +217,32 @@ impl Exec for Eager {
         a.matmul(b)
     }
 
-    fn mean_rows(&mut self, x: &Tensor) -> Tensor {
-        // `reduce_axis`'s order (rows ascending, one divide), as a `[1, d]` row.
-        let (n, d) = (x.shape()[0], x.shape()[1]);
-        let mut out = vec![0.0f32; d];
-        x.data().chunks(d).for_each(|row| out.iter_mut().zip(row).for_each(|(o, v)| *o += v));
-        out.iter_mut().for_each(|o| *o /= n as f32);
-        Tensor::from_vec([1, d], out)
+    fn mean_rows(&mut self, x: &Tensor, counts: &[usize]) -> Tensor {
+        // `reduce_axis`'s order per group (rows ascending, one divide).
+        let d = x.shape()[1];
+        let mut out = vec![0.0f32; counts.len() * d];
+        for ((start, n), mean) in row_groups(counts).zip(out.chunks_exact_mut(d)) {
+            for row in x.data()[start * d..(start + n) * d].chunks_exact(d) {
+                mean.iter_mut().zip(row).for_each(|(o, v)| *o += v);
+            }
+            mean.iter_mut().for_each(|o| *o /= n as f32);
+        }
+        Tensor::from_vec([counts.len(), d], out)
+    }
+
+    fn block_matmul(&mut self, blocks: &[&Tensor], x: &Tensor) -> Tensor {
+        // `Tensor::matmul` per block, written in place of its own rows.
+        let d = x.shape()[1];
+        let mut out = vec![0.0f32; x.numel()];
+        let mut start = 0;
+        for block in blocks {
+            let n = block.shape()[0];
+            let rows = start * d..(start + n) * d;
+            matmul_into(block.data(), &x.data()[rows.clone()], &mut out[rows], n, n, d);
+            start += n;
+        }
+        assert_eq!(start, x.shape()[0], "blocks must cover every row");
+        Tensor::from_vec([start, d], out)
     }
 
     fn gather_rows(&mut self, x: &Tensor, idx: &[usize]) -> Tensor {

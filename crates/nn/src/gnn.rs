@@ -50,9 +50,12 @@ impl GnnLayer {
         }
     }
 
-    /// `h: [n, in]`, `adj: [n, n]` (constant), returns `[n, out]` after ReLU.
-    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, h: E::V, adj: &E::V) -> E::V {
-        let agg = e.matmul(adj, &h);
+    /// `h: [sum n_i, in]`, the nodes of the graphs whose adjacency
+    /// operators are `adjs` (`[n_i, n_i]`, constant), returns `[sum n_i,
+    /// out]` after ReLU. Each graph aggregates its own nodes; the linears
+    /// run once over every graph's.
+    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, h: E::V, adjs: &[&E::V]) -> E::V {
+        let agg = e.block_matmul(adjs, &h);
         let a = e.linear(store, &self.w_agg, &agg);
         let s = e.linear(store, &self.w_self, &h);
         let sum = e.add(&s, &a);
@@ -88,14 +91,22 @@ impl Gnn {
         Gnn { layers, readout }
     }
 
-    /// Per-node embeddings `[n, out_dim]` of node features `[n, in_dim]`
-    /// over the adjacency operator `adj` (`[n, n]`, which the eager
-    /// executor borrows).
-    pub fn run<E: Exec>(&self, e: &mut E, store: &ParamStore, feats: E::V, adj: &Tensor) -> E::V {
-        let adj = e.constant(adj);
+    /// Per-node embeddings `[sum n_i, out_dim]` of the node features of
+    /// one or more graphs, stacked `[sum n_i, in_dim]`, each over its own
+    /// adjacency operator `adjs[i]` (`[n_i, n_i]`, which the eager executor
+    /// borrows).
+    pub fn run<E: Exec>(
+        &self,
+        e: &mut E,
+        store: &ParamStore,
+        feats: E::V,
+        adjs: &[&Tensor],
+    ) -> E::V {
+        let adjs: Vec<_> = adjs.iter().map(|a| e.constant(a)).collect();
+        let adjs: Vec<&E::V> = adjs.iter().map(|a| a.as_ref()).collect();
         let mut h = feats;
         for layer in &self.layers {
-            h = layer.run(e, store, h, &adj);
+            h = layer.run(e, store, h, &adjs);
         }
         e.linear(store, &self.readout, &h)
     }
@@ -143,7 +154,7 @@ mod tests {
         let mut f = Fwd::eval();
         let feats = f.input(Tensor::randn([5, 4], 1.0, &mut rng));
         let adj = normalized_adjacency(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
-        let out = gnn.run(&mut f, &s, feats, &adj);
+        let out = gnn.run(&mut f, &s, feats, &[&adj]);
         assert_eq!(f.g.value(out).shape(), &[5, 6]);
         let l = f.g.mean_all(out);
         let grads = f.backward(l);
@@ -165,7 +176,7 @@ mod tests {
             *feats.at_mut(&[1, 0]) = 1.0;
             *feats.at_mut(&[2, 0]) = 1.0;
             let fi = f.input(feats);
-            let out = gnn.run(&mut f, &s, fi, &adj);
+            let out = gnn.run(&mut f, &s, fi, &[&adj]);
             f.g.value(out).row(2).to_vec()
         };
         let a = run(0.0);
