@@ -304,6 +304,14 @@ impl NetLlmAbr {
         e.embed(&self.store, &self.action_tokens, &ids)
     }
 
+    /// Whether `obs` is an observation this model can encode: its ladder
+    /// has a rate for every rung the head can pick (the QoE of a settled
+    /// action reads `ladder_mbps[action]`). The serving front door
+    /// refuses the rest.
+    pub fn admits(&self, obs: &AbrObservation) -> bool {
+        obs.ladder_mbps.len() >= self.head.rungs
+    }
+
     /// Action logits of the most recent [`AbrPolicy::select`] call.
     pub fn last_logits(&self) -> &[f32] {
         &self.last_logits

@@ -288,6 +288,19 @@ impl NetLlmCjs {
         (stage_logits, cap_logits)
     }
 
+    /// Whether `obs` is an observation this model can encode: node
+    /// features `[n, NODE_FEATS]`, an `[n, n]` adjacency operator, and at
+    /// least one candidate, each a node of the graph. The serving front
+    /// door refuses the rest.
+    pub fn admits(&self, obs: &CjsObs) -> bool {
+        let snap = &obs.snap;
+        let n = snap.feats.shape().first().copied().unwrap_or(0);
+        snap.feats.shape() == [n, NODE_FEATS]
+            && snap.adj.shape() == [n, n]
+            && !snap.candidates.is_empty()
+            && snap.candidates.iter().all(|&c| c < n)
+    }
+
     /// Return-to-go tokens `[rtgs.len(), d]`, one per prompt.
     fn rtg_tokens<E: Exec>(&self, e: &mut E, rtgs: &[f32]) -> E::V {
         let rtg = Tensor::from_vec([rtgs.len(), 1], rtgs.to_vec());

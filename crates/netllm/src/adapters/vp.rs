@@ -75,6 +75,16 @@ impl NetLlmVp {
         NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
     }
 
+    /// Whether `q` is a query this model can encode: a `[GRID, GRID]`
+    /// saliency map, a history of at least two viewports (one delta for
+    /// the conv to read), and tokens that fit the backbone's context. The
+    /// serving front door refuses the rest.
+    pub fn admits(&self, q: &VpQuery) -> bool {
+        let (grid, hist) = (self.img_enc.grid, q.sample.history.len());
+        let rows = self.img_enc.num_patches() + hist.saturating_sub(1) + q.pw.min(self.max_pw);
+        q.sample.saliency.shape() == [grid, grid] && hist >= 2 && rows <= self.lm.cfg.max_seq
+    }
+
     /// Histories of equal length as the `[b, 3, t]` series the CNN encoder
     /// expects: `t` deltas per history.
     fn history_series(samples: &[(&VpSample, usize)]) -> Tensor {

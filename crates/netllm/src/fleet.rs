@@ -107,6 +107,20 @@ impl FleetAction {
     }
 }
 
+impl NetLlmFleet<'_> {
+    /// Whether a session of backbone `group` can be served `obs`: the
+    /// modality matches the group, and the member admits the observation
+    /// (see `NetLlmAbr::admits`, `NetLlmCjs::admits`, `NetLlmVp::admits`).
+    pub fn admits(&self, obs: &FleetObs, group: usize) -> bool {
+        match (obs, group) {
+            (FleetObs::Abr(o), FLEET_ABR) => self.abr.admits(o),
+            (FleetObs::Cjs(o), FLEET_CJS) => self.cjs.admits(o),
+            (FleetObs::Vp(o), FLEET_VP) => self.vp.admits(o),
+            _ => false,
+        }
+    }
+}
+
 impl ServedTask for NetLlmFleet<'_> {
     type Obs = FleetObs;
     type Action = FleetAction;

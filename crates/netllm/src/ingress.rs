@@ -61,7 +61,7 @@ use crate::adapt::{AdaptMode, LoraSpec};
 use crate::adapters::abr::NetLlmAbr;
 use crate::adapters::cjs::NetLlmCjs;
 use crate::adapters::vp::NetLlmVp;
-use crate::fleet::{FleetObs, NetLlmFleet, FLEET_ABR, FLEET_CJS, FLEET_VP};
+use crate::fleet::{FleetObs, NetLlmFleet, FLEET_VP};
 use crate::metrics::MetricsSnapshot;
 use crate::sched::{AdmissionPolicy, EvictionPolicy, SubmitError, Ticket, TicketStatus};
 use crate::shard::ShardedServer;
@@ -595,12 +595,14 @@ impl SchedCtx<'_> {
             }
             Frame::Submit { session, obs } => {
                 // Guard before touching the server: a foreign or unknown
-                // session id, or an observation of the wrong modality,
-                // is a protocol violation (the server would panic).
+                // session id, an observation of the wrong modality or one
+                // the model cannot encode is a protocol violation (the
+                // server would panic, and take the lane's whole run with
+                // it).
                 let Some(sess) = self.sessions.get(&session) else {
                     return self.violation(conn);
                 };
-                if sess.conn != conn || !obs_matches_group(&obs, sess.group) {
+                if sess.conn != conn || !self.fleet.admits(&obs, sess.group) {
                     return self.violation(conn);
                 }
                 // Fairness cap before the shared queues: a connection at
@@ -825,14 +827,6 @@ impl SchedCtx<'_> {
             let _ = state.tx.send(frame);
         }
     }
-}
-
-/// Does this observation's modality match the session's backbone group?
-fn obs_matches_group(obs: &FleetObs, group: usize) -> bool {
-    matches!(
-        (obs, group),
-        (FleetObs::Abr(_), FLEET_ABR) | (FleetObs::Cjs(_), FLEET_CJS) | (FleetObs::Vp(_), FLEET_VP)
-    )
 }
 
 // ---- client -------------------------------------------------------------

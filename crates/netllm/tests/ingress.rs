@@ -13,7 +13,10 @@
 //!   shared admission queues — the per-connection in-flight cap refuses
 //!   *it*, and a slow client's submit→completion latency stays bounded;
 //! - a configuration the fleet cannot be built from is refused by `serve`
-//!   itself (`InvalidInput`), not discovered by the first client.
+//!   itself (`InvalidInput`), not discovered by the first client;
+//! - an observation the model cannot encode is refused at the front door
+//!   as a protocol violation, and the sessions of other connections keep
+//!   being served.
 
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
@@ -452,4 +455,76 @@ fn serve_rejects_configs_the_fleet_cannot_be_built_from() {
         client.join(FLEET_ABR as u32).expect("the scheduler answers a join");
         handle.shutdown();
     }
+}
+
+/// Submit `obs` for a session of `group` and wait for its completion.
+fn serve_one(client: &mut WireClient, session: u64, obs: &FleetObs) {
+    client.submit(session, obs).unwrap();
+    loop {
+        match client.recv().unwrap() {
+            Frame::TicketGrant { .. } => {}
+            Frame::Completion { session: s, .. } if s == session => return,
+            Frame::Busy { retry_after_ms, .. } => {
+                std::thread::sleep(Duration::from_millis(retry_after_ms as u64));
+                client.submit(session, obs).unwrap();
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+}
+
+/// Well-framed observations the model cannot encode — each of which
+/// panics the scheduler thread if it reaches a tick — are refused at the
+/// front door: the connection that sent one is dropped as a protocol
+/// violation, and a valid session on another connection is served
+/// before and after every refusal.
+#[test]
+fn observations_the_model_cannot_encode_are_refused_at_the_door() {
+    let handle = serve(tiny("netllm-ingress-hostile"), IngressConfig::default()).unwrap();
+    let mut good = WireClient::connect(handle.addr()).unwrap();
+    let (good_session, _) = good.join(FLEET_ABR as u32).unwrap();
+    let good_obs = AbrObservation::synthetic_stream(12, 8);
+    serve_one(&mut good, good_session, &FleetObs::Abr(good_obs[0].clone()));
+
+    let sample = VpSample::synthetic_pool().remove(0);
+    let cjs = CjsObs::synthetic_stream(13, 6).remove(0);
+    let mut hostile: Vec<(&str, usize, FleetObs)> = Vec::new();
+    let mut vp = VpQuery { sample: sample.clone(), pw: 4 };
+    vp.sample.saliency = nt_tensor::Tensor::zeros([nt_vp::GRID + 1, nt_vp::GRID]);
+    hostile.push(("VP saliency off the grid", FLEET_VP, FleetObs::Vp(vp)));
+    let mut vp = VpQuery { sample: sample.clone(), pw: 4 };
+    vp.sample.history.truncate(1);
+    hostile.push(("VP history of one viewport", FLEET_VP, FleetObs::Vp(vp)));
+    let mut vp = VpQuery { sample, pw: 4 };
+    let last = *vp.sample.history.last().unwrap();
+    vp.sample.history.resize(4096, last);
+    hostile.push(("VP history past the context", FLEET_VP, FleetObs::Vp(vp)));
+    let mut c = cjs.clone();
+    c.snap.candidates.push(c.snap.feats.shape()[0]);
+    hostile.push(("CJS candidate past the graph", FLEET_CJS, FleetObs::Cjs(c)));
+    let mut c = cjs.clone();
+    c.snap.candidates.clear();
+    hostile.push(("CJS decision without candidates", FLEET_CJS, FleetObs::Cjs(c)));
+    let mut c = cjs;
+    c.snap.adj = nt_tensor::Tensor::zeros([1, 1]);
+    hostile.push(("CJS adjacency of another graph", FLEET_CJS, FleetObs::Cjs(c)));
+    let mut a = good_obs[1].clone();
+    a.ladder_mbps.truncate(3);
+    hostile.push(("ABR ladder shorter than the head", FLEET_ABR, FleetObs::Abr(a)));
+
+    for (i, (what, group, obs)) in hostile.into_iter().enumerate() {
+        let mut client = WireClient::connect(handle.addr()).unwrap();
+        let (session, _) = client.join(group as u32).unwrap();
+        client.submit(session, &obs).unwrap();
+        match client.recv() {
+            Err(_) => {}
+            Ok(frame) => panic!("{what}: expected the connection dropped, got {frame:?}"),
+        }
+        assert_eq!(handle.stats().protocol_errors, i as u64 + 1, "{what}: refused once");
+        let next = FleetObs::Abr(good_obs[i + 1].clone());
+        serve_one(&mut good, good_session, &next);
+    }
+    assert_eq!(handle.stats().completions, 8);
+    good.bye().unwrap();
+    handle.shutdown();
 }
