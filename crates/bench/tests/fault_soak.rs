@@ -523,8 +523,8 @@ fn single_shard_kill_degrades_boundedly_at_b64() {
             let mut server = ShardedServer::with_policy(shards, AdmissionPolicy::LeastLoaded);
             let ids: Vec<_> = (0..B).map(|_| server.join(&m)).collect();
             for t in 0..STEPS {
-                for (s, &id) in ids.iter().enumerate() {
-                    let _ = server.submit(id, streams[s][t].clone()).expect("healthy submit");
+                for (&id, stream) in ids.iter().zip(&streams) {
+                    let _ = server.submit(id, stream[t].clone()).expect("healthy submit");
                 }
                 let start = Instant::now();
                 let report = server.tick(&m);
