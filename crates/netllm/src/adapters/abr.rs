@@ -16,13 +16,14 @@
 
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
-use crate::heads::{argmax, AbrHead};
+use crate::heads::AbrHead;
 use crate::multimodal::{Projection, ScalarEncoder, SeriesEncoder, TokenRing};
 use crate::serving::{step_single, Lane, LanePlan, ServedTask, StepOutcome};
 use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
+use nt_tensor::tensor::argmax;
 use nt_tensor::{NodeId, Rng, Tensor};
 
 const FEAT: usize = 24;
@@ -515,11 +516,8 @@ impl ServedTask for NetLlmAbr {
         // observation tokens come from the slot's ring; only a step the
         // ring no longer holds is encoded again.
         let d = self.lm.cfg.d_model;
-        let (mut next_rtg, mut next_act) = (0, 0);
-        let take = |t: &Tensor, next: &mut usize, stacked: &mut Vec<f32>| {
-            stacked.extend_from_slice(t.row(*next));
-            *next += 1;
-        };
+        let (mut rtg_rows, mut act_rows) =
+            (rtg.data().chunks_exact(d), acts.data().chunks_exact(d));
         let mut plans = Vec::with_capacity(lanes.len());
         for (i, (lane, clear)) in lanes.iter_mut().zip(reanchors).enumerate() {
             let ep = &mut *lane.slot;
@@ -527,7 +525,7 @@ impl ServedTask for NetLlmAbr {
             let start = stacked.len();
             if clear {
                 for step in ep.anchor..n {
-                    take(&rtg, &mut next_rtg, stacked);
+                    stacked.extend_from_slice(rtg_rows.next().expect("an rtg per state"));
                     match ep.obs_rows.get(step) {
                         Some(rows) => stacked.extend_from_slice(rows.data()),
                         None => self
@@ -535,12 +533,12 @@ impl ServedTask for NetLlmAbr {
                             .iter()
                             .for_each(|t| stacked.extend_from_slice(t.data())),
                     }
-                    take(&acts, &mut next_act, stacked);
+                    stacked.extend_from_slice(act_rows.next().expect("an action per step"));
                 }
             } else {
-                take(&acts, &mut next_act, stacked);
+                stacked.extend_from_slice(act_rows.next().expect("an action per step"));
             }
-            take(&rtg, &mut next_rtg, stacked);
+            stacked.extend_from_slice(rtg_rows.next().expect("an rtg per state"));
             let mut own = Vec::with_capacity(obs.len() * d);
             obs.iter().for_each(|t| own.extend_from_slice(t.row(i)));
             stacked.extend_from_slice(&own);

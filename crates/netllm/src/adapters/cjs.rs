@@ -19,13 +19,14 @@
 
 use crate::adapt::{fit, AdaptMode, LoraSpec};
 use crate::backbone::InferenceSession;
-use crate::heads::{argmax, CjsHeads};
+use crate::heads::CjsHeads;
 use crate::multimodal::{Projection, ScalarEncoder, TokenRing};
 use crate::serving::{step_single, Lane, LanePlan, RollbackPlan, ServedTask, StepOutcome};
 use nt_cjs::{snapshot, Decision, GraphSnapshot, SchedView, Scheduler, CAP_FRACS, NODE_FEATS};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, Gnn, ParamStore};
+use nt_tensor::tensor::argmax;
 use nt_tensor::{NodeId, Rng, Tensor};
 
 const FEAT: usize = 24;

@@ -76,17 +76,6 @@ impl CjsHeads {
     }
 }
 
-/// Index of the first largest value (`Tensor::argmax` over a slice).
-pub(crate) fn argmax(xs: &[f32]) -> usize {
-    let mut best = 0;
-    for (i, &v) in xs.iter().enumerate() {
-        if v > xs[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -222,13 +222,7 @@ impl Tensor {
 
     /// Index of the maximum element (first on ties).
     pub fn argmax(&self) -> usize {
-        let mut best = 0;
-        for (i, &v) in self.data.iter().enumerate() {
-            if v > self.data[best] {
-                best = i;
-            }
-        }
-        best
+        argmax(&self.data)
     }
 
     /// 2-D matrix multiply: `[m,k] x [k,n] -> [m,n]`.
@@ -313,6 +307,18 @@ impl Tensor {
         }
         Tensor { shape: vec![indices.len(), d], data: out }
     }
+}
+
+/// Index of the maximum of `xs` (first on ties): [`Tensor::argmax`] over
+/// a slice, such as one row of a batch of logits.
+pub fn argmax(xs: &[f32]) -> usize {
+    let mut best = 0;
+    for (i, &v) in xs.iter().enumerate() {
+        if v > xs[best] {
+            best = i;
+        }
+    }
+    best
 }
 
 /// Concatenate tensors along `axis` (graph-free kernel; all inputs must
