@@ -85,9 +85,9 @@ use std::time::{Duration, Instant};
 /// [`NetLlmFleet`], which borrows) so they can move into the scheduler
 /// thread that outlives the caller's stack frame.
 pub struct FleetModels {
-    /// Adaptive-bitrate model (group [`FLEET_ABR`]).
+    /// Adaptive-bitrate model (group [`FLEET_ABR`](crate::FLEET_ABR)).
     pub abr: NetLlmAbr,
-    /// Cluster-job-scheduling model (group [`FLEET_CJS`]).
+    /// Cluster-job-scheduling model (group [`FLEET_CJS`](crate::FLEET_CJS)).
     pub cjs: NetLlmCjs,
     /// Viewport-prediction model (group [`FLEET_VP`]).
     pub vp: NetLlmVp,
