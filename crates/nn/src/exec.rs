@@ -257,3 +257,51 @@ impl Exec for Eager {
         x.reshape(shape)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nt_tensor::Rng;
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn batched_ops_agree_across_executors() {
+        // The ops that take a batch explicitly: the taped executor's
+        // values are the eager executor's bits, at three items of ragged
+        // sizes (conv series share one length by construction).
+        let mut rng = Rng::seeded(11);
+        let mut store = ParamStore::new();
+        let conv = Conv1d::new(&mut store, "c", 2, 5, 3, 1, 1, &mut rng);
+        let series = Tensor::randn([3, 2, 6], 1.0, &mut rng);
+        let x = Tensor::randn([2 + 4 + 3, 5], 1.0, &mut rng);
+        let counts = [2, 4, 3];
+        let blocks: Vec<Tensor> =
+            counts.iter().map(|&n| Tensor::randn([n, n], 1.0, &mut rng)).collect();
+        let block_refs: Vec<&Tensor> = blocks.iter().collect();
+
+        let mut e = Eager;
+        let eager = [
+            e.conv_steps(&store, &conv, series.clone()),
+            e.mean_rows(&x, &counts),
+            e.block_matmul(&block_refs, &x),
+        ];
+        let mut f = Fwd::eval();
+        let xi = f.input(x.clone());
+        let nodes: Vec<NodeId> = blocks.iter().map(|b| f.input(b.clone())).collect();
+        let node_refs: Vec<&NodeId> = nodes.iter().collect();
+        let taped = [
+            f.conv_steps(&store, &conv, series),
+            f.mean_rows(&xi, &counts),
+            f.block_matmul(&node_refs, &xi),
+        ];
+        for (op, (want, got)) in
+            ["conv_steps", "mean_rows", "block_matmul"].iter().zip(eager.iter().zip(taped))
+        {
+            assert_eq!(want.shape(), f.g.value(got).shape(), "{op}");
+            assert_eq!(bits(want), bits(f.g.value(got)), "{op}");
+        }
+    }
+}
