@@ -92,7 +92,7 @@ impl GenetNet {
 
     /// Greedy/sampled action probabilities for a single observation.
     pub fn probs(&self, store: &ParamStore, feat: &[f32]) -> Vec<f32> {
-        let mut f = Fwd::eval_no_tape();
+        let mut f = Fwd::eval();
         let x = f.input(Tensor::from_vec([1, FEAT_DIM], feat.to_vec()));
         let (logits, _) = self.forward(&mut f, store, x);
         let mut probs = f.g.value(logits).clone();

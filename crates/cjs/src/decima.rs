@@ -78,7 +78,7 @@ impl DecimaNet {
         snap: &GraphSnapshot,
         chosen: Option<usize>,
     ) -> (Vec<f32>, Vec<f32>) {
-        let mut f = Fwd::eval_no_tape();
+        let mut f = Fwd::eval();
         let (sl, cl) = self.decision_logits(&mut f, store, snap, chosen.unwrap_or(0));
         let (mut sp, mut cp) = (f.g.value(sl).clone(), f.g.value(cl).clone());
         sp.softmax_last_mut();

@@ -435,12 +435,13 @@ impl TinyLm {
     }
 
     /// Next-token logits for the last position only, by full re-forward on
-    /// a no-tape graph. This is the uncached reference path; production
-    /// decoding goes through [`TinyLm::next_token_logits_cached`]. Running
-    /// it no-tape keeps the cached-vs-uncached benches an apples-to-apples
-    /// comparison of incremental decode, not of tape bookkeeping.
+    /// the inference tape ([`Fwd::eval`]). This is the uncached reference
+    /// path; production decoding goes through
+    /// [`TinyLm::next_token_logits_cached`]. The tape's bookkeeping is small
+    /// next to the re-forward itself, so the cached-vs-uncached benches
+    /// compare incremental decode against re-forward, not bookkeeping.
     pub fn next_token_logits(&self, store: &ParamStore, ids: &[usize]) -> Tensor {
-        let mut f = Fwd::eval_no_tape();
+        let mut f = Fwd::eval();
         let h = self.forward_hidden(&mut f, store, ids);
         let t = f.g.value(h).shape()[0];
         let last = f.g.narrow(h, 0, t - 1, 1);

@@ -247,7 +247,7 @@ pub fn eval_loss(lm: &TinyLm, store: &ParamStore, corpus: &Corpus, n: usize, see
         if ids.len() < 2 {
             continue;
         }
-        let mut f = Fwd::eval_no_tape();
+        let mut f = Fwd::eval();
         let loss = lm.sequence_loss(&mut f, store, &ids);
         total += f.g.value(loss).item() as f64;
         count += 1;

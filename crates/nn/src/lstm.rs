@@ -52,32 +52,46 @@ impl Lstm {
         let shape = f.g.value(x).shape().to_vec();
         assert_eq!(shape.len(), 2, "Lstm input must be [t, in]");
         let t = shape[0];
-        let h0 = f.input(Tensor::zeros([1, self.hidden]));
-        let c0 = f.input(Tensor::zeros([1, self.hidden]));
-        let (mut h, mut c) = (h0, c0);
+        let mut h = f.input(Tensor::zeros([1, self.hidden]));
+        let mut c = f.input(Tensor::zeros([1, self.hidden]));
         let mut outs = Vec::with_capacity(t);
         for step in 0..t {
             let xt = f.g.narrow(x, 0, step, 1); // [1, in]
-            let gi = self.w_ih.forward(f, store, xt);
-            let gh = self.w_hh.forward(f, store, h);
-            let gates = f.g.add(gi, gh); // [1, 4h]
-            let i = f.g.narrow(gates, 1, 0, self.hidden);
-            let fg = f.g.narrow(gates, 1, self.hidden, self.hidden);
-            let gc = f.g.narrow(gates, 1, 2 * self.hidden, self.hidden);
-            let o = f.g.narrow(gates, 1, 3 * self.hidden, self.hidden);
-            let i = f.g.sigmoid(i);
-            let fg = f.g.sigmoid(fg);
-            let gc = f.g.tanh(gc);
-            let o = f.g.sigmoid(o);
-            let fc = f.g.mul(fg, c);
-            let ig = f.g.mul(i, gc);
-            c = f.g.add(fc, ig);
-            let tc = f.g.tanh(c);
-            h = f.g.mul(o, tc);
+            (h, c) = self.cell(f, store, xt, h, c);
             outs.push(h);
         }
         let seq = f.g.concat(&outs, 0); // [t, hidden]
         (seq, h, c)
+    }
+
+    /// One step of the cell: input `x_t` `[1, in]` and state `(h, c)` (each
+    /// `[1, hidden]`) to the next `(h, c)`. [`Lstm::forward`] steps it over
+    /// a sequence; a decoder that feeds back its own outputs steps it by
+    /// hand.
+    pub fn cell(
+        &self,
+        f: &mut Fwd,
+        store: &ParamStore,
+        x_t: NodeId,
+        h: NodeId,
+        c: NodeId,
+    ) -> (NodeId, NodeId) {
+        let gi = self.w_ih.forward(f, store, x_t);
+        let gh = self.w_hh.forward(f, store, h);
+        let gates = f.g.add(gi, gh); // [1, 4h]
+        let i = f.g.narrow(gates, 1, 0, self.hidden);
+        let fg = f.g.narrow(gates, 1, self.hidden, self.hidden);
+        let gc = f.g.narrow(gates, 1, 2 * self.hidden, self.hidden);
+        let o = f.g.narrow(gates, 1, 3 * self.hidden, self.hidden);
+        let i = f.g.sigmoid(i);
+        let fg = f.g.sigmoid(fg);
+        let gc = f.g.tanh(gc);
+        let o = f.g.sigmoid(o);
+        let fc = f.g.mul(fg, c);
+        let ig = f.g.mul(i, gc);
+        let c = f.g.add(fc, ig);
+        let tc = f.g.tanh(c);
+        (f.g.mul(o, tc), c)
     }
 }
 

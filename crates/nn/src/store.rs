@@ -177,14 +177,6 @@ impl Fwd {
         Fwd { g: Graph::inference(), bound: HashMap::new() }
     }
 
-    /// Forward-only inference context on a no-tape graph: ops skip all
-    /// backward bookkeeping (parents, op payloads, grad flags). Use for
-    /// evaluation passes that never call [`Fwd::backward`] — held-out loss,
-    /// baseline policy rollouts.
-    pub fn eval_no_tape() -> Self {
-        Fwd { g: Graph::no_tape(), bound: HashMap::new() }
-    }
-
     /// Bind a parameter into the tape (idempotent per id within a step).
     /// Frozen parameters are bound as constants so the tape skips their
     /// gradient work entirely.

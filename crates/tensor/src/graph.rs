@@ -66,11 +66,6 @@ pub struct Graph {
     nodes: Vec<Node>,
     rng: Rng,
     training: bool,
-    /// When `false`, ops skip all backward bookkeeping: parents and op
-    /// payloads (gather indices, dropout masks, loss targets) are not
-    /// recorded and every node is marked `needs_grad = false`. Forward
-    /// values stay addressable, but [`Graph::backward`] must not be called.
-    tape: bool,
     cur_bytes: usize,
     peak_bytes: usize,
 }
@@ -78,36 +73,12 @@ pub struct Graph {
 impl Graph {
     /// Create a tape. `training` controls dropout; `seed` feeds dropout masks.
     pub fn new(training: bool, seed: u64) -> Self {
-        Graph {
-            nodes: Vec::new(),
-            rng: Rng::seeded(seed),
-            training,
-            tape: true,
-            cur_bytes: 0,
-            peak_bytes: 0,
-        }
+        Graph { nodes: Vec::new(), rng: Rng::seeded(seed), training, cur_bytes: 0, peak_bytes: 0 }
     }
 
     /// Inference-mode tape (dropout disabled).
     pub fn inference() -> Self {
         Graph::new(false, 0)
-    }
-
-    /// No-tape inference execution: forward values only, no `Node`
-    /// parent/op/grad bookkeeping. Forward-only evaluation of graph-built
-    /// models runs here (held-out loss, baseline policy rollouts — see
-    /// `Fwd::eval_no_tape` in `nt-nn`); the KV-cached decode path avoids
-    /// the graph entirely and uses the tensor-level kernels instead.
-    /// [`Graph::backward`] panics on such a graph.
-    pub fn no_tape() -> Self {
-        let mut g = Graph::new(false, 0);
-        g.tape = false;
-        g
-    }
-
-    /// Whether backward bookkeeping is being recorded.
-    pub fn records_tape(&self) -> bool {
-        self.tape
     }
 
     /// Number of nodes on the tape.
@@ -127,19 +98,7 @@ impl Graph {
     fn push(&mut self, op: Op, parents: Vec<NodeId>, value: Tensor, needs_grad: bool) -> NodeId {
         self.cur_bytes += value.numel() * 4;
         self.peak_bytes = self.peak_bytes.max(self.cur_bytes);
-        if self.tape {
-            self.nodes.push(Node { value, grad: None, parents, op, needs_grad });
-        } else {
-            // No-tape mode: drop the backward bookkeeping (op payloads such
-            // as gather indices or dropout masks, and the parent links).
-            self.nodes.push(Node {
-                value,
-                grad: None,
-                parents: vec![],
-                op: Op::Leaf,
-                needs_grad: false,
-            });
-        }
+        self.nodes.push(Node { value, grad: None, parents, op, needs_grad });
         self.nodes.len() - 1
     }
 
@@ -591,7 +550,6 @@ impl Graph {
 
     /// Backpropagate from a scalar `loss` node, filling node gradients.
     pub fn backward(&mut self, loss: NodeId) {
-        assert!(self.tape, "backward() on a no-tape inference graph");
         assert_eq!(self.nodes[loss].value.numel(), 1, "backward from non-scalar");
         let mut grads: Vec<Option<Vec<f32>>> = (0..self.nodes.len()).map(|_| None).collect();
         grads[loss] = Some(vec![1.0]);
@@ -1368,34 +1326,6 @@ mod tests {
         let l = g.sum_all(y);
         g.backward(l);
         assert_eq!(g.grad(x).unwrap().data(), &[7.0]);
-    }
-
-    #[test]
-    fn no_tape_forward_matches_taped_forward() {
-        // Same ops, same values — only the bookkeeping differs.
-        let build = |g: &mut Graph| {
-            let x = g.leaf(probe(), true);
-            let c = g.constant(Tensor::from_vec([2, 3], vec![1., 2., 3., 4., 5., 6.]));
-            let y = g.mul(x, c);
-            let s = g.softmax_last(y);
-            let n = g.narrow(s, 1, 0, 2);
-            g.sum_all(n)
-        };
-        let mut taped = Graph::inference();
-        let lt = build(&mut taped);
-        let mut notape = Graph::no_tape();
-        let ln = build(&mut notape);
-        assert_eq!(taped.value(lt).data(), notape.value(ln).data());
-        assert!(!notape.records_tape());
-    }
-
-    #[test]
-    #[should_panic(expected = "no-tape")]
-    fn no_tape_backward_panics() {
-        let mut g = Graph::no_tape();
-        let x = g.leaf(Tensor::ones([2]), true);
-        let l = g.sum_all(x);
-        g.backward(l);
     }
 
     #[test]

@@ -40,16 +40,9 @@ impl Track {
         Track { store, enc, sal_proj, dec, head }
     }
 
-    /// Encode history+saliency, then decode `pw` delta predictions.
-    /// `teacher` (training only) supplies ground-truth deltas as decoder
-    /// inputs; at evaluation the decoder feeds back its own outputs.
-    fn rollout(
-        &self,
-        f: &mut Fwd,
-        sample: &VpSample,
-        pw: usize,
-        teacher: Option<&[[f32; 3]]>,
-    ) -> Vec<NodeId> {
+    /// Encode history+saliency, then decode `pw` delta predictions, the
+    /// decoder feeding back its own outputs (in training too).
+    fn rollout(&self, f: &mut Fwd, sample: &VpSample, pw: usize) -> Vec<NodeId> {
         let hist_deltas = to_deltas(&sample.history);
         let t = hist_deltas.len();
         let mut flat = Vec::with_capacity(t * 3);
@@ -63,8 +56,8 @@ impl Track {
         let sal_h = f.g.tanh(sal_h);
         let fused = f.g.add(h_enc, sal_h); // [1, HIDDEN]
 
-        // Decoder: single-layer LSTM stepped manually, state seeded by the
-        // fused encoding.
+        // Decoder: the LSTM cell stepped by hand, state seeded by the fused
+        // encoding, each step fed the previous step's delta.
         let mut h = fused;
         let mut c = f.input(Tensor::zeros([1, HIDDEN]));
         let mut prev_delta: NodeId = {
@@ -72,32 +65,10 @@ impl Track {
             f.input(Tensor::from_vec([1, 3], last.iter().map(|x| x / DELTA_SCALE).collect()))
         };
         let mut outs = Vec::with_capacity(pw);
-        for k in 0..pw {
-            let gi = self.dec.w_ih.forward(f, &self.store, prev_delta);
-            let gh = self.dec.w_hh.forward(f, &self.store, h);
-            let gates = f.g.add(gi, gh);
-            let i = f.g.narrow(gates, 1, 0, HIDDEN);
-            let fg = f.g.narrow(gates, 1, HIDDEN, HIDDEN);
-            let gc = f.g.narrow(gates, 1, 2 * HIDDEN, HIDDEN);
-            let o = f.g.narrow(gates, 1, 3 * HIDDEN, HIDDEN);
-            let i = f.g.sigmoid(i);
-            let fg = f.g.sigmoid(fg);
-            let gc = f.g.tanh(gc);
-            let o = f.g.sigmoid(o);
-            let fc = f.g.mul(fg, c);
-            let ig = f.g.mul(i, gc);
-            c = f.g.add(fc, ig);
-            let tc = f.g.tanh(c);
-            h = f.g.mul(o, tc);
-            let delta = self.head.forward(f, &self.store, h); // [1,3]
-            outs.push(delta);
-            prev_delta = match teacher {
-                Some(t_deltas) if k < t_deltas.len() => f.input(Tensor::from_vec(
-                    [1, 3],
-                    t_deltas[k].iter().map(|x| x / DELTA_SCALE).collect(),
-                )),
-                _ => delta,
-            };
+        for _ in 0..pw {
+            (h, c) = self.dec.cell(f, &self.store, prev_delta, h, c);
+            prev_delta = self.head.forward(f, &self.store, h); // [1,3]
+            outs.push(prev_delta);
         }
         outs
     }
@@ -121,7 +92,7 @@ impl Track {
                 let mut f = Fwd::train(seed ^ (ep * 10_000 + step) as u64);
                 // Model-feedback rollout (no teacher forcing): the decoder
                 // trains on the same input distribution it sees at test time.
-                let outs = self.rollout(&mut f, s, pw, None);
+                let outs = self.rollout(&mut f, s, pw);
                 let pred = f.g.concat(&outs, 0); // [pw, 3]
                 let mut tflat = Vec::with_capacity(pw * 3);
                 for d in &target_deltas {
@@ -146,8 +117,8 @@ impl VpPredictor for Track {
     }
 
     fn predict(&mut self, sample: &VpSample, pw: usize) -> Vec<Viewport> {
-        let mut f = Fwd::eval_no_tape();
-        let outs = self.rollout(&mut f, sample, pw, None);
+        let mut f = Fwd::eval();
+        let outs = self.rollout(&mut f, sample, pw);
         let deltas: Vec<[f32; 3]> = outs
             .iter()
             .map(|&n| {
