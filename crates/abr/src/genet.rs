@@ -24,6 +24,7 @@ use crate::sim::{run_session, AbrObservation, AbrPolicy, SimConfig, HIST};
 use crate::trace::{stats, BandwidthTrace};
 use crate::video::Video;
 use nt_nn::{clip_grad_norm, Adam, Fwd, Init, Linear, ParamStore};
+use nt_tensor::tensor::argmax;
 use nt_tensor::{Rng, Tensor};
 
 /// Dimension of the featurised observation.
@@ -113,14 +114,7 @@ impl AbrPolicy for GenetPolicy {
     }
 
     fn select(&mut self, obs: &AbrObservation) -> usize {
-        let p = self.net.probs(&self.store, &featurize(obs));
-        let mut best = 0;
-        for (i, &x) in p.iter().enumerate() {
-            if x > p[best] {
-                best = i;
-            }
-        }
-        best
+        argmax(&self.net.probs(&self.store, &featurize(obs)))
     }
 }
 

@@ -16,6 +16,7 @@ use crate::policies::Srpt;
 use crate::sim::{run_workload, Decision, SchedView, Scheduler};
 use crate::snapshot::{snapshot, GraphSnapshot, NODE_FEATS};
 use nt_nn::{clip_grad_norm, Adam, Exec, Fwd, Gnn, Init, Linear, ParamStore};
+use nt_tensor::tensor::argmax;
 use nt_tensor::{NodeId, Rng};
 
 /// Executor-cap menu as fractions of the cluster.
@@ -112,16 +113,6 @@ impl Scheduler for DecimaPolicy {
         let cap = (CAP_FRACS[cap_idx] * view.total_executors as f64).ceil() as usize;
         Some(Decision { candidate: stage, cap: cap.max(1) })
     }
-}
-
-fn argmax(v: &[f32]) -> usize {
-    let mut b = 0;
-    for (i, &x) in v.iter().enumerate() {
-        if x > v[b] {
-            b = i;
-        }
-    }
-    b
 }
 
 /// One recorded decision during a rollout.

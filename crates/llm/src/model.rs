@@ -601,13 +601,7 @@ impl TinyLm {
 /// Temperature sampling over a logits row; temperature 0 is argmax.
 pub fn sample_logits(logits: &[f32], temperature: f32, rng: &mut Rng) -> usize {
     if temperature <= 0.0 {
-        let mut best = 0;
-        for (i, &v) in logits.iter().enumerate() {
-            if v > logits[best] {
-                best = i;
-            }
-        }
-        return best;
+        return nt_tensor::tensor::argmax(logits);
     }
     let mut scaled: Vec<f32> = logits.iter().map(|&x| x / temperature).collect();
     nt_tensor::tensor::softmax_in_place(&mut scaled);
