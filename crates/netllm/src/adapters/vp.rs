@@ -13,6 +13,7 @@ use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
 use crate::multimodal::{ImageEncoder, Projection, SeriesEncoder};
 use crate::serving::{step_single, Lane, LanePlan, ServedTask, StepOutcome};
+use crate::wire::{vp_completion_len, MAX_FRAME_LEN};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
@@ -75,14 +76,25 @@ impl NetLlmVp {
         NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
     }
 
-    /// Whether `q` is a query this model can encode: a `[GRID, GRID]`
-    /// saliency map, a history of at least two viewports (one delta for
-    /// the conv to read), and tokens that fit the backbone's context. The
+    /// Whether `q` is a query this model can encode and answer: a
+    /// `[GRID, GRID]` saliency map, a history of at least two viewports
+    /// (one delta for the conv to read), tokens that fit the backbone's
+    /// context, and a horizon of at most [`NetLlmVp::max_horizon`]. The
     /// serving front door refuses the rest.
     pub fn admits(&self, q: &VpQuery) -> bool {
         let (grid, hist) = (self.img_enc.grid, q.sample.history.len());
         let rows = self.img_enc.num_patches() + hist.saturating_sub(1) + q.pw.min(self.max_pw);
-        q.sample.saliency.shape() == [grid, grid] && hist >= 2 && rows <= self.lm.cfg.max_seq
+        q.sample.saliency.shape() == [grid, grid]
+            && hist >= 2
+            && rows <= self.lm.cfg.max_seq
+            && q.pw <= self.max_horizon()
+    }
+
+    /// The longest horizon a served answer can carry: its `pw` viewports
+    /// must fit one `Completion` frame ([`MAX_FRAME_LEN`]) beside the
+    /// frame's fixed fields and the `[pw.min(max_pw), 3]` logits.
+    pub fn max_horizon(&self) -> usize {
+        (MAX_FRAME_LEN as usize - vp_completion_len(0, 3 * self.max_pw)) / 12
     }
 
     /// Histories of equal length as the `[b, 3, t]` series the CNN encoder

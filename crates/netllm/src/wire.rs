@@ -70,6 +70,15 @@ pub const MIN_WIRE_VERSION: u16 = 1;
 /// length cannot make the receiver allocate unboundedly.
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// Body length of a [`Frame::Completion`] whose VP answer holds
+/// `viewports` viewports (12 bytes each) beside `logits` floats: tag,
+/// ticket, session, step, action tag, then both length-prefixed
+/// sequences. The front door sizes the longest admissible horizon with it
+/// (`NetLlmVp::max_horizon`).
+pub(crate) const fn vp_completion_len(viewports: usize, logits: usize) -> usize {
+    1 + 3 * 8 + 1 + 4 + 12 * viewports + 4 + 4 * logits
+}
+
 /// First tag of the extension (must-skip) range; tags below are core
 /// (must-understand).
 pub const EXTENSION_TAG_BASE: u8 = 0x80;
@@ -1153,6 +1162,20 @@ mod tests {
         let mut cur = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cur).unwrap(), Frame::Hello { version: 1, .. }));
         assert!(matches!(read_frame(&mut cur).unwrap(), Frame::Bye));
+    }
+
+    #[test]
+    fn vp_completion_len_is_the_encoded_body_length() {
+        for (viewports, logits) in [(0, 0), (1, 3), (20, 12)] {
+            let frame = Frame::Completion {
+                ticket: 1,
+                session: 2,
+                step: 3,
+                action: FleetAction::Vp(vec![[1.0, 2.0, 3.0]; viewports]),
+                logits: vec![0.5; logits],
+            };
+            assert_eq!(encode_frame(&frame).len() - 4, vp_completion_len(viewports, logits));
+        }
     }
 
     #[test]

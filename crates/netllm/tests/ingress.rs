@@ -473,17 +473,19 @@ fn serve_one(client: &mut WireClient, session: u64, obs: &FleetObs) {
     }
 }
 
-/// Well-framed observations the model cannot encode — each of which
-/// panics the scheduler thread if it reaches a tick — are refused at the
-/// front door: the connection that sent one is dropped as a protocol
+/// Well-framed observations the model cannot encode or answer — each of
+/// which panics the scheduler thread, or grows an answer no frame can
+/// carry, if it reaches a tick — are refused at the front door: the connection that sent one is dropped as a protocol
 /// violation, and a valid session on another connection is served
 /// before and after every refusal.
 #[test]
 fn observations_the_model_cannot_encode_are_refused_at_the_door() {
-    let handle = serve(tiny("netllm-ingress-hostile"), IngressConfig::default()).unwrap();
+    let models = tiny("netllm-ingress-hostile");
+    let max_horizon = models.vp.max_horizon();
+    let handle = serve(models, IngressConfig::default()).unwrap();
     let mut good = WireClient::connect(handle.addr()).unwrap();
     let (good_session, _) = good.join(FLEET_ABR as u32).unwrap();
-    let good_obs = AbrObservation::synthetic_stream(12, 8);
+    let good_obs = AbrObservation::synthetic_stream(12, 10);
     serve_one(&mut good, good_session, &FleetObs::Abr(good_obs[0].clone()));
 
     let sample = VpSample::synthetic_pool().remove(0);
@@ -495,10 +497,14 @@ fn observations_the_model_cannot_encode_are_refused_at_the_door() {
     let mut vp = VpQuery { sample: sample.clone(), pw: 4 };
     vp.sample.history.truncate(1);
     hostile.push(("VP history of one viewport", FLEET_VP, FleetObs::Vp(vp)));
-    let mut vp = VpQuery { sample, pw: 4 };
+    let mut vp = VpQuery { sample: sample.clone(), pw: 4 };
     let last = *vp.sample.history.last().unwrap();
     vp.sample.history.resize(4096, last);
     hostile.push(("VP history past the context", FLEET_VP, FleetObs::Vp(vp)));
+    let vp = VpQuery { sample: sample.clone(), pw: usize::MAX };
+    hostile.push(("VP horizon of usize::MAX", FLEET_VP, FleetObs::Vp(vp)));
+    let vp = VpQuery { sample, pw: max_horizon + 1 };
+    hostile.push(("VP answer past one frame", FLEET_VP, FleetObs::Vp(vp)));
     let mut c = cjs.clone();
     c.snap.candidates.push(c.snap.feats.shape()[0]);
     hostile.push(("CJS candidate past the graph", FLEET_CJS, FleetObs::Cjs(c)));
@@ -524,7 +530,7 @@ fn observations_the_model_cannot_encode_are_refused_at_the_door() {
         let next = FleetObs::Abr(good_obs[i + 1].clone());
         serve_one(&mut good, good_session, &next);
     }
-    assert_eq!(handle.stats().completions, 8);
+    assert_eq!(handle.stats().completions, 10);
     good.bye().unwrap();
     handle.shutdown();
 }
