@@ -40,8 +40,7 @@ impl Track {
         Track { store, enc, sal_proj, dec, head }
     }
 
-    /// Encode history+saliency, then decode `pw` delta predictions, the
-    /// decoder feeding back its own outputs (in training too).
+    /// Encode history+saliency, then decode `pw` delta predictions.
     fn rollout(&self, f: &mut Fwd, sample: &VpSample, pw: usize) -> Vec<NodeId> {
         let hist_deltas = to_deltas(&sample.history);
         let t = hist_deltas.len();
@@ -57,7 +56,7 @@ impl Track {
         let fused = f.g.add(h_enc, sal_h); // [1, HIDDEN]
 
         // Decoder: the LSTM cell stepped by hand, state seeded by the fused
-        // encoding, each step fed the previous step's delta.
+        // encoding, each step fed the previous step's prediction.
         let mut h = fused;
         let mut c = f.input(Tensor::zeros([1, HIDDEN]));
         let mut prev_delta: NodeId = {
