@@ -525,3 +525,26 @@ fn frames_concatenate_on_a_stream() {
     }
     assert!(matches!(read_frame(&mut cur), Err(WireError::Truncated)));
 }
+
+/// The frame bytes, pinned: the full wire image (length prefix included)
+/// of one frame of every kind over a fixed seed list, folded into one
+/// FNV-1a digest. The round-trip tests above pass for any layout a change
+/// alters the same way on both sides; this one does not. A change that
+/// keeps the protocol must pass it unchanged; a change that moves a byte
+/// is a protocol change (`docs/PROTOCOL.md`) and bumps the version.
+#[test]
+fn frame_bytes_are_pinned() {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut bytes = 0usize;
+    for kind in 0..18u8 {
+        for seed in [1, 2, 3, 0xdead_beef, 77, 12345] {
+            let image = encode_frame(&frame_for(kind, seed));
+            bytes += image.len();
+            for &b in &image {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(bytes, 8796, "frame images changed length");
+    assert_eq!(hash, 0xfb91_4c85_565c_5c48, "frame bytes moved: got {hash:#018x}");
+}
