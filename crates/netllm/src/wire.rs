@@ -12,9 +12,14 @@
 //! with every integer little-endian, floats as IEEE-754 bit patterns,
 //! `Vec`s as a `u32` element count followed by the elements, and tensors
 //! as a `u8` rank + `u32` dims + row-major `f32` data. The full layout
-//! table lives in `docs/PROTOCOL.md`; the encoder and decoder here are
-//! the normative implementation (round-tripped over every message type
-//! in `tests/wire_proto.rs`).
+//! table lives in `docs/PROTOCOL.md`; the normative form is the field
+//! lists below (`wire_struct!` / `wire_enum!`). Each payload's field
+//! order and each tag is stated once, and the private `Wire` trait
+//! derives the encoder, the decoder and `MIN_LEN` — the fewest bytes a
+//! value takes — from it, so every hostile-count bound is derived, not
+//! counted by hand. `tests/wire_proto.rs` round-trips every message type
+//! and pins the bytes of every frame kind by digest
+//! (`frame_bytes_are_pinned`).
 //!
 //! **Version negotiation.** The first frame on a connection must be
 //! [`Frame::Hello`] carrying the client's speakable range; the server
@@ -71,12 +76,17 @@ pub const MIN_WIRE_VERSION: u16 = 1;
 pub const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// Body length of a [`Frame::Completion`] whose VP answer holds
-/// `viewports` viewports (12 bytes each) beside `logits` floats: tag,
-/// ticket, session, step, action tag, then both length-prefixed
-/// sequences. The front door sizes the longest admissible horizon with it
-/// (`NetLlmVp::max_horizon`).
+/// `viewports` viewports beside `logits` floats: tag, ticket, session,
+/// step, action tag, then both length-prefixed sequences. The front door
+/// sizes the longest admissible horizon with it (`NetLlmVp::max_horizon`).
 pub(crate) const fn vp_completion_len(viewports: usize, logits: usize) -> usize {
-    1 + 3 * 8 + 1 + 4 + 12 * viewports + 4 + 4 * logits
+    u8::MIN_LEN
+        + 3 * u64::MIN_LEN
+        + u8::MIN_LEN
+        + Vec::<Viewport>::MIN_LEN
+        + viewports * Viewport::MIN_LEN
+        + Vec::<f32>::MIN_LEN
+        + logits * f32::MIN_LEN
 }
 
 /// First tag of the extension (must-skip) range; tags below are core
@@ -316,117 +326,17 @@ const TAG_METRICS_REPORT: u8 = 0x81;
 const TAG_EVENTS_REQUEST: u8 = 0x82;
 const TAG_EVENTS_BATCH: u8 = 0x83;
 
-// Payload sub-tags.
-const OBS_ABR: u8 = 0;
-const OBS_CJS: u8 = 1;
-const OBS_VP: u8 = 2;
-const ACT_ABR: u8 = 0;
-const ACT_CJS: u8 = 1;
-const ACT_VP: u8 = 2;
-const BUSY_QUEUE_FULL: u8 = 0;
-const BUSY_SUSPECT: u8 = 1;
-const EV_TICK_SPAN: u8 = 0;
-const EV_EVICTION: u8 = 1;
-const EV_STEER: u8 = 2;
-const EV_SHARD_DEAD: u8 = 3;
-const EV_RECOVERY: u8 = 4;
-const EV_BUSY: u8 = 5;
+// ---- the codec ----------------------------------------------------------
 
-// ---- primitive writers --------------------------------------------------
-
-fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
-}
-
-fn put_u16(out: &mut Vec<u8>, v: u16) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-fn put_f32(out: &mut Vec<u8>, v: f32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_len(out: &mut Vec<u8>, n: usize) {
-    assert!(n <= u32::MAX as usize, "sequence too long for the wire");
-    put_u32(out, n as u32);
-}
-
-fn put_f64s(out: &mut Vec<u8>, xs: &[f64]) {
-    put_len(out, xs.len());
-    for &x in xs {
-        put_f64(out, x);
-    }
-}
-
-fn put_f32s(out: &mut Vec<u8>, xs: &[f32]) {
-    put_len(out, xs.len());
-    for &x in xs {
-        put_f32(out, x);
-    }
-}
-
-fn put_usizes(out: &mut Vec<u8>, xs: &[usize]) {
-    put_len(out, xs.len());
-    for &x in xs {
-        put_usize(out, x);
-    }
-}
-
-/// Tensor layout: rank (u8), dims (u32 each), then row-major `f32` data —
-/// the element count is implied by the dims, so it cannot disagree.
-fn put_tensor(out: &mut Vec<u8>, t: &Tensor) {
-    let shape = t.shape();
-    assert!(shape.len() <= u8::MAX as usize, "tensor rank too high for the wire");
-    put_u8(out, shape.len() as u8);
-    for &d in shape {
-        assert!(d <= u32::MAX as usize, "tensor dim too large for the wire");
-        put_u32(out, d as u32);
-    }
-    for &x in t.data() {
-        put_f32(out, x);
-    }
-}
-
-fn put_viewports(out: &mut Vec<u8>, vs: &[Viewport]) {
-    put_len(out, vs.len());
-    for v in vs {
-        for &c in v {
-            put_f32(out, c);
-        }
-    }
-}
-
-// ---- primitive readers --------------------------------------------------
-
-/// Cursor over one frame's payload. Every read checks the remaining
-/// length first, so a truncated or hostile payload fails cleanly instead
-/// of panicking or over-allocating.
+/// Cursor over one frame's body. Every read checks the remaining length
+/// first, so a truncated or hostile payload fails cleanly instead of
+/// panicking or over-allocating.
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
     fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -440,553 +350,373 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn usize(&mut self) -> Result<usize, WireError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| WireError::Malformed("usize overflows this platform"))
-    }
-
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Element count whose encoded body must still fit in the payload
-    /// (`elem_bytes` per element) — a hostile count cannot force a huge
-    /// allocation.
-    fn seq_len(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > self.remaining() {
+    /// A `u32` element count whose elements, `min_len` bytes each at
+    /// least, must still fit in the payload — a hostile count cannot
+    /// force a huge allocation.
+    fn count(&mut self, min_len: usize) -> Result<usize, WireError> {
+        let n = u32::read(self)? as usize;
+        if n.saturating_mul(min_len) > self.remaining() {
             return Err(WireError::Malformed("sequence length exceeds payload"));
         }
         Ok(n)
     }
+}
 
-    fn f64s(&mut self) -> Result<Vec<f64>, WireError> {
-        let n = self.seq_len(8)?;
-        (0..n).map(|_| self.f64()).collect()
+/// One wire shape: how a value is written, how it is read back, and the
+/// fewest bytes any value of it takes — the bound a `vec<T>` count is
+/// checked against before allocating.
+trait Wire: Sized {
+    const MIN_LEN: usize;
+    fn put(&self, out: &mut Vec<u8>);
+    fn read(r: &mut Reader) -> Result<Self, WireError>;
+}
+
+macro_rules! wire_le {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_LEN: usize = std::mem::size_of::<$t>();
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+            fn read(r: &mut Reader) -> Result<Self, WireError> {
+                Ok(<$t>::from_le_bytes(r.take(Self::MIN_LEN)?.try_into().unwrap()))
+            }
+        }
+    )*};
+}
+
+wire_le!(u8, u16, u32, u64, f32, f64);
+
+impl Wire for usize {
+    const MIN_LEN: usize = u64::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64).put(out);
     }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let n = self.seq_len(4)?;
-        (0..n).map(|_| self.f32()).collect()
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        usize::try_from(u64::read(r)?)
+            .map_err(|_| WireError::Malformed("usize overflows this platform"))
     }
+}
 
-    fn usizes(&mut self) -> Result<Vec<usize>, WireError> {
-        let n = self.seq_len(8)?;
-        (0..n).map(|_| self.usize()).collect()
+fn put_count(out: &mut Vec<u8>, n: usize) {
+    assert!(n <= u32::MAX as usize, "sequence too long for the wire");
+    (n as u32).put(out);
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(out, self.len());
+        for x in self {
+            x.put(out);
+        }
     }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        let n = r.count(T::MIN_LEN)?;
+        let mut v = Vec::with_capacity(n);
+        for _ in 0..n {
+            v.push(T::read(r)?);
+        }
+        Ok(v)
+    }
+}
 
-    fn tensor(&mut self) -> Result<Tensor, WireError> {
-        let rank = self.u8()? as usize;
+impl<T: Wire> Wire for Option<T> {
+    const MIN_LEN: usize = u8::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(v) => {
+                out.push(1);
+                v.put(out);
+            }
+        }
+    }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        match u8::read(r)? {
+            0 => Ok(None),
+            1 => Ok(Some(T::read(r)?)),
+            _ => Err(WireError::Malformed("bad Option tag")),
+        }
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_LEN: usize = A::MIN_LEN + B::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        Ok((A::read(r)?, B::read(r)?))
+    }
+}
+
+impl Wire for Viewport {
+    const MIN_LEN: usize = 3 * f32::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.iter().for_each(|c| c.put(out));
+    }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        Ok([f32::read(r)?, f32::read(r)?, f32::read(r)?])
+    }
+}
+
+impl Wire for String {
+    const MIN_LEN: usize = u32::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        put_count(out, self.len());
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        let n = r.count(u8::MIN_LEN)?;
+        String::from_utf8(r.take(n)?.to_vec())
+            .map_err(|_| WireError::Malformed("label is not UTF-8"))
+    }
+}
+
+/// Rank (`u8`), dims (`u32` each), then row-major `f32` data — the element
+/// count is implied by the dims, so it cannot disagree.
+impl Wire for Tensor {
+    /// A rank byte and one dim, or at rank 0 one float.
+    const MIN_LEN: usize = u8::MIN_LEN + u32::MIN_LEN;
+    fn put(&self, out: &mut Vec<u8>) {
+        let shape = self.shape();
+        assert!(shape.len() <= u8::MAX as usize, "tensor rank too high for the wire");
+        out.push(shape.len() as u8);
+        for &d in shape {
+            assert!(d <= u32::MAX as usize, "tensor dim too large for the wire");
+            (d as u32).put(out);
+        }
+        self.data().iter().for_each(|x| x.put(out));
+    }
+    fn read(r: &mut Reader) -> Result<Self, WireError> {
+        let rank = u8::read(r)? as usize;
         let mut shape = Vec::with_capacity(rank);
         let mut numel = 1usize;
         for _ in 0..rank {
-            let d = self.u32()? as usize;
+            let d = u32::read(r)? as usize;
             numel = numel
                 .checked_mul(d)
                 .ok_or(WireError::Malformed("tensor element count overflows"))?;
             shape.push(d);
         }
-        if numel.saturating_mul(4) > self.remaining() {
+        if numel.saturating_mul(f32::MIN_LEN) > r.remaining() {
             return Err(WireError::Malformed("tensor data exceeds payload"));
         }
-        let data = (0..numel).map(|_| self.f32()).collect::<Result<Vec<f32>, _>>()?;
+        let data = (0..numel).map(|_| f32::read(r)).collect::<Result<Vec<f32>, _>>()?;
         Ok(Tensor::from_vec(shape, data))
     }
-
-    fn viewports(&mut self) -> Result<Vec<Viewport>, WireError> {
-        let n = self.seq_len(12)?;
-        (0..n)
-            .map(|_| Ok([self.f32()?, self.f32()?, self.f32()?]))
-            .collect::<Result<Vec<Viewport>, WireError>>()
-    }
-
-    /// Decoding must consume the payload exactly: trailing bytes mean the
-    /// sender and receiver disagree about the layout.
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::Malformed("trailing bytes after payload"));
-        }
-        Ok(())
-    }
 }
 
-// ---- observation / action codecs ---------------------------------------
+/// The smallest of `lens` (a tagged enum's lightest variant).
+const fn min_of(lens: &[usize]) -> usize {
+    let (mut i, mut m) = (0, usize::MAX);
+    while i < lens.len() {
+        if lens[i] < m {
+            m = lens[i];
+        }
+        i += 1;
+    }
+    m
+}
 
-fn put_obs(out: &mut Vec<u8>, obs: &FleetObs) {
-    match obs {
-        FleetObs::Abr(o) => {
-            put_u8(out, OBS_ABR);
-            put_f64s(out, &o.throughput_hist);
-            put_f64s(out, &o.delay_hist);
-            put_f64s(out, &o.next_sizes);
-            put_f64(out, o.buffer_secs);
-            match o.last_rung {
-                Some(r) => {
-                    put_u8(out, 1);
-                    put_usize(out, r);
-                }
-                None => put_u8(out, 0),
+/// A struct's layout: its fields in wire order.
+macro_rules! wire_struct {
+    ($($ty:ident { $($f:ident: $t:ty),* $(,)? })*) => {$(
+        impl Wire for $ty {
+            const MIN_LEN: usize = 0 $(+ <$t as Wire>::MIN_LEN)*;
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
             }
-            put_f64(out, o.remain_frac);
-            put_f64s(out, &o.ladder_mbps);
-            put_usize(out, o.chunk_index);
+            fn read(r: &mut Reader) -> Result<Self, WireError> {
+                Ok($ty { $($f: <$t as Wire>::read(r)?),* })
+            }
         }
-        FleetObs::Cjs(o) => {
-            put_u8(out, OBS_CJS);
-            put_usize(out, o.snap.n);
-            put_tensor(out, &o.snap.feats);
-            put_tensor(out, &o.snap.adj);
-            put_usizes(out, &o.snap.candidates);
-            put_f32(out, o.snap.free_frac);
-            put_f64(out, o.now);
-            put_usize(out, o.active_jobs);
-            put_usize(out, o.total_executors);
-        }
-        FleetObs::Vp(o) => {
-            put_u8(out, OBS_VP);
-            put_viewports(out, &o.sample.history);
-            put_viewports(out, &o.sample.future);
-            put_tensor(out, &o.sample.saliency);
-            put_usize(out, o.pw);
-        }
-    }
+    )*};
 }
 
-fn read_obs(r: &mut Reader) -> Result<FleetObs, WireError> {
-    match r.u8()? {
-        OBS_ABR => {
-            let throughput_hist = r.f64s()?;
-            let delay_hist = r.f64s()?;
-            let next_sizes = r.f64s()?;
-            let buffer_secs = r.f64()?;
-            let last_rung = match r.u8()? {
-                0 => None,
-                1 => Some(r.usize()?),
-                _ => return Err(WireError::Malformed("bad Option tag")),
-            };
-            let remain_frac = r.f64()?;
-            let ladder_mbps = r.f64s()?;
-            let chunk_index = r.usize()?;
-            Ok(FleetObs::Abr(AbrObservation {
-                throughput_hist,
-                delay_hist,
-                next_sizes,
-                buffer_secs,
-                last_rung,
-                remain_frac,
-                ladder_mbps,
-                chunk_index,
-            }))
+/// A tagged enum's layout: a `u8` tag, then the variant's fields in wire
+/// order. `$unknown => $err` names the error for a tag outside the list.
+/// Variants carry either one unnamed value or named fields (`{}` for none).
+macro_rules! wire_enum {
+    ($ty:ident, $unknown:pat => $err:expr, { $($tag:tt => $v:ident($t:ty)),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 1 + min_of(&[$(<$t as Wire>::MIN_LEN),*]);
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v(x) => {
+                        out.push($tag);
+                        x.put(out);
+                    })*
+                }
+            }
+            fn read(r: &mut Reader) -> Result<Self, WireError> {
+                match u8::read(r)? {
+                    $($tag => Ok($ty::$v(<$t as Wire>::read(r)?)),)*
+                    $unknown => Err($err),
+                }
+            }
         }
-        OBS_CJS => {
-            let n = r.usize()?;
-            let feats = r.tensor()?;
-            let adj = r.tensor()?;
-            let candidates = r.usizes()?;
-            let free_frac = r.f32()?;
-            let snap = GraphSnapshot { n, feats, adj, candidates, free_frac };
-            let now = r.f64()?;
-            let active_jobs = r.usize()?;
-            let total_executors = r.usize()?;
-            Ok(FleetObs::Cjs(CjsObs { snap, now, active_jobs, total_executors }))
+    };
+    ($ty:ident, $unknown:pat => $err:expr, {
+        $($tag:tt => $v:ident { $($f:ident: $t:ty),* $(,)? }),* $(,)?
+    }) => {
+        impl Wire for $ty {
+            const MIN_LEN: usize = 1 + min_of(&[$(0 $(+ <$t as Wire>::MIN_LEN)*),*]);
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$v { $($f),* } => {
+                        out.push($tag);
+                        $($f.put(out);)*
+                    })*
+                }
+            }
+            fn read(r: &mut Reader) -> Result<Self, WireError> {
+                match u8::read(r)? {
+                    $($tag => Ok($ty::$v { $($f: <$t as Wire>::read(r)?),* }),)*
+                    $unknown => Err($err),
+                }
+            }
         }
-        OBS_VP => {
-            let history = r.viewports()?;
-            let future = r.viewports()?;
-            let saliency = r.tensor()?;
-            let pw = r.usize()?;
-            Ok(FleetObs::Vp(VpQuery { sample: VpSample { history, future, saliency }, pw }))
-        }
-        _ => Err(WireError::Malformed("unknown observation tag")),
-    }
+    };
 }
 
-fn put_action(out: &mut Vec<u8>, action: &FleetAction) {
-    match action {
-        FleetAction::Abr(rung) => {
-            put_u8(out, ACT_ABR);
-            put_usize(out, *rung);
-        }
-        FleetAction::Cjs(d) => {
-            put_u8(out, ACT_CJS);
-            put_usize(out, d.candidate);
-            put_usize(out, d.cap);
-        }
-        FleetAction::Vp(vs) => {
-            put_u8(out, ACT_VP);
-            put_viewports(out, vs);
-        }
+// ---- the layouts (`docs/PROTOCOL.md` tabulates the same lists) ----------
+
+wire_struct! {
+    AbrObservation {
+        throughput_hist: Vec<f64>,
+        delay_hist: Vec<f64>,
+        next_sizes: Vec<f64>,
+        buffer_secs: f64,
+        last_rung: Option<usize>,
+        remain_frac: f64,
+        ladder_mbps: Vec<f64>,
+        chunk_index: usize,
     }
+    GraphSnapshot { n: usize, feats: Tensor, adj: Tensor, candidates: Vec<usize>, free_frac: f32 }
+    CjsObs { snap: GraphSnapshot, now: f64, active_jobs: usize, total_executors: usize }
+    VpSample { history: Vec<Viewport>, future: Vec<Viewport>, saliency: Tensor }
+    VpQuery { sample: VpSample, pw: usize }
+    Decision { candidate: usize, cap: usize }
+    ShardSnapshot {
+        served: u64,
+        steered: u64,
+        steered_in: u64,
+        evicted: u64,
+        evicted_rebuild_rows: u64,
+        queue_depth: u64,
+        held_pages: u64,
+    }
+    PoolDispatchSnapshot { workers: u64, dispatches: u64, tasks: u64 }
+    FaultSnapshot {
+        shard_kills: u64,
+        sessions_recovered: u64,
+        tickets_failed: u64,
+        arrivals_requeued: u64,
+        recovery_replay_rows: u64,
+    }
+    LatencySnapshot { count: u64, total_ns: u64, max_ns: u64, buckets: Vec<u64> }
+    IngressSnapshot {
+        connections: u64,
+        sessions_joined: u64,
+        submits: u64,
+        busy: u64,
+        completions: u64,
+        failed: u64,
+        failed_on_disconnect: u64,
+        protocol_errors: u64,
+        ticks: u64,
+    }
+    MetricsSnapshot {
+        shards: Vec<ShardSnapshot>,
+        pool: PoolDispatchSnapshot,
+        faults: FaultSnapshot,
+        ingress_latency: LatencySnapshot,
+        shard_phases: Vec<Vec<LatencySnapshot>>,
+        shard_latency: Vec<LatencySnapshot>,
+        served_by_label: Vec<(String, u64)>,
+        ingress: IngressSnapshot,
+        pool_free_pages: u64,
+    }
+    TelemetryEvent { seq: u64, clock: u64, kind: EventKind }
 }
 
-fn read_action(r: &mut Reader) -> Result<FleetAction, WireError> {
-    match r.u8()? {
-        ACT_ABR => Ok(FleetAction::Abr(r.usize()?)),
-        ACT_CJS => {
-            let candidate = r.usize()?;
-            let cap = r.usize()?;
-            Ok(FleetAction::Cjs(Decision { candidate, cap }))
-        }
-        ACT_VP => Ok(FleetAction::Vp(r.viewports()?)),
-        _ => Err(WireError::Malformed("unknown action tag")),
-    }
-}
+wire_enum!(FleetObs, _ => WireError::Malformed("unknown observation tag"), {
+    0 => Abr(AbrObservation),
+    1 => Cjs(CjsObs),
+    2 => Vp(VpQuery),
+});
 
-// ---- telemetry codecs ---------------------------------------------------
+wire_enum!(FleetAction, _ => WireError::Malformed("unknown action tag"), {
+    0 => Abr(usize),
+    1 => Cjs(Decision),
+    2 => Vp(Vec<Viewport>),
+});
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_len(out, s.len());
-    out.extend_from_slice(s.as_bytes());
-}
+wire_enum!(BusyReason, _ => WireError::Malformed("unknown busy reason"), {
+    0 => QueueFull {},
+    1 => ShardSuspect {},
+});
 
-fn put_latency(out: &mut Vec<u8>, l: &LatencySnapshot) {
-    put_u64(out, l.count);
-    put_u64(out, l.total_ns);
-    put_u64(out, l.max_ns);
-    put_len(out, l.buckets.len());
-    for &b in &l.buckets {
-        put_u64(out, b);
-    }
-}
+wire_enum!(SteerReason, _ => WireError::Malformed("unknown steer reason"), {
+    0 => Rebalance {},
+    1 => OverBudget {},
+    2 => Manual {},
+});
 
-fn put_snapshot(out: &mut Vec<u8>, m: &MetricsSnapshot) {
-    put_len(out, m.shards.len());
-    for s in &m.shards {
-        put_u64(out, s.served);
-        put_u64(out, s.steered);
-        put_u64(out, s.steered_in);
-        put_u64(out, s.evicted);
-        put_u64(out, s.evicted_rebuild_rows);
-        put_u64(out, s.queue_depth);
-        put_u64(out, s.held_pages);
-    }
-    put_u64(out, m.pool.workers);
-    put_u64(out, m.pool.dispatches);
-    put_u64(out, m.pool.tasks);
-    put_u64(out, m.faults.shard_kills);
-    put_u64(out, m.faults.sessions_recovered);
-    put_u64(out, m.faults.tickets_failed);
-    put_u64(out, m.faults.arrivals_requeued);
-    put_u64(out, m.faults.recovery_replay_rows);
-    put_latency(out, &m.ingress_latency);
-    put_len(out, m.shard_phases.len());
-    for phases in &m.shard_phases {
-        put_len(out, phases.len());
-        for p in phases {
-            put_latency(out, p);
-        }
-    }
-    put_len(out, m.shard_latency.len());
-    for l in &m.shard_latency {
-        put_latency(out, l);
-    }
-    put_len(out, m.served_by_label.len());
-    for (label, n) in &m.served_by_label {
-        put_str(out, label);
-        put_u64(out, *n);
-    }
-    put_u64(out, m.ingress.connections);
-    put_u64(out, m.ingress.sessions_joined);
-    put_u64(out, m.ingress.submits);
-    put_u64(out, m.ingress.busy);
-    put_u64(out, m.ingress.completions);
-    put_u64(out, m.ingress.failed);
-    put_u64(out, m.ingress.failed_on_disconnect);
-    put_u64(out, m.ingress.protocol_errors);
-    put_u64(out, m.ingress.ticks);
-    put_u64(out, m.pool_free_pages);
-}
+wire_enum!(RefusalReason, _ => WireError::Malformed("unknown refusal reason"), {
+    0 => QueueFull {},
+    1 => Suspect {},
+    2 => FairnessCap {},
+});
 
-fn put_event(out: &mut Vec<u8>, e: &TelemetryEvent) {
-    put_u64(out, e.seq);
-    put_u64(out, e.clock);
-    match e.kind {
-        EventKind::TickSpan { shard, served, span_ns } => {
-            put_u8(out, EV_TICK_SPAN);
-            put_u32(out, shard);
-            put_u32(out, served);
-            put_u64(out, span_ns);
-        }
-        EventKind::Eviction { shard, session, rebuild_rows } => {
-            put_u8(out, EV_EVICTION);
-            put_u32(out, shard);
-            put_u64(out, session);
-            put_u64(out, rebuild_rows);
-        }
-        EventKind::Steer { src, dst, session, reason } => {
-            put_u8(out, EV_STEER);
-            put_u32(out, src);
-            put_u32(out, dst);
-            put_u64(out, session);
-            put_u8(out, reason as u8);
-        }
-        EventKind::ShardDead { shard } => {
-            put_u8(out, EV_SHARD_DEAD);
-            put_u32(out, shard);
-        }
-        EventKind::Recovery { shard, sessions, replay_rows } => {
-            put_u8(out, EV_RECOVERY);
-            put_u32(out, shard);
-            put_u32(out, sessions);
-            put_u64(out, replay_rows);
-        }
-        EventKind::Busy { session, reason } => {
-            put_u8(out, EV_BUSY);
-            put_u64(out, session);
-            put_u8(out, reason as u8);
-        }
-    }
-}
+wire_enum!(EventKind, _ => WireError::Malformed("unknown event kind"), {
+    0 => TickSpan { shard: u32, served: u32, span_ns: u64 },
+    1 => Eviction { shard: u32, session: u64, rebuild_rows: u64 },
+    2 => Steer { src: u32, dst: u32, session: u64, reason: SteerReason },
+    3 => ShardDead { shard: u32 },
+    4 => Recovery { shard: u32, sessions: u32, replay_rows: u64 },
+    5 => Busy { session: u64, reason: RefusalReason },
+});
 
-impl<'a> Reader<'a> {
-    fn string(&mut self) -> Result<String, WireError> {
-        let n = self.seq_len(1)?;
-        String::from_utf8(self.take(n)?.to_vec())
-            .map_err(|_| WireError::Malformed("label is not UTF-8"))
-    }
-
-    fn latency(&mut self) -> Result<LatencySnapshot, WireError> {
-        let count = self.u64()?;
-        let total_ns = self.u64()?;
-        let max_ns = self.u64()?;
-        let n = self.seq_len(8)?;
-        let buckets = (0..n).map(|_| self.u64()).collect::<Result<Vec<u64>, _>>()?;
-        Ok(LatencySnapshot { count, total_ns, max_ns, buckets })
-    }
-
-    fn snapshot(&mut self) -> Result<MetricsSnapshot, WireError> {
-        // Minimum encoded sizes bound every count the payload claims, so
-        // a hostile length cannot force a huge allocation.
-        let n = self.seq_len(56)?;
-        let shards = (0..n)
-            .map(|_| {
-                Ok(ShardSnapshot {
-                    served: self.u64()?,
-                    steered: self.u64()?,
-                    steered_in: self.u64()?,
-                    evicted: self.u64()?,
-                    evicted_rebuild_rows: self.u64()?,
-                    queue_depth: self.u64()?,
-                    held_pages: self.u64()?,
-                })
-            })
-            .collect::<Result<Vec<ShardSnapshot>, WireError>>()?;
-        let pool = PoolDispatchSnapshot {
-            workers: self.u64()?,
-            dispatches: self.u64()?,
-            tasks: self.u64()?,
-        };
-        let faults = FaultSnapshot {
-            shard_kills: self.u64()?,
-            sessions_recovered: self.u64()?,
-            tickets_failed: self.u64()?,
-            arrivals_requeued: self.u64()?,
-            recovery_replay_rows: self.u64()?,
-        };
-        let ingress_latency = self.latency()?;
-        let n = self.seq_len(4)?;
-        let shard_phases = (0..n)
-            .map(|_| {
-                let k = self.seq_len(28)?;
-                (0..k).map(|_| self.latency()).collect::<Result<Vec<LatencySnapshot>, _>>()
-            })
-            .collect::<Result<Vec<Vec<LatencySnapshot>>, WireError>>()?;
-        let n = self.seq_len(28)?;
-        let shard_latency =
-            (0..n).map(|_| self.latency()).collect::<Result<Vec<LatencySnapshot>, _>>()?;
-        let n = self.seq_len(12)?;
-        let served_by_label = (0..n)
-            .map(|_| Ok((self.string()?, self.u64()?)))
-            .collect::<Result<Vec<(String, u64)>, WireError>>()?;
-        let ingress = IngressSnapshot {
-            connections: self.u64()?,
-            sessions_joined: self.u64()?,
-            submits: self.u64()?,
-            busy: self.u64()?,
-            completions: self.u64()?,
-            failed: self.u64()?,
-            failed_on_disconnect: self.u64()?,
-            protocol_errors: self.u64()?,
-            ticks: self.u64()?,
-        };
-        let pool_free_pages = self.u64()?;
-        Ok(MetricsSnapshot {
-            shards,
-            pool,
-            faults,
-            ingress_latency,
-            shard_phases,
-            shard_latency,
-            served_by_label,
-            ingress,
-            pool_free_pages,
-        })
-    }
-
-    fn event(&mut self) -> Result<TelemetryEvent, WireError> {
-        let seq = self.u64()?;
-        let clock = self.u64()?;
-        let kind = match self.u8()? {
-            EV_TICK_SPAN => EventKind::TickSpan {
-                shard: self.u32()?,
-                served: self.u32()?,
-                span_ns: self.u64()?,
-            },
-            EV_EVICTION => EventKind::Eviction {
-                shard: self.u32()?,
-                session: self.u64()?,
-                rebuild_rows: self.u64()?,
-            },
-            EV_STEER => EventKind::Steer {
-                src: self.u32()?,
-                dst: self.u32()?,
-                session: self.u64()?,
-                reason: match self.u8()? {
-                    0 => SteerReason::Rebalance,
-                    1 => SteerReason::OverBudget,
-                    2 => SteerReason::Manual,
-                    _ => return Err(WireError::Malformed("unknown steer reason")),
-                },
-            },
-            EV_SHARD_DEAD => EventKind::ShardDead { shard: self.u32()? },
-            EV_RECOVERY => EventKind::Recovery {
-                shard: self.u32()?,
-                sessions: self.u32()?,
-                replay_rows: self.u64()?,
-            },
-            EV_BUSY => EventKind::Busy {
-                session: self.u64()?,
-                reason: match self.u8()? {
-                    0 => RefusalReason::QueueFull,
-                    1 => RefusalReason::Suspect,
-                    2 => RefusalReason::FairnessCap,
-                    _ => return Err(WireError::Malformed("unknown refusal reason")),
-                },
-            },
-            _ => return Err(WireError::Malformed("unknown event kind")),
-        };
-        Ok(TelemetryEvent { seq, clock, kind })
-    }
-}
+wire_enum!(Frame, tag => WireError::UnknownFrame(tag), {
+    TAG_HELLO => Hello { version: u16, min_version: u16 },
+    TAG_HELLO_ACK => HelloAck { version: u16 },
+    TAG_HELLO_REJECT => HelloReject { min: u16, max: u16 },
+    TAG_JOIN => Join { group: u32 },
+    TAG_JOINED => Joined { session: u64, shard: u32 },
+    TAG_SUBMIT => Submit { session: u64, obs: FleetObs },
+    TAG_TICKET => TicketGrant { session: u64, ticket: u64 },
+    TAG_BUSY => Busy { session: u64, reason: BusyReason, retry_after_ms: u32 },
+    TAG_COMPLETION => Completion {
+        ticket: u64,
+        session: u64,
+        step: u64,
+        action: FleetAction,
+        logits: Vec<f32>,
+    },
+    TAG_FAILED => Failed { ticket: u64, session: u64 },
+    TAG_LEAVE => Leave { session: u64 },
+    TAG_LEAVE_ACK => LeaveAck { session: u64, unpolled: u32, dropped: u32 },
+    TAG_BYE => Bye {},
+    TAG_METRICS_REQUEST => MetricsRequest {},
+    TAG_METRICS_REPORT => MetricsReport { snapshot: MetricsSnapshot },
+    TAG_EVENTS_REQUEST => EventsRequest { since_seq: u64 },
+    TAG_EVENTS_BATCH => EventsBatch { next_seq: u64, dropped: u64, events: Vec<TelemetryEvent> },
+});
 
 // ---- frame codec --------------------------------------------------------
 
 /// Encode one frame as its full wire image (length prefix included).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    match frame {
-        Frame::Hello { version, min_version } => {
-            put_u8(&mut body, TAG_HELLO);
-            put_u16(&mut body, *version);
-            put_u16(&mut body, *min_version);
-        }
-        Frame::HelloAck { version } => {
-            put_u8(&mut body, TAG_HELLO_ACK);
-            put_u16(&mut body, *version);
-        }
-        Frame::HelloReject { min, max } => {
-            put_u8(&mut body, TAG_HELLO_REJECT);
-            put_u16(&mut body, *min);
-            put_u16(&mut body, *max);
-        }
-        Frame::Join { group } => {
-            put_u8(&mut body, TAG_JOIN);
-            put_u32(&mut body, *group);
-        }
-        Frame::Joined { session, shard } => {
-            put_u8(&mut body, TAG_JOINED);
-            put_u64(&mut body, *session);
-            put_u32(&mut body, *shard);
-        }
-        Frame::Submit { session, obs } => {
-            put_u8(&mut body, TAG_SUBMIT);
-            put_u64(&mut body, *session);
-            put_obs(&mut body, obs);
-        }
-        Frame::TicketGrant { session, ticket } => {
-            put_u8(&mut body, TAG_TICKET);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *ticket);
-        }
-        Frame::Busy { session, reason, retry_after_ms } => {
-            put_u8(&mut body, TAG_BUSY);
-            put_u64(&mut body, *session);
-            put_u8(
-                &mut body,
-                match reason {
-                    BusyReason::QueueFull => BUSY_QUEUE_FULL,
-                    BusyReason::ShardSuspect => BUSY_SUSPECT,
-                },
-            );
-            put_u32(&mut body, *retry_after_ms);
-        }
-        Frame::Completion { ticket, session, step, action, logits } => {
-            put_u8(&mut body, TAG_COMPLETION);
-            put_u64(&mut body, *ticket);
-            put_u64(&mut body, *session);
-            put_u64(&mut body, *step);
-            put_action(&mut body, action);
-            put_f32s(&mut body, logits);
-        }
-        Frame::Failed { ticket, session } => {
-            put_u8(&mut body, TAG_FAILED);
-            put_u64(&mut body, *ticket);
-            put_u64(&mut body, *session);
-        }
-        Frame::Leave { session } => {
-            put_u8(&mut body, TAG_LEAVE);
-            put_u64(&mut body, *session);
-        }
-        Frame::LeaveAck { session, unpolled, dropped } => {
-            put_u8(&mut body, TAG_LEAVE_ACK);
-            put_u64(&mut body, *session);
-            put_u32(&mut body, *unpolled);
-            put_u32(&mut body, *dropped);
-        }
-        Frame::Bye => put_u8(&mut body, TAG_BYE),
-        Frame::MetricsRequest => put_u8(&mut body, TAG_METRICS_REQUEST),
-        Frame::MetricsReport { snapshot } => {
-            put_u8(&mut body, TAG_METRICS_REPORT);
-            put_snapshot(&mut body, snapshot);
-        }
-        Frame::EventsRequest { since_seq } => {
-            put_u8(&mut body, TAG_EVENTS_REQUEST);
-            put_u64(&mut body, *since_seq);
-        }
-        Frame::EventsBatch { next_seq, dropped, events } => {
-            put_u8(&mut body, TAG_EVENTS_BATCH);
-            put_u64(&mut body, *next_seq);
-            put_u64(&mut body, *dropped);
-            put_len(&mut body, events.len());
-            for e in events {
-                put_event(&mut body, e);
-            }
-        }
-    }
-    assert!(body.len() as u64 <= MAX_FRAME_LEN as u64, "frame exceeds MAX_FRAME_LEN");
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
+    let mut out = Vec::with_capacity(64);
+    out.extend_from_slice(&[0; 4]);
+    frame.put(&mut out);
+    let len = out.len() - 4;
+    assert!(len as u64 <= MAX_FRAME_LEN as u64, "frame exceeds MAX_FRAME_LEN");
+    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
     out
 }
 
@@ -996,84 +726,21 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// the telemetry scrapes decode normally); core-range unknowns are
 /// [`WireError::UnknownFrame`].
 pub fn decode_frame(body: &[u8]) -> Result<Option<Frame>, WireError> {
-    let mut r = Reader::new(body);
-    let tag = r.u8()?;
-    let frame = match tag {
-        TAG_HELLO => {
-            let version = r.u16()?;
-            let min_version = r.u16()?;
-            if min_version > version {
-                return Err(WireError::Malformed("hello range inverted"));
-            }
-            Frame::Hello { version, min_version }
-        }
-        TAG_HELLO_ACK => Frame::HelloAck { version: r.u16()? },
-        TAG_HELLO_REJECT => {
-            let min = r.u16()?;
-            let max = r.u16()?;
-            Frame::HelloReject { min, max }
-        }
-        TAG_JOIN => Frame::Join { group: r.u32()? },
-        TAG_JOINED => {
-            let session = r.u64()?;
-            let shard = r.u32()?;
-            Frame::Joined { session, shard }
-        }
-        TAG_SUBMIT => {
-            let session = r.u64()?;
-            let obs = read_obs(&mut r)?;
-            Frame::Submit { session, obs }
-        }
-        TAG_TICKET => {
-            let session = r.u64()?;
-            let ticket = r.u64()?;
-            Frame::TicketGrant { session, ticket }
-        }
-        TAG_BUSY => {
-            let session = r.u64()?;
-            let reason = match r.u8()? {
-                BUSY_QUEUE_FULL => BusyReason::QueueFull,
-                BUSY_SUSPECT => BusyReason::ShardSuspect,
-                _ => return Err(WireError::Malformed("unknown busy reason")),
-            };
-            let retry_after_ms = r.u32()?;
-            Frame::Busy { session, reason, retry_after_ms }
-        }
-        TAG_COMPLETION => {
-            let ticket = r.u64()?;
-            let session = r.u64()?;
-            let step = r.u64()?;
-            let action = read_action(&mut r)?;
-            let logits = r.f32s()?;
-            Frame::Completion { ticket, session, step, action, logits }
-        }
-        TAG_FAILED => {
-            let ticket = r.u64()?;
-            let session = r.u64()?;
-            Frame::Failed { ticket, session }
-        }
-        TAG_LEAVE => Frame::Leave { session: r.u64()? },
-        TAG_LEAVE_ACK => {
-            let session = r.u64()?;
-            let unpolled = r.u32()?;
-            let dropped = r.u32()?;
-            Frame::LeaveAck { session, unpolled, dropped }
-        }
-        TAG_BYE => Frame::Bye,
-        TAG_METRICS_REQUEST => Frame::MetricsRequest,
-        TAG_METRICS_REPORT => Frame::MetricsReport { snapshot: r.snapshot()? },
-        TAG_EVENTS_REQUEST => Frame::EventsRequest { since_seq: r.u64()? },
-        TAG_EVENTS_BATCH => {
-            let next_seq = r.u64()?;
-            let dropped = r.u64()?;
-            let n = r.seq_len(21)?; // smallest event: 8+8+1+4 bytes
-            let events = (0..n).map(|_| r.event()).collect::<Result<Vec<TelemetryEvent>, _>>()?;
-            Frame::EventsBatch { next_seq, dropped, events }
-        }
-        t if t >= EXTENSION_TAG_BASE => return Ok(None),
-        other => return Err(WireError::UnknownFrame(other)),
+    let mut r = Reader { buf: body, pos: 0 };
+    let frame = match Frame::read(&mut r) {
+        Err(WireError::UnknownFrame(tag)) if tag >= EXTENSION_TAG_BASE => return Ok(None),
+        frame => frame?,
     };
-    r.finish()?;
+    if let Frame::Hello { version, min_version } = frame {
+        if min_version > version {
+            return Err(WireError::Malformed("hello range inverted"));
+        }
+    }
+    // Decoding must consume the payload exactly: trailing bytes mean the
+    // sender and receiver disagree about the layout.
+    if r.remaining() != 0 {
+        return Err(WireError::Malformed("trailing bytes after payload"));
+    }
     Ok(Some(frame))
 }
 
