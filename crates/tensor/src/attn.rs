@@ -4,11 +4,9 @@
 //! A KV cache hands attention its keys in **channel-major blocks** — block
 //! `b` holds `width` consecutive positions as `[dim][width]`, so one
 //! head's slice of it is a contiguous `[dh][width]` slab — and its values
-//! row-major. That key layout is exactly the `B` operand of the GEMM
-//! tile in [`crate::tensor`]: one slab row per inner step, `width`
-//! positions side by side in the lanes. The kernels here take plain
-//! slices and strides (they know nothing of pages or caches) and are
-//! compiled once per instantiation (`simd.rs`) like the GEMM:
+//! row-major. The kernels here take plain slices and strides (they know
+//! nothing of pages or caches) and are compiled once per instantiation
+//! (`simd.rs`) like the GEMM:
 //!
 //! - [`qk_block`]: scores of up to all of a slot's new rows against one
 //!   key block, a 4-row x `W`-lane accumulator tile per lane group;
@@ -16,7 +14,14 @@
 //!   see and exactly zero everywhere else;
 //! - [`pv_block`]: those rows' weighted sum over one value block, a 4-row
 //!   x `dh` accumulator tile seeded from and written back to the output,
-//!   so consecutive blocks continue one chain.
+//!   so consecutive blocks continue one chain. This is the GEMM's own
+//!   register tile (`tensor::tile`) with the weights as `A`, the value
+//!   rows as `B` and each operand at its own row stride.
+//!
+//! The key slab is in the layout the GEMM tile reads `B` in too, but QK
+//! keeps its own tile: on the GEMM tile it would need a zero-filled score
+//! tile and a separate scaling pass, and that measured slower end to end
+//! (`dense_direct` and `paged_tight` down 4-5%).
 //!
 //! Every score is one chain over `c = 0..dh` ascending from zero, scaled
 //! once; every output element is one chain over ascending positions. No
@@ -33,6 +38,7 @@
 
 use crate::activation::exp_fast;
 use crate::simd;
+use crate::tensor::tile;
 
 /// Rows per register tile: four query rows share every loaded key or
 /// value lane group, as in the GEMM.
@@ -332,14 +338,14 @@ fn pv_block_body(
     }
 }
 
-/// The PV tile body over `W` channels (returns `W`): per row quad a 4 x
-/// `W` accumulator tile is seeded from `out`, takes one `mul` then `add`
-/// per visible position in ascending order, and is written back;
-/// remainder rows get a one-row tile. `W` is a constant so that every
-/// lane loop runs over a whole fixed-size array — the one form every
-/// instantiation keeps in registers (a run-time lane count sent the
-/// 512-bit one through masked loads and a stack-resident tile, at a
-/// fraction of the rate).
+/// The PV tile body over `W` channels (returns `W`): the GEMM's
+/// [`tile`] with the weights as `a` and the value rows as `b` — per row
+/// quad a 4 x `W` accumulator tile seeded from `out`, one `mul` then
+/// `add` per visible position in ascending order, written back; remainder
+/// rows get a one-row tile. `W` is a constant so that every lane loop
+/// runs over a whole fixed-size array — the one form every instantiation
+/// keeps in registers (a run-time lane count sent the 512-bit one through
+/// masked loads and a stack-resident tile, at a fraction of the rate).
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn pv_tiles<const W: usize>(
@@ -356,41 +362,12 @@ fn pv_tiles<const W: usize>(
     let mut i = 0usize;
     while i + MR <= rows {
         let jn = keys.min(vis_first + i + MR - 1);
-        let w0 = &w[i * w_stride..i * w_stride + jn];
-        let w1 = &w[(i + 1) * w_stride..(i + 1) * w_stride + jn];
-        let w2 = &w[(i + 2) * w_stride..(i + 2) * w_stride + jn];
-        let w3 = &w[(i + 3) * w_stride..(i + 3) * w_stride + jn];
-        let mut acc = [[0.0f32; W]; MR];
-        for (r, accr) in acc.iter_mut().enumerate() {
-            accr.copy_from_slice(&out[(i + r) * o_stride..(i + r) * o_stride + W]);
-        }
-        for j in 0..jn {
-            let vr = &v[j * v_stride..j * v_stride + W];
-            let (x0, x1, x2, x3) = (w0[j], w1[j], w2[j], w3[j]);
-            for l in 0..W {
-                acc[0][l] += x0 * vr[l];
-                acc[1][l] += x1 * vr[l];
-                acc[2][l] += x2 * vr[l];
-                acc[3][l] += x3 * vr[l];
-            }
-        }
-        for (r, accr) in acc.iter().enumerate() {
-            out[(i + r) * o_stride..(i + r) * o_stride + W].copy_from_slice(accr);
-        }
+        tile::<MR, W>(w, w_stride, v, v_stride, out, o_stride, 0..jn, i, 0);
         i += MR;
     }
     while i < rows {
         let jn = keys.min(vis_first + i);
-        let wr = &w[i * w_stride..i * w_stride + jn];
-        let mut acc = [0.0f32; W];
-        acc.copy_from_slice(&out[i * o_stride..i * o_stride + W]);
-        for (j, &x) in wr.iter().enumerate() {
-            let vr = &v[j * v_stride..j * v_stride + W];
-            for l in 0..W {
-                acc[l] += x * vr[l];
-            }
-        }
-        out[i * o_stride..i * o_stride + W].copy_from_slice(&acc);
+        tile::<1, W>(w, w_stride, v, v_stride, out, o_stride, 0..jn, i, 0);
         i += 1;
     }
     W

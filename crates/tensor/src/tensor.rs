@@ -544,7 +544,7 @@ fn quad_column_block<const W: usize>(
     j0: usize,
 ) {
     for i in (0..quads).step_by(MR) {
-        tile::<MR, W>(a, b, out, k, n, ks.clone(), i, j0);
+        tile::<MR, W>(a, k, b, n, out, n, ks.clone(), i, j0);
     }
 }
 
@@ -569,12 +569,12 @@ fn sub_quad_rows<const R: usize, const NR: usize>(
     while let Some(w) = SUB_QUAD_WIDTHS.into_iter().find(|&w| w <= 2 * NR && j + w <= n) {
         let ks = ks.clone();
         match w {
-            64 => tile::<R, 64>(a, b, out, k, n, ks, i0, j),
-            48 => tile::<R, 48>(a, b, out, k, n, ks, i0, j),
-            32 => tile::<R, 32>(a, b, out, k, n, ks, i0, j),
-            24 => tile::<R, 24>(a, b, out, k, n, ks, i0, j),
-            16 => tile::<R, 16>(a, b, out, k, n, ks, i0, j),
-            _ => tile::<R, 8>(a, b, out, k, n, ks, i0, j),
+            64 => tile::<R, 64>(a, k, b, n, out, n, ks, i0, j),
+            48 => tile::<R, 48>(a, k, b, n, out, n, ks, i0, j),
+            32 => tile::<R, 32>(a, k, b, n, out, n, ks, i0, j),
+            24 => tile::<R, 24>(a, k, b, n, out, n, ks, i0, j),
+            16 => tile::<R, 16>(a, k, b, n, out, n, ks, i0, j),
+            _ => tile::<R, 8>(a, k, b, n, out, n, ks, i0, j),
         }
         j += w;
     }
@@ -587,30 +587,32 @@ fn sub_quad_rows<const R: usize, const NR: usize>(
 
 /// One `R x W` register tile over one k-tile: rows `i0..i0 + R`, columns
 /// `j0..j0 + W` of `out`, reading the matching `W`-wide row of `b` in
-/// place for each `k` in `ks`. `out` is loaded and stored once per tile
+/// place for each `k` in `ks`. Each operand is row-major with its own row
+/// stride (the GEMM passes `k, n, n`; attention's PV passes its weight,
+/// value and output strides). `out` is loaded and stored once per tile
 /// instead of once per `k` step, and each `[f32; W]` accumulator row is a
 /// fixed array the autovectorizer maps onto SIMD lanes.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn tile<const R: usize, const W: usize>(
+pub(crate) fn tile<const R: usize, const W: usize>(
     a: &[f32],
+    a_stride: usize,
     b: &[f32],
+    b_stride: usize,
     out: &mut [f32],
-    k: usize,
-    n: usize,
+    o_stride: usize,
     ks: Range<usize>,
     i0: usize,
     j0: usize,
 ) {
-    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+    let arows: [&[f32]; R] = std::array::from_fn(|r| &a[(i0 + r) * a_stride..][..ks.end]);
     let mut acc = [[0.0f32; W]; R];
     for (r, accr) in acc.iter_mut().enumerate() {
-        let o = (i0 + r) * n + j0;
+        let o = (i0 + r) * o_stride + j0;
         accr.copy_from_slice(&out[o..o + W]);
     }
-    let brows = b[ks.start * n..ks.end * n].chunks_exact(n);
-    for (brow, kk) in brows.zip(ks) {
-        let brow = &brow[j0..j0 + W];
+    for kk in ks {
+        let brow = &b[kk * b_stride + j0..kk * b_stride + j0 + W];
         let x: [f32; R] = std::array::from_fn(|r| arows[r][kk]);
         for l in 0..W {
             for r in 0..R {
@@ -619,7 +621,7 @@ fn tile<const R: usize, const W: usize>(
         }
     }
     for (r, accr) in acc.iter().enumerate() {
-        let o = (i0 + r) * n + j0;
+        let o = (i0 + r) * o_stride + j0;
         out[o..o + W].copy_from_slice(accr);
     }
 }
