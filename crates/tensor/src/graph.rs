@@ -13,7 +13,9 @@
 use crate::activation::{gelu_in_place, tanh_fast, GELU_C};
 use crate::rng::Rng;
 use crate::shape::{broadcast_shapes, for_each_broadcast2, numel};
-use crate::tensor::{layer_norm_in_place, layer_norm_stats, matmul_into, softmax_in_place, Tensor};
+use crate::tensor::{
+    layer_norm_in_place, layer_norm_stats, matmul_into, softmax_in_place, transpose_into, Tensor,
+};
 
 /// Identifier of a node on the tape.
 pub type NodeId = usize;
@@ -988,11 +990,7 @@ fn gelu_bwd(x: f32) -> f32 {
 
 fn transpose2(a: &[f32], m: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
-    for i in 0..m {
-        for j in 0..n {
-            out[j * m + i] = a[i * n + j];
-        }
-    }
+    transpose_into(a, &mut out, m, n);
     out
 }
 
@@ -1006,13 +1004,8 @@ fn transpose_last2_t(v: &Tensor) -> Tensor {
     out_shape.swap(l - 2, l - 1);
     let mut out = vec![0.0f32; v.numel()];
     for bi in 0..batch {
-        let src = &v.data()[bi * m * n..(bi + 1) * m * n];
-        let dst = &mut out[bi * m * n..(bi + 1) * m * n];
-        for i in 0..m {
-            for j in 0..n {
-                dst[j * m + i] = src[i * n + j];
-            }
-        }
+        let block = bi * m * n..(bi + 1) * m * n;
+        transpose_into(&v.data()[block.clone()], &mut out[block], m, n);
     }
     Tensor::from_vec(out_shape, out)
 }
