@@ -101,7 +101,7 @@ fn fig2(e: &Engine) {
     let eval = &data.test[..n_eval];
 
     // Prompt-learning adaptation (LoRA fine-tune of the token pathway).
-    let mut prompt = PromptVp::new(e.backbone(), netllm::default_lora(netllm::Task::Vp), 0x9A);
+    let mut prompt = PromptVp::new(e.backbone(), netllm::LoraSpec::default(), 0x9A);
     prompt.adapt(&data.train, e.vp_adapt_iters(), 1e-3, 0x9B);
     let token_stats = evaluate_token_path(&prompt, eval, 0x9C);
 
@@ -312,7 +312,7 @@ fn fig4(e: &Engine) {
     let mut full = netllm::NetLlmVp::new(
         e.backbone(),
         AdaptMode::NoPretrain,
-        netllm::default_lora(netllm::Task::Vp),
+        netllm::LoraSpec::default(),
         VP_UNSEEN1.pw(),
         0x41,
     );
@@ -329,7 +329,7 @@ fn fig4(e: &Engine) {
     let mut lora = netllm::NetLlmVp::new(
         e.backbone(),
         AdaptMode::FullKnowledge,
-        netllm::default_lora(netllm::Task::Vp),
+        netllm::LoraSpec::default(),
         VP_UNSEEN1.pw(),
         0x43,
     );

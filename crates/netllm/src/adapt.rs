@@ -5,7 +5,8 @@ use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng};
 
 /// Low-rank adaptation budget. The paper uses rank 32 (VP) / 128 (ABR/CJS)
-/// on a 7B model; ranks here are scaled with the backbone.
+/// on a 7B model; at these backbone sizes that split scales down to one
+/// rank, so every task uses [`LoraSpec::default`].
 #[derive(Clone, Copy, Debug)]
 pub struct LoraSpec {
     pub rank: usize,

@@ -19,22 +19,6 @@ use nt_llm::zoo::LoadedLm;
 use nt_tensor::Rng;
 use nt_vp::{extract_samples, generate as generate_vp, VpSample};
 
-/// Default LoRA budget per task. The paper's 32/128/128 rank split scales
-/// down to a single rank at these backbone sizes, so every task currently
-/// shares one spec; the `Task` parameter stays so per-task budgets can
-/// diverge again when the backbones grow.
-pub fn default_lora(_task: Task) -> LoraSpec {
-    LoraSpec { rank: 4, alpha: 8.0 }
-}
-
-/// The three use cases.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Task {
-    Vp,
-    Abr,
-    Cjs,
-}
-
 // ---------------------------------------------------------------------------
 // Environment builders
 // ---------------------------------------------------------------------------
@@ -196,7 +180,7 @@ pub fn adapt_vp(
     seed: u64,
 ) -> NetLlmVp {
     let max_pw = crate::settings::VP_DEFAULT.pw();
-    let mut m = NetLlmVp::new(backbone, mode, default_lora(Task::Vp), max_pw, seed);
+    let mut m = NetLlmVp::new(backbone, mode, LoraSpec::default(), max_pw, seed);
     m.adapt(train, iters, 1e-3, seed ^ 0xAD);
     m
 }
@@ -210,7 +194,7 @@ pub fn adapt_abr(
     iters: usize,
     seed: u64,
 ) -> NetLlmAbr {
-    let mut m = NetLlmAbr::new(backbone, mode, default_lora(Task::Abr), 10, seed);
+    let mut m = NetLlmAbr::new(backbone, mode, LoraSpec::default(), 10, seed);
     m.adapt(dataset, iters, 1e-3, seed ^ 0xAD);
     m
 }
@@ -225,7 +209,7 @@ pub fn adapt_cjs(
     iters: usize,
     seed: u64,
 ) -> NetLlmCjs {
-    let mut m = NetLlmCjs::new(backbone, mode, default_lora(Task::Cjs), 8, seed);
+    let mut m = NetLlmCjs::new(backbone, mode, LoraSpec::default(), 8, seed);
     m.adapt(dataset, iters, 1e-3, seed ^ 0xAD);
     m
 }

@@ -62,7 +62,7 @@ pub use adapters::cjs::{collect_episode, CjsEpisode, CjsObs, CjsStep, CjsTraject
 pub use adapters::vp::{NetLlmVp, VpQuery, VpSlot};
 pub use api::{
     adapt_abr, adapt_cjs, adapt_vp, build_abr_env, build_cjs_workloads, build_vp_data,
-    default_lora, rl_collect_abr, rl_collect_cjs, test_abr, test_cjs, Task, VpData,
+    rl_collect_abr, rl_collect_cjs, test_abr, test_cjs, VpData,
 };
 pub use backbone::{append_batched, InferenceSession};
 pub use fault::{Fault, FaultEvent, FaultPlan, FaultReport};

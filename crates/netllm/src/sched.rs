@@ -239,15 +239,14 @@ impl<O> std::fmt::Debug for SubmitError<O> {
 
 /// Deterministic retry/backoff for refused submissions. `QueueFull` waits
 /// exactly one tick (the next drain frees space); `RetryAfterTick` backs
-/// off exponentially (1, 2, 4, … up to `max_backoff` ticks) while a shard
-/// stays Suspect, and any success resets the backoff. Pure tick
+/// off exponentially (1, 2, 4, then [`SubmitRetry::MAX_BACKOFF`] ticks)
+/// while a shard stays Suspect, and any success resets the backoff. Pure tick
 /// arithmetic — no wall clock, no randomness — so a soak trace that uses
 /// it replays identically from its seed.
 #[derive(Clone, Copy, Debug)]
 pub struct SubmitRetry {
     next_try: u64,
     backoff: u64,
-    max_backoff: u64,
 }
 
 impl Default for SubmitRetry {
@@ -257,15 +256,12 @@ impl Default for SubmitRetry {
 }
 
 impl SubmitRetry {
-    /// Helper with an 8-tick backoff cap.
-    pub fn new() -> Self {
-        SubmitRetry { next_try: 0, backoff: 1, max_backoff: 8 }
-    }
+    /// Longest wait, in ticks, between attempts on a Suspect shard.
+    pub const MAX_BACKOFF: u64 = 8;
 
-    /// Helper with a custom backoff cap (>= 1).
-    pub fn with_max_backoff(max_backoff: u64) -> Self {
-        assert!(max_backoff >= 1, "backoff cap must be >= 1");
-        SubmitRetry { next_try: 0, backoff: 1, max_backoff }
+    /// A fresh schedule: ready at once, backoff at one tick.
+    pub fn new() -> Self {
+        SubmitRetry { next_try: 0, backoff: 1 }
     }
 
     /// Whether a submission should be attempted at `tick`.
@@ -281,7 +277,7 @@ impl SubmitRetry {
             }
             SubmitError::RetryAfterTick { .. } => {
                 self.next_try = tick + self.backoff;
-                self.backoff = (self.backoff * 2).min(self.max_backoff);
+                self.backoff = (self.backoff * 2).min(Self::MAX_BACKOFF);
             }
         }
     }
@@ -634,13 +630,13 @@ mod tests {
 
     #[test]
     fn submit_retry_backs_off_on_suspect_and_resets_on_success() {
-        let mut r = SubmitRetry::with_max_backoff(4);
+        let mut r = SubmitRetry::new();
         assert!(r.ready(0));
         // QueueFull: exactly one tick.
         r.refused(3, &SubmitError::QueueFull { obs: () });
         assert!(!r.ready(3));
         assert!(r.ready(4));
-        // RetryAfterTick: 1, 2, 4, 4 … (capped) ticks between attempts.
+        // RetryAfterTick: 1, 2, 4, 8, 8 … (capped) ticks between attempts.
         r.refused(4, &SubmitError::RetryAfterTick { obs: () });
         assert!(r.ready(5));
         r.refused(5, &SubmitError::RetryAfterTick { obs: () });
@@ -650,7 +646,11 @@ mod tests {
         assert!(!r.ready(10));
         assert!(r.ready(11));
         r.refused(11, &SubmitError::RetryAfterTick { obs: () });
-        assert!(r.ready(15), "backoff capped at 4 ticks");
+        assert!(!r.ready(18));
+        assert!(r.ready(19));
+        r.refused(19, &SubmitError::RetryAfterTick { obs: () });
+        assert!(!r.ready(26));
+        assert!(r.ready(27), "backoff capped at 8 ticks");
         r.succeeded();
         assert!(r.ready(0), "success resets the schedule");
         assert_eq!(SubmitError::QueueFull { obs: 7u32 }.into_obs(), 7);
