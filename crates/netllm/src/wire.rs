@@ -379,7 +379,8 @@ macro_rules! wire_le {
                 out.extend_from_slice(&self.to_le_bytes());
             }
             fn read(r: &mut Reader) -> Result<Self, WireError> {
-                Ok(<$t>::from_le_bytes(r.take(Self::MIN_LEN)?.try_into().unwrap()))
+                let bytes = r.take(Self::MIN_LEN)?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("take returns MIN_LEN bytes")))
             }
         }
     )*};
