@@ -10,15 +10,17 @@
 //! This module reproduces those dynamics with an RTT-round transfer model:
 //! the sender's window starts at `IW` packets and doubles each round
 //! (slow start) until it saturates the per-round link capacity taken from
-//! the bandwidth trace. The same [`AbrPolicy`] implementations stream
-//! through it unchanged, chunk by chunk.
+//! the bandwidth trace. [`run_emulated_session`] is
+//! [`crate::sim::run_session`]'s loop with another fetch: only how long a
+//! chunk takes to download differs, so the same [`AbrPolicy`]
+//! implementations stream through it unchanged, chunk by chunk.
 //!
 //! Not modelled (documented limitation): packet loss, competing flows, and
 //! queueing delay variation; the emulation captures first-order transport
 //! timing, which is what shifts policy behaviour versus the simulator.
 
-use crate::qoe::{session_stats, ChunkRecord, QoeWeights, SessionStats};
-use crate::sim::{AbrObservation, AbrPolicy, SimConfig, HIST};
+use crate::qoe::{ChunkRecord, QoeWeights, SessionStats};
+use crate::sim::{stream, AbrPolicy, SimConfig};
 use crate::trace::BandwidthTrace;
 use crate::video::Video;
 
@@ -67,8 +69,9 @@ pub fn transfer_time(link: &LinkConfig, trace: &BandwidthTrace, t0: f64, megabit
     elapsed
 }
 
-/// Stream one session through the emulated path. Mirrors
-/// [`crate::sim::run_session`] but with transport-aware download times.
+/// Stream one session through the emulated path: [`crate::sim::run_session`]'s
+/// loop, with each chunk's download timed by [`transfer_time`] (request
+/// round trip included, so the throughput estimate divides by all of it).
 pub fn run_emulated_session(
     policy: &mut dyn AbrPolicy,
     video: &Video,
@@ -77,57 +80,10 @@ pub fn run_emulated_session(
     cfg: &SimConfig,
     weights: &QoeWeights,
 ) -> (SessionStats, Vec<ChunkRecord>) {
-    policy.reset();
-    let mut time = 0.0f64;
-    let mut buffer = cfg.startup_secs;
-    let mut records: Vec<ChunkRecord> = Vec::with_capacity(video.num_chunks());
-    let mut thr_hist: Vec<f64> = Vec::new();
-    let mut delay_hist: Vec<f64> = Vec::new();
-    let mut last_rung: Option<usize> = None;
-
-    for chunk in 0..video.num_chunks() {
-        let obs = AbrObservation {
-            throughput_hist: tail(&thr_hist),
-            delay_hist: tail(&delay_hist),
-            next_sizes: (0..video.num_rungs()).map(|r| video.size(chunk, r)).collect(),
-            buffer_secs: buffer,
-            last_rung,
-            remain_frac: (video.num_chunks() - chunk) as f64 / video.num_chunks() as f64,
-            ladder_mbps: (0..video.num_rungs()).map(|r| video.bitrate_mbps(r)).collect(),
-            chunk_index: chunk,
-        };
-        let rung = policy.select(&obs).min(video.num_rungs() - 1);
-        let size = video.size(chunk, rung);
+    stream(policy, video, cfg, weights, |time, size| {
         let download = transfer_time(link, trace, time, size);
-        // As in `sim`: the first chunk's wait is startup delay, not a stall.
-        let rebuffer = if chunk == 0 { 0.0 } else { (download - buffer).max(0.0) };
-        buffer = (buffer - download).max(0.0) + video.chunk_secs;
-        time += download;
-        if buffer > cfg.buffer_cap_secs {
-            let idle = buffer - cfg.buffer_cap_secs;
-            time += idle;
-            buffer = cfg.buffer_cap_secs;
-        }
-        let throughput = size / download.max(1e-6);
-        thr_hist.push(throughput);
-        delay_hist.push(download);
-        records.push(ChunkRecord {
-            chunk,
-            rung,
-            bitrate_mbps: video.bitrate_mbps(rung),
-            rebuffer_secs: rebuffer,
-            download_secs: download,
-            buffer_after: buffer,
-            throughput_mbps: throughput,
-        });
-        last_rung = Some(rung);
-    }
-    (session_stats(weights, &records), records)
-}
-
-fn tail(v: &[f64]) -> Vec<f64> {
-    let start = v.len().saturating_sub(HIST);
-    v[start..].to_vec()
+        (download, download)
+    })
 }
 
 #[cfg(test)]

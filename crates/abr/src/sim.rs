@@ -91,6 +91,22 @@ pub fn run_session(
     cfg: &SimConfig,
     weights: &QoeWeights,
 ) -> (SessionStats, Vec<ChunkRecord>) {
+    stream(policy, video, cfg, weights, |time, size| {
+        let download = cfg.rtt_secs + trace.transfer_time(time + cfg.rtt_secs, size);
+        (download, download - cfg.rtt_secs)
+    })
+}
+
+/// The session loop every entry point shares. `fetch(time, megabits)`
+/// returns the chunk's `(download_secs, transfer_secs)`: the wait the
+/// buffer sees, and the part of it the throughput estimate divides by.
+pub(crate) fn stream(
+    policy: &mut dyn AbrPolicy,
+    video: &Video,
+    cfg: &SimConfig,
+    weights: &QoeWeights,
+    mut fetch: impl FnMut(f64, f64) -> (f64, f64),
+) -> (SessionStats, Vec<ChunkRecord>) {
     policy.reset();
     let mut time = 0.0f64;
     let mut buffer = cfg.startup_secs;
@@ -113,7 +129,7 @@ pub fn run_session(
         let rung = policy.select(&obs).min(video.num_rungs() - 1);
 
         let size = video.size(chunk, rung);
-        let download = cfg.rtt_secs + trace.transfer_time(time + cfg.rtt_secs, size);
+        let (download, transfer) = fetch(time, size);
         // The first chunk's wait is startup delay, not a playback stall.
         let rebuffer = if chunk == 0 { 0.0 } else { (download - buffer).max(0.0) };
         buffer = (buffer - download).max(0.0) + video.chunk_secs;
@@ -124,7 +140,7 @@ pub fn run_session(
             time += idle;
             buffer = cfg.buffer_cap_secs;
         }
-        let throughput = size / (download - cfg.rtt_secs).max(1e-6);
+        let throughput = size / transfer.max(1e-6);
         thr_hist.push(throughput);
         delay_hist.push(download);
         records.push(ChunkRecord {
