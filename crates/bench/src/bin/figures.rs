@@ -10,20 +10,21 @@
 //! *shape* (winners, orderings, crossovers) — see EXPERIMENTS.md.
 
 use netllm::{
-    build_abr_env, build_cjs_workloads, build_vp_data, evaluate_token_path, AdaptMode, Fidelity,
-    PromptVp, ABR_DEFAULT, ABR_UNSEEN1, ABR_UNSEEN2, ABR_UNSEEN3, CJS_DEFAULT, CJS_UNSEEN1,
+    build_abr_env, build_cjs_workloads, build_vp_data, evaluate_token_path, rl_collect_abr,
+    rl_collect_cjs, test_abr, test_cjs, AdaptMode, CjsSetting, Fidelity, LoraSpec, NetLlmVp,
+    PromptVp, VpData, ABR_DEFAULT, ABR_UNSEEN1, ABR_UNSEEN2, ABR_UNSEEN3, CJS_DEFAULT, CJS_UNSEEN1,
     CJS_UNSEEN2, CJS_UNSEEN3, VP_DEFAULT, VP_UNSEEN1, VP_UNSEEN2, VP_UNSEEN3,
 };
 use nt_abr::{
-    run_emulated_session, run_session, AbrPolicy, Bba, LinkConfig, Mpc, QoeWeights, SessionStats,
-    SimConfig, TraceKind,
+    run_emulated_session, AbrPolicy, BandwidthTrace, Bba, LinkConfig, Mpc, QoeWeights,
+    SessionStats, SimConfig, TraceKind, Video,
 };
 use nt_bench::stats::{box_stats, cdf_points, mean, min_max_normalize, percentile};
 use nt_bench::{print_table, write_report, Engine};
-use nt_cjs::{Fair, Fifo, Scheduler};
+use nt_cjs::{Fair, Fifo, Job, Scheduler};
 use nt_llm::{profile_spec, size_spec, Profile, SIZE_LADDER};
 use nt_tensor::Rng;
-use nt_vp::{evaluate_each, LinearRegression, Velocity, VpPredictor};
+use nt_vp::{evaluate_each, LinearRegression, Velocity, VpPredictor, VpSample};
 use serde_json::json;
 use std::time::Instant;
 
@@ -101,17 +102,15 @@ fn fig2(e: &Engine) {
     let eval = &data.test[..n_eval];
 
     // Prompt-learning adaptation (LoRA fine-tune of the token pathway).
-    let mut prompt = PromptVp::new(e.backbone(), netllm::LoraSpec::default(), 0x9A);
+    let mut prompt = PromptVp::new(e.backbone(), LoraSpec::default(), 0x9A);
     prompt.adapt(&data.train, e.vp_adapt_iters(), 1e-3, 0x9B);
     let token_stats = evaluate_token_path(&prompt, eval, 0x9C);
 
-    let mut track = e.track(&data);
-    let track_mae = mean(&to64(&evaluate_each(&mut track, eval, pw)));
+    let track_mae = mean_mae(&mut e.track(&data), eval, pw);
     let mut netllm_model = e.netllm_vp(&data, AdaptMode::FullKnowledge);
     let t_lat = Instant::now();
-    let netllm_each = evaluate_each(&mut netllm_model, eval, pw);
+    let netllm_mae = mean_mae(&mut netllm_model, eval, pw);
     let netllm_lat = t_lat.elapsed().as_secs_f64() / n_eval.max(1) as f64;
-    let netllm_mae = mean(&to64(&netllm_each));
 
     let prompt_mae = token_stats.mae_valid as f64;
     let valid_frac = token_stats.valid as f64 / token_stats.total.max(1) as f64;
@@ -144,7 +143,7 @@ fn fig2(e: &Engine) {
             ],
         ],
     );
-    let path = write_report(
+    write_report(
         "fig2_alternatives",
         &json!({
             "left_mae": {"prompt_learning": prompt_mae, "track": track_mae, "netllm": netllm_mae},
@@ -154,7 +153,6 @@ fn fig2(e: &Engine) {
         }),
     )
     .unwrap();
-    println!("wrote {}", path.display());
 }
 
 // ---------------------------------------------------------------------------
@@ -174,17 +172,13 @@ fn fig3(e: &Engine) {
 
     // ---- ABR unit costs ----
     let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, true, 31);
-    let cfg = SimConfig::default();
-    let w = QoeWeights::default();
     let mut llm_abr = e.netllm_abr(AdaptMode::FullKnowledge);
     let mut rollout_unit = 0.0;
     let mut trajs = Vec::new();
     for i in 0..reps {
-        let tr = &traces[i % traces.len()];
+        let trace = std::slice::from_ref(&traces[i % traces.len()]);
         let t = Instant::now();
-        let mut rec = netllm::AbrRecorder::new(&mut llm_abr);
-        run_session(&mut rec, &video, tr, &cfg, &w);
-        trajs.push(rec.traj);
+        trajs.extend(rl_collect_abr(&mut llm_abr, &video, trace));
         rollout_unit += t.elapsed().as_secs_f64();
     }
     rollout_unit /= reps as f64;
@@ -204,9 +198,9 @@ fn fig3(e: &Engine) {
     let mut cjs_rollout_unit = 0.0;
     let mut cjs_trajs = Vec::new();
     for i in 0..cjs_reps {
-        let jobs = &workloads[i % workloads.len()];
+        let jobs = std::slice::from_ref(&workloads[i % workloads.len()]);
         let t = Instant::now();
-        cjs_trajs.push(netllm::collect_episode(&mut llm_cjs, jobs, CJS_DEFAULT.executors));
+        cjs_trajs.extend(rl_collect_cjs(&mut llm_cjs, jobs, CJS_DEFAULT.executors));
         cjs_rollout_unit += t.elapsed().as_secs_f64();
     }
     cjs_rollout_unit /= cjs_reps as f64;
@@ -272,7 +266,7 @@ fn fig3(e: &Engine) {
         reduction(a_sc + a_su, a_dc + a_du),
         reduction(c_sc + c_su, c_dc + c_du)
     );
-    let path = write_report(
+    write_report(
         "fig3_training_time",
         &json!({
             "unit_costs_s": {
@@ -291,9 +285,7 @@ fn fig3(e: &Engine) {
                 "time_reduction_pct": reduction(c_sc + c_su, c_dc + c_du),
             },
         }),
-    )
-    .unwrap();
-    println!("wrote {}", path.display());
+    ).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -303,36 +295,15 @@ fn fig3(e: &Engine) {
 fn fig4(e: &Engine) {
     println!("\n[fig 4] full-parameter fine-tune vs DD-LRNA low-rank adaptation (VP)");
     let data = e.vp_data();
-    let sample = &data.train[0];
     let iters = e.fidelity.iters(120);
 
     // Full fine-tune: pre-trained backbone, every parameter trainable
     // (AdaptMode::NoPretrain configures trainability only — here it is fed
     // the *pre-trained* backbone, which is exactly full fine-tuning).
-    let mut full = netllm::NetLlmVp::new(
-        e.backbone(),
-        AdaptMode::NoPretrain,
-        netllm::LoraSpec::default(),
-        VP_UNSEEN1.pw(),
-        0x41,
-    );
-    let full_frac = full.store.num_trainable() as f64 / full.store.num_params() as f64;
-    // Parameter/optimizer state (params + grads + Adam moments) — on real
-    // 7B-scale hardware this dominates GPU memory, which is what the paper's
-    // 65.88 GB -> 27.24 GB measures. Peak-with-activations is reported too.
-    let full_state = full.store.bytes_params() + full.store.bytes_training_state();
-    let full_peak = full.training_step_bytes(sample, 20);
-    let t = Instant::now();
-    full.adapt(&data.train, iters, 1e-3, 0x42);
-    let full_time = t.elapsed().as_secs_f64();
-
-    let mut lora = netllm::NetLlmVp::new(
-        e.backbone(),
-        AdaptMode::FullKnowledge,
-        netllm::LoraSpec::default(),
-        VP_UNSEEN1.pw(),
-        0x43,
-    );
+    let (_, full_frac, full_state, full_peak, full_time) =
+        adapt_cost(e, &data, AdaptMode::NoPretrain, 0x41, iters);
+    let (lora, lora_frac, lora_state, lora_peak, lora_time) =
+        adapt_cost(e, &data, AdaptMode::FullKnowledge, 0x43, iters);
     // The paper's "0.31%" counts the backbone's trainable fraction:
     let backbone_total: usize = lora
         .store
@@ -346,13 +317,7 @@ fn fig4(e: &Engine) {
         .filter(|&i| lora.store.name(i).starts_with("llm.") && lora.store.is_trainable(i))
         .map(|i| lora.store.data(i).numel())
         .sum();
-    let lora_frac = lora.store.num_trainable() as f64 / lora.store.num_params() as f64;
     let lora_backbone_frac = backbone_trainable as f64 / backbone_total.max(1) as f64;
-    let lora_state = lora.store.bytes_params() + lora.store.bytes_training_state();
-    let lora_peak = lora.training_step_bytes(sample, 20);
-    let t = Instant::now();
-    lora.adapt(&data.train, iters, 1e-3, 0x44);
-    let lora_time = t.elapsed().as_secs_f64();
 
     print_table(
         "fig4: adaptation cost",
@@ -380,7 +345,7 @@ fn fig4(e: &Engine) {
         100.0 * (1.0 - lora_state as f64 / full_state as f64),
         100.0 * (1.0 - lora_time / full_time),
     );
-    let path = write_report(
+    write_report(
         "fig4_finetune_cost",
         &json!({
             "iterations": iters,
@@ -391,9 +356,30 @@ fn fig4(e: &Engine) {
             "state_reduction_pct": 100.0 * (1.0 - lora_state as f64 / full_state as f64),
             "time_reduction_pct": 100.0 * (1.0 - lora_time / full_time),
         }),
-    )
-    .unwrap();
-    println!("wrote {}", path.display());
+    ).unwrap();
+}
+
+/// Build a VP model over a fresh backbone and measure what adapting it for
+/// `iters` steps costs: `(model, trainable fraction, param+optimiser state
+/// bytes, peak step bytes, seconds)`. Parameter/optimizer state (params +
+/// grads + Adam moments) is what dominates GPU memory on real 7B-scale
+/// hardware, which is what the paper's 65.88 GB -> 27.24 GB measures. The
+/// sizes are read before `adapt`, because Adam's moments appear at its
+/// first step.
+fn adapt_cost(
+    e: &Engine,
+    data: &VpData,
+    mode: AdaptMode,
+    seed: u64,
+    iters: usize,
+) -> (NetLlmVp, f64, usize, usize, f64) {
+    let mut m = NetLlmVp::new(e.backbone(), mode, LoraSpec::default(), VP_UNSEEN1.pw(), seed);
+    let frac = m.store.num_trainable() as f64 / m.store.num_params() as f64;
+    let state = m.store.bytes_params() + m.store.bytes_training_state();
+    let peak = m.training_step_bytes(&data.train[0], 20);
+    let t = Instant::now();
+    m.adapt(&data.train, iters, 1e-3, seed + 1);
+    (m, frac, state, peak, t.elapsed().as_secs_f64())
 }
 
 // ---------------------------------------------------------------------------
@@ -403,75 +389,42 @@ fn fig4(e: &Engine) {
 fn vp_eval(e: &Engine, setting: &netllm::VpSetting) -> Vec<(String, Vec<f64>)> {
     let data = build_vp_data(setting, e.fidelity);
     let default_data = e.vp_data();
-    let pw = setting.pw();
-    let mut out = Vec::new();
-    let mut lr = LinearRegression;
-    out.push(("LR".to_string(), to64(&evaluate_each(&mut lr, &data.test, pw))));
-    let mut vel = Velocity::default();
-    out.push(("Velocity".to_string(), to64(&evaluate_each(&mut vel, &data.test, pw))));
-    let mut track = e.track(&default_data);
-    out.push(("TRACK".to_string(), to64(&evaluate_each(&mut track, &data.test, pw))));
-    let mut nl = e.netllm_vp(&default_data, AdaptMode::FullKnowledge);
-    out.push(("NetLLM".to_string(), to64(&evaluate_each(&mut nl, &data.test, pw))));
-    out
+    let (mut track, mut nl) =
+        (e.track(&default_data), e.netllm_vp(&default_data, AdaptMode::FullKnowledge));
+    let predictors: [(&str, &mut dyn VpPredictor); 4] = [
+        ("LR", &mut LinearRegression),
+        ("Velocity", &mut Velocity::default()),
+        ("TRACK", &mut track),
+        ("NetLLM", &mut nl),
+    ];
+    predictors
+        .into_iter()
+        .map(|(n, p)| (n.to_string(), to64(&evaluate_each(p, &data.test, setting.pw()))))
+        .collect()
 }
 
 fn abr_eval(e: &Engine, setting: &netllm::AbrSetting) -> Vec<(String, Vec<SessionStats>)> {
     let (video, traces) = build_abr_env(setting, e.fidelity, false, 0xE7);
-    let cfg = SimConfig::default();
-    let w = QoeWeights::default();
-    let mut out: Vec<(String, Vec<SessionStats>)> = Vec::new();
-    {
-        let mut bba = Bba::default();
-        out.push((
-            "BBA".into(),
-            traces.iter().map(|t| run_session(&mut bba, &video, t, &cfg, &w).0).collect(),
-        ));
-    }
-    {
-        let mut mpc = Mpc::default();
-        out.push((
-            "MPC".into(),
-            traces.iter().map(|t| run_session(&mut mpc, &video, t, &cfg, &w).0).collect(),
-        ));
-    }
-    {
-        let mut genet = e.genet();
-        out.push((
-            "GENET".into(),
-            traces.iter().map(|t| run_session(&mut genet, &video, t, &cfg, &w).0).collect(),
-        ));
-    }
-    {
-        let mut nl = e.netllm_abr(AdaptMode::FullKnowledge);
-        out.push((
-            "NetLLM".into(),
-            traces.iter().map(|t| run_session(&mut nl, &video, t, &cfg, &w).0).collect(),
-        ));
-    }
-    out
+    let (mut genet, mut nl) = (e.genet(), e.netllm_abr(AdaptMode::FullKnowledge));
+    let policies: [(&str, &mut dyn AbrPolicy); 4] = [
+        ("BBA", &mut Bba::default()),
+        ("MPC", &mut Mpc::default()),
+        ("GENET", &mut genet),
+        ("NetLLM", &mut nl),
+    ];
+    policies.into_iter().map(|(n, p)| (n.to_string(), test_abr(p, &video, &traces))).collect()
 }
 
-fn cjs_eval(e: &Engine, setting: &netllm::CjsSetting) -> Vec<(String, Vec<f64>)> {
+fn cjs_eval(e: &Engine, setting: &CjsSetting) -> Vec<(String, Vec<f64>)> {
     let seeds: Vec<u64> = match e.fidelity {
         Fidelity::Smoke => vec![11],
         _ => vec![11, 12, 13],
     };
     let workloads = build_cjs_workloads(setting, e.fidelity, &seeds);
-    let run_all = |s: &mut dyn Scheduler| -> Vec<f64> {
-        workloads
-            .iter()
-            .flat_map(|jobs| nt_cjs::run_workload(s, jobs, setting.executors, None).jcts)
-            .collect()
-    };
-    let mut out: Vec<(String, Vec<f64>)> = Vec::new();
-    out.push(("FIFO".into(), run_all(&mut Fifo)));
-    out.push(("Fair".into(), run_all(&mut Fair)));
-    let mut decima = e.decima();
-    out.push(("Decima".into(), run_all(&mut decima)));
-    let mut nl = e.netllm_cjs(AdaptMode::FullKnowledge);
-    out.push(("NetLLM".into(), run_all(&mut nl)));
-    out
+    let (mut decima, mut nl) = (e.decima(), e.netllm_cjs(AdaptMode::FullKnowledge));
+    let schedulers: [(&str, &mut dyn Scheduler); 4] =
+        [("FIFO", &mut Fifo), ("Fair", &mut Fair), ("Decima", &mut decima), ("NetLLM", &mut nl)];
+    schedulers.into_iter().map(|(n, s)| (n.to_string(), jcts(s, &workloads, setting))).collect()
 }
 
 fn fig10(e: &Engine) {
@@ -496,8 +449,7 @@ fn fig10(e: &Engine) {
         "cjs": series_json(&cjs),
         "cjs_p90": cjs.iter().map(|(n, xs)| json!({"method": n, "p90": percentile(xs, 0.9)})).collect::<Vec<_>>(),
     });
-    let path = write_report("fig10_general_evaluation", &j).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig10_general_evaluation", &j).unwrap();
 }
 
 fn fig11(e: &Engine) {
@@ -538,8 +490,7 @@ fn fig11(e: &Engine) {
         print_table(&format!("fig11c CJS {name}: JCT"), &["method", "mean"], &rows);
         report.insert(format!("cjs_{name}"), box_json(&series));
     }
-    let path = write_report("fig11_generalization", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig11_generalization", &serde_json::Value::Object(report)).unwrap();
 }
 
 fn fig12(e: &Engine) {
@@ -589,8 +540,7 @@ fn fig12(e: &Engine) {
             }),
         );
     }
-    let path = write_report("fig12_qoe_breakdown", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig12_qoe_breakdown", &serde_json::Value::Object(report)).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -600,6 +550,8 @@ fn fig12(e: &Engine) {
 fn fig13(e: &Engine) {
     println!("\n[fig 13] pre-trained vs domain knowledge ablation");
     let data = e.vp_data();
+    let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, false, 0xE7);
+    let workloads = build_cjs_workloads(&CJS_DEFAULT, e.fidelity, &[11]);
     let modes = [AdaptMode::NoPretrain, AdaptMode::NoDomain, AdaptMode::FullKnowledge];
 
     let mut vp_rows = Vec::new();
@@ -607,43 +559,22 @@ fn fig13(e: &Engine) {
     let mut cjs_rows = Vec::new();
     let mut report = serde_json::Map::new();
     for mode in modes {
-        let mut vp_m = e.netllm_vp(&data, mode);
-        let vp_mae = mean(&to64(&evaluate_each(&mut vp_m, &data.test, VP_DEFAULT.pw())));
+        let vp_mae = mean_mae(&mut e.netllm_vp(&data, mode), &data.test, VP_DEFAULT.pw());
         vp_rows.push(vec![mode.name().into(), format!("{vp_mae:.2}")]);
-
-        let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, false, 0xE7);
-        let mut abr_m = e.netllm_abr(mode);
-        let qoe: Vec<f64> = traces
-            .iter()
-            .map(|t| {
-                run_session(&mut abr_m, &video, t, &SimConfig::default(), &QoeWeights::default())
-                    .0
-                    .qoe_per_chunk
-            })
-            .collect();
-        abr_rows.push(vec![mode.name().into(), format!("{:.3}", mean(&qoe))]);
-
-        let workloads = build_cjs_workloads(&CJS_DEFAULT, e.fidelity, &[11]);
-        let mut cjs_m = e.netllm_cjs(mode);
-        let jcts: Vec<f64> = workloads
-            .iter()
-            .flat_map(|jobs| {
-                nt_cjs::run_workload(&mut cjs_m, jobs, CJS_DEFAULT.executors, None).jcts
-            })
-            .collect();
-        cjs_rows.push(vec![mode.name().into(), format!("{:.1}", mean(&jcts))]);
+        let abr_qoe = mean_qoe(&mut e.netllm_abr(mode), &video, &traces);
+        abr_rows.push(vec![mode.name().into(), format!("{abr_qoe:.3}")]);
+        let cjs_jct = mean(&jcts(&mut e.netllm_cjs(mode), &workloads, &CJS_DEFAULT));
+        cjs_rows.push(vec![mode.name().into(), format!("{cjs_jct:.1}")]);
 
         report.insert(
             mode.name().to_string(),
-            json!({"vp_mae": vp_mae, "abr_qoe": mean(&qoe), "cjs_jct": mean(&jcts)}),
+            json!({"vp_mae": vp_mae, "abr_qoe": abr_qoe, "cjs_jct": cjs_jct}),
         );
     }
     print_table("fig13 VP: avg MAE (lower=better)", &["knowledge", "mae"], &vp_rows);
     print_table("fig13 ABR: avg QoE (higher=better)", &["knowledge", "qoe"], &abr_rows);
     print_table("fig13 CJS: avg JCT (lower=better)", &["knowledge", "jct"], &cjs_rows);
-    let path =
-        write_report("fig13_knowledge_ablation", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig13_knowledge_ablation", &serde_json::Value::Object(report)).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -660,37 +591,27 @@ fn fig14(e: &Engine) {
     for (label, kind) in [("broadband", TraceKind::FccLike), ("cellular", TraceKind::CellularLike)]
     {
         let traces = nt_abr::generate_set(kind, e.fidelity.count(20), 350, &mut Rng::seeded(0xE14));
-        let run_all = |p: &mut dyn AbrPolicy| -> f64 {
-            mean(
-                &traces
-                    .iter()
-                    .map(|t| run_emulated_session(p, &video, t, &link, &cfg, &w).0.qoe_per_chunk)
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let bba = run_all(&mut Bba::default());
-        let mpc = run_all(&mut Mpc::default());
-        let mut genet = e.genet();
-        let gen = run_all(&mut genet);
-        let mut nl = e.netllm_abr(AdaptMode::FullKnowledge);
-        let netllm_qoe = run_all(&mut nl);
-        print_table(
-            &format!("fig14 {label}: avg QoE"),
-            &["method", "qoe"],
-            &[
-                vec!["BBA".into(), format!("{bba:.3}")],
-                vec!["MPC".into(), format!("{mpc:.3}")],
-                vec!["GENET".into(), format!("{gen:.3}")],
-                vec!["NetLLM".into(), format!("{netllm_qoe:.3}")],
-            ],
-        );
-        report.insert(
-            label.to_string(),
-            json!({"BBA": bba, "MPC": mpc, "GENET": gen, "NetLLM": netllm_qoe}),
-        );
+        let (mut genet, mut nl) = (e.genet(), e.netllm_abr(AdaptMode::FullKnowledge));
+        let policies: [(&str, &mut dyn AbrPolicy); 4] = [
+            ("BBA", &mut Bba::default()),
+            ("MPC", &mut Mpc::default()),
+            ("GENET", &mut genet),
+            ("NetLLM", &mut nl),
+        ];
+        let mut rows = Vec::new();
+        let mut qoe = serde_json::Map::new();
+        for (name, p) in policies {
+            let each: Vec<f64> = traces
+                .iter()
+                .map(|t| run_emulated_session(p, &video, t, &link, &cfg, &w).0.qoe_per_chunk)
+                .collect();
+            rows.push(vec![name.into(), format!("{:.3}", mean(&each))]);
+            qoe.insert(name.into(), json!(mean(&each)));
+        }
+        print_table(&format!("fig14 {label}: avg QoE"), &["method", "qoe"], &rows);
+        report.insert(label.to_string(), serde_json::Value::Object(qoe));
     }
-    let path = write_report("fig14_real_world", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig14_real_world", &serde_json::Value::Object(report)).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -700,32 +621,18 @@ fn fig14(e: &Engine) {
 fn fig15(e: &Engine) {
     println!("\n[fig 15] different LLM families adapted by NetLLM (VP + ABR)");
     let data = e.vp_data();
-    let mut track = e.track(&data);
-    let track_mae = mean(&to64(&evaluate_each(&mut track, &data.test, VP_DEFAULT.pw())));
+    let track_mae = mean_mae(&mut e.track(&data), &data.test, VP_DEFAULT.pw());
     let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, false, 0xE7);
-    let qoe_of = |p: &mut dyn AbrPolicy| -> f64 {
-        mean(
-            &traces
-                .iter()
-                .map(|t| {
-                    run_session(p, &video, t, &SimConfig::default(), &QoeWeights::default())
-                        .0
-                        .qoe_per_chunk
-                })
-                .collect::<Vec<_>>(),
-        )
-    };
-    let mut genet = e.genet();
-    let genet_qoe = qoe_of(&mut genet);
+    let genet_qoe = mean_qoe(&mut e.genet(), &video, &traces);
 
     let mut rows = Vec::new();
     let mut report = serde_json::Map::new();
     for p in Profile::ALL {
         let spec = profile_spec(p);
         let mut vp_m = e.netllm_vp_spec(&spec, &data, AdaptMode::FullKnowledge);
-        let mae = mean(&to64(&evaluate_each(&mut vp_m, &data.test, VP_DEFAULT.pw())));
-        let mut abr_m = e.netllm_abr_spec(&spec, AdaptMode::FullKnowledge);
-        let qoe = qoe_of(&mut abr_m);
+        let mae = mean_mae(&mut vp_m, &data.test, VP_DEFAULT.pw());
+        let qoe =
+            mean_qoe(&mut e.netllm_abr_spec(&spec, AdaptMode::FullKnowledge), &video, &traces);
         rows.push(vec![spec.name.clone(), format!("{mae:.2}"), format!("{qoe:.3}")]);
         report.insert(spec.name.clone(), json!({"vp_mae": mae, "abr_qoe": qoe}));
     }
@@ -734,8 +641,7 @@ fn fig15(e: &Engine) {
     print_table("fig15: adapted LLM families", &["model", "VP mae", "ABR qoe"], &rows);
     report.insert("baseline_track_mae".into(), json!(track_mae));
     report.insert("baseline_genet_qoe".into(), json!(genet_qoe));
-    let path = write_report("fig15_llm_families", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig15_llm_families", &serde_json::Value::Object(report)).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -746,32 +652,17 @@ fn fig16(e: &Engine) {
     println!("\n[fig 16] LLM size ladder: gains vs baselines (VP + ABR) + overhead");
     let data = e.vp_data();
     let pw = VP_DEFAULT.pw();
-    let mut lr = LinearRegression;
-    let mut vel = Velocity::default();
     let mut track = e.track(&data);
     let vp_base: Vec<(&str, f64)> = vec![
-        ("LR", mean(&to64(&evaluate_each(&mut lr, &data.test, pw)))),
-        ("Velocity", mean(&to64(&evaluate_each(&mut vel, &data.test, pw)))),
-        ("TRACK", mean(&to64(&evaluate_each(&mut track, &data.test, pw)))),
+        ("LR", mean_mae(&mut LinearRegression, &data.test, pw)),
+        ("Velocity", mean_mae(&mut Velocity::default(), &data.test, pw)),
+        ("TRACK", mean_mae(&mut track, &data.test, pw)),
     ];
     let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, false, 0xE7);
-    let qoe_of = |p: &mut dyn AbrPolicy| -> f64 {
-        mean(
-            &traces
-                .iter()
-                .map(|t| {
-                    run_session(p, &video, t, &SimConfig::default(), &QoeWeights::default())
-                        .0
-                        .qoe_per_chunk
-                })
-                .collect::<Vec<_>>(),
-        )
-    };
-    let mut genet = e.genet();
     let abr_base: Vec<(&str, f64)> = vec![
-        ("BBA", qoe_of(&mut Bba::default())),
-        ("MPC", qoe_of(&mut Mpc::default())),
-        ("GENET", qoe_of(&mut genet)),
+        ("BBA", mean_qoe(&mut Bba::default(), &video, &traces)),
+        ("MPC", mean_qoe(&mut Mpc::default(), &video, &traces)),
+        ("GENET", mean_qoe(&mut e.genet(), &video, &traces)),
     ];
     let vp_best = vp_base.iter().map(|(_, b)| *b).fold(f64::INFINITY, f64::min);
     let abr_best = abr_base.iter().map(|(_, b)| *b).fold(f64::NEG_INFINITY, f64::max);
@@ -781,9 +672,9 @@ fn fig16(e: &Engine) {
     for label in SIZE_LADDER {
         let spec = size_spec(label);
         let mut vp_m = e.netllm_vp_spec(&spec, &data, AdaptMode::FullKnowledge);
-        let mae = mean(&to64(&evaluate_each(&mut vp_m, &data.test, pw)));
-        let mut abr_m = e.netllm_abr_spec(&spec, AdaptMode::FullKnowledge);
-        let qoe = qoe_of(&mut abr_m);
+        let mae = mean_mae(&mut vp_m, &data.test, pw);
+        let qoe =
+            mean_qoe(&mut e.netllm_abr_spec(&spec, AdaptMode::FullKnowledge), &video, &traces);
         // §5.4 overhead: load size + per-answer latency.
         let load_bytes = vp_m.store.bytes_params();
         let t = Instant::now();
@@ -825,8 +716,23 @@ fn fig16(e: &Engine) {
         "abr_baselines".into(),
         json!(abr_base.iter().map(|(n, v)| json!({"name": n, "qoe": v})).collect::<Vec<_>>()),
     );
-    let path = write_report("fig16_size_ladder", &serde_json::Value::Object(report)).unwrap();
-    println!("wrote {}", path.display());
+    write_report("fig16_size_ladder", &serde_json::Value::Object(report)).unwrap();
+}
+
+/// Fig 9's `Test` of `policy` over `traces`, as the mean QoE per chunk.
+fn mean_qoe(policy: &mut dyn AbrPolicy, video: &Video, traces: &[BandwidthTrace]) -> f64 {
+    mean(&test_abr(policy, video, traces).iter().map(|s| s.qoe_per_chunk).collect::<Vec<_>>())
+}
+
+/// Fig 9's `Test` of `scheduler` over `workloads`: every job's completion
+/// time, workload after workload.
+fn jcts(scheduler: &mut dyn Scheduler, workloads: &[Vec<Job>], setting: &CjsSetting) -> Vec<f64> {
+    test_cjs(scheduler, workloads, setting.executors).into_iter().flat_map(|s| s.jcts).collect()
+}
+
+/// Mean absolute error (degrees) of `pred` over `samples` at horizon `pw`.
+fn mean_mae(pred: &mut dyn VpPredictor, samples: &[VpSample], pw: usize) -> f64 {
+    mean(&to64(&evaluate_each(pred, samples, pw)))
 }
 
 fn to64(xs: &[f32]) -> Vec<f64> {

@@ -12,12 +12,13 @@ pub fn reports_dir() -> PathBuf {
     std::env::var("NETLLM_REPORTS").map(PathBuf::from).unwrap_or_else(|_| PathBuf::from("reports"))
 }
 
-/// Write a JSON report; returns the path.
+/// Write a JSON report, print its path and return it.
 pub fn write_report(name: &str, value: &Value) -> std::io::Result<PathBuf> {
     let dir = reports_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, serde_json::to_string_pretty(value)?)?;
+    println!("wrote {}", path.display());
     Ok(path)
 }
 
