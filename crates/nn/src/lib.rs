@@ -1,10 +1,11 @@
 //! # nt-nn
 //!
-//! Neural-network layers, optimizers, LoRA adaptation and checkpointing on
-//! top of [`nt_tensor`]. This crate supplies every architecture the NetLLM
-//! paper touches: Transformer blocks for the LLM backbone, 1-D CNN feature
-//! encoders, LSTM (the TRACK baseline), GraphSAGE-style GNNs (Decima and the
-//! DAG modality encoder), and plain MLPs.
+//! Neural-network layers, the Adam optimizer, LoRA adaptation and
+//! checkpointing on top of [`nt_tensor`]. This crate supplies every
+//! architecture the NetLLM paper touches: Transformer blocks for the LLM
+//! backbone, 1-D CNN feature encoders, LSTM (the TRACK baseline),
+//! GraphSAGE-style GNNs (Decima and the DAG modality encoder), and plain
+//! MLPs.
 //!
 //! ## Feature inventory
 //!
@@ -19,8 +20,7 @@
 //!   written in once, and its two executors: taped over [`store::Fwd`],
 //!   graph-free over `Tensor` ([`exec::Eager`])
 //! - [`lstm`], [`gnn`] — recurrent and graph encoders
-//! - [`optim`] — SGD(+momentum), Adam/AdamW, cosine LR schedule,
-//!   global-norm clipping (in [`store`])
+//! - [`optim`] — Adam; global-norm clipping is in [`store`]
 //! - [`checkpoint`] — compact binary checkpoints (4 bytes/param)
 
 #![forbid(unsafe_code)]
@@ -42,5 +42,5 @@ pub use exec::{Eager, Exec};
 pub use gnn::{normalized_adjacency, Gnn, GnnLayer};
 pub use layers::{Conv1d, Embedding, Init, LayerNorm, Linear, Lora, Mlp};
 pub use lstm::Lstm;
-pub use optim::{Adam, CosineSchedule, Sgd};
+pub use optim::Adam;
 pub use store::{clip_grad_norm, merge_grads, Fwd, Grads, ParamId, ParamStore};

@@ -1,65 +1,21 @@
-//! Optimizers: SGD (with momentum) and Adam (with optional decoupled weight
-//! decay). Both consume the `(ParamId, Tensor)` gradient pairs harvested by
-//! [`crate::store::Fwd::backward`].
+//! The optimizer: Adam, which consumes the `(ParamId, Tensor)` gradient
+//! pairs harvested by [`crate::store::Fwd::backward`].
 
 use crate::store::{Grads, ParamId, ParamStore};
 use nt_tensor::Tensor;
 
-/// Plain SGD with optional momentum.
-pub struct Sgd {
-    pub lr: f32,
-    pub momentum: f32,
-    velocity: Vec<Option<Tensor>>,
-}
-
-impl Sgd {
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Sgd { lr, momentum, velocity: Vec::new() }
-    }
-
-    pub fn step(&mut self, store: &mut ParamStore, grads: &Grads) {
-        for (id, g) in grads {
-            if !store.is_trainable(*id) {
-                continue;
-            }
-            if self.velocity.len() <= *id {
-                self.velocity.resize_with(*id + 1, || None);
-            }
-            let update = if self.momentum > 0.0 {
-                let v = self.velocity[*id].get_or_insert_with(|| Tensor::zeros(g.shape().to_vec()));
-                for (vi, gi) in v.data_mut().iter_mut().zip(g.data()) {
-                    *vi = self.momentum * *vi + gi;
-                }
-                v.clone()
-            } else {
-                g.clone()
-            };
-            let data = store.data_mut(*id);
-            for (d, u) in data.data_mut().iter_mut().zip(update.data()) {
-                *d -= self.lr * u;
-            }
-        }
-    }
-}
-
-/// Adam / AdamW.
+/// Adam.
 pub struct Adam {
     pub lr: f32,
     pub beta1: f32,
     pub beta2: f32,
     pub eps: f32,
-    /// Decoupled weight decay (AdamW); 0 disables it.
-    pub weight_decay: f32,
     t: u64,
 }
 
 impl Adam {
     pub fn new(lr: f32) -> Self {
-        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, weight_decay: 0.0, t: 0 }
-    }
-
-    pub fn with_weight_decay(lr: f32, wd: f32) -> Self {
-        Adam { weight_decay: wd, ..Adam::new(lr) }
+        Adam { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0 }
     }
 
     /// Steps taken so far.
@@ -81,7 +37,7 @@ impl Adam {
 
     fn step_one(&self, store: &mut ParamStore, id: ParamId, g: &Tensor, bc1: f32, bc2: f32) {
         let lr = self.lr;
-        let (b1, b2, eps, wd) = (self.beta1, self.beta2, self.eps, self.weight_decay);
+        let (b1, b2, eps) = (self.beta1, self.beta2, self.eps);
         let (data, m, v) = store.adam_state(id);
         let (dd, md, vd) = (data.data_mut(), m.data_mut(), v.data_mut());
         for i in 0..dd.len() {
@@ -90,28 +46,8 @@ impl Adam {
             vd[i] = b2 * vd[i] + (1.0 - b2) * gi * gi;
             let mhat = md[i] / bc1;
             let vhat = vd[i] / bc2;
-            dd[i] -= lr * (mhat / (vhat.sqrt() + eps) + wd * dd[i]);
+            dd[i] -= lr * (mhat / (vhat.sqrt() + eps));
         }
-    }
-}
-
-/// Linear warmup followed by cosine decay, a standard LLM schedule.
-#[derive(Clone, Copy, Debug)]
-pub struct CosineSchedule {
-    pub base_lr: f32,
-    pub warmup: u64,
-    pub total: u64,
-    pub min_lr: f32,
-}
-
-impl CosineSchedule {
-    pub fn at(&self, step: u64) -> f32 {
-        if self.warmup > 0 && step < self.warmup {
-            return self.base_lr * (step + 1) as f32 / self.warmup as f32;
-        }
-        let span = self.total.saturating_sub(self.warmup).max(1);
-        let p = ((step.saturating_sub(self.warmup)) as f32 / span as f32).min(1.0);
-        self.min_lr + 0.5 * (self.base_lr - self.min_lr) * (1.0 + (std::f32::consts::PI * p).cos())
     }
 }
 
@@ -128,37 +64,6 @@ mod tests {
         let l = f.g.mse(w, t);
         let v = f.g.value(l).item();
         (v, f.backward(l))
-    }
-
-    #[test]
-    fn sgd_descends_quadratic() {
-        let mut s = ParamStore::new();
-        let id = s.add("w", Tensor::zeros([4]), true);
-        let mut opt = Sgd::new(0.1, 0.0);
-        for _ in 0..200 {
-            let (_, g) = quadratic_loss(&s, id);
-            opt.step(&mut s, &g);
-        }
-        for &x in s.data(id).data() {
-            assert!((x - 3.0).abs() < 1e-3, "{x}");
-        }
-    }
-
-    #[test]
-    fn sgd_momentum_descends_faster_initially() {
-        let mut s1 = ParamStore::new();
-        let a = s1.add("w", Tensor::zeros([1]), true);
-        let mut s2 = ParamStore::new();
-        let b = s2.add("w", Tensor::zeros([1]), true);
-        let mut plain = Sgd::new(0.01, 0.0);
-        let mut mom = Sgd::new(0.01, 0.9);
-        for _ in 0..20 {
-            let (_, g1) = quadratic_loss(&s1, a);
-            plain.step(&mut s1, &g1);
-            let (_, g2) = quadratic_loss(&s2, b);
-            mom.step(&mut s2, &g2);
-        }
-        assert!(s2.data(b).data()[0] > s1.data(a).data()[0]);
     }
 
     #[test]
@@ -182,26 +87,5 @@ mod tests {
         let mut opt = Adam::new(0.1);
         opt.step(&mut s, &vec![(id, Tensor::ones([2]))]);
         assert_eq!(s.data(id).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn weight_decay_shrinks_params() {
-        let mut s = ParamStore::new();
-        let id = s.add("w", Tensor::full([2], 10.0), true);
-        let mut opt = Adam::with_weight_decay(0.01, 0.1);
-        // zero gradient: only decay acts
-        for _ in 0..100 {
-            opt.step(&mut s, &vec![(id, Tensor::zeros([2]))]);
-        }
-        assert!(s.data(id).data()[0] < 10.0);
-    }
-
-    #[test]
-    fn cosine_schedule_shape() {
-        let sch = CosineSchedule { base_lr: 1.0, warmup: 10, total: 110, min_lr: 0.1 };
-        assert!(sch.at(0) < sch.at(9));
-        assert!((sch.at(10) - 1.0).abs() < 1e-5);
-        assert!(sch.at(60) < 1.0 && sch.at(60) > 0.1);
-        assert!((sch.at(1000) - 0.1).abs() < 1e-5);
     }
 }
