@@ -21,7 +21,7 @@
 //! knowledge" ablation).
 
 use crate::model::TinyLm;
-use crate::tokenizer::{Tokenizer, BOS, EOS};
+use crate::tokenizer::Tokenizer;
 use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
 use nt_tensor::Rng;
 
@@ -102,9 +102,7 @@ impl Corpus {
             4 => self.sensor_task(rng),
             _ => self.caption_task(rng),
         };
-        let mut ids = vec![BOS];
-        ids.extend(self.tok.encode(&text));
-        ids.push(EOS);
+        let mut ids = self.tok.encode_wrapped(&text);
         ids.truncate(self.seq_len);
         ids
     }
@@ -259,6 +257,7 @@ pub fn eval_loss(lm: &TinyLm, store: &ParamStore, corpus: &Corpus, n: usize, see
 mod tests {
     use super::*;
     use crate::model::LmConfig;
+    use crate::tokenizer::BOS;
     use nt_tensor::Tensor;
 
     #[test]

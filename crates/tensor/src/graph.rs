@@ -24,10 +24,7 @@ pub type NodeId = usize;
 enum Op {
     Leaf,
     Add,
-    Sub,
     Mul,
-    Div,
-    Neg,
     Scale(f32),
     Matmul,
     BatchMatmul,
@@ -156,16 +153,8 @@ impl Graph {
         self.binary(Op::Add, a, b, |x, y| x + y)
     }
 
-    pub fn sub(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.binary(Op::Sub, a, b, |x, y| x - y)
-    }
-
     pub fn mul(&mut self, a: NodeId, b: NodeId) -> NodeId {
         self.binary(Op::Mul, a, b, |x, y| x * y)
-    }
-
-    pub fn div(&mut self, a: NodeId, b: NodeId) -> NodeId {
-        self.binary(Op::Div, a, b, |x, y| x / y)
     }
 
     // ---- elementwise unary --------------------------------------------------
@@ -174,10 +163,6 @@ impl Graph {
         let out = self.nodes[a].value.map(f);
         let ng = self.nodes[a].needs_grad;
         self.push(op, vec![a], out, ng)
-    }
-
-    pub fn neg(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Neg, a, |x| -x)
     }
 
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
@@ -582,7 +567,7 @@ impl Graph {
         let ps = node.parents.clone();
         match &node.op {
             Op::Leaf => {}
-            Op::Add | Op::Sub | Op::Mul | Op::Div => {
+            Op::Add | Op::Mul => {
                 let (a, b) = (ps[0], ps[1]);
                 let ash = self.nodes[a].value.shape().to_vec();
                 let bsh = self.nodes[b].value.shape().to_vec();
@@ -598,28 +583,15 @@ impl Graph {
                         ga[ai] += g[o];
                         gb[bi] += g[o];
                     }
-                    Op::Sub => {
-                        ga[ai] += g[o];
-                        gb[bi] -= g[o];
-                    }
                     Op::Mul => {
                         ga[ai] += g[o] * bv[bi];
                         gb[bi] += g[o] * av[ai];
-                    }
-                    Op::Div => {
-                        ga[ai] += g[o] / bv[bi];
-                        gb[bi] -= g[o] * av[ai] / (bv[bi] * bv[bi]);
                     }
                     _ => unreachable!(),
                 });
                 self.acc(grads, a, |s| add_into(s, &ga));
                 self.acc(grads, b, |s| add_into(s, &gb));
             }
-            Op::Neg => self.acc(grads, ps[0], |s| {
-                for (si, gi) in s.iter_mut().zip(g) {
-                    *si -= gi;
-                }
-            }),
             Op::Scale(c) => {
                 let c = *c;
                 self.acc(grads, ps[0], |s| {
@@ -1078,15 +1050,6 @@ mod tests {
         let l = g.sum_all(y);
         g.backward(l);
         assert_eq!(g.grad(small).unwrap().data(), &[4.0, 4.0, 4.0]);
-    }
-
-    #[test]
-    fn grad_div() {
-        grad_check(probe(), |g, x| {
-            let c = g.constant(Tensor::from_vec([2, 3], vec![2., 3., 4., 5., 6., 7.]));
-            let y = g.div(x, c);
-            g.sum_all(y)
-        });
     }
 
     #[test]

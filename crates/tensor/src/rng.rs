@@ -44,13 +44,6 @@ impl Rng {
         result
     }
 
-    /// Derive an independent child stream; use to give subcomponents their
-    /// own reproducible randomness without sharing state.
-    pub fn fork(&mut self, salt: u64) -> Rng {
-        let s = self.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        Rng::seeded(s)
-    }
-
     /// Uniform in `[0, 1)`.
     pub fn unit(&mut self) -> f32 {
         (self.next_u64() >> 40) as f32 / (1u64 << 24) as f32
@@ -165,15 +158,6 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.unit(), b.unit());
         }
-    }
-
-    #[test]
-    fn forked_streams_differ_from_parent() {
-        let mut a = Rng::seeded(42);
-        let mut c = a.fork(1);
-        let vals_c: Vec<f32> = (0..10).map(|_| c.unit()).collect();
-        let vals_a: Vec<f32> = (0..10).map(|_| a.unit()).collect();
-        assert_ne!(vals_a, vals_c);
     }
 
     #[test]
