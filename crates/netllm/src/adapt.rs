@@ -78,7 +78,7 @@ pub(crate) fn fit<M>(
 ) -> f32 {
     let mut rng = Rng::seeded(seed);
     let mut opt = Adam::new(lr);
-    let tail_start = iters - (iters / 5).max(1);
+    let tail_start = iters.saturating_sub((iters / 5).max(1));
     let (mut tail, mut tail_n) = (0.0f64, 0usize);
     for it in 0..iters {
         let mut f = Fwd::train(seed ^ it as u64);
@@ -130,5 +130,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fit_at_zero_iterations_returns_zero_and_changes_nothing() {
+        fn params(s: &mut ParamStore) -> &mut ParamStore {
+            s
+        }
+        let mut store = ParamStore::new();
+        let id = store.add("w", nt_tensor::Tensor::full([3], 2.5), true);
+        let loss = fit(&mut store, params, 0, 1e-3, 7, |_, _, _| unreachable!("no step runs"));
+        assert_eq!(loss, 0.0);
+        assert_eq!(store.data(id).data(), &[2.5, 2.5, 2.5]);
     }
 }

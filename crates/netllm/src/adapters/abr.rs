@@ -190,6 +190,7 @@ impl NetLlmAbr {
         window: usize,
         seed: u64,
     ) -> Self {
+        assert!(window >= 1, "NetLlmAbr window {window}: must hold at least one step");
         let LoadedLm { mut lm, mut store, .. } = loaded;
         let mut rng = Rng::seeded(seed);
         let d = lm.cfg.d_model;
@@ -607,6 +608,12 @@ mod tests {
 
     fn backbone() -> LoadedLm {
         Zoo::new(std::env::temp_dir().join("netllm-abr-test")).build_random(&size_spec("0.35b-sim"))
+    }
+
+    #[test]
+    #[should_panic(expected = "window 0: must hold at least one step")]
+    fn zero_window_is_refused() {
+        NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 0, 1);
     }
 
     fn collect(n: usize) -> Vec<AbrTrajectory> {

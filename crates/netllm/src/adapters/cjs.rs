@@ -205,6 +205,7 @@ impl NetLlmCjs {
         window: usize,
         seed: u64,
     ) -> Self {
+        assert!(window >= 1, "NetLlmCjs window {window}: must hold at least one step");
         let LoadedLm { mut lm, mut store, .. } = loaded;
         let mut rng = Rng::seeded(seed);
         let d = lm.cfg.d_model;
@@ -613,6 +614,12 @@ mod tests {
 
     fn backbone() -> LoadedLm {
         Zoo::new(std::env::temp_dir().join("netllm-cjs-test")).build_random(&size_spec("0.35b-sim"))
+    }
+
+    #[test]
+    #[should_panic(expected = "window 0: must hold at least one step")]
+    fn zero_window_is_refused() {
+        NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 0, 1);
     }
 
     fn jobs(n: usize, seed: u64) -> Vec<nt_cjs::Job> {
