@@ -605,8 +605,9 @@ fn fig14(e: &Engine) {
                 .iter()
                 .map(|t| run_emulated_session(p, &video, t, &link, &cfg, &w).0.qoe_per_chunk)
                 .collect();
-            rows.push(vec![name.into(), format!("{:.3}", mean(&each))]);
-            qoe.insert(name.into(), json!(mean(&each)));
+            let avg = mean(&each);
+            rows.push(vec![name.into(), format!("{avg:.3}")]);
+            qoe.insert(name.into(), json!(avg));
         }
         print_table(&format!("fig14 {label}: avg QoE"), &["method", "qoe"], &rows);
         report.insert(label.to_string(), serde_json::Value::Object(qoe));
