@@ -69,9 +69,10 @@ pub fn transfer_time(link: &LinkConfig, trace: &BandwidthTrace, t0: f64, megabit
     elapsed
 }
 
-/// Stream one session through the emulated path: [`crate::sim::run_session`]'s
-/// loop, with each chunk's download timed by [`transfer_time`] (request
-/// round trip included, so the throughput estimate divides by all of it).
+/// Stream one session through the emulated path: the loop of
+/// [`crate::sim::run_session`], with each chunk's download timed by
+/// [`transfer_time`]. That time includes the request round trip, so the
+/// throughput estimate divides by all of it.
 pub fn run_emulated_session(
     policy: &mut dyn AbrPolicy,
     video: &Video,
