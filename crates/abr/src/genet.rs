@@ -19,8 +19,8 @@
 //! not assumed.
 
 use crate::policy::Mpc;
-use crate::qoe::{chunk_qoe, QoeWeights};
-use crate::sim::{run_session, AbrObservation, AbrPolicy, SimConfig, HIST};
+use crate::qoe::chunk_qoe;
+use crate::sim::{run_session, AbrObservation, AbrPolicy, HIST};
 use crate::trace::{stats, BandwidthTrace};
 use crate::video::Video;
 use nt_nn::{clip_grad_norm, Adam, Fwd, Init, Linear, ParamStore};
@@ -118,6 +118,13 @@ impl AbrPolicy for GenetPolicy {
     }
 }
 
+/// Policy-gradient learning rate.
+const LR: f32 = 2e-4;
+/// Discount of the per-chunk rewards.
+const GAMMA: f64 = 0.99;
+/// Weight of the entropy bonus in the policy-gradient loss.
+const ENTROPY_BETA: f32 = 0.005;
+
 /// Training configuration.
 #[derive(Clone, Debug)]
 pub struct GenetTrainConfig {
@@ -125,22 +132,12 @@ pub struct GenetTrainConfig {
     pub bc_iters: usize,
     /// Policy-gradient iterations.
     pub rl_iters: usize,
-    pub lr: f32,
-    pub gamma: f64,
-    pub entropy_beta: f32,
     pub seed: u64,
 }
 
 impl Default for GenetTrainConfig {
     fn default() -> Self {
-        GenetTrainConfig {
-            bc_iters: 3000,
-            rl_iters: 400,
-            lr: 2e-4,
-            gamma: 0.99,
-            entropy_beta: 0.005,
-            seed: 11,
-        }
+        GenetTrainConfig { bc_iters: 3000, rl_iters: 400, seed: 11 }
     }
 }
 
@@ -154,9 +151,7 @@ pub fn train_genet(
     let mut rng = Rng::seeded(cfg.seed);
     let mut store = ParamStore::new();
     let net = GenetNet::new(&mut store, &mut rng);
-    let mut opt = Adam::new(cfg.lr);
-    let sim_cfg = SimConfig::default();
-    let weights = QoeWeights::default();
+    let mut opt = Adam::new(LR);
 
     // Curriculum order: easiest (least volatile) traces first.
     let mut order: Vec<usize> = (0..traces.len()).collect();
@@ -179,19 +174,19 @@ pub fn train_genet(
         let records = {
             let mut recorder =
                 RecordingPolicy { inner: &mut mpc, feats: &mut feats, actions: &mut actions };
-            run_session(&mut recorder, video, trace, &sim_cfg, &weights).1
+            run_session(&mut recorder, video, trace).1
         };
         let n = actions.len();
         let mut rewards = Vec::with_capacity(n);
         let mut prev: Option<f64> = None;
         for r in &records {
-            rewards.push(chunk_qoe(&weights, r.bitrate_mbps, r.rebuffer_secs, prev));
+            rewards.push(chunk_qoe(r.bitrate_mbps, r.rebuffer_secs, prev));
             prev = Some(r.bitrate_mbps);
         }
         let mut acc = 0.0f64;
         let mut returns = vec![0.0f32; n];
         for i in (0..n).rev() {
-            acc = rewards[i] / 5.0 + cfg.gamma * acc;
+            acc = rewards[i] / 5.0 + GAMMA * acc;
             returns[i] = acc as f32;
         }
         for i in 0..n {
@@ -248,7 +243,7 @@ pub fn train_genet(
                 feats: &mut feats,
                 actions: &mut actions,
             };
-            run_session(&mut actor, video, trace, &sim_cfg, &weights).1
+            run_session(&mut actor, video, trace).1
         };
         let n = actions.len();
         if n == 0 {
@@ -257,14 +252,14 @@ pub fn train_genet(
         let mut rewards = Vec::with_capacity(n);
         let mut prev: Option<f64> = None;
         for r in &records {
-            rewards.push(chunk_qoe(&weights, r.bitrate_mbps, r.rebuffer_secs, prev));
+            rewards.push(chunk_qoe(r.bitrate_mbps, r.rebuffer_secs, prev));
             prev = Some(r.bitrate_mbps);
         }
         // Discounted returns, scaled to keep gradients tame.
         let mut returns = vec![0.0f64; n];
         let mut acc = 0.0;
         for i in (0..n).rev() {
-            acc = rewards[i] / 5.0 + cfg.gamma * acc;
+            acc = rewards[i] / 5.0 + GAMMA * acc;
             returns[i] = acc;
         }
 
@@ -288,7 +283,7 @@ pub fn train_genet(
         let plogp = f.g.mul(p, logp);
         let ent_sum = f.g.sum_axis(plogp, 1);
         let ent_mean = f.g.mean_all(ent_sum);
-        let ent_term = f.g.scale(ent_mean, cfg.entropy_beta);
+        let ent_term = f.g.scale(ent_mean, ENTROPY_BETA);
         let l1 = f.g.add(pg, v_scaled);
         let loss = f.g.add(l1, ent_term);
         let mut grads = f.backward(loss);

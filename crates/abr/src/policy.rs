@@ -1,20 +1,21 @@
 //! Rule-based ABR baselines: BBA and RobustMPC (paper §A.3).
 
+use crate::qoe::chunk_qoe;
 use crate::sim::{AbrObservation, AbrPolicy};
+use crate::video::CHUNK_SECS;
 
 /// Buffer-Based Adaptation (Huang et al., SIGCOMM'14).
 ///
-/// Maps buffer occupancy linearly from the lowest rung (below `reservoir`)
-/// to the highest (above `reservoir + cushion`).
-pub struct Bba {
-    pub reservoir_secs: f64,
-    pub cushion_secs: f64,
-}
+/// Maps buffer occupancy linearly from the lowest rung (below
+/// [`Bba::RESERVOIR_SECS`]) to the highest (above the reservoir plus
+/// [`Bba::CUSHION_SECS`]).
+pub struct Bba;
 
-impl Default for Bba {
-    fn default() -> Self {
-        Bba { reservoir_secs: 5.0, cushion_secs: 10.0 }
-    }
+impl Bba {
+    /// Buffer level (s) at and below which BBA picks the lowest rung.
+    pub const RESERVOIR_SECS: f64 = 5.0;
+    /// Buffer span (s) above the reservoir over which the rung ramps up.
+    pub const CUSHION_SECS: f64 = 10.0;
 }
 
 impl AbrPolicy for Bba {
@@ -25,35 +26,30 @@ impl AbrPolicy for Bba {
     fn select(&mut self, obs: &AbrObservation) -> usize {
         let n = obs.ladder_mbps.len();
         let b = obs.buffer_secs;
-        if b <= self.reservoir_secs {
+        if b <= Self::RESERVOIR_SECS {
             return 0;
         }
-        if b >= self.reservoir_secs + self.cushion_secs {
+        if b >= Self::RESERVOIR_SECS + Self::CUSHION_SECS {
             return n - 1;
         }
-        let f = (b - self.reservoir_secs) / self.cushion_secs;
+        let f = (b - Self::RESERVOIR_SECS) / Self::CUSHION_SECS;
         ((f * (n - 1) as f64).round() as usize).min(n - 1)
     }
 }
 
 /// RobustMPC (Yin et al., SIGCOMM'15): discounted-harmonic-mean throughput
-/// prediction + exhaustive QoE optimisation over a short horizon.
+/// prediction + exhaustive QoE optimisation over [`Mpc::HORIZON`] chunks.
+#[derive(Default)]
 pub struct Mpc {
-    pub horizon: usize,
-    pub lambda_rebuf: f64,
-    pub gamma_change: f64,
     /// Running maximum relative prediction error (the "robust" discount).
     max_err: f64,
     last_pred: Option<f64>,
 }
 
-impl Default for Mpc {
-    fn default() -> Self {
-        Mpc { horizon: 5, lambda_rebuf: 4.3, gamma_change: 1.0, max_err: 0.0, last_pred: None }
-    }
-}
-
 impl Mpc {
+    /// Chunks the planner looks ahead.
+    pub const HORIZON: usize = 5;
+
     fn harmonic_mean(xs: &[f64]) -> Option<f64> {
         if xs.is_empty() {
             return None;
@@ -87,11 +83,11 @@ impl AbrPolicy for Mpc {
         self.last_pred = Some(hm);
         let predicted = hm / (1.0 + self.max_err);
 
-        // Exhaustive search over rung sequences of length `horizon`.
+        // Exhaustive search over rung sequences of length `HORIZON`.
         // Chunk sizes beyond the next chunk are approximated from the ladder
         // (the client only knows the next chunk's true sizes, as in the
         // paper's MPC implementation).
-        let horizon = self.horizon;
+        let horizon = Self::HORIZON;
         let last = obs.last_rung.map(|r| obs.ladder_mbps[r]);
         let mut best = (f64::NEG_INFINITY, 0usize);
         let mut seq = vec![0usize; horizon];
@@ -100,15 +96,13 @@ impl AbrPolicy for Mpc {
             let mut buffer = obs.buffer_secs;
             let mut qoe = 0.0;
             let mut prev = last;
-            let chunk_secs = 4.0_f64;
             for (i, &r) in seq.iter().enumerate() {
-                let size = if i == 0 { obs.next_sizes[r] } else { obs.ladder_mbps[r] * chunk_secs };
+                let size = if i == 0 { obs.next_sizes[r] } else { obs.ladder_mbps[r] * CHUNK_SECS };
                 let dl = size / predicted.max(1e-9);
                 let rebuf = (dl - buffer).max(0.0);
-                buffer = (buffer - dl).max(0.0) + chunk_secs;
+                buffer = (buffer - dl).max(0.0) + CHUNK_SECS;
                 let br = obs.ladder_mbps[r];
-                let change = prev.map(|p| (br - p).abs()).unwrap_or(0.0);
-                qoe += br - self.lambda_rebuf * rebuf - self.gamma_change * change;
+                qoe += chunk_qoe(br, rebuf, prev);
                 prev = Some(br);
             }
             if qoe > best.0 {
@@ -134,8 +128,7 @@ impl AbrPolicy for Mpc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::qoe::QoeWeights;
-    use crate::sim::{run_session, SimConfig};
+    use crate::sim::run_session;
     use crate::trace::{generate_set, TraceKind};
     use crate::video::envivio_like;
     use nt_tensor::Rng;
@@ -155,7 +148,7 @@ mod tests {
 
     #[test]
     fn bba_maps_buffer_monotonically() {
-        let mut bba = Bba::default();
+        let mut bba = Bba;
         let mut prev = 0;
         for b in [0.0, 3.0, 6.0, 9.0, 12.0, 15.0, 20.0] {
             let r = bba.select(&obs(b, &[2.0], None));
@@ -191,13 +184,11 @@ mod tests {
         // The ranking the paper reports among rule-based policies.
         let video = envivio_like(&mut Rng::seeded(1));
         let traces = generate_set(TraceKind::FccLike, 32, 400, &mut Rng::seeded(2));
-        let cfg = SimConfig::default();
-        let w = QoeWeights::default();
         let mut bba_total = 0.0;
         let mut mpc_total = 0.0;
         for t in &traces {
-            bba_total += run_session(&mut Bba::default(), &video, t, &cfg, &w).0.qoe_per_chunk;
-            mpc_total += run_session(&mut Mpc::default(), &video, t, &cfg, &w).0.qoe_per_chunk;
+            bba_total += run_session(&mut Bba, &video, t).0.qoe_per_chunk;
+            mpc_total += run_session(&mut Mpc::default(), &video, t).0.qoe_per_chunk;
         }
         assert!(
             mpc_total > bba_total,

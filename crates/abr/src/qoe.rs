@@ -1,23 +1,15 @@
 //! Quality-of-Experience metric (paper §A.6).
 //!
 //! `QoE = mean_i( bitrate_i − λ·rebuf_i − γ·|bitrate_i − bitrate_{i−1}| )`
-//! with λ = 4.3, γ = 1 (the Pensieve weights the paper adopts). Bitrates in
-//! Mbps, rebuffering in seconds.
+//! with λ = [`LAMBDA_REBUF`], γ = [`GAMMA_CHANGE`] (the Pensieve weights the
+//! paper adopts). Bitrates in Mbps, rebuffering in seconds.
 
 use serde::{Deserialize, Serialize};
 
-/// QoE weights.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct QoeWeights {
-    pub lambda_rebuf: f64,
-    pub gamma_change: f64,
-}
-
-impl Default for QoeWeights {
-    fn default() -> Self {
-        QoeWeights { lambda_rebuf: 4.3, gamma_change: 1.0 }
-    }
-}
+/// λ: QoE penalty per second of rebuffering.
+pub const LAMBDA_REBUF: f64 = 4.3;
+/// γ: QoE penalty per Mbps of bitrate change between consecutive chunks.
+pub const GAMMA_CHANGE: f64 = 1.0;
 
 /// One downloaded chunk's outcome.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -43,13 +35,13 @@ pub struct SessionStats {
 }
 
 /// Compute per-chunk QoE for chunk `i` given the previous bitrate.
-pub fn chunk_qoe(w: &QoeWeights, bitrate: f64, rebuf: f64, prev_bitrate: Option<f64>) -> f64 {
+pub fn chunk_qoe(bitrate: f64, rebuf: f64, prev_bitrate: Option<f64>) -> f64 {
     let change = prev_bitrate.map(|p| (bitrate - p).abs()).unwrap_or(0.0);
-    bitrate - w.lambda_rebuf * rebuf - w.gamma_change * change
+    bitrate - LAMBDA_REBUF * rebuf - GAMMA_CHANGE * change
 }
 
 /// Aggregate a full session.
-pub fn session_stats(w: &QoeWeights, records: &[ChunkRecord]) -> SessionStats {
+pub fn session_stats(records: &[ChunkRecord]) -> SessionStats {
     if records.is_empty() {
         return SessionStats::default();
     }
@@ -58,7 +50,7 @@ pub fn session_stats(w: &QoeWeights, records: &[ChunkRecord]) -> SessionStats {
     let mut change_sum = 0.0;
     let mut prev: Option<f64> = None;
     for r in records {
-        qoe += chunk_qoe(w, r.bitrate_mbps, r.rebuffer_secs, prev);
+        qoe += chunk_qoe(r.bitrate_mbps, r.rebuffer_secs, prev);
         if let Some(p) = prev {
             change_sum += (r.bitrate_mbps - p).abs();
         }
@@ -91,22 +83,19 @@ mod tests {
 
     #[test]
     fn first_chunk_has_no_change_penalty() {
-        let w = QoeWeights::default();
-        assert_eq!(chunk_qoe(&w, 2.0, 0.0, None), 2.0);
-        assert_eq!(chunk_qoe(&w, 2.0, 0.0, Some(1.0)), 1.0);
+        assert_eq!(chunk_qoe(2.0, 0.0, None), 2.0);
+        assert_eq!(chunk_qoe(2.0, 0.0, Some(1.0)), 1.0);
     }
 
     #[test]
     fn rebuffer_is_heavily_penalised() {
-        let w = QoeWeights::default();
-        assert!((chunk_qoe(&w, 1.0, 1.0, None) - (1.0 - 4.3)).abs() < 1e-12);
+        assert!((chunk_qoe(1.0, 1.0, None) - (1.0 - 4.3)).abs() < 1e-12);
     }
 
     #[test]
     fn session_aggregation_matches_hand_computation() {
-        let w = QoeWeights::default();
         let records = vec![rec(1.0, 0.0), rec(2.0, 0.5), rec(2.0, 0.0)];
-        let s = session_stats(&w, &records);
+        let s = session_stats(&records);
         // chunk1: 1.0 ; chunk2: 2.0 - 4.3*0.5 - 1.0 = -1.15 ; chunk3: 2.0
         let want = (1.0 + (2.0 - 2.15 - 1.0) + 2.0) / 3.0;
         assert!((s.qoe_per_chunk - want).abs() < 1e-12);
@@ -116,7 +105,7 @@ mod tests {
 
     #[test]
     fn empty_session_is_zero() {
-        let s = session_stats(&QoeWeights::default(), &[]);
+        let s = session_stats(&[]);
         assert_eq!(s.chunks, 0);
         assert_eq!(s.qoe_per_chunk, 0.0);
     }

@@ -3,12 +3,19 @@
 //! The client downloads chunks sequentially; each download drains the
 //! playback buffer at real time and refills it by one chunk duration on
 //! completion. Downloads slower than the remaining buffer cause rebuffering;
-//! a full buffer (cap 60 s) makes the client idle before the next request.
-//! A fixed per-request RTT models the HTTP round trip.
+//! a full buffer ([`BUFFER_CAP_SECS`]) makes the client idle before the next
+//! request. A fixed per-request RTT ([`RTT_SECS`]) models the HTTP round
+//! trip. Playback starts from an empty buffer.
 
-use crate::qoe::{session_stats, ChunkRecord, QoeWeights, SessionStats};
+use crate::qoe::{session_stats, ChunkRecord, SessionStats};
 use crate::trace::BandwidthTrace;
-use crate::video::Video;
+use crate::video::{Video, CHUNK_SECS};
+
+/// Round-trip time of every chunk request (s), in the simulator and the
+/// emulator alike.
+pub const RTT_SECS: f64 = 0.08;
+/// Playback buffer capacity (s of content).
+pub const BUFFER_CAP_SECS: f64 = 60.0;
 
 /// Everything a policy may observe before choosing the next chunk's rung.
 /// Mirrors the Pensieve/GENET state (Table 1: time-series throughput +
@@ -68,32 +75,15 @@ pub trait AbrPolicy {
     fn select(&mut self, obs: &AbrObservation) -> usize;
 }
 
-/// Simulator configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct SimConfig {
-    pub rtt_secs: f64,
-    pub buffer_cap_secs: f64,
-    /// Buffer level at which playback starts (s of content).
-    pub startup_secs: f64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig { rtt_secs: 0.08, buffer_cap_secs: 60.0, startup_secs: 0.0 }
-    }
-}
-
 /// Stream one full session of `video` over `trace` under `policy`.
 pub fn run_session(
     policy: &mut dyn AbrPolicy,
     video: &Video,
     trace: &BandwidthTrace,
-    cfg: &SimConfig,
-    weights: &QoeWeights,
 ) -> (SessionStats, Vec<ChunkRecord>) {
-    stream(policy, video, cfg, weights, |time, size| {
-        let download = cfg.rtt_secs + trace.transfer_time(time + cfg.rtt_secs, size);
-        (download, download - cfg.rtt_secs)
+    stream(policy, video, |time, size| {
+        let download = RTT_SECS + trace.transfer_time(time + RTT_SECS, size);
+        (download, download - RTT_SECS)
     })
 }
 
@@ -103,13 +93,11 @@ pub fn run_session(
 pub(crate) fn stream(
     policy: &mut dyn AbrPolicy,
     video: &Video,
-    cfg: &SimConfig,
-    weights: &QoeWeights,
     mut fetch: impl FnMut(f64, f64) -> (f64, f64),
 ) -> (SessionStats, Vec<ChunkRecord>) {
     policy.reset();
     let mut time = 0.0f64;
-    let mut buffer = cfg.startup_secs;
+    let mut buffer = 0.0f64;
     let mut records: Vec<ChunkRecord> = Vec::with_capacity(video.num_chunks());
     let mut thr_hist: Vec<f64> = Vec::new();
     let mut delay_hist: Vec<f64> = Vec::new();
@@ -132,13 +120,13 @@ pub(crate) fn stream(
         let (download, transfer) = fetch(time, size);
         // The first chunk's wait is startup delay, not a playback stall.
         let rebuffer = if chunk == 0 { 0.0 } else { (download - buffer).max(0.0) };
-        buffer = (buffer - download).max(0.0) + video.chunk_secs;
+        buffer = (buffer - download).max(0.0) + CHUNK_SECS;
         time += download;
         // Full buffer: idle until there is room for the next chunk.
-        if buffer > cfg.buffer_cap_secs {
-            let idle = buffer - cfg.buffer_cap_secs;
+        if buffer > BUFFER_CAP_SECS {
+            let idle = buffer - BUFFER_CAP_SECS;
             time += idle;
-            buffer = cfg.buffer_cap_secs;
+            buffer = BUFFER_CAP_SECS;
         }
         let throughput = size / transfer.max(1e-6);
         thr_hist.push(throughput);
@@ -154,7 +142,7 @@ pub(crate) fn stream(
         });
         last_rung = Some(rung);
     }
-    (session_stats(weights, &records), records)
+    (session_stats(&records), records)
 }
 
 fn tail(v: &[f64]) -> Vec<f64> {
@@ -189,13 +177,7 @@ mod tests {
     fn lowest_rung_on_fast_link_never_rebuffers() {
         let video = envivio_like(&mut Rng::seeded(1));
         let trace = flat_trace(10.0);
-        let (stats, recs) = run_session(
-            &mut FixedRung(0),
-            &video,
-            &trace,
-            &SimConfig::default(),
-            &QoeWeights::default(),
-        );
+        let (stats, recs) = run_session(&mut FixedRung(0), &video, &trace);
         assert_eq!(recs.len(), 48);
         assert!(stats.total_rebuffer_secs < 1e-9, "rebuffer {}", stats.total_rebuffer_secs);
     }
@@ -204,13 +186,7 @@ mod tests {
     fn highest_rung_on_slow_link_rebuffers_heavily() {
         let video = envivio_like(&mut Rng::seeded(2));
         let trace = flat_trace(1.0);
-        let (stats, _) = run_session(
-            &mut FixedRung(5),
-            &video,
-            &trace,
-            &SimConfig::default(),
-            &QoeWeights::default(),
-        );
+        let (stats, _) = run_session(&mut FixedRung(5), &video, &trace);
         assert!(stats.total_rebuffer_secs > 100.0, "4.3Mbps video on 1Mbps link must stall");
         assert!(stats.qoe_per_chunk < 0.0);
     }
@@ -219,13 +195,7 @@ mod tests {
     fn buffer_is_capped() {
         let video = envivio_like(&mut Rng::seeded(3));
         let trace = flat_trace(50.0);
-        let (_, recs) = run_session(
-            &mut FixedRung(0),
-            &video,
-            &trace,
-            &SimConfig::default(),
-            &QoeWeights::default(),
-        );
+        let (_, recs) = run_session(&mut FixedRung(0), &video, &trace);
         for r in &recs {
             assert!(r.buffer_after <= 60.0 + 1e-9);
         }
@@ -248,7 +218,7 @@ mod tests {
         let video = envivio_like(&mut Rng::seeded(4));
         let trace = flat_trace(3.0);
         let mut p = Probe { seen: vec![] };
-        run_session(&mut p, &video, &trace, &SimConfig::default(), &QoeWeights::default());
+        run_session(&mut p, &video, &trace);
         assert_eq!(p.seen[0], 0);
         assert_eq!(p.seen[1], 1);
         assert_eq!(*p.seen.last().unwrap(), HIST);
@@ -258,13 +228,7 @@ mod tests {
     fn observed_throughput_matches_link() {
         let video = envivio_like(&mut Rng::seeded(5));
         let trace = flat_trace(3.0);
-        let (_, recs) = run_session(
-            &mut FixedRung(2),
-            &video,
-            &trace,
-            &SimConfig::default(),
-            &QoeWeights::default(),
-        );
+        let (_, recs) = run_session(&mut FixedRung(2), &video, &trace);
         for r in recs.iter().skip(1) {
             assert!((r.throughput_mbps - 3.0).abs() < 0.3, "{}", r.throughput_mbps);
         }
@@ -274,13 +238,7 @@ mod tests {
     fn rung_out_of_range_is_clamped() {
         let video = envivio_like(&mut Rng::seeded(6));
         let trace = flat_trace(3.0);
-        let (_, recs) = run_session(
-            &mut FixedRung(99),
-            &video,
-            &trace,
-            &SimConfig::default(),
-            &QoeWeights::default(),
-        );
+        let (_, recs) = run_session(&mut FixedRung(99), &video, &trace);
         assert!(recs.iter().all(|r| r.rung == 5));
     }
 }

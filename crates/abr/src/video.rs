@@ -1,11 +1,17 @@
 //! Video models: bitrate ladders and per-chunk sizes.
 //!
 //! `EnvivioDash3`-like is the paper's default video (the Pensieve reference
-//! clip: 48 chunks x 4 s, six-rung ladder {300..4300} kbps). `SynthVideo`
-//! follows the paper's generalization setting: same format, larger bitrates.
+//! clip: [`CHUNKS`] chunks x [`CHUNK_SECS`] s, six-rung ladder {300..4300}
+//! kbps). `SynthVideo` follows the paper's generalization setting: same
+//! format, larger bitrates.
 
 use nt_tensor::Rng;
 use serde::{Deserialize, Serialize};
+
+/// Chunk duration in seconds, the same for every video.
+pub const CHUNK_SECS: f64 = 4.0;
+/// Chunks per video.
+pub const CHUNKS: usize = 48;
 
 /// A video prepared for ABR streaming.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -15,8 +21,6 @@ pub struct Video {
     pub bitrates_kbps: Vec<u32>,
     /// `sizes_megabits[chunk][rung]` — encoded chunk sizes.
     pub sizes_megabits: Vec<Vec<f64>>,
-    /// Chunk duration in seconds.
-    pub chunk_secs: f64,
 }
 
 impl Video {
@@ -38,39 +42,39 @@ impl Video {
     }
 
     pub fn duration(&self) -> f64 {
-        self.num_chunks() as f64 * self.chunk_secs
+        self.num_chunks() as f64 * CHUNK_SECS
     }
 }
 
 /// The default streaming clip (EnvivioDash3-like).
 pub fn envivio_like(rng: &mut Rng) -> Video {
-    build("envivio-like", &[300, 750, 1200, 1850, 2850, 4300], 48, 4.0, rng)
+    build("envivio-like", &[300, 750, 1200, 1850, 2850, 4300], rng)
 }
 
 /// The paper's `SynthVideo`: same format, larger bitrates (unseen setting
 /// 2/3 of Table 3).
 pub fn synth_video(rng: &mut Rng) -> Video {
-    build("synth-video", &[600, 1400, 2300, 3400, 4800, 6500], 48, 4.0, rng)
+    build("synth-video", &[600, 1400, 2300, 3400, 4800, 6500], rng)
 }
 
-fn build(name: &str, ladder: &[u32], chunks: usize, chunk_secs: f64, rng: &mut Rng) -> Video {
+fn build(name: &str, ladder: &[u32], rng: &mut Rng) -> Video {
     // VBR encoding: per-chunk complexity multiplier shared across rungs
     // (scene complexity), plus small per-rung jitter.
-    let mut sizes = Vec::with_capacity(chunks);
+    let mut sizes = Vec::with_capacity(CHUNKS);
     let mut complexity = 1.0f32;
-    for _ in 0..chunks {
+    for _ in 0..CHUNKS {
         complexity = (0.7 * complexity + 0.3 * rng.uniform(0.75, 1.3)).clamp(0.6, 1.5);
         let row: Vec<f64> = ladder
             .iter()
             .map(|&kbps| {
-                let nominal = kbps as f64 / 1000.0 * chunk_secs; // megabits
+                let nominal = kbps as f64 / 1000.0 * CHUNK_SECS; // megabits
                 let jitter = 1.0 + rng.normal_ms(0.0, 0.04) as f64;
                 (nominal * complexity as f64 * jitter).max(0.01)
             })
             .collect();
         sizes.push(row);
     }
-    Video { name: name.into(), bitrates_kbps: ladder.to_vec(), sizes_megabits: sizes, chunk_secs }
+    Video { name: name.into(), bitrates_kbps: ladder.to_vec(), sizes_megabits: sizes }
 }
 
 #[cfg(test)]

@@ -10,27 +10,25 @@ fn genet_default_budget() {
     let cfg = GenetTrainConfig::default();
     let mut genet = train_genet(&video, &traces, &cfg);
     let test = generate_set(TraceKind::FccLike, 30, 350, &mut Rng::seeded(0xE7 ^ 0xBBBB));
-    let sc = SimConfig::default();
-    let w = QoeWeights::default();
     let avg = |p: &mut dyn AbrPolicy| -> f64 {
-        test.iter().map(|t| run_session(p, &video, t, &sc, &w).0.qoe_per_chunk).sum::<f64>()
+        test.iter().map(|t| run_session(p, &video, t).0.qoe_per_chunk).sum::<f64>()
             / test.len() as f64
     };
     println!(
         "default: BBA {:.3} MPC {:.3} GENET {:.3}",
-        avg(&mut Bba::default()),
+        avg(&mut Bba),
         avg(&mut Mpc::default()),
         avg(&mut genet)
     );
     // unseen settings
     let synth = generate_set(TraceKind::SynthWide, 30, 350, &mut Rng::seeded(0xE7 ^ 0xBBBB));
     let avg_s = |p: &mut dyn AbrPolicy| -> f64 {
-        synth.iter().map(|t| run_session(p, &video, t, &sc, &w).0.qoe_per_chunk).sum::<f64>()
+        synth.iter().map(|t| run_session(p, &video, t).0.qoe_per_chunk).sum::<f64>()
             / synth.len() as f64
     };
     println!(
         "unseen1(synth traces): BBA {:.3} MPC {:.3} GENET {:.3}",
-        avg_s(&mut Bba::default()),
+        avg_s(&mut Bba),
         avg_s(&mut Mpc::default()),
         avg_s(&mut genet)
     );
@@ -45,13 +43,9 @@ fn genet_bc_only() {
         let cfg = GenetTrainConfig { bc_iters: bc, rl_iters: rl, ..Default::default() };
         let mut genet = train_genet(&video, &traces, &cfg);
         let test = generate_set(TraceKind::FccLike, 20, 350, &mut Rng::seeded(0xE7 ^ 0xBBBB));
-        let sc = SimConfig::default();
-        let w = QoeWeights::default();
-        let avg = test
-            .iter()
-            .map(|t| run_session(&mut genet, &video, t, &sc, &w).0.qoe_per_chunk)
-            .sum::<f64>()
-            / test.len() as f64;
+        let avg =
+            test.iter().map(|t| run_session(&mut genet, &video, t).0.qoe_per_chunk).sum::<f64>()
+                / test.len() as f64;
         println!("bc {bc} rl {rl}: GENET {avg:.3}");
     }
 }
@@ -65,8 +59,6 @@ fn bc_accuracy_probe() {
     let video = envivio_like(&mut Rng::seeded(0x56AD));
     let traces = generate_set(TraceKind::FccLike, 40, 350, &mut Rng::seeded(7 ^ 0xAAAA));
     // Gather MPC demonstration set
-    let sc = SimConfig::default();
-    let w = QoeWeights::default();
     let mut all_feats: Vec<Vec<f32>> = vec![];
     let mut all_actions: Vec<usize> = vec![];
     struct Rec<'a> {
@@ -90,7 +82,7 @@ fn bc_accuracy_probe() {
     }
     for t in &traces {
         let mut r = Rec { inner: Mpc::default(), feats: &mut all_feats, acts: &mut all_actions };
-        run_session(&mut r, &video, t, &sc, &w);
+        run_session(&mut r, &video, t);
     }
     let n = all_actions.len();
     println!("dataset {} samples; action histogram:", n);

@@ -15,7 +15,7 @@
 
 use nt_abr::{
     envivio_like, generate_set, run_emulated_session, run_session, synth_video, AbrPolicy, Bba,
-    ChunkRecord, FixedRung, LinkConfig, Mpc, QoeWeights, SessionStats, SimConfig, TraceKind,
+    ChunkRecord, FixedRung, Mpc, SessionStats, TraceKind,
 };
 use nt_tensor::Rng;
 
@@ -58,7 +58,6 @@ impl Fnv {
 
 #[test]
 fn session_loops_are_pinned() {
-    let (cfg, weights, link) = (SimConfig::default(), QoeWeights::default(), LinkConfig::default());
     let videos = [envivio_like(&mut Rng::seeded(0x56AD)), synth_video(&mut Rng::seeded(0x56AD))];
     let kinds = [TraceKind::FccLike, TraceKind::CellularLike, TraceKind::SynthWide];
     let (mut sim, mut emu) = (Fnv(0xcbf2_9ce4_8422_2325), Fnv(0xcbf2_9ce4_8422_2325));
@@ -66,10 +65,10 @@ fn session_loops_are_pinned() {
         for (k, &kind) in kinds.iter().enumerate() {
             for trace in &generate_set(kind, 3, 350, &mut Rng::seeded(0xB175 + k as u64)) {
                 let policies: [&mut dyn AbrPolicy; 3] =
-                    [&mut Bba::default(), &mut Mpc::default(), &mut FixedRung(2)];
+                    [&mut Bba, &mut Mpc::default(), &mut FixedRung(2)];
                 for policy in policies {
-                    sim.session(&run_session(policy, video, trace, &cfg, &weights));
-                    emu.session(&run_emulated_session(policy, video, trace, &link, &cfg, &weights));
+                    sim.session(&run_session(policy, video, trace));
+                    emu.session(&run_emulated_session(policy, video, trace));
                 }
             }
         }

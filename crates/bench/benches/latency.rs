@@ -5,7 +5,7 @@
 //! adapter latency through the shared `InferenceSession`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netllm::{AdaptMode, LoraSpec, NetLlmAbr, NetLlmVp, PromptVp};
+use netllm::{AdaptMode, NetLlmAbr, NetLlmVp, PromptVp};
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_llm::{size_spec, Zoo, SIZE_LADDER};
 use nt_tensor::{Rng, Tensor};
@@ -26,12 +26,11 @@ fn head_vs_token(c: &mut Criterion) {
     let mut group = c.benchmark_group("answer_generation");
     for label in ["0.35b-sim", "7b-sim"] {
         let spec = size_spec(label);
-        let mut netllm_model =
-            NetLlmVp::new(zoo.build_random(&spec), AdaptMode::NoDomain, LoraSpec::default(), 20, 1);
+        let mut netllm_model = NetLlmVp::new(zoo.build_random(&spec), AdaptMode::NoDomain, 20, 1);
         group.bench_with_input(BenchmarkId::new("networking_head", label), &(), |b, _| {
             b.iter(|| netllm_model.predict(&s, 20))
         });
-        let prompt_model = PromptVp::new(zoo.build_random(&spec), LoraSpec::default(), 2);
+        let prompt_model = PromptVp::new(zoo.build_random(&spec));
         let mut rng = Rng::seeded(3);
         group.bench_with_input(BenchmarkId::new("token_decoding", label), &(), |b, _| {
             b.iter(|| prompt_model.generate(&s, &mut rng))
@@ -72,13 +71,7 @@ fn cached_vs_uncached_decode(c: &mut Criterion) {
 /// one 48-chunk episode per iteration (the paper's rollout granularity).
 fn adapter_step_latency(c: &mut Criterion) {
     let zoo = Zoo::new(std::env::temp_dir().join("bench-latency-zoo"));
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        10,
-        5,
-    );
+    let mut m = NetLlmAbr::new(zoo.build_random(&size_spec("7b-sim")), AdaptMode::NoDomain, 10, 5);
     // Give the model a plausible target return without a full adapt() run.
     m.target_return = 2.0;
     let mut rng = Rng::seeded(6);

@@ -3,7 +3,7 @@
 //! sessions/workloads).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nt_abr::{envivio_like, generate, run_session, Bba, Mpc, QoeWeights, SimConfig, TraceKind};
+use nt_abr::{envivio_like, generate, run_session, Bba, Mpc, TraceKind};
 use nt_cjs::{generate_workload, run_workload, Fair, Fifo, WorkloadConfig};
 use nt_tensor::Rng;
 use nt_vp::{extract_samples, generate as gen_vp, jin2022_like, DatasetSpec};
@@ -11,13 +11,9 @@ use nt_vp::{extract_samples, generate as gen_vp, jin2022_like, DatasetSpec};
 fn abr_benches(c: &mut Criterion) {
     let video = envivio_like(&mut Rng::seeded(1));
     let trace = generate(TraceKind::FccLike, 400, &mut Rng::seeded(2));
-    let cfg = SimConfig::default();
-    let w = QoeWeights::default();
-    c.bench_function("abr_session_bba", |b| {
-        b.iter(|| run_session(&mut Bba::default(), &video, &trace, &cfg, &w))
-    });
+    c.bench_function("abr_session_bba", |b| b.iter(|| run_session(&mut Bba, &video, &trace)));
     c.bench_function("abr_session_mpc", |b| {
-        b.iter(|| run_session(&mut Mpc::default(), &video, &trace, &cfg, &w))
+        b.iter(|| run_session(&mut Mpc::default(), &video, &trace))
     });
     c.bench_function("abr_trace_generation", |b| {
         let mut rng = Rng::seeded(3);

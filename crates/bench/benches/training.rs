@@ -2,7 +2,7 @@
 //! time axis) and DD-LRNA context-window scaling.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netllm::{AdaptMode, LoraSpec, NetLlmAbr, NetLlmVp};
+use netllm::{AdaptMode, NetLlmAbr, NetLlmVp};
 use nt_llm::{size_spec, Zoo};
 use nt_tensor::{Rng, Tensor};
 use nt_vp::VpSample;
@@ -25,7 +25,7 @@ fn adaptation_step(c: &mut Criterion) {
         [("lora", AdaptMode::FullKnowledge), ("full_finetune", AdaptMode::NoPretrain)]
     {
         group.bench_with_input(BenchmarkId::new(label, "7b-sim"), &(), |b, _| {
-            let mut m = NetLlmVp::new(zoo.build_random(&spec), mode, LoraSpec::default(), 20, 1);
+            let mut m = NetLlmVp::new(zoo.build_random(&spec), mode, 20, 1);
             b.iter(|| m.adapt(&samples, 1, 1e-3, 2));
         });
     }
@@ -35,13 +35,7 @@ fn adaptation_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("abr_window_scaling");
     for w in [1usize, 5, 10] {
         group.bench_with_input(BenchmarkId::from_parameter(w), &w, |b, &w| {
-            let mut m = NetLlmAbr::new(
-                zoo.build_random(&spec),
-                AdaptMode::FullKnowledge,
-                LoraSpec::default(),
-                w,
-                3,
-            );
+            let mut m = NetLlmAbr::new(zoo.build_random(&spec), AdaptMode::FullKnowledge, w, 3);
             let traj = netllm::AbrTrajectory {
                 steps: (0..12)
                     .map(|i| netllm::AbrStep {

@@ -11,13 +11,12 @@
 
 use netllm::{
     build_abr_env, build_cjs_workloads, build_vp_data, evaluate_token_path, rl_collect_abr,
-    rl_collect_cjs, test_abr, test_cjs, AdaptMode, CjsSetting, Fidelity, LoraSpec, NetLlmVp,
-    PromptVp, VpData, ABR_DEFAULT, ABR_UNSEEN1, ABR_UNSEEN2, ABR_UNSEEN3, CJS_DEFAULT, CJS_UNSEEN1,
+    rl_collect_cjs, test_abr, test_cjs, AdaptMode, CjsSetting, Fidelity, NetLlmVp, PromptVp,
+    VpData, ABR_DEFAULT, ABR_UNSEEN1, ABR_UNSEEN2, ABR_UNSEEN3, CJS_DEFAULT, CJS_UNSEEN1,
     CJS_UNSEEN2, CJS_UNSEEN3, VP_DEFAULT, VP_UNSEEN1, VP_UNSEEN2, VP_UNSEEN3,
 };
 use nt_abr::{
-    run_emulated_session, AbrPolicy, BandwidthTrace, Bba, LinkConfig, Mpc, QoeWeights,
-    SessionStats, SimConfig, TraceKind, Video,
+    run_emulated_session, AbrPolicy, BandwidthTrace, Bba, Mpc, SessionStats, TraceKind, Video,
 };
 use nt_bench::stats::{box_stats, cdf_points, mean, min_max_normalize, percentile};
 use nt_bench::{print_table, write_report, Engine};
@@ -102,7 +101,7 @@ fn fig2(e: &Engine) {
     let eval = &data.test[..n_eval];
 
     // Prompt-learning adaptation (LoRA fine-tune of the token pathway).
-    let mut prompt = PromptVp::new(e.backbone(), LoraSpec::default(), 0x9A);
+    let mut prompt = PromptVp::new(e.backbone());
     prompt.adapt(&data.train, e.vp_adapt_iters(), 1e-3, 0x9B);
     let token_stats = evaluate_token_path(&prompt, eval, 0x9C);
 
@@ -373,7 +372,7 @@ fn adapt_cost(
     seed: u64,
     iters: usize,
 ) -> (NetLlmVp, f64, usize, usize, f64) {
-    let mut m = NetLlmVp::new(e.backbone(), mode, LoraSpec::default(), VP_UNSEEN1.pw(), seed);
+    let mut m = NetLlmVp::new(e.backbone(), mode, VP_UNSEEN1.pw(), seed);
     let frac = m.store.num_trainable() as f64 / m.store.num_params() as f64;
     let state = m.store.bytes_params() + m.store.bytes_training_state();
     let peak = m.training_step_bytes(&data.train[0], 20);
@@ -407,7 +406,7 @@ fn abr_eval(e: &Engine, setting: &netllm::AbrSetting) -> Vec<(String, Vec<Sessio
     let (video, traces) = build_abr_env(setting, e.fidelity, false, 0xE7);
     let (mut genet, mut nl) = (e.genet(), e.netllm_abr(AdaptMode::FullKnowledge));
     let policies: [(&str, &mut dyn AbrPolicy); 4] = [
-        ("BBA", &mut Bba::default()),
+        ("BBA", &mut Bba),
         ("MPC", &mut Mpc::default()),
         ("GENET", &mut genet),
         ("NetLLM", &mut nl),
@@ -584,16 +583,13 @@ fn fig13(e: &Engine) {
 fn fig14(e: &Engine) {
     println!("\n[fig 14] emulated client/server links (80 ms RTT): broadband + cellular");
     let mut report = serde_json::Map::new();
-    let link = LinkConfig::default();
-    let cfg = SimConfig::default();
-    let w = QoeWeights::default();
     let video = nt_abr::envivio_like(&mut Rng::seeded(0x56AD));
     for (label, kind) in [("broadband", TraceKind::FccLike), ("cellular", TraceKind::CellularLike)]
     {
         let traces = nt_abr::generate_set(kind, e.fidelity.count(20), 350, &mut Rng::seeded(0xE14));
         let (mut genet, mut nl) = (e.genet(), e.netllm_abr(AdaptMode::FullKnowledge));
         let policies: [(&str, &mut dyn AbrPolicy); 4] = [
-            ("BBA", &mut Bba::default()),
+            ("BBA", &mut Bba),
             ("MPC", &mut Mpc::default()),
             ("GENET", &mut genet),
             ("NetLLM", &mut nl),
@@ -601,10 +597,8 @@ fn fig14(e: &Engine) {
         let mut rows = Vec::new();
         let mut qoe = serde_json::Map::new();
         for (name, p) in policies {
-            let each: Vec<f64> = traces
-                .iter()
-                .map(|t| run_emulated_session(p, &video, t, &link, &cfg, &w).0.qoe_per_chunk)
-                .collect();
+            let each: Vec<f64> =
+                traces.iter().map(|t| run_emulated_session(p, &video, t).0.qoe_per_chunk).collect();
             let avg = mean(&each);
             rows.push(vec![name.into(), format!("{avg:.3}")]);
             qoe.insert(name.into(), json!(avg));
@@ -661,7 +655,7 @@ fn fig16(e: &Engine) {
     ];
     let (video, traces) = build_abr_env(&ABR_DEFAULT, e.fidelity, false, 0xE7);
     let abr_base: Vec<(&str, f64)> = vec![
-        ("BBA", mean_qoe(&mut Bba::default(), &video, &traces)),
+        ("BBA", mean_qoe(&mut Bba, &video, &traces)),
         ("MPC", mean_qoe(&mut Mpc::default(), &video, &traces)),
         ("GENET", mean_qoe(&mut e.genet(), &video, &traces)),
     ];

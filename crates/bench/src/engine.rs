@@ -151,7 +151,7 @@ impl Engine {
             _ => self.backbone_for(spec),
         };
         let max_pw = netllm::VP_DEFAULT.pw();
-        let probe = NetLlmVp::new(backbone, mode, netllm::LoraSpec::default(), max_pw, 0xF1);
+        let probe = NetLlmVp::new(backbone, mode, max_pw, 0xF1);
         let path = self.ckpt(&format!("netllm-vp-{}-{}", spec.name, mode.name()));
         let mut model = probe;
         if checkpoint::load(&mut model.store, &path).is_ok() {
@@ -171,7 +171,7 @@ impl Engine {
         let mut genet = self.genet();
         let mut out = rl_collect_abr(&mut genet, &video, &traces);
         out.extend(rl_collect_abr(&mut nt_abr::Mpc::default(), &video, &traces));
-        out.extend(rl_collect_abr(&mut nt_abr::Bba::default(), &video, &traces));
+        out.extend(rl_collect_abr(&mut nt_abr::Bba, &video, &traces));
         out
     }
 
@@ -186,7 +186,7 @@ impl Engine {
             AdaptMode::NoPretrain => self.zoo.build_random(spec),
             _ => self.backbone_for(spec),
         };
-        let probe = NetLlmAbr::new(backbone, mode, netllm::LoraSpec::default(), 10, 0xF2);
+        let probe = NetLlmAbr::new(backbone, mode, 10, 0xF2);
         let path = self.ckpt(&format!("netllm-abr-{}-{}", spec.name, mode.name()));
         let mut model = probe;
         if checkpoint::load(&mut model.store, &path).is_ok() {
@@ -222,7 +222,7 @@ impl Engine {
             AdaptMode::NoPretrain => self.zoo.build_random(&profile_spec(Profile::LlamaSim)),
             _ => self.backbone(),
         };
-        let probe = NetLlmCjs::new(backbone, mode, netllm::LoraSpec::default(), 8, 0xF3);
+        let probe = NetLlmCjs::new(backbone, mode, 8, 0xF3);
         let path = self.ckpt(&format!("netllm-cjs-{}", mode.name()));
         let mut model = probe;
         if checkpoint::load(&mut model.store, &path).is_ok() {

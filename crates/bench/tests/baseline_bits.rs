@@ -28,7 +28,7 @@
 use netllm::CjsObs;
 use nt_abr::{
     envivio_like, featurize, generate_set, run_session, train_genet, AbrObservation, AbrPolicy,
-    GenetTrainConfig, QoeWeights, SimConfig, TraceKind,
+    GenetTrainConfig, TraceKind,
 };
 use nt_cjs::{
     generate_workload, run_workload, train_decima, DecimaTrainConfig, Decision, SchedView,
@@ -80,8 +80,7 @@ fn genet_bits() -> u64 {
         h.floats(&pol.net.probs(&pol.store, &featurize(&obs)));
         h.word(pol.select(&obs) as u32);
     }
-    let (_, records) =
-        run_session(&mut pol, &video, &traces[0], &SimConfig::default(), &QoeWeights::default());
+    let (_, records) = run_session(&mut pol, &video, &traces[0]);
     assert!(!records.is_empty(), "the greedy session streamed no chunk");
     for r in &records {
         h.word(r.rung as u32);

@@ -377,13 +377,8 @@ fn cache_aware_holds_budget_at_batch_64_without_losing_throughput() {
     const SHARDS: usize = 4;
     let ticks = 10usize;
     let zoo = Zoo::new(std::env::temp_dir().join("netllm-continuous-batching"));
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("7b-sim")),
-        netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        8,
-        31,
-    );
+    let mut m =
+        NetLlmAbr::new(zoo.build_random(&size_spec("7b-sim")), netllm::AdaptMode::NoDomain, 8, 31);
     m.target_return = 2.0;
     let streams: Vec<Vec<AbrObservation>> =
         (0..BATCH).map(|s| AbrObservation::synthetic_stream(9000 + s as u64, ticks)).collect();

@@ -39,7 +39,7 @@ use nt_vp::VpSample;
 use std::collections::VecDeque;
 #[cfg(not(debug_assertions))]
 use {
-    netllm::{AdaptMode, LoraSpec, NetLlmAbr},
+    netllm::{AdaptMode, NetLlmAbr},
     nt_llm::{size_spec, Zoo},
 };
 
@@ -505,7 +505,7 @@ fn single_shard_kill_degrades_boundedly_at_b64() {
 
     let loaded =
         Zoo::new(std::env::temp_dir().join("netllm-fault-soak")).build_random(&size_spec("7b-sim"));
-    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), 8, 54);
+    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, 8, 54);
     m.target_return = 2.0;
     let streams: Vec<Vec<AbrObservation>> =
         (0..B).map(|s| AbrObservation::synthetic_stream(3000 + s as u64, STEPS)).collect();

@@ -36,7 +36,6 @@ fn model(seed: u64) -> NetLlmAbr {
     let mut m = NetLlmAbr::new(
         zoo.build_random(&size_spec("7b-sim")),
         netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
         8,
         seed,
     );

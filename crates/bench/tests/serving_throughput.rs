@@ -10,7 +10,7 @@
 //! with the spread stated. CI runs this file in release too
 //! (`cargo test --release -p nt-bench --test serving_throughput`).
 
-use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ServingEngine};
+use netllm::{AdaptMode, NetLlmAbr, ServingEngine};
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_llm::{size_spec, Zoo};
 
@@ -21,7 +21,7 @@ const WINDOW: usize = 8;
 fn model() -> NetLlmAbr {
     let loaded = Zoo::new(std::env::temp_dir().join("serving-throughput-test"))
         .build_random(&size_spec("7b-sim"));
-    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), WINDOW, 0x5E);
+    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, WINDOW, 0x5E);
     m.target_return = 2.0;
     m
 }

@@ -12,8 +12,8 @@
 //! (`cargo test --release -p nt-bench --test sharded_serving`).
 
 use netllm::{
-    AdaptMode, CjsObs, GlobalSessionId, LoraSpec, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer,
-    Ticket, VpQuery,
+    AdaptMode, CjsObs, GlobalSessionId, NetLlmCjs, NetLlmVp, ServedTask, ShardedServer, Ticket,
+    VpQuery,
 };
 use nt_cjs::Scheduler;
 use nt_llm::{size_spec, Zoo};
@@ -22,7 +22,7 @@ use nt_vp::{extract_samples, generate, jin2022_like, DatasetSpec, VpSample};
 fn cjs_model(label: &str, window: usize, seed: u64) -> NetLlmCjs {
     let loaded =
         Zoo::new(std::env::temp_dir().join("sharded-serving-test")).build_random(&size_spec(label));
-    let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, seed);
+    let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, window, seed);
     m.target_return = -1.0;
     m
 }
@@ -91,7 +91,7 @@ fn sharded_vp_one_shot_slots_match_unbatched_eval() {
     // equal the unbatched one-shot eval at 1e-5.
     let loaded = Zoo::new(std::env::temp_dir().join("sharded-serving-test"))
         .build_random(&size_spec("0.35b-sim"));
-    let m = NetLlmVp::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), 8, 0x32);
+    let m = NetLlmVp::new(loaded, AdaptMode::NoDomain, 8, 0x32);
     let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
     let samples: Vec<VpSample> = extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30);
     let pw = 6usize;

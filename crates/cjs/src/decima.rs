@@ -123,6 +123,9 @@ struct Recorded {
     time: f64,
 }
 
+/// Learning rate of both training phases.
+const LR: f32 = 1e-3;
+
 /// Training configuration.
 #[derive(Clone, Debug)]
 pub struct DecimaTrainConfig {
@@ -131,7 +134,6 @@ pub struct DecimaTrainConfig {
     /// Jobs per training episode (kept small; evaluation uses full workloads).
     pub episode_jobs: usize,
     pub executors: usize,
-    pub lr: f32,
     pub seed: u64,
     /// Max decisions used per policy-gradient update (subsampled).
     pub max_decisions: usize,
@@ -144,7 +146,6 @@ impl Default for DecimaTrainConfig {
             rl_iters: 80,
             episode_jobs: 10,
             executors: 20,
-            lr: 1e-3,
             seed: 17,
             max_decisions: 48,
         }
@@ -157,7 +158,7 @@ pub fn train_decima(mean_interarrival: f64, cfg: &DecimaTrainConfig) -> DecimaPo
     let mut rng = Rng::seeded(cfg.seed);
     let mut store = ParamStore::new();
     let net = DecimaNet::new(&mut store, &mut rng);
-    let mut opt = Adam::new(cfg.lr);
+    let mut opt = Adam::new(LR);
 
     // ---- Phase 1: behaviour cloning from SRPT -------------------------------
     for it in 0..cfg.bc_iters {

@@ -1,23 +1,18 @@
 //! Adaptation modes and the LoRA budget (paper §4.3 + Fig 13 ablations).
+//!
+//! Every task adapts with one LoRA budget: rank [`LORA_RANK`] = 4 at scale
+//! [`LORA_ALPHA`] = 8 (LoRA, arXiv 2106.09685). The paper uses rank 32 (VP)
+//! and 128 (ABR, CJS) on a 7B model; at these backbone sizes that split
+//! scales down to a single rank.
 
 use nt_llm::TinyLm;
 use nt_nn::{clip_grad_norm, Adam, Fwd, ParamStore};
 use nt_tensor::{NodeId, Rng};
 
-/// Low-rank adaptation budget. The paper uses rank 32 (VP) / 128 (ABR/CJS)
-/// on a 7B model; at these backbone sizes that split scales down to one
-/// rank, so every task uses [`LoraSpec::default`].
-#[derive(Clone, Copy, Debug)]
-pub struct LoraSpec {
-    pub rank: usize,
-    pub alpha: f32,
-}
-
-impl Default for LoraSpec {
-    fn default() -> Self {
-        LoraSpec { rank: 4, alpha: 8.0 }
-    }
-}
+/// Rank of every LoRA adapter.
+pub const LORA_RANK: usize = 4;
+/// LoRA scale numerator: the low-rank update is scaled by `alpha / rank`.
+pub const LORA_ALPHA: f32 = 8.0;
 
 /// Which knowledge the adapted model keeps (Fig 13):
 ///
@@ -36,10 +31,10 @@ pub enum AdaptMode {
 
 impl AdaptMode {
     /// Configure the backbone's trainability for this mode.
-    pub fn apply(self, lm: &mut TinyLm, store: &mut ParamStore, lora: LoraSpec, rng: &mut Rng) {
+    pub fn apply(self, lm: &mut TinyLm, store: &mut ParamStore, rng: &mut Rng) {
         match self {
             AdaptMode::FullKnowledge => {
-                lm.attach_lora(store, lora.rank, lora.alpha, rng);
+                lm.attach_lora(store, LORA_RANK, LORA_ALPHA, rng);
             }
             AdaptMode::NoPretrain => {
                 // Backbone stays fully trainable; caller supplies a
@@ -105,7 +100,7 @@ mod tests {
         for mode in [AdaptMode::FullKnowledge, AdaptMode::NoPretrain, AdaptMode::NoDomain] {
             let mut loaded = zoo.build_random(&size_spec("0.35b-sim"));
             let mut rng = Rng::seeded(1);
-            mode.apply(&mut loaded.lm, &mut loaded.store, LoraSpec::default(), &mut rng);
+            mode.apply(&mut loaded.lm, &mut loaded.store, &mut rng);
             let backbone_trainable: Vec<String> = loaded
                 .store
                 .ids()

@@ -14,12 +14,12 @@
 //! dataset, slightly stretched) and the return-to-go is decremented by the
 //! realised per-chunk QoE.
 
-use crate::adapt::{fit, AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode};
 use crate::backbone::InferenceSession;
 use crate::heads::AbrHead;
 use crate::multimodal::{Projection, ScalarEncoder, SeriesEncoder, TokenRing};
 use crate::serving::{step_single, Lane, LanePlan, ServedTask, StepOutcome};
-use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy, QoeWeights};
+use nt_abr::{chunk_qoe, AbrObservation, AbrPolicy};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::TinyLm;
 use nt_nn::{Eager, Embedding, Exec, Fwd, ParamStore};
@@ -74,20 +74,13 @@ impl AbrTrajectory {
 pub struct AbrRecorder<'a> {
     pub inner: &'a mut dyn AbrPolicy,
     pub traj: AbrTrajectory,
-    weights: QoeWeights,
     prev_bitrate: Option<f64>,
     prev_buffer: f64,
 }
 
 impl<'a> AbrRecorder<'a> {
     pub fn new(inner: &'a mut dyn AbrPolicy) -> Self {
-        AbrRecorder {
-            inner,
-            traj: AbrTrajectory::default(),
-            weights: QoeWeights::default(),
-            prev_bitrate: None,
-            prev_buffer: 0.0,
-        }
+        AbrRecorder { inner, traj: AbrTrajectory::default(), prev_bitrate: None, prev_buffer: 0.0 }
     }
 }
 
@@ -109,7 +102,7 @@ impl AbrPolicy for AbrRecorder<'_> {
             let rebuf =
                 if obs.chunk_index <= 1 { 0.0 } else { (download - self.prev_buffer).max(0.0) };
             let br = obs.ladder_mbps[prev.action];
-            prev.reward = chunk_qoe(&self.weights, br, rebuf, self.prev_bitrate);
+            prev.reward = chunk_qoe(br, rebuf, self.prev_bitrate);
             self.prev_bitrate = Some(br);
         }
         let a = self.inner.select(obs);
@@ -173,7 +166,6 @@ pub struct NetLlmAbr {
     pub target_return: f32,
     // ---- single-stream inference state ----
     ep: AbrEpisode,
-    weights: QoeWeights,
     /// KV-cached inference session over the backbone; rollout steps append
     /// ~[`TOK_PER_STEP`] new tokens instead of re-encoding the window.
     session: InferenceSession,
@@ -183,13 +175,7 @@ pub struct NetLlmAbr {
 }
 
 impl NetLlmAbr {
-    pub fn new(
-        loaded: LoadedLm,
-        mode: AdaptMode,
-        lora: LoraSpec,
-        window: usize,
-        seed: u64,
-    ) -> Self {
+    pub fn new(loaded: LoadedLm, mode: AdaptMode, window: usize, seed: u64) -> Self {
         assert!(window >= 1, "NetLlmAbr window {window}: must hold at least one step");
         let LoadedLm { mut lm, mut store, .. } = loaded;
         let mut rng = Rng::seeded(seed);
@@ -207,7 +193,7 @@ impl NetLlmAbr {
         let buf_proj = Projection::new(&mut store, "mm.buf_tok", FEAT, d, &mut rng);
         let action_tokens = Embedding::new(&mut store, "mm.abr_actions", 6, d, &mut rng);
         let head = AbrHead::new(&mut store, d, 6, &mut rng);
-        mode.apply(&mut lm, &mut store, lora, &mut rng);
+        mode.apply(&mut lm, &mut store, &mut rng);
         let session = InferenceSession::new(&lm);
         NetLlmAbr {
             lm,
@@ -228,7 +214,6 @@ impl NetLlmAbr {
             mode,
             target_return: 0.0,
             ep: AbrEpisode::default(),
-            weights: QoeWeights::default(),
             session,
             last_logits: Vec::new(),
         }
@@ -331,7 +316,7 @@ impl NetLlmAbr {
             let rebuf =
                 if obs.chunk_index <= 1 { 0.0 } else { (download - ep.prev_buffer).max(0.0) };
             let br = obs.ladder_mbps[prev.action];
-            let r = chunk_qoe(&self.weights, br, rebuf, ep.prev_bitrate);
+            let r = chunk_qoe(br, rebuf, ep.prev_bitrate);
             prev.reward = r;
             ep.rtg_now -= (r / R_SCALE) as f32;
             ep.prev_bitrate = Some(br);
@@ -603,7 +588,7 @@ impl AbrPolicy for NetLlmAbr {
 mod tests {
     use super::*;
     use crate::serving::StepPlan;
-    use nt_abr::{envivio_like, generate_set, run_session, Bba, SimConfig, TraceKind};
+    use nt_abr::{envivio_like, generate_set, run_session, Bba, TraceKind};
     use nt_llm::{size_spec, Zoo};
 
     fn backbone() -> LoadedLm {
@@ -613,20 +598,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "window 0: must hold at least one step")]
     fn zero_window_is_refused() {
-        NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 0, 1);
+        NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, 0, 1);
     }
 
     fn collect(n: usize) -> Vec<AbrTrajectory> {
         let video = envivio_like(&mut Rng::seeded(1));
         let traces = generate_set(TraceKind::FccLike, n, 250, &mut Rng::seeded(2));
-        let cfg = SimConfig::default();
-        let w = QoeWeights::default();
         traces
             .iter()
             .map(|t| {
-                let mut bba = Bba::default();
+                let mut bba = Bba;
                 let mut rec = AbrRecorder::new(&mut bba);
-                run_session(&mut rec, &video, t, &cfg, &w);
+                run_session(&mut rec, &video, t);
                 rec.traj
             })
             .collect()
@@ -664,12 +647,11 @@ mod tests {
     #[test]
     fn adapted_model_streams_and_answers_are_valid() {
         let trajs = collect(2);
-        let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 3);
+        let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, 4, 3);
         m.adapt(&trajs, 6, 1e-3, 4);
         let video = envivio_like(&mut Rng::seeded(5));
         let traces = generate_set(TraceKind::FccLike, 1, 250, &mut Rng::seeded(6));
-        let (stats, recs) =
-            run_session(&mut m, &video, &traces[0], &SimConfig::default(), &QoeWeights::default());
+        let (stats, recs) = run_session(&mut m, &video, &traces[0]);
         assert_eq!(recs.len(), 48);
         assert!(recs.iter().all(|r| r.rung < 6), "every answer must be a valid rung");
         assert!(stats.qoe_per_chunk.is_finite());
@@ -682,8 +664,7 @@ mod tests {
         // 2x-window re-anchors (the replay mirrors select()'s anchor
         // bookkeeping).
         let window = 3;
-        let mut m =
-            NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), window, 11);
+        let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, window, 11);
         m.target_return = 2.0;
         m.reset();
         let mut rng = Rng::seeded(12);
@@ -764,8 +745,7 @@ mod tests {
         // still holds one window: slot memory does not grow with the
         // episode.
         let window = 3;
-        let mut m =
-            NetLlmAbr::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), window, 31);
+        let mut m = NetLlmAbr::new(backbone(), AdaptMode::NoDomain, window, 31);
         m.target_return = 2.0;
         let (mut kept, mut forgot) = (m.new_slot(0), m.new_slot(0));
         let (mut s_kept, mut s_forgot) =
@@ -794,12 +774,11 @@ mod tests {
         // 48-chunk sessions exceed the backbone context; the session must
         // re-anchor instead of overflowing, and answers stay valid rungs.
         let trajs = collect(1);
-        let mut m = NetLlmAbr::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), 6, 13);
+        let mut m = NetLlmAbr::new(backbone(), AdaptMode::NoDomain, 6, 13);
         m.adapt(&trajs, 4, 1e-3, 14);
         let video = envivio_like(&mut Rng::seeded(15));
         let traces = generate_set(TraceKind::FccLike, 1, 250, &mut Rng::seeded(16));
-        let (_, recs) =
-            run_session(&mut m, &video, &traces[0], &SimConfig::default(), &QoeWeights::default());
+        let (_, recs) = run_session(&mut m, &video, &traces[0]);
         assert_eq!(recs.len(), 48);
         assert!(recs.iter().all(|r| r.rung < 6));
         assert!(m.session.len() <= m.lm.cfg.max_seq);
@@ -808,7 +787,7 @@ mod tests {
     #[test]
     fn adaptation_reduces_loss() {
         let trajs = collect(3);
-        let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 7);
+        let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, 4, 7);
         let early = m.adapt(&trajs, 6, 1e-3, 8);
         let late = m.adapt(&trajs, 80, 1e-3, 9);
         assert!(late < early, "imitation loss should drop: {early} -> {late}");

@@ -17,7 +17,7 @@
 //! This is the documented simplification of Eq. (2)'s full action
 //! factorisation (see DESIGN.md).
 
-use crate::adapt::{fit, AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode};
 use crate::backbone::InferenceSession;
 use crate::heads::CjsHeads;
 use crate::multimodal::{Projection, ScalarEncoder, TokenRing};
@@ -198,13 +198,7 @@ pub struct NetLlmCjs {
 }
 
 impl NetLlmCjs {
-    pub fn new(
-        loaded: LoadedLm,
-        mode: AdaptMode,
-        lora: LoraSpec,
-        window: usize,
-        seed: u64,
-    ) -> Self {
+    pub fn new(loaded: LoadedLm, mode: AdaptMode, window: usize, seed: u64) -> Self {
         assert!(window >= 1, "NetLlmCjs window {window}: must hold at least one step");
         let LoadedLm { mut lm, mut store, .. } = loaded;
         let mut rng = Rng::seeded(seed);
@@ -221,7 +215,7 @@ impl NetLlmCjs {
         let action_tokens =
             Embedding::new(&mut store, "mm.cjs_actions", CAP_FRACS.len(), d, &mut rng);
         let heads = CjsHeads::new(&mut store, d, CAP_FRACS.len(), &mut rng);
-        mode.apply(&mut lm, &mut store, lora, &mut rng);
+        mode.apply(&mut lm, &mut store, &mut rng);
         let session = InferenceSession::new(&lm);
         NetLlmCjs {
             lm,
@@ -619,7 +613,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window 0: must hold at least one step")]
     fn zero_window_is_refused() {
-        NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 0, 1);
+        NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, 0, 1);
     }
 
     fn jobs(n: usize, seed: u64) -> Vec<nt_cjs::Job> {
@@ -644,7 +638,7 @@ mod tests {
             collect_episode(&mut Srpt, &jobs(5, 2), 8),
             collect_episode(&mut Srpt, &jobs(5, 3), 8),
         ];
-        let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 4);
+        let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, 4, 4);
         m.adapt(&train, 8, 1e-3, 5);
         let test = jobs(6, 9);
         let stats = run_workload(&mut m, &test, 8, None);
@@ -661,7 +655,7 @@ mod tests {
         // token sequence the cached path saw — across re-anchors too. The
         // stage and cap logits must agree at 1e-5 on every decision, and
         // so must the choices.
-        let mut m = NetLlmCjs::new(backbone(), AdaptMode::NoDomain, LoraSpec::default(), 8, 21);
+        let mut m = NetLlmCjs::new(backbone(), AdaptMode::NoDomain, 8, 21);
         m.target_return = -1.0;
         m.reset();
         let stream = CjsObs::synthetic_stream(22, 6);
@@ -740,7 +734,7 @@ mod tests {
         spec.cfg.max_seq = 44;
         let loaded = Zoo::new(std::env::temp_dir().join("netllm-cjs-test")).build_random(&spec);
         let window = 7;
-        let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, 23);
+        let mut m = NetLlmCjs::new(loaded, AdaptMode::NoDomain, window, 23);
         m.target_return = -1.0;
         let stream = CjsObs::synthetic_stream(24, 6);
         assert!(stream.len() >= 10 * window, "stream too short: {}", stream.len());
@@ -775,7 +769,7 @@ mod tests {
     #[test]
     fn adaptation_reduces_imitation_loss() {
         let train = vec![collect_episode(&mut Srpt, &jobs(6, 6), 8)];
-        let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 7);
+        let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, 4, 7);
         let early = m.adapt(&train, 6, 1e-3, 8);
         let late = m.adapt(&train, 30, 1e-3, 9);
         assert!(late < early, "loss should drop: {early} -> {late}");

@@ -8,7 +8,7 @@
 //! maps the hidden states at the query positions to per-step viewport
 //! deltas — a complete, always-valid answer in a single inference.
 
-use crate::adapt::{fit, AdaptMode, LoraSpec};
+use crate::adapt::{fit, AdaptMode};
 use crate::backbone::InferenceSession;
 use crate::heads::VpHead;
 use crate::multimodal::{ImageEncoder, Projection, SeriesEncoder};
@@ -54,15 +54,8 @@ pub struct NetLlmVp {
 
 impl NetLlmVp {
     /// Build from a backbone. `mode` selects the Fig-13 knowledge ablation;
-    /// `lora` is ignored for [`AdaptMode::NoDomain`] (adapters disabled) and
-    /// [`AdaptMode::NoPretrain`] (full training, no adapters needed).
-    pub fn new(
-        loaded: LoadedLm,
-        mode: AdaptMode,
-        lora: LoraSpec,
-        max_pw: usize,
-        seed: u64,
-    ) -> Self {
+    /// only [`AdaptMode::FullKnowledge`] attaches LoRA adapters.
+    pub fn new(loaded: LoadedLm, mode: AdaptMode, max_pw: usize, seed: u64) -> Self {
         let LoadedLm { mut lm, mut store, .. } = loaded;
         let mut rng = Rng::seeded(seed);
         let d = lm.cfg.d_model;
@@ -72,7 +65,7 @@ impl NetLlmVp {
         let vp_proj = Projection::new(&mut store, "mm.vp_to_tok", FEAT, d, &mut rng);
         let queries = Embedding::new(&mut store, "mm.vp_queries", max_pw, d, &mut rng);
         let head = VpHead::new(&mut store, d, &mut rng);
-        mode.apply(&mut lm, &mut store, lora, &mut rng);
+        mode.apply(&mut lm, &mut store, &mut rng);
         NetLlmVp { lm, store, img_enc, vp_enc, img_proj, vp_proj, queries, head, max_pw, mode }
     }
 
@@ -345,7 +338,7 @@ mod tests {
 
     #[test]
     fn predicts_valid_horizons() {
-        let mut m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, LoraSpec::default(), 30, 1);
+        let mut m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, 30, 1);
         let ss = samples();
         let p = m.predict(&ss[0], 20);
         assert_eq!(p.len(), 20);
@@ -361,7 +354,7 @@ mod tests {
     fn eval_path_matches_taped_forward() {
         // The session-based prediction must equal the taped forward within
         // float tolerance for the same sample.
-        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, LoraSpec::default(), 20, 9);
+        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoDomain, 20, 9);
         let ss = samples();
         for s in ss.iter().take(3) {
             let pw = 12;
@@ -378,8 +371,7 @@ mod tests {
 
     #[test]
     fn adaptation_reduces_loss() {
-        let mut m =
-            NetLlmVp::new(tiny_backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 20, 2);
+        let mut m = NetLlmVp::new(tiny_backbone(), AdaptMode::FullKnowledge, 20, 2);
         let ss = samples();
         let early = m.adapt(&ss, 8, 1e-3, 7);
         let late = m.adapt(&ss, 40, 1e-3, 8);
@@ -388,8 +380,7 @@ mod tests {
 
     #[test]
     fn lora_mode_trains_only_adapters_in_backbone() {
-        let m =
-            NetLlmVp::new(tiny_backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 20, 3);
+        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::FullKnowledge, 20, 3);
         for id in m.store.ids() {
             let name = m.store.name(id);
             if name.starts_with("llm.") && m.store.is_trainable(id) {
@@ -403,7 +394,7 @@ mod tests {
 
     #[test]
     fn no_pretrain_mode_trains_backbone_fully() {
-        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoPretrain, LoraSpec::default(), 20, 4);
+        let m = NetLlmVp::new(tiny_backbone(), AdaptMode::NoPretrain, 20, 4);
         let trainable_backbone = m
             .store
             .ids()

@@ -5,14 +5,14 @@
 //! plus the environment builders (datasets, traces, workloads) the
 //! evaluation settings of Tables 2–4 describe.
 
-use crate::adapt::{AdaptMode, LoraSpec};
+use crate::adapt::AdaptMode;
 use crate::adapters::abr::{AbrRecorder, AbrTrajectory, NetLlmAbr};
 use crate::adapters::cjs::{collect_episode, CjsTrajectory, NetLlmCjs};
 use crate::adapters::vp::NetLlmVp;
 use crate::settings::{AbrSetting, CjsSetting, Fidelity, VpSetting};
 use nt_abr::{
-    envivio_like, generate_set, run_session, synth_video, AbrPolicy, BandwidthTrace, QoeWeights,
-    SessionStats, SimConfig, Video,
+    envivio_like, generate_set, run_session, synth_video, AbrPolicy, BandwidthTrace, SessionStats,
+    Video,
 };
 use nt_cjs::{generate_workload, run_workload, CjsStats, Job, Scheduler, WorkloadConfig};
 use nt_llm::zoo::LoadedLm;
@@ -133,12 +133,6 @@ pub fn build_cjs_workloads(
 // RL_Collect (Fig 9)
 // ---------------------------------------------------------------------------
 
-/// Default simulator configuration + QoE weights shared by the ABR collect
-/// and test entry points (one place to change both).
-fn abr_defaults() -> (SimConfig, QoeWeights) {
-    (SimConfig::default(), QoeWeights::default())
-}
-
 /// Collect an ABR experience dataset by running an existing policy over the
 /// training environments (the paper uses GENET).
 pub fn rl_collect_abr(
@@ -146,12 +140,11 @@ pub fn rl_collect_abr(
     video: &Video,
     traces: &[BandwidthTrace],
 ) -> Vec<AbrTrajectory> {
-    let (cfg, w) = abr_defaults();
     traces
         .iter()
         .map(|t| {
             let mut rec = AbrRecorder::new(policy);
-            run_session(&mut rec, video, t, &cfg, &w);
+            run_session(&mut rec, video, t);
             rec.traj
         })
         .collect()
@@ -180,7 +173,7 @@ pub fn adapt_vp(
     seed: u64,
 ) -> NetLlmVp {
     let max_pw = crate::settings::VP_DEFAULT.pw();
-    let mut m = NetLlmVp::new(backbone, mode, LoraSpec::default(), max_pw, seed);
+    let mut m = NetLlmVp::new(backbone, mode, max_pw, seed);
     m.adapt(train, iters, 1e-3, seed ^ 0xAD);
     m
 }
@@ -194,7 +187,7 @@ pub fn adapt_abr(
     iters: usize,
     seed: u64,
 ) -> NetLlmAbr {
-    let mut m = NetLlmAbr::new(backbone, mode, LoraSpec::default(), 10, seed);
+    let mut m = NetLlmAbr::new(backbone, mode, 10, seed);
     m.adapt(dataset, iters, 1e-3, seed ^ 0xAD);
     m
 }
@@ -209,7 +202,7 @@ pub fn adapt_cjs(
     iters: usize,
     seed: u64,
 ) -> NetLlmCjs {
-    let mut m = NetLlmCjs::new(backbone, mode, LoraSpec::default(), 8, seed);
+    let mut m = NetLlmCjs::new(backbone, mode, 8, seed);
     m.adapt(dataset, iters, 1e-3, seed ^ 0xAD);
     m
 }
@@ -224,8 +217,7 @@ pub fn test_abr(
     video: &Video,
     traces: &[BandwidthTrace],
 ) -> Vec<SessionStats> {
-    let (cfg, w) = abr_defaults();
-    traces.iter().map(|t| run_session(policy, video, t, &cfg, &w).0).collect()
+    traces.iter().map(|t| run_session(policy, video, t).0).collect()
 }
 
 /// Evaluate any scheduler over workloads; returns per-workload stats.
@@ -274,7 +266,7 @@ mod tests {
     fn rl_collect_and_test_roundtrip() {
         let (video, traces) =
             build_abr_env(&crate::settings::ABR_DEFAULT, Fidelity::Smoke, true, 2);
-        let mut bba = Bba::default();
+        let mut bba = Bba;
         let data = rl_collect_abr(&mut bba, &video, &traces[..2]);
         assert_eq!(data.len(), 2);
         assert_eq!(data[0].steps.len(), 48);

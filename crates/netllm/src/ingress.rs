@@ -57,7 +57,7 @@
 //! handle.shutdown();
 //! ```
 
-use crate::adapt::{AdaptMode, LoraSpec};
+use crate::adapt::AdaptMode;
 use crate::adapters::abr::NetLlmAbr;
 use crate::adapters::cjs::NetLlmCjs;
 use crate::adapters::vp::NetLlmVp;
@@ -114,12 +114,12 @@ impl FleetModels {
     /// own picks its own seed.
     pub fn seeded(dir: &Path, label: &str, window: usize, seed: u64) -> Self {
         let zoo = Zoo::new(dir.to_path_buf());
-        let (spec, mode, lora) = (size_spec(label), AdaptMode::NoDomain, LoraSpec::default());
-        let mut abr = NetLlmAbr::new(zoo.build_random(&spec), mode, lora, window, seed);
+        let (spec, mode) = (size_spec(label), AdaptMode::NoDomain);
+        let mut abr = NetLlmAbr::new(zoo.build_random(&spec), mode, window, seed);
         abr.target_return = 2.0;
-        let mut cjs = NetLlmCjs::new(zoo.build_random(&spec), mode, lora, window, seed + 1);
+        let mut cjs = NetLlmCjs::new(zoo.build_random(&spec), mode, window, seed + 1);
         cjs.target_return = -1.0;
-        let vp = NetLlmVp::new(zoo.build_random(&spec), mode, lora, 8, seed + 2);
+        let vp = NetLlmVp::new(zoo.build_random(&spec), mode, 8, seed + 2);
         FleetModels { abr, cjs, vp }
     }
 
@@ -128,6 +128,10 @@ impl FleetModels {
         NetLlmFleet { abr: &self.abr, cjs: &self.cjs, vp: &self.vp }
     }
 }
+
+/// Bound of the reader→scheduler event channel; readers block when it
+/// fills, pushing backpressure into the kernel socket buffers.
+const EVENT_CHANNEL_CAP: usize = 1024;
 
 /// Ingress server knobs. `Default` is the unit-test shape: 2 shards,
 /// `LeastLoaded` placement, no page pool, 200µs coalesce window.
@@ -143,9 +147,6 @@ pub struct IngressConfig {
     /// Per-shard admission-queue cap — the backpressure bound that
     /// becomes [`Frame::Busy`] on the wire.
     pub queue_cap: usize,
-    /// Bound of the reader→scheduler event channel; readers block when
-    /// it fills, pushing backpressure into the kernel socket buffers.
-    pub channel_cap: usize,
     /// How long the scheduler waits for the event channel to go quiet
     /// before ticking — short enough to be invisible next to a tick,
     /// long enough that a burst of concurrent submits lands in one batch.
@@ -161,7 +162,7 @@ pub struct IngressConfig {
     /// (same `Busy`/retry contract), keeping a slow client's
     /// submit→completion latency bounded by its own queue depth, not its
     /// neighbour's. `tests/ingress.rs` pins the two-client p90. The
-    /// default (half of `queue_cap`/`channel_cap`) leaves a legitimate
+    /// default (half of `queue_cap` and of the 1024-event reader channel) leaves a legitimate
     /// dense client's pipelining untouched — B=64 sessions at a window
     /// of 4 holds 256 open tickets — while capping any one connection
     /// at half the shared backlog.
@@ -176,7 +177,6 @@ impl Default for IngressConfig {
             pool: None,
             eviction: EvictionPolicy::None,
             queue_cap: 1024,
-            channel_cap: 1024,
             quiesce: Duration::from_micros(200),
             max_coalesce: Duration::from_millis(2),
             max_open_per_conn: 512,
@@ -351,7 +351,7 @@ pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<Ingress
     let addr = listener.local_addr()?;
     let stats = Arc::new(IngressStats::default());
     let stop = Arc::new(AtomicBool::new(false));
-    let (tx, rx) = mpsc::sync_channel::<Event>(cfg.channel_cap);
+    let (tx, rx) = mpsc::sync_channel::<Event>(EVENT_CHANNEL_CAP);
 
     let acceptor = {
         let tx = tx.clone();

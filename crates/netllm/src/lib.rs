@@ -56,7 +56,7 @@ pub mod shard;
 pub mod telemetry;
 pub mod wire;
 
-pub use adapt::{AdaptMode, LoraSpec};
+pub use adapt::AdaptMode;
 pub use adapters::abr::{AbrEpisode, AbrRecorder, AbrStep, AbrTrajectory, NetLlmAbr};
 pub use adapters::cjs::{collect_episode, CjsEpisode, CjsObs, CjsStep, CjsTrajectory, NetLlmCjs};
 pub use adapters::vp::{NetLlmVp, VpQuery, VpSlot};

@@ -17,7 +17,7 @@
 //! single position instead of re-running the prompt — the inference *count*
 //! the figure reports is unchanged, only the per-inference cost shrank.
 
-use crate::adapt::{fit, LoraSpec};
+use crate::adapt::fit;
 use nt_llm::zoo::LoadedLm;
 use nt_llm::{TinyLm, Tokenizer, EOS};
 use nt_nn::ParamStore;
@@ -101,10 +101,9 @@ pub struct PromptVp {
 impl PromptVp {
     /// Wrap a backbone for prompt learning. The whole model fine-tunes
     /// (following the paper's §A.1 OpenPrompt setup, which tunes the LM on
-    /// the templated data); `lora.rank == 0` is reserved/ignored.
-    pub fn new(loaded: LoadedLm, _lora: LoraSpec, seed: u64) -> Self {
+    /// the templated data), so no LoRA adapter is attached.
+    pub fn new(loaded: LoadedLm) -> Self {
         let LoadedLm { lm, store, tok, .. } = loaded;
-        let _ = Rng::seeded(seed);
         PromptVp { lm, store, tok, temperature: 0.6 }
     }
 
@@ -232,8 +231,7 @@ mod tests {
     #[test]
     fn token_path_counts_inferences_per_token() {
         let zoo = Zoo::new(std::env::temp_dir().join("prompt-test"));
-        let model =
-            PromptVp::new(zoo.build_random(&size_spec("0.35b-sim")), LoraSpec::default(), 1);
+        let model = PromptVp::new(zoo.build_random(&size_spec("0.35b-sim")));
         let s = VpSample {
             history: (0..5).map(|i| [0.0, 0.0, i as f32]).collect(),
             future: (5..10).map(|i| [0.0, 0.0, i as f32]).collect(),
@@ -249,8 +247,7 @@ mod tests {
         let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
         let samples = extract_samples(&ds, &[0], &[0, 1], 5, 5, 5, 30);
         let zoo = Zoo::new(std::env::temp_dir().join("prompt-ft-test"));
-        let mut model =
-            PromptVp::new(zoo.build_random(&size_spec("0.35b-sim")), LoraSpec::default(), 3);
+        let mut model = PromptVp::new(zoo.build_random(&size_spec("0.35b-sim")));
         let early = model.adapt(&samples, 5, 2e-3, 4);
         let late = model.adapt(&samples, 30, 2e-3, 5);
         assert!(late < early, "answer-span loss should drop: {early} -> {late}");

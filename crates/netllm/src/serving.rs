@@ -790,7 +790,7 @@ fn append_rollbacks<T: ServedTask>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::{AdaptMode, LoraSpec};
+    use crate::adapt::AdaptMode;
     use crate::NetLlmAbr;
     use nt_abr::{AbrObservation, AbrPolicy};
     use nt_llm::{size_spec, Zoo};
@@ -798,7 +798,7 @@ mod tests {
     fn model(window: usize, seed: u64) -> NetLlmAbr {
         let loaded = Zoo::new(std::env::temp_dir().join("netllm-serving-test"))
             .build_random(&size_spec("7b-sim"));
-        let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, seed);
+        let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, window, seed);
         m.target_return = 2.0;
         m
     }

@@ -135,7 +135,7 @@ impl<A, O> LeaveReport<A, O> {
 /// leave:
 ///
 /// ```
-/// use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ShardedServer, TicketStatus};
+/// use netllm::{AdaptMode, NetLlmAbr, ShardedServer, TicketStatus};
 /// use nt_abr::AbrObservation;
 /// use nt_llm::{size_spec, Zoo};
 ///
@@ -143,7 +143,6 @@ impl<A, O> LeaveReport<A, O> {
 /// let abr = NetLlmAbr::new(
 ///     zoo.build_random(&size_spec("0.35b-sim")),
 ///     AdaptMode::NoDomain,
-///     LoraSpec::default(),
 ///     4,  // observation window
 ///     7,  // adapter seed
 /// );
@@ -595,7 +594,7 @@ impl<T: ServedTask> ShardedServer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapt::{AdaptMode, LoraSpec};
+    use crate::adapt::AdaptMode;
     use crate::NetLlmAbr;
     use nt_abr::{AbrObservation, AbrPolicy};
     use nt_llm::{size_spec, Zoo};
@@ -603,7 +602,7 @@ mod tests {
     fn model(window: usize, seed: u64) -> NetLlmAbr {
         let loaded = Zoo::new(std::env::temp_dir().join("netllm-shard-test"))
             .build_random(&size_spec("0.35b-sim"));
-        let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), window, seed);
+        let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, window, seed);
         m.target_return = 2.0;
         m
     }

@@ -20,10 +20,10 @@
 //! digests at the parent commit on the same host first.
 
 use netllm::{
-    collect_episode, AbrRecorder, AbrTrajectory, AdaptMode, LoraSpec, NetLlmAbr, NetLlmCjs,
-    NetLlmVp, PromptVp,
+    collect_episode, AbrRecorder, AbrTrajectory, AdaptMode, NetLlmAbr, NetLlmCjs, NetLlmVp,
+    PromptVp,
 };
-use nt_abr::{envivio_like, generate_set, run_session, Bba, QoeWeights, SimConfig, TraceKind};
+use nt_abr::{envivio_like, generate_set, run_session, Bba, TraceKind};
 use nt_cjs::{generate_workload, Srpt, WorkloadConfig};
 use nt_llm::zoo::LoadedLm;
 use nt_llm::{size_spec, Zoo};
@@ -59,13 +59,13 @@ fn abr_bits() -> u64 {
     let data: Vec<AbrTrajectory> = traces
         .iter()
         .map(|t| {
-            let mut bba = Bba::default();
+            let mut bba = Bba;
             let mut rec = AbrRecorder::new(&mut bba);
-            run_session(&mut rec, &video, t, &SimConfig::default(), &QoeWeights::default());
+            run_session(&mut rec, &video, t);
             rec.traj
         })
         .collect();
-    let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 3);
+    let mut m = NetLlmAbr::new(backbone(), AdaptMode::FullKnowledge, 4, 3);
     let tail = m.adapt(&data, ITERS, 1e-3, 4);
     digest(&[tail, m.target_return], &m.store)
 }
@@ -78,7 +78,7 @@ fn cjs_bits() -> u64 {
             collect_episode(&mut Srpt, &jobs, 8)
         })
         .into();
-    let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 4, 4);
+    let mut m = NetLlmCjs::new(backbone(), AdaptMode::FullKnowledge, 4, 4);
     let tail = m.adapt(&data, ITERS, 1e-3, 5);
     digest(&[tail, m.target_return], &m.store)
 }
@@ -86,12 +86,12 @@ fn cjs_bits() -> u64 {
 fn vp_bits() -> (u64, u64) {
     let ds = generate(&DatasetSpec { videos: 1, viewers: 2, secs: 20, ..jin2022_like() });
     let samples = extract_samples(&ds, &[0], &[0, 1], 10, 20, 5, 30);
-    let mut m = NetLlmVp::new(backbone(), AdaptMode::FullKnowledge, LoraSpec::default(), 20, 2);
+    let mut m = NetLlmVp::new(backbone(), AdaptMode::FullKnowledge, 20, 2);
     let tail = m.adapt(&samples, ITERS, 1e-3, 7);
     let vp = digest(&[tail], &m.store);
 
     let samples = extract_samples(&ds, &[0], &[0, 1], 5, 5, 5, 30);
-    let mut m = PromptVp::new(backbone(), LoraSpec::default(), 3);
+    let mut m = PromptVp::new(backbone());
     let tail = m.adapt(&samples, ITERS, 2e-3, 4);
     (vp, digest(&[tail], &m.store))
 }

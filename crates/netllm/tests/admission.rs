@@ -12,13 +12,7 @@ use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
 fn model(window: usize, seed: u64) -> NetLlmAbr {
     let loaded = Zoo::new(std::env::temp_dir().join("netllm-admission-test"))
         .build_random(&size_spec("0.35b-sim"));
-    let mut m = NetLlmAbr::new(
-        loaded,
-        netllm::AdaptMode::NoDomain,
-        netllm::LoraSpec::default(),
-        window,
-        seed,
-    );
+    let mut m = NetLlmAbr::new(loaded, netllm::AdaptMode::NoDomain, window, seed);
     m.target_return = 2.0;
     m
 }

@@ -28,8 +28,8 @@
 
 use netllm::{
     step_single, AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FleetObs, FleetSlot,
-    InferenceSession, LoraSpec, NetLlmAbr, RollbackPlan, ServedTask, ShardedServer, Ticket,
-    VpQuery, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    InferenceSession, NetLlmAbr, RollbackPlan, ServedTask, ShardedServer, Ticket, VpQuery,
+    FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{size_spec, PageConfig, PagePool, Zoo};
@@ -352,13 +352,8 @@ fn reanchoring_giant_session_cannot_wedge_the_pool() {
     // 19 of 20 pool pages at the exact tick its plan needs a 10-page
     // rebuild.
     let zoo = Zoo::new(std::env::temp_dir().join("netllm-paged-serving"));
-    let mut m = NetLlmAbr::new(
-        zoo.build_random(&size_spec("0.35b-sim")),
-        AdaptMode::NoDomain,
-        LoraSpec::default(),
-        13,
-        34,
-    );
+    let mut m =
+        NetLlmAbr::new(zoo.build_random(&size_spec("0.35b-sim")), AdaptMode::NoDomain, 13, 34);
     m.target_return = 2.0;
     let pool = PagePool::for_model(&m.lm, PageConfig { page_tokens: 8, budget_bytes: 20 * 768 });
     let mut server = ShardedServer::with_memory(

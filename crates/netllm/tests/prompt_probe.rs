@@ -8,7 +8,7 @@ fn prompt_generation_dump() {
     let zoo = Zoo::new(std::env::temp_dir().join("prompt-probe-zoo"));
     let backbone = zoo.load_or_pretrain(&profile_spec(Profile::LlamaSim), 300);
     let data = build_vp_data(&VP_DEFAULT, Fidelity::Smoke);
-    let mut model = PromptVp::new(backbone, LoraSpec::default(), 1);
+    let mut model = PromptVp::new(backbone);
     for round in 0..4 {
         let loss = model.adapt(&data.train, 600, 1e-3, 2 + round);
         let mut rng = Rng::seeded(9);
@@ -52,7 +52,7 @@ fn teacher_forced_accuracy() {
     let zoo = Zoo::new(std::env::temp_dir().join("prompt-probe-zoo"));
     let backbone = zoo.load_or_pretrain(&profile_spec(Profile::LlamaSim), 300);
     let data = build_vp_data(&VP_DEFAULT, Fidelity::Smoke);
-    let mut model = PromptVp::new(backbone, LoraSpec::default(), 1);
+    let mut model = PromptVp::new(backbone);
     model.adapt(&data.train, 2400, 1e-3, 2);
     // teacher-forced argmax accuracy per answer position on TEST samples
     let mut per_pos: Vec<(usize, usize)> = vec![(0, 0); 60];

@@ -2,7 +2,7 @@
 //! single-stream path. Lives in its own test binary so `NT_THREADS` can
 //! be pinned before the pool's `OnceLock` is first read.
 
-use netllm::{AdaptMode, LoraSpec, NetLlmAbr, ServingEngine};
+use netllm::{AdaptMode, NetLlmAbr, ServingEngine};
 use nt_abr::{AbrObservation, AbrPolicy};
 use nt_llm::{size_spec, Zoo};
 
@@ -26,7 +26,7 @@ fn threaded_bands_match_sequential_rollouts() {
 
     let loaded = Zoo::new(std::env::temp_dir().join("netllm-threaded-serving"))
         .build_random(&size_spec("7b-sim"));
-    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, LoraSpec::default(), 4, 3);
+    let mut m = NetLlmAbr::new(loaded, AdaptMode::NoDomain, 4, 3);
     m.target_return = 2.0;
     let batch = 10usize; // not a multiple of the band count: ragged last band
     let chunks = 10usize;

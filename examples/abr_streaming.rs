@@ -8,8 +8,8 @@
 
 use netllm::{adapt_abr, build_abr_env, rl_collect_abr, AdaptMode, Fidelity, ABR_DEFAULT};
 use nt_abr::{
-    envivio_like, generate_set, run_emulated_session, run_session, stats, AbrPolicy, Bba,
-    LinkConfig, Mpc, QoeWeights, SimConfig, TraceKind,
+    envivio_like, generate_set, run_emulated_session, run_session, stats, AbrPolicy, Bba, Mpc,
+    TraceKind,
 };
 use nt_llm::{profile_spec, Profile, Zoo};
 use nt_tensor::Rng;
@@ -20,7 +20,7 @@ fn main() {
     println!(
         "video: {} chunks x {}s, ladder {:?} kbps",
         video.num_chunks(),
-        video.chunk_secs,
+        nt_abr::CHUNK_SECS,
         video.bitrates_kbps
     );
 
@@ -44,24 +44,19 @@ fn main() {
     // Head-to-head on broadband, in BOTH the chunk simulator and the
     // RTT-aware emulator.
     let traces = generate_set(TraceKind::FccLike, 6, 350, &mut Rng::seeded(5));
-    let cfg = SimConfig::default();
-    let w = QoeWeights::default();
-    let link = LinkConfig::default();
 
     println!("\npolicy       sim QoE   emu QoE   (emu = 80ms-RTT client/server emulation)");
-    let mut bba = Bba::default();
+    let mut bba = Bba;
     let mut mpc = Mpc::default();
     let mut rows: Vec<(&str, &mut dyn AbrPolicy)> =
         vec![("BBA", &mut bba), ("MPC", &mut mpc), ("NetLLM", &mut netllm_model)];
     for (name, policy) in rows.iter_mut() {
-        let sim: f64 = traces
-            .iter()
-            .map(|t| run_session(*policy, &video, t, &cfg, &w).0.qoe_per_chunk)
-            .sum::<f64>()
-            / traces.len() as f64;
+        let sim: f64 =
+            traces.iter().map(|t| run_session(*policy, &video, t).0.qoe_per_chunk).sum::<f64>()
+                / traces.len() as f64;
         let emu: f64 = traces
             .iter()
-            .map(|t| run_emulated_session(*policy, &video, t, &link, &cfg, &w).0.qoe_per_chunk)
+            .map(|t| run_emulated_session(*policy, &video, t).0.qoe_per_chunk)
             .sum::<f64>()
             / traces.len() as f64;
         println!("{name:12} {sim:+.3}    {emu:+.3}");

@@ -43,7 +43,7 @@ fn main() {
     // 2. RL_Collect: run an existing policy (here BBA; the paper uses GENET)
     //    over the training environments ONCE.
     let (video, train_traces) = build_abr_env(&ABR_DEFAULT, fidelity, true, 1);
-    let mut teacher = Bba::default();
+    let mut teacher = Bba;
     let dataset = rl_collect_abr(&mut teacher, &video, &train_traces);
     println!("collected {} trajectories x {} chunks", dataset.len(), dataset[0].steps.len());
 
@@ -56,7 +56,7 @@ fn main() {
     // 4. Test on held-out traces against the rule-based baselines.
     let (video, test_traces) = build_abr_env(&ABR_DEFAULT, fidelity, false, 2);
     let netllm_stats = test_abr(&mut model, &video, &test_traces);
-    let bba_stats = test_abr(&mut Bba::default(), &video, &test_traces);
+    let bba_stats = test_abr(&mut Bba, &video, &test_traces);
     let mpc_stats = test_abr(&mut Mpc::default(), &video, &test_traces);
     let avg = |s: &[nt_abr::SessionStats]| {
         s.iter().map(|x| x.qoe_per_chunk).sum::<f64>() / s.len() as f64

@@ -6,7 +6,7 @@
 //! cargo run -p netllm --release --example viewport_prediction
 //! ```
 
-use netllm::{build_vp_data, AdaptMode, Fidelity, LoraSpec, NetLlmVp, VP_DEFAULT, VP_UNSEEN2};
+use netllm::{build_vp_data, AdaptMode, Fidelity, NetLlmVp, VP_DEFAULT, VP_UNSEEN2};
 use nt_llm::{profile_spec, Profile, Zoo};
 use nt_vp::{evaluate, LinearRegression, Track, Velocity};
 
@@ -35,7 +35,7 @@ fn main() {
     // VP head emits the whole horizon in ONE inference.
     let zoo = Zoo::new(std::env::temp_dir().join("netllm-vp-example-zoo"));
     let backbone = zoo.load_or_pretrain(&profile_spec(Profile::LlamaSim), 60);
-    let mut model = NetLlmVp::new(backbone, AdaptMode::FullKnowledge, LoraSpec::default(), 30, 3);
+    let mut model = NetLlmVp::new(backbone, AdaptMode::FullKnowledge, 30, 3);
     model.adapt(&data.train, 80, 1e-3, 4);
     let netllm_mae = evaluate(&mut model, &data.test, VP_DEFAULT.pw());
 

@@ -4,8 +4,8 @@
 
 use netllm::{
     adapt_abr, adapt_cjs, adapt_vp, build_abr_env, build_cjs_workloads, build_vp_data,
-    rl_collect_abr, rl_collect_cjs, AdaptMode, Fidelity, LoraSpec, NetLlmVp, ABR_DEFAULT,
-    CJS_DEFAULT, VP_DEFAULT,
+    rl_collect_abr, rl_collect_cjs, AdaptMode, Fidelity, NetLlmVp, ABR_DEFAULT, CJS_DEFAULT,
+    VP_DEFAULT,
 };
 use nt_abr::Bba;
 use nt_cjs::Srpt;
@@ -31,7 +31,7 @@ fn same_backbone_weights_serve_all_three_tasks() {
     let vp = adapt_vp(z.load_or_pretrain(&spec, 10), AdaptMode::FullKnowledge, &data.train, 6, 1);
     // ABR
     let (video, traces) = build_abr_env(&ABR_DEFAULT, Fidelity::Smoke, true, 2);
-    let mut bba = Bba::default();
+    let mut bba = Bba;
     let abr_data = rl_collect_abr(&mut bba, &video, &traces);
     let abr = adapt_abr(z.load_or_pretrain(&spec, 10), AdaptMode::FullKnowledge, &abr_data, 6, 2);
     // CJS
@@ -70,7 +70,7 @@ fn adaptation_modes_differ_in_trainable_budget() {
             AdaptMode::NoPretrain => z.build_random(&spec),
             _ => z.load_or_pretrain(&spec, 5),
         };
-        let m = NetLlmVp::new(backbone, mode, LoraSpec::default(), 20, 1);
+        let m = NetLlmVp::new(backbone, mode, 20, 1);
         m.store.num_trainable()
     };
     let full_ft = budget(AdaptMode::NoPretrain);
@@ -103,7 +103,7 @@ fn size_ladder_monotone_params_and_all_adaptable() {
 fn all_profiles_adapt_for_abr() {
     let z = zoo("profiles");
     let (video, traces) = build_abr_env(&ABR_DEFAULT, Fidelity::Smoke, true, 7);
-    let mut bba = Bba::default();
+    let mut bba = Bba;
     let dataset = rl_collect_abr(&mut bba, &video, &traces);
     for p in Profile::ALL {
         let backbone = z.load_or_pretrain(&profile_spec(p), 5);

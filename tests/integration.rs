@@ -52,7 +52,7 @@ fn abr_pipeline_end_to_end() {
     }
     // BBA on the same envs for a sanity ordering bound: an adapted tiny
     // model may lose, but must stay within a sane QoE band.
-    let bba_stats = test_abr(&mut Bba::default(), &video, &test_traces);
+    let bba_stats = test_abr(&mut Bba, &video, &test_traces);
     let avg = |s: &[nt_abr::SessionStats]| {
         s.iter().map(|x| x.qoe_per_chunk).sum::<f64>() / s.len() as f64
     };
@@ -86,7 +86,7 @@ fn experience_datasets_are_reusable_across_adaptations() {
     // DD-LRNA's core claim: the dataset is collected once and reused. Two
     // different adaptations from the same dataset must both work.
     let (video, traces) = build_abr_env(&ABR_DEFAULT, Fidelity::Smoke, true, 5);
-    let mut teacher = Bba::default();
+    let mut teacher = Bba;
     let dataset = rl_collect_abr(&mut teacher, &video, &traces);
     let b1 = zoo("reuse1").load_or_pretrain(&profile_spec(Profile::LlamaSim), 10);
     let b2 = zoo("reuse2").load_or_pretrain(&profile_spec(Profile::OptSim), 10);

@@ -12,7 +12,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Whatever bandwidth trace and rung sequence, the session accounts for
-    /// every chunk exactly once and buffers never exceed the cap.
+    /// every chunk exactly once and buffers never exceed the cap — in the
+    /// chunk simulator and in the link emulator alike.
     #[test]
     fn abr_session_conservation(
         seed in 0u64..1000,
@@ -21,16 +22,20 @@ proptest! {
     ) {
         let video = nt_abr::envivio_like(&mut nt_tensor::Rng::seeded(seed));
         let trace = nt_abr::BandwidthTrace::new("p", mbps);
-        let cfg = nt_abr::SimConfig::default();
-        let (stats, recs) = nt_abr::run_session(
-            &mut nt_abr::FixedRung(rung), &video, &trace, &cfg, &nt_abr::QoeWeights::default());
-        prop_assert_eq!(recs.len(), video.num_chunks());
-        prop_assert_eq!(stats.chunks, video.num_chunks());
-        for r in &recs {
-            prop_assert!(r.buffer_after <= cfg.buffer_cap_secs + 1e-9);
-            prop_assert!(r.download_secs > 0.0);
-            prop_assert!(r.rebuffer_secs >= 0.0);
-            prop_assert!(r.rung < video.num_rungs());
+        let policy = &mut nt_abr::FixedRung(rung);
+        let sessions = [
+            nt_abr::run_session(policy, &video, &trace),
+            nt_abr::run_emulated_session(policy, &video, &trace),
+        ];
+        for (stats, recs) in &sessions {
+            prop_assert_eq!(recs.len(), video.num_chunks());
+            prop_assert_eq!(stats.chunks, video.num_chunks());
+            for r in recs {
+                prop_assert!(r.buffer_after <= nt_abr::BUFFER_CAP_SECS + 1e-9);
+                prop_assert!(r.download_secs > 0.0);
+                prop_assert!(r.rebuffer_secs >= 0.0);
+                prop_assert!(r.rung < video.num_rungs());
+            }
         }
     }
 
@@ -58,9 +63,8 @@ proptest! {
         mbps in proptest::collection::vec(0.5f64..8.0, 10..40),
     ) {
         let trace = nt_abr::BandwidthTrace::new("p", mbps);
-        let link = nt_abr::LinkConfig::default();
         let ideal = trace.transfer_time(0.0, megabits);
-        let emulated = nt_abr::transfer_time(&link, &trace, 0.0, megabits);
+        let emulated = nt_abr::transfer_time(nt_abr::RTT_SECS, &trace, 0.0, megabits);
         prop_assert!(emulated >= ideal - 1e-9);
     }
 }
