@@ -70,7 +70,6 @@ impl AbrPolicy for Mpc {
     }
 
     fn select(&mut self, obs: &AbrObservation) -> usize {
-        let n = obs.ladder_mbps.len();
         // Update the robustness discount from the last prediction's error.
         if let (Some(pred), Some(&actual)) = (self.last_pred, obs.throughput_hist.last()) {
             let err = ((pred - actual) / actual.max(1e-9)).abs();
@@ -87,40 +86,52 @@ impl AbrPolicy for Mpc {
         // Chunk sizes beyond the next chunk are approximated from the ladder
         // (the client only knows the next chunk's true sizes, as in the
         // paper's MPC implementation).
-        let horizon = Self::HORIZON;
-        let last = obs.last_rung.map(|r| obs.ladder_mbps[r]);
-        let mut best = (f64::NEG_INFINITY, 0usize);
-        let mut seq = vec![0usize; horizon];
-        loop {
-            // evaluate `seq`
-            let mut buffer = obs.buffer_secs;
-            let mut qoe = 0.0;
-            let mut prev = last;
-            for (i, &r) in seq.iter().enumerate() {
-                let size = if i == 0 { obs.next_sizes[r] } else { obs.ladder_mbps[r] * CHUNK_SECS };
-                let dl = size / predicted.max(1e-9);
-                let rebuf = (dl - buffer).max(0.0);
-                buffer = (buffer - dl).max(0.0) + CHUNK_SECS;
-                let br = obs.ladder_mbps[r];
-                qoe += chunk_qoe(br, rebuf, prev);
-                prev = Some(br);
+        let p = predicted.max(1e-9);
+        let mut plan = Plan {
+            ladder: &obs.ladder_mbps,
+            next_dl: obs.next_sizes.iter().map(|size| size / p).collect(),
+            later_dl: obs.ladder_mbps.iter().map(|br| br * CHUNK_SECS / p).collect(),
+            seq: [0; Self::HORIZON],
+            best: (f64::NEG_INFINITY, [0; Self::HORIZON]),
+        };
+        plan.walk(0, obs.buffer_secs, 0.0, obs.last_rung.map(|r| obs.ladder_mbps[r]));
+        plan.best.1[0]
+    }
+}
+
+/// MPC's search, depth first: every prefix is scored once and carried
+/// down (buffer, QoE so far, previous bitrate), so a chunk costs one step
+/// per tree node instead of `HORIZON` per sequence. Each sequence's QoE is
+/// still summed step 0 → `HORIZON − 1`.
+struct Plan<'a> {
+    ladder: &'a [f64],
+    /// Predicted download time of each rung: the next chunk's true size,
+    /// and the ladder's approximation for the chunks after it.
+    next_dl: Vec<f64>,
+    later_dl: Vec<f64>,
+    seq: [usize; Mpc::HORIZON],
+    /// Best QoE so far and its sequence. Ties go to the smaller reversed
+    /// sequence, the first one in the order where `seq[0]` varies
+    /// fastest: the plan `session_bits` pins.
+    best: (f64, [usize; Mpc::HORIZON]),
+}
+
+impl Plan<'_> {
+    fn walk(&mut self, depth: usize, buffer: f64, qoe: f64, prev: Option<f64>) {
+        if depth == Mpc::HORIZON {
+            if qoe > self.best.0
+                || (qoe == self.best.0 && self.seq.iter().rev().lt(self.best.1.iter().rev()))
+            {
+                self.best = (qoe, self.seq);
             }
-            if qoe > best.0 {
-                best = (qoe, seq[0]);
-            }
-            // next sequence (odometer over n^horizon)
-            let mut d = 0;
-            loop {
-                seq[d] += 1;
-                if seq[d] < n {
-                    break;
-                }
-                seq[d] = 0;
-                d += 1;
-                if d == horizon {
-                    return best.1;
-                }
-            }
+            return;
+        }
+        for (r, &br) in self.ladder.iter().enumerate() {
+            let dl = if depth == 0 { self.next_dl[r] } else { self.later_dl[r] };
+            let rebuf = (dl - buffer).max(0.0);
+            self.seq[depth] = r;
+            let after = (buffer - dl).max(0.0) + CHUNK_SECS;
+            self.walk(depth + 1, after, qoe + chunk_qoe(br, rebuf, prev), Some(br));
         }
     }
 }

@@ -1,8 +1,11 @@
 //! Event-loop network ingress: socket connections feeding the sharded
 //! server's admission queues, with completions pushed back to waiters.
 //!
-//! This is the serving stack's front door. [`serve`] binds a loopback
-//! TCP listener and spins up:
+//! This is the serving stack's front door: a [`FrontDoor`] that makes
+//! every decision and does no I/O (it owns the
+//! [`ShardedServer<NetLlmFleet>`], takes [`Input`]s and ticks, and
+//! queues [`Output`]s; time enters only as arguments), plus the threaded
+//! driver [`serve`], which binds a loopback TCP listener and spins up:
 //!
 //! - an **acceptor** thread handing each connection to a reader;
 //! - one **reader** thread per connection: performs the
@@ -11,12 +14,13 @@
 //!   when the scheduler falls behind);
 //! - one **writer** thread per connection, so a slow client never
 //!   blocks the tick loop;
-//! - a single **scheduler** thread that owns the
-//!   [`ShardedServer<NetLlmFleet>`] and is the only place `tick` runs.
-//!   It drains events, coalesces briefly so concurrent submits land in
-//!   the same batch, ticks while arrivals are pending, and sweeps every
-//!   outstanding ticket with [`ShardedServer::poll_status`] — resolved
-//!   tickets are *pushed* to the owning connection as
+//! - a single **scheduler** thread that owns the `FrontDoor` and is the
+//!   only place `tick` runs. It feeds it events, coalesces briefly
+//!   ([`FrontDoor::coalesce_deadline`]) so concurrent submits land in
+//!   the same batch, ticks while arrivals are pending, and hands the
+//!   outputs to the writers after every event and every tick. Each tick
+//!   sweeps every outstanding ticket with [`ShardedServer::poll_status`]
+//!   — resolved tickets are *pushed* to the owning connection as
 //!   [`Frame::Completion`] / [`Frame::Failed`]; no client ever polls.
 //!
 //! Backpressure composes across the layers: a full
@@ -72,7 +76,7 @@ use crate::wire::{
 };
 use nt_llm::zoo::{size_spec, Zoo};
 use nt_llm::{session_floor_bytes, PagePool};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
@@ -133,8 +137,26 @@ impl FleetModels {
 /// fills, pushing backpressure into the kernel socket buffers.
 const EVENT_CHANNEL_CAP: usize = 1024;
 
-/// Ingress server knobs. `Default` is the unit-test shape: 2 shards,
-/// `LeastLoaded` placement, no page pool, 200µs coalesce window.
+/// How long coalescing waits for the next event before the tick — short
+/// enough to be invisible next to a tick, long enough that a burst of
+/// concurrent submits lands in one batch.
+pub const QUIESCE: Duration = Duration::from_micros(200);
+
+/// Hard bound on pre-tick coalescing, so a steady trickle of events
+/// cannot postpone a tick indefinitely.
+pub const MAX_COALESCE: Duration = Duration::from_millis(2);
+
+/// Fairness bound: granted-but-unresolved tickets one connection may
+/// hold. Without it one greedy pipelining client fills the shared shard
+/// queues and every other client bounces [`Frame::Busy`]; the cap refuses
+/// the *greedy* client instead (same `Busy`/retry contract). Half of
+/// [`crate::shard::QUEUE_CAP`] and of the event channel: a dense client
+/// (B=64 sessions at a window of 4 holds 256 open tickets) pipelines
+/// untouched.
+pub const MAX_OPEN_PER_CONN: usize = 512;
+
+/// Ingress server configuration. `Default` is the unit-test shape: 2
+/// shards, `LeastLoaded` placement, no page pool.
 pub struct IngressConfig {
     /// Shard count for the [`ShardedServer`].
     pub shards: usize,
@@ -144,29 +166,6 @@ pub struct IngressConfig {
     pub pool: Option<PagePool>,
     /// Eviction policy under memory pressure.
     pub eviction: EvictionPolicy,
-    /// Per-shard admission-queue cap — the backpressure bound that
-    /// becomes [`Frame::Busy`] on the wire.
-    pub queue_cap: usize,
-    /// How long the scheduler waits for the event channel to go quiet
-    /// before ticking — short enough to be invisible next to a tick,
-    /// long enough that a burst of concurrent submits lands in one batch.
-    pub quiesce: Duration,
-    /// Hard bound on pre-tick coalescing, so a steady trickle of events
-    /// cannot postpone a tick indefinitely.
-    pub max_coalesce: Duration,
-    /// Fairness bound: granted-but-unresolved tickets one connection may
-    /// hold. The shard admission queues are shared, so without this cap
-    /// one greedy pipelining client can fill them wall to wall and every
-    /// other client's submits bounce [`Frame::Busy`] until the whole
-    /// backlog drains — the cap refuses the *greedy* client instead
-    /// (same `Busy`/retry contract), keeping a slow client's
-    /// submit→completion latency bounded by its own queue depth, not its
-    /// neighbour's. `tests/ingress.rs` pins the two-client p90. The
-    /// default (half of `queue_cap` and of the 1024-event reader channel) leaves a legitimate
-    /// dense client's pipelining untouched — B=64 sessions at a window
-    /// of 4 holds 256 open tickets — while capping any one connection
-    /// at half the shared backlog.
-    pub max_open_per_conn: usize,
 }
 
 impl Default for IngressConfig {
@@ -176,10 +175,6 @@ impl Default for IngressConfig {
             policy: AdmissionPolicy::LeastLoaded,
             pool: None,
             eviction: EvictionPolicy::None,
-            queue_cap: 1024,
-            quiesce: Duration::from_micros(200),
-            max_coalesce: Duration::from_millis(2),
-            max_open_per_conn: 512,
         }
     }
 }
@@ -264,39 +259,12 @@ impl IngressHandle {
 /// reused.
 enum Event {
     /// Handshake done; `tx` feeds the connection's writer thread.
-    Connect { conn: u64, tx: mpsc::Sender<Frame> },
-    /// One parsed frame from the connection. Boxed: `MetricsReport`
-    /// embeds a whole snapshot, and this channel carries mostly small
-    /// frames.
-    Incoming { conn: u64, frame: Box<Frame> },
-    /// Reader exited (EOF, error, or post-`Bye`); clean the session up.
-    Gone { conn: u64 },
-    /// No-op: unblock the scheduler so it rechecks the stop flag.
+    Connect { conn: u64, tx: mpsc::Sender<Box<Frame>> },
+    /// A parsed frame, or the reader's exit (EOF, error, or post-`Bye`).
+    Door(Input),
+    /// Nothing for the door: unblocks the scheduler so it rechecks the
+    /// stop flag (and, pumped after a tick, flushes only the sweep).
     Wake,
-}
-
-/// Scheduler-side state for one live connection.
-struct ConnState {
-    tx: mpsc::Sender<Frame>,
-    sessions: BTreeSet<u64>,
-    /// Granted-but-unresolved tickets this connection holds, bounded by
-    /// [`IngressConfig::max_open_per_conn`].
-    open: usize,
-}
-
-/// Scheduler-side state for one live session.
-struct SessState {
-    conn: u64,
-    group: usize,
-    /// Serve count — the `step` field ordering streamed completions.
-    steps: u64,
-}
-
-/// One granted-but-unresolved ticket.
-struct OpenTicket {
-    conn: u64,
-    session: u64,
-    submitted: Instant,
 }
 
 /// [`serve`]'s up-front refusals: each of these would otherwise panic the
@@ -304,14 +272,8 @@ struct OpenTicket {
 /// `serve` had handed back a handle, leaving a listener nobody answers.
 fn check_config(models: &FleetModels, cfg: &IngressConfig) -> std::io::Result<()> {
     let invalid = |why: String| Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, why));
-    for (knob, value) in [
-        ("shards", cfg.shards),
-        ("queue_cap", cfg.queue_cap),
-        ("max_open_per_conn", cfg.max_open_per_conn),
-    ] {
-        if value == 0 {
-            return invalid(format!("IngressConfig::{knob} must be at least 1"));
-        }
+    if cfg.shards == 0 {
+        return invalid("IngressConfig::shards must be at least 1".into());
     }
     let Some(pool) = &cfg.pool else {
         if cfg.policy.page_budget().is_some() {
@@ -341,10 +303,9 @@ fn check_config(models: &FleetModels, cfg: &IngressConfig) -> std::io::Result<()
 /// Serve `models` on a fresh loopback listener. Returns once the
 /// listener is bound and the scheduler is running, or
 /// [`std::io::ErrorKind::InvalidInput`] (with the reason) for a `cfg` the
-/// fleet cannot be built from: a zero `shards`, `queue_cap` or
-/// `max_open_per_conn`, a `PageAware` policy without a pool, or a pool
-/// sized for a different width or below one full-context session of any
-/// of the three backbones.
+/// fleet cannot be built from: zero `shards`, a `PageAware` policy
+/// without a pool, or a pool sized for a different width or below one
+/// full-context session of any of the three backbones.
 pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<IngressHandle> {
     check_config(&models, &cfg)?;
     let listener = TcpListener::bind("127.0.0.1:0")?;
@@ -433,7 +394,7 @@ fn run_connection(
     // costs one flush, not one syscall per frame. When the scheduler
     // drops the sender, shut the socket down both ways so this reader
     // unblocks too.
-    let (wtx, wrx) = mpsc::channel::<Frame>();
+    let (wtx, wrx) = mpsc::channel::<Box<Frame>>();
     let Ok(write_half) = stream.try_clone() else { return };
     let _ = std::thread::Builder::new().name(format!("nt-ingress-out-{conn}")).spawn(move || {
         let mut w = BufWriter::new(&write_half);
@@ -460,7 +421,8 @@ fn run_connection(
         match read_frame(&mut reader) {
             Ok(frame) => {
                 let bye = matches!(frame, Frame::Bye);
-                if events.send(Event::Incoming { conn, frame: Box::new(frame) }).is_err() || bye {
+                let input = Input::Frame { conn, frame: Box::new(frame) };
+                if events.send(Event::Door(input)).is_err() || bye {
                     break;
                 }
             }
@@ -471,11 +433,11 @@ fn run_connection(
             }
         }
     }
-    let _ = events.send(Event::Gone { conn });
+    let _ = events.send(Event::Door(Input::Gone { conn }));
 }
 
-/// The scheduler: sole owner of the [`ShardedServer`], the fleet, and
-/// the tick loop.
+/// The scheduler thread: the driver that owns the [`FrontDoor`], the
+/// clock and every connection's writer.
 fn run_scheduler(
     models: FleetModels,
     cfg: IngressConfig,
@@ -483,100 +445,182 @@ fn run_scheduler(
     stats: Arc<IngressStats>,
     stop: Arc<AtomicBool>,
 ) {
-    let fleet = models.fleet();
-    let mut server: ShardedServer<NetLlmFleet> = match cfg.pool {
-        Some(pool) => ShardedServer::with_memory(cfg.shards, cfg.policy, pool, cfg.eviction),
-        None => ShardedServer::with_policy(cfg.shards, cfg.policy),
-    };
-    server.set_queue_capacity(cfg.queue_cap);
-
-    let mut conns: BTreeMap<u64, ConnState> = BTreeMap::new();
-    let mut sessions: BTreeMap<u64, SessState> = BTreeMap::new();
-    let mut open: BTreeMap<Ticket, OpenTicket> = BTreeMap::new();
-    // EWMA of tick duration, the Busy retry hint. Seeded at 5ms — any
-    // positive value works, the first real tick corrects it.
-    let mut ewma_tick_ns: f64 = 5e6;
-
-    let mut ctx = SchedCtx {
-        server: &mut server,
-        fleet: &fleet,
-        conns: &mut conns,
-        sessions: &mut sessions,
-        open: &mut open,
-        stats: &stats,
-        max_open_per_conn: cfg.max_open_per_conn,
-    };
-
+    let mut door = FrontDoor::new(models.fleet(), cfg, &stats);
+    let mut writers = BTreeMap::new();
     let idle = Duration::from_millis(25);
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        // Block for work, then coalesce: keep absorbing events until the
-        // channel stays quiet for `quiesce` (or `max_coalesce` elapses),
-        // so a burst of concurrent submits becomes one dense batch.
+    while !stop.load(Ordering::SeqCst) {
+        // Block for work, then coalesce until the channel stays quiet
+        // (see `FrontDoor::coalesce_deadline`), so a burst of concurrent
+        // submits becomes one dense batch.
         match rx.recv_timeout(idle) {
             Ok(ev) => {
-                ctx.handle(ev, ewma_tick_ns);
-                let coalesce_start = Instant::now();
-                while coalesce_start.elapsed() < cfg.max_coalesce {
-                    match rx.recv_timeout(cfg.quiesce) {
-                        Ok(ev) => ctx.handle(ev, ewma_tick_ns),
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => return,
-                    }
+                pump(&mut door, &mut writers, ev);
+                let first = Instant::now();
+                let mut end = FrontDoor::coalesce_deadline(first, first);
+                while let Ok(ev) = rx.recv_timeout(end.saturating_duration_since(Instant::now())) {
+                    pump(&mut door, &mut writers, ev);
+                    end = FrontDoor::coalesce_deadline(first, Instant::now());
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        while ctx.server.pending() > 0 && !stop.load(Ordering::SeqCst) {
-            let t0 = Instant::now();
-            ctx.server.tick(ctx.fleet);
-            let dt = t0.elapsed().as_nanos() as f64;
-            ewma_tick_ns = 0.8 * ewma_tick_ns + 0.2 * dt;
-            ctx.stats.ticks.fetch_add(1, Ordering::Relaxed);
-            ctx.sweep();
-            // Absorb whatever arrived while the tick ran — submits
-            // refill the next batch, and leaves/joins must not starve
-            // behind a long backlog.
+        while !stop.load(Ordering::SeqCst) && door.tick(Instant::now) {
+            // Hand out the sweep's outputs, then absorb whatever arrived
+            // while the tick ran — submits refill the next batch, and
+            // leaves/joins must not starve behind a long backlog.
+            pump(&mut door, &mut writers, Event::Wake);
             while let Ok(ev) = rx.try_recv() {
-                ctx.handle(ev, ewma_tick_ns);
+                pump(&mut door, &mut writers, ev);
             }
         }
     }
-    // Dropping `conns` drops every writer sender: writers flush, shut
+    // Dropping `writers` drops every writer sender: writers flush, shut
     // their sockets, readers unblock and exit.
 }
 
-/// The scheduler's mutable world, factored out so event handling and the
-/// post-tick sweep can share it.
-struct SchedCtx<'a> {
-    server: &'a mut ShardedServer<NetLlmFleet<'a>>,
-    fleet: &'a NetLlmFleet<'a>,
-    conns: &'a mut BTreeMap<u64, ConnState>,
-    sessions: &'a mut BTreeMap<u64, SessState>,
-    open: &'a mut BTreeMap<Ticket, OpenTicket>,
-    stats: &'a IngressStats,
-    max_open_per_conn: usize,
+/// Feed one reader event to the door, then hand every output it queued
+/// to the writers, so no frame waits for the next tick. A send error
+/// means the writer died (peer gone); the reader's `Gone` event will
+/// clean up. Dropping a sender ends its writer, which shuts the socket.
+fn pump(door: &mut FrontDoor, writers: &mut BTreeMap<u64, mpsc::Sender<Box<Frame>>>, ev: Event) {
+    match ev {
+        Event::Wake => {}
+        Event::Connect { conn, tx } => {
+            writers.insert(conn, tx);
+            door.on(Instant::now(), Input::Connect { conn });
+        }
+        Event::Door(input) => door.on(Instant::now(), input),
+    }
+    for out in door.drain() {
+        match out {
+            Output::Send(conn, frame) => {
+                if let Some(tx) = writers.get(&conn) {
+                    let _ = tx.send(frame);
+                }
+            }
+            Output::Close(conn) => _ = writers.remove(&conn),
+        }
+    }
 }
 
-impl SchedCtx<'_> {
-    fn handle(&mut self, ev: Event, ewma_tick_ns: f64) {
-        match ev {
-            Event::Wake => {}
-            Event::Connect { conn, tx } => {
-                self.conns.insert(conn, ConnState { tx, sessions: BTreeSet::new(), open: 0 });
-            }
-            Event::Gone { conn } => self.drop_conn(conn),
-            Event::Incoming { conn, frame } => self.handle_frame(conn, *frame, ewma_tick_ns),
+/// What happened on a connection, as [`FrontDoor::on`] takes it. Frames
+/// are boxed, here and in [`Output`]: `MetricsReport` embeds a whole
+/// snapshot, and the channels on either side carry mostly small frames.
+#[derive(Debug)]
+pub enum Input {
+    /// The handshake finished; frames may follow.
+    Connect { conn: u64 },
+    /// One decoded frame from the connection.
+    Frame { conn: u64, frame: Box<Frame> },
+    /// The connection went away (EOF, error, or after `Bye`).
+    Gone { conn: u64 },
+}
+
+/// What the [`FrontDoor`] asks its driver to do, in order.
+#[derive(Debug)]
+pub enum Output {
+    /// Write the frame to connection `conn`.
+    Send(u64, Box<Frame>),
+    /// Close connection `conn`: it left, or broke the protocol.
+    Close(u64),
+}
+
+/// Front-door state for one live session.
+struct SessState {
+    conn: u64,
+    group: usize,
+    /// Serve count — the `step` field ordering streamed completions.
+    steps: u64,
+}
+
+/// One granted-but-unresolved ticket.
+struct OpenTicket {
+    conn: u64,
+    session: u64,
+    submitted: Instant,
+}
+
+/// The front door's decisions with no I/O: no clock, channel or thread
+/// lives in here, so the door [`serve`]'s threads drive also runs in a
+/// test on a synthetic clock.
+pub struct FrontDoor<'a> {
+    server: ShardedServer<NetLlmFleet<'a>>,
+    fleet: NetLlmFleet<'a>,
+    /// Live connections, each with the granted-but-unresolved tickets it
+    /// holds (bounded by [`MAX_OPEN_PER_CONN`]).
+    conns: BTreeMap<u64, usize>,
+    sessions: BTreeMap<u64, SessState>,
+    open: BTreeMap<Ticket, OpenTicket>,
+    stats: &'a IngressStats,
+    /// EWMA of tick duration, the Busy retry hint. Seeded at 5ms — any
+    /// positive value works, the first real tick corrects it.
+    ewma_tick_ns: f64,
+    outputs: Vec<Output>,
+}
+
+impl<'a> FrontDoor<'a> {
+    /// A door serving `fleet` on a fresh server built from `cfg`,
+    /// counting into `stats`. Panics on a `cfg` that [`serve`] refuses.
+    pub fn new(fleet: NetLlmFleet<'a>, cfg: IngressConfig, stats: &'a IngressStats) -> Self {
+        let server = match cfg.pool {
+            Some(pool) => ShardedServer::with_memory(cfg.shards, cfg.policy, pool, cfg.eviction),
+            None => ShardedServer::with_policy(cfg.shards, cfg.policy),
+        };
+        FrontDoor {
+            server,
+            fleet,
+            conns: BTreeMap::new(),
+            sessions: BTreeMap::new(),
+            open: BTreeMap::new(),
+            stats,
+            ewma_tick_ns: 5e6,
+            outputs: Vec::new(),
         }
     }
 
-    fn handle_frame(&mut self, conn: u64, frame: Frame, ewma_tick_ns: f64) {
+    /// When the coalescing window that opened at `first` closes, given
+    /// the latest event at `last`: [`QUIESCE`] after that event, but no
+    /// later than [`MAX_COALESCE`] after the first.
+    pub fn coalesce_deadline(first: Instant, last: Instant) -> Instant {
+        (last + QUIESCE).min(first + MAX_COALESCE)
+    }
+
+    /// Take one connection event at time `now` (which stamps any ticket
+    /// it grants).
+    pub fn on(&mut self, now: Instant, input: Input) {
+        match input {
+            Input::Connect { conn } => _ = self.conns.insert(conn, 0),
+            Input::Gone { conn } => self.drop_conn(conn),
+            Input::Frame { conn, frame } => self.handle_frame(now, conn, *frame),
+        }
+    }
+
+    /// Run one tick if arrivals are pending, then sweep; `false` (and
+    /// nothing run) when none are. `clock` is read before and after the
+    /// tick: the difference feeds the `Busy` retry EWMA, and the second
+    /// reading is the sweep's `now`, against which each resolved
+    /// ticket's ingress latency is taken.
+    pub fn tick(&mut self, mut clock: impl FnMut() -> Instant) -> bool {
+        if self.server.pending() == 0 {
+            return false;
+        }
+        let t0 = clock();
+        self.server.tick(&self.fleet);
+        let now = clock();
+        let dt = now.saturating_duration_since(t0).as_nanos() as f64;
+        self.ewma_tick_ns = 0.8 * self.ewma_tick_ns + 0.2 * dt;
+        self.stats.ticks.fetch_add(1, Ordering::Relaxed);
+        self.sweep(now);
+        true
+    }
+
+    /// The outputs queued since the last drain, oldest first.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Output> {
+        self.outputs.drain(..)
+    }
+
+    fn handle_frame(&mut self, now: Instant, conn: u64, frame: Frame) {
         if !self.conns.contains_key(&conn) {
             return; // already dropped for a violation; ignore the tail
         }
@@ -586,9 +630,8 @@ impl SchedCtx<'_> {
                 if group > FLEET_VP {
                     return self.violation(conn);
                 }
-                let session = self.server.join_group(self.fleet, group);
+                let session = self.server.join_group(&self.fleet, group);
                 let shard = self.server.shard_of(session) as u32;
-                self.conns.get_mut(&conn).expect("checked above").sessions.insert(session);
                 self.sessions.insert(session, SessState { conn, group, steps: 0 });
                 self.stats.sessions_joined.fetch_add(1, Ordering::Relaxed);
                 self.send(conn, Frame::Joined { session, shard });
@@ -610,42 +653,26 @@ impl SchedCtx<'_> {
                 // shard queue — Busy, retry after a tick — so one greedy
                 // pipeline can never crowd every other connection out of
                 // the admission queues.
-                if self.conns.get(&conn).expect("checked above").open >= self.max_open_per_conn {
-                    let retry_after_ms = ((ewma_tick_ns / 1e6).ceil() as u32).max(1);
-                    self.stats.busy.fetch_add(1, Ordering::Relaxed);
-                    self.server.journal().record(
-                        self.server.tick_count(),
-                        EventKind::Busy { session, reason: RefusalReason::FairnessCap },
+                if self.conns[&conn] >= MAX_OPEN_PER_CONN {
+                    return self.busy(
+                        conn,
+                        session,
+                        BusyReason::QueueFull,
+                        RefusalReason::FairnessCap,
                     );
-                    let reason = BusyReason::QueueFull;
-                    return self.send(conn, Frame::Busy { session, reason, retry_after_ms });
                 }
                 match self.server.submit(session, obs) {
                     Ok(ticket) => {
-                        self.open.insert(
-                            ticket,
-                            OpenTicket { conn, session, submitted: Instant::now() },
-                        );
-                        self.conns.get_mut(&conn).expect("checked above").open += 1;
+                        self.open.insert(ticket, OpenTicket { conn, session, submitted: now });
+                        *self.conns.get_mut(&conn).expect("checked above") += 1;
                         self.stats.submits.fetch_add(1, Ordering::Relaxed);
                         self.send(conn, Frame::TicketGrant { session, ticket: ticket.0 });
                     }
-                    Err(err) => {
-                        let (reason, refusal) = match err {
-                            SubmitError::QueueFull { .. } => {
-                                (BusyReason::QueueFull, RefusalReason::QueueFull)
-                            }
-                            SubmitError::RetryAfterTick { .. } => {
-                                (BusyReason::ShardSuspect, RefusalReason::Suspect)
-                            }
-                        };
-                        let retry_after_ms = ((ewma_tick_ns / 1e6).ceil() as u32).max(1);
-                        self.stats.busy.fetch_add(1, Ordering::Relaxed);
-                        self.server.journal().record(
-                            self.server.tick_count(),
-                            EventKind::Busy { session, reason: refusal },
-                        );
-                        self.send(conn, Frame::Busy { session, reason, retry_after_ms });
+                    Err(SubmitError::QueueFull { .. }) => {
+                        self.busy(conn, session, BusyReason::QueueFull, RefusalReason::QueueFull)
+                    }
+                    Err(SubmitError::RetryAfterTick { .. }) => {
+                        self.busy(conn, session, BusyReason::ShardSuspect, RefusalReason::Suspect)
                     }
                 }
             }
@@ -656,8 +683,7 @@ impl SchedCtx<'_> {
                 if sess.conn != conn {
                     return self.violation(conn);
                 }
-                let (unpolled, dropped) = self.leave_session(session, true);
-                self.conns.get_mut(&conn).expect("checked above").sessions.remove(&session);
+                let (unpolled, dropped) = self.leave_session(session);
                 self.send(conn, Frame::LeaveAck { session, unpolled, dropped });
             }
             Frame::Bye => self.drop_conn(conn),
@@ -671,15 +697,9 @@ impl SchedCtx<'_> {
                 self.send(conn, Frame::MetricsReport { snapshot });
             }
             Frame::EventsRequest { since_seq } => {
-                let view = self.server.journal().drain(since_seq);
-                self.send(
-                    conn,
-                    Frame::EventsBatch {
-                        next_seq: view.next_seq,
-                        dropped: view.dropped,
-                        events: view.events,
-                    },
-                );
+                let EventsView { events, next_seq, dropped } =
+                    self.server.journal().drain(since_seq);
+                self.send(conn, Frame::EventsBatch { next_seq, dropped, events });
             }
             // Client-bound (or handshake) frames arriving here are a
             // violation — the codec is shared, the direction is not.
@@ -701,44 +721,33 @@ impl SchedCtx<'_> {
     /// the step's logits), Failed → Failed push, Pending/Requeued → keep
     /// waiting. Runs after every tick, which is what makes completion
     /// delivery push-based and keeps `unpolled` empty at leave time.
-    fn sweep(&mut self) {
+    fn sweep(&mut self, now: Instant) {
         let tickets: Vec<Ticket> = self.open.keys().copied().collect();
         for ticket in tickets {
             match self.server.poll_status(ticket) {
                 TicketStatus::Pending | TicketStatus::Requeued => {}
                 TicketStatus::Served(action) => {
-                    let ot = self.open.remove(&ticket).expect("ticket is open");
-                    self.release_open(ot.conn);
+                    let OpenTicket { conn, session, submitted } =
+                        self.resolve(ticket).expect("ticket is open");
                     // Valid because the queue drains ≤1 arrival per
                     // session per tick and we sweep after *every* tick:
                     // a Served ticket's logits are from the tick that
                     // just ran.
-                    let logits = self.server.last_logits(ot.session).to_vec();
-                    let step = {
-                        let sess = self.sessions.get_mut(&ot.session).expect("session is live");
-                        let s = sess.steps;
-                        sess.steps += 1;
-                        s
-                    };
-                    let ns = ot.submitted.elapsed().as_nanos() as u64;
+                    let logits = self.server.last_logits(session).to_vec();
+                    let sess = self.sessions.get_mut(&session).expect("session is live");
+                    let step = sess.steps;
+                    sess.steps += 1;
+                    let ns = now.saturating_duration_since(submitted).as_nanos() as u64;
                     self.server.metrics().record_ingress_latency(ns);
-                    let shard = self.server.shard_of(ot.session);
+                    let shard = self.server.shard_of(session);
                     self.server.metrics().record_shard_latency(shard, ns);
                     self.stats.completions.fetch_add(1, Ordering::Relaxed);
-                    self.send(
-                        ot.conn,
-                        Frame::Completion {
-                            ticket: ticket.0,
-                            session: ot.session,
-                            step,
-                            action,
-                            logits,
-                        },
-                    );
+                    let done =
+                        Frame::Completion { ticket: ticket.0, session, step, action, logits };
+                    self.send(conn, done);
                 }
                 TicketStatus::Failed => {
-                    let ot = self.open.remove(&ticket).expect("ticket is open");
-                    self.release_open(ot.conn);
+                    let ot = self.resolve(ticket).expect("ticket is open");
                     self.stats.failed.fetch_add(1, Ordering::Relaxed);
                     self.send(ot.conn, Frame::Failed { ticket: ticket.0, session: ot.session });
                 }
@@ -746,73 +755,58 @@ impl SchedCtx<'_> {
         }
     }
 
-    /// Close one session and resolve what it leaves behind. With
-    /// `notify`, dropped tickets go out as [`Frame::Failed`] (the
-    /// explicit-leave path); without, they are tallied as
-    /// `failed_on_disconnect`. Returns `(unpolled, dropped)` counts for
-    /// the ack.
-    fn leave_session(&mut self, session: u64, notify: bool) -> (u32, u32) {
+    /// Close one session and resolve what it leaves behind: pushed to its
+    /// connection if that is still live (the explicit-leave path), else
+    /// tallied as `failed_on_disconnect`. Returns `(unpolled, dropped)`
+    /// counts for the ack.
+    fn leave_session(&mut self, session: u64) -> (u32, u32) {
         let sess = self.sessions.remove(&session).expect("session is live");
         let report = self.server.leave(session);
+        let live = self.conns.contains_key(&sess.conn);
         // The eager sweep polls every completion the tick it lands, so
         // `unpolled` is empty in steady state; any stragglers still get
         // their action (logits are gone with the session's slot).
-        let mut steps = sess.steps;
-        for (ticket, action) in report.unpolled {
-            if self.open.remove(&ticket).is_some() {
-                self.release_open(sess.conn);
-            }
+        let counts = (report.unpolled.len() as u32, report.dropped_arrivals.len() as u32);
+        for (step, (ticket, action)) in (sess.steps..).zip(report.unpolled) {
+            self.resolve(ticket);
             self.stats.completions.fetch_add(1, Ordering::Relaxed);
-            if notify {
-                let step = steps;
-                steps += 1;
-                self.send(
-                    sess.conn,
-                    Frame::Completion {
-                        ticket: ticket.0,
-                        session,
-                        step,
-                        action,
-                        logits: Vec::new(),
-                    },
-                );
-            }
+            let done =
+                Frame::Completion { ticket: ticket.0, session, step, action, logits: vec![] };
+            self.send(sess.conn, done);
         }
-        let mut dropped = 0u32;
         for (ticket, _obs) in report.dropped_arrivals {
-            if self.open.remove(&ticket).is_some() {
-                self.release_open(sess.conn);
-            }
-            dropped += 1;
-            if notify {
-                self.stats.failed.fetch_add(1, Ordering::Relaxed);
-                self.send(sess.conn, Frame::Failed { ticket: ticket.0, session });
-            } else {
-                self.stats.failed_on_disconnect.fetch_add(1, Ordering::Relaxed);
-            }
+            self.resolve(ticket);
+            let failed = if live { &self.stats.failed } else { &self.stats.failed_on_disconnect };
+            failed.fetch_add(1, Ordering::Relaxed);
+            self.send(sess.conn, Frame::Failed { ticket: ticket.0, session });
         }
-        let unpolled = (steps - sess.steps) as u32;
-        (unpolled, dropped)
+        counts
     }
 
     /// Disconnect path (reader gone, `Bye`, or violation): every session
     /// of the connection leaves; queued tickets fail silently into the
     /// `failed_on_disconnect` counter — resolved, not vanished.
     fn drop_conn(&mut self, conn: u64) {
-        let Some(state) = self.conns.remove(&conn) else { return };
-        for session in state.sessions {
-            let _ = self.leave_session(session, false);
+        if self.conns.remove(&conn).is_none() {
+            return;
         }
-        // Dropping `state.tx` ends the writer, which shuts the socket.
+        let gone: Vec<u64> =
+            self.sessions.iter().filter(|s| s.1.conn == conn).map(|s| *s.0).collect();
+        for session in gone {
+            self.leave_session(session);
+        }
+        self.outputs.push(Output::Close(conn));
     }
 
-    /// One in-flight ticket of `conn` resolved — free its fairness-cap
-    /// slot. A no-op for connections already dropped (their state, cap
-    /// counter included, went with them).
-    fn release_open(&mut self, conn: u64) {
-        if let Some(state) = self.conns.get_mut(&conn) {
-            state.open = state.open.saturating_sub(1);
+    /// Forget a resolved ticket and free its connection's fairness-cap
+    /// slot (a no-op for a connection already dropped: its counter went
+    /// with it).
+    fn resolve(&mut self, ticket: Ticket) -> Option<OpenTicket> {
+        let ot = self.open.remove(&ticket)?;
+        if let Some(open) = self.conns.get_mut(&ot.conn) {
+            *open = open.saturating_sub(1);
         }
+        Some(ot)
     }
 
     fn violation(&mut self, conn: u64) {
@@ -821,11 +815,19 @@ impl SchedCtx<'_> {
     }
 
     fn send(&mut self, conn: u64, frame: Frame) {
-        if let Some(state) = self.conns.get(&conn) {
-            // A send error means the writer died (peer gone); the
-            // reader's Gone event will clean up.
-            let _ = state.tx.send(frame);
+        if self.conns.contains_key(&conn) {
+            self.outputs.push(Output::Send(conn, Box::new(frame)));
         }
+    }
+
+    /// Refuse a submit: journal why, and tell the client to retry after
+    /// the tick EWMA in whole ms (rounded up, at least 1).
+    fn busy(&mut self, conn: u64, session: u64, reason: BusyReason, why: RefusalReason) {
+        self.stats.busy.fetch_add(1, Ordering::Relaxed);
+        let event = EventKind::Busy { session, reason: why };
+        self.server.journal().record(self.server.tick_count(), event);
+        let retry_after_ms = ((self.ewma_tick_ns / 1e6).ceil() as u32).max(1);
+        self.send(conn, Frame::Busy { session, reason, retry_after_ms });
     }
 }
 

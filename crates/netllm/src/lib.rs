@@ -70,8 +70,8 @@ pub use fleet::{FleetAction, FleetObs, FleetSlot, NetLlmFleet, FLEET_ABR, FLEET_
 pub use heads::{AbrHead, CjsHeads, VpHead};
 pub use health::{HealthChecker, HealthConfig, HealthState, Heartbeat};
 pub use ingress::{
-    serve, FleetModels, IngressConfig, IngressHandle, IngressSnapshot, IngressStats, WireClient,
-    WireReceiver, WireSender,
+    serve, FleetModels, FrontDoor, IngressConfig, IngressHandle, IngressSnapshot, IngressStats,
+    WireClient, WireReceiver, WireSender,
 };
 pub use metrics::{
     pool_dispatch_snapshot, FaultSnapshot, LatencySnapshot, MetricsRegistry, MetricsSnapshot,

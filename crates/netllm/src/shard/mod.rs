@@ -106,7 +106,7 @@ const JOURNAL_CAPACITY: usize = 4096;
 pub type GlobalSessionId = u64;
 
 /// Pending arrivals a shard's queue accepts before `submit` pushes back.
-const DEFAULT_QUEUE_CAP: usize = 1024;
+pub const QUEUE_CAP: usize = 1024;
 
 /// What [`ShardedServer::leave`] hands back: nothing of a departing
 /// session is silently dropped — served-but-unpolled actions and
@@ -259,9 +259,7 @@ impl<T: ServedTask> ShardedServer<T> {
             sessions: SessionTable::default(),
             next_id: 0,
             policy,
-            queues: (0..num_shards)
-                .map(|_| AdmissionQueue::with_capacity(DEFAULT_QUEUE_CAP))
-                .collect(),
+            queues: (0..num_shards).map(|_| AdmissionQueue::with_capacity(QUEUE_CAP)).collect(),
             tickets: TicketLedger::default(),
             next_ticket: 0,
             tick_no: 0,
@@ -294,13 +292,6 @@ impl<T: ServedTask> ShardedServer<T> {
     /// journal events).
     pub fn tick_count(&self) -> u64 {
         self.tick_no
-    }
-
-    /// Replace the per-shard backpressure cap (only while no arrival is
-    /// pending, so no ticket can be dropped by the swap).
-    pub fn set_queue_capacity(&mut self, cap: usize) {
-        assert!(self.pending() == 0, "cannot resize queues with arrivals pending");
-        self.queues = (0..self.shards.len()).map(|_| AdmissionQueue::with_capacity(cap)).collect();
     }
 
     /// Shard count.
@@ -779,12 +770,12 @@ mod tests {
         let m = model(3, 12);
         let mut server = ShardedServer::with_policy(1, AdmissionPolicy::LeastLoaded);
         let id = server.join(&m);
-        server.set_queue_capacity(2);
-        let obs = AbrObservation::synthetic_stream(22, 3);
-        assert!(server.submit(id, obs[0].clone()).is_ok());
-        assert!(server.submit(id, obs[1].clone()).is_ok());
-        let refused = server.submit(id, obs[2].clone());
-        let err = refused.expect_err("third submit must hit the backpressure cap");
+        let obs = AbrObservation::synthetic_stream(22, 1).remove(0);
+        for _ in 0..QUEUE_CAP {
+            assert!(server.submit(id, obs.clone()).is_ok());
+        }
+        let refused = server.submit(id, obs);
+        let err = refused.expect_err("the submit past the cap must hit backpressure");
         assert!(err.is_queue_full(), "a healthy shard at the cap refuses with QueueFull");
         let _ = server.tick(&m);
         assert!(server.submit(id, err.into_obs()).is_ok(), "a tick frees queue space");

@@ -1,4 +1,6 @@
-//! Ingress event-loop invariants, all over a real loopback socket:
+//! Ingress invariants. The decisions run on [`FrontDoor`] directly, on a
+//! synthetic clock (an `Instant` base plus offsets, no socket, no
+//! sleep); the transport runs over a real loopback socket:
 //!
 //! - the socket path is *the same server* semantically — every session's
 //!   actions and logits match the in-process submit/tick/poll path at
@@ -8,21 +10,26 @@
 //!   `Failed` on the wire (and silently into the disconnect counter when
 //!   the connection just vanishes) — nothing vanishes unresolved;
 //! - admission backpressure surfaces as `Busy{retry_after}` and clears
-//!   after a tick, mirroring `SubmitRetry`;
+//!   after a tick, mirroring `SubmitRetry`; the hint follows the EWMA of
+//!   the tick durations;
 //! - fairness: one greedy pipelining connection cannot monopolize the
 //!   shared admission queues — the per-connection in-flight cap refuses
 //!   *it*, and a slow client's submit→completion latency stays bounded;
+//! - coalescing closes `QUIESCE` after the last event, and no later than
+//!   `MAX_COALESCE` after the first;
 //! - a configuration the fleet cannot be built from is refused by `serve`
 //!   itself (`InvalidInput`), not discovered by the first client;
 //! - an observation the model cannot encode is refused at the front door
 //!   as a protocol violation, and the sessions of other connections keep
 //!   being served.
 
+use netllm::ingress::{Input, Output, MAX_COALESCE, MAX_OPEN_PER_CONN, QUIESCE};
+use netllm::shard::QUEUE_CAP;
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
-    serve, AdmissionPolicy, CjsObs, FleetModels, FleetObs, Frame, IngressConfig, NetLlmFleet,
-    ShardedServer, Ticket, TicketStatus, VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS,
-    FLEET_VP,
+    serve, AdmissionPolicy, BusyReason, CjsObs, EventKind, FleetModels, FleetObs, Frame, FrontDoor,
+    IngressConfig, IngressStats, NetLlmFleet, RefusalReason, ShardedServer, Ticket, TicketStatus,
+    VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS, FLEET_VP,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{session_floor_bytes, PageConfig, PagePool};
@@ -168,53 +175,94 @@ fn version_mismatch_refused_on_the_socket() {
     handle.shutdown();
 }
 
+/// Feed `frame` from connection `conn` to the door at `now`, and return
+/// the frames it answers with (all to `conn`).
+fn feed(door: &mut FrontDoor, now: Instant, conn: u64, frame: Frame) -> Vec<Frame> {
+    door.on(now, Input::Frame { conn, frame: Box::new(frame) });
+    let to_conn = |out| match out {
+        Output::Send(to, frame) if to == conn => *frame,
+        other => panic!("unexpected output {other:?}"),
+    };
+    door.drain().map(to_conn).collect()
+}
+
+/// Submit `obs` for `session` on `conn`, and return the one reply.
+fn submit(
+    door: &mut FrontDoor,
+    now: Instant,
+    conn: u64,
+    session: u64,
+    obs: &AbrObservation,
+) -> Frame {
+    let mut reply =
+        feed(door, now, conn, Frame::Submit { session, obs: FleetObs::Abr(obs.clone()) });
+    assert_eq!(reply.len(), 1, "{reply:?}");
+    reply.remove(0)
+}
+
+/// Connect `conn` and join one ABR session on it.
+fn join_abr(door: &mut FrontDoor, now: Instant, conn: u64) -> u64 {
+    door.on(now, Input::Connect { conn });
+    match feed(door, now, conn, Frame::Join { group: FLEET_ABR as u32 })[..] {
+        [Frame::Joined { session, .. }] => session,
+        ref other => panic!("expected Joined, got {other:?}"),
+    }
+}
+
+/// Run one tick that starts at `at` and takes `took` (the door reads its
+/// clock before and after), and return the sessions it completed.
+fn tick(door: &mut FrontDoor, at: Instant, took: Duration) -> Vec<u64> {
+    let mut clock = [at, at + took].into_iter();
+    assert!(door.tick(|| clock.next().unwrap()), "arrivals were pending");
+    let completed = |out| match out {
+        Output::Send(_, frame) => match *frame {
+            Frame::Completion { session, .. } => session,
+            other => panic!("unexpected frame {other:?}"),
+        },
+        other => panic!("unexpected output {other:?}"),
+    };
+    door.drain().map(completed).collect()
+}
+
+const MS: Duration = Duration::from_millis(1);
+
 /// The leave contract on the wire: tickets still queued when `Leave`
 /// arrives resolve as `Failed` frames before the ack — they do not
 /// vanish.
 #[test]
 fn leave_fails_queued_tickets_then_acks() {
-    // A huge quiesce window keeps the scheduler coalescing, so the
-    // submits are still queued (not ticked) when the leave lands.
-    let cfg = IngressConfig {
-        quiesce: Duration::from_millis(250),
-        max_coalesce: Duration::from_secs(2),
-        ..IngressConfig::default()
-    };
-    let handle = serve(tiny("netllm-ingress-leave"), cfg).unwrap();
-    let mut client = WireClient::connect(handle.addr()).unwrap();
-    let (session, _) = client.join(FLEET_ABR as u32).unwrap();
+    let models = tiny("netllm-ingress-leave");
+    let stats = IngressStats::default();
+    let mut door = FrontDoor::new(models.fleet(), IngressConfig::default(), &stats);
+    let t0 = Instant::now();
+    let session = join_abr(&mut door, t0, 0);
 
+    // No tick runs, so both submits are still queued when the leave lands.
     let obs = AbrObservation::synthetic_stream(5, 2);
-    client.submit(session, &FleetObs::Abr(obs[0].clone())).unwrap();
-    client.submit(session, &FleetObs::Abr(obs[1].clone())).unwrap();
-    client.leave(session).unwrap();
-
-    let mut granted = Vec::new();
-    let mut failed = Vec::new();
-    loop {
-        match client.recv().unwrap() {
+    let mut frames: Vec<Frame> = obs.iter().map(|o| submit(&mut door, t0, 0, session, o)).collect();
+    frames.extend(feed(&mut door, t0, 0, Frame::Leave { session }));
+    let Some(Frame::LeaveAck { session: s, unpolled, dropped }) = frames.pop() else {
+        panic!("the ack comes last: {frames:?}");
+    };
+    assert_eq!(s, session);
+    assert_eq!(unpolled, 0, "eager sweep leaves no unpolled actions");
+    assert_eq!(dropped, 2, "both queued arrivals dropped by the leave");
+    let (mut granted, mut failed) = (Vec::new(), Vec::new());
+    for frame in frames {
+        match frame {
             Frame::TicketGrant { ticket, .. } => granted.push(ticket),
             Frame::Failed { ticket, session: s } => {
                 assert_eq!(s, session);
                 failed.push(ticket);
             }
-            Frame::LeaveAck { session: s, unpolled, dropped } => {
-                assert_eq!(s, session);
-                assert_eq!(unpolled, 0, "eager sweep leaves no unpolled actions");
-                assert_eq!(dropped, 2, "both queued arrivals dropped by the leave");
-                break;
-            }
             other => panic!("unexpected frame {other:?}"),
         }
     }
     assert_eq!(granted.len(), 2);
-    let mut failed_sorted = failed.clone();
-    failed_sorted.sort_unstable();
-    let mut granted_sorted = granted.clone();
-    granted_sorted.sort_unstable();
-    assert_eq!(failed_sorted, granted_sorted, "every granted ticket resolved");
-    assert_eq!(handle.stats().failed, 2);
-    handle.shutdown();
+    failed.sort_unstable();
+    granted.sort_unstable();
+    assert_eq!(failed, granted, "every granted ticket resolved");
+    assert_eq!(stats.snapshot().failed, 2);
 }
 
 /// The same contract when the client just disappears: no one is left to
@@ -222,201 +270,174 @@ fn leave_fails_queued_tickets_then_acks() {
 /// resolved server-side, not leaked.
 #[test]
 fn disconnect_fails_queued_tickets_into_the_counter() {
-    let cfg = IngressConfig {
-        quiesce: Duration::from_millis(250),
-        max_coalesce: Duration::from_secs(2),
-        ..IngressConfig::default()
-    };
-    let handle = serve(tiny("netllm-ingress-gone"), cfg).unwrap();
-    let mut client = WireClient::connect(handle.addr()).unwrap();
-    let (session, _) = client.join(FLEET_ABR as u32).unwrap();
+    let models = tiny("netllm-ingress-gone");
+    let stats = IngressStats::default();
+    let mut door = FrontDoor::new(models.fleet(), IngressConfig::default(), &stats);
+    let t0 = Instant::now();
+    let session = join_abr(&mut door, t0, 0);
     let obs = AbrObservation::synthetic_stream(6, 1).remove(0);
-    client.submit(session, &FleetObs::Abr(obs)).unwrap();
-    match client.recv().unwrap() {
-        Frame::TicketGrant { .. } => {}
-        other => panic!("expected grant, got {other:?}"),
-    }
-    drop(client); // vanish without Bye
+    let grant = submit(&mut door, t0, 0, session, &obs);
+    assert!(matches!(grant, Frame::TicketGrant { .. }), "expected grant, got {grant:?}");
 
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let stats = handle.stats();
-        if stats.failed_on_disconnect == 1 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "disconnect never failed the ticket: {stats:?}");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    handle.shutdown();
+    door.on(t0, Input::Gone { conn: 0 }); // vanish without Bye
+    assert!(matches!(door.drain().collect::<Vec<_>>()[..], [Output::Close(0)]));
+    let stats = stats.snapshot();
+    assert_eq!(stats.failed_on_disconnect, 1, "disconnect never failed the ticket: {stats:?}");
+    assert_eq!(stats.failed, 0, "no one was left to tell");
 }
 
-/// Admission backpressure surfaces on the wire: with a single 1-deep
-/// queue, the second concurrent submit gets `Busy{QueueFull}` with a
-/// positive retry hint, and succeeds once a tick drains the queue.
+/// Admission backpressure surfaces on the wire: with one shard, two
+/// connections queueing `MAX_OPEN_PER_CONN` each fill its queue, so a
+/// third connection's submit gets `Busy{QueueFull}` with a positive retry
+/// hint, and succeeds once a tick drains the queue.
 #[test]
 fn busy_backpressure_clears_after_a_tick() {
-    let cfg = IngressConfig {
-        shards: 1,
-        queue_cap: 1,
-        quiesce: Duration::from_millis(150),
-        max_coalesce: Duration::from_millis(400),
-        ..IngressConfig::default()
-    };
-    let handle = serve(tiny("netllm-ingress-busy"), cfg).unwrap();
-    let mut client = WireClient::connect(handle.addr()).unwrap();
-    let (a, _) = client.join(FLEET_ABR as u32).unwrap();
-    let (b, _) = client.join(FLEET_ABR as u32).unwrap();
-
+    assert_eq!(2 * MAX_OPEN_PER_CONN, QUEUE_CAP, "two full connections fill a shard");
+    let models = tiny("netllm-ingress-busy");
+    let stats = IngressStats::default();
+    let cfg = IngressConfig { shards: 1, ..Default::default() };
+    let mut door = FrontDoor::new(models.fleet(), cfg, &stats);
+    let t0 = Instant::now();
+    let [a, b, c] = [0, 1, 2].map(|conn| join_abr(&mut door, t0, conn));
     let obs = AbrObservation::synthetic_stream(8, 2);
-    client.submit(a, &FleetObs::Abr(obs[0].clone())).unwrap();
-    client.submit(b, &FleetObs::Abr(obs[1].clone())).unwrap();
-
-    match client.recv().unwrap() {
-        Frame::TicketGrant { session, .. } => assert_eq!(session, a),
-        other => panic!("expected grant for a, got {other:?}"),
+    for (conn, session) in [(0, a), (1, b)] {
+        for _ in 0..MAX_OPEN_PER_CONN {
+            let grant = submit(&mut door, t0, conn, session, &obs[0]);
+            assert!(matches!(grant, Frame::TicketGrant { .. }), "{grant:?}");
+        }
     }
-    match client.recv().unwrap() {
-        Frame::Busy { session, retry_after_ms, .. } => {
-            assert_eq!(session, b);
+    match submit(&mut door, t0, 2, c, &obs[1]) {
+        Frame::Busy { session, reason, retry_after_ms } => {
+            assert_eq!(session, c);
+            assert_eq!(reason, BusyReason::QueueFull);
             assert!(retry_after_ms >= 1, "retry hint must be positive");
         }
-        other => panic!("expected Busy for b, got {other:?}"),
+        other => panic!("expected Busy for c, got {other:?}"),
     }
-    // After the tick drains the queue, the retry goes through and both
-    // sessions complete.
-    let mut completions = 0;
-    let mut resubmitted = false;
-    while completions < 2 {
-        match client.recv().unwrap() {
-            Frame::Completion { .. } => completions += 1,
-            Frame::TicketGrant { .. } => {}
-            Frame::Busy { session, retry_after_ms, .. } => {
-                std::thread::sleep(Duration::from_millis(retry_after_ms as u64));
-                client.submit(session, &FleetObs::Abr(obs[1].clone())).unwrap();
-            }
-            other => panic!("unexpected frame {other:?}"),
-        }
-        if completions == 1 && !resubmitted {
-            resubmitted = true;
-            client.submit(b, &FleetObs::Abr(obs[1].clone())).unwrap();
-        }
-    }
-    let stats = handle.stats();
+    // The shard's queue refused it, not the fairness cap.
+    let journal = feed(&mut door, t0, 2, Frame::EventsRequest { since_seq: 0 });
+    let [Frame::EventsBatch { events, .. }] = &journal[..] else { panic!("{journal:?}") };
+    let refusal = EventKind::Busy { session: c, reason: RefusalReason::QueueFull };
+    assert!(events.iter().any(|e| e.kind == refusal), "{events:?}");
+
+    // After the tick drains the queue, the retry goes through and every
+    // session completes.
+    assert_eq!(tick(&mut door, t0, MS), [a, b]);
+    assert!(matches!(submit(&mut door, t0 + MS, 2, c, &obs[1]), Frame::TicketGrant { .. }));
+    assert_eq!(tick(&mut door, t0 + MS, MS), [a, b, c]);
+    let stats = stats.snapshot();
     assert!(stats.busy >= 1, "backpressure must have fired: {stats:?}");
-    assert_eq!(stats.completions, 2);
-    handle.shutdown();
+    assert_eq!(stats.completions, 5);
 }
 
-/// Two clients on one shard: a greedy pipeline flooding submits on its
-/// session, and a slow client submitting one observation at a time. The
-/// per-connection in-flight cap (`max_open_per_conn`) must absorb the
-/// flood — greedy gets the `Busy` refusals, the slow client gets *none*
-/// (the shared queue always has room for it), and the slow client's
-/// submit→completion p90 stays bounded while the flood runs.
+/// Two clients on one shard: a greedy pipeline bursting twice
+/// `MAX_OPEN_PER_CONN` submits on its session and topping up after every
+/// tick, and a slow client submitting one observation at a time. The
+/// per-connection in-flight cap must absorb the flood — greedy gets the
+/// `Busy` refusals, the slow client gets *none* (the shared queue always
+/// has room for it), and each slow submit completes on the next tick.
 #[test]
 fn greedy_connection_cannot_starve_a_slow_client() {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::sync::Arc;
-
     const SLOW_ROUNDS: usize = 12;
-    let cfg = IngressConfig {
-        shards: 1,
-        queue_cap: 16,
-        max_open_per_conn: 4,
-        ..IngressConfig::default()
-    };
-    let burst = 2 * cfg.max_open_per_conn;
-    let handle = serve(tiny("netllm-ingress-fair"), cfg).unwrap();
-
-    // Greedy: split client, sender floods one session, receiver drains
-    // grants/busy/completions. The flood opens with a back-to-back burst
-    // of twice the cap, which reaches the scheduler faster than ticks can
-    // resolve tickets, so the cap is always hit; a paced flood alone can
-    // be served about as fast as it arrives in a release build.
-    let greedy_busy = Arc::new(AtomicU64::new(0));
-    let greedy_granted = Arc::new(AtomicU64::new(0));
-    let stop = Arc::new(AtomicBool::new(false));
-    let mut greedy = WireClient::connect(handle.addr()).unwrap();
-    let (gsession, _) = greedy.join(FLEET_ABR as u32).unwrap();
-    let (mut gtx, mut grx) = greedy.split();
+    let models = tiny("netllm-ingress-fair");
+    let stats = IngressStats::default();
+    let cfg = IngressConfig { shards: 1, ..Default::default() };
+    let mut door = FrontDoor::new(models.fleet(), cfg, &stats);
+    let mut now = Instant::now();
+    let [greedy, slow] = [0, 1].map(|conn| join_abr(&mut door, now, conn));
     let flood_obs = AbrObservation::synthetic_stream(41, 1).remove(0);
-    let flooder = {
-        let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            for _ in 0..burst {
-                gtx.submit(gsession, &FleetObs::Abr(flood_obs.clone())).unwrap();
-            }
-            while !stop.load(Ordering::SeqCst) {
-                if gtx.submit(gsession, &FleetObs::Abr(flood_obs.clone())).is_err() {
-                    break;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            let _ = gtx.bye();
-        })
-    };
-    let drainer = {
-        let (busy, granted) = (Arc::clone(&greedy_busy), Arc::clone(&greedy_granted));
-        std::thread::spawn(move || {
-            while let Ok(frame) = grx.recv() {
-                match frame {
-                    Frame::Busy { .. } => {
-                        busy.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Frame::TicketGrant { .. } => {
-                        granted.fetch_add(1, Ordering::Relaxed);
-                    }
-                    _ => {}
-                }
-            }
-        })
-    };
-
-    // Slow client: one in-flight submit at a time, latency measured from
-    // the first submit attempt to the completion (retries included).
-    let mut slow = WireClient::connect(handle.addr()).unwrap();
-    let (session, _) = slow.join(FLEET_ABR as u32).unwrap();
-    let obs = AbrObservation::synthetic_stream(43, SLOW_ROUNDS);
-    let mut latencies = Vec::with_capacity(SLOW_ROUNDS);
-    for o in &obs {
-        let t0 = Instant::now();
-        slow.submit(session, &FleetObs::Abr(o.clone())).unwrap();
-        loop {
-            match slow.recv().unwrap() {
-                Frame::TicketGrant { .. } => {}
-                Frame::Completion { session: s, .. } => {
-                    assert_eq!(s, session);
-                    latencies.push(t0.elapsed());
-                    break;
-                }
-                Frame::Busy { retry_after_ms, .. } => {
-                    panic!(
-                        "slow client refused while greedy held the queue \
-                         (retry_after_ms={retry_after_ms}) — the fairness cap failed"
-                    );
-                }
+    let (mut greedy_granted, mut greedy_busy) = (0, 0);
+    let mut flood = |door: &mut FrontDoor, now: Instant, submits: usize| {
+        for _ in 0..submits {
+            match submit(door, now, 0, greedy, &flood_obs) {
+                Frame::TicketGrant { .. } => greedy_granted += 1,
+                Frame::Busy { .. } => greedy_busy += 1,
                 other => panic!("unexpected frame {other:?}"),
             }
         }
-    }
-    stop.store(true, Ordering::SeqCst);
-    flooder.join().unwrap();
-    drainer.join().unwrap();
+    };
+    flood(&mut door, now, 2 * MAX_OPEN_PER_CONN);
 
-    assert_eq!(latencies.len(), SLOW_ROUNDS);
-    latencies.sort_unstable();
-    let p90 = latencies[(SLOW_ROUNDS * 9) / 10];
-    // Generous wall bound: with the cap, a slow submit waits for at most
-    // a few ticks behind ≤ max_open_per_conn greedy arrivals; without
-    // it, the 16-deep queue is wall-to-wall greedy and the slow client
-    // spins on Busy retries for the whole flood.
-    assert!(p90 < Duration::from_secs(5), "slow client's p90 blew up: {p90:?}");
-    assert!(
-        greedy_busy.load(Ordering::Relaxed) > 0,
-        "the flood never hit the in-flight cap — the test did not exercise fairness"
-    );
-    assert!(greedy_granted.load(Ordering::Relaxed) > 0, "the flood never got a single grant");
-    handle.shutdown();
+    for o in &AbrObservation::synthetic_stream(43, SLOW_ROUNDS) {
+        match submit(&mut door, now, 1, slow, o) {
+            Frame::TicketGrant { .. } => {}
+            Frame::Busy { retry_after_ms, .. } => panic!(
+                "slow client refused while greedy held the queue \
+                 (retry_after_ms={retry_after_ms}) — the fairness cap failed"
+            ),
+            other => panic!("unexpected frame {other:?}"),
+        }
+        // Latency in ticks: with the cap, a slow submit is served by the
+        // next tick, beside the greedy backlog; without it, the
+        // 1024-deep queue is wall-to-wall greedy and the slow client
+        // spins on Busy for the whole flood.
+        assert_eq!(tick(&mut door, now, MS), [greedy, slow], "the slow client waited past a tick");
+        now += MS;
+        flood(&mut door, now, 2); // the flood keeps coming
+    }
+    assert!(greedy_busy > 0, "the flood never hit the in-flight cap: fairness was not exercised");
+    assert!(greedy_granted > 0, "the flood never got a single grant");
+}
+
+/// The `Busy` retry hint is the EWMA (weight 0.2 on the newest, seeded at
+/// 5 ms) of the tick durations the clock measured, in whole ms rounded
+/// up, and never below 1.
+#[test]
+fn busy_retry_hint_follows_the_tick_duration_ewma() {
+    let models = tiny("netllm-ingress-ewma");
+    let stats = IngressStats::default();
+    let mut door = FrontDoor::new(models.fleet(), IngressConfig::default(), &stats);
+    let mut now = Instant::now();
+    let session = join_abr(&mut door, now, 0);
+    let obs = AbrObservation::synthetic_stream(44, 1).remove(0);
+    // Fill the connection's fairness cap, so every extra submit is Busy.
+    for _ in 0..MAX_OPEN_PER_CONN {
+        assert!(matches!(submit(&mut door, now, 0, session, &obs), Frame::TicketGrant { .. }));
+    }
+    let hint = |door: &mut FrontDoor, now: Instant| match submit(door, now, 0, session, &obs) {
+        Frame::Busy { retry_after_ms, .. } => retry_after_ms,
+        other => panic!("expected Busy, got {other:?}"),
+    };
+    assert_eq!(hint(&mut door, now), 5, "the seed, before any tick");
+    let (mut ewma_ns, mut hints) = (5e6_f64, Vec::new());
+    for took_us in [40_000, 3_000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7_500, 250] {
+        let took = Duration::from_micros(took_us);
+        assert_eq!(tick(&mut door, now, took), [session]); // frees one cap slot...
+        now += took;
+        assert!(matches!(submit(&mut door, now, 0, session, &obs), Frame::TicketGrant { .. }));
+        ewma_ns = 0.8 * ewma_ns + 0.2 * took.as_nanos() as f64;
+        let got = hint(&mut door, now); // ...which the grant above refilled
+        assert_eq!(got, ((ewma_ns / 1e6).ceil() as u32).max(1), "EWMA {ewma_ns} ns");
+        hints.push(got);
+    }
+    assert_eq!(hints, [12, 11, 9, 7, 6, 5, 4, 3, 3, 2, 2, 2, 1, 1, 3, 2]);
+}
+
+/// The coalescing rule: the window closes `QUIESCE` after the latest
+/// event while events keep coming, but never later than `MAX_COALESCE`
+/// after the first.
+#[test]
+fn coalescing_closes_quiesce_after_the_last_event_capped_at_max_coalesce() {
+    assert_eq!((QUIESCE, MAX_COALESCE), (Duration::from_micros(200), 2 * MS));
+    let first = Instant::now();
+    // The driver's loop: absorb each event that lands by the deadline,
+    // recompute, and close at the first deadline no event beats.
+    let close = |events: &[u64]| {
+        let mut until = FrontDoor::coalesce_deadline(first, first);
+        for at in events.iter().map(|&us| first + Duration::from_micros(us)) {
+            if at > until {
+                break;
+            }
+            until = FrontDoor::coalesce_deadline(first, at);
+        }
+        until - first
+    };
+    assert_eq!(close(&[]), QUIESCE, "a lone event waits one quiet period");
+    let us = Duration::from_micros;
+    assert_eq!(close(&[50, 150, 300]), us(500), "a burst extends it");
+    assert_eq!(close(&[100, 350]), us(300), "a late event misses it");
+    let trickle: Vec<u64> = (1..100).map(|k| 150 * k).collect();
+    assert_eq!(close(&trickle), MAX_COALESCE, "a steady trickle hits the cap");
 }
 
 /// Regression: a config the fleet cannot be built from is refused by
@@ -435,8 +456,6 @@ fn serve_rejects_configs_the_fleet_cannot_be_built_from() {
     let page_policy = AdmissionPolicy::PageAware { budget_pages: 8 };
     let bad = [
         ("shards", IngressConfig { shards: 0, ..IngressConfig::default() }),
-        ("queue_cap", IngressConfig { queue_cap: 0, ..IngressConfig::default() }),
-        ("max_open_per_conn", IngressConfig { max_open_per_conn: 0, ..IngressConfig::default() }),
         ("needs IngressConfig::pool", IngressConfig { policy: page_policy, ..Default::default() }),
         ("d_model", IngressConfig { pool: pool(2 * d, 4 * floor), ..Default::default() }),
         ("full-context", IngressConfig { pool: pool(d, floor / 2), ..Default::default() }),

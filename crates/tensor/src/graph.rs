@@ -37,8 +37,6 @@ enum Op {
     Gelu,
     Tanh,
     Sigmoid,
-    Exp,
-    Ln,
     SoftmaxLast,
     LogSoftmaxLast,
     SumAll,
@@ -186,15 +184,6 @@ impl Graph {
 
     pub fn sigmoid(&mut self, a: NodeId) -> NodeId {
         self.unary(Op::Sigmoid, a, sigmoid)
-    }
-
-    pub fn exp(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Exp, a, f32::exp)
-    }
-
-    /// Natural log; clamps inputs below `1e-12` to avoid `-inf`.
-    pub fn ln(&mut self, a: NodeId) -> NodeId {
-        self.unary(Op::Ln, a, |x| x.max(1e-12).ln())
     }
 
     // ---- matmul family ------------------------------------------------------
@@ -634,22 +623,6 @@ impl Graph {
                     }
                 });
             }
-            Op::Exp => {
-                let y = node.value.data();
-                self.acc(grads, ps[0], |s| {
-                    for i in 0..s.len() {
-                        s[i] += g[i] * y[i];
-                    }
-                });
-            }
-            Op::Ln => {
-                let x = self.nodes[ps[0]].value.data();
-                self.acc(grads, ps[0], |s| {
-                    for i in 0..s.len() {
-                        s[i] += g[i] / x[i].max(1e-12);
-                    }
-                });
-            }
             Op::Matmul => {
                 let (a, b) = (ps[0], ps[1]);
                 let av = &self.nodes[a].value;
@@ -1086,14 +1059,13 @@ mod tests {
 
     #[test]
     fn grad_unary_activations() {
-        for op in ["relu", "gelu", "tanh", "sigmoid", "exp"] {
+        for op in ["relu", "gelu", "tanh", "sigmoid"] {
             grad_check(probe(), |g, x| {
                 let y = match op {
                     "relu" => g.relu(x),
                     "gelu" => g.gelu(x),
                     "tanh" => g.tanh(x),
                     "sigmoid" => g.sigmoid(x),
-                    "exp" => g.exp(x),
                     _ => unreachable!(),
                 };
                 g.sum_all(y)
