@@ -126,7 +126,13 @@ impl AbrPolicy for AbrRecorder<'_> {
 /// [`ServedTask::Slot`] this is).
 #[derive(Clone, Debug, Default)]
 pub struct AbrEpisode {
-    pub episode: AbrTrajectory,
+    /// The episode's steps from index `first` on. A re-anchor reads only
+    /// from its anchor on, and the anchor never moves back, so each
+    /// re-anchor drops the steps before it: a session holds at most
+    /// `2 * window + 1` steps however long it streams.
+    steps: Vec<AbrStep>,
+    /// Episode index of `steps[0]`.
+    first: usize,
     pub rtg_now: f32,
     pub prev_bitrate: Option<f64>,
     pub prev_buffer: f64,
@@ -141,6 +147,16 @@ impl AbrEpisode {
     /// Fresh episode prompted with `target_return`.
     pub fn fresh(target_return: f32) -> Self {
         AbrEpisode { rtg_now: target_return, ..Default::default() }
+    }
+
+    /// Steps taken so far: the episode index of the next step.
+    fn end(&self) -> usize {
+        self.first + self.steps.len()
+    }
+
+    /// The step at episode index `n` (at least `first`).
+    fn step(&self, n: usize) -> &AbrStep {
+        &self.steps[n - self.first]
     }
 }
 
@@ -311,7 +327,7 @@ impl NetLlmAbr {
     /// single-stream [`AbrPolicy::select`] and the batched serving engine,
     /// so both paths stay step-for-step identical.
     pub(crate) fn settle_and_push(&self, ep: &mut AbrEpisode, obs: &AbrObservation) {
-        if let Some(prev) = ep.episode.steps.last_mut() {
+        if let Some(prev) = ep.steps.last_mut() {
             let download = *obs.delay_hist.last().unwrap_or(&0.0);
             let rebuf =
                 if obs.chunk_index <= 1 { 0.0 } else { (download - ep.prev_buffer).max(0.0) };
@@ -322,7 +338,7 @@ impl NetLlmAbr {
             ep.prev_bitrate = Some(br);
         }
         ep.prev_buffer = obs.buffer_secs;
-        ep.episode.steps.push(AbrStep {
+        ep.steps.push(AbrStep {
             thr_hist: obs.throughput_hist.clone(),
             delay_hist: obs.delay_hist.clone(),
             next_sizes: obs.next_sizes.clone(),
@@ -359,15 +375,18 @@ impl NetLlmAbr {
     /// reconstructed from the realised rewards. This backward `f32` sum
     /// can differ in the last bit from the forward decrements that
     /// prompted each step when it was current, so a rebuild encodes its
-    /// rtg tokens afresh and reuses only the observation tokens.
+    /// rtg tokens afresh and reuses only the observation tokens. The
+    /// steps before the new anchor are dropped.
     fn reanchor(&self, ep: &mut AbrEpisode, n: usize, rtgs: &mut Vec<f32>) {
         let w = self.rebuild_window(n);
         ep.anchor = n + 1 - w;
+        ep.steps.drain(..ep.anchor - ep.first);
+        ep.first = ep.anchor;
         let base = rtgs.len();
         rtgs.resize(base + w - 1, 0.0);
         let mut later = ep.rtg_now;
         for k in (0..w - 1).rev() {
-            later += (ep.episode.steps[ep.anchor + k].reward / R_SCALE) as f32;
+            later += (ep.steps[k].reward / R_SCALE) as f32;
             rtgs[base + k] = later;
         }
     }
@@ -439,9 +458,9 @@ impl ServedTask for NetLlmAbr {
         _obs: &AbrObservation,
         session: &InferenceSession,
     ) -> (usize, bool) {
-        // The incoming observation becomes step index `n = steps.len()`:
-        // either a settled action token plus one state, or the rebuild.
-        let n = ep.episode.steps.len();
+        // The incoming observation becomes step index `n = end()`: either
+        // a settled action token plus one state, or the rebuild.
+        let n = ep.end();
         if self.reanchors(ep, n, session) {
             (self.rebuild_len(n), true)
         } else {
@@ -453,7 +472,7 @@ impl ServedTask for NetLlmAbr {
         // The eviction price: nothing when the next step re-anchors
         // anyway (the cache is dead weight), otherwise the rebuild in
         // place of the one-step append.
-        let n = ep.episode.steps.len();
+        let n = ep.end();
         if self.reanchors(ep, n, session) {
             0
         } else {
@@ -477,13 +496,13 @@ impl ServedTask for NetLlmAbr {
         for (lane, session) in lanes.iter_mut().zip(sessions) {
             let ep = &mut *lane.slot;
             self.settle_and_push(ep, lane.obs);
-            let n = ep.episode.steps.len() - 1;
+            let n = ep.end() - 1;
             let clear = self.reanchors(ep, n, session);
             if clear {
                 self.reanchor(ep, n, &mut rtgs);
-                actions.extend(ep.episode.steps[ep.anchor..n].iter().map(|s| s.action));
+                actions.extend((ep.anchor..n).map(|k| ep.step(k).action));
             } else {
-                actions.push(ep.episode.steps[n - 1].action);
+                actions.push(ep.step(n - 1).action);
             }
             rtgs.push(ep.rtg_now);
             reanchors.push(clear);
@@ -493,7 +512,7 @@ impl ServedTask for NetLlmAbr {
         let acts = self.action_rows(e, &actions);
         let obs = {
             let steps: Vec<&AbrStep> =
-                lanes.iter().map(|l| l.slot.episode.steps.last().expect("pushed above")).collect();
+                lanes.iter().map(|l| l.slot.steps.last().expect("pushed above")).collect();
             self.obs_tokens(e, &steps)
         };
 
@@ -507,7 +526,7 @@ impl ServedTask for NetLlmAbr {
         let mut plans = Vec::with_capacity(lanes.len());
         for (i, (lane, clear)) in lanes.iter_mut().zip(reanchors).enumerate() {
             let ep = &mut *lane.slot;
-            let n = ep.episode.steps.len() - 1;
+            let n = ep.end() - 1;
             let start = stacked.len();
             if clear {
                 for step in ep.anchor..n {
@@ -515,7 +534,7 @@ impl ServedTask for NetLlmAbr {
                     match ep.obs_rows.get(step) {
                         Some(rows) => stacked.extend_from_slice(rows.data()),
                         None => self
-                            .obs_tokens(e, &[&ep.episode.steps[step]])
+                            .obs_tokens(e, &[ep.step(step)])
                             .iter()
                             .for_each(|t| stacked.extend_from_slice(t.data())),
                     }
@@ -554,7 +573,7 @@ impl ServedTask for NetLlmAbr {
             .zip(logits.data().chunks_exact(self.head.rungs))
             .map(|(lane, logits)| {
                 let best = argmax(logits);
-                lane.slot.episode.steps.last_mut().expect("planned this tick").action = best;
+                lane.slot.steps.last_mut().expect("planned this tick").action = best;
                 StepOutcome { action: best, logits: logits.to_vec(), rollback: None }
             })
             .collect()
@@ -682,11 +701,11 @@ mod tests {
             };
             let picked = m.select(&obs);
             // Mirror select()'s re-anchor rule to know the visible steps.
-            let n = m.ep.episode.steps.len() - 1;
+            let n = m.ep.end() - 1;
             if chunk == 0 || n - anchor >= 2 * window {
                 anchor = n + 1 - window.min(n + 1);
             }
-            let steps = &m.ep.episode.steps[anchor..];
+            let steps = &m.ep.steps[anchor - m.ep.first..];
             let w = steps.len();
             let mut rtgs = vec![m.ep.rtg_now; w];
             for k in (0..w - 1).rev() {
@@ -767,6 +786,22 @@ mod tests {
         }
         assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
         assert_eq!(kept.obs_rows.len(), window, "the ring must hold exactly one window");
+    }
+
+    #[test]
+    fn served_history_stays_within_two_windows() {
+        // 2,000 decisions through the unbatched driver: the episode keeps
+        // only what a re-anchor can reach, at most `2 * window + 1` steps.
+        let window = 4;
+        let m = NetLlmAbr::new(backbone(), AdaptMode::NoDomain, window, 33);
+        let mut ep = m.new_slot(0);
+        let mut session = InferenceSession::new(&m.lm);
+        for obs in &AbrObservation::synthetic_stream(34, 2000) {
+            let _ = step_single(&m, &mut ep, &mut session, obs);
+            assert!(ep.steps.len() <= 2 * window + 1, "{} steps held", ep.steps.len());
+        }
+        assert_eq!(ep.end(), 2000);
+        assert!(ep.first >= 2000 - (2 * window + 1), "history starts at step {}", ep.first);
     }
 
     #[test]

@@ -147,8 +147,14 @@ impl CjsObs {
 /// (`NetLlmCjs` is the [`ServedTask`] whose [`ServedTask::Slot`] this is).
 #[derive(Clone, Debug, Default)]
 pub struct CjsEpisode {
-    /// Per-decision history: (rtg prompt, graph snapshot, cap choice).
-    pub steps: Vec<(f32, GraphSnapshot, usize)>,
+    /// Per-decision history from entry `first` on: (rtg prompt, graph
+    /// snapshot, cap choice). A re-anchor reads only from its anchor on,
+    /// and the anchor never moves back, so each re-anchor drops the
+    /// entries before it: a session holds at most `2 * window` entries
+    /// however long it schedules.
+    steps: Vec<(f32, GraphSnapshot, usize)>,
+    /// Episode index of `steps[0]`.
+    first: usize,
     pub rtg_now: f32,
     pub last_decision_time: f64,
     /// First episode entry currently encoded in the KV session.
@@ -168,6 +174,11 @@ impl CjsEpisode {
     /// Fresh episode prompted with `target_return`.
     pub fn fresh(target_return: f32) -> Self {
         CjsEpisode { rtg_now: target_return, ..Default::default() }
+    }
+
+    /// Decisions settled so far: the episode index of the next entry.
+    fn end(&self) -> usize {
+        self.first + self.steps.len()
     }
 }
 
@@ -367,18 +378,18 @@ impl NetLlmCjs {
     fn reanchors(&self, ep: &CjsEpisode, session: &InferenceSession, cands: Option<usize>) -> bool {
         session.is_empty()
             || cands.is_some_and(|c| !session.fits(2 + c + 1))
-            || ep.steps.len() - ep.anchor >= 2 * self.window
+            || ep.end() - ep.anchor >= 2 * self.window
     }
 
     /// First history entry a re-anchor re-encodes.
     fn rebuild_anchor(&self, ep: &CjsEpisode) -> usize {
-        ep.steps.len().saturating_sub(self.window - 1)
+        ep.end().saturating_sub(self.window - 1)
     }
 
     /// Token rows of that history: one `[rtg, graph, action]` triple per
     /// entry, in front of the current decision's own rows.
     fn rebuild_len(&self, ep: &CjsEpisode) -> usize {
-        3 * (ep.steps.len() - self.rebuild_anchor(ep))
+        3 * (ep.end() - self.rebuild_anchor(ep))
     }
 
     /// The return inference is prompted with after adapting on `dataset`:
@@ -496,8 +507,9 @@ impl ServedTask for NetLlmCjs {
         let (rtg, graph, cands) = self.decision_tokens(e, &rtgs, &snaps);
 
         // The session holds `[rtg, graph, action]` triples for steps
-        // `anchor..`; a rebuild copies them from the ring and encodes only
-        // an entry it no longer holds.
+        // `anchor..`; a rebuild drops the entries before its anchor, copies
+        // the rest from the ring and encodes only an entry the ring no
+        // longer holds.
         let d = self.lm.cfg.d_model;
         let mut next_cand = 0;
         let mut plans = Vec::with_capacity(lanes.len());
@@ -506,12 +518,12 @@ impl ServedTask for NetLlmCjs {
             let start = stacked.len();
             if clear {
                 ep.anchor = self.rebuild_anchor(ep);
-                for k in ep.anchor..ep.steps.len() {
+                ep.steps.drain(..ep.anchor - ep.first);
+                ep.first = ep.anchor;
+                for (k, entry) in (ep.anchor..).zip(&ep.steps) {
                     match ep.rows.get(k) {
                         Some(rows) => stacked.extend_from_slice(rows.data()),
-                        None => {
-                            stacked.extend_from_slice(self.history_tokens(e, &ep.steps[k]).data())
-                        }
+                        None => stacked.extend_from_slice(self.history_tokens(e, entry).data()),
                     }
                 }
             }
@@ -564,7 +576,7 @@ impl ServedTask for NetLlmCjs {
             let mut kept = ep.pending_rows.take().expect("plan_batch keeps the decision's rows");
             kept.extend_from_slice(action);
             let d = action.len();
-            ep.rows.push(ep.steps.len(), Tensor::from_vec([3, d], kept), self.window - 1);
+            ep.rows.push(ep.end(), Tensor::from_vec([3, d], kept), self.window - 1);
             ep.steps.push((ep.rtg_now, obs.snap.clone(), caps[i]));
             let mut logits = stage.to_vec();
             logits.extend_from_slice(cap_logits.row(i));
@@ -670,9 +682,11 @@ mod tests {
                 len = 3 * (t - anchor);
             }
             len += 3;
-            let (rtg, snap, recorded_cap) = &m.ep.steps[t];
+            let first = m.ep.first;
+            let (rtg, snap, recorded_cap) = &m.ep.steps[t - first];
             let mut f = Fwd::eval();
-            let (sl, cl) = m.decision_logits(&mut f, &m.ep.steps[anchor..t], *rtg, snap);
+            let (sl, cl) =
+                m.decision_logits(&mut f, &m.ep.steps[anchor - first..t - first], *rtg, snap);
             let (sl, cl) = (f.g.value(sl), f.g.value(cl));
             let reference: Vec<f32> = sl.data().iter().chain(cl.data()).copied().collect();
             assert_eq!(m.last_logits().len(), reference.len(), "decision {t}: logit count");
@@ -749,7 +763,7 @@ mod tests {
                 s_forgot.clear();
             }
             let c = obs.snap.candidates.len().min(MAX_CANDS);
-            if !s_kept.is_empty() && kept.steps.len() - kept.anchor >= 2 * window {
+            if !s_kept.is_empty() && kept.end() - kept.anchor >= 2 * window {
                 natural += 1;
             } else if !s_kept.is_empty() && !s_kept.fits(2 + c + 1) {
                 full += 1;
@@ -764,6 +778,24 @@ mod tests {
         assert!(natural >= 2, "probe should re-anchor naturally twice, got {natural}");
         assert!(full >= 1, "probe should re-anchor on a full context, got {full}");
         assert_eq!(kept.rows.len(), window - 1, "the ring must hold exactly one history window");
+    }
+
+    #[test]
+    fn served_history_stays_within_two_windows() {
+        // 200 decisions through the unbatched driver (a recorded stream,
+        // replayed as one long episode): the episode keeps only what a
+        // re-anchor can reach, at most `2 * window + 1` entries.
+        let window = 4;
+        let m = NetLlmCjs::new(backbone(), AdaptMode::NoDomain, window, 25);
+        let stream = CjsObs::synthetic_stream(26, 6);
+        let mut ep = m.new_slot(0);
+        let mut session = InferenceSession::new(&m.lm);
+        for obs in stream.iter().cycle().take(200) {
+            let _ = step_single(&m, &mut ep, &mut session, obs);
+            assert!(ep.steps.len() <= 2 * window + 1, "{} entries held", ep.steps.len());
+        }
+        assert_eq!(ep.end(), 200);
+        assert!(ep.first >= 200 - (2 * window + 1), "history starts at entry {}", ep.first);
     }
 
     #[test]
