@@ -1,9 +1,18 @@
 //! The served bits, pinned. ABR, CJS and VP sessions run through
-//! [`step_single`] on random `7b-sim` backbones (window 4, fixed seeds),
-//! and every plan's token rows, every hidden row the backbone returns,
-//! every rollback's post tokens and every logit is folded into one FNV-1a
-//! digest per task. The runs cross the ABR and CJS re-anchors, and every
-//! CJS decision rolls its candidate tokens back.
+//! [`step_single`] on random `7b-sim` backbones (window 4, fixed seeds).
+//! Two FNV-1a digests per task fold what passes through the hooks:
+//! - the answer digest folds every plan's token rows, every logit and
+//!   every rollback's post tokens;
+//! - the read-rows digest folds the hidden rows a head reads: each
+//!   lane's last `read` rows (ABR 1, CJS its candidates plus the graph
+//!   row, VP its `pw` query rows).
+//!
+//! A third digest folds every hidden row the backbone returns, read or
+//! not, besides what the answer digest folds: today's all-rows digest,
+//! kept while the backbone still returns every row.
+//!
+//! The runs cross the ABR and CJS re-anchors, and every CJS decision rolls
+//! its candidate tokens back.
 //!
 //! The digests are constants. A speed-up that claims to keep the served
 //! bits (a kernel, workspace or batching change) must pass this test
@@ -19,6 +28,7 @@
 //! failure there is not by itself a served-bits regression: compare the
 //! digests at the parent commit on the same host first.
 
+use netllm::adapters::cjs::MAX_CANDS;
 use netllm::{
     step_single, CjsObs, FleetModels, InferenceSession, Lane, LanePlan, ServedTask, StepOutcome,
     VpQuery,
@@ -30,33 +40,56 @@ use nt_tensor::Tensor;
 use nt_vp::VpSample;
 use std::cell::Cell;
 
-/// A served task that folds what passes through its hooks into an FNV-1a
-/// digest and counts re-anchors and rollbacks; it changes nothing.
-struct Digest<'t, T> {
+/// An FNV-1a digest.
+struct Fnv(Cell<u64>);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(Cell::new(0xcbf2_9ce4_8422_2325))
+    }
+
+    /// Fold the row count, then every value's bit pattern.
+    fn eat(&self, rows: usize, values: &[f32]) {
+        let mut h = self.0.get();
+        let words = std::iter::once(rows as u32).chain(values.iter().map(|v| v.to_bits()));
+        for byte in words.flat_map(u32::to_le_bytes) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        self.0.set(h);
+    }
+}
+
+/// A served task that folds what passes through its hooks into the
+/// answer, read-rows and all-rows digests and counts re-anchors and
+/// rollbacks; it changes nothing. `read` gives the hidden rows a head
+/// reads for an observation.
+struct Digest<'t, T: ServedTask> {
     task: &'t T,
-    hash: Cell<u64>,
+    read: &'t dyn Fn(&T::Obs) -> usize,
+    answers: Fnv,
+    read_rows: Fnv,
+    all_rows: Fnv,
     reanchors: Cell<usize>,
     rollbacks: Cell<usize>,
 }
 
-impl<'t, T> Digest<'t, T> {
-    fn new(task: &'t T) -> Self {
+impl<'t, T: ServedTask> Digest<'t, T> {
+    fn new(task: &'t T, read: &'t dyn Fn(&T::Obs) -> usize) -> Self {
         Digest {
             task,
-            hash: Cell::new(0xcbf2_9ce4_8422_2325),
+            read,
+            answers: Fnv::new(),
+            read_rows: Fnv::new(),
+            all_rows: Fnv::new(),
             reanchors: Cell::new(0),
             rollbacks: Cell::new(0),
         }
     }
 
-    /// Fold the row count, then every value's bit pattern.
+    /// Fold into both digests that see the answers.
     fn eat(&self, rows: usize, values: &[f32]) {
-        let mut h = self.hash.get();
-        let words = std::iter::once(rows as u32).chain(values.iter().map(|v| v.to_bits()));
-        for byte in words.flat_map(u32::to_le_bytes) {
-            h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-        }
-        self.hash.set(h);
+        self.answers.eat(rows, values);
+        self.all_rows.eat(rows, values);
     }
 }
 
@@ -102,12 +135,14 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
         hidden: &Tensor,
         rows: &[usize],
     ) -> Vec<StepOutcome<T::Action>> {
+        let read: Vec<usize> = lanes.iter().map(|l| (self.read)(l.obs)).collect();
         let outs = self.task.settle_batch(lanes, hidden, rows);
         let d = hidden.shape()[1];
         let mut row = 0;
-        for (&n, out) in rows.iter().zip(&outs) {
-            self.eat(n, &hidden.data()[row * d..(row + n) * d]);
+        for ((&n, &r), out) in rows.iter().zip(&read).zip(&outs) {
+            self.all_rows.eat(n, &hidden.data()[row * d..(row + n) * d]);
             row += n;
+            self.read_rows.eat(r, &hidden.data()[(row - r) * d..row * d]);
             self.eat(1, &out.logits);
             if let Some(rb) = &out.rollback {
                 self.eat(rb.drop_rows, rb.post_tokens.data());
@@ -118,11 +153,25 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
     }
 }
 
+/// What one task's run folded.
+struct Run {
+    answers: u64,
+    read_rows: u64,
+    all_rows: u64,
+    reanchors: usize,
+    rollbacks: usize,
+}
+
 /// Serve `obs` in order through one slot and one session (`fresh`: a new
-/// slot and session per observation, the one-shot shape); returns the
-/// digest and the re-anchor and rollback counts.
-fn digest<T: ServedTask>(task: &T, obs: &[T::Obs], fresh: bool) -> (u64, usize, usize) {
-    let d = Digest::new(task);
+/// slot and session per observation, the one-shot shape); `read` gives
+/// the hidden rows a head reads for an observation.
+fn digest<T: ServedTask>(
+    task: &T,
+    obs: &[T::Obs],
+    fresh: bool,
+    read: &dyn Fn(&T::Obs) -> usize,
+) -> Run {
+    let d = Digest::new(task, read);
     let mut slot = d.new_slot(0);
     let mut session = InferenceSession::new(task.backbone(0).0);
     for o in obs {
@@ -132,7 +181,13 @@ fn digest<T: ServedTask>(task: &T, obs: &[T::Obs], fresh: bool) -> (u64, usize, 
         }
         let _ = step_single(&d, &mut slot, &mut session, o);
     }
-    (d.hash.get(), d.reanchors.get(), d.rollbacks.get())
+    Run {
+        answers: d.answers.0.get(),
+        read_rows: d.read_rows.0.get(),
+        all_rows: d.all_rows.0.get(),
+        reanchors: d.reanchors.get(),
+        rollbacks: d.rollbacks.get(),
+    }
 }
 
 #[test]
@@ -141,26 +196,51 @@ fn served_bits_match_the_pinned_digests() {
         FleetModels::seeded(&std::env::temp_dir().join("netllm-served-bits"), "7b-sim", 4, 61);
 
     let abr_obs = AbrObservation::synthetic_stream(62, 26);
-    let (abr, abr_reanchors, _) = digest(&models.abr, &abr_obs, false);
-    assert!(abr_reanchors >= 2, "ABR run re-anchored {abr_reanchors} times");
+    let abr = digest(&models.abr, &abr_obs, false, &|_| 1);
+    assert!(abr.reanchors >= 2, "ABR run re-anchored {} times", abr.reanchors);
 
     let cjs_obs = CjsObs::synthetic_stream(63, 6);
-    let (cjs, cjs_reanchors, cjs_rollbacks) = digest(&models.cjs, &cjs_obs, false);
-    assert!(cjs_reanchors >= 1, "CJS run re-anchored {cjs_reanchors} times");
-    assert_eq!(cjs_rollbacks, cjs_obs.len(), "every CJS decision rolls its candidates back");
+    let cjs_read = |o: &CjsObs| o.snap.candidates.len().min(MAX_CANDS) + 1;
+    let cjs = digest(&models.cjs, &cjs_obs, false, &cjs_read);
+    assert!(cjs.reanchors >= 1, "CJS run re-anchored {} times", cjs.reanchors);
+    assert_eq!(cjs.rollbacks, cjs_obs.len(), "every CJS decision rolls its candidates back");
 
     let samples = VpSample::synthetic_pool();
     let vp_obs: Vec<VpQuery> = (0..6)
         .map(|i| VpQuery { sample: samples[(7 * i) % samples.len()].clone(), pw: [1, 4, 8][i % 3] })
         .collect();
-    let (vp, _, _) = digest(&models.vp, &vp_obs, true);
+    let max_pw = models.vp.max_pw;
+    let vp = digest(&models.vp, &vp_obs, true, &|q: &VpQuery| q.pw.min(max_pw));
 
-    assert_eq!(
-        [abr, cjs, vp],
-        [0xa0f1_a46f_6490_ada6, 0x4015_8180_ff85_3533, 0xb54d_98d1_0739_b631],
-        "served bits moved: ABR {abr:#018x}, CJS {cjs:#018x}, VP {vp:#018x} ({} ABR steps, \
-         {abr_reanchors} re-anchors; {} CJS decisions, {cjs_reanchors} re-anchors)",
+    let runs = format!(
+        "{} ABR steps, {} re-anchors; {} CJS decisions, {} re-anchors",
         abr_obs.len(),
-        cjs_obs.len()
+        abr.reanchors,
+        cjs_obs.len(),
+        cjs.reanchors
+    );
+    assert_eq!(
+        [abr.answers, cjs.answers, vp.answers],
+        [0xe55f_6662_8d6c_566c, 0x9404_7bae_861f_7789, 0x9b23_fe40_7695_6e74],
+        "answer bits moved: ABR {:#018x}, CJS {:#018x}, VP {:#018x} ({runs})",
+        abr.answers,
+        cjs.answers,
+        vp.answers
+    );
+    assert_eq!(
+        [abr.read_rows, cjs.read_rows, vp.read_rows],
+        [0x28e8_c2c8_cd4b_6db9, 0x7b25_d07a_2f9b_7215, 0x338b_f591_9e60_ad16],
+        "read hidden rows moved: ABR {:#018x}, CJS {:#018x}, VP {:#018x} ({runs})",
+        abr.read_rows,
+        cjs.read_rows,
+        vp.read_rows
+    );
+    assert_eq!(
+        [abr.all_rows, cjs.all_rows, vp.all_rows],
+        [0xa0f1_a46f_6490_ada6, 0x4015_8180_ff85_3533, 0xb54d_98d1_0739_b631],
+        "served bits moved: ABR {:#018x}, CJS {:#018x}, VP {:#018x} ({runs})",
+        abr.all_rows,
+        cjs.all_rows,
+        vp.all_rows
     );
 }
