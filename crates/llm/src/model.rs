@@ -454,12 +454,22 @@ impl TinyLm {
     /// independent sequences. `emb_new` stacks every slot's new rows
     /// (`[N, d_model]`, grouped per `rows_per_slot`); `caches[s]` holds
     /// slot `s`'s KV state and may sit at any prefix length (ragged), its
-    /// first new row taking absolute position `caches[s].len()`. Returns
-    /// hidden states `[N, d_model]` for the new rows only, in the same
-    /// slot order.
+    /// first new row taking absolute position `caches[s].len()`. Every
+    /// new row extends its cache in every layer.
+    ///
+    /// Returns hidden states `[R, d_model]` for the read rows only — the
+    /// last `read_per_slot[s]` of slot `s`'s new rows, `R` their sum — in
+    /// slot order: a head reads a suffix of what its slot appends, and a
+    /// later step needs only an unread row's keys and values. So the last
+    /// block runs LN1 and the key/value projections over all `N` rows, and
+    /// the queries, attention, output projection, MLP and `ln_f` over the
+    /// read rows alone (a slot reading none costs only its keys and
+    /// values there); the blocks before it run every row. A read row
+    /// comes back with the same bits as when every row is read
+    /// (`read_per_slot == rows_per_slot`).
     ///
     /// The projections, MLPs and layer-norms run as single stacked passes
-    /// over all `N` rows — one GEMM instead of one per sequence — which is
+    /// over the rows — one GEMM instead of one per sequence — which is
     /// where batched serving earns its throughput. `emb_new` becomes the
     /// residual stream: the position rows are added into it, every block
     /// and `ln_f` update it in place, and it comes back as the hidden
@@ -470,6 +480,7 @@ impl TinyLm {
         store: &ParamStore,
         emb_new: Tensor,
         rows_per_slot: &[usize],
+        read_per_slot: &[usize],
         caches: &mut [&mut KvCache],
         ws: &mut Workspace,
     ) -> Tensor {
@@ -500,12 +511,16 @@ impl TinyLm {
         for (cache, &n) in caches.iter_mut().zip(rows_per_slot) {
             cache.reserve(n);
         }
+        let mut reads = total;
         for (l, blk) in self.blocks.iter().enumerate() {
             let mut kvs: Vec<_> = caches.iter_mut().map(|c| &mut c.layers[l]).collect();
-            blk.eval_cached_batched(store, x.data_mut(), rows_per_slot, &mut kvs, ws);
+            let read = if l + 1 == self.blocks.len() { read_per_slot } else { rows_per_slot };
+            reads = blk.eval_cached_batched(store, x.data_mut(), rows_per_slot, read, &mut kvs, ws);
         }
-        self.ln_f.eval_in_place(store, x.data_mut());
-        x
+        let mut hidden = x.into_data();
+        hidden.truncate(reads * d);
+        self.ln_f.eval_in_place(store, &mut hidden);
+        Tensor::from_vec([reads, d], hidden)
     }
 
     /// Incremental forward over new token ids of one sequence: embeds,
@@ -519,7 +534,8 @@ impl TinyLm {
     ) -> Tensor {
         let emb = self.tok_emb.eval(store, new_ids);
         let ws = &mut Workspace::default();
-        self.forward_embeddings_cached_batched(store, emb, &[new_ids.len()], &mut [cache], ws)
+        let rows = [new_ids.len()];
+        self.forward_embeddings_cached_batched(store, emb, &rows, &rows, &mut [cache], ws)
     }
 
     /// Start an empty decode session.
@@ -531,7 +547,8 @@ impl TinyLm {
     /// only the tokens past the longest prefix shared with the previous call
     /// are pushed through the backbone. Equivalent to
     /// [`TinyLm::next_token_logits`] within float tolerance (tested), but
-    /// `O(new x total)` instead of `O(total^2)` per call.
+    /// `O(new x total)` instead of `O(total^2)` per call. The head reads
+    /// the last position only, so only that row leaves the last block.
     pub fn next_token_logits_cached(
         &self,
         store: &ParamStore,
@@ -539,10 +556,18 @@ impl TinyLm {
         session: &mut DecodeSession,
     ) -> Tensor {
         assert!(!ids.is_empty(), "empty input sequence");
-        let shared = session.rewind_to(ids);
-        let hidden = self.forward_hidden_cached(store, &ids[shared..], &mut session.cache);
-        let t_new = hidden.shape()[0];
-        let last = hidden.narrow(0, t_new - 1, 1);
+        let new = &ids[session.rewind_to(ids)..];
+        let emb = self.tok_emb.eval(store, new);
+        let ws = &mut Workspace::default();
+        let cache = &mut session.cache;
+        let last = self.forward_embeddings_cached_batched(
+            store,
+            emb,
+            &[new.len()],
+            &[1],
+            &mut [cache],
+            ws,
+        );
         self.lm_head.eval(store, &last)
     }
 
@@ -645,7 +670,7 @@ mod tests {
         let emb = lm.tok_emb.eval(s, &new_ids);
         let mut caches: Vec<&mut KvCache> = seqs.iter_mut().map(|seq| &mut seq.cache).collect();
         let ws = &mut Workspace::default();
-        let hidden = lm.forward_embeddings_cached_batched(s, emb, &rows, &mut caches, ws);
+        let hidden = lm.forward_embeddings_cached_batched(s, emb, &rows, &rows, &mut caches, ws);
         lm.lm_head.eval(s, &hidden.gather_rows(&last))
     }
 
@@ -845,13 +870,10 @@ mod tests {
                 let parts: Vec<Tensor> = chunks.iter().map(|&(p, n)| emb.narrow(0, p, n)).collect();
                 let stacked = nt_tensor::concat(&parts.iter().collect::<Vec<_>>(), 0);
                 let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
-                let hidden = lm.forward_embeddings_cached_batched(
-                    &s,
-                    stacked,
-                    &chunks.map(|(_, n)| n),
-                    &mut refs,
-                    &mut Workspace::default(),
-                );
+                let rows = chunks.map(|(_, n)| n);
+                let ws = &mut Workspace::default();
+                let hidden =
+                    lm.forward_embeddings_cached_batched(&s, stacked, &rows, &rows, &mut refs, ws);
                 let logits = lm.lm_head.eval(&s, &hidden);
                 let positions = chunks.iter().flat_map(|&(p, n)| p..p + n);
                 for (got, p) in logits.data().chunks(16).zip(positions) {
@@ -934,7 +956,8 @@ mod tests {
                 let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
                 let mut fresh = Workspace::default();
                 let ws = shared.as_deref_mut().unwrap_or(&mut fresh);
-                let hidden = lm.forward_embeddings_cached_batched(s, emb, rows, &mut refs, ws);
+                let hidden =
+                    lm.forward_embeddings_cached_batched(s, emb, rows, rows, &mut refs, ws);
                 bits.extend(hidden.data().iter().map(|v| v.to_bits()));
             }
             bits
@@ -947,6 +970,82 @@ mod tests {
         }
         attach_live_lora(&mut lm, &mut s, &mut rng);
         assert_eq!(run(&lm, &s, None, Some(&mut ws)), run(&lm, &s, None, None), "LoRA attached");
+    }
+
+    /// Every layer's cached keys and values, filled positions only, as
+    /// bit patterns.
+    fn kv_bits(cache: &KvCache) -> Vec<u32> {
+        let mut bits = Vec::new();
+        for kv in &cache.layers {
+            let (len, bt) = (kv.len(), kv.block_tokens());
+            for b in 0..len.div_ceil(bt) {
+                let filled = (len - b * bt).min(bt);
+                let (keys, d) = (kv.k_block(b), cache.dim);
+                for lane in 0..filled {
+                    bits.extend(keys.iter().skip(lane).step_by(bt).map(|v| v.to_bits()));
+                }
+                bits.extend(kv.v_block(b)[..filled * d].iter().map(|v| v.to_bits()));
+            }
+        }
+        bits
+    }
+
+    /// A forward that returns only each slot's last `read` rows gives
+    /// those rows the bits of the forward that returns every row, and
+    /// leaves every cache's keys and values identical, so the next forward
+    /// on those caches matches too. Four ragged slots on different
+    /// prefixes; over the two calls a slot reads none of its rows, one
+    /// reads all of them, one sits a call out and the rest read a suffix.
+    #[test]
+    fn read_suffix_forward_keeps_the_bits_of_the_rows_it_reads() {
+        let mut s = ParamStore::new();
+        let mut rng = Rng::seeded(17);
+        let cfg = LmConfig {
+            vocab: 16,
+            d_model: 16,
+            n_layers: 2,
+            n_heads: 2,
+            mlp_mult: 2,
+            max_seq: 64,
+            dropout: 0.0,
+        };
+        let lm = TinyLm::new(&mut s, cfg, &mut rng);
+        let prefixes = [0usize, 5, 3, 19];
+        let prefix_emb = Tensor::randn([prefixes.iter().sum::<usize>(), 16], 0.5, &mut rng);
+        let primed = || -> Vec<KvCache> {
+            let mut caches: Vec<KvCache> = prefixes.iter().map(|_| KvCache::new(&lm)).collect();
+            let mut refs: Vec<&mut KvCache> = caches.iter_mut().collect();
+            let ws = &mut Workspace::default();
+            let emb = prefix_emb.clone();
+            let _ =
+                lm.forward_embeddings_cached_batched(&s, emb, &prefixes, &prefixes, &mut refs, ws);
+            caches
+        };
+        let (mut all, mut suffix) = (primed(), primed());
+        let calls = [([4usize, 3, 6, 2], [0usize, 3, 1, 2]), ([2, 5, 0, 3], [2, 0, 0, 1])];
+        for (call, (rows, read)) in calls.iter().enumerate() {
+            let emb = Tensor::randn([rows.iter().sum::<usize>(), 16], 0.5, &mut rng);
+            let ws = &mut Workspace::default();
+            let mut refs: Vec<&mut KvCache> = all.iter_mut().collect();
+            let every =
+                lm.forward_embeddings_cached_batched(&s, emb.clone(), rows, rows, &mut refs, ws);
+            let mut refs: Vec<&mut KvCache> = suffix.iter_mut().collect();
+            let got = lm.forward_embeddings_cached_batched(&s, emb, rows, read, &mut refs, ws);
+
+            let mut want = Vec::new();
+            let mut end = 0;
+            for (&n, &r) in rows.iter().zip(read) {
+                end += n;
+                want.extend(every.data()[(end - r) * 16..end * 16].iter().map(|v| v.to_bits()));
+            }
+            assert_eq!(got.shape(), &[read.iter().sum::<usize>(), 16], "call {call}");
+            let got: Vec<u32> = got.data().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "call {call}: read rows");
+            for (slot, (a, b)) in all.iter().zip(&suffix).enumerate() {
+                assert_eq!(a.len(), b.len(), "call {call} slot {slot}: cache length");
+                assert_eq!(kv_bits(a), kv_bits(b), "call {call} slot {slot}: keys and values");
+            }
+        }
     }
 
     #[test]
@@ -982,12 +1081,14 @@ mod tests {
             &s,
             emb.narrow(0, 0, 4),
             &[4],
+            &[4],
             &mut [&mut cache],
             ws,
         );
         let second = lm.forward_embeddings_cached_batched(
             &s,
             emb.narrow(0, 4, 2),
+            &[2],
             &[2],
             &mut [&mut cache],
             ws,

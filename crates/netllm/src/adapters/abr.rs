@@ -548,7 +548,8 @@ impl ServedTask for NetLlmAbr {
             obs.iter().for_each(|t| own.extend_from_slice(t.row(i)));
             stacked.extend_from_slice(&own);
             ep.obs_rows.push(n, Tensor::from_vec([obs.len(), d], own), self.window);
-            plans.push(LanePlan { rows: (stacked.len() - start) / d, reanchor: clear });
+            // The head reads the state-closing row, the lane's last.
+            plans.push(LanePlan { rows: (stacked.len() - start) / d, read: 1, reanchor: clear });
         }
         plans
     }

@@ -535,7 +535,9 @@ impl ServedTask for NetLlmCjs {
             stacked.extend_from_slice(&cands.data()[next_cand * d..(next_cand + c) * d]);
             next_cand += c;
             ep.pending_rows = Some(kept);
-            plans.push(LanePlan { rows: (stacked.len() - start) / d, reanchor: clear });
+            // The heads read the graph row and the candidates after it.
+            let rows = (stacked.len() - start) / d;
+            plans.push(LanePlan { rows, read: c + 1, reanchor: clear });
         }
         plans
     }

@@ -276,7 +276,7 @@ impl ServedTask for NetLlmVp {
             stacked.extend_from_slice(&hist.data()[next_hist * d..(next_hist + t) * d]);
             stacked.extend_from_slice(&q.data()[next_q * d..(next_q + pw) * d]);
             (next_hist, next_q) = (next_hist + t, next_q + pw);
-            plans.push(LanePlan { rows: patches + t + pw, reanchor: true });
+            plans.push(LanePlan { rows: patches + t + pw, read: pw, reanchor: true });
         }
         plans
     }

@@ -121,9 +121,10 @@ impl InferenceSession {
 /// It runs the serving engine's forward, but not at the engine's cost:
 /// the engine hands its stacked rows over by value and reuses one
 /// workspace per band, while this wrapper clones `emb` and builds a fresh
-/// [`Workspace`] on every call. Timings of it, and of
-/// [`InferenceSession::append`], which goes through it, include that copy
-/// and the workspace's allocations.
+/// [`Workspace`] on every call. It also returns every row, where the
+/// engine's last block computes only the rows a head reads. Timings of
+/// it, and of [`InferenceSession::append`], which goes through it,
+/// include that copy, the workspace's allocations and the unread rows.
 pub fn append_batched(
     lm: &TinyLm,
     store: &ParamStore,
@@ -131,25 +132,30 @@ pub fn append_batched(
     emb: &Tensor,
     rows_per_slot: &[usize],
 ) -> Tensor {
-    append_batched_with(lm, store, sessions, emb.clone(), rows_per_slot, &mut Workspace::default())
+    let ws = &mut Workspace::default();
+    append_batched_with(lm, store, sessions, emb.clone(), rows_per_slot, rows_per_slot, ws)
 }
 
 /// [`append_batched`] that takes the stacked rows by value — they become
 /// the backbone's residual stream and come back as the hidden states —
-/// and borrows the caller's workspace, which it reuses across calls.
+/// borrows the caller's workspace, which it reuses across calls, and
+/// returns only the read rows: session `s`'s last `read_per_slot[s]`
+/// rows, `[sum read, d_model]` (see
+/// [`TinyLm::forward_embeddings_cached_batched`]).
 pub(crate) fn append_batched_with(
     lm: &TinyLm,
     store: &ParamStore,
     sessions: &mut [&mut InferenceSession],
     emb: Tensor,
     rows_per_slot: &[usize],
+    read_per_slot: &[usize],
     ws: &mut Workspace,
 ) -> Tensor {
     for (sess, &n) in sessions.iter().zip(rows_per_slot) {
         assert!(sess.fits(n), "session of {} cannot take {} more tokens", sess.len(), n);
     }
     let mut caches: Vec<&mut KvCache> = sessions.iter_mut().map(|s| &mut s.cache).collect();
-    lm.forward_embeddings_cached_batched(store, emb, rows_per_slot, &mut caches, ws)
+    lm.forward_embeddings_cached_batched(store, emb, rows_per_slot, read_per_slot, &mut caches, ws)
 }
 
 #[cfg(test)]

@@ -12,20 +12,22 @@
 //! including re-anchor and rollback events).
 //!
 //! ```text
-//!  stream 0 ─ obs ─┐  plan_batch per run:   one batched    ┌─ action 0
-//!  stream 1 ─ obs ─┤  encoders once, rows   backbone       ├─ action 1
-//!      ...         ├──straight into [N,d]─► step [N,d] ────┤   ...
-//!  stream B ─ obs ─┘   (ragged rows)            │          └─ action B
-//!                       slot KV caches ─────────┘   settle_batch per run:
-//!                                                   hidden rows by range,
-//!                                                   heads once
-//!                                                   └─ rollback pass (CJS)
+//!  stream 0 ─ obs ─┐  plan_batch per run:   one batched     ┌─ action 0
+//!  stream 1 ─ obs ─┤  encoders once, rows   backbone        ├─ action 1
+//!      ...         ├──straight into [N,d]─► step [N,d] ─────┤   ...
+//!  stream B ─ obs ─┘   (ragged rows, and     → [R,d]: the   └─ action B
+//!                       the rows each head   read rows only
+//!                       reads)                  │   settle_batch per run:
+//!                       slot KV caches ─────────┘   read rows by range,
+//!                       (every row's K/V)           heads once
+//!                                                   └─ rollback pass (CJS,
+//!                                                      reads no row)
 //! ```
 //!
 //! What used to be hard-coded ABR logic is now the [`ServedTask`] trait:
 //! an adapter describes how a run of observations becomes token rows
 //! ([`ServedTask::plan_batch`] — including its re-anchor policy) and how
-//! the new hidden rows become decisions ([`ServedTask::settle_batch`] —
+//! the hidden rows it reads become decisions ([`ServedTask::settle_batch`] —
 //! including an optional candidate rollback, the CJS pattern where
 //! per-decision candidate tokens are `truncate`d out of the persistent
 //! history and replaced by the chosen action token). ABR serves
@@ -42,9 +44,13 @@
 //! work. `plan_batch` runs each modality's encoder and projection once
 //! over the run's stacked inputs and writes every lane's token rows
 //! straight into the run's stacked buffer, which the backbone takes by
-//! value as its residual stream. `settle_batch` reads each lane's hidden
-//! rows by range from the stacked output and runs each head once over the
-//! rows it gathers. Every kernel on the way is one ascending chain per
+//! value as its residual stream. A head reads a suffix of what its lane
+//! appends ([`LanePlan::read`] rows: ABR's state-closing row, CJS's graph
+//! row and candidates, VP's query rows), and a later step needs only an
+//! unread row's keys and values, so the backbone's last block computes
+//! the read rows alone and returns only them. `settle_batch` reads each
+//! lane's rows by range from that output and runs each head once over
+//! the rows it gathers. Every kernel on the way is one ascending chain per
 //! output element, so a lane's bits do not depend on what it is stacked
 //! with, and [`step_single`] is the same run at one lane.
 //!
@@ -81,6 +87,10 @@ pub struct Lane<'a, S, O> {
 pub struct LanePlan {
     /// Token rows the lane appended to the run's stacked buffer.
     pub rows: usize,
+    /// How many of those rows, counted from the lane's end, its
+    /// [`ServedTask::settle_batch`] reads (at most `rows`). Only these
+    /// leave the backbone's last block.
+    pub read: usize,
     /// Clear the lane's KV session before appending (episode start or
     /// re-anchor rebuild).
     pub reanchor: bool,
@@ -184,11 +194,15 @@ pub trait ServedTask {
         stacked: &mut Vec<f32>,
     ) -> Vec<LanePlan>;
 
-    /// Phase-3 hook over the same run: `hidden` stacks the run's new
-    /// hidden rows (`[sum rows, d_model]`), lane `i` owning the `rows[i]`
-    /// after the lanes before it — exactly the rows it planned. Read the
-    /// task head, commit each decision to its episode, and optionally
-    /// request a candidate rollback. Returns one outcome per lane.
+    /// Phase-3 hook over the same run: `hidden` stacks the run's hidden
+    /// rows (`[sum rows, d_model]`), lane `i` owning the `rows[i]` after
+    /// the lanes before it. The engine hands over the read rows only
+    /// (`rows[i]` is lane `i`'s [`LanePlan::read`]); one-lane
+    /// [`ServedTask::settle_step`] calls may hand over every planned row.
+    /// Either way a lane's read rows close its range, so a body indexes
+    /// them from the lane's end. Read the task head, commit each decision
+    /// to its episode, and optionally request a candidate rollback.
+    /// Returns one outcome per lane.
     fn settle_batch(
         &self,
         lanes: &mut [Lane<'_, Self::Slot, Self::Obs>],
@@ -210,7 +224,8 @@ pub trait ServedTask {
     }
 
     /// [`ServedTask::settle_batch`] for one lane over its new hidden rows
-    /// `[n, d_model]`.
+    /// `[n, d_model]`: every row it planned, or any suffix holding the
+    /// rows it reads.
     fn settle_step(
         &self,
         slot: &mut Self::Slot,
@@ -635,7 +650,7 @@ impl<T: ServedTask> ServingEngine<T> {
         // Phases 1-3 (per band): each same-group run of the band plans
         // every lane's token rows into one stacked buffer, runs one
         // batched backbone step over it, and settles every lane from the
-        // stacked hidden rows ([`serve_run`]). Bands are contiguous ranges
+        // stacked read rows ([`serve_run`]). Bands are contiguous ranges
         // of the group-sorted order, so a band holds at most `groups()`
         // runs; with NT_THREADS > 1 they fan out over the persistent
         // kernel pool, one block of [`nt_tensor::pool::for_each_block_mut`]
@@ -730,14 +745,14 @@ pub fn step_single<T: ServedTask>(
         let (lm, store) = task.backbone(task.group_of(slot));
         session.truncate(session.len() - drop_rows);
         let rows = post_tokens.shape()[0];
-        append_batched_with(lm, store, &mut [session], post_tokens, &[rows], ws);
+        append_batched_with(lm, store, &mut [session], post_tokens, &[rows], &[0], ws);
     }
     out
 }
 
 /// One run of same-group lanes through [`ServedTask::plan_batch`], one
 /// stacked backbone pass on `ws` over the buffer it wrote, and
-/// [`ServedTask::settle_batch`] over the hidden rows that pass returns.
+/// [`ServedTask::settle_batch`] over the read rows that pass returns.
 /// `sessions[i]` is lane `i`'s session.
 fn serve_run<T: ServedTask>(
     task: &T,
@@ -753,6 +768,7 @@ fn serve_run<T: ServedTask>(
         task.plan_batch(lanes, &views, &mut stacked)
     };
     let rows: Vec<usize> = plans.iter().map(|p| p.rows).collect();
+    let read: Vec<usize> = plans.iter().map(|p| p.read).collect();
     assert_eq!(rows.len(), lanes.len(), "one plan per lane");
     assert_eq!(rows.iter().sum::<usize>() * d, stacked.len(), "plans must fill the stacked rows");
     for (session, plan) in sessions.iter_mut().zip(&plans) {
@@ -761,13 +777,14 @@ fn serve_run<T: ServedTask>(
         }
     }
     let tokens = Tensor::from_vec([stacked.len() / d, d], stacked);
-    let hidden = append_batched_with(lm, store, sessions, tokens, &rows, ws);
-    task.settle_batch(lanes, &hidden, &rows)
+    let hidden = append_batched_with(lm, store, sessions, tokens, &rows, &read, ws);
+    task.settle_batch(lanes, &hidden, &read)
 }
 
 /// Append `tokens[i]` to `slots[i]`'s session, one stacked backbone pass
 /// on `ws` per maximal run of same-backbone slots (different groups may
-/// run different weights). The hidden rows are not read.
+/// run different weights). No hidden row is read, so the last block
+/// computes only the rows' keys and values.
 fn append_rollbacks<T: ServedTask>(
     task: &T,
     slots: &mut [&mut EngineSlot<T>],
@@ -783,7 +800,8 @@ fn append_rollbacks<T: ServedTask>(
         let rows: Vec<usize> = tokens.iter().map(|t| t.shape()[0]).collect();
         let mut sessions: Vec<&mut InferenceSession> =
             run.iter_mut().map(|s| &mut s.session).collect();
-        append_batched_with(lm, store, &mut sessions, stacked, &rows, ws);
+        let read = vec![0; rows.len()];
+        append_batched_with(lm, store, &mut sessions, stacked, &rows, &read, ws);
     }
 }
 

@@ -3,13 +3,9 @@
 //! Two FNV-1a digests per task fold what passes through the hooks:
 //! - the answer digest folds every plan's token rows, every logit and
 //!   every rollback's post tokens;
-//! - the read-rows digest folds the hidden rows a head reads: each
-//!   lane's last `read` rows (ABR 1, CJS its candidates plus the graph
-//!   row, VP its `pw` query rows).
-//!
-//! A third digest folds every hidden row the backbone returns, read or
-//! not, besides what the answer digest folds: today's all-rows digest,
-//! kept while the backbone still returns every row.
+//! - the read-rows digest folds the hidden rows the backbone returns,
+//!   which are the rows a head reads: each lane's last `read` rows (ABR 1,
+//!   CJS its candidates plus the graph row, VP its `pw` query rows).
 //!
 //! The runs cross the ABR and CJS re-anchors, and every CJS decision rolls
 //! its candidate tokens back.
@@ -28,7 +24,6 @@
 //! failure there is not by itself a served-bits regression: compare the
 //! digests at the parent commit on the same host first.
 
-use netllm::adapters::cjs::MAX_CANDS;
 use netllm::{
     step_single, CjsObs, FleetModels, InferenceSession, Lane, LanePlan, ServedTask, StepOutcome,
     VpQuery,
@@ -60,36 +55,25 @@ impl Fnv {
 }
 
 /// A served task that folds what passes through its hooks into the
-/// answer, read-rows and all-rows digests and counts re-anchors and
-/// rollbacks; it changes nothing. `read` gives the hidden rows a head
-/// reads for an observation.
-struct Digest<'t, T: ServedTask> {
+/// answer and read-rows digests and counts re-anchors and rollbacks; it
+/// changes nothing.
+struct Digest<'t, T> {
     task: &'t T,
-    read: &'t dyn Fn(&T::Obs) -> usize,
     answers: Fnv,
     read_rows: Fnv,
-    all_rows: Fnv,
     reanchors: Cell<usize>,
     rollbacks: Cell<usize>,
 }
 
-impl<'t, T: ServedTask> Digest<'t, T> {
-    fn new(task: &'t T, read: &'t dyn Fn(&T::Obs) -> usize) -> Self {
+impl<'t, T> Digest<'t, T> {
+    fn new(task: &'t T) -> Self {
         Digest {
             task,
-            read,
             answers: Fnv::new(),
             read_rows: Fnv::new(),
-            all_rows: Fnv::new(),
             reanchors: Cell::new(0),
             rollbacks: Cell::new(0),
         }
-    }
-
-    /// Fold into both digests that see the answers.
-    fn eat(&self, rows: usize, values: &[f32]) {
-        self.answers.eat(rows, values);
-        self.all_rows.eat(rows, values);
     }
 }
 
@@ -121,7 +105,7 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
         let d = self.task.backbone(self.task.group_of(lanes[0].slot)).0.cfg.d_model;
         let mut row = start / d;
         for (plan, session) in plans.iter().zip(sessions) {
-            self.eat(plan.rows, &stacked[row * d..(row + plan.rows) * d]);
+            self.answers.eat(plan.rows, &stacked[row * d..(row + plan.rows) * d]);
             row += plan.rows;
             let reanchored = plan.reanchor && !session.is_empty();
             self.reanchors.set(self.reanchors.get() + usize::from(reanchored));
@@ -135,17 +119,15 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
         hidden: &Tensor,
         rows: &[usize],
     ) -> Vec<StepOutcome<T::Action>> {
-        let read: Vec<usize> = lanes.iter().map(|l| (self.read)(l.obs)).collect();
         let outs = self.task.settle_batch(lanes, hidden, rows);
         let d = hidden.shape()[1];
         let mut row = 0;
-        for ((&n, &r), out) in rows.iter().zip(&read).zip(&outs) {
-            self.all_rows.eat(n, &hidden.data()[row * d..(row + n) * d]);
+        for (&n, out) in rows.iter().zip(&outs) {
+            self.read_rows.eat(n, &hidden.data()[row * d..(row + n) * d]);
             row += n;
-            self.read_rows.eat(r, &hidden.data()[(row - r) * d..row * d]);
-            self.eat(1, &out.logits);
+            self.answers.eat(1, &out.logits);
             if let Some(rb) = &out.rollback {
-                self.eat(rb.drop_rows, rb.post_tokens.data());
+                self.answers.eat(rb.drop_rows, rb.post_tokens.data());
                 self.rollbacks.set(self.rollbacks.get() + 1);
             }
         }
@@ -157,21 +139,14 @@ impl<T: ServedTask> ServedTask for Digest<'_, T> {
 struct Run {
     answers: u64,
     read_rows: u64,
-    all_rows: u64,
     reanchors: usize,
     rollbacks: usize,
 }
 
 /// Serve `obs` in order through one slot and one session (`fresh`: a new
-/// slot and session per observation, the one-shot shape); `read` gives
-/// the hidden rows a head reads for an observation.
-fn digest<T: ServedTask>(
-    task: &T,
-    obs: &[T::Obs],
-    fresh: bool,
-    read: &dyn Fn(&T::Obs) -> usize,
-) -> Run {
-    let d = Digest::new(task, read);
+/// slot and session per observation, the one-shot shape).
+fn digest<T: ServedTask>(task: &T, obs: &[T::Obs], fresh: bool) -> Run {
+    let d = Digest::new(task);
     let mut slot = d.new_slot(0);
     let mut session = InferenceSession::new(task.backbone(0).0);
     for o in obs {
@@ -184,7 +159,6 @@ fn digest<T: ServedTask>(
     Run {
         answers: d.answers.0.get(),
         read_rows: d.read_rows.0.get(),
-        all_rows: d.all_rows.0.get(),
         reanchors: d.reanchors.get(),
         rollbacks: d.rollbacks.get(),
     }
@@ -196,12 +170,11 @@ fn served_bits_match_the_pinned_digests() {
         FleetModels::seeded(&std::env::temp_dir().join("netllm-served-bits"), "7b-sim", 4, 61);
 
     let abr_obs = AbrObservation::synthetic_stream(62, 26);
-    let abr = digest(&models.abr, &abr_obs, false, &|_| 1);
+    let abr = digest(&models.abr, &abr_obs, false);
     assert!(abr.reanchors >= 2, "ABR run re-anchored {} times", abr.reanchors);
 
     let cjs_obs = CjsObs::synthetic_stream(63, 6);
-    let cjs_read = |o: &CjsObs| o.snap.candidates.len().min(MAX_CANDS) + 1;
-    let cjs = digest(&models.cjs, &cjs_obs, false, &cjs_read);
+    let cjs = digest(&models.cjs, &cjs_obs, false);
     assert!(cjs.reanchors >= 1, "CJS run re-anchored {} times", cjs.reanchors);
     assert_eq!(cjs.rollbacks, cjs_obs.len(), "every CJS decision rolls its candidates back");
 
@@ -209,8 +182,7 @@ fn served_bits_match_the_pinned_digests() {
     let vp_obs: Vec<VpQuery> = (0..6)
         .map(|i| VpQuery { sample: samples[(7 * i) % samples.len()].clone(), pw: [1, 4, 8][i % 3] })
         .collect();
-    let max_pw = models.vp.max_pw;
-    let vp = digest(&models.vp, &vp_obs, true, &|q: &VpQuery| q.pw.min(max_pw));
+    let vp = digest(&models.vp, &vp_obs, true);
 
     let runs = format!(
         "{} ABR steps, {} re-anchors; {} CJS decisions, {} re-anchors",
@@ -234,13 +206,5 @@ fn served_bits_match_the_pinned_digests() {
         abr.read_rows,
         cjs.read_rows,
         vp.read_rows
-    );
-    assert_eq!(
-        [abr.all_rows, cjs.all_rows, vp.all_rows],
-        [0xa0f1_a46f_6490_ada6, 0x4015_8180_ff85_3533, 0xb54d_98d1_0739_b631],
-        "served bits moved: ABR {:#018x}, CJS {:#018x}, VP {:#018x} ({runs})",
-        abr.all_rows,
-        cjs.all_rows,
-        vp.all_rows
     );
 }

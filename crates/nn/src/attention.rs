@@ -455,23 +455,27 @@ impl MultiHeadAttention {
         rows_per_slot: &[usize],
         kvs: &mut [&mut S],
     ) -> Tensor {
-        let mut out = Vec::new();
         let scratch = &mut AttnScratch::default();
-        self.attend(store, x_new.data(), rows_per_slot, kvs, scratch, &mut out);
-        Tensor::from_vec([x_new.shape()[0], self.dim], out)
+        self.attend(store, x_new.data(), rows_per_slot, rows_per_slot, kvs, scratch);
+        Tensor::from_vec([x_new.shape()[0], self.dim], std::mem::take(&mut scratch.out))
     }
 
     /// The attention core of [`MultiHeadAttention::eval_cached_batched`]
-    /// over the row-major `[N, d]` rows `x`, through `scratch`, into `out`
-    /// (resized to `[N, d]`).
+    /// over the row-major `[N, d]` rows `x`, through `scratch`, into
+    /// `scratch.out`. Every row's key and value extend its slot's cache,
+    /// but only the read rows — the last `read_per_slot[s]` of slot `s`'s
+    /// rows — are queried: `scratch.out` is resized to `[sum read, d]`,
+    /// the read rows in slot order. A read row's output is the same bits
+    /// as when every row is read: each of its elements is one chain
+    /// whatever the row count.
     fn attend<S: KvStorage>(
         &self,
         store: &ParamStore,
         x: &[f32],
         rows_per_slot: &[usize],
+        read_per_slot: &[usize],
         kvs: &mut [&mut S],
         scratch: &mut AttnScratch,
-        out: &mut Vec<f32>,
     ) {
         let d = self.dim;
         let total = x.len() / d;
@@ -481,28 +485,43 @@ impl MultiHeadAttention {
         let heads = self.heads;
         let dh = d / heads;
         let scale = 1.0 / (dh as f32).sqrt();
-        let AttnScratch { q, k: k_new, v: v_new, cat, scores } = scratch;
-        self.wq.eval_into(store, x, total, q);
+        let AttnScratch { read, q, k: k_new, v: v_new, cat, scores, out } = scratch;
         self.wk.eval_into(store, x, total, k_new);
         self.wv.eval_into(store, x, total, v_new);
+        let reads = read_per_slot.iter().sum::<usize>();
+        let x_read: &[f32] = if reads == total {
+            x
+        } else {
+            read.clear();
+            for rows in read_ranges(rows_per_slot, read_per_slot) {
+                read.extend_from_slice(&x[rows.start * d..rows.end * d]);
+            }
+            read
+        };
+        self.wq.eval_into(store, x_read, reads, q);
 
         // The PV tiles accumulate into `cat`.
         cat.clear();
-        cat.resize(total * d, 0.0);
-        let mut row0 = 0usize;
+        cat.resize(reads * d, 0.0);
+        let (mut row0, mut q0) = (0usize, 0usize);
         for (s, kv) in kvs.iter_mut().enumerate() {
             let n = rows_per_slot[s];
-            if n == 0 {
+            let r = read_per_slot[s];
+            if n > 0 {
+                let new = row0 * d..(row0 + n) * d;
+                kv.extend_rows(&k_new[new.clone()], &v_new[new]);
+                row0 += n;
+            }
+            if r == 0 {
                 continue;
             }
-            kv.extend_rows(&k_new[row0 * d..(row0 + n) * d], &v_new[row0 * d..(row0 + n) * d]);
             let t = kv.len();
-            let p0 = t - n; // absolute position of the slot's first new row
+            let p0 = t - r; // absolute position of the slot's first read row
             let bt = kv.block_tokens();
             let blocks = t.div_ceil(bt);
             let width = blocks * bt; // score row: every lane of every block
-            if scores.len() < n * width {
-                scores.resize(n * width, 0.0);
+            if scores.len() < r * width {
+                scores.resize(r * width, 0.0);
             }
             for h in 0..heads {
                 let off = h * dh;
@@ -512,9 +531,9 @@ impl MultiHeadAttention {
                 for b in 0..blocks {
                     let i0 = first(b);
                     attn::qk_block(
-                        &q[(row0 + i0) * d + off..],
+                        &q[(q0 + i0) * d + off..],
                         d,
-                        n - i0,
+                        r - i0,
                         &kv.k_block(b)[off * bt..(off + dh) * bt],
                         bt,
                         scale,
@@ -525,46 +544,61 @@ impl MultiHeadAttention {
                 // Row `i` over keys `0..=p0 + i`; future positions, lanes
                 // past the filled length and blocks the row skipped come
                 // back exactly zero.
-                attn::softmax_causal(&mut scores[..n * width], width, p0 + 1);
+                attn::softmax_causal(&mut scores[..r * width], width, p0 + 1);
                 for b in 0..blocks {
                     let i0 = first(b);
                     attn::pv_block(
                         &scores[i0 * width + b * bt..],
                         width,
-                        n - i0,
+                        r - i0,
                         p0 + i0 + 1 - b * bt,
                         &kv.v_block(b)[off..],
                         d,
                         (t - b * bt).min(bt),
                         dh,
-                        &mut cat[(row0 + i0) * d + off..],
+                        &mut cat[(q0 + i0) * d + off..],
                         d,
                     );
                 }
             }
-            row0 += n;
+            q0 += r;
         }
-        self.wo.eval_into(store, cat, total, out);
+        self.wo.eval_into(store, cat, reads, out);
     }
+}
+
+/// The stacked row range of each slot's read rows: its last `read[s]` of
+/// `rows[s]` rows, slots one after another.
+fn read_ranges<'a>(
+    rows: &'a [usize],
+    read: &'a [usize],
+) -> impl Iterator<Item = std::ops::Range<usize>> + 'a {
+    assert_eq!(rows.len(), read.len(), "one read count per slot");
+    rows.iter().zip(read).scan(0, |end, (&n, &r)| {
+        assert!(r <= n, "a slot reads {r} of its {n} rows");
+        *end += n;
+        Some(*end - r..*end)
+    })
 }
 
 /// The buffers of the graph-free cached forward
 /// ([`TransformerBlock::eval_cached_batched`]): both layer norms' output,
 /// the MLP's hidden rows, each sublayer's output and the attention core's
-/// projections, head concat and score rows. Every buffer is resized to
-/// the call's shape and fully rewritten (or zero-filled where a kernel
-/// accumulates) before it is read, so a workspace carries no state from
-/// one forward to the next: reusing one across layers, ticks and row
-/// counts changes no bit, and only saves the allocations. One forward
-/// borrows it at a time — a serving engine keeps one per band of slots
-/// it runs in parallel.
+/// gathered read rows, projections, head concat and score rows. Every
+/// buffer is resized to the call's shape and fully rewritten (or
+/// zero-filled where a kernel accumulates) before it is read, so a
+/// workspace carries no state from one forward to the next: reusing one
+/// across layers, ticks and row counts changes no bit, and only saves the
+/// allocations. One forward borrows it at a time — a serving engine keeps
+/// one per band of slots it runs in parallel.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    /// The layer-norm output the next sublayer reads, `[N, d]`.
+    /// The layer-norm output the next sublayer reads, `[N, d]` (`[R, d]`
+    /// for the MLP, `R` = rows read).
     normed: Vec<f32>,
-    /// The MLP's hidden rows, `[N, mlp_mult * d]`.
+    /// The MLP's hidden rows, `[R, mlp_mult * d]`.
     hidden: Vec<f32>,
-    /// A sublayer's output before the residual add, `[N, d]`.
+    /// The MLP's output before the residual add, `[R, d]`.
     out: Vec<f32>,
     attn: AttnScratch,
 }
@@ -572,14 +606,20 @@ pub struct Workspace {
 /// The attention core's buffers (see [`Workspace`]).
 #[derive(Debug, Default)]
 struct AttnScratch {
-    /// Query, key and value projections of the new rows, `[N, d]` each.
+    /// The read rows' input, `[R, d]` (`R` = rows read), when some rows
+    /// go unread.
+    read: Vec<f32>,
+    /// Query projection of the read rows, `[R, d]`.
     q: Vec<f32>,
+    /// Key and value projections of the new rows, `[N, d]` each.
     k: Vec<f32>,
     v: Vec<f32>,
-    /// Every head's output side by side, `[N, d]`.
+    /// Every head's output side by side, `[R, d]`.
     cat: Vec<f32>,
-    /// One slot's score rows for one head, `[n, blocks * block_tokens]`.
+    /// One slot's score rows for one head, `[r, blocks * block_tokens]`.
     scores: Vec<f32>,
+    /// The output projection, before the residual add, `[R, d]`.
+    out: Vec<f32>,
 }
 
 /// Upper-triangular `-1e9` mask (0 on and below the diagonal).
@@ -634,10 +674,19 @@ impl TransformerBlock {
 
     /// Graph-free incremental forward of the block, in place: `x` stacks
     /// every slot's new rows of the residual stream (row-major `[N, d]`,
-    /// grouped per `rows_per_slot`) and leaves holding the block's output;
-    /// `kvs[s]` is slot `s`'s cache for this layer, extended in place.
+    /// grouped per `rows_per_slot`); `kvs[s]` is slot `s`'s cache for
+    /// this layer, extended in place with every new row's key and value.
+    /// Only the read rows — slot `s`'s last `read_per_slot[s]` rows — go
+    /// on through the queries, the attention output, the MLP and both
+    /// residual adds: they are moved to the front of `x`, which leaves
+    /// its first `sum read` rows holding their outputs (in slot order).
+    /// Returns that count. A block whose output feeds another block reads
+    /// every row (`read_per_slot == rows_per_slot`); the last block of a
+    /// backbone reads only the rows a head reads. Each read row is the
+    /// same bits either way.
+    ///
     /// Dropout is identity (inference). LayerNorm and the MLP are
-    /// position-wise, so they run as single `[N, d]` passes; only
+    /// position-wise, so they run as single stacked passes; only
     /// attention needs the per-slot split (see
     /// [`MultiHeadAttention::eval_cached_batched`]). Every intermediate
     /// lives in `ws`. Each residual add is `x += sublayer(x)`, the same
@@ -647,20 +696,31 @@ impl TransformerBlock {
         store: &ParamStore,
         x: &mut [f32],
         rows_per_slot: &[usize],
+        read_per_slot: &[usize],
         kvs: &mut [&mut S],
         ws: &mut Workspace,
-    ) {
+    ) -> usize {
+        let d = self.attn.dim;
         let Workspace { normed, hidden, out, attn } = ws;
         normed.clear();
         normed.extend_from_slice(x);
         self.ln1.eval_in_place(store, normed);
-        self.attn.attend(store, normed, rows_per_slot, kvs, attn, out);
-        add_rows(x, out);
+        self.attn.attend(store, normed, rows_per_slot, read_per_slot, kvs, attn);
+        let mut reads = 0;
+        for rows in read_ranges(rows_per_slot, read_per_slot) {
+            if rows.start != reads {
+                x.copy_within(rows.start * d..rows.end * d, reads * d);
+            }
+            reads += rows.len();
+        }
+        let x = &mut x[..reads * d];
+        add_rows(x, &attn.out);
         normed.clear();
         normed.extend_from_slice(x);
         self.ln2.eval_in_place(store, normed);
-        self.mlp.eval_into(store, normed, x.len() / self.attn.dim, hidden, out);
+        self.mlp.eval_into(store, normed, reads, hidden, out);
         add_rows(x, out);
+        reads
     }
 }
 
@@ -807,7 +867,7 @@ mod tests {
         let mut rows = Vec::new();
         for i in 0..5 {
             let mut row = x.narrow(0, i, 1);
-            blk.eval_cached_batched(&s, row.data_mut(), &[1], &mut [&mut kv], &mut ws);
+            blk.eval_cached_batched(&s, row.data_mut(), &[1], &[1], &mut [&mut kv], &mut ws);
             rows.push(row);
         }
         let refs: Vec<&Tensor> = rows.iter().collect();
@@ -875,10 +935,12 @@ mod tests {
         let mut kv_b = AttnKv::empty(16);
         let mut kvs: Vec<&mut AttnKv> = vec![&mut kv_a, &mut kv_idle, &mut kv_b];
         let mut out = x.clone();
+        let rows = [3, 0, 1];
         blk.eval_cached_batched(
             &s,
             out.data_mut(),
-            &[3, 0, 1],
+            &rows,
+            &rows,
             &mut kvs,
             &mut Workspace::default(),
         );
@@ -890,7 +952,7 @@ mod tests {
         let mut s2_kv = AttnKv::empty(16);
         let mut want = x.narrow(0, 3, 1);
         let ws = &mut Workspace::default();
-        blk.eval_cached_batched(&s, want.data_mut(), &[1], &mut [&mut s2_kv], ws);
+        blk.eval_cached_batched(&s, want.data_mut(), &[1], &[1], &mut [&mut s2_kv], ws);
         for (a, b) in out.narrow(0, 3, 1).data().iter().zip(want.data()) {
             assert!((a - b).abs() < 1e-6, "slot after idle diverged: {a} vs {b}");
         }
