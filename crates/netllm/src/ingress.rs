@@ -11,17 +11,33 @@
 //! - one **reader** thread per connection: performs the
 //!   [`crate::wire`] version handshake, then parses frames into a
 //!   bounded event channel (the backpressure boundary — readers block
-//!   when the scheduler falls behind);
-//! - one **writer** thread per connection, so a slow client never
-//!   blocks the tick loop;
-//! - a single **scheduler** thread that owns the `FrontDoor` and is the
-//!   only place `tick` runs. It feeds it events, coalesces briefly
-//!   ([`FrontDoor::coalesce_deadline`]) so concurrent submits land in
-//!   the same batch, ticks while arrivals are pending, and hands the
-//!   outputs to the writers after every event and every tick. Each tick
-//!   sweeps every outstanding ticket with [`ShardedServer::poll_status`]
-//!   — resolved tickets are *pushed* to the owning connection as
-//!   [`Frame::Completion`] / [`Frame::Failed`]; no client ever polls.
+//!   when the scheduler falls behind) and hands the scheduler a clone of
+//!   the stream to write to;
+//! - a single **scheduler** thread that owns the `FrontDoor`, is the only
+//!   place `tick` runs, and writes every connection's frames itself. It
+//!   feeds the door each event together with every event already queued
+//!   behind it, then writes the door's outputs and flushes each
+//!   connection it wrote to once; the same after each tick's sweep.
+//!   Each tick sweeps every outstanding ticket with
+//!   [`ShardedServer::poll_status`] — resolved tickets are *pushed* to
+//!   the owning connection as [`Frame::Completion`] / [`Frame::Failed`];
+//!   no client ever polls.
+//!
+//! **The coalescing window.** Before a tick the scheduler waits briefly
+//! so concurrent submits land in one batch
+//! ([`FrontDoor::window_deadline`]): the window closes at the event that
+//! gives every live session an open ticket (a tick takes at most one
+//! arrival per session, so the batch cannot grow), and otherwise
+//! [`QUIESCE`] after the last event, no later than [`MAX_COALESCE`]
+//! after the first ([`FrontDoor::coalesce_deadline`]).
+//!
+//! **Slow readers are cut.** Every accepted socket has a
+//! [`WRITE_TIMEOUT`]. A write that fails or blocks that long closes the
+//! connection: the door hears [`Input::Gone`], so its queued tickets
+//! resolve per the disconnect contract below, and the socket is shut
+//! down. A connection's unsent output is thus bounded by the kernel's
+//! socket buffers, and one stalled client costs the tick loop one
+//! timeout at most.
 //!
 //! Backpressure composes across the layers: a full
 //! [`crate::AdmissionQueue`] refuses the submit, and the refusal goes
@@ -146,6 +162,20 @@ pub const QUIESCE: Duration = Duration::from_micros(200);
 /// cannot postpone a tick indefinitely.
 pub const MAX_COALESCE: Duration = Duration::from_millis(2);
 
+/// How long one write to a connection may block before the connection is
+/// cut as a slow reader. A write blocks only once the client has left the
+/// kernel's socket buffers full (hundreds of KiB at least on loopback), so
+/// a client descheduled for a few milliseconds never comes near it, and
+/// Linux's rounding of the timeout up to a scheduler tick (1–4 ms) stays
+/// well inside the margin. The first timed-out write cuts the connection,
+/// so one stalled reader costs the tick loop this long once: a few dozen
+/// `dense_socket` ticks.
+pub const WRITE_TIMEOUT: Duration = Duration::from_millis(50);
+
+/// Capacity of each connection's write buffer: a dense client's whole
+/// sweep of completions goes out in one `write`.
+const WRITE_BUF: usize = 64 << 10;
+
 /// Fairness bound: granted-but-unresolved tickets one connection may
 /// hold. Without it one greedy pipelining client fills the shared shard
 /// queues and every other client bounces [`Frame::Busy`]; the cap refuses
@@ -245,7 +275,10 @@ impl IngressHandle {
     /// fail per the disconnect contract.
     pub fn shutdown(self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Unblock the scheduler's recv...
+        // Unblock the scheduler's recv (a full channel wakes it anyway, and
+        // it rechecks `stop` at least every idle period). On its way out
+        // the scheduler shuts every connection's socket down both ways,
+        // which is what ends each detached reader thread...
         let _ = self.events.try_send(Event::Wake);
         // ...and the acceptor's accept (the dial is the wake-up; the
         // acceptor sees `stop` before handling it).
@@ -258,12 +291,13 @@ impl IngressHandle {
 /// Reader→scheduler events. `conn` ids are acceptor-assigned and never
 /// reused.
 enum Event {
-    /// Handshake done; `tx` feeds the connection's writer thread.
-    Connect { conn: u64, tx: mpsc::Sender<Box<Frame>> },
+    /// Handshake done; `stream` is the connection's write half, which
+    /// only the scheduler writes to from here on.
+    Connect { conn: u64, stream: TcpStream },
     /// A parsed frame, or the reader's exit (EOF, error, or post-`Bye`).
     Door(Input),
     /// Nothing for the door: unblocks the scheduler so it rechecks the
-    /// stop flag (and, pumped after a tick, flushes only the sweep).
+    /// stop flag.
     Wake,
 }
 
@@ -330,7 +364,7 @@ pub fn serve(models: FleetModels, cfg: IngressConfig) -> std::io::Result<Ingress
                 let tx = tx.clone();
                 let stats = Arc::clone(&stats);
                 // Readers are detached: they exit when their socket does,
-                // and shutdown cuts every socket.
+                // and the exiting scheduler shuts every socket down.
                 let _ = std::thread::Builder::new()
                     .name(format!("nt-ingress-conn-{conn}"))
                     .spawn(move || run_connection(stream, conn, tx, stats));
@@ -358,11 +392,13 @@ fn run_connection(
     stats: Arc<IngressStats>,
 ) {
     let _ = stream.set_nodelay(true);
+    // A socket option, so it holds for the scheduler's clone too.
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(read_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(read_half);
 
     // Handshake: first frame must be Hello; reply directly on the raw
-    // stream (the writer thread only exists for accepted connections).
+    // stream (the scheduler writes only to connections it was handed).
     let hello = read_frame(&mut reader);
     let (version, min_version) = match hello {
         Ok(Frame::Hello { version, min_version }) => (version, min_version),
@@ -389,32 +425,11 @@ fn run_connection(
     }
     stats.connections.fetch_add(1, Ordering::Relaxed);
 
-    // Writer thread: frames out, coalesced — after each frame, drain
-    // whatever the scheduler has already queued so a completion sweep
-    // costs one flush, not one syscall per frame. When the scheduler
-    // drops the sender, shut the socket down both ways so this reader
-    // unblocks too.
-    let (wtx, wrx) = mpsc::channel::<Box<Frame>>();
+    // From here on the scheduler writes this connection's frames itself,
+    // and shuts the socket down when it closes or cuts the connection
+    // (or exits), which is what ends this loop.
     let Ok(write_half) = stream.try_clone() else { return };
-    let _ = std::thread::Builder::new().name(format!("nt-ingress-out-{conn}")).spawn(move || {
-        let mut w = BufWriter::new(&write_half);
-        'conn: while let Ok(frame) = wrx.recv() {
-            if write_frame(&mut w, &frame).is_err() {
-                break;
-            }
-            while let Ok(next) = wrx.try_recv() {
-                if write_frame(&mut w, &next).is_err() {
-                    break 'conn;
-                }
-            }
-            if w.flush().is_err() {
-                break;
-            }
-        }
-        let _ = write_half.shutdown(Shutdown::Both);
-    });
-
-    if events.send(Event::Connect { conn, tx: wtx }).is_err() {
+    if events.send(Event::Connect { conn, stream: write_half }).is_err() {
         return;
     }
     loop {
@@ -437,7 +452,7 @@ fn run_connection(
 }
 
 /// The scheduler thread: the driver that owns the [`FrontDoor`], the
-/// clock and every connection's writer.
+/// clock and every connection's write half.
 fn run_scheduler(
     models: FleetModels,
     cfg: IngressConfig,
@@ -446,60 +461,139 @@ fn run_scheduler(
     stop: Arc<AtomicBool>,
 ) {
     let mut door = FrontDoor::new(models.fleet(), cfg, &stats);
-    let mut writers = BTreeMap::new();
+    let mut out = Outbox::default();
     let idle = Duration::from_millis(25);
     while !stop.load(Ordering::SeqCst) {
-        // Block for work, then coalesce until the channel stays quiet
-        // (see `FrontDoor::coalesce_deadline`), so a burst of concurrent
-        // submits becomes one dense batch.
+        // Block for work, then coalesce until the channel stays quiet or
+        // the batch is full (see `FrontDoor::window_deadline`), so a
+        // burst of concurrent submits becomes one dense batch. Events are
+        // timed as they are received, so the writes of a burst do not
+        // stretch the window.
         match rx.recv_timeout(idle) {
             Ok(ev) => {
-                pump(&mut door, &mut writers, ev);
                 let first = Instant::now();
-                let mut end = FrontDoor::coalesce_deadline(first, first);
-                while let Ok(ev) = rx.recv_timeout(end.saturating_duration_since(Instant::now())) {
-                    pump(&mut door, &mut writers, ev);
-                    end = FrontDoor::coalesce_deadline(first, Instant::now());
+                out.burst(&mut door, &rx, Some(ev));
+                let mut end = door.window_deadline(first, first);
+                while let Some(wait) = end.checked_duration_since(Instant::now()) {
+                    let Ok(ev) = rx.recv_timeout(wait) else { break };
+                    let last = Instant::now();
+                    out.burst(&mut door, &rx, Some(ev));
+                    end = door.window_deadline(first, last);
                 }
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
         while !stop.load(Ordering::SeqCst) && door.tick(Instant::now) {
-            // Hand out the sweep's outputs, then absorb whatever arrived
-            // while the tick ran — submits refill the next batch, and
-            // leaves/joins must not starve behind a long backlog.
-            pump(&mut door, &mut writers, Event::Wake);
-            while let Ok(ev) = rx.try_recv() {
-                pump(&mut door, &mut writers, ev);
-            }
+            // Absorb whatever arrived while the tick ran (submits refill
+            // the next batch; leaves and joins must not starve behind a
+            // long backlog), then write the sweep's frames with theirs.
+            out.burst(&mut door, &rx, None);
         }
     }
-    // Dropping `writers` drops every writer sender: writers flush, shut
-    // their sockets, readers unblock and exit.
+    // Every reader blocks in `read` until its socket goes: shut down each
+    // connection's socket, including those whose `Connect` is still
+    // queued, so no reader outlives the scheduler.
+    out.shutdown();
+    while let Ok(ev) = rx.try_recv() {
+        if let Event::Connect { stream, .. } = ev {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
 }
 
-/// Feed one reader event to the door, then hand every output it queued
-/// to the writers, so no frame waits for the next tick. A send error
-/// means the writer died (peer gone); the reader's `Gone` event will
-/// clean up. Dropping a sender ends its writer, which shuts the socket.
-fn pump(door: &mut FrontDoor, writers: &mut BTreeMap<u64, mpsc::Sender<Box<Frame>>>, ev: Event) {
-    match ev {
-        Event::Wake => {}
-        Event::Connect { conn, tx } => {
-            writers.insert(conn, tx);
-            door.on(Instant::now(), Input::Connect { conn });
+/// The scheduler's write side: one buffered write half per connection.
+/// Frames the door queues are written in order and every connection is
+/// flushed once per burst; a write that fails or blocks past
+/// [`WRITE_TIMEOUT`] cuts its connection.
+#[derive(Default)]
+struct Outbox {
+    writers: BTreeMap<u64, BufWriter<SocketOut>>,
+}
+
+/// A connection's socket as the scheduler writes it. The kernel ends a
+/// blocked `write` at [`WRITE_TIMEOUT`] with an error only if it sent
+/// nothing; one that sent part of its bytes fails here too, so a client
+/// that lets a trickle through cannot stretch one stall into many.
+struct SocketOut(TcpStream);
+
+impl Write for SocketOut {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let start = Instant::now();
+        let sent = self.0.write(buf)?;
+        if sent < buf.len() && start.elapsed() >= WRITE_TIMEOUT {
+            return Err(std::io::ErrorKind::TimedOut.into());
         }
-        Event::Door(input) => door.on(Instant::now(), input),
+        Ok(sent)
     }
-    for out in door.drain() {
-        match out {
-            Output::Send(conn, frame) => {
-                if let Some(tx) = writers.get(&conn) {
-                    let _ = tx.send(frame);
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Outbox {
+    /// Feed the door `first` and then every event already queued behind
+    /// it (at most a channel's worth, so a flooding reader cannot hold
+    /// the frames back), then write and flush what the door answered.
+    fn burst(&mut self, door: &mut FrontDoor, rx: &mpsc::Receiver<Event>, first: Option<Event>) {
+        let queued = std::iter::from_fn(|| rx.try_recv().ok());
+        for ev in first.into_iter().chain(queued).take(EVENT_CHANNEL_CAP) {
+            match ev {
+                Event::Wake => {}
+                Event::Connect { conn, stream } => {
+                    let out = BufWriter::with_capacity(WRITE_BUF, SocketOut(stream));
+                    self.writers.insert(conn, out);
+                    door.on(Instant::now(), Input::Connect { conn });
+                }
+                Event::Door(input) => door.on(Instant::now(), input),
+            }
+        }
+        self.write(door);
+    }
+
+    /// Write every output the door queued, flush each connection once (a
+    /// no-op where nothing was written), and cut the connections whose
+    /// writes failed: the door hears `Gone` (their queued tickets resolve
+    /// per the disconnect contract) before the socket is shut down, and
+    /// whatever the cut queues is written in the same way.
+    fn write(&mut self, door: &mut FrontDoor) {
+        loop {
+            let mut cut = Vec::new();
+            for out in door.drain() {
+                match out {
+                    Output::Send(conn, frame) => {
+                        let Some(w) = self.writers.get_mut(&conn) else { continue };
+                        if write_frame(w, &frame).is_err() {
+                            cut.push((conn, self.writers.remove(&conn).expect("written above")));
+                        }
+                    }
+                    Output::Close(conn) => {
+                        if let Some(mut w) = self.writers.remove(&conn) {
+                            let _ = w.flush();
+                            let _ = w.get_ref().0.shutdown(Shutdown::Both);
+                        }
+                    }
                 }
             }
-            Output::Close(conn) => _ = writers.remove(&conn),
+            cut.extend(self.writers.extract_if(.., |_, w| w.flush().is_err()));
+            if cut.is_empty() {
+                return;
+            }
+            for (conn, w) in cut {
+                door.on(Instant::now(), Input::Gone { conn });
+                // The unwritten tail is dropped, not flushed: a second
+                // blocked write would stall the tick loop twice.
+                let (SocketOut(stream), _unwritten) = w.into_parts();
+                let _ = stream.shutdown(Shutdown::Both);
+            }
+        }
+    }
+
+    /// Shut every connection's socket down both ways.
+    fn shutdown(&self) {
+        for w in self.writers.values() {
+            let _ = w.get_ref().0.shutdown(Shutdown::Both);
         }
     }
 }
@@ -532,6 +626,8 @@ struct SessState {
     group: usize,
     /// Serve count — the `step` field ordering streamed completions.
     steps: u64,
+    /// Granted-but-unresolved tickets of this session.
+    open: usize,
 }
 
 /// One granted-but-unresolved ticket.
@@ -552,6 +648,9 @@ pub struct FrontDoor<'a> {
     conns: BTreeMap<u64, usize>,
     sessions: BTreeMap<u64, SessState>,
     open: BTreeMap<Ticket, OpenTicket>,
+    /// Live sessions holding at least one open ticket: when it reaches
+    /// `sessions.len()` the next tick's batch is as full as it can get.
+    ticketed: usize,
     stats: &'a IngressStats,
     /// EWMA of tick duration, the Busy retry hint. Seeded at 5ms — any
     /// positive value works, the first real tick corrects it.
@@ -573,6 +672,7 @@ impl<'a> FrontDoor<'a> {
             conns: BTreeMap::new(),
             sessions: BTreeMap::new(),
             open: BTreeMap::new(),
+            ticketed: 0,
             stats,
             ewma_tick_ns: 5e6,
             outputs: Vec::new(),
@@ -584,6 +684,19 @@ impl<'a> FrontDoor<'a> {
     /// later than [`MAX_COALESCE`] after the first.
     pub fn coalesce_deadline(first: Instant, last: Instant) -> Instant {
         (last + QUIESCE).min(first + MAX_COALESCE)
+    }
+
+    /// [`FrontDoor::coalesce_deadline`] for this door's state: the window
+    /// closes at `last` itself once every live session holds an open
+    /// ticket, because a tick drains at most one arrival per session and
+    /// waiting longer cannot grow its batch. A `Busy`-refused submit holds
+    /// no ticket, and a leave or a disconnect re-counts the live sessions.
+    pub fn window_deadline(&self, first: Instant, last: Instant) -> Instant {
+        if self.ticketed > 0 && self.ticketed == self.sessions.len() {
+            last
+        } else {
+            Self::coalesce_deadline(first, last)
+        }
     }
 
     /// Take one connection event at time `now` (which stamps any ticket
@@ -632,7 +745,7 @@ impl<'a> FrontDoor<'a> {
                 }
                 let session = self.server.join_group(&self.fleet, group);
                 let shard = self.server.shard_of(session) as u32;
-                self.sessions.insert(session, SessState { conn, group, steps: 0 });
+                self.sessions.insert(session, SessState { conn, group, steps: 0, open: 0 });
                 self.stats.sessions_joined.fetch_add(1, Ordering::Relaxed);
                 self.send(conn, Frame::Joined { session, shard });
             }
@@ -665,6 +778,9 @@ impl<'a> FrontDoor<'a> {
                     Ok(ticket) => {
                         self.open.insert(ticket, OpenTicket { conn, session, submitted: now });
                         *self.conns.get_mut(&conn).expect("checked above") += 1;
+                        let sess = self.sessions.get_mut(&session).expect("checked above");
+                        sess.open += 1;
+                        self.ticketed += usize::from(sess.open == 1);
                         self.stats.submits.fetch_add(1, Ordering::Relaxed);
                         self.send(conn, Frame::TicketGrant { session, ticket: ticket.0 });
                     }
@@ -761,6 +877,7 @@ impl<'a> FrontDoor<'a> {
     /// counts for the ack.
     fn leave_session(&mut self, session: u64) -> (u32, u32) {
         let sess = self.sessions.remove(&session).expect("session is live");
+        self.ticketed -= usize::from(sess.open > 0);
         let report = self.server.leave(session);
         let live = self.conns.contains_key(&sess.conn);
         // The eager sweep polls every completion the tick it lands, so
@@ -799,12 +916,16 @@ impl<'a> FrontDoor<'a> {
     }
 
     /// Forget a resolved ticket and free its connection's fairness-cap
-    /// slot (a no-op for a connection already dropped: its counter went
-    /// with it).
+    /// slot and its session's open count (no-ops for a connection or a
+    /// session already gone: their counters went with them).
     fn resolve(&mut self, ticket: Ticket) -> Option<OpenTicket> {
         let ot = self.open.remove(&ticket)?;
         if let Some(open) = self.conns.get_mut(&ot.conn) {
             *open = open.saturating_sub(1);
+        }
+        if let Some(sess) = self.sessions.get_mut(&ot.session) {
+            sess.open -= 1;
+            self.ticketed -= usize::from(sess.open == 0);
         }
         Some(ot)
     }

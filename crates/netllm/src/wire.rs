@@ -64,7 +64,9 @@ use nt_abr::AbrObservation;
 use nt_cjs::{Decision, GraphSnapshot};
 use nt_tensor::Tensor;
 use nt_vp::{Viewport, VpSample};
+use std::cell::Cell;
 use std::io::{Read, Write};
+use std::thread::LocalKey;
 
 /// Highest protocol version this build speaks.
 pub const WIRE_VERSION: u16 = 1;
@@ -710,14 +712,52 @@ wire_enum!(Frame, tag => WireError::UnknownFrame(tag), {
 
 // ---- frame codec --------------------------------------------------------
 
+/// Capacity a thread's reused codec buffer keeps between frames: after a
+/// frame larger than this (up to [`MAX_FRAME_LEN`]) the buffer shrinks
+/// back to it, so one oversized report does not pin its size for the
+/// thread's life.
+pub const RETAINED_BUF_MAX: usize = 64 << 10;
+
+thread_local! {
+    /// [`write_frame`]'s encode buffer and [`read_frame`]'s body buffer,
+    /// one each per thread. Taken out for the duration of one frame, so
+    /// a nested call finds an empty one instead of a borrowed one.
+    static ENCODE_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    static DECODE_BUF: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `f` on this thread's buffer `key`, emptied, and put it back with
+/// at most [`RETAINED_BUF_MAX`] bytes of capacity.
+fn with_buf<T>(key: &'static LocalKey<Cell<Vec<u8>>>, f: impl FnOnce(&mut Vec<u8>) -> T) -> T {
+    let mut buf = key.take();
+    let out = f(&mut buf);
+    buf.clear();
+    buf.shrink_to(RETAINED_BUF_MAX);
+    key.set(buf);
+    out
+}
+
+/// Capacity, in bytes, of the calling thread's two reused codec buffers
+/// (encode, body) between frames; each is at most [`RETAINED_BUF_MAX`].
+pub fn codec_buffer_capacity() -> (usize, usize) {
+    let cap = |key: &'static LocalKey<Cell<Vec<u8>>>| with_buf(key, |b| b.capacity());
+    (cap(&ENCODE_BUF), cap(&DECODE_BUF))
+}
+
+/// Append one frame's full wire image (length prefix included) to `out`.
+fn encode_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    frame.put(out);
+    let len = out.len() - start - 4;
+    assert!(len as u64 <= MAX_FRAME_LEN as u64, "frame exceeds MAX_FRAME_LEN");
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
 /// Encode one frame as its full wire image (length prefix included).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&[0; 4]);
-    frame.put(&mut out);
-    let len = out.len() - 4;
-    assert!(len as u64 <= MAX_FRAME_LEN as u64, "frame exceeds MAX_FRAME_LEN");
-    out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    encode_into(frame, &mut out);
     out
 }
 
@@ -745,16 +785,22 @@ pub fn decode_frame(body: &[u8]) -> Result<Option<Frame>, WireError> {
     Ok(Some(frame))
 }
 
-/// Write one frame to a stream (length prefix + body, single `write_all`).
+/// Write one frame to a stream (length prefix + body, single `write_all`),
+/// encoded into the calling thread's reused buffer: the bytes are
+/// [`encode_frame`]'s, without a fresh `Vec` per frame.
 pub fn write_frame<W: Write>(w: &mut W, frame: &Frame) -> Result<(), WireError> {
-    w.write_all(&encode_frame(frame))?;
+    with_buf(&ENCODE_BUF, |buf| {
+        encode_into(frame, buf);
+        w.write_all(buf)
+    })?;
     Ok(())
 }
 
 /// Read the next *known* frame from a stream, skipping extension-range
 /// frames per the forward-compatibility rule. Blocks until a frame
 /// arrives; a clean EOF before any byte of a frame surfaces as
-/// [`WireError::Truncated`] (the connection is gone either way).
+/// [`WireError::Truncated`] (the connection is gone either way). Each
+/// body is read into the calling thread's reused buffer.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
     loop {
         let mut len_buf = [0u8; 4];
@@ -763,9 +809,12 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Frame, WireError> {
         if len == 0 || len > MAX_FRAME_LEN {
             return Err(WireError::BadLength(len));
         }
-        let mut body = vec![0u8; len as usize];
-        r.read_exact(&mut body)?;
-        if let Some(frame) = decode_frame(&body)? {
+        let frame = with_buf(&DECODE_BUF, |body| {
+            body.resize(len as usize, 0);
+            r.read_exact(body)?;
+            decode_frame(body)
+        })?;
+        if let Some(frame) = frame {
             return Ok(frame);
         }
         // Extension frame: skipped, read the next one.

@@ -16,25 +16,31 @@
 //!   shared admission queues — the per-connection in-flight cap refuses
 //!   *it*, and a slow client's submit→completion latency stays bounded;
 //! - coalescing closes `QUIESCE` after the last event, and no later than
-//!   `MAX_COALESCE` after the first;
+//!   `MAX_COALESCE` after the first — or at once, at the event that gives
+//!   every live session an open ticket;
+//! - a client that never reads is cut once a write to it times out: its
+//!   queued tickets fail into the disconnect counter, and other clients
+//!   keep being served;
 //! - a configuration the fleet cannot be built from is refused by `serve`
 //!   itself (`InvalidInput`), not discovered by the first client;
 //! - an observation the model cannot encode is refused at the front door
 //!   as a protocol violation, and the sessions of other connections keep
 //!   being served.
 
-use netllm::ingress::{Input, Output, MAX_COALESCE, MAX_OPEN_PER_CONN, QUIESCE};
+use netllm::ingress::{Input, Output, MAX_COALESCE, MAX_OPEN_PER_CONN, QUIESCE, WRITE_TIMEOUT};
 use netllm::shard::QUEUE_CAP;
 use netllm::wire::{read_frame, write_frame};
 use netllm::{
     serve, AdmissionPolicy, BusyReason, CjsObs, EventKind, FleetModels, FleetObs, Frame, FrontDoor,
     IngressConfig, IngressStats, NetLlmFleet, RefusalReason, ShardedServer, Ticket, TicketStatus,
-    VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS, FLEET_VP,
+    VpQuery, WireClient, WireError, FLEET_ABR, FLEET_CJS, FLEET_VP, WIRE_VERSION,
 };
 use nt_abr::AbrObservation;
 use nt_llm::{session_floor_bytes, PageConfig, PagePool};
 use nt_vp::VpSample;
 use std::collections::BTreeMap;
+use std::io::{BufReader, BufWriter, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 fn tiny(name: &str) -> FleetModels {
@@ -438,6 +444,147 @@ fn coalescing_closes_quiesce_after_the_last_event_capped_at_max_coalesce() {
     assert_eq!(close(&[100, 350]), us(300), "a late event misses it");
     let trickle: Vec<u64> = (1..100).map(|k| 150 * k).collect();
     assert_eq!(close(&trickle), MAX_COALESCE, "a steady trickle hits the cap");
+}
+
+/// The full-batch rule beside it: the window closes at the event that
+/// gives every live session an open ticket (a tick drains at most one
+/// arrival per session, so waiting cannot grow the batch), and falls back
+/// to `QUIESCE` / `MAX_COALESCE` while any live session is idle. A
+/// `Busy`-refused submit holds no ticket; a join, a leave, a disconnect
+/// and a tick's sweep each re-count.
+#[test]
+fn coalescing_closes_at_the_event_that_fills_the_batch() {
+    let models = tiny("netllm-ingress-full");
+    let stats = IngressStats::default();
+    let mut door = FrontDoor::new(models.fleet(), IngressConfig::default(), &stats);
+    let first = Instant::now();
+    let at = |us: u64| first + Duration::from_micros(us);
+    let fallback = |last: Instant| FrontDoor::coalesce_deadline(first, last);
+    let obs = AbrObservation::synthetic_stream(45, 1).remove(0);
+    let granted = |f: Frame| matches!(f, Frame::TicketGrant { .. });
+
+    let a = join_abr(&mut door, first, 0);
+    let q = match feed(&mut door, first, 0, Frame::Join { group: FLEET_ABR as u32 })[..] {
+        [Frame::Joined { session, .. }] => session,
+        ref other => panic!("expected Joined, got {other:?}"),
+    };
+    let b = join_abr(&mut door, first, 1);
+    assert_eq!(door.window_deadline(first, first), fallback(first), "no session holds a ticket");
+
+    // `a` fills its connection's fairness cap; `b` and `q` are idle.
+    for _ in 0..MAX_OPEN_PER_CONN {
+        assert!(granted(submit(&mut door, at(10), 0, a, &obs)));
+    }
+    assert_eq!(door.window_deadline(first, at(10)), at(10) + QUIESCE, "b and q are idle");
+    assert!(granted(submit(&mut door, at(20), 1, b, &obs)));
+    assert_eq!(door.window_deadline(first, at(20)), at(20) + QUIESCE, "q is idle");
+    assert_eq!(door.window_deadline(first, at(1900)), first + MAX_COALESCE, "and the cap holds");
+    // `q` shares `a`'s full connection, so its submit is refused.
+    assert!(matches!(submit(&mut door, at(30), 0, q, &obs), Frame::Busy { .. }));
+    assert_eq!(door.window_deadline(first, at(30)), at(30) + QUIESCE, "Busy holds no ticket");
+
+    // The idle session leaves: every live session now holds a ticket.
+    assert!(matches!(
+        feed(&mut door, at(40), 0, Frame::Leave { session: q })[..],
+        [Frame::LeaveAck { .. }]
+    ));
+    assert_eq!(door.window_deadline(first, at(40)), at(40), "a leave re-counts");
+
+    // A join reopens the window; its session's first submit closes it.
+    let c = join_abr(&mut door, at(50), 2);
+    assert_eq!(door.window_deadline(first, at(50)), at(50) + QUIESCE, "a join re-counts");
+    assert!(granted(submit(&mut door, at(60), 2, c, &obs)));
+    assert_eq!(door.window_deadline(first, at(60)), at(60), "the last idle session submitted");
+
+    // An idle connection's disconnect closes it too.
+    let _d = join_abr(&mut door, at(70), 3);
+    assert_eq!(door.window_deadline(first, at(70)), at(70) + QUIESCE);
+    door.on(at(80), Input::Gone { conn: 3 });
+    assert!(matches!(door.drain().collect::<Vec<_>>()[..], [Output::Close(3)]));
+    assert_eq!(door.window_deadline(first, at(80)), at(80), "a disconnect re-counts");
+
+    // The tick serves one arrival per session: `b` and `c` are idle again,
+    // `a` keeps its queued backlog.
+    assert_eq!(tick(&mut door, at(100), MS).len(), 3);
+    let later = at(100) + MS;
+    assert_eq!(door.window_deadline(later, later), later + QUIESCE, "the sweep re-counts");
+    // Dropping the connection with the backlog leaves only idle sessions.
+    door.on(later, Input::Gone { conn: 0 });
+    let _ = door.drain().count();
+    assert_eq!(door.window_deadline(later, later), later + QUIESCE);
+}
+
+/// Slow-reader policy on the socket: a connection that submits and then
+/// floods `MetricsRequest`s without ever reading its replies fills the
+/// kernel's socket buffers, and the scheduler's next blocked write to it
+/// times out and cuts it. Meanwhile another client's Join → Submit →
+/// Completion finishes within a fixed bound, the flooding connection is
+/// closed (its writes fail), and its session's queued tickets fail into
+/// `failed_on_disconnect`.
+#[test]
+fn a_client_that_never_reads_is_cut_and_others_keep_being_served() {
+    // One write timeout plus a debug build's handshake, join and tick,
+    // with room for a loaded box; a scheduler stuck behind the flooder
+    // never answers.
+    let bound = 40 * WRITE_TIMEOUT;
+    let handle = serve(tiny("netllm-ingress-slow"), IngressConfig::default()).unwrap();
+    let flood = TcpStream::connect(handle.addr()).unwrap();
+    let mut reader = BufReader::new(flood.try_clone().unwrap());
+    let mut writer = BufWriter::new(flood.try_clone().unwrap());
+    write_frame(&mut writer, &Frame::Hello { version: WIRE_VERSION, min_version: WIRE_VERSION })
+        .unwrap();
+    write_frame(&mut writer, &Frame::Join { group: FLEET_ABR as u32 }).unwrap();
+    writer.flush().unwrap();
+    assert!(matches!(read_frame(&mut reader).unwrap(), Frame::HelloAck { .. }));
+    let Frame::Joined { session, .. } = read_frame(&mut reader).unwrap() else { panic!() };
+    let obs = AbrObservation::synthetic_stream(46, 2);
+    let flood_obs = FleetObs::Abr(obs[0].clone());
+
+    // The flooder submits and scrapes until its connection is closed; it
+    // keeps submitting so its session always has arrivals queued. It
+    // signals once it has flooded for a while, so the second client's
+    // exchange below overlaps the flood.
+    let (started, flooding) = std::sync::mpsc::channel();
+    let flooder = std::thread::spawn(move || {
+        let t0 = Instant::now();
+        let mut rounds = 0u64;
+        loop {
+            let mut send = || -> Result<(), WireError> {
+                write_frame(&mut writer, &Frame::Submit { session, obs: flood_obs.clone() })?;
+                for _ in 0..16 {
+                    write_frame(&mut writer, &Frame::MetricsRequest)?;
+                }
+                Ok(writer.flush()?)
+            };
+            if send().is_err() {
+                return rounds;
+            }
+            rounds += 1;
+            if rounds == 256 {
+                let _ = started.send(());
+            }
+            assert!(t0.elapsed() < Duration::from_secs(120), "the flooder was never cut");
+        }
+    });
+    flooding.recv().expect("the flooder runs");
+
+    let t0 = Instant::now();
+    let mut good = WireClient::connect(handle.addr()).unwrap();
+    let (good_session, _) = good.join(FLEET_ABR as u32).unwrap();
+    serve_one(&mut good, good_session, &FleetObs::Abr(obs[1].clone()));
+    assert!(t0.elapsed() < bound, "the second client waited {:?}", t0.elapsed());
+
+    let rounds = flooder.join().expect("flooder thread");
+    assert!(rounds >= 256, "the flood stopped after {rounds} rounds");
+    drop(reader); // never read past the handshake
+    let stats = handle.stats();
+    assert!(stats.failed_on_disconnect >= 1, "the flooder's queue did not fail: {stats:?}");
+    // Served after the cut as well.
+    let t0 = Instant::now();
+    serve_one(&mut good, good_session, &FleetObs::Abr(obs[0].clone()));
+    assert!(t0.elapsed() < bound, "the second client waited {:?}", t0.elapsed());
+    good.bye().unwrap();
+    handle.shutdown();
 }
 
 /// Regression: a config the fleet cannot be built from is refused by

@@ -8,8 +8,9 @@ use netllm::metrics::{
     ShardSnapshot,
 };
 use netllm::wire::{
-    decode_frame, encode_frame, negotiate, read_frame, write_frame, BusyReason, Frame, WireError,
-    EXTENSION_TAG_BASE, MAX_FRAME_LEN, MIN_WIRE_VERSION, WIRE_VERSION,
+    codec_buffer_capacity, decode_frame, encode_frame, negotiate, read_frame, write_frame,
+    BusyReason, Frame, WireError, EXTENSION_TAG_BASE, MAX_FRAME_LEN, MIN_WIRE_VERSION,
+    RETAINED_BUF_MAX, WIRE_VERSION,
 };
 use netllm::{
     CjsObs, EventKind, FleetAction, FleetObs, RefusalReason, SteerReason, TelemetryEvent, VpQuery,
@@ -522,6 +523,38 @@ fn frames_concatenate_on_a_stream() {
         let expect = encode_frame(&frame_for(kind, 42));
         let got = encode_frame(&read_frame(&mut cur).unwrap());
         assert_eq!(got, expect, "frame kind {kind} did not survive the stream");
+    }
+    assert!(matches!(read_frame(&mut cur), Err(WireError::Truncated)));
+}
+
+/// `write_frame` and `read_frame` reuse one buffer per thread: a large
+/// `MetricsReport` followed by small frames writes exactly
+/// `encode_frame`'s bytes for each (no stale tail of the large one), a
+/// stream of the same frames decodes to them, and after the oversized body
+/// neither buffer keeps more than `RETAINED_BUF_MAX`.
+#[test]
+fn reused_codec_buffers_keep_the_bytes_and_shrink_after_a_large_frame() {
+    let mut snapshot = Gen(9).metrics_snapshot();
+    snapshot.ingress_latency.buckets = (0..(RETAINED_BUF_MAX as u64)).collect();
+    let large = Frame::MetricsReport { snapshot };
+    let frames: Vec<Frame> =
+        std::iter::once(large).chain((0..18u8).map(|kind| frame_for(kind, 7))).collect();
+    assert!(encode_frame(&frames[0]).len() > 4 * RETAINED_BUF_MAX, "the report is oversized");
+
+    let mut stream = Vec::new();
+    for (i, frame) in frames.iter().enumerate() {
+        let mut image = Vec::new();
+        write_frame(&mut image, frame).unwrap();
+        assert_eq!(image, encode_frame(frame), "frame {i} written with other bytes");
+        assert!(codec_buffer_capacity().0 <= RETAINED_BUF_MAX, "encode buffer kept frame {i}");
+        stream.extend_from_slice(&image);
+    }
+
+    let mut cur = std::io::Cursor::new(stream);
+    for (i, frame) in frames.iter().enumerate() {
+        let got = read_frame(&mut cur).unwrap();
+        assert_eq!(encode_frame(&got), encode_frame(frame), "frame {i} decoded differently");
+        assert!(codec_buffer_capacity().1 <= RETAINED_BUF_MAX, "body buffer kept frame {i}");
     }
     assert!(matches!(read_frame(&mut cur), Err(WireError::Truncated)));
 }
