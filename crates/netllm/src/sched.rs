@@ -179,6 +179,13 @@ impl<O> AdmissionQueue<O> {
         self.entries.iter().filter(|a| a.session == session).count()
     }
 
+    /// The session of every pending arrival, in FIFO order (a backlogged
+    /// session repeats) — one pass for callers that need the whole set,
+    /// where [`AdmissionQueue::pending_of`] would scan once per session.
+    pub fn sessions(&self) -> impl Iterator<Item = SessionKey> + '_ {
+        self.entries.iter().map(|a| a.session)
+    }
+
     /// Drain the whole queue in FIFO order — the recovery path: when a
     /// shard is declared dead its backlog is redistributed to the
     /// surviving shards' queues (via [`AdmissionQueue::requeue`], so the

@@ -229,7 +229,8 @@ impl<T: ServedTask> ShardedServer<T> {
     /// instant. Each tick boundary runs the memory guard — reserve pages
     /// for the tick's exact demand ([`ServedTask::plan_rows`]), reclaim
     /// under pressure per `eviction`, and defer drained arrivals back to
-    /// their admission queues when even eviction cannot cover the tick
+    /// their admission queues — caches kept while the next tick can grow
+    /// them, and whenever even eviction cannot cover the tick
     /// (backpressure instead of OOM growth).
     pub fn with_memory(
         num_shards: usize,

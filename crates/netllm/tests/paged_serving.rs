@@ -22,9 +22,12 @@
 //!   next step re-anchors regardless — `CheapestRebuild` is only as
 //!   honest as these quotes.
 //! - **Victim protection:** the guard never evicts a session whose
-//!   arrival is in the current drained batch; when every page holder is
-//!   in the batch, the sacrifice is chosen by eviction-policy order
-//!   (sparing the oldest arrival), never the just-deferred youngest.
+//!   arrival is in the current drained batch. When every page holder is
+//!   in the batch and pages are about to go idle, it defers the youngest
+//!   arrival that needs a page and keeps that session's cache; when no
+//!   page can go idle (every session backlogged), the sacrifice is chosen
+//!   by eviction-policy order (sparing the oldest arrival), never the
+//!   just-deferred youngest, and no backlog starves.
 
 use netllm::{
     step_single, AdaptMode, AdmissionPolicy, CjsObs, EvictionPolicy, FleetObs, FleetSlot,
@@ -562,117 +565,287 @@ fn rebuild_rows_price_equals_the_reanchor_replay_delta() {
     assert!(clears, "a 0 price must coincide with an inevitable re-anchor");
 }
 
-/// Regression (defer-then-evict): when pool pressure hits a tick where
-/// *every* page-holding session has an arrival in the drained batch, the
-/// guard must sacrifice by eviction-policy order — the cheapest rebuild,
-/// which here is neither the coldest session nor the youngest arrival —
-/// sparing the oldest arrival, and the sacrifice's own arrival is
-/// deferred so it is never served in the tick that cleared its cache.
-/// Before the fix the victim-exclusion set was recomputed per loop
-/// iteration and there was no sacrifice branch: the guard deferred the
-/// *youngest* arrival for backpressure and then evicted exactly that
-/// session on the next scan (it had left the batch), undoing the
-/// deferral's whole point and picking the victim by arrival-clock
-/// accident instead of policy order.
-#[test]
-fn memory_guard_sacrifices_by_policy_order_never_the_just_deferred_youngest() {
-    let window = 3usize;
-    const B: usize = 6;
-    const COLD: usize = 1; // sits out tick 3: coldest at the pressure tick
-    const LATE: usize = 3; // first served at tick 3: hot, but cheapest to rebuild
-    const TICKS: usize = 5;
-    let m = build_models(window);
-    let streams: Vec<Vec<AbrObservation>> =
-        (0..B).map(|s| AbrObservation::synthetic_stream(1100 + s as u64, TICKS)).collect();
+/// The pressure probe of the memory guard's rule tests: six ABR sessions
+/// (window 3) on a 20-page pool (the one-full-session floor, 8 rows a
+/// page). Four always-on sessions grow 5→11→17→23→29 rows (1,2,3,3,4
+/// pages); COLD sits out tick 3 and stops at 17 rows (3 pages); LATE
+/// starts at tick 3 (5 rows, 1 page). The pressure tick opens at 4·3 +
+/// 3 + 1 = 16 pages held / 4 free with a 4 + 0 + 1 = 5-page demand,
+/// every page holder in the batch. Rebuild prices (6 rows a step): a
+/// session with ≥ 2 steps of history replays 3·6−1−6 = 11 extra rows,
+/// LATE (1 step) only 2·6−1−6 = 5 — so `CheapestRebuild` orders LATE
+/// first, where a recency order would pick COLD and arrival order the
+/// youngest.
+struct GuardProbe {
+    m: FleetModels,
+    pool: PagePool,
+    server: ShardedServer<NetLlmAbr>,
+    ids: Vec<u64>,
+    streams: Vec<Vec<AbrObservation>>,
+    pending: Vec<VecDeque<Ticket>>,
+    /// Observations actually submitted, per session.
+    subs: Vec<Vec<AbrObservation>>,
+    served: Vec<Vec<(u64, Vec<f32>)>>,
+    /// `(tick, session)` of every eviction.
+    evictions: Vec<(u64, u64)>,
+}
 
-    // 20 pages (the one-full-session floor). Four always-on sessions grow
-    // 5→11→17→23→29 rows (1,2,3,3,4 pages at 8 rows/page); COLD stops at
-    // 17 rows (3 pages) for a tick; LATE starts at tick 3 (5 rows, 1
-    // page). Tick 4 opens at 4·3 + 3 + 1 = 16 pages held / 4 free with a
-    // 4 + 0 + 1 = 5-page demand — pressure with every page holder in the
-    // batch. Rebuild prices (window 3, 6 rows/step): a session with ≥ 2
-    // steps of history replays 3·6−1−6 = 11 extra rows, LATE (1 step)
-    // only 2·6−1−6 = 5 — so `CheapestRebuild` picks LATE, where a
-    // recency order would pick COLD and arrival order session 5.
+const PROBE_B: usize = 6;
+const COLD: usize = 1; // sits out tick 3: coldest at the pressure tick
+const LATE: usize = 3; // first served at tick 3: hot, but cheapest to rebuild
+const PRESSURE: usize = 4; // the schedule index of the pressure tick
+const PROBE_BUDGET: usize = 20 * 768;
+
+impl GuardProbe {
+    /// The probe after its four pressure-free warmup ticks.
+    fn warm() -> Self {
+        let m = build_models(3);
+        let streams: Vec<Vec<AbrObservation>> = (0..PROBE_B)
+            .map(|s| AbrObservation::synthetic_stream(1100 + s as u64, PRESSURE + 2))
+            .collect();
+        let pool = PagePool::for_model(
+            &m.abr.lm,
+            PageConfig { page_tokens: 8, budget_bytes: PROBE_BUDGET },
+        );
+        let mut server = ShardedServer::with_memory(
+            2,
+            AdmissionPolicy::LeastLoaded,
+            pool.clone(),
+            EvictionPolicy::CheapestRebuild,
+        );
+        let ids: Vec<_> = (0..PROBE_B).map(|_| server.join(&m.abr)).collect();
+        let mut p = GuardProbe {
+            m,
+            pool,
+            server,
+            ids,
+            streams,
+            pending: vec![VecDeque::new(); PROBE_B],
+            subs: vec![Vec::new(); PROBE_B],
+            served: vec![Vec::new(); PROBE_B],
+            evictions: Vec::new(),
+        };
+        for tick in 0..PRESSURE {
+            for s in 0..PROBE_B {
+                if !((s == COLD && tick == 3) || (s == LATE && tick < 3)) {
+                    p.submit(s, tick);
+                }
+            }
+            let report = p.tick();
+            assert_eq!(
+                (report.memory.evicted.len(), report.memory.deferred),
+                (0, 0),
+                "tick {tick}: warmup must stay pressure-free"
+            );
+        }
+        p
+    }
+
+    fn submit(&mut self, s: usize, step: usize) {
+        let o = self.streams[s][step].clone();
+        let t = self.server.submit(self.ids[s], o.clone()).expect("submit under the cap");
+        self.pending[s].push_back(t);
+        self.subs[s].push(o);
+    }
+
+    /// One tick: the budget holds, evictions are logged, answers banked.
+    fn tick(&mut self) -> netllm::TickReport {
+        let report = self.server.tick(&self.m.abr);
+        assert!(report.memory.used_bytes <= PROBE_BUDGET);
+        self.evictions.extend(report.memory.evicted.iter().map(|&v| (report.tick, v)));
+        harvest(&mut self.server, &self.ids, &mut self.pending, &mut self.served, report.tick);
+        report
+    }
+
+    /// Drain the backlog (every ticket must resolve, none is lost), then
+    /// replay every session unbatched with the evictions mirrored.
+    fn finish(mut self) {
+        for _ in 0..20 {
+            if self.pending.iter().all(VecDeque::is_empty) {
+                break;
+            }
+            let _ = self.tick();
+        }
+        for (s, q) in self.pending.iter().enumerate() {
+            assert!(q.is_empty(), "session {s} has unresolved tickets (a deferral lost it)");
+            assert_eq!(self.served[s].len(), self.subs[s].len(), "session {s} lost decisions");
+        }
+        drop(self.server);
+        assert_eq!(self.pool.used_pages(), 0);
+        assert_forced_clear_replay(
+            &self.m.abr,
+            &self.ids,
+            &self.subs,
+            &self.served,
+            &self.evictions,
+        );
+    }
+}
+
+/// The pressure tick's submissions, COLD last: the youngest arrival is
+/// then one whose step needs no new page (17 → 23 rows stays in 3 pages).
+const PRESSURE_ORDER: [usize; PROBE_B] = [0, 2, 3, 4, 5, COLD];
+/// The youngest arrival at the pressure tick whose step needs a page
+/// (23 → 29 rows crosses into a fourth).
+const YOUNGEST_GROWER: usize = 5;
+
+/// Pressure with every page holder in the batch and pages about to go
+/// idle (no session has a second arrival queued): the guard defers the
+/// youngest arrival that needs a page, evicts nothing, and the deferred
+/// session keeps its cache — the next tick serves it for its one-page
+/// increment, not a rebuild from empty, and its answer is its
+/// unpressured one (the forced-clear replay never clears it).
+#[test]
+fn memory_guard_defers_the_youngest_grower_and_keeps_its_cache() {
+    let mut p = GuardProbe::warm();
+    for s in PRESSURE_ORDER {
+        p.submit(s, PRESSURE);
+    }
+    let held: Vec<usize> = p.ids.iter().map(|&id| p.server.pages_of(id)).collect();
+    let report = p.tick();
+    assert!(report.memory.evicted.is_empty(), "a deferral that keeps caches suffices");
+    assert_eq!(report.memory.deferred, 1, "exactly one arrival is held back");
+    for (s, q) in p.pending.iter().enumerate() {
+        assert_eq!(q.len(), usize::from(s == YOUNGEST_GROWER), "session {s} pending");
+    }
+    let id = p.ids[YOUNGEST_GROWER];
+    assert_eq!(p.server.pages_of(id), held[YOUNGEST_GROWER], "the deferral keeps the cache");
+
+    let next = p.tick();
+    assert!(!next.memory.evicted.contains(&id), "the deferred session is protected");
+    assert!(p.pending[YOUNGEST_GROWER].is_empty(), "served on the next tick");
+    assert_eq!(
+        p.server.pages_of(id),
+        held[YOUNGEST_GROWER] + 1,
+        "served from its kept cache (a re-anchor would rebuild into 3 pages)"
+    );
+    p.finish();
+}
+
+/// Regression (defer-then-evict), with the deferral bound at 0: every
+/// batch session has a second arrival queued, so no page can go idle
+/// before the next guard and deferring without evicting would free
+/// nothing. The guard must then sacrifice by eviction-policy order — the
+/// cheapest rebuild, which here is neither the coldest session nor the
+/// youngest arrival — sparing the oldest arrival, and the sacrifice's
+/// own arrival is deferred so it is never served in the tick that
+/// cleared its cache. Before the fix the victim-exclusion set was
+/// recomputed per loop iteration and there was no sacrifice branch: the
+/// guard deferred the *youngest* arrival for backpressure and then
+/// evicted exactly that session on the next scan (it had left the
+/// batch), undoing the deferral's whole point and picking the victim by
+/// arrival-clock accident instead of policy order.
+#[test]
+fn memory_guard_sacrifices_by_policy_order_when_no_page_can_go_idle() {
+    let mut p = GuardProbe::warm();
+    for step in [PRESSURE, PRESSURE + 1] {
+        for s in PRESSURE_ORDER {
+            p.submit(s, step);
+        }
+    }
+    let report = p.tick();
+    // Reclaiming LATE's one page is enough: 5 free ≥ the 4-page demand
+    // left once its arrival is deferred.
+    assert_eq!(
+        report.memory.evicted,
+        vec![p.ids[LATE]],
+        "the sacrifice must be the cheapest rebuild, by policy order"
+    );
+    assert_eq!(report.memory.deferred, 1, "the sacrifice's arrival is deferred");
+    // Every spared session was served this tick; only the sacrifice
+    // waits with both its arrivals.
+    for (s, q) in p.pending.iter().enumerate() {
+        assert_eq!(q.len(), 1 + usize::from(s == LATE), "session {s} pending after pressure");
+    }
+    p.finish();
+}
+
+/// Liveness of the bounded deferral: when every session keeps a second
+/// arrival queued, no page ever goes idle, so the bound stays 0 and the
+/// guard must take the sacrifice path instead of deferring forever. Six
+/// sessions on the 20-page pool submit two arrivals at the first tick and
+/// one at each of the next `BACKLOGGED − 1`, so every queue holds at
+/// least two before each drain: every ticket resolves within `DRAIN`
+/// further ticks, no session waits more than 3 ticks between answers,
+/// some backlogged tick evicts a batch member whose arrival it held
+/// back, and the forced-clear replay holds.
+#[test]
+fn bounded_deferral_cannot_starve_a_fully_backlogged_fleet() {
+    const BACKLOGGED: usize = 24;
+    const DRAIN: usize = BACKLOGGED / 2;
+    let m = build_models(3);
+    let streams: Vec<Vec<AbrObservation>> = (0..PROBE_B)
+        .map(|s| AbrObservation::synthetic_stream(1300 + s as u64, BACKLOGGED + 1))
+        .collect();
     let pool =
-        PagePool::for_model(&m.abr.lm, PageConfig { page_tokens: 8, budget_bytes: 20 * 768 });
-    let budget = 20 * 768;
+        PagePool::for_model(&m.abr.lm, PageConfig { page_tokens: 8, budget_bytes: PROBE_BUDGET });
     let mut server = ShardedServer::with_memory(
         2,
         AdmissionPolicy::LeastLoaded,
         pool.clone(),
         EvictionPolicy::CheapestRebuild,
     );
-    let ids: Vec<_> = (0..B).map(|_| server.join(&m.abr)).collect();
-
-    let mut pending: Vec<VecDeque<Ticket>> = vec![VecDeque::new(); B];
-    let mut subs: Vec<Vec<AbrObservation>> = vec![Vec::new(); B]; // obs actually submitted
-    let mut served: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); B];
+    let ids: Vec<_> = (0..PROBE_B).map(|_| server.join(&m.abr)).collect();
+    let mut pending: Vec<VecDeque<Ticket>> = vec![VecDeque::new(); PROBE_B];
+    let mut subs: Vec<Vec<AbrObservation>> = vec![Vec::new(); PROBE_B];
+    let mut served: Vec<Vec<(u64, Vec<f32>)>> = vec![Vec::new(); PROBE_B];
     let mut evictions: Vec<(u64, u64)> = Vec::new();
-    // `tick` is the schedule clock, not an index (the COLD/LATE skip windows
-    // and the pressure-tick assertions below read it directly).
-    #[allow(clippy::needless_range_loop)]
-    for tick in 0..TICKS {
-        for (s, &id) in ids.iter().enumerate() {
-            if (s == COLD && tick == 3) || (s == LATE && tick < 3) {
-                continue;
+    let mut sacrifices = 0usize;
+    let mut ticks_run = 0u64;
+    for tick in 0..BACKLOGGED + DRAIN {
+        if tick < BACKLOGGED {
+            for (s, &id) in ids.iter().enumerate() {
+                for _ in 0..1 + usize::from(tick == 0) {
+                    let o = streams[s][subs[s].len()].clone();
+                    pending[s].push_back(server.submit(id, o.clone()).expect("under the cap"));
+                    subs[s].push(o);
+                }
+                assert!(server.pending_of(id) >= 2, "session {s} backlogged");
             }
-            let o = streams[s][tick].clone();
-            let t = server.submit(id, o.clone()).expect("submit under the cap");
-            pending[s].push_back(t);
-            subs[s].push(o);
-        }
-        let report = server.tick(&m.abr);
-        assert!(report.memory.used_bytes <= budget);
-        for &v in &report.memory.evicted {
-            evictions.push((report.tick, v));
-        }
-        if tick < TICKS - 1 {
-            assert_eq!(
-                (report.memory.evicted.len(), report.memory.deferred),
-                (0, 0),
-                "tick {tick}: warmup must stay pressure-free"
-            );
-        } else {
-            // The pressure tick. Everyone is in the batch, so the old
-            // code would defer the youngest arrival (session 5) and then
-            // evict it; the fix sacrifices the policy's pick — the
-            // cheapest rebuild — and defers (not drops) its arrival.
-            // Reclaiming LATE's one page is enough: 5 free ≥ the 4-page
-            // demand left.
-            assert_eq!(
-                report.memory.evicted,
-                vec![ids[LATE]],
-                "the sacrifice must be the cheapest rebuild, by policy order"
-            );
-            assert_eq!(report.memory.deferred, 1, "the sacrifice's arrival is deferred");
-        }
-        harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
-        if tick == TICKS - 1 {
-            // Every spared session was served this tick; only the
-            // sacrifice waits for the next one.
-            for (s, q) in pending.iter().enumerate() {
-                assert_eq!(q.len(), usize::from(s == LATE), "session {s} pending after pressure");
-            }
-        }
-    }
-    for _ in 0..20 {
-        if pending.iter().all(VecDeque::is_empty) {
+        } else if pending.iter().all(VecDeque::is_empty) {
             break;
         }
         let report = server.tick(&m.abr);
-        assert!(report.memory.used_bytes <= budget);
-        for &v in &report.memory.evicted {
-            evictions.push((report.tick, v));
-        }
+        assert!(report.memory.used_bytes <= PROBE_BUDGET);
+        evictions.extend(report.memory.evicted.iter().map(|&v| (report.tick, v)));
         harvest(&mut server, &ids, &mut pending, &mut served, report.tick);
+        ticks_run = report.tick;
+        if tick < BACKLOGGED {
+            // Every session is in the batch, so every eviction here is a
+            // sacrifice: its arrival waits for a later tick.
+            for &v in &report.memory.evicted {
+                let s = ids.iter().position(|&id| id == v).expect("a probe session");
+                assert_ne!(
+                    served[s].last().map(|&(t, _)| t),
+                    Some(report.tick),
+                    "tick {}: session {s} served in the tick that cleared its cache",
+                    report.tick
+                );
+                sacrifices += 1;
+            }
+        }
     }
     for (s, q) in pending.iter().enumerate() {
-        assert!(q.is_empty(), "session {s} has unresolved tickets (sacrifice lost its arrival)");
+        assert!(q.is_empty(), "session {s} has unresolved tickets after {DRAIN} drain ticks");
         assert_eq!(served[s].len(), subs[s].len(), "session {s} lost decisions");
     }
+    assert!(sacrifices > 0, "a fleet with no idle page must take the sacrifice path");
+    // A backlogged session is served at least every third tick (the
+    // unbounded rule, which defers growers while no page goes idle, let
+    // a session wait 7 ticks here and took 51 ticks to resolve).
+    let gap = served
+        .iter()
+        .flat_map(|sv| sv.windows(2).map(|w| w[1].0 - w[0].0))
+        .max()
+        .expect("every session answers more than once");
+    assert!(gap <= 3, "a backlogged session waited {gap} ticks between answers");
+    println!(
+        "backlogged fleet: {} decisions in {ticks_run} ticks (longest wait {gap}), {} evictions \
+         ({sacrifices} sacrifices while backlogged)",
+        served.iter().map(Vec::len).sum::<usize>(),
+        evictions.len()
+    );
     drop(server);
     assert_eq!(pool.used_pages(), 0);
-
     assert_forced_clear_replay(&m.abr, &ids, &subs, &served, &evictions);
 }
